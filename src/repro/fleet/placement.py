@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-from repro.fleet.device import FleetDevice
+from repro.serve.device import Device
 
 
 class PlacementPolicy(Protocol):
@@ -29,11 +29,11 @@ class PlacementPolicy(Protocol):
 
     name: str
 
-    def choose(self, devices: Sequence[FleetDevice], now_s: float) -> FleetDevice:
+    def choose(self, devices: Sequence[Device], now_s: float) -> Device:
         ...
 
 
-def _require_devices(devices: Sequence[FleetDevice]) -> None:
+def _require_devices(devices: Sequence[Device]) -> None:
     if not devices:
         raise ValueError("placement called with no healthy devices")
 
@@ -46,7 +46,7 @@ class RoundRobinPlacement:
     def __init__(self) -> None:
         self._cursor = 0
 
-    def choose(self, devices: Sequence[FleetDevice], now_s: float) -> FleetDevice:
+    def choose(self, devices: Sequence[Device], now_s: float) -> Device:
         _require_devices(devices)
         ordered = sorted(devices, key=lambda d: d.device_id)
         device = ordered[self._cursor % len(ordered)]
@@ -59,7 +59,7 @@ class LeastLoadedPlacement:
 
     name = "least-loaded"
 
-    def choose(self, devices: Sequence[FleetDevice], now_s: float) -> FleetDevice:
+    def choose(self, devices: Sequence[Device], now_s: float) -> Device:
         _require_devices(devices)
         # A device can start the lease at max(now, its own clock); less
         # committed work first, id breaks ties.
@@ -81,7 +81,7 @@ class WearAwarePlacement:
 
     name = "wear-aware"
 
-    def choose(self, devices: Sequence[FleetDevice], now_s: float) -> FleetDevice:
+    def choose(self, devices: Sequence[Device], now_s: float) -> Device:
         _require_devices(devices)
         return min(
             devices,

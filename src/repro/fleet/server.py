@@ -1,12 +1,13 @@
 """Fault-tolerant multi-device fleet serving tier.
 
-:class:`FleetServer` lifts the PR 4 single-device
-:class:`~repro.serve.server.CimServer` to a fleet of N emulated CIM
-devices behind one submission front door:
+:class:`FleetServer` is the fleet configuration of the one serving loop
+(:class:`~repro.serve.server.ServingLoop`): N emulated CIM devices behind
+one submission front door, a placement policy and — when the config
+carries a fault plan — :class:`FaultRecovery`:
 
 * **Parallel devices, one trace.**  Arrivals, admission and batching
   windows run on one global :class:`~repro.serve.clock.VirtualClock`;
-  each :class:`~repro.fleet.device.FleetDevice` serves its leases on its
+  each :class:`~repro.serve.device.Device` serves its leases on its
   *own* clock, so devices work in parallel simulated time and a lease
   queues behind the previous lease of its device only.
 * **Wear-aware placement.**  Each formed batch is routed by a pluggable
@@ -35,53 +36,33 @@ devices behind one submission front door:
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Optional, Union
 
-import numpy as np
-
-from repro.compiler.cache import KernelCompileCache, compile_fingerprint
-from repro.compiler.driver import TdoCimCompiler
-from repro.compiler.options import CompileOptions
-from repro.fleet.device import DeviceState, FleetDevice
+from repro.compiler.cache import KernelCompileCache
 from repro.fleet.faults import FaultPlan
 from repro.fleet.placement import PlacementPolicy, make_placement
-from repro.hw.timeline import Timeline
-from repro.ir.program import Program
-from repro.serve.accounting import AccountingLedger
-from repro.serve.admission import AdmissionController, TenantQuota
-from repro.serve.batcher import DynamicBatcher, batch_signature
-from repro.serve.clock import VirtualClock
-from repro.serve.errors import DeviceFault, LeaseAborted, RetryExhausted, ServeError
-from repro.serve.metrics import MetricsRegistry
-from repro.serve.request import RequestHandle, RequestStatus, TenantRequest
-from repro.system.config import SystemConfig
+
+# Not called here: benchmarks/suite/workloads.py::instrument wraps
+# ``repro.fleet.server.batch_signature`` by name (Tracer.wrap reads the
+# module attribute), so the name must stay bound on this module.
+from repro.serve.batcher import batch_signature  # noqa: F401
+from repro.serve.clock import capped_backoff_s
+from repro.serve.device import Device, DeviceState
+from repro.serve.errors import DeviceFault, LeaseAborted, RetryExhausted
+from repro.serve.request import RequestStatus, TenantRequest
+from repro.serve.server import ServerConfig, ServingLoop
 
 
 @dataclass
-class FleetConfig:
-    """Tuning knobs of one :class:`FleetServer`."""
+class FleetConfig(ServerConfig):
+    """Tuning knobs of one :class:`FleetServer`: the loop's own
+    (:class:`~repro.serve.server.ServerConfig`, homogeneous across
+    devices) plus the fleet's."""
 
     #: Fleet size (emulated devices).
     num_devices: int = 2
-    #: CIM tiles per device (each device shards its leases over these).
-    num_tiles: int = 1
-    #: Simulated batching window (same semantics as the single server).
-    batch_window_s: float = 100e-6
-    #: Hard cap on requests per dispatch batch (per lease).
-    max_batch_size: int = 16
-    #: Admission defaults for tenants without an explicit quota.
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
-    #: Scrub crossbar residency between leases (tenant isolation).
-    scrub_leases: bool = True
-    #: Compiler options for ``submit`` calls that pass mini-C source.
-    compile_options: CompileOptions = field(default_factory=CompileOptions)
-    #: Optional crossbar geometry overrides (homogeneous across devices).
-    crossbar_rows: Optional[int] = None
-    crossbar_cols: Optional[int] = None
-    crossbar_mode: str = "ideal"
     #: Lease routing policy: "wear-aware" (default), "round-robin",
     #: "least-loaded", or a PlacementPolicy instance.
     placement: Union[str, PlacementPolicy] = "wear-aware"
@@ -113,284 +94,84 @@ class FleetConfig:
             )
 
 
-class FleetServer:
-    """Serve offload requests from many tenants on a fleet of devices."""
+class FleetServer(ServingLoop):
+    """Serve offload requests from many tenants on a fleet of devices:
+    the loop with N devices on their own clocks, a placement policy and
+    the config's seeded fault plan."""
+
+    # Bound on this class itself for the benchmark's span tracer, which
+    # keeps ``fleet.step_self_us`` apart from ``serve.step_self_us``; the
+    # full reason is at the same spot in CimServer.
+    submit = ServingLoop.submit
+    step = ServingLoop.step
+    drain = ServingLoop.drain
 
     def __init__(
         self,
         config: Optional[FleetConfig] = None,
         compile_cache: Optional[KernelCompileCache] = None,
     ):
-        self.config = config or FleetConfig()
-        self.clock = VirtualClock()
-        self.metrics = MetricsRegistry()
-        self.timeline = Timeline()
-        system_config = SystemConfig(
-            num_tiles=self.config.num_tiles,
-            crossbar_rows=self.config.crossbar_rows,
-            crossbar_cols=self.config.crossbar_cols,
-            crossbar_mode=self.config.crossbar_mode,
-        )
-        crossbar = system_config.crossbar_config()
-        self.ledger = AccountingLedger(
-            crossbar_size_bytes=crossbar.rows * crossbar.cols
-        )
-        self.admission = AdmissionController(
-            self.ledger, self.config.default_quota
-        )
-        self.batcher = DynamicBatcher(
-            window_s=self.config.batch_window_s,
-            max_batch_size=self.config.max_batch_size,
-        )
-        self.compile_cache = compile_cache or KernelCompileCache()
-        self.compiler = TdoCimCompiler(
-            self.config.compile_options, cache=self.compile_cache
-        )
-        self.placement = make_placement(self.config.placement)
-        self.fault_plan = (
-            self.config.fault_plan.fresh()
-            if self.config.fault_plan is not None
-            else None
-        )
-        wear = self.config.initial_wear_bytes
-        self.devices: list[FleetDevice] = []
-        for device_id in range(self.config.num_devices):
-            device = FleetDevice(
-                device_id=device_id,
-                system_config=SystemConfig(
-                    num_tiles=self.config.num_tiles,
-                    crossbar_rows=self.config.crossbar_rows,
-                    crossbar_cols=self.config.crossbar_cols,
-                    crossbar_mode=self.config.crossbar_mode,
-                ),
-                ledger=self.ledger,
-                metrics=self.metrics,
-                timeline=self.timeline,
-                scrub_leases=self.config.scrub_leases,
-                charge_service=self.admission.charge_service,
-                fault_hook=self._make_fault_hook(device_id),
-                initial_wear_bytes=(
-                    wear[device_id] if device_id < len(wear) else 0
-                ),
+        config = config or FleetConfig()
+        super().__init__(config, compile_cache, config.system_config())
+        self.placement = make_placement(config.placement)
+        wear = config.initial_wear_bytes
+        for device_id in range(config.num_devices):
+            device = self._add_device(
+                f"fleet.device{device_id}",
+                initial_wear_bytes=wear[device_id] if device_id < len(wear) else 0,
             )
-            self.devices.append(device)
             self.metrics.observe_device_state(device_id, device.state.value)
+        if config.fault_plan is not None:
+            self.recovery = FaultRecovery(self, config.fault_plan.fresh())
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def verify_fleet_partition(self) -> dict[str, bool]:
+        """Exactly-once check across the whole fleet (see
+        :meth:`~repro.serve.accounting.AccountingLedger.verify_fleet_partition`)."""
+        return self.ledger.verify_fleet_partition(
+            {device.device_id: device.system.accelerator for device in self.devices}
+        )
+
+    def device_states(self) -> dict[int, str]:
+        return {device.device_id: device.state.value for device in self.devices}
+
+
+class FaultRecovery:
+    """Fault injection and recovery for one loop, driven by its plan.
+
+    Installs itself as every device's
+    :class:`~repro.serve.dispatch.LeaseExecutor` fault hook, fires the
+    plan's scripted device events as the loop clock passes them
+    (:meth:`apply_device_events`) and resolves the aftermath of each
+    lease (:meth:`after_lease`).
+    """
+
+    def __init__(self, server: FleetServer, plan: FaultPlan):
+        self.plan = plan
+        self.config = server.config
+        self.retry_at = server.retry_at
+        self.devices = server.devices
+        self.admission = server.admission
+        self.metrics = server.metrics
         #: Programs already compiled/seen per device ("compile" faults
         #: only threaten a program's first landing on a device).
         self._programs_seen: dict[int, set] = {
             device.device_id: set() for device in self.devices
         }
-        self._arrivals: deque[TenantRequest] = deque()
-        #: Backoff queue: (ready_s, seq, request), promoted into the
-        #: tenant queues once the global clock reaches ready_s.
-        self._retry_heap: list[tuple[float, int, TenantRequest]] = []
         self._degrade_index = 0
-        self._seq = 0
-        self._batch_counter = 0
-        self._last_arrival_s = 0.0
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def shutdown(self) -> None:
-        """Release every device's runtime session.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
         for device in self.devices:
-            device.shutdown()
-
-    def __enter__(self) -> "FleetServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ServeError("fleet has been shut down")
-
-    # ------------------------------------------------------------------
-    # Tenant API (same contract as CimServer.submit)
-    # ------------------------------------------------------------------
-    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        self.admission.set_quota(tenant, quota)
-
-    def submit(
-        self,
-        tenant: str,
-        kernel: Union[str, Program, object],
-        params: Optional[Mapping[str, Union[int, float]]] = None,
-        arrays: Optional[Mapping[str, np.ndarray]] = None,
-        arrival_s: Optional[float] = None,
-    ) -> RequestHandle:
-        """Queue one offload request; returns its handle immediately."""
-        self._require_open()
-        if not tenant:
-            raise ServeError("tenant name must be non-empty")
-        params = {key: value for key, value in (params or {}).items()}
-        earliest = max(self.clock.now_s, self._last_arrival_s)
-        if arrival_s is None:
-            arrival_s = earliest
-        elif arrival_s < earliest:
-            raise ServeError(
-                f"arrival_s={arrival_s} is in the simulated past "
-                f"(clock={self.clock.now_s}, last arrival={self._last_arrival_s})"
-            )
-        program, fingerprint, engine = self._resolve_kernel(kernel, params)
-        snapshot = {
-            name: np.array(value, copy=True)
-            for name, value in (arrays or {}).items()
-        }
-        signature = batch_signature(fingerprint, program, params, snapshot)
-        self._seq += 1
-        handle = RequestHandle(
-            request_id=self._seq, tenant=tenant, arrival_s=arrival_s
-        )
-        request = TenantRequest(
-            seq=self._seq,
-            tenant=tenant,
-            signature=signature,
-            program=program,
-            params=params,
-            arrays=snapshot,
-            arrival_s=arrival_s,
-            engine=engine,
-            handle=handle,
-        )
-        self._arrivals.append(request)
-        self._last_arrival_s = arrival_s
-        self.metrics.observe_submit()
-        return handle
-
-    def _resolve_kernel(
-        self, kernel: Union[str, Program, object], params: Mapping[str, float]
-    ) -> tuple[Program, str, Optional[str]]:
-        if hasattr(kernel, "program") and hasattr(kernel, "report"):
-            program = kernel.program  # pre-compiled CompilationResult
-            fingerprint = getattr(kernel, "cache_key", None) or compile_fingerprint(
-                program, self.config.compile_options, params
-            )
-            options = getattr(kernel, "options", None)
-            engine = options.engine if options is not None else None
-            return program, fingerprint, engine
-        hits0 = self.compile_cache.hits
-        misses0 = self.compile_cache.misses
-        result = self.compiler.compile(kernel, size_hint=params)
-        self.metrics.observe_compile(
-            self.compile_cache.hits - hits0, self.compile_cache.misses - misses0
-        )
-        fingerprint = result.cache_key or compile_fingerprint(
-            kernel, self.config.compile_options, params
-        )
-        return result.program, fingerprint, self.config.compile_options.engine
-
-    # ------------------------------------------------------------------
-    # Event loop
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Advance the fleet by one event (one dispatched lease, or one
-        clock hop to the next arrival / retry).  Returns ``False`` when
-        every submitted request is resolved."""
-        self._require_open()
-        now_s = self.clock.now_s
-        self._apply_device_events(now_s)
-        self._promote_retries(now_s)
-        self._pump_arrivals(now_s)
-        if self.admission.total_queued == 0:
-            candidates = []
-            if self._arrivals:
-                candidates.append(self._arrivals[0].arrival_s)
-            if self._retry_heap:
-                candidates.append(self._retry_heap[0][0])
-            if not candidates:
-                return False
-            target_s = min(candidates)
-            self.clock.advance_to(target_s)
-            self._apply_device_events(target_s)
-            self._promote_retries(target_s)
-            self._pump_arrivals(target_s)
-            if self.admission.total_queued == 0:
-                return True  # everything at this instant was rejected
-        healthy = self._healthy_devices()
-        if not healthy:
-            self._fail_stranded("no healthy devices left in the fleet")
-            return True
-        seed = self.admission.pick_seed()
-        window_close_s = self.clock.now_s + self.batcher.window_s
-        self._pump_arrivals(window_close_s)
-        batch = self.batcher.form_batch(seed, self.admission.queued_requests())
-        device = self.placement.choose(healthy, self.clock.now_s)
-        # A degraded device leases fewer crossbar columns: shrink the
-        # batch; the overflow stays queued for the next window.
-        capacity = max(
-            1, int(self.batcher.max_batch_size * device.capacity_factor)
-        )
-        if len(batch) > capacity:
-            if seed in batch[:capacity]:
-                batch = batch[:capacity]
-            else:
-                batch = batch[: capacity - 1] + [seed]
-        self.admission.remove(batch)
-        self.clock.advance_to(window_close_s)
-        lease_start_s = max(self.clock.now_s, device.clock.now_s)
-        device.clock.advance_to(lease_start_s)
-        self._batch_counter += 1
-        faulted = device.lease_executor.dispatch(batch, self._batch_counter)
-        device.busy_s += device.clock.now_s - lease_start_s
-        device.leases += 1
-        self._handle_faults(batch, faulted, device)
-        return True
-
-    def drain(self) -> dict:
-        """Run the event loop until every submitted request is resolved;
-        returns a metrics snapshot (including the fleet health section)."""
-        while self.step():
-            pass
-        return self.metrics.snapshot(self.admission.queue_depths())
-
-    def _pump_arrivals(self, until_s: float) -> None:
-        while self._arrivals and self._arrivals[0].arrival_s <= until_s:
-            request = self._arrivals.popleft()
-            admitted = self.admission.admit(request, now_s=request.arrival_s)
-            self.metrics.observe_admission(admitted)
-            if admitted:
-                self.metrics.observe_queue_depths(self.admission.queue_depths())
-
-    def _promote_retries(self, now_s: float) -> None:
-        """Move backed-off requests whose retry time has come back into
-        their tenant queues (quota-exempt: admission already granted)."""
-        while self._retry_heap and self._retry_heap[0][0] <= now_s:
-            _, _, request = heapq.heappop(self._retry_heap)
-            self.admission.requeue(request)
-
-    # ------------------------------------------------------------------
-    # Fault machinery
-    # ------------------------------------------------------------------
-    def _healthy_devices(self) -> list[FleetDevice]:
-        return [device for device in self.devices if device.healthy]
-
-    def _make_fault_hook(self, device_id: int):
-        def hook(stage: str, request: TenantRequest) -> None:
-            self._inject_faults(stage, request, self.devices[device_id])
-
-        return hook
+            device.lease_executor.fault_hook = partial(self._inject_faults, device)
 
     def _inject_faults(
-        self, stage: str, request: TenantRequest, device: FleetDevice
+        self, device: Device, stage: str, request: TenantRequest
     ) -> None:
         """LeaseExecutor fault hook: consult the plan on the device's own
         clock.  ``attempt`` faults lose no work; a kill surfacing at
         ``commit`` is the mid-attempt death — the work is measured, then
         compensated, and the response is discarded."""
-        plan = self.fault_plan
-        if plan is None:
-            return
+        plan = self.plan
         kill_at_s = plan.kill_time(device.device_id)
         if kill_at_s is not None and device.clock.now_s >= kill_at_s:
             if device.state is DeviceState.UP:
@@ -417,32 +198,29 @@ class FleetServer:
                 )
         self._programs_seen[device.device_id].add(request.signature)
 
-    def _mark_device_dead(self, device: FleetDevice) -> None:
+    def _mark_device_dead(self, device: Device) -> None:
         """Quarantine a dying device and tighten fleet-wide admission."""
         device.quarantine()
         self.metrics.observe_fault("device")
         self.metrics.observe_device_state(device.device_id, device.state.value)
         if self.config.tighten_admission:
-            self.admission.depth_scale = len(self._healthy_devices()) / len(
-                self.devices
-            )
+            healthy = sum(1 for member in self.devices if member.healthy)
+            self.admission.depth_scale = healthy / len(self.devices)
 
-    def _apply_device_events(self, now_s: float) -> None:
+    def apply_device_events(self, now_s: float) -> None:
         """Fire scripted kills (idle deaths) and capacity degradations
         whose simulated time has come."""
-        if self.fault_plan is None:
-            return
         for device in self.devices:
             if device.state is not DeviceState.UP:
                 continue
-            kill_at_s = self.fault_plan.kill_time(device.device_id)
+            kill_at_s = self.plan.kill_time(device.device_id)
             if kill_at_s is not None and kill_at_s <= now_s:
                 self._mark_device_dead(device)
                 device.drain()  # idle: nothing in flight to migrate
                 self.metrics.observe_device_state(
                     device.device_id, device.state.value
                 )
-        degrades = self.fault_plan.degrades
+        degrades = self.plan.degrades
         while self._degrade_index < len(degrades):
             event = degrades[self._degrade_index]
             if event.at_s > now_s:
@@ -455,11 +233,11 @@ class FleetServer:
                 device.degrade(event.factor)
                 self.metrics.observe_fault("degrade")
 
-    def _handle_faults(
+    def after_lease(
         self,
         batch: list[TenantRequest],
         faulted: list,
-        device: FleetDevice,
+        device: Device,
     ) -> None:
         """Resolve the aftermath of a lease: retry transient faults with
         backoff, migrate requests stranded by a device death, fail
@@ -488,15 +266,12 @@ class FleetServer:
                 self.metrics.observe_unrecovered()
                 continue
             if item.attempted and not fault.fatal:
-                backoff_s = min(
-                    self.config.retry_backoff_base_s
-                    * 2 ** (handle.attempts - 1),
+                backoff_s = capped_backoff_s(
+                    self.config.retry_backoff_base_s,
                     self.config.retry_backoff_max_s,
+                    handle.attempts,
                 )
-                heapq.heappush(
-                    self._retry_heap,
-                    (device.clock.now_s + backoff_s, request.seq, request),
-                )
+                self.retry_at(device.clock.now_s + backoff_s, request)
                 self.metrics.observe_retry()
             else:
                 # Device death: migrate now — stranded members retry on a
@@ -516,36 +291,3 @@ class FleetServer:
                 handle.attempts > 1 or handle.migrations > 0
             ):
                 self.metrics.observe_recovery()
-
-    def _fail_stranded(self, reason: str) -> None:
-        """The whole fleet is dead: resolve everything still in flight
-        (queued, backed off, or yet to arrive) as FAILED."""
-        stranded = self.admission.queued_requests()
-        for tenant in self.admission.queues:
-            self.admission.queues[tenant] = []
-        while self._retry_heap:
-            stranded.append(heapq.heappop(self._retry_heap)[2])
-        while self._arrivals:
-            stranded.append(self._arrivals.popleft())
-        for request in stranded:
-            handle = request.handle
-            handle.mark_failed(
-                completed_s=max(self.clock.now_s, request.arrival_s),
-                reason=f"DeviceFault: {reason}",
-            )
-            self.metrics.observe_failure()
-            if handle.attempts > 0 or handle.migrations > 0:
-                self.metrics.observe_unrecovered()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def verify_fleet_partition(self) -> dict[str, bool]:
-        """Exactly-once check across the whole fleet (see
-        :meth:`~repro.serve.accounting.AccountingLedger.verify_fleet_partition`)."""
-        return self.ledger.verify_fleet_partition(
-            {device.device_id: device.system.accelerator for device in self.devices}
-        )
-
-    def device_states(self) -> dict[int, str]:
-        return {device.device_id: device.state.value for device in self.devices}

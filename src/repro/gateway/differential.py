@@ -38,18 +38,20 @@ server invariant), tying the differential back to the original run.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import USAGE_FIELDS, GatewayRequest, GatewayResponse
+from repro.trace.recorder import BILL_FIELDS, tenant_bills
+from repro.trace.replayer import TraceDiff
 from repro.trace.schema import (
     Trace,
     TraceFormatError,
-    decode_array,
     decode_compile_options,
+    decode_submit_arrays,
 )
 
 #: Sections the differential compares, in report order.
@@ -61,51 +63,16 @@ DIFF_SECTIONS = (
     "recorded_responses",
 )
 
-#: Tenant-bill fields compared between the two modes (integer counters by
-#: ``==``, fsum energies by exact float equality).
-BILL_FIELDS = (
-    "completed",
-    "rejected",
-    "wear_bytes",
-    "crossbar_write_ops",
-    "gemv_count",
-    "macs",
-    "dma_bytes",
-    "energy_j",
-    "accelerator_energy_j",
-    "service_s",
-)
 
-
-@dataclass
-class GatewayDiff:
+class GatewayDiff(TraceDiff):
     """Every way the two modes disagree, by section; empty == pass."""
 
-    mismatches: dict[str, list[str]] = field(
-        default_factory=lambda: {section: [] for section in DIFF_SECTIONS}
+    sections = DIFF_SECTIONS
+    identical_verdict = (
+        "wall-clock and VirtualClock modes are identical "
+        "(bit-for-bit responses and accounting)"
     )
-
-    @property
-    def identical(self) -> bool:
-        return not any(self.mismatches.values())
-
-    def add(self, section: str, message: str) -> None:
-        self.mismatches.setdefault(section, []).append(message)
-
-    def count(self) -> int:
-        return sum(len(entries) for entries in self.mismatches.values())
-
-    def summary(self) -> str:
-        if self.identical:
-            return (
-                "wall-clock and VirtualClock modes are identical "
-                "(bit-for-bit responses and accounting)"
-            )
-        lines = [f"serving modes differ: {self.count()} mismatch(es)"]
-        for section in self.mismatches:
-            for message in self.mismatches[section]:
-                lines.append(f"  [{section}] {message}")
-        return "\n".join(lines)
+    differ_verdict = "serving modes differ"
 
 
 @dataclass
@@ -141,25 +108,6 @@ def _require_serve_trace(trace: Trace) -> None:
             f"{trace.kind!r} (fleet traces have per-device schedules the "
             "pool does not reproduce)"
         )
-
-
-def _bills(ledger) -> dict[str, dict]:
-    bills = {}
-    for tenant in sorted(ledger.tenants):
-        account = ledger.tenants[tenant]
-        bills[tenant] = {
-            "completed": account.completed,
-            "rejected": account.rejected,
-            "wear_bytes": int(account.wear_bytes),
-            "crossbar_write_ops": int(account.crossbar_write_ops),
-            "gemv_count": int(account.gemv_count),
-            "macs": int(account.macs),
-            "dma_bytes": int(account.dma_bytes),
-            "energy_j": account.energy_j,
-            "accelerator_energy_j": account.accelerator_energy_j,
-            "service_s": account.service_s,
-        }
-    return bills
 
 
 def _totals(ledger) -> dict[str, float]:
@@ -201,10 +149,7 @@ def reference_run(trace: Trace) -> ModeRun:
                 tenant=event["tenant"],
                 source=event["source"],
                 params=dict(event["params"]),
-                arrays={
-                    name: decode_array(payload, where=f"submit array {name!r}")
-                    for name, payload in event["arrays"].items()
-                },
+                arrays=decode_submit_arrays(event),
             )
             response = serve_one(server, request, worker_id=0)
             physical.fold(server.system.accelerator)
@@ -218,7 +163,7 @@ def reference_run(trace: Trace) -> ModeRun:
         return ModeRun(
             responses=responses,
             usage=usage,
-            tenant_bills=_bills(server.ledger),
+            tenant_bills=tenant_bills(server.ledger),
             partition=partition_checks(
                 server.ledger, {0: physical.authoritative()}
             ),
@@ -271,10 +216,7 @@ async def gateway_run_async(
                     event["tenant"],
                     event["source"],
                     params=event["params"],
-                    arrays={
-                        name: decode_array(payload, where=f"submit array {name!r}")
-                        for name, payload in event["arrays"].items()
-                    },
+                    arrays=decode_submit_arrays(event),
                 )
             )
         responses_list: list[GatewayResponse] = await asyncio.gather(*futures)
@@ -294,7 +236,7 @@ async def gateway_run_async(
     return ModeRun(
         responses=responses,
         usage=usage,
-        tenant_bills=_bills(gateway.ledger),
+        tenant_bills=tenant_bills(gateway.ledger),
         partition=gateway.verify_partition(),
         totals=_totals(gateway.ledger),
         snapshot=gateway.snapshot(),

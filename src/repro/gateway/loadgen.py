@@ -97,7 +97,7 @@ def trace_workload(trace: Trace) -> Workload:
     """A recorded trace's submissions, cycled by index (source, params
     and arrays byte-for-byte — the replay-driven workload of ROADMAP
     item 5)."""
-    from repro.trace.schema import decode_array
+    from repro.trace.schema import decode_submit_arrays
 
     submissions = trace.submissions()
     if not submissions:
@@ -107,10 +107,7 @@ def trace_workload(trace: Trace) -> Workload:
             tenant=event["tenant"],
             source=event["source"],
             params=dict(event["params"]),
-            arrays={
-                name: decode_array(payload, where=f"submit array {name!r}")
-                for name, payload in event["arrays"].items()
-            },
+            arrays=decode_submit_arrays(event),
         )
         for event in submissions
     ]

@@ -87,9 +87,9 @@ from repro.gateway.worker import (
     RESPONSE_FRAME,
     worker_main,
 )
-from repro.serve.accounting import AccountingLedger, FaultCompensation
-from repro.serve.admission import TenantQuota
-from repro.serve.clock import WallClock
+from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage
+from repro.serve.admission import TenantQuota, budget_exhausted_reason
+from repro.serve.clock import WallClock, capped_backoff_s
 from repro.serve.metrics import MetricsRegistry
 from repro.trace.schema import encode_compile_options
 
@@ -442,24 +442,7 @@ class AsyncGateway:
                 f"tenant queue full ({depth}/{quota.max_queue_depth} "
                 "requests pending)"
             )
-        account = self.ledger.account(tenant)
-        if (
-            quota.wear_budget_bytes is not None
-            and account.wear_bytes >= quota.wear_budget_bytes
-        ):
-            return (
-                f"wear quota exhausted ({account.wear_bytes} B written "
-                f">= budget {quota.wear_budget_bytes:.0f} B)"
-            )
-        if (
-            quota.energy_budget_j is not None
-            and account.energy_j >= quota.energy_budget_j
-        ):
-            return (
-                f"energy quota exhausted ({account.energy_j:.3e} J "
-                f">= budget {quota.energy_budget_j:.3e} J)"
-            )
-        return None
+        return budget_exhausted_reason(quota, self.ledger.account(tenant))
 
     # ------------------------------------------------------------------
     # Submission
@@ -671,8 +654,6 @@ class AsyncGateway:
         """Fold the worker-measured usage into the gateway ledger, keyed
         by worker id (= device id): the wall-clock analogue of the
         simulated server's per-tenant accounting."""
-        from repro.serve.accounting import RequestUsage
-
         for energy_j in response.housekeeping_energy_j:
             self.ledger.record_housekeeping(energy_j, device_id=response.worker_id)
         if not response.usage:
@@ -917,11 +898,11 @@ class AsyncGateway:
             return  # self-healing off: the pool shrinks permanently
         if slot.respawns < self.config.max_respawns and not self._closed:
             slot.respawns += 1
-            backoff_s = min(
-                self.config.respawn_backoff_base_s * 2 ** (slot.respawns - 1),
+            slot.pending_respawn_s = self.clock.now_s + capped_backoff_s(
+                self.config.respawn_backoff_base_s,
                 self.config.respawn_backoff_max_s,
+                slot.respawns,
             )
-            slot.pending_respawn_s = self.clock.now_s + backoff_s
             slot.respawn_to_spare = promoted
         elif not promoted and not slot.quarantined:
             slot.quarantined = True

@@ -35,7 +35,7 @@ from repro.serve.errors import (
 )
 from repro.serve.metrics import MetricsRegistry, percentile
 from repro.serve.request import RequestHandle, RequestStatus, TenantRequest
-from repro.serve.server import CimServer, ServerConfig
+from repro.serve.server import CimServer, ServerConfig, ServingLoop
 
 __all__ = [
     "AccountingLedger",
@@ -59,6 +59,7 @@ __all__ = [
     "RetryExhausted",
     "ServeError",
     "ServerConfig",
+    "ServingLoop",
     "TenantAccount",
     "TenantQuota",
     "TenantRequest",

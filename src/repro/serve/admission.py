@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.serve.accounting import AccountingLedger
+from repro.serve.accounting import AccountingLedger, TenantAccount
 from repro.serve.request import TenantRequest
 
 
@@ -54,6 +54,31 @@ class TenantQuota:
             raise ValueError("wear budget cannot be negative")
         if self.energy_budget_j is not None and self.energy_budget_j < 0:
             raise ValueError("energy budget cannot be negative")
+
+
+def budget_exhausted_reason(
+    quota: TenantQuota, account: TenantAccount
+) -> Optional[str]:
+    """Why *account* has spent *quota*'s wear or energy budget, or
+    ``None`` while it is within both.  Shared by the simulated loop's
+    admission and the wall-clock gateway's."""
+    if (
+        quota.wear_budget_bytes is not None
+        and account.wear_bytes >= quota.wear_budget_bytes
+    ):
+        return (
+            f"wear quota exhausted ({account.wear_bytes} B written "
+            f">= budget {quota.wear_budget_bytes:.0f} B)"
+        )
+    if (
+        quota.energy_budget_j is not None
+        and account.energy_j >= quota.energy_budget_j
+    ):
+        return (
+            f"energy quota exhausted ({account.energy_j:.3e} J "
+            f">= budget {quota.energy_budget_j:.3e} J)"
+        )
+    return None
 
 
 class AdmissionController:
@@ -118,23 +143,9 @@ class AdmissionController:
                 )
             )
         else:
-            account = self.ledger.account(request.tenant)
-            if (
-                quota.wear_budget_bytes is not None
-                and account.wear_bytes >= quota.wear_budget_bytes
-            ):
-                reason = (
-                    f"wear quota exhausted ({account.wear_bytes} B written "
-                    f">= budget {quota.wear_budget_bytes:.0f} B)"
-                )
-            elif (
-                quota.energy_budget_j is not None
-                and account.energy_j >= quota.energy_budget_j
-            ):
-                reason = (
-                    f"energy quota exhausted ({account.energy_j:.3e} J "
-                    f">= budget {quota.energy_budget_j:.3e} J)"
-                )
+            reason = budget_exhausted_reason(
+                quota, self.ledger.account(request.tenant)
+            )
         if reason is not None:
             request.handle.mark_rejected(reason)
             self.ledger.record_rejection(request.tenant)

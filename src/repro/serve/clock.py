@@ -38,6 +38,13 @@ class Clock(Protocol):
     def advance_to(self, time_s: float) -> float: ...
 
 
+def capped_backoff_s(base_s: float, max_s: float, attempt: int) -> float:
+    """Capped exponential backoff before retry number *attempt* (1-based):
+    ``min(base * 2**(attempt-1), max)``.  The fleet waits it out in
+    simulated seconds, the gateway's respawn scheduler in wall seconds."""
+    return min(base_s * 2 ** (attempt - 1), max_s)
+
+
 class VirtualClock:
     """Monotonic simulated time in seconds."""
 

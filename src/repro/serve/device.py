@@ -1,12 +1,15 @@
-"""One member of the emulated CIM fleet.
+"""One member of a serving loop's device set.
 
-A :class:`FleetDevice` bundles everything one device needs to serve
-leases on its own simulated timeline: a private
-:class:`~repro.system.system.CimSystem` (accelerator + runtime + BLAS),
-a private :class:`~repro.serve.clock.VirtualClock` (devices serve leases
-in *parallel* simulated time — the fleet clock only tracks arrivals and
-batching windows), and a :class:`~repro.serve.dispatch.LeaseExecutor`
-wired to the fleet-shared ledger/metrics/timeline with this device's id.
+A :class:`Device` is everything one emulated device needs to serve
+leases — the :class:`~repro.serve.dispatch.LeaseExecutor` the loop wired
+to its shared ledger/metrics/timeline, and through it the device's
+:class:`~repro.system.system.CimSystem` (accelerator + runtime + BLAS;
+private unless the caller provides one) and
+:class:`~repro.serve.clock.VirtualClock`.  Given its own clock (the
+fleet configuration) devices serve leases in *parallel* simulated time —
+the loop clock only tracks arrivals and batching windows; handed the
+loop's clock (the single-device configuration) a lease advances the
+server's time directly.
 
 The device also carries the state the placement policies and the fault
 machinery read: lifecycle (:class:`DeviceState`), accumulated busy time,
@@ -19,20 +22,12 @@ wear-aware placement pays off (see ``benchmarks/bench_fleet_failover.py``).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
 
-from repro.codegen.executor import OffloadExecutor
-from repro.hw.timeline import Timeline
-from repro.serve.accounting import AccountingLedger
-from repro.serve.dispatch import FaultHook, LeaseExecutor
-from repro.serve.clock import VirtualClock
-from repro.serve.metrics import MetricsRegistry
-from repro.system.config import SystemConfig
-from repro.system.system import CimSystem
+from repro.serve.dispatch import LeaseExecutor
 
 
 class DeviceState(enum.Enum):
-    """Lifecycle of a fleet member."""
+    """Lifecycle of a device."""
 
     #: Healthy: eligible for placement.
     UP = "up"
@@ -42,45 +37,32 @@ class DeviceState(enum.Enum):
     DRAINED = "drained"
 
 
-class FleetDevice:
-    """One emulated CIM device inside a :class:`~repro.fleet.server.FleetServer`."""
+class Device:
+    """One emulated CIM device inside a serving loop
+    (:class:`~repro.serve.server.CimServer` has one,
+    :class:`~repro.fleet.server.FleetServer` has N)."""
 
     def __init__(
         self,
-        device_id: int,
-        system_config: SystemConfig,
-        ledger: AccountingLedger,
-        metrics: MetricsRegistry,
-        timeline: Timeline,
-        scrub_leases: bool = True,
-        charge_service: Optional[Callable[[str, float], None]] = None,
-        fault_hook: Optional[FaultHook] = None,
+        lease_executor: LeaseExecutor,
+        owns_system: bool = True,
         initial_wear_bytes: int = 0,
     ):
         if initial_wear_bytes < 0:
             raise ValueError("initial_wear_bytes cannot be negative")
-        self.device_id = device_id
-        self.system = CimSystem(system_config)
-        self.executor = OffloadExecutor(self.system)
-        self.clock = VirtualClock()
+        self.lease_executor = lease_executor
+        self.device_id = lease_executor.device_id
+        self.system = lease_executor.system
+        self.executor = lease_executor.executor
+        self.clock = lease_executor.clock
+        # A caller-provided system outlives the device: shutdown releases
+        # its leased buffers but leaves its runtime session usable.
+        self._owns_system = owns_system
         self.state = DeviceState.UP
         self.capacity_factor = 1.0
         self.initial_wear_bytes = initial_wear_bytes
         self.busy_s = 0.0
         self.leases = 0
-        self.lease_executor = LeaseExecutor(
-            system=self.system,
-            executor=self.executor,
-            clock=self.clock,
-            ledger=ledger,
-            metrics=metrics,
-            timeline=timeline,
-            scrub_leases=scrub_leases,
-            charge_service=charge_service,
-            device_id=device_id,
-            component=f"fleet.device{device_id}",
-            fault_hook=fault_hook,
-        )
         self.system.runtime.cim_init(0)
 
     # ------------------------------------------------------------------
@@ -122,13 +104,16 @@ class FleetDevice:
         self.capacity_factor *= factor
 
     def shutdown(self) -> None:
-        self.system.runtime.cim_shutdown()
+        if self._owns_system:
+            self.system.runtime.cim_shutdown()
+        else:
+            self.system.runtime.free_all()
 
     def __repr__(self) -> str:
         return (
-            f"FleetDevice(id={self.device_id}, state={self.state.value}, "
+            f"Device(id={self.device_id}, state={self.state.value}, "
             f"wear={self.total_wear_bytes}B, busy={self.busy_s:.6f}s)"
         )
 
 
-__all__ = ["DeviceState", "FleetDevice"]
+__all__ = ["Device", "DeviceState"]

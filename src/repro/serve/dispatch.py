@@ -1,11 +1,10 @@
-"""Lease dispatch onto one device, shared by the server and fleet tiers.
+"""Lease dispatch onto one device.
 
 :class:`LeaseExecutor` owns the mechanics of serving one dispatch batch
 (a crossbar *lease*) on one emulated device: the fused single-GEMV fast
 path, the whole-program fallback, per-request measurement of the device's
-physical ledgers, billing, and failure isolation.  It is exactly the
-dispatch half of the PR 4 :class:`~repro.serve.server.CimServer`, hoisted
-out so the fleet tier (:mod:`repro.fleet`) can run one per device.
+physical ledgers, billing, and failure isolation.  Every
+:class:`~repro.serve.device.Device` of a serving loop has one.
 
 Fault injection hooks in via ``fault_hook(stage, request)``:
 
@@ -22,8 +21,8 @@ A fatal fault (:class:`~repro.serve.errors.LeaseAborted`) stops the lease;
 the unserved requests come back in the returned
 :class:`FaultedRequest` list (``attempted=False``) for the caller to
 migrate.  Transient faults return only the faulted request and the lease
-continues.  With no hook installed (the single-device server) behaviour
-is bit-identical to the pre-fleet dispatch path.
+continues.  With no hook installed (a loop without a fault plan) no
+request is ever returned as faulted.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ class LeaseExecutor:
         charge_service: Optional[Callable[[str, float], None]] = None,
         device_id: int = 0,
         component: str = "serve.device",
-        fault_hook: Optional[FaultHook] = None,
     ):
         self.system = system
         self.executor = executor
@@ -86,7 +84,9 @@ class LeaseExecutor:
         self.charge_service = charge_service
         self.device_id = device_id
         self.component = component
-        self.fault_hook = fault_hook
+        #: Installed after construction, by fault recovery and/or a
+        #: trace recorder (which chains to the hook it finds).
+        self.fault_hook: Optional[FaultHook] = None
 
     # ------------------------------------------------------------------
     def dispatch(self, batch: list[TenantRequest], batch_id: int) -> list[FaultedRequest]:

@@ -1,9 +1,8 @@
-"""The multi-tenant CIM serving layer.
+"""The multi-tenant CIM serving layer: one event loop, two configurations.
 
-:class:`CimServer` multiplexes offload requests from many logical tenants
-onto one emulated CIM system under a single simulated clock.  The paper's
-runtime (Listing 1) assumes one host program driving one device;
-the server turns that stack into a shared service:
+The paper's runtime (Listing 1) assumes one host program driving one
+device; :class:`ServingLoop` turns that stack into a shared service over
+a *device set* under a single simulated clock:
 
 * ``submit(tenant, kernel, params, arrays)`` compiles the kernel through
   one shared, thread-safe :class:`~repro.compiler.cache.KernelCompileCache`
@@ -15,12 +14,13 @@ the server turns that stack into a shared service:
   configurable simulated batching window into one crossbar *lease*
   (:mod:`repro.serve.batcher`): the stationary operand is programmed
   once, the batch streams against the resident operand;
-* the **event loop** (:meth:`step` / :meth:`drain`) advances the
-  simulated clock deterministically through arrivals, windows and
-  dispatches, leasing the device (and its ``num_tiles`` hardware lanes —
-  each dispatch shards across them, see :mod:`repro.hw.scheduler`) to one
-  batch at a time and recording lease spans on a serving
-  :class:`~repro.hw.timeline.Timeline`;
+* the **event loop** (:meth:`~ServingLoop.step` /
+  :meth:`~ServingLoop.drain`) advances the simulated clock
+  deterministically through arrivals, retries, windows and dispatches,
+  leasing one healthy :class:`~repro.serve.device.Device` (and its
+  ``num_tiles`` hardware lanes — each dispatch shards across them, see
+  :mod:`repro.hw.scheduler`) to one batch at a time and recording lease
+  spans on a serving :class:`~repro.hw.timeline.Timeline`;
 * **per-tenant accounting** (:mod:`repro.serve.accounting`) partitions
   every joule, second and programmed crossbar cell over the requests that
   caused them, so tenant bills reconcile exactly with the device ledgers
@@ -28,19 +28,26 @@ the server turns that stack into a shared service:
 * the **metrics registry** (:mod:`repro.serve.metrics`) snapshots queue
   depths, batch occupancy, latency percentiles and cache hit rates.
 
+:class:`CimServer` is the loop with one device on the loop's own clock (a
+lease advances the server's time) and no fault plan;
+:class:`~repro.fleet.server.FleetServer` is the loop with N devices on
+their own clocks, a placement policy and a seeded fault plan.
+
 Functional results are bit-identical per request to a direct
 :class:`~repro.codegen.executor.OffloadExecutor` execution of the same
 program — batching changes scheduling, latency and wear accounting, never
 values.  Every run is reproducible: same submissions, same schedule.
 
-The server owns its system's runtime session and releases all device
+The loop owns its devices' runtime sessions and releases all device
 buffers between requests (crossbar leases never leak CMA memory);
-:meth:`shutdown` — or leaving the server's context — tears the session
-down via :meth:`~repro.runtime.api.CimRuntime.cim_shutdown`.
+:meth:`~ServingLoop.shutdown` — or leaving the server's context — tears
+the sessions down via :meth:`~repro.runtime.api.CimRuntime.cim_shutdown`.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
@@ -57,6 +64,7 @@ from repro.serve.accounting import AccountingLedger
 from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.batcher import DynamicBatcher, batch_signature
 from repro.serve.clock import VirtualClock
+from repro.serve.device import Device
 from repro.serve.dispatch import LeaseExecutor
 from repro.serve.errors import ServeError
 from repro.serve.metrics import MetricsRegistry
@@ -67,7 +75,8 @@ from repro.system.system import CimSystem
 
 @dataclass
 class ServerConfig:
-    """Tuning knobs of one :class:`CimServer`."""
+    """Tuning knobs of one serving loop (:class:`CimServer` uses them as
+    they are; :class:`~repro.fleet.server.FleetConfig` extends them)."""
 
     #: CIM tiles the device shards each dispatch over (PR 2 lanes).
     num_tiles: int = 1
@@ -83,47 +92,53 @@ class ServerConfig:
     scrub_leases: bool = True
     #: Compiler options for ``submit`` calls that pass mini-C source.
     compile_options: CompileOptions = field(default_factory=CompileOptions)
-    #: Optional crossbar geometry overrides for the private system.
+    #: Optional crossbar geometry overrides for the private system(s).
     crossbar_rows: Optional[int] = None
     crossbar_cols: Optional[int] = None
     crossbar_mode: str = "ideal"
 
+    def system_config(self) -> SystemConfig:
+        """The emulated system every loop-built device gets."""
+        return SystemConfig(
+            num_tiles=self.num_tiles,
+            crossbar_rows=self.crossbar_rows,
+            crossbar_cols=self.crossbar_cols,
+            crossbar_mode=self.crossbar_mode,
+        )
 
-class CimServer:
-    """Serve offload requests from many tenants on one emulated device."""
+
+class ServingLoop:
+    """The one serving event loop, over a device set.
+
+    Owns everything the two public servers share: the tenant API
+    (:meth:`submit`, :meth:`set_quota`), admission, batching, the global
+    :class:`~repro.serve.clock.VirtualClock`, the event loop
+    (:meth:`step` / :meth:`drain`) and the open/closed lifecycle.  A
+    configuration adds devices (:meth:`_add_device`) and, for more than
+    one device, a ``placement`` policy; ``recovery`` (see
+    :class:`repro.fleet.server.FaultRecovery`) is present only when a
+    fault plan is, and everything the loop does for faults is skipped
+    without one.
+    """
 
     def __init__(
         self,
-        config: Optional[ServerConfig] = None,
-        system: Optional[CimSystem] = None,
-        compile_cache: Optional[KernelCompileCache] = None,
+        config: ServerConfig,
+        compile_cache: Optional[KernelCompileCache],
+        system_config: SystemConfig,
     ):
-        self.config = config or ServerConfig()
-        self._owns_system = system is None
-        if system is None:
-            system = CimSystem(
-                SystemConfig(
-                    num_tiles=self.config.num_tiles,
-                    crossbar_rows=self.config.crossbar_rows,
-                    crossbar_cols=self.config.crossbar_cols,
-                    crossbar_mode=self.config.crossbar_mode,
-                )
-            )
-        elif system.config.num_tiles != self.config.num_tiles:
-            raise ServeError(
-                f"config.num_tiles={self.config.num_tiles} conflicts with "
-                f"the given system (num_tiles={system.config.num_tiles})"
-            )
-        self.system = system
-        self.executor = OffloadExecutor(system)
+        self.config = config
+        self._system_config = system_config
         self.compile_cache = compile_cache or KernelCompileCache()
         self.compiler = TdoCimCompiler(
             self.config.compile_options, cache=self.compile_cache
         )
         self.clock = VirtualClock()
-        tile = system.accelerator.tile
+        crossbar = system_config.crossbar_config()
         # One byte per programmed 8-bit cell, the lifetime-model currency.
-        self.ledger = AccountingLedger(crossbar_size_bytes=tile.rows * tile.cols)
+        self.ledger = AccountingLedger(
+            crossbar_size_bytes=crossbar.rows * crossbar.cols
+        )
         self.admission = AdmissionController(
             self.ledger, self.config.default_quota
         )
@@ -134,25 +149,49 @@ class CimServer:
         self.metrics = MetricsRegistry()
         #: Serving-level lease/occupancy timeline (one event per lease).
         self.timeline = Timeline()
-        #: The dispatch half of the server (shared with the fleet tier).
-        self.lease_executor = LeaseExecutor(
-            system=self.system,
-            executor=self.executor,
-            clock=self.clock,
+        self.devices: list[Device] = []
+        #: Lease routing policy; consulted only with >1 healthy device.
+        self.placement = None
+        #: Fault injection + recovery; ``None`` = fault-free.
+        self.recovery = None
+        # Submissions are enforced non-decreasing in arrival time, so the
+        # arrival queue is consumed strictly from the left.
+        self._arrivals: deque[TenantRequest] = deque()
+        #: Backoff queue: (ready_s, seq, request), promoted into the
+        #: tenant queues once the global clock reaches ready_s.
+        self._retry_heap: list[tuple[float, int, TenantRequest]] = []
+        self._seq = 0
+        self._batch_counter = 0
+        self._last_arrival_s = 0.0
+        self._closed = False
+
+    def _add_device(
+        self,
+        component: str,
+        system: Optional[CimSystem] = None,
+        clock: Optional[VirtualClock] = None,
+        initial_wear_bytes: int = 0,
+    ) -> Device:
+        """Append one device wired to the loop's ledger/metrics/timeline;
+        it gets a private system and clock unless given the caller's."""
+        owns_system = system is None
+        if owns_system:
+            system = CimSystem(self._system_config)
+        lease_executor = LeaseExecutor(
+            system=system,
+            executor=OffloadExecutor(system),
+            clock=clock if clock is not None else VirtualClock(),
             ledger=self.ledger,
             metrics=self.metrics,
             timeline=self.timeline,
             scrub_leases=self.config.scrub_leases,
             charge_service=self.admission.charge_service,
+            device_id=len(self.devices),
+            component=component,
         )
-        # Submissions are enforced non-decreasing in arrival time, so the
-        # arrival queue is consumed strictly from the left.
-        self._arrivals: deque[TenantRequest] = deque()
-        self._seq = 0
-        self._batch_counter = 0
-        self._last_arrival_s = 0.0
-        self._closed = False
-        self.system.runtime.cim_init(0)
+        device = Device(lease_executor, owns_system, initial_wear_bytes)
+        self.devices.append(device)
+        return device
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -162,23 +201,21 @@ class CimServer:
         return self._closed
 
     def shutdown(self) -> None:
-        """Resolve nothing further; release the device session.
+        """Resolve nothing further; release every device session.
 
         Pending (undispatched) requests stay pending — the simulated
-        service simply stops.  Idempotent.  The runtime session is torn
-        down only when the server built its own system; a caller-provided
+        service simply stops.  Idempotent.  A runtime session is torn
+        down only when the loop built the system; a caller-provided
         :class:`CimSystem` stays usable (its leased buffers are released,
         its runtime is not shut down).
         """
         if self._closed:
             return
         self._closed = True
-        if self._owns_system:
-            self.system.runtime.cim_shutdown()
-        else:
-            self.system.runtime.free_all()
+        for device in self.devices:
+            device.shutdown()
 
-    def __enter__(self) -> "CimServer":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -207,9 +244,10 @@ class CimServer:
         ``kernel`` is mini-C source, an IR program, or a prior
         :class:`~repro.compiler.driver.CompilationResult`.  ``arrival_s``
         is the simulated arrival time; it defaults to "now" and must be
-        non-decreasing across submissions (the event loop replays
-        arrivals in order).  The tenant's ``arrays`` are snapshotted at
-        submission, so the caller may reuse or mutate them afterwards.
+        finite and non-decreasing across submissions (the event loop
+        replays arrivals in order).  The tenant's ``arrays`` are
+        snapshotted at submission, so the caller may reuse or mutate them
+        afterwards.
         """
         self._require_open()
         if not tenant:
@@ -218,6 +256,10 @@ class CimServer:
         earliest = max(self.clock.now_s, self._last_arrival_s)
         if arrival_s is None:
             arrival_s = earliest
+        elif not math.isfinite(arrival_s):
+            # NaN compares false with everything: it would pass the check
+            # below and then never be reached by the event loop.
+            raise ServeError(f"arrival_s={arrival_s} is not a finite time")
         elif arrival_s < earliest:
             raise ServeError(
                 f"arrival_s={arrival_s} is in the simulated past "
@@ -284,24 +326,58 @@ class CimServer:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Advance the simulated service by one event (one dispatched
-        batch, or one clock hop to the next arrival).  Returns ``False``
-        when there is nothing left to do."""
+        lease, or one clock hop to the next arrival / retry).  Returns
+        ``False`` when every submitted request is resolved."""
         self._require_open()
-        self._pump_arrivals(self.clock.now_s)
+        self._catch_up(self.clock.now_s)
         if self.admission.total_queued == 0:
-            if not self._arrivals:
+            wakeups = []
+            if self._arrivals:
+                wakeups.append(self._arrivals[0].arrival_s)
+            if self._retry_heap:
+                wakeups.append(self._retry_heap[0][0])
+            if not wakeups:
                 return False
-            self.clock.advance_to(self._arrivals[0].arrival_s)
-            self._pump_arrivals(self.clock.now_s)
+            target_s = min(wakeups)
+            self.clock.advance_to(target_s)
+            self._catch_up(target_s)
             if self.admission.total_queued == 0:
                 return True  # everything at this instant was rejected
+        healthy = [device for device in self.devices if device.healthy]
+        if not healthy:
+            self._fail_stranded("no healthy devices left in the fleet")
+            return True
         seed = self.admission.pick_seed()
         window_close_s = self.clock.now_s + self.batcher.window_s
         self._pump_arrivals(window_close_s)
         batch = self.batcher.form_batch(seed, self.admission.queued_requests())
+        device = (
+            healthy[0]
+            if len(healthy) == 1
+            else self.placement.choose(healthy, self.clock.now_s)
+        )
+        # A degraded device leases fewer crossbar columns: shrink the
+        # batch; the overflow stays queued for the next window.
+        capacity = max(
+            1, int(self.batcher.max_batch_size * device.capacity_factor)
+        )
+        if len(batch) > capacity:
+            if seed in batch[:capacity]:
+                batch = batch[:capacity]
+            else:
+                batch = batch[: capacity - 1] + [seed]
         self.admission.remove(batch)
         self.clock.advance_to(window_close_s)
-        self._dispatch(batch)
+        # A device on its own clock queues the lease behind its previous
+        # one; a device on the loop clock starts it now.
+        lease_start_s = max(self.clock.now_s, device.clock.now_s)
+        device.clock.advance_to(lease_start_s)
+        self._batch_counter += 1
+        faulted = device.lease_executor.dispatch(batch, self._batch_counter)
+        device.busy_s += device.clock.now_s - lease_start_s
+        device.leases += 1
+        if self.recovery is not None:
+            self.recovery.after_lease(batch, faulted, device)
         return True
 
     def drain(self) -> dict:
@@ -310,6 +386,16 @@ class CimServer:
         while self.step():
             pass
         return self.metrics.snapshot(self.admission.queue_depths())
+
+    def _catch_up(self, now_s: float) -> None:
+        """Everything that is due at *now_s*: scripted device events,
+        backed-off retries, arrivals — in that order."""
+        if self.recovery is not None:
+            self.recovery.apply_device_events(now_s)
+        # Promoted retries are quota-exempt: admission was already granted.
+        while self._retry_heap and self._retry_heap[0][0] <= now_s:
+            self.admission.requeue(heapq.heappop(self._retry_heap)[2])
+        self._pump_arrivals(now_s)
 
     def _pump_arrivals(self, until_s: float) -> None:
         """Admit (or reject) every submission with arrival <= *until_s*."""
@@ -320,11 +406,63 @@ class CimServer:
             if admitted:
                 self.metrics.observe_queue_depths(self.admission.queue_depths())
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _dispatch(self, batch: list[TenantRequest]) -> None:
-        self._batch_counter += 1
-        # One device, no fault hook: the lease executor never returns
-        # faulted requests here (see repro.fleet for the faulted path).
-        self.lease_executor.dispatch(batch, self._batch_counter)
+    def retry_at(self, ready_s: float, request: TenantRequest) -> None:
+        """Re-queue an admitted request once the loop clock reaches
+        *ready_s* (transient-fault backoff)."""
+        heapq.heappush(self._retry_heap, (ready_s, request.seq, request))
+
+    def _fail_stranded(self, reason: str) -> None:
+        """Every device is dead: resolve everything still in flight
+        (queued, backed off, or yet to arrive) as FAILED."""
+        stranded = self.admission.queued_requests()
+        for tenant in self.admission.queues:
+            self.admission.queues[tenant] = []
+        while self._retry_heap:
+            stranded.append(heapq.heappop(self._retry_heap)[2])
+        while self._arrivals:
+            stranded.append(self._arrivals.popleft())
+        for request in stranded:
+            handle = request.handle
+            handle.mark_failed(
+                completed_s=max(self.clock.now_s, request.arrival_s),
+                reason=f"DeviceFault: {reason}",
+            )
+            self.metrics.observe_failure()
+            if handle.attempts > 0 or handle.migrations > 0:
+                self.metrics.observe_unrecovered()
+
+
+class CimServer(ServingLoop):
+    """Serve offload requests from many tenants on one emulated device:
+    the loop with a single device that serves its leases on the server's
+    own clock, and no fault plan."""
+
+    # benchmarks/suite/spans.py::Tracer.wrap saves ``vars(owner)[attr]``,
+    # so the names the benchmark wraps (workloads.py::instrument) must be
+    # bound on this class itself, not only inherited; the separate
+    # bindings also keep ``serve.step_self_us`` apart from the fleet's.
+    submit = ServingLoop.submit
+    step = ServingLoop.step
+    drain = ServingLoop.drain
+
+    def __init__(
+        self,
+        config: Optional[ServerConfig] = None,
+        system: Optional[CimSystem] = None,
+        compile_cache: Optional[KernelCompileCache] = None,
+    ):
+        config = config or ServerConfig()
+        if system is not None and system.config.num_tiles != config.num_tiles:
+            raise ServeError(
+                f"config.num_tiles={config.num_tiles} conflicts with "
+                f"the given system (num_tiles={system.config.num_tiles})"
+            )
+        super().__init__(
+            config,
+            compile_cache,
+            system.config if system is not None else config.system_config(),
+        )
+        device = self._add_device("serve.device", system=system, clock=self.clock)
+        self.system = device.system
+        self.executor = device.executor
+        self.lease_executor = device.lease_executor

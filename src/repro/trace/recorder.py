@@ -21,21 +21,22 @@ fresh server:
 
 Attaching is observation-only: the wrapped hooks re-raise injected
 faults unchanged and never advance any clock, so a recorded run is
-bit-identical to an unrecorded one.  (On the single-device server the
-recorder's hook enables the executor's commit stage, which is a no-op
-when nothing raises.)
+bit-identical to an unrecorded one.  (On a server without a fault plan
+the recorder's hook enables the executor's commit stage, which is a
+no-op when nothing raises.)
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import math
+from typing import Optional
 
 import numpy as np
 
-from repro.fleet.server import FleetServer
+from repro.fleet.server import FleetConfig
 from repro.serve.errors import DeviceFault
-from repro.serve.request import RequestHandle
-from repro.serve.server import CimServer
+from repro.serve.request import RequestHandle, RequestStatus
+from repro.serve.server import ServerConfig, ServingLoop
 from repro.trace.schema import (
     SCHEMA_VERSION,
     SUPPORTED_VERSIONS,
@@ -69,7 +70,7 @@ class TraceRecorder:
         self.schema_version = schema_version
         self.events: list[dict] = []
         self.handles: list[RequestHandle] = []
-        self._server: Optional[Union[CimServer, FleetServer]] = None
+        self._server: Optional[ServingLoop] = None
         self._finalized = False
         self._seen_payloads: set[str] = set()
 
@@ -82,9 +83,7 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
-    def attach(
-        self, server: Union[CimServer, FleetServer]
-    ) -> Union[CimServer, FleetServer]:
+    def attach(self, server: ServingLoop) -> ServingLoop:
         """Hook *server* for recording; returns the server for chaining.
 
         Must be called on a fresh server, before any ``set_quota`` or
@@ -93,42 +92,32 @@ class TraceRecorder:
         """
         if self._server is not None:
             raise TraceFormatError("recorder is already attached to a server")
-        if isinstance(server, FleetServer):
-            kind, config = "fleet", self._encode_fleet_config(server)
-            executors = [
-                (device.device_id, device.lease_executor)
-                for device in server.devices
-            ]
-        elif isinstance(server, CimServer):
-            kind, config = "serve", self._encode_server_config(server)
-            executors = [(0, server.lease_executor)]
-        else:
+        if not isinstance(server, ServingLoop):
             raise TraceFormatError(
                 f"cannot record a {type(server).__name__}; expected "
                 "CimServer or FleetServer"
             )
+        config = server.config
+        header = {
+            "event": "header",
+            "schema_version": self.schema_version,
+            "kind": "fleet" if isinstance(config, FleetConfig) else "serve",
+            "config": self._encode_config(config),
+        }
         if server.metrics.submitted or server.admission.quotas:
             raise TraceFormatError(
                 "recorder must attach before any quota or submission"
             )
         self._server = server
-        self.events.append(
-            {
-                "event": "header",
-                "schema_version": self.schema_version,
-                "kind": kind,
-                "config": config,
-            }
-        )
+        self.events.append(header)
         self._wrap_submit(server)
         self._wrap_set_quota(server)
-        for device_id, lease_executor in executors:
-            self._wrap_lease_hook(lease_executor, device_id)
+        for device in server.devices:
+            self._wrap_lease_hook(device.lease_executor, device.device_id)
         return server
 
-    def _encode_server_config(self, server: CimServer) -> dict:
-        config = server.config
-        return {
+    def _encode_config(self, config: ServerConfig) -> dict:
+        encoded = {
             "num_tiles": config.num_tiles,
             "batch_window_s": config.batch_window_s,
             "max_batch_size": config.max_batch_size,
@@ -139,9 +128,8 @@ class TraceRecorder:
             "default_quota": encode_quota(config.default_quota),
             "compile_options": encode_compile_options(config.compile_options),
         }
-
-    def _encode_fleet_config(self, server: FleetServer) -> dict:
-        config = server.config
+        if not isinstance(config, FleetConfig):
+            return encoded
         if not isinstance(config.placement, str):
             raise TraceFormatError(
                 "cannot record a custom PlacementPolicy instance; use one "
@@ -149,15 +137,7 @@ class TraceRecorder:
             )
         return {
             "num_devices": config.num_devices,
-            "num_tiles": config.num_tiles,
-            "batch_window_s": config.batch_window_s,
-            "max_batch_size": config.max_batch_size,
-            "scrub_leases": config.scrub_leases,
-            "crossbar_rows": config.crossbar_rows,
-            "crossbar_cols": config.crossbar_cols,
-            "crossbar_mode": config.crossbar_mode,
-            "default_quota": encode_quota(config.default_quota),
-            "compile_options": encode_compile_options(config.compile_options),
+            **encoded,
             "placement": config.placement,
             "initial_wear_bytes": [int(w) for w in config.initial_wear_bytes],
             "max_attempts": config.max_attempts,
@@ -264,55 +244,26 @@ class TraceRecorder:
         server = self._server
         for handle in self.handles:
             self.events.append(_response_event(handle, self._encode_payload))
-        ledger = server.ledger
-        for tenant in sorted(ledger.tenants):
-            account = ledger.tenants[tenant]
-            self.events.append(
-                {
-                    "event": "tenant_bill",
-                    "tenant": tenant,
-                    "completed": account.completed,
-                    "rejected": account.rejected,
-                    "wear_bytes": int(account.wear_bytes),
-                    "crossbar_write_ops": int(account.crossbar_write_ops),
-                    "gemv_count": int(account.gemv_count),
-                    "macs": int(account.macs),
-                    "dma_bytes": int(account.dma_bytes),
-                    "energy_j": account.energy_j,
-                    "accelerator_energy_j": account.accelerator_energy_j,
-                    "service_s": account.service_s,
-                }
-            )
-        for event in self._device_bill_events(server):
-            self.events.append(event)
+        for tenant, bill in tenant_bills(server.ledger).items():
+            self.events.append({"event": "tenant_bill", "tenant": tenant, **bill})
+        self.events.extend(self._device_bill_events(server))
         self.events.append(
             {"event": "metrics", "snapshot": _plain_tree(server.metrics.snapshot())}
         )
         return build_trace(self.events)
 
-    def _device_bill_events(self, server) -> list[dict]:
-        import math as _math
-
+    def _device_bill_events(self, server: ServingLoop) -> list[dict]:
         ledger = server.ledger
-        if isinstance(server, FleetServer):
-            accelerators = {
-                device.device_id: device.system.accelerator
-                for device in server.devices
-            }
-            states = {
-                device.device_id: device.state.value for device in server.devices
-            }
-            partition = server.verify_fleet_partition()
-        else:
-            accelerators = {0: server.system.accelerator}
-            states = {0: "up"}
-            partition = ledger.verify_partition(server.system.accelerator)
+        partition = ledger.verify_fleet_partition(
+            {device.device_id: device.system.accelerator for device in server.devices}
+        )
         events = []
-        for device_id in sorted(accelerators):
-            accelerator = accelerators[device_id]
+        for device in server.devices:
+            device_id = device.device_id
+            accelerator = device.system.accelerator
             usages = ledger.device_usages(device_id)
             comps = ledger.device_compensations(device_id)
-            housekeeping = _math.fsum(
+            housekeeping = math.fsum(
                 energy
                 for energy, dev in zip(
                     ledger.housekeeping_energy_j_records,
@@ -324,18 +275,18 @@ class TraceRecorder:
                 {
                     "event": "device_bill",
                     "device_id": device_id,
-                    "state": states[device_id],
+                    "state": device.state.value,
                     "physical_cell_writes": int(accelerator.total_cell_writes()),
                     "physical_macs": int(accelerator.total_macs()),
                     "physical_energy_j": accelerator.total_energy_j(),
                     "billed_wear_bytes": int(sum(u.wear_bytes for u in usages)),
-                    "billed_energy_j": _math.fsum(
+                    "billed_energy_j": math.fsum(
                         u.accelerator_energy_j for u in usages
                     ),
                     "compensated_wear_bytes": int(
                         sum(c.wear_bytes for c in comps)
                     ),
-                    "compensated_energy_j": _math.fsum(
+                    "compensated_energy_j": math.fsum(
                         c.accelerator_energy_j for c in comps
                     ),
                     "compensations": len(comps),
@@ -353,12 +304,34 @@ class TraceRecorder:
 
 
 # ----------------------------------------------------------------------
-def _response_event(handle: RequestHandle, encode_payload=None) -> dict:
-    from repro.serve.request import RequestStatus
+#: Tenant-bill fields: integer counters (compared by ``==``) and fsum
+#: energies / service time (compared by exact float equality).
+BILL_FIELDS = (
+    "completed",
+    "rejected",
+    "wear_bytes",
+    "crossbar_write_ops",
+    "gemv_count",
+    "macs",
+    "dma_bytes",
+    "energy_j",
+    "accelerator_energy_j",
+    "service_s",
+)
 
-    if encode_payload is None:
-        encode_payload = lambda value: encode_array(np.asarray(value))  # noqa: E731
 
+def tenant_bills(ledger) -> dict[str, dict]:
+    """Every tenant's bill as JSON-plain fields, in tenant-name order."""
+    return {
+        tenant: {
+            name: _plain(getattr(ledger.tenants[tenant], name))
+            for name in BILL_FIELDS
+        }
+        for tenant in sorted(ledger.tenants)
+    }
+
+
+def _response_event(handle: RequestHandle, encode_payload) -> dict:
     event = {
         "event": "response",
         "request_id": handle.request_id,

@@ -23,19 +23,18 @@ and JSON round-trips doubles exactly (``repr`` shortest round-trip).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar
 
-from repro.compiler.cache import KernelCompileCache
 from repro.fleet.server import FleetConfig, FleetServer
-from repro.serve.server import CimServer, ServerConfig
+from repro.serve.server import CimServer, ServerConfig, ServingLoop
 from repro.trace.recorder import TraceRecorder
 from repro.trace.schema import (
     Trace,
     TraceFormatError,
-    decode_array,
     decode_compile_options,
     decode_fault_plan,
     decode_quota,
+    decode_submit_arrays,
 )
 
 #: Sections :func:`diff_traces` compares, in report order.
@@ -54,9 +53,18 @@ DIFF_SECTIONS = (
 class TraceDiff:
     """Every way two traces disagree, grouped by section; empty == pass."""
 
-    mismatches: dict[str, list[str]] = field(
-        default_factory=lambda: {section: [] for section in DIFF_SECTIONS}
-    )
+    #: Sections reported, and the two verdict phrases; the gateway's
+    #: differential (:class:`repro.gateway.differential.GatewayDiff`)
+    #: overrides all three.
+    sections: ClassVar[tuple[str, ...]] = DIFF_SECTIONS
+    identical_verdict: ClassVar[str] = "traces are identical (bit-for-bit)"
+    differ_verdict: ClassVar[str] = "traces differ"
+
+    mismatches: dict[str, list[str]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for section in self.sections:
+            self.mismatches.setdefault(section, [])
 
     @property
     def identical(self) -> bool:
@@ -71,8 +79,8 @@ class TraceDiff:
     def summary(self) -> str:
         """Human-readable verdict, one line per mismatch."""
         if self.identical:
-            return "traces are identical (bit-for-bit)"
-        lines = [f"traces differ: {self.count()} mismatch(es)"]
+            return self.identical_verdict
+        lines = [f"{self.differ_verdict}: {self.count()} mismatch(es)"]
         for section in self.mismatches:
             for message in self.mismatches[section]:
                 lines.append(f"  [{section}] {message}")
@@ -87,7 +95,7 @@ class ReplayResult:
 
     recorded: Trace
     replayed: Trace
-    server: Union[CimServer, FleetServer]
+    server: ServingLoop
     diff: TraceDiff
 
     @property
@@ -102,37 +110,29 @@ class TraceReplayer:
         self.trace = trace
 
     # ------------------------------------------------------------------
-    def build_server(self) -> Union[CimServer, FleetServer]:
+    def build_server(self) -> ServingLoop:
         """A fresh server in the exact configuration of the recording.
 
-        The compile cache is private and in-memory: replay must never
-        read another run's on-disk cache state.
+        The server builds its own compile cache, private and in-memory:
+        replay must never read another run's on-disk cache state.
         """
+        fleet = self.trace.kind == "fleet"
         config = dict(self.trace.config)
         try:
-            quota = decode_quota(config.pop("default_quota"))
-            options = decode_compile_options(config.pop("compile_options"))
-            if self.trace.kind == "fleet":
-                fault_plan = decode_fault_plan(config.pop("fault_plan"))
-                fleet_config = FleetConfig(
-                    default_quota=quota,
-                    compile_options=options,
-                    fault_plan=fault_plan,
-                    initial_wear_bytes=tuple(config.pop("initial_wear_bytes")),
-                    **config,
-                )
-                return FleetServer(fleet_config)
-            server_config = ServerConfig(
-                default_quota=quota, compile_options=options, **config
+            config["default_quota"] = decode_quota(config["default_quota"])
+            config["compile_options"] = decode_compile_options(
+                config["compile_options"]
             )
+            if fleet:
+                config["fault_plan"] = decode_fault_plan(config["fault_plan"])
+                config["initial_wear_bytes"] = tuple(config["initial_wear_bytes"])
+            server_config = (FleetConfig if fleet else ServerConfig)(**config)
         except (KeyError, TypeError) as exc:
             raise TraceFormatError(
                 f"header: config does not rebuild a {self.trace.kind} "
                 f"server ({exc})"
             ) from exc
-        return CimServer(
-            server_config, compile_cache=KernelCompileCache(disk_dir=None)
-        )
+        return (FleetServer if fleet else CimServer)(server_config)
 
     # ------------------------------------------------------------------
     def replay(self) -> ReplayResult:
@@ -150,10 +150,7 @@ class TraceReplayer:
                     event["tenant"],
                     event["source"],
                     params=event["params"],
-                    arrays={
-                        name: decode_array(payload, where=f"submit array {name!r}")
-                        for name, payload in event["arrays"].items()
-                    },
+                    arrays=decode_submit_arrays(event),
                     arrival_s=event["arrival_s"],
                 )
         server.drain()

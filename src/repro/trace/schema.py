@@ -132,6 +132,14 @@ def decode_array(payload: dict, where: str = "payload") -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
+def decode_submit_arrays(event: dict) -> dict[str, np.ndarray]:
+    """The decoded array payloads of one ``submit`` event."""
+    return {
+        name: decode_array(payload, where=f"submit array {name!r}")
+        for name, payload in event["arrays"].items()
+    }
+
+
 def dedupe_payload(payload: dict, seen: set[str]) -> dict:
     """Schema-v2 payload dedup: the first payload with a given content
     hash keeps its bytes; later ones become references (no ``data``)."""
@@ -492,6 +500,19 @@ def _validate_events(events: list[dict]) -> Trace:
                     raise TraceFormatError(
                         f"line {index}: submit event missing {key!r}"
                     )
+            arrival_s = event["arrival_s"]
+            if (
+                isinstance(arrival_s, bool)
+                or not isinstance(arrival_s, (int, float))
+                or not math.isfinite(arrival_s)
+                or arrival_s < 0
+            ):
+                # json accepts NaN/Infinity; replaying one would never
+                # reach its arrival and the drain would not return.
+                raise TraceFormatError(
+                    f"line {index}: submit arrival_s must be a finite "
+                    f"time >= 0, got {arrival_s!r}"
+                )
             arrays = event["arrays"]
             if not isinstance(arrays, dict):
                 raise TraceFormatError(f"line {index}: submit arrays not a dict")

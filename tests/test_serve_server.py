@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import CimServer, OffloadExecutor, ServerConfig, TenantQuota
+from repro import CimServer, FleetServer, OffloadExecutor, ServerConfig, TenantQuota
 from repro.eval import format_tenant_table, tenant_usage_rows
 from repro.hw.endurance import wear_budget_bytes
 from repro.serve import (
@@ -120,6 +120,26 @@ def test_arrivals_must_be_nondecreasing(server):
     server.submit("alice", GEMV_SOURCE, PARAMS, _gemv_arrays(rng), arrival_s=1.0)
     with pytest.raises(ServeError, match="past"):
         server.submit("bob", GEMV_SOURCE, PARAMS, _gemv_arrays(rng), arrival_s=0.5)
+
+
+@pytest.mark.parametrize("make_server", [CimServer, FleetServer])
+@pytest.mark.parametrize(
+    "arrival_s, reason",
+    [(0.5, "past"), (float("nan"), "finite"), (float("inf"), "finite")],
+)
+def test_submit_rejects_unreachable_arrival_times(make_server, arrival_s, reason):
+    """One ``submit`` serves both servers.  A NaN arrival used to be
+    accepted (``nan < earliest`` is false) and ``drain()`` then span
+    forever."""
+    rng = np.random.default_rng(3)
+    with make_server() as srv:
+        srv.submit("alice", GEMV_SOURCE, PARAMS, _gemv_arrays(rng), arrival_s=1.0)
+        with pytest.raises(ServeError, match=reason):
+            srv.submit(
+                "bob", GEMV_SOURCE, PARAMS, _gemv_arrays(rng), arrival_s=arrival_s
+            )
+        srv.drain()
+        assert srv.metrics.submitted == 1
 
 
 def test_same_matrix_requests_share_one_batch(server):

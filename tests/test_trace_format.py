@@ -176,6 +176,20 @@ def test_submit_missing_required_key_rejected(lines):
         loads_trace(_tamper_first_submit(lines, drop_source))
 
 
+@pytest.mark.parametrize(
+    "arrival_s", [float("nan"), float("inf"), -1.0, "0.0", None, True]
+)
+def test_submit_with_unreachable_arrival_time_rejected(lines, arrival_s):
+    """json accepts NaN/Infinity: such a trace used to load and then hang
+    ``repro replay --diff`` (the event loop never reaches the arrival)."""
+
+    def set_arrival(event):
+        event["arrival_s"] = arrival_s
+
+    with pytest.raises(TraceFormatError, match=r"line \d+: submit arrival_s"):
+        loads_trace(_tamper_first_submit(lines, set_arrival))
+
+
 def test_array_roundtrip_is_exact():
     rng = np.random.default_rng(5)
     for array in (
