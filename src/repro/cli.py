@@ -7,8 +7,7 @@ Subcommands::
     repro gateway --requests 1000       # wall-clock pool under open-loop load
     repro gateway --diff trace.jsonl    # wall-clock vs VirtualClock, bit-exact
     repro gateway chaos --requests 1000 # seeded fault storm + invariant suite
-    repro bench serving --smoke         # run a benchmark (was PYTHONPATH=src
-                                        # python benchmarks/bench_...)
+    repro bench --selftest              # = python3 benchmarks/suite/run.py ...
     repro replay trace.jsonl --diff     # re-drive a recorded trace, diff it
     repro diff a.jsonl b.jsonl          # compare two traces bit-for-bit
 
@@ -16,17 +15,15 @@ Installed as a console script through ``setup.py`` (``pip install -e .``)
 and equally runnable without installation as
 ``PYTHONPATH=src python -m repro.cli``, which is how CI invokes it.
 
-Exit codes: 0 on success, 1 on a failed gate (replay/diff mismatch,
-benchmark failure), 2 on bad usage or a malformed trace.  Benchmark
-scripts may exit 3 ("skipped: optional toolchain missing"), which
-``repro bench`` reports visibly and treats as success.
+Exit codes: 0 on success, 1 on a failed gate (replay/diff mismatch),
+2 on bad usage or a malformed trace; ``repro bench`` exits with the
+benchmark suite's own code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,25 +32,6 @@ from typing import Optional
 from repro.trace.replayer import TraceReplayer, diff_traces
 from repro.trace.scenarios import SCENARIOS
 from repro.trace.schema import Trace, TraceFormatError, load_trace
-
-#: Benchmark name -> script under benchmarks/ (the ``repro bench`` registry;
-#: keep in sync with the BENCH_*.json headliners in tools/collect_bench.py).
-BENCHMARKS = {
-    "engine": "bench_engine_speed.py",
-    "multitile": "bench_multitile_scaling.py",
-    "pipelines": "bench_ablation_pipeline.py",
-    "serving": "bench_serving_throughput.py",
-    "fleet": "bench_fleet_failover.py",
-    "gateway": "bench_gateway_wallclock.py",
-    "chaos": "bench_gateway_chaos.py",
-}
-
-#: Exit code a benchmark returns to signal "skipped: optional toolchain
-#: missing" (e.g. the native engine without a C compiler).  ``repro
-#: bench`` reports the skip visibly and exits 0 — a missing *optional*
-#: backend must not fail CI.
-BENCH_SKIPPED = 3
-
 
 def repo_root() -> Path:
     """The checkout root (this file lives at src/repro/cli.py)."""
@@ -332,51 +310,20 @@ async def _gateway_loadgen(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # repro bench
 # ----------------------------------------------------------------------
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.list:
-        for name, script in BENCHMARKS.items():
-            print(f"{name:<10} benchmarks/{script}")
-        return 0
-    if not args.name:
-        print("repro bench: a benchmark name is required (or --list)", file=sys.stderr)
-        return 2
-    if args.name != "all" and args.name not in BENCHMARKS:
+def cmd_bench(suite_args: list[str]) -> int:
+    """Forward to the one benchmark, ``BENCHMARK.json`` +
+    ``benchmarks/suite/``, which exists only in a source checkout."""
+    root = repo_root()
+    script = root / "benchmarks" / "suite" / "run.py"
+    if not script.is_file():
         print(
-            f"repro bench: unknown benchmark {args.name!r} "
-            f"(choose from {', '.join(BENCHMARKS)}, or 'all')",
+            f"repro bench: {script} not found — the benchmark runs from a "
+            "source checkout, not an installed package",
             file=sys.stderr,
         )
         return 2
-    names = list(BENCHMARKS) if args.name == "all" else [args.name]
-    root = repo_root()
-    for name in names:
-        command = [sys.executable, str(root / "benchmarks" / BENCHMARKS[name])]
-        if args.smoke:
-            command.append("--smoke")
-        if args.output:
-            command += ["--output", args.output]
-        command += args.extra
-        env = dict(os.environ)
-        src = str(root / "src")
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        )
-        print(f"[repro bench] {name}: {' '.join(command[1:])}", flush=True)
-        result = subprocess.run(command, env=env, cwd=root)
-        if result.returncode == BENCH_SKIPPED:
-            # An optional dependency (e.g. the native-engine C toolchain)
-            # is missing: the benchmark opted out visibly rather than
-            # failing — not an error, the remaining benchmarks still run.
-            print(
-                f"[repro bench] {name}: SKIPPED — optional toolchain "
-                "missing (see the benchmark's notice above)",
-                flush=True,
-            )
-            continue
-        if result.returncode != 0:
-            print(f"repro bench: {name} failed ({result.returncode})", file=sys.stderr)
-            return 1
-    return 0
+    command = [sys.executable, str(script), *suite_args]
+    return subprocess.run(command, cwd=root).returncode
 
 
 # ----------------------------------------------------------------------
@@ -521,23 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gateway.set_defaults(func=cmd_gateway)
 
-    bench = sub.add_parser("bench", help="run a benchmark from benchmarks/")
-    bench.add_argument(
-        "name", nargs="?", help=f"one of {', '.join(BENCHMARKS)}, or 'all'"
+    # Listed for --help only: main() hands everything after `bench` to
+    # benchmarks/suite/run.py unparsed.
+    sub.add_parser(
+        "bench",
+        help="run benchmarks/suite/run.py with the arguments that follow",
     )
-    bench.add_argument("--smoke", action="store_true", help="reduced sizes for CI")
-    bench.add_argument("--output", metavar="PATH", help="write results JSON here")
-    bench.add_argument(
-        "--list", action="store_true", help="list benchmarks and exit"
-    )
-    bench.add_argument(
-        "extra",
-        nargs="*",
-        default=[],
-        help="extra args passed to the script (flags the script understands "
-        "can follow a '--' separator, e.g. `bench engine -- --require-native`)",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     replay = sub.add_parser(
         "replay", help="re-drive a recorded trace through a fresh server"
@@ -562,18 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    # `bench` forwards unrecognised flags to the benchmark script (after
-    # an optional `--` separator); every other subcommand keeps argparse's
-    # strict rejection of unknown arguments.
-    args, unknown = parser.parse_known_args(argv)
-    unknown = [token for token in unknown if token != "--"]
-    if unknown:
-        if getattr(args, "func", None) is cmd_bench:
-            args.extra = list(args.extra) + unknown
-        else:
-            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv[:1] == ["bench"]:
+            return cmd_bench(argv[1:])
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except KeyboardInterrupt:
         # A graceful SIGINT exit for the simulated subcommands (the

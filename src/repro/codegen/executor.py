@@ -106,10 +106,9 @@ class OffloadExecutor:
     :data:`repro.ir.engine.ENGINE_MODES`): the slice-folding ``"fast"``
     engine (default, bit-identical to the interpreter), ``"native"``
     (adds the optional C backend), ``"vectorized"`` (gather lowering),
-    the reference ``"interpreter"``, or ``"vectorized-fast"`` (einsum
-    lowering, results only approximately equal).  All engines produce
-    identical execution traces, so the cost-model numbers do not depend
-    on this choice.
+    or the reference ``"interpreter"``.  All engines produce identical
+    results and execution traces, so the cost-model numbers do not
+    depend on this choice.
 
     Engine precedence, most specific wins: the ``engine`` argument of
     :meth:`run`, then an ``engine`` given to this constructor, then the

@@ -53,12 +53,10 @@ class CompileOptions:
     #: NumPy kernels, bit-identical to the interpreter), ``"native"``
     #: (additionally compiles eligible nests to C via cffi, falling back
     #: to ``"fast"`` when no toolchain is present), ``"vectorized"``
-    #: (broadcast-gather lowering), ``"interpreter"`` (the reference
-    #: tree-walker), or ``"vectorized-fast"`` (einsum contraction
-    #: lowering, reassociates floating-point sums).  Honoured
-    #: automatically when the :class:`CompilationResult` is passed to
-    #: :meth:`OffloadExecutor.run`; it does not change the generated code
-    #: or any cost-model report.
+    #: (broadcast-gather lowering), or ``"interpreter"`` (the reference
+    #: tree-walker).  Honoured automatically when the
+    #: :class:`CompilationResult` is passed to :meth:`OffloadExecutor.run`;
+    #: it does not change the generated code or any cost-model report.
     engine: str = "fast"
     #: Pass pipeline to run: a named pipeline (``"default"``, ``"no-fusion"``,
     #: ``"detect-only"``) or an explicit sequence of pass names (see

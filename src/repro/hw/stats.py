@@ -16,7 +16,6 @@ triggers the exact same sequence of charges).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 
@@ -51,10 +50,6 @@ class EnergyLedger:
     def as_dict(self) -> dict[str, float]:
         return dict(self._joules)
 
-    def merge(self, other: "EnergyLedger") -> None:
-        for category, joules in other._joules.items():
-            self._joules[category] += joules
-
     def reset(self) -> None:
         self._joules.clear()
 
@@ -78,10 +73,6 @@ class StatCounter:
     def as_dict(self) -> dict[str, int]:
         return dict(self._counts)
 
-    def merge(self, other: "StatCounter") -> None:
-        for name, count in other._counts.items():
-            self._counts[name] += count
-
     def reset(self) -> None:
         self._counts.clear()
 
@@ -89,16 +80,3 @@ class StatCounter:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
         return f"StatCounter({parts})"
 
-
-@dataclass
-class ExecutionStats:
-    """Combined energy, counters, and elapsed time for one simulated run."""
-
-    energy: EnergyLedger = field(default_factory=EnergyLedger)
-    counters: StatCounter = field(default_factory=StatCounter)
-    elapsed_seconds: float = 0.0
-
-    def merge(self, other: "ExecutionStats") -> None:
-        self.energy.merge(other.energy)
-        self.counters.merge(other.counters)
-        self.elapsed_seconds += other.elapsed_seconds

@@ -3,12 +3,12 @@
 The engine compiles affine loop nests of a :class:`~repro.ir.program.Program`
 into vectorized NumPy operations instead of interpreting them element by
 element.  Results are bit-identical to the reference interpreter (no
-floating-point reassociation on the default path) and the
+floating-point reassociation) and the
 :class:`~repro.ir.interp.ExecutionTrace` is derived analytically from the
 polyhedral trip counts, so the host cost model reports the exact same
 instruction/energy/time numbers.
 
-Five engine modes are available (see :func:`make_engine`):
+Four engine modes are available (see :func:`make_engine`):
 
 * ``"interpreter"`` — the reference tree-walking interpreter.
 * ``"vectorized"`` — compiled NumPy execution through broadcast index-grid
@@ -23,10 +23,6 @@ Five engine modes are available (see :func:`make_engine`):
   accumulation order is identical by construction), compiled with the
   system C compiler and called through ``cffi``.  Falls back to ``"fast"``
   per nest — and entirely when the toolchain or ``cffi`` is absent.
-* ``"vectorized-fast"`` — lowers recognized full reduction nests
-  (GEMM/GEMV-class contractions) to ``np.einsum``; this reassociates
-  floating-point sums, so results are only approximately equal.  Kept for
-  comparison studies; superseded as a speed default by ``"fast"``.
 
 Use :func:`repro.ir.engine.lowering.program_lowering_report` (surfaced as
 ``CompilationReport.nest_lowerings``) to see which tier every nest landed
@@ -49,7 +45,7 @@ from repro.ir.engine.lowering import (
 from repro.ir.engine.native import NativeEngine, native_available
 
 #: Valid values for the ``engine`` compile/execution option.
-ENGINE_MODES = ("interpreter", "vectorized", "fast", "native", "vectorized-fast")
+ENGINE_MODES = ("interpreter", "vectorized", "fast", "native")
 
 #: The default engine: the exact fold-lowered fast path.
 DEFAULT_ENGINE = "fast"
@@ -77,9 +73,7 @@ def make_engine(
         return VectorizedEngine(program, call_handler=call_handler)
     if engine == "fast":
         return VectorizedEngine(program, call_handler=call_handler, fold=True)
-    if engine == "native":
-        return NativeEngine(program, call_handler=call_handler)
-    return VectorizedEngine(program, call_handler=call_handler, reassociate=True)
+    return NativeEngine(program, call_handler=call_handler)
 
 
 __all__ = [

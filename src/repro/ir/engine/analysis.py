@@ -22,11 +22,6 @@ The engine turns a loop nest into an execution *plan*:
    sequential, which is what keeps floating-point accumulation order, and
    therefore results, bit-identical to the interpreter.
 
-The plan also records which reduction loops can be lowered to
-``np.einsum`` contractions; the engine only uses those taggings in its
-opt-in "vectorized-fast" mode because einsum reassociates the reduction
-sum.
-
 On top of the gather-based plan, every planned assignment is analysed for
 the exact **fold** lowering (the default "fast" engine): when every array
 subscript is affine with at most one vectorized variable per dimension
@@ -132,8 +127,6 @@ class PlanLoop:
     step: int
     body: list["PlanNode"] = field(default_factory=list)
     vec: bool = True
-    #: Einsum lowering of a sequential reduction loop (fast mode only).
-    einsum: Optional["EinsumSpec"] = None
     # Compiled bound closures, filled lazily by the engine.
     lower_fn: Optional[Callable] = None
     upper_fn: Optional[Callable] = None
@@ -162,21 +155,6 @@ class NestPlan:
             return False
 
         return any_vec(self.nodes)
-
-
-@dataclass
-class EinsumSpec:
-    """A reduction loop recognised as a multiplicative contraction."""
-
-    #: The reduction variable (the tagged loop's own variable).
-    red_var: str
-    #: Array factors: (array name, per-dimension variable names).
-    array_factors: tuple[tuple[str, tuple[str, ...]], ...]
-    #: Scalar factors: compiled closures over (scalars, arrays).
-    scalar_exprs: tuple[Expr, ...]
-    #: Target array and its subscript variables (plain, one var per dim).
-    target: str
-    target_vars: tuple[str, ...]
 
 
 # ----------------------------------------------------------------------
@@ -512,97 +490,6 @@ def _classify(nodes: list[PlanNode], loop_vars: set[str]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Einsum tagging (fast mode)
-# ----------------------------------------------------------------------
-
-
-def _product_factors(expr: Expr) -> Optional[list[Expr]]:
-    if isinstance(expr, BinOp) and expr.op == "*":
-        lhs = _product_factors(expr.lhs)
-        rhs = _product_factors(expr.rhs)
-        if lhs is None or rhs is None:
-            return None
-        return lhs + rhs
-    if isinstance(expr, (IntConst, FloatConst, VarRef, ParamRef, ArrayRef)):
-        return [expr]
-    return None
-
-
-def _tag_einsum(nodes: list[PlanNode], loop_vars: set[str]) -> None:
-    def visit(items: list[PlanNode], vec_stack: tuple[str, ...]) -> None:
-        for item in items:
-            if not isinstance(item, PlanLoop):
-                continue
-            if item.vec:
-                visit(item.body, vec_stack + (item.var,))
-                continue
-            visit(item.body, vec_stack)
-            if len(item.body) != 1 or not isinstance(item.body[0], PlanAssign):
-                continue
-            stmt = item.body[0].stmt
-            if stmt.reduction != "+":
-                continue
-            target = stmt.target
-            assert isinstance(target, ArrayRef)
-            allowed = set(vec_stack) | {item.var}
-            target_vars = []
-            for idx in target.indices:
-                if not (isinstance(idx, VarRef) and idx.name in vec_stack):
-                    target_vars = None
-                    break
-                target_vars.append(idx.name)
-            if target_vars is None:
-                continue
-            factors = _product_factors(stmt.rhs)
-            if factors is None:
-                continue
-            array_factors: list[tuple[str, tuple[str, ...]]] = []
-            scalar_exprs: list[Expr] = []
-            ok = item.var in stmt.rhs.free_vars()
-            for factor in factors:
-                if isinstance(factor, ArrayRef):
-                    if factor.name == target.name:
-                        ok = False
-                        break
-                    dims = []
-                    for idx in factor.indices:
-                        if not (isinstance(idx, VarRef) and idx.name in allowed):
-                            ok = False
-                            break
-                        dims.append(idx.name)
-                    if not ok:
-                        break
-                    array_factors.append((factor.name, tuple(dims)))
-                elif isinstance(factor, (VarRef, ParamRef)):
-                    if factor.name in loop_vars:
-                        ok = False
-                        break
-                    scalar_exprs.append(factor)
-                else:  # constants
-                    scalar_exprs.append(factor)
-            if ok and array_factors:
-                # Every output (vectorized) variable and the reduction
-                # variable must appear in some factor, otherwise the einsum
-                # output subscript would reference a missing input (e.g.
-                # C[i,j] += alpha * A[i,k] broadcasts over j — leave that
-                # to the exact path).
-                covered: set[str] = set()
-                for _, dims in array_factors:
-                    covered.update(dims)
-                if not (set(vec_stack) | {item.var}) <= covered:
-                    continue
-                item.einsum = EinsumSpec(
-                    red_var=item.var,
-                    array_factors=tuple(array_factors),
-                    scalar_exprs=tuple(scalar_exprs),
-                    target=target.name,
-                    target_vars=tuple(target_vars),
-                )
-
-    visit(nodes, ())
-
-
-# ----------------------------------------------------------------------
 # Fold (exact slice) lowering analysis
 # ----------------------------------------------------------------------
 
@@ -732,7 +619,6 @@ def build_plan_with_reason(root: Loop) -> tuple[Optional[NestPlan], str]:
     plan = NestPlan(root=root, nodes=nodes, enumerate_vars=enumerate_vars)
     if not plan.has_vectorized_loop:
         return None, "no vectorizable axis"
-    _tag_einsum(nodes, loop_vars)
     _annotate_folds(nodes, loop_vars)
     return plan, ""
 

@@ -29,10 +29,6 @@ constant cost drops sharply.  A runtime guard falls back to the gather
 path whenever a computed slice would leave the array bounds (negative
 indices wrap element-wise in NumPy, slices do not — the gather path
 preserves the interpreter's wrapping semantics exactly).
-
-The opt-in ``reassociate`` mode additionally lowers recognized reduction
-loops (GEMM/GEMV-class contractions) to ``np.einsum``, which changes the
-floating-point summation order — results are then only approximately equal.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ from repro.ir.engine.analysis import (
     FoldSpec,
     NestPlan,
     PlanAssign,
-    PlanLoop,
     PlanNode,
     build_plan,
 )
@@ -406,11 +401,9 @@ class VectorizedEngine(Interpreter):
         self,
         program: Program,
         call_handler: Optional[CallHandler] = None,
-        reassociate: bool = False,
         fold: bool = False,
     ):
         super().__init__(program, call_handler)
-        self.reassociate = reassociate
         self.fold = fold
         self._nest_plans: dict[int, Optional[NestPlan]] = {}
         self._vec_assigns: dict[int, _VecAssign] = {}
@@ -480,9 +473,6 @@ class VectorizedEngine(Interpreter):
                     self._exec_plan_node(child)
             finally:
                 self._vec_stack.pop()
-            return
-        if self.reassociate and node.einsum is not None:
-            self._exec_einsum(node, lower, upper)
             return
         saved = self.scalars.get(node.var)
         scalars = self.scalars
@@ -577,53 +567,6 @@ class VectorizedEngine(Interpreter):
             view *= value
         else:
             view[...] = value
-
-    # ------------------------------------------------------------------
-    # Einsum lowering (fast mode)
-    # ------------------------------------------------------------------
-    def _exec_einsum(self, node: PlanLoop, lower: int, upper: int) -> None:
-        spec = node.einsum
-        assert spec is not None
-        ranges: dict[str, tuple[int, int, int]] = {
-            frame.var: (frame.lower, frame.upper, frame.step)
-            for frame in self._vec_stack
-        }
-        ranges[spec.red_var] = (lower, upper, node.step)
-        letters: dict[str, str] = {}
-
-        def letter(var: str) -> str:
-            if var not in letters:
-                letters[var] = "abcdefghijklmnop"[len(letters)]
-            return letters[var]
-
-        operands = []
-        subscripts = []
-        for name, dims in spec.array_factors:
-            array = self.arrays[name]
-            operands.append(
-                array[tuple(slice(*ranges[d]) for d in dims)]
-            )
-            subscripts.append("".join(letter(d) for d in dims))
-        out_sub = "".join(letter(frame.var) for frame in self._vec_stack)
-        result = np.einsum(
-            ",".join(subscripts) + "->" + out_sub, *operands, optimize=True
-        )
-        scale = None
-        for expr in spec.scalar_exprs:
-            value = compile_expr(expr)(self.scalars, self.arrays)
-            scale = value if scale is None else scale * value
-        if scale is not None:
-            result = result * scale
-        # The accumulate reuses the generic (bit-exact) subscript machinery.
-        assign = node.body[0]
-        assert isinstance(assign, PlanAssign)
-        compiled = self._compile_vec_assign(assign)
-        venv = self._vec_env()
-        idx = tuple(
-            _as_index(fn(self.scalars, self.arrays, venv))
-            for fn in compiled.index_fns
-        )
-        self.arrays[compiled.target_name][idx] += result
 
     # ------------------------------------------------------------------
     # Analytical trace accounting

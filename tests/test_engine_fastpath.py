@@ -250,8 +250,8 @@ def test_compilation_report_carries_lowerings():
 
 def test_polybench_lowering_coverage_gate():
     """>= 90% of PolyBench nests must land past the generic vectorized
-    tier — the same gate BENCH_PR8.json enforces, kept in the test suite
-    so a lowering regression fails fast without running benchmarks."""
+    tier.  Tier classification is static, so this is the whole
+    lowering-coverage gate — no benchmark run is involved."""
     totals = {"interpreter": 0, "vectorized": 0, "fold": 0, "native": 0}
     for name in sorted(KERNELS):
         report = program_lowering_report(_prepare(KERNELS[name].source))
@@ -300,8 +300,11 @@ def test_native_toolchain_is_available_in_ci():
     """The dedicated CI job installs cffi + gcc; if this environment has
     them, prove the probe sees them (the differential tests above then
     genuinely exercised compiled C)."""
+    import os
     import shutil
 
+    if os.environ.get("REPRO_NATIVE") == "0":
+        pytest.skip("native tier force-disabled (the CI fallback-ladder run)")
     try:
         import cffi  # noqa: F401
     except ImportError:

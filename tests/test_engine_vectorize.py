@@ -50,7 +50,6 @@ def test_gemm_plan_distributes_and_classifies(gemm_program):
     assert isinstance(j_update, PlanLoop) and j_update.vec
     (k_loop,) = j_update.body
     assert isinstance(k_loop, PlanLoop) and not k_loop.vec  # reduction axis
-    assert k_loop.einsum is not None  # recognized contraction (fast mode)
 
 
 def test_bicg_plan_splits_the_two_products():
@@ -369,7 +368,7 @@ def test_executor_honours_compile_options_engine(gemm_source, rng):
 
 def test_fast_mode_broadcast_reduction_falls_back_to_exact():
     """A reduction whose rhs misses an output variable (broadcast over j)
-    must not be einsum-lowered — regression for a fast-mode crash."""
+    stays bit-identical on the fold path."""
     source = """
     void bcast(int N, float C[N][N], float A[N][N]) {
       for (int i = 0; i < N; i++)
@@ -386,9 +385,9 @@ def test_fast_mode_broadcast_reduction_falls_back_to_exact():
         "A": rng.random((n, n), dtype=np.float32),
     }
     ref = Interpreter(program).run({"N": n}, arrays)
-    fast = VectorizedEngine(program, reassociate=True)
+    fast = VectorizedEngine(program, fold=True)
     out = fast.run({"N": n}, arrays)
-    np.testing.assert_allclose(out["C"], ref["C"], rtol=1e-5)
+    np.testing.assert_array_equal(out["C"], ref["C"])
 
 
 def test_engine_modes_validation():
@@ -399,6 +398,9 @@ def test_engine_modes_validation():
     )
     with pytest.raises(ValueError):
         make_engine(program, engine="magic")
+    from repro import ENGINE_MODES
+
+    assert ENGINE_MODES == ("interpreter", "vectorized", "fast", "native")
     from repro import CompileOptions
 
     with pytest.raises(ValueError):

@@ -147,7 +147,3 @@ class TestCli:
 
     def test_repro_gateway_trace_arrivals_need_a_trace(self, capsys):
         assert repro_main(["gateway", "--arrivals", "trace"]) == 2
-
-    def test_repro_bench_lists_gateway(self, capsys):
-        assert repro_main(["bench", "--list"]) == 0
-        assert "bench_gateway_wallclock.py" in capsys.readouterr().out
