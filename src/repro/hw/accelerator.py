@@ -160,11 +160,10 @@ class CIMAccelerator:
     # ------------------------------------------------------------------
     def _on_start(self) -> None:
         """Triggered by a START write to the command register."""
-        tile_energy_before = self.tile.energy.total()
-        own_energy_before = self.energy.total()
+        tile_before = self.tile.energy.as_dict()
+        own_before = self.energy.as_dict()
         dma_energy_before = self.dma.total_energy_j
         dma_bytes_before = self.dma.total_bytes
-        breakdown_before = {**self.tile.energy.as_dict(), **self.energy.as_dict()}
 
         try:
             opcode = self.registers.opcode()
@@ -182,17 +181,17 @@ class CIMAccelerator:
 
         dma_energy = self.dma.total_energy_j - dma_energy_before
         total_energy = (
-            (self.tile.energy.total() - tile_energy_before)
-            + (self.energy.total() - own_energy_before)
+            (self.tile.energy.total() - sum(tile_before.values()))
+            + (self.energy.total() - sum(own_before.values()))
             + dma_energy
         )
         self.energy.add("cim.dma_traffic", dma_energy)
-        breakdown_after = {**self.tile.energy.as_dict(), **self.energy.as_dict()}
-        breakdown = {
-            key: breakdown_after.get(key, 0.0) - breakdown_before.get(key, 0.0)
-            for key in breakdown_after
-            if breakdown_after.get(key, 0.0) - breakdown_before.get(key, 0.0) > 0
-        }
+        breakdown = {}
+        for ledger, before in ((self.tile.energy, tile_before), (self.energy, own_before)):
+            for key, value in ledger.as_dict().items():
+                delta = value - before.get(key, 0.0)
+                if delta > 0:
+                    breakdown[key] = delta
 
         stats = AcceleratorRunStats(
             latency_s=result.latency_s,

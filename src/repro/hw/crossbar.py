@@ -13,8 +13,9 @@ Two numeric modes are supported:
   energy and latency are still accounted as if the values had been
   programmed at 8-bit resolution.  Integration tests use this mode so the
   offloaded program matches the host reference to floating-point rounding
-  (batched GEMV dispatch maps to one BLAS matmul, which may round a few
-  ULPs differently from per-vector products; disable
+  (batched GEMV dispatch maps to one BLAS matmul per programmed tile — for
+  a convolution, one for the whole image — which may round a few ULPs
+  differently from per-vector products; disable
   ``SystemConfig.batch_gemv`` for the exact sequential dispatch).
 * ``quantized`` — operands are quantised to signed 8-bit fixed point (with a
   per-write scale factor), split into 4-bit MSB/LSB device levels, multiplied
@@ -124,24 +125,35 @@ class Crossbar:
                 f"write of {rows}x{cols} at ({row_offset},{col_offset}) exceeds "
                 f"crossbar {cfg.rows}x{cfg.cols}"
             )
+        # Quantise to 8-bit levels for the physical planes, offset by 128
+        # into the unsigned range 1..255; the scale is shared across the
+        # whole crossbar (the micro-engine writes one operand tile at a
+        # time, so this matches its usage).  A block with no magnitude to
+        # scale by -- all zeros, or holding a NaN -- is programmed as zeros.
+        max_abs = float(max(matrix.max(), -matrix.min())) if matrix.size else 0.0
+        scale = max_abs / 127.0 if max_abs > 0 else 1.0
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"operand magnitude {max_abs} cannot be quantised")
+        if max_abs > 0:
+            scaled = matrix / scale
+            np.rint(scaled, out=scaled)
+            scaled += 128.0
+            levels = scaled.astype(np.uint8)
+        else:
+            levels = np.full(matrix.shape, 128, dtype=np.uint8)
         self._values[row_offset : row_offset + rows, col_offset : col_offset + cols] = (
             matrix
         )
-        # Quantise to 8-bit signed levels for the physical planes; the scale
-        # is shared across the whole crossbar (the micro-engine writes one
-        # operand tile at a time, so this matches its usage).
-        max_abs = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-        self._scale = max_abs / 127.0 if max_abs > 0 else 1.0
-        quantised = np.rint(matrix / self._scale).astype(np.int64) if max_abs > 0 else (
-            np.zeros_like(matrix, dtype=np.int64)
-        )
-        offset_levels = quantised + 128  # unsigned representation 0..255
-        msb_levels = offset_levels >> cfg.device_bits
-        lsb_levels = offset_levels & ((1 << cfg.device_bits) - 1)
+        self._scale = scale
         # Wear is counted per programming pulse (no program-and-verify skip):
         # the paper's endurance analysis counts every write issued to a cell.
-        self.msb_plane.program(msb_levels, row_offset, col_offset, count_unchanged=True)
-        self.lsb_plane.program(lsb_levels, row_offset, col_offset, count_unchanged=True)
+        self.msb_plane.program(
+            levels >> cfg.device_bits, row_offset, col_offset, count_unchanged=True
+        )
+        self.lsb_plane.program(
+            levels & ((1 << cfg.device_bits) - 1), row_offset, col_offset,
+            count_unchanged=True,
+        )
         report = WriteReport(
             cells_targeted=rows * cols,
             cells_changed=rows * cols,  # logical 8-bit cells programmed

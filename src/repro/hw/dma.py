@@ -9,33 +9,19 @@ counters for the evaluation layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.hw.energy import CimEnergyModel
-
-
-@dataclass
-class DmaTransfer:
-    """Description of one completed DMA transfer."""
-
-    direction: str  # "mem_to_acc" or "acc_to_mem"
-    address: int
-    size_bytes: int
-    duration_s: float
-    energy_j: float
 
 
 class DMAEngine:
     """Bandwidth- and energy-accounted shared-memory access."""
 
     def __init__(self, memory, energy_model: CimEnergyModel | None = None):
-        """``memory`` is any object with ``read(addr, size)`` and
-        ``write(addr, bytes)`` methods (see :class:`repro.system.memory`)."""
+        """``memory`` is a :class:`repro.system.memory.SharedMemory` (or any
+        object with its ``read``, ``view`` and ``write`` methods)."""
         self.memory = memory
         self.energy_model = energy_model or CimEnergyModel()
-        self.transfers: list[DmaTransfer] = []
         self.total_bytes = 0
         self.total_energy_j = 0.0
         self.total_time_s = 0.0
@@ -44,40 +30,34 @@ class DMAEngine:
     def read(self, address: int, size_bytes: int) -> bytes:
         """Fetch *size_bytes* from shared memory into the accelerator."""
         payload = self.memory.read(address, size_bytes)
-        self._account("mem_to_acc", address, size_bytes)
+        self._account(size_bytes)
         return payload
 
     def write(self, address: int, payload: bytes | np.ndarray) -> int:
         """Store accelerator data back to shared memory."""
-        data = bytes(np.asarray(payload, dtype=np.uint8).tobytes()) if isinstance(
-            payload, np.ndarray
-        ) else bytes(payload)
-        self.memory.write(address, data)
-        self._account("acc_to_mem", address, len(data))
-        return len(data)
+        size = self.memory.write(address, payload)
+        self._account(size)
+        return size
 
     def read_array(self, address: int, count: int, dtype=np.float32) -> np.ndarray:
-        """Read a typed array from shared memory."""
+        """A typed, read-only window onto shared memory (nothing is copied;
+        see :meth:`repro.system.memory.SharedMemory.view`)."""
         dtype = np.dtype(dtype)
-        raw = self.read(address, count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        size = count * dtype.itemsize
+        window = self.memory.view(address, size).view(dtype)
+        self._account(size)
+        return window
 
     def write_array(self, address: int, array: np.ndarray) -> int:
         return self.write(address, np.ascontiguousarray(array).view(np.uint8).ravel())
 
     # ------------------------------------------------------------------
-    def _account(self, direction: str, address: int, size_bytes: int) -> None:
-        energy = size_bytes * self.energy_model.dma_energy_per_byte_j
-        duration = size_bytes / self.energy_model.dma_bandwidth_bytes_per_s
-        self.transfers.append(
-            DmaTransfer(direction, address, size_bytes, duration, energy)
-        )
+    def _account(self, size_bytes: int) -> None:
         self.total_bytes += size_bytes
-        self.total_energy_j += energy
-        self.total_time_s += duration
+        self.total_energy_j += size_bytes * self.energy_model.dma_energy_per_byte_j
+        self.total_time_s += size_bytes / self.energy_model.dma_bandwidth_bytes_per_s
 
     def reset_stats(self) -> None:
-        self.transfers.clear()
         self.total_bytes = 0
         self.total_energy_j = 0.0
         self.total_time_s = 0.0

@@ -196,12 +196,12 @@ class MicroEngine:
         rows = self.tile.rows  # crossbar rows index the contraction (k)
         cols = self.tile.cols  # crossbar columns index the output rows (i)
         elem = req.elem_size
-        dtype = np.float32
 
-        a = self._load_matrix(req.addr_a, req.m, req.k, req.lda, req.trans_a, dtype,
-                              charge_dma=False)
-        b = self._load_matrix(req.addr_b, req.k, req.n, req.ldb, req.trans_b, dtype,
-                              charge_dma=False)
+        # float32 windows onto shared memory; only what reaches the
+        # crossbar (the tile being programmed, the streamed vectors) is
+        # widened to float64.
+        a = self._load_matrix(req.addr_a, req.m, req.k, req.lda, req.trans_a)
+        b = self._load_matrix(req.addr_b, req.k, req.n, req.ldb, req.trans_b)
         c_out = np.zeros((req.m, req.n), dtype=np.float64)
 
         # A GEMV request (N = 1) may reuse the operand left resident in the
@@ -234,7 +234,6 @@ class MicroEngine:
                 allow_reuse
                 and self._programmed_operand == tile_key
                 and self._programmed_values is not None
-                and self._programmed_values.shape == a_tile.shape
                 and np.array_equal(self._programmed_values, a_tile)
             )
             if not already_programmed:
@@ -245,7 +244,7 @@ class MicroEngine:
                     )
                 else:
                     self._dma_in(req.addr_a, tile_bytes, result)
-                cost = self.tile.write_matrix(np.ascontiguousarray(a_tile.T))
+                cost = self.tile.write_matrix(a_tile.T)
                 if sharded:
                     shard.program_s = cost.latency_s
                 else:
@@ -263,7 +262,7 @@ class MicroEngine:
                 # programmed tile in one tile operation.  Per-GEMV
                 # energy/latency/DMA accounting is applied n-fold, so
                 # the reports are identical to the sequential loop.
-                x_block = np.ascontiguousarray(b[k0 : k0 + k_size, :].T)
+                x_block = np.ascontiguousarray(b[k0 : k0 + k_size, :].T, dtype=np.float64)
                 dma_time = self._dma_in(req.addr_b, in_bytes, result,
                                         overlappable=True, repeat=req.n)
                 partial, cost = self.tile.gemv_batch(
@@ -314,15 +313,14 @@ class MicroEngine:
         # --- post-processing and write-back ------------------------------
         digital_ops = req.m * req.n  # alpha scaling
         if req.beta != 0.0:
-            c_orig = self._load_matrix(req.addr_c, req.m, req.n, req.ldc, False, dtype,
-                                       charge_dma=False)
+            c_orig = self._load_matrix(req.addr_c, req.m, req.n, req.ldc, False)
             self._dma_in(req.addr_c, req.m * req.n * elem, result)
-            c_out = req.alpha * c_out + req.beta * c_orig
+            c_out = req.alpha * c_out + req.beta * c_orig.astype(np.float64)
             digital_ops += 2 * req.m * req.n
         else:
             c_out = req.alpha * c_out
         self.tile.digital_ops(digital_ops)
-        self._store_matrix(req.addr_c, c_out.astype(dtype), req.ldc, result)
+        self._store_matrix(req.addr_c, c_out.astype(np.float32), req.ldc, result)
 
     # ------------------------------------------------------------------
     # Convolution
@@ -338,7 +336,6 @@ class MicroEngine:
         row buffers, Section II-B), so the one-time crossbar write costs
         ``filter_h * filter_w * T`` cells.
         """
-        dtype = np.float32
         elem = req.elem_size
         kh, kw = req.filter_h, req.filter_w
         taps = kh * kw
@@ -354,14 +351,14 @@ class MicroEngine:
         slab_w = kw + t_cols - 1
         slab_len = kh * slab_w
 
-        weights = self.dma.read_array(req.addr_filter, taps, dtype).astype(np.float64)
+        weights = self.dma.read_array(req.addr_filter, taps).astype(np.float64)
         result.dma_bytes += taps * elem
-        weights_2d = weights.reshape(kh, kw)
-        toeplitz = np.zeros((slab_len, t_cols), dtype=np.float64)
-        for t in range(t_cols):
-            for p in range(kh):
-                toeplitz[p * slab_w + t : p * slab_w + t + kw, t] = weights_2d[p]
-        cost = self.tile.write_matrix(toeplitz)
+        # Column t holds the filter shifted right by t pixels: tap (p, q)
+        # sits at slab pixel (p, q + t).
+        toeplitz = np.zeros((kh, slab_w, t_cols), dtype=np.float64)
+        shift = np.arange(t_cols)
+        toeplitz[:, np.arange(kw)[:, None] + shift, shift] = weights.reshape(kh, kw, 1)
+        cost = self.tile.write_matrix(toeplitz.reshape(slab_len, t_cols))
         self._advance("crossbar", "write_crossbar", cost.latency_s)
         # Only the filter-footprint cells are programmed (row-enable mask);
         # the tile's internal ledger counts the full block, so the endurance-
@@ -371,21 +368,28 @@ class MicroEngine:
         self._programmed_operand = None
         self._programmed_values = None
 
-        img = self.dma.read_array(
-            req.addr_img, req.img_h * req.img_w, dtype
-        ).reshape(req.img_h, req.img_w).astype(np.float64)
-        # The image is streamed slab by slab in hardware; charge the DMA
-        # traffic per streamed slab below, the bulk read above is free.
-        self.dma.total_bytes -= req.img_h * req.img_w * elem
-        self.dma.total_energy_j -= (
-            req.img_h * req.img_w * elem * self.energy_model.dma_energy_per_byte_j
+        # Gather the slabs of every output row at once: slab (oi, s) is the
+        # kh x slab_w window of the image at (oi, s * t_cols), zero-padded
+        # past the right edge.  The image is streamed slab by slab in
+        # hardware, so its traffic is charged per slab below.
+        n_slabs = -(-req.out_w // t_cols)
+        padded = np.zeros(
+            (req.img_h, max(req.img_w, (n_slabs - 1) * t_cols + slab_w)), dtype=np.float64
         )
-        self.dma.total_time_s -= (
-            req.img_h * req.img_w * elem / self.energy_model.dma_bandwidth_bytes_per_s
-        )
-
-        out = np.zeros((req.out_h, req.out_w), dtype=np.float64)
-        col_starts = list(range(0, req.out_w, t_cols))
+        padded[:, : req.img_w] = self._fetch(
+            req.addr_img, req.img_h * req.img_w
+        ).reshape(req.img_h, req.img_w)
+        slabs = np.lib.stride_tricks.sliding_window_view(padded, (kh, slab_w))[
+            : req.out_h, : n_slabs * t_cols : t_cols
+        ].reshape(req.out_h * n_slabs, slab_len)
+        if self.batch_gemv:
+            # One tile product for the image; the per-row charges below
+            # are those of one batched dispatch per output row.
+            values, _ = self.tile.crossbar.gemv_batch(slabs, slab_len, t_cols)
+        else:
+            values = np.empty((len(slabs), t_cols), dtype=np.float64)
+        slab_bytes = slab_len * elem
+        per_gemv_j = self.energy_model.dma_microengine_energy_per_gemv_j
         # Multi-tile mode: the filter was broadcast-programmed into every
         # tile above (charged once — tile-count-invariant accounting, see
         # docs/scheduler.md); each output row becomes one shard streamed on
@@ -394,69 +398,43 @@ class MicroEngine:
         shard_work: list[ShardWork] = []
         for oi in range(req.out_h):
             shard = ShardWork(label=f"out_row[{oi}]") if sharded else None
-            slabs = np.zeros((len(col_starts), kh, slab_w), dtype=np.float64)
-            active_cols = []
-            for slab_idx, oj in enumerate(col_starts):
-                active_cols.append(min(t_cols, req.out_w - oj))
-                avail = min(slab_w, req.img_w - oj)
-                slabs[slab_idx, :, :avail] = img[oi : oi + kh, oj : oj + avail]
-            if self.batch_gemv and len(col_starts) > 1:
-                # Batched dispatch of the whole output row: one tile
-                # operation for all slabs, with n-fold per-GEMV accounting.
-                n = len(col_starts)
-                dma_time = self._dma_in(req.addr_img, slab_len * elem, result,
-                                        overlappable=True, repeat=n)
-                values, cost = self.tile.gemv_batch(
-                    slabs.reshape(n, slab_len),
-                    rows_active=slab_len,
-                    cols_active=t_cols,
-                )
-                gemv_time = cost.latency_s / n
-                step = n * (max(gemv_time, dma_time) if self.double_buffering
-                            else gemv_time + dma_time)
+            if self.batch_gemv:
+                dma_time = self._dma_in(req.addr_img, slab_bytes, result,
+                                        overlappable=True, repeat=n_slabs)
+                cost = self.tile.charge_gemv(n_slabs, slab_len, t_cols)
+                gemv_time = cost.latency_s / n_slabs
+                step = n_slabs * (max(gemv_time, dma_time) if self.double_buffering
+                                  else gemv_time + dma_time)
                 self._step_compute(shard, sharded, step)
-                self.energy.add(
-                    "cim.dma_microengine",
-                    n * self.energy_model.dma_microengine_energy_per_gemv_j,
-                )
-                result.gemv_count += n
-                for slab_idx, oj in enumerate(col_starts):
-                    active = active_cols[slab_idx]
-                    result.macs += taps * active
-                    out[oi, oj : oj + active] = values[slab_idx, :active]
-                if sharded:
-                    shard_work.append(shard)
-                continue
-            for slab_idx, oj in enumerate(col_starts):
-                active = active_cols[slab_idx]
-                x = slabs[slab_idx].reshape(-1)
-                dma_time = self._dma_in(req.addr_img, slab_len * elem, result,
-                                        overlappable=True)
-                values, cost = self.tile.gemv(
-                    x, rows_active=slab_len, cols_active=t_cols
-                )
-                step = max(cost.latency_s, dma_time) if self.double_buffering else (
-                    cost.latency_s + dma_time
-                )
-                self._step_compute(shard, sharded, step)
-                self.energy.add(
-                    "cim.dma_microengine",
-                    self.energy_model.dma_microengine_energy_per_gemv_j,
-                )
-                result.gemv_count += 1
-                result.macs += taps * active
-                out[oi, oj : oj + active] = values[:active]
+                self.energy.add("cim.dma_microengine", n_slabs * per_gemv_j)
+            else:
+                for index in range(oi * n_slabs, (oi + 1) * n_slabs):
+                    dma_time = self._dma_in(req.addr_img, slab_bytes, result,
+                                            overlappable=True)
+                    values[index], cost = self.tile.gemv(
+                        slabs[index], rows_active=slab_len, cols_active=t_cols
+                    )
+                    step = max(cost.latency_s, dma_time) if self.double_buffering else (
+                        cost.latency_s + dma_time
+                    )
+                    self._step_compute(shard, sharded, step)
+                    self.energy.add("cim.dma_microengine", per_gemv_j)
             if sharded:
                 shard_work.append(shard)
         if sharded:
             self._clock_s = self.scheduler.schedule(
                 shard_work, start_s=self._clock_s, timeline=self.timeline
             )
+        result.gemv_count += req.out_h * n_slabs
+        result.macs += req.out_h * req.out_w * taps
+        # Slab s of a row holds output pixels s * t_cols onwards; the last
+        # slab's columns past out_w are inactive.
+        out = values.reshape(req.out_h, n_slabs * t_cols)[:, : req.out_w]
 
         digital_ops = req.out_h * req.out_w
         if req.beta != 0.0:
             orig = self.dma.read_array(
-                req.addr_out, req.out_h * req.out_w, dtype
+                req.addr_out, req.out_h * req.out_w
             ).reshape(req.out_h, req.out_w).astype(np.float64)
             result.dma_bytes += req.out_h * req.out_w * elem
             out = req.alpha * out + req.beta * orig
@@ -464,35 +442,37 @@ class MicroEngine:
         else:
             out = req.alpha * out
         self.tile.digital_ops(digital_ops)
-        self._store_matrix(req.addr_out, out.astype(dtype), req.out_w, result)
+        self._store_matrix(req.addr_out, out.astype(np.float32), req.out_w, result)
 
     # ------------------------------------------------------------------
     # Shared-memory helpers
     # ------------------------------------------------------------------
+    def _fetch(self, address: int, count: int) -> np.ndarray:
+        """A float32 window onto *count* operand elements in shared memory.
+
+        A functional fetch only: the traffic is charged where the data
+        streams (:meth:`_dma_in`), so the DMA engine's charge is taken back.
+        """
+        window = self.dma.read_array(address, count, np.float32)
+        size = window.nbytes
+        self.dma.total_bytes -= size
+        self.dma.total_energy_j -= size * self.energy_model.dma_energy_per_byte_j
+        self.dma.total_time_s -= size / self.energy_model.dma_bandwidth_bytes_per_s
+        return window
+
     def _load_matrix(
-        self,
-        address: int,
-        n_rows: int,
-        n_cols: int,
-        leading_dim: int,
-        transposed: bool,
-        dtype,
-        charge_dma: bool = True,
+        self, address: int, n_rows: int, n_cols: int, leading_dim: int, transposed: bool
     ) -> np.ndarray:
-        """Read a row-major (possibly transposed) matrix from shared memory."""
+        """View a row-major (possibly transposed) float32 matrix in shared
+        memory; nothing is copied."""
         if transposed:
             stored_rows, stored_cols = n_cols, n_rows
         else:
             stored_rows, stored_cols = n_rows, n_cols
         ld = max(leading_dim, stored_cols)
-        flat = self.dma.read_array(address, stored_rows * ld, dtype)
-        if not charge_dma:
-            elem = np.dtype(dtype).itemsize
-            size = stored_rows * ld * elem
-            self.dma.total_bytes -= size
-            self.dma.total_energy_j -= size * self.energy_model.dma_energy_per_byte_j
-            self.dma.total_time_s -= size / self.energy_model.dma_bandwidth_bytes_per_s
-        matrix = flat.reshape(stored_rows, ld)[:, :stored_cols].astype(np.float64)
+        matrix = self._fetch(address, stored_rows * ld).reshape(stored_rows, ld)[
+            :, :stored_cols
+        ]
         return matrix.T if transposed else matrix
 
     def _store_matrix(
@@ -501,15 +481,11 @@ class MicroEngine:
         n_rows, n_cols = matrix.shape
         ld = max(leading_dim, n_cols)
         if ld == n_cols:
-            payload = np.ascontiguousarray(matrix)
-            self.dma.write_array(address, payload.view(np.uint8).ravel())
+            self.dma.write_array(address, matrix)
         else:
             elem = matrix.dtype.itemsize
             for row_index in range(n_rows):
-                row = np.ascontiguousarray(matrix[row_index])
-                self.dma.write_array(
-                    address + row_index * ld * elem, row.view(np.uint8).ravel()
-                )
+                self.dma.write_array(address + row_index * ld * elem, matrix[row_index])
         size = n_rows * n_cols * matrix.dtype.itemsize
         result.dma_bytes += size
         self._advance(

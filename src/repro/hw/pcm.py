@@ -67,7 +67,11 @@ class PCMCellArray:
         self.rows = rows
         self.cols = cols
         self.params = params or PCMDeviceParams()
-        self.levels = np.zeros((rows, cols), dtype=np.int64)
+        # Levels are validated against the device range before they are
+        # stored, so the narrowest unsigned type holds them.
+        self.levels = np.zeros(
+            (rows, cols), dtype=np.min_scalar_type(self.params.levels - 1)
+        )
         self.write_counts = np.zeros((rows, cols), dtype=np.int64)
         self.total_program_ops = 0
 
@@ -87,25 +91,28 @@ class PCMCellArray:
         increment).  ``count_unchanged`` forces every targeted device to be
         counted, modelling a controller without program-and-verify.
         """
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            values = values.astype(np.int64)
         if values.ndim != 2:
             raise ValueError("program() expects a 2-D block of levels")
         max_level = self.params.levels - 1
-        if values.min() < 0 or values.max() > max_level:
+        lowest, highest = values.min(), values.max()
+        if lowest < 0 or highest > max_level:
             raise ValueError(
-                f"levels out of range 0..{max_level}: "
-                f"[{values.min()}, {values.max()}]"
+                f"levels out of range 0..{max_level}: [{lowest}, {highest}]"
             )
         r0, c0 = row_offset, col_offset
         r1, c1 = r0 + values.shape[0], c0 + values.shape[1]
         if r1 > self.rows or c1 > self.cols or r0 < 0 or c0 < 0:
             raise ValueError("programmed block exceeds array bounds")
-        target = self.levels[r0:r1, c0:c1]
-        changed = target != values
         if count_unchanged:
-            changed = np.ones_like(changed, dtype=bool)
-        self.write_counts[r0:r1, c0:c1] += changed
-        n_changed = int(changed.sum())
+            self.write_counts[r0:r1, c0:c1] += 1
+            n_changed = values.size
+        else:
+            changed = self.levels[r0:r1, c0:c1] != values
+            self.write_counts[r0:r1, c0:c1] += changed
+            n_changed = int(changed.sum())
         self.total_program_ops += n_changed
         self.levels[r0:r1, c0:c1] = values
         return n_changed

@@ -3,8 +3,10 @@
 The tile bundles the crossbar, the row/column/output buffers, the shared
 ADC stage and the digital logic block, and converts the raw operation counts
 of those components into energy using the Table I model.  The micro-engine
-talks only to the tile; the tile hides the MSB/LSB column pairing and the
-buffer staging.
+charges every operation to the tile; the tile hides the MSB/LSB column
+pairing and the buffer staging.  The buffers are much smaller than an
+operand tile and the hardware streams data through them, so only their
+byte traffic is modelled, not their content.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hw.buffers import SRAMBuffer
-from repro.hw.crossbar import Crossbar, CrossbarConfig, GemvReport, WriteReport
+from repro.hw.crossbar import Crossbar, CrossbarConfig, WriteReport
 from repro.hw.energy import CimEnergyModel
 from repro.hw.stats import EnergyLedger, StatCounter
 
@@ -76,8 +78,8 @@ class CIMTile:
         model = self.energy_model
         # Buffer traffic: one byte per 8-bit cell staged, one mask byte per row.
         staged_bytes = report.cells_targeted + report.rows_touched
-        self._stage_buffer_traffic(self.column_buffer, report.cells_targeted)
-        self._stage_buffer_traffic(self.row_buffer, report.rows_touched)
+        self.column_buffer.bytes_written += report.cells_targeted
+        self.row_buffer.bytes_written += report.rows_touched
         energy = (
             report.cells_changed * model.write_energy_per_cell_j
             + staged_bytes * model.buffer_energy_per_byte_j
@@ -109,33 +111,48 @@ class CIMTile:
     ) -> tuple[np.ndarray, TileOperationCost]:
         """A batch of analog GEMVs over the same programmed operand.
 
-        ``x`` holds the input vectors as rows.  Energy, latency, buffer
-        traffic and counter totals equal those of the per-vector
-        :meth:`gemv` calls; only the dispatch is batched.
+        ``x`` holds the input vectors as rows.  The values come from one
+        crossbar product, the cost from :meth:`charge_gemv`; both equal
+        those of the per-vector :meth:`gemv` calls.
         """
-        x = np.asarray(x, dtype=np.float64)
         result, report = self.crossbar.gemv_batch(x, rows_active, cols_active)
-        n_vectors = report.gemv_count
+        return result, self.charge_gemv(
+            report.gemv_count, report.rows_active, report.cols_active
+        )
+
+    def charge_gemv(
+        self, n_vectors: int, rows_active: int, cols_active: int
+    ) -> TileOperationCost:
+        """Charge *n_vectors* GEMVs over a ``rows_active x cols_active``
+        sub-array: energy, latency, buffer traffic and counters.
+
+        Touches no array.  A caller that computed the values of many such
+        batches with one crossbar product (the micro-engine, for a whole
+        convolution) still charges each batch here, in dispatch order:
+        per-run energies are differences of these running float totals,
+        so the sequence of addends is part of the model.
+        """
         model = self.energy_model
-        input_bytes = n_vectors * report.rows_active
-        output_bytes = n_vectors * report.cols_active * 4
-        self._stage_buffer_traffic(self.row_buffer, input_bytes)
-        self._stage_buffer_traffic(self.output_buffer, output_bytes)
+        macs = n_vectors * rows_active * cols_active
+        input_bytes = n_vectors * rows_active
+        output_bytes = n_vectors * cols_active * 4
+        self.row_buffer.bytes_written += input_bytes
+        self.output_buffer.bytes_written += output_bytes
         buffer_bytes = input_bytes + output_bytes
         energy = (
-            report.macs * model.compute_energy_per_mac_j
+            macs * model.compute_energy_per_mac_j
             + n_vectors * model.mixed_signal_energy_per_gemv_j
             + n_vectors * model.digital_weighted_sum_per_gemv_j
             + buffer_bytes * model.buffer_energy_per_byte_j
         )
         latency = n_vectors * model.compute_latency_per_gemv_s
-        self.energy.add("cim.crossbar_compute", report.macs * model.compute_energy_per_mac_j)
+        self.energy.add("cim.crossbar_compute", macs * model.compute_energy_per_mac_j)
         self.energy.add("cim.mixed_signal", n_vectors * model.mixed_signal_energy_per_gemv_j)
         self.energy.add("cim.digital_logic", n_vectors * model.digital_weighted_sum_per_gemv_j)
         self.energy.add("cim.buffers", buffer_bytes * model.buffer_energy_per_byte_j)
         self.counters.add("cim.gemv_ops", n_vectors)
-        self.counters.add("cim.macs", report.macs)
-        return result, TileOperationCost(energy, latency)
+        self.counters.add("cim.macs", macs)
+        return TileOperationCost(energy, latency)
 
     def digital_ops(self, n_ops: int) -> TileOperationCost:
         """Charge extra scalar ALU work done in the digital logic block."""
@@ -145,20 +162,6 @@ class CIMTile:
         # The digital block runs at the accelerator clock; its latency is
         # hidden behind the crossbar compute in practice.
         return TileOperationCost(energy, 0.0)
-
-    # ------------------------------------------------------------------
-    def _stage_buffer_traffic(self, buffer: SRAMBuffer, n_bytes: int) -> None:
-        """Account buffer byte-traffic, wrapping at the buffer capacity.
-
-        The buffers are much smaller than a full operand tile; the hardware
-        streams data through them, so only the traffic (not the content) is
-        modelled here.
-        """
-        remaining = n_bytes
-        while remaining > 0:
-            chunk = min(remaining, buffer.capacity_bytes)
-            buffer.write(np.zeros(chunk, dtype=np.uint8))
-            remaining -= chunk
 
     # ------------------------------------------------------------------
     @property

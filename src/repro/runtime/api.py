@@ -183,9 +183,9 @@ class CimRuntime:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * dtype.itemsize
         buffer.require_capacity(nbytes)
-        raw = self.driver.memory.read(buffer.physical, nbytes)
+        window = self.driver.memory.view(buffer.physical, nbytes)
         self._charge_copy(nbytes)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        return window.view(dtype).reshape(shape).copy()
 
     def _charge_copy(self, nbytes: int) -> None:
         instructions = nbytes * self.driver.host_model.copy_instructions_per_byte

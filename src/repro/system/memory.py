@@ -65,23 +65,35 @@ class SharedMemory:
             )
 
     # ------------------------------------------------------------------
-    def read(self, address: int, size: int) -> bytes:
+    def view(self, address: int, size: int) -> np.ndarray:
+        """A read-only window onto *size* bytes, without copying them.
+
+        Counted as one read, exactly like :meth:`read`.  The window aliases
+        the memory: it shows later writes, so a caller that keeps it past
+        the next write must copy it.
+        """
         self._check(address, size)
         self.reads += 1
         self.bytes_read += size
-        return self._data[address : address + size].tobytes()
+        window = self._data[address : address + size]
+        window.flags.writeable = False
+        return window
+
+    def read(self, address: int, size: int) -> bytes:
+        return self.view(address, size).tobytes()
 
     def write(self, address: int, payload: bytes | bytearray | np.ndarray) -> int:
+        """Copy *payload* (raw bytes, or an array of byte values) into
+        memory — the only copy made.  Returns the byte count."""
         if isinstance(payload, np.ndarray):
-            payload = payload.astype(np.uint8, copy=False).tobytes()
-        payload = bytes(payload)
-        self._check(address, len(payload))
+            data = payload.astype(np.uint8, copy=False).reshape(-1)
+        else:
+            data = np.frombuffer(payload, dtype=np.uint8)
+        self._check(address, data.size)
         self.writes += 1
-        self.bytes_written += len(payload)
-        self._data[address : address + len(payload)] = np.frombuffer(
-            payload, dtype=np.uint8
-        )
-        return len(payload)
+        self.bytes_written += data.size
+        self._data[address : address + data.size] = data
+        return data.size
 
     # Typed helpers --------------------------------------------------------
     def read_array(self, address: int, count: int, dtype=np.float32) -> np.ndarray:

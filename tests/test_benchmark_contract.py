@@ -14,7 +14,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from repro.system import CimSystem
 
 SUITE_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "suite"
 
@@ -50,3 +53,49 @@ def test_instrument_wraps_and_restores_every_pinned_name(suite):
     for (_, attr), (owner, original) in first_saved.items():
         assert vars(owner)[attr] is original, (owner, attr)
 
+
+
+def test_traced_device_calls_keep_the_conventions_the_tracer_reads(suite):
+    """The tracer counts ``SharedMemory.read`` bytes from ``args[2]`` (the
+    size must be passed positionally) and ``SharedMemory.write`` bytes from
+    the return value, and times the device through the pinned names.  A
+    keyword call, a non-numeric return or a hot path that bypasses a pinned
+    name would otherwise only fail in the benchmark's traced pass."""
+    spans, workloads = suite
+    system = CimSystem()
+    runtime = system.runtime
+    runtime.cim_init(0)
+    rng = np.random.default_rng(0)
+    operands = {
+        "a": rng.random((6, 5), dtype=np.float32),
+        "x": rng.random(5, dtype=np.float32),
+        "y": np.zeros(6, dtype=np.float32),
+        "img": rng.random((6, 7), dtype=np.float32),
+        "w": rng.random((3, 3), dtype=np.float32),
+        "out": np.zeros((4, 5), dtype=np.float32),
+    }
+    tracer = spans.Tracer()
+    try:
+        workloads.instrument(tracer)
+        with tracer.operation(0):
+            buffers = {name: runtime.cim_malloc(array.nbytes) for name, array in operands.items()}
+            for name, array in operands.items():
+                runtime.cim_host_to_dev(buffers[name], array)
+            system.blas.sgemv(
+                False, 6, 5, 1.0, buffers["a"], 5, buffers["x"], 0.0, buffers["y"])
+            system.blas.conv2d(
+                4, 5, 3, 3, 1.0, buffers["img"], buffers["w"], 0.0, buffers["out"])
+            y = runtime.cim_dev_to_host(buffers["y"], (6,))
+            # The descriptor table is the one thing the device still
+            # fetches with SharedMemory.read.
+            system.blas.gemm_batched(False, False, [dict(
+                m=6, n=1, k=5, a=buffers["a"], b=buffers["x"], c=buffers["y"])])
+    finally:
+        tracer.unwrap_all()
+    np.testing.assert_allclose(y, operands["a"] @ operands["x"], rtol=1e-5)
+    uploaded = sum(array.nbytes for array in operands.values())
+    assert tracer.counts["system.memory_ms"] > uploaded
+    calls = tracer.calls()
+    for span in ("hw.tile_write_ms", "hw.gemv_ms", "hw.microengine_ms", "hw.dma_ms",
+                 "system.memory_ms"):
+        assert calls.get(span, 0) > 0, f"no traced call reached {span}"

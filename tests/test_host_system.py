@@ -157,6 +157,29 @@ def test_memory_typed_array_helpers(rng):
     np.testing.assert_array_equal(memory.read_array(4096, 64).reshape(8, 8), data)
 
 
+def test_memory_view_is_zero_copy_read_only_and_counted():
+    memory = SharedMemory(1024 * 1024, 512 * 1024)
+    memory.write(1000, bytes(range(100)))
+    window = memory.view(1000, 100)
+    assert (memory.reads, memory.bytes_read) == (1, 100)  # exactly like read()
+    assert window.tobytes() == bytes(range(100))
+    with pytest.raises(ValueError):
+        window[0] = 1
+    memory.write(1000, b"\xff")  # the window aliases memory; writes still work
+    assert window[0] == 0xFF
+    with pytest.raises(MemoryAccessError):
+        memory.view(1024 * 1024 - 10, 20)
+
+
+def test_memory_write_accepts_bytes_bytearray_and_byte_valued_arrays():
+    memory = SharedMemory(4096, 1024)
+    assert memory.write(0, b"\x01\x02") == 2
+    assert memory.write(2, bytearray(b"\x03")) == 1
+    assert memory.write(3, np.array([[4, 5], [6, 7]], dtype=np.uint8)) == 4
+    assert memory.read(0, 7) == bytes(range(1, 8))
+    assert (memory.writes, memory.bytes_written) == (3, 7)
+
+
 def test_memory_out_of_range_access_rejected():
     memory = SharedMemory(4096, 1024)
     with pytest.raises(MemoryAccessError):

@@ -102,6 +102,26 @@ def test_tile_write_and_gemv_costs(rng):
     )
 
 
+def test_tile_charge_gemv_is_the_accounting_half_of_gemv_batch(rng):
+    """``gemv_batch`` = one crossbar product + ``charge_gemv``; a caller that
+    computed the values elsewhere charges exactly the same, array-free."""
+    matrix, xs = rng.random((8, 6)), rng.random((5, 8))
+    dispatched, charged = CIMTile(), CIMTile()
+    dispatched.write_matrix(matrix)
+    charged.write_matrix(matrix)
+    values, cost = dispatched.gemv_batch(xs, rows_active=8, cols_active=6)
+    np.testing.assert_array_equal(values, charged.crossbar.gemv_batch(xs, 8, 6)[0])
+    assert charged.charge_gemv(5, 8, 6) == cost
+    assert charged.energy.as_dict() == dispatched.energy.as_dict()
+    assert charged.counters.as_dict() == dispatched.counters.as_dict()
+    # Buffer traffic is a byte count: 1 B per input entry, 4 B per output,
+    # however it compares with the 1.5 KiB the buffers hold.
+    for name in ("row_buffer", "column_buffer", "output_buffer"):
+        assert getattr(charged, name).bytes_written == getattr(dispatched, name).bytes_written
+    assert charged.row_buffer.bytes_written == 8 + 5 * 8
+    assert charged.output_buffer.bytes_written == 5 * 6 * 4
+
+
 def test_tile_digital_ops_energy():
     tile = CIMTile()
     cost = tile.digital_ops(100)

@@ -132,6 +132,29 @@ def test_write_out_of_bounds_rejected():
         xbar.write(np.zeros((5, 5)))
 
 
+def test_nan_operand_programs_the_block_as_zeros():
+    """A NaN has no magnitude to scale by: the whole block is programmed
+    at the zero level (128 = MSB 8, LSB 0) with scale 1.0 — and wears."""
+    xbar = Crossbar(CrossbarConfig(rows=4, cols=4))
+    xbar.write(np.array([[1.0, np.nan], [2.0, -3.0]]))
+    np.testing.assert_array_equal(xbar.msb_plane.read(0, 0, 2, 2), 8)
+    np.testing.assert_array_equal(xbar.lsb_plane.read(0, 0, 2, 2), 0)
+    np.testing.assert_array_equal(xbar.stored_quantised()[:2, :2], 0.0)
+    np.testing.assert_array_equal(xbar.write_counts()[:2, :2], 1)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_operand_is_rejected(value):
+    """An infinite magnitude has no finite scale; it must not reach the
+    cells as garbage levels."""
+    xbar = Crossbar(CrossbarConfig(rows=4, cols=4))
+    with pytest.raises(ValueError):
+        xbar.write(np.array([[1.0, value], [2.0, -3.0]]))
+    # Nothing was programmed.
+    assert xbar.write_counts().max() == 0
+    assert xbar.total_cell_writes == 0
+
+
 def test_gemv_wrong_vector_length_rejected():
     xbar = Crossbar(CrossbarConfig(rows=4, cols=4))
     xbar.write(np.zeros((4, 4)))
