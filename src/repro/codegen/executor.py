@@ -12,7 +12,7 @@ latency, GEMV count and crossbar writes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.codegen.runtime_calls import (
     MallocCallArgs,
 )
 from repro.host.cost_model import HostCostModel, HostExecutionEstimate
+from repro.hw.stats import AcceleratorRunStats
 from repro.ir.engine import DEFAULT_ENGINE, make_engine, validate_engine
 from repro.ir.expr import Expr
 from repro.ir.interp import Interpreter, evaluate_expr
@@ -45,6 +46,11 @@ from repro.system.system import CimSystem
 
 class ExecutorError(RuntimeError):
     """Malformed runtime call encountered during execution."""
+
+
+def _accelerator_field(name: str) -> property:
+    """A report attribute that reads one field of the folded work record."""
+    return property(lambda self: getattr(self.accelerator, name))
 
 
 @dataclass
@@ -58,16 +64,23 @@ class ExecutionReport:
     offload_instructions: float = 0.0
     offload_energy_j: float = 0.0
     offload_time_s: float = 0.0
-    # Accelerator side.
-    accelerator_energy_j: float = 0.0
-    accelerator_time_s: float = 0.0
-    accelerator_energy_breakdown: dict[str, float] = field(default_factory=dict)
-    gemv_count: int = 0
-    crossbar_cell_writes: int = 0
-    crossbar_write_ops: int = 0
-    accelerator_macs: int = 0
-    dma_bytes: int = 0
+    # Accelerator side: this execution's runs folded into one work record.
+    accelerator: AcceleratorRunStats = field(default_factory=AcceleratorRunStats)
     runtime_calls: list[str] = field(default_factory=list)
+
+    accelerator_energy_j = _accelerator_field("energy_j")
+    accelerator_time_s = _accelerator_field("latency_s")
+    accelerator_energy_breakdown = _accelerator_field("energy_breakdown")
+    gemv_count = _accelerator_field("gemv_count")
+    crossbar_cell_writes = _accelerator_field("crossbar_cell_writes")
+    crossbar_write_ops = _accelerator_field("crossbar_write_ops")
+    accelerator_macs = _accelerator_field("macs")
+    dma_bytes = _accelerator_field("dma_bytes")
+
+    def absorb_runs(self, runs: Iterable[AcceleratorRunStats]) -> None:
+        """Fold the accelerator runs this execution triggered, in run order."""
+        for run in runs:
+            self.accelerator.add(run)
 
     # ------------------------------------------------------------------
     @property
@@ -210,19 +223,7 @@ class OffloadExecutor:
         report.offload_time_s = overhead.time_s - overhead_time_before
         report.runtime_calls = [name for name, _ in interpreter.trace.runtime_calls]
 
-        new_runs = self.system.accelerator.completed_runs[runs_before:]
-        for run in new_runs:
-            report.accelerator_energy_j += run.energy_j
-            report.accelerator_time_s += run.latency_s
-            report.gemv_count += run.gemv_count
-            report.crossbar_cell_writes += run.crossbar_cell_writes
-            report.crossbar_write_ops += run.crossbar_write_ops
-            report.accelerator_macs += run.macs
-            report.dma_bytes += run.dma_bytes
-            for key, value in run.energy_breakdown.items():
-                report.accelerator_energy_breakdown[key] = (
-                    report.accelerator_energy_breakdown.get(key, 0.0) + value
-                )
+        report.absorb_runs(self.system.accelerator.completed_runs[runs_before:])
         return final_arrays, report
 
     # ------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+from repro.hw.stats import sequential_sum
+
 
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean; raises on empty input or non-positive values."""
@@ -13,7 +15,7 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric mean of an empty sequence")
     if any(v <= 0 for v in values):
         raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(sequential_sum(math.log(v) for v in values) / len(values))
 
 
 def improvement_factor(baseline: float, improved: float) -> float:

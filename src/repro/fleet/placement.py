@@ -14,7 +14,7 @@ replay exactly.
   devices age faster in the ranking), then by load.  Because Eq. 1 fleet
   lifetime is the lifetime of the **most-worn** device, levelling wear
   across a heterogeneous fleet directly extends the fleet's implied
-  lifetime — the effect ``benchmarks/bench_fleet_failover.py`` measures.
+  lifetime — the effect ``tests/test_simulated_magnitudes.py`` pins (75x).
 """
 
 from __future__ import annotations

@@ -45,6 +45,8 @@ import numpy as np
 
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import USAGE_FIELDS, GatewayRequest, GatewayResponse
+from repro.hw.stats import AcceleratorRunStats
+from repro.serve.accounting import partition_checks
 from repro.trace.recorder import BILL_FIELDS, tenant_bills
 from repro.trace.replayer import TraceDiff
 from repro.trace.schema import (
@@ -133,13 +135,12 @@ def reference_run(trace: Trace) -> ModeRun:
     pool workers run — no processes, no wall clock, fully deterministic.
     The accounting bar is the worker bar too: billed usage must
     reconcile with the device's folded physical totals."""
-    from repro.gateway.server import partition_checks
-    from repro.gateway.worker import _PhysicalTotals, build_worker_server, serve_one
+    from repro.gateway.worker import build_worker_server, serve_one
 
     _require_serve_trace(trace)
     wire = gateway_config_from_trace(trace, num_workers=1).worker_wire()
     server = build_worker_server(wire)
-    physical = _PhysicalTotals()
+    physical = AcceleratorRunStats()
     responses: dict[int, dict] = {}
     usage: dict[int, dict] = {}
     try:
@@ -152,7 +153,7 @@ def reference_run(trace: Trace) -> ModeRun:
                 arrays=decode_submit_arrays(event),
             )
             response = serve_one(server, request, worker_id=0)
-            physical.fold(server.system.accelerator)
+            physical.add(server.system.accelerator.totals)
             responses[request.request_id] = {
                 "status": response.status,
                 "reason": response.reason,
@@ -164,9 +165,7 @@ def reference_run(trace: Trace) -> ModeRun:
             responses=responses,
             usage=usage,
             tenant_bills=tenant_bills(server.ledger),
-            partition=partition_checks(
-                server.ledger, {0: physical.authoritative()}
-            ),
+            partition=partition_checks(server.ledger, {0: physical}),
             totals=_totals(server.ledger),
             snapshot=server.metrics.snapshot(),
         )

@@ -60,16 +60,17 @@ Accounting mirrors the simulated tiers: every response carries the
 measured per-request usage, which the gateway records into an
 :class:`~repro.serve.accounting.AccountingLedger` keyed by worker id
 (= device id), and :meth:`AsyncGateway.verify_partition` reconciles the
-bills against each worker's physical accelerator totals — the drain-time
-authoritative totals for workers that survived, the last cumulative
-snapshot a worker shipped for workers that died (its doomed attempt
-shipped neither usage nor snapshot, so the partition stays exact).
+bills against each worker's cumulative work record
+(:class:`~repro.hw.stats.AcceleratorRunStats`, shipped on every response
+and on the drain frame) with the one check every tier uses,
+:func:`~repro.serve.accounting.partition_checks`.  A worker that died
+counts with the last record it shipped: its doomed attempt shipped
+neither usage nor record, so the partition stays exact.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 import queue as queue_mod
 import threading
 from collections import deque
@@ -87,24 +88,19 @@ from repro.gateway.worker import (
     RESPONSE_FRAME,
     worker_main,
 )
-from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage
+from repro.hw.stats import AcceleratorRunStats
+from repro.serve.accounting import (
+    AccountingLedger,
+    FaultCompensation,
+    RequestUsage,
+    partition_checks,
+)
 from repro.serve.admission import TenantQuota, budget_exhausted_reason
 from repro.serve.clock import WallClock, capped_backoff_s
 from repro.serve.metrics import MetricsRegistry
 from repro.trace.schema import encode_compile_options
 
-#: Physical-totals keys shipped by workers (see worker._PhysicalTotals).
-_PHYSICAL_ZERO = {
-    "energy_j": 0.0,
-    "latency_s": 0.0,
-    "cell_writes": 0,
-    "write_ops": 0,
-    "gemv_count": 0,
-    "macs": 0,
-    "dma_bytes": 0,
-}
-
-#: How long drain() waits for a worker's authoritative totals (and for
+#: How long drain() waits for a worker's final work record (and for
 #: stuck in-flight work) before escalating to a kill.
 _DRAIN_TIMEOUT_S = 30.0
 
@@ -112,63 +108,6 @@ _DRAIN_TIMEOUT_S = 30.0
 class GatewayError(RuntimeError):
     """Misuse of the gateway lifecycle (submit before start, after drain,
     or with an invalid configuration)."""
-
-
-def partition_checks(
-    ledger: AccountingLedger, totals_by_worker: Mapping[int, Mapping[str, float]]
-) -> dict[str, bool]:
-    """Exactly-once reconciliation of *ledger* against per-worker physical
-    accelerator totals (the :class:`~repro.gateway.worker._PhysicalTotals`
-    snapshot shape).  Integer counters compare by ``==``; energies via
-    order-independent ``fsum`` to float precision — the same bar as
-    :meth:`~repro.serve.accounting.AccountingLedger.verify_fleet_partition`."""
-    checks: dict[str, bool] = {}
-    for worker_id in sorted(totals_by_worker):
-        totals = totals_by_worker[worker_id]
-        usages = ledger.device_usages(worker_id)
-        comps = ledger.device_compensations(worker_id)
-        prefix = f"worker{worker_id}"
-        checks[f"{prefix}.cell_writes"] = (
-            sum(u.wear_bytes for u in usages) + sum(c.wear_bytes for c in comps)
-            == totals["cell_writes"]
-        )
-        checks[f"{prefix}.write_ops"] = (
-            sum(u.crossbar_write_ops for u in usages)
-            + sum(c.crossbar_write_ops for c in comps)
-            == totals["write_ops"]
-        )
-        checks[f"{prefix}.gemv_count"] = (
-            sum(u.gemv_count for u in usages)
-            + sum(c.gemv_count for c in comps)
-            == totals["gemv_count"]
-        )
-        checks[f"{prefix}.macs"] = (
-            sum(u.macs for u in usages) + sum(c.macs for c in comps)
-            == totals["macs"]
-        )
-        checks[f"{prefix}.energy"] = math.isclose(
-            math.fsum(
-                [u.accelerator_energy_j for u in usages]
-                + [c.accelerator_energy_j for c in comps]
-            ),
-            totals["energy_j"],
-            rel_tol=1e-9,
-            abs_tol=1e-18,
-        )
-    known = set(totals_by_worker)
-    checks["no_orphan_records"] = all(
-        u.device_id in known for u in ledger.all_usages()
-    ) and all(c.device_id in known for c in ledger.compensations)
-    checks["pool_wear_total"] = ledger.device_wear_bytes == sum(
-        totals["cell_writes"] for totals in totals_by_worker.values()
-    )
-    checks["pool_energy_total"] = math.isclose(
-        ledger.device_accelerator_energy_j,
-        math.fsum(totals["energy_j"] for totals in totals_by_worker.values()),
-        rel_tol=1e-9,
-        abs_tol=1e-18,
-    )
-    return checks
 
 
 @dataclass
@@ -283,11 +222,9 @@ class _Worker:
         self.dead = False
         self.served = 0
         self.busy_s = 0.0
-        #: Last cumulative physical snapshot this worker shipped (the
-        #: accounting currency that survives its death).
-        self.last_physical: dict[str, float] = dict(_PHYSICAL_ZERO)
-        #: Authoritative totals shipped on graceful drain (fsum-exact).
-        self.drained_totals: Optional[dict[str, float]] = None
+        #: The worker's cumulative work record as of the last frame it
+        #: shipped (the accounting currency that survives its death).
+        self.physical = AcceleratorRunStats()
         self.drained_event: Optional[asyncio.Event] = None
 
 
@@ -546,7 +483,7 @@ class AsyncGateway:
             self._on_response(frame[1], frame[2])
         elif kind == DRAINED_FRAME:
             worker = self._workers[frame[1]]
-            worker.drained_totals = dict(frame[2])
+            worker.physical = AcceleratorRunStats(**frame[2])
             worker.drained_event.set()
         else:  # dead letter: an undecodable frame with no request to answer
             self.dead_letters.append(str(frame[2]))
@@ -568,10 +505,10 @@ class AsyncGateway:
             return
         try:
             response = GatewayResponse.from_json(payload)
-        except WireFormatError as exc:
+            worker.physical = AcceleratorRunStats(**response.physical)
+        except (WireFormatError, TypeError) as exc:
             self._on_corrupt_frame(worker, exc)
             return
-        worker.last_physical = dict(response.physical)
         flight = self._inflight.pop(worker_id, None)
         if flight is None:
             return  # stale frame (should not happen: one in flight per worker)
@@ -660,22 +597,14 @@ class AsyncGateway:
             return
         self._bill_counter += 1
         self.ledger.record(
-            RequestUsage(
+            RequestUsage.from_wire(
+                response.usage,
                 request_id=response.request_id,
                 tenant=response.tenant,
                 batch_id=self._bill_counter,
                 arrival_s=flight.submitted_s,
                 completed_s=now_s,
-                service_s=response.usage["service_s"],
                 latency_s=now_s - flight.submitted_s,
-                host_energy_j=response.usage["host_energy_j"],
-                offload_energy_j=response.usage["offload_energy_j"],
-                accelerator_energy_j=response.usage["accelerator_energy_j"],
-                crossbar_cell_writes=int(response.usage["crossbar_cell_writes"]),
-                crossbar_write_ops=int(response.usage["crossbar_write_ops"]),
-                gemv_count=int(response.usage["gemv_count"]),
-                macs=int(response.usage["macs"]),
-                dma_bytes=int(response.usage["dma_bytes"]),
                 device_id=response.worker_id,
             )
         )
@@ -693,7 +622,8 @@ class AsyncGateway:
             return
         self._bill_counter += 1
         self.ledger.record_compensation(
-            FaultCompensation(
+            FaultCompensation.from_wire(
+                response.usage,
                 request_id=response.request_id,
                 tenant=response.tenant,
                 device_id=response.worker_id,
@@ -704,13 +634,6 @@ class AsyncGateway:
                     f"in flight; the late result was discarded"
                 ),
                 op="deadline-exceeded",
-                offload_energy_j=response.usage["offload_energy_j"],
-                accelerator_energy_j=response.usage["accelerator_energy_j"],
-                crossbar_cell_writes=int(response.usage["crossbar_cell_writes"]),
-                crossbar_write_ops=int(response.usage["crossbar_write_ops"]),
-                gemv_count=int(response.usage["gemv_count"]),
-                macs=int(response.usage["macs"]),
-                dma_bytes=int(response.usage["dma_bytes"]),
             )
         )
 
@@ -861,13 +784,6 @@ class AsyncGateway:
                         f"(exitcode={worker.process.exitcode})"
                     ),
                     op=cause,
-                    offload_energy_j=0.0,
-                    accelerator_energy_j=0.0,
-                    crossbar_cell_writes=0,
-                    crossbar_write_ops=0,
-                    gemv_count=0,
-                    macs=0,
-                    dma_bytes=0,
                 )
             )
             if not flight.future.done():
@@ -957,7 +873,7 @@ class AsyncGateway:
     # ------------------------------------------------------------------
     async def drain(self) -> dict:
         """Graceful shutdown: stop admission, serve everything in flight,
-        collect each worker's authoritative totals, tear the pool down.
+        collect each worker's final work record, tear the pool down.
         A worker that cannot finish draining within 30 s is killed and
         its stranded flight failed — close never hangs and never leaves
         zombies.  Returns the final metrics snapshot.  Idempotent."""
@@ -1051,22 +967,15 @@ class AsyncGateway:
     # Accounting / metrics
     # ------------------------------------------------------------------
     def verify_partition(self) -> dict[str, bool]:
-        """Exactly-once reconciliation across the pool: on every worker
-        (every incarnation — respawned slots contribute one worker per
-        life), billed tenant work plus compensations must equal that
-        worker's physical accelerator totals — the fsum-exact drain
-        totals for survivors, the last shipped cumulative snapshot for
-        the dead (whose doomed attempt shipped no usage).  Mirrors
-        :meth:`~repro.serve.accounting.AccountingLedger.verify_fleet_partition`."""
-        totals_by_worker = {
-            worker.worker_id: (
-                worker.drained_totals
-                if worker.drained_totals is not None
-                else worker.last_physical
-            )
-            for worker in self._workers
-        }
-        return partition_checks(self.ledger, totals_by_worker)
+        """:func:`~repro.serve.accounting.partition_checks` across the
+        pool: every worker incarnation (a respawned slot contributes one
+        worker per life) is a device, and its totals are the last work
+        record it shipped — the drain frame's for survivors, the last
+        response's for the dead (whose doomed attempt shipped no usage)."""
+        return partition_checks(
+            self.ledger,
+            {worker.worker_id: worker.physical for worker in self._workers},
+        )
 
     def snapshot(self) -> dict:
         """MetricsRegistry-style snapshot plus the gateway's own section:

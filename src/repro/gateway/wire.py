@@ -235,7 +235,8 @@ class GatewayResponse:
     usage: dict[str, float] = field(default_factory=dict)
     #: Host energy of the lease-buffer releases (ledger housekeeping).
     housekeeping_energy_j: list[float] = field(default_factory=list)
-    #: Worker-cumulative physical accelerator totals *after* this request
+    #: Worker-cumulative physical accelerator totals *after* this request:
+    #: ``AcceleratorRunStats.scalars()`` of the worker's lifetime record
     #: (the partition-check currency; survives the worker's death).
     physical: dict[str, float] = field(default_factory=dict)
     #: Shared compile-cache deltas of this request (hits, misses).

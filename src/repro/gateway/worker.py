@@ -13,6 +13,12 @@ gateway's responses bit-identical to the ``VirtualClock`` mode: the only
 thing the process pool changes is *when* requests run, never *what* they
 compute or bill.
 
+Physical accounting: the worker folds each request's accelerator totals
+into one worker-lifetime :class:`~repro.hw.stats.AcceleratorRunStats`
+(the same record and the same ``add`` every tier uses) and ships its
+scalars on every response and on the drain frame — the currency the
+gateway's partition check reconciles bills against.
+
 Determinism inside one worker comes from the same invariants the serving
 tests lean on: leases are scrubbed (no cross-request crossbar residency),
 the runtime releases every device buffer between requests (identical
@@ -33,7 +39,6 @@ kill).  Crash recovery and compensation are the gateway's job
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from typing import Optional
@@ -46,6 +51,7 @@ from repro.gateway.wire import (
     WireFormatError,
     slow_fault_delay_s,
 )
+from repro.hw.stats import AcceleratorRunStats
 
 #: Queue frames (gateway -> worker).
 REQUEST_FRAME = "request"
@@ -54,59 +60,6 @@ DRAIN_FRAME = "drain"
 #: Queue frames (worker -> gateway).
 RESPONSE_FRAME = "response"
 DRAINED_FRAME = "drained"
-
-
-class _PhysicalTotals:
-    """Running physical ledger of one worker's accelerator.
-
-    The accelerator's own ``total_*()`` helpers are O(completed runs) per
-    call, so the worker folds finished runs into these counters after
-    every request and clears the run list — memory and snapshot cost stay
-    flat no matter how many requests the worker serves.  Per-run energies
-    are retained so the drain-time totals can use :func:`math.fsum`
-    (order-independent, correctly rounded), matching the exactness
-    contract of :meth:`~repro.serve.accounting.AccountingLedger.verify_partition`.
-    """
-
-    def __init__(self) -> None:
-        self.run_energies_j: list[float] = []
-        self.energy_j = 0.0           # running sum (snapshot currency)
-        self.latency_s = 0.0
-        self.cell_writes = 0
-        self.write_ops = 0
-        self.gemv_count = 0
-        self.macs = 0
-        self.dma_bytes = 0
-
-    def fold(self, accelerator) -> None:
-        """Absorb (and clear) the accelerator's finished runs."""
-        for run in accelerator.completed_runs:
-            self.run_energies_j.append(run.energy_j)
-            self.energy_j += run.energy_j
-            self.latency_s += run.latency_s
-            self.cell_writes += run.crossbar_cell_writes
-            self.write_ops += run.crossbar_write_ops
-            self.gemv_count += run.gemv_count
-            self.macs += run.macs
-            self.dma_bytes += run.dma_bytes
-        accelerator.completed_runs.clear()
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "energy_j": self.energy_j,
-            "latency_s": self.latency_s,
-            "cell_writes": self.cell_writes,
-            "write_ops": self.write_ops,
-            "gemv_count": self.gemv_count,
-            "macs": self.macs,
-            "dma_bytes": self.dma_bytes,
-        }
-
-    def authoritative(self) -> dict[str, float]:
-        """Drain-time totals with the energy re-summed exactly."""
-        totals = self.snapshot()
-        totals["energy_j"] = math.fsum(self.run_energies_j)
-        return totals
 
 
 def build_worker_server(config: dict):
@@ -153,9 +106,8 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
     which worker serves it, in what order, or under which clock.  Without
     the reset, deltas are differences against a cumulative float ledger
     and round differently depending on how much the server served before.
-    The caller must fold ``accelerator.completed_runs`` (via
-    :class:`_PhysicalTotals`) *before* the next call — the reset clears
-    them.
+    The caller must fold ``accelerator.totals`` into its own lifetime
+    record *before* the next call — the reset zeroes them.
     """
     from repro.serve.request import RequestStatus
 
@@ -226,19 +178,19 @@ def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> 
     request at a time and shipping each response together with the
     worker-cumulative physical snapshot (the accounting currency that
     survives the worker's death — see :mod:`repro.gateway.server`).  The
-    drain frame is answered with the worker's authoritative physical
-    totals, then the worker exits cleanly.
+    drain frame is answered with that same record, then the worker exits
+    cleanly.
     """
     server = build_worker_server(config)
-    physical = _PhysicalTotals()
+    # Worker-lifetime work record (``serve_one`` resets the accelerator's
+    # own totals before every request, so they cannot live there).
+    physical = AcceleratorRunStats()
     try:
         while True:
             frame = request_queue.get()
             kind = frame[0]
             if kind == DRAIN_FRAME:
-                response_queue.put(
-                    (DRAINED_FRAME, worker_id, physical.authoritative())
-                )
+                response_queue.put((DRAINED_FRAME, worker_id, physical.scalars()))
                 break
             try:
                 request = GatewayRequest.from_json(frame[1])
@@ -263,7 +215,7 @@ def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> 
                 # (deadline pressure) but no physical work.
                 time.sleep(slow_s)
             response = serve_one(server, request, worker_id)
-            physical.fold(server.system.accelerator)
+            physical.add(server.system.accelerator.totals)
             if request.fault == "die-mid-request":
                 # The device physically worked (ledgers and outputs exist
                 # in this process) and then the process dies before the
@@ -271,7 +223,7 @@ def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> 
                 # exactly the window the gateway's crash recovery and
                 # FaultCompensation accounting must cover.
                 _crash(response_queue)
-            response.physical = physical.snapshot()
+            response.physical = physical.scalars()
             payload = response.to_json()
             if request.fault == "corrupt-frame":
                 # Byzantine worker: the device worked, but the frame that

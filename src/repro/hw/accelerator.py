@@ -16,7 +16,7 @@ with the scalars in the same fixed-point encoding as the registers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,8 +33,8 @@ from repro.hw.context_regs import (
 from repro.hw.crossbar import CrossbarConfig
 from repro.hw.dma import DMAEngine
 from repro.hw.energy import CimEnergyModel
-from repro.hw.microengine import Conv2DRequest, GemmRequest, MicroEngine, MicroEngineResult
-from repro.hw.stats import EnergyLedger, StatCounter
+from repro.hw.microengine import Conv2DRequest, GemmRequest, MicroEngine
+from repro.hw.stats import AcceleratorRunStats, EnergyLedger, StatCounter, sequential_sum
 from repro.hw.tile import CIMTile
 from repro.hw.timeline import Timeline
 
@@ -76,20 +76,6 @@ class AcceleratorConfig:
     def __post_init__(self) -> None:
         if self.num_tiles < 1:
             raise ValueError(f"num_tiles must be >= 1, got {self.num_tiles}")
-
-
-@dataclass
-class AcceleratorRunStats:
-    """Per-invocation accounting reported back to the runtime library."""
-
-    latency_s: float = 0.0
-    energy_j: float = 0.0
-    energy_breakdown: dict[str, float] = field(default_factory=dict)
-    gemv_count: int = 0
-    crossbar_cell_writes: int = 0
-    crossbar_write_ops: int = 0
-    macs: int = 0
-    dma_bytes: int = 0
 
 
 class CIMAccelerator:
@@ -145,6 +131,9 @@ class CIMAccelerator:
         self.registers = ContextRegisterFile(on_start=self._on_start)
         self.completed_runs: list[AcceleratorRunStats] = []
         self.last_run: Optional[AcceleratorRunStats] = None
+        #: Running fold of ``completed_runs`` (what the ``total_*`` helpers,
+        #: placement and the partition check read, in O(1)).
+        self.totals = AcceleratorRunStats()
 
     # ------------------------------------------------------------------
     # PMIO interface used by the driver
@@ -168,11 +157,11 @@ class CIMAccelerator:
         try:
             opcode = self.registers.opcode()
             if opcode in (Opcode.GEMM, Opcode.GEMV):
-                result = self.micro_engine.run_gemm(self._decode_gemm())
+                stats = self.micro_engine.run_gemm(self._decode_gemm())
             elif opcode is Opcode.GEMM_BATCHED:
-                result = self.micro_engine.run_gemm_batched(self._decode_batch())
+                stats = self.micro_engine.run_gemm_batched(self._decode_batch())
             elif opcode is Opcode.CONV2D:
-                result = self.micro_engine.run_conv2d(self._decode_conv2d())
+                stats = self.micro_engine.run_conv2d(self._decode_conv2d())
             else:
                 raise ValueError(f"unsupported opcode {opcode}")
         except Exception:
@@ -180,31 +169,23 @@ class CIMAccelerator:
             raise
 
         dma_energy = self.dma.total_energy_j - dma_energy_before
-        total_energy = (
-            (self.tile.energy.total() - sum(tile_before.values()))
-            + (self.energy.total() - sum(own_before.values()))
+        # The micro-engine filled the run's counters and latency; the
+        # energy is measured here, as the ledgers' movement over the run.
+        stats.energy_j = (
+            (self.tile.energy.total() - sequential_sum(tile_before.values()))
+            + (self.energy.total() - sequential_sum(own_before.values()))
             + dma_energy
         )
         self.energy.add("cim.dma_traffic", dma_energy)
-        breakdown = {}
         for ledger, before in ((self.tile.energy, tile_before), (self.energy, own_before)):
             for key, value in ledger.as_dict().items():
                 delta = value - before.get(key, 0.0)
                 if delta > 0:
-                    breakdown[key] = delta
-
-        stats = AcceleratorRunStats(
-            latency_s=result.latency_s,
-            energy_j=total_energy,
-            energy_breakdown=breakdown,
-            gemv_count=result.gemv_count,
-            crossbar_cell_writes=result.crossbar_writes,
-            crossbar_write_ops=result.crossbar_write_ops,
-            macs=result.macs,
-            dma_bytes=result.dma_bytes + (self.dma.total_bytes - dma_bytes_before),
-        )
+                    stats.energy_breakdown[key] = delta
+        stats.dma_bytes += self.dma.total_bytes - dma_bytes_before
         self.completed_runs.append(stats)
         self.last_run = stats
+        self.totals.add(stats)
         self.registers.set_status(Status.DONE)
 
     # ------------------------------------------------------------------
@@ -301,20 +282,21 @@ class CIMAccelerator:
         return self.config.num_tiles
 
     def total_energy_j(self) -> float:
-        return sum(run.energy_j for run in self.completed_runs)
+        return self.totals.energy_j
 
     def total_latency_s(self) -> float:
-        return sum(run.latency_s for run in self.completed_runs)
+        return self.totals.latency_s
 
     def total_cell_writes(self) -> int:
-        return sum(run.crossbar_cell_writes for run in self.completed_runs)
+        return self.totals.crossbar_cell_writes
 
     def total_macs(self) -> int:
-        return sum(run.macs for run in self.completed_runs)
+        return self.totals.macs
 
     def reset_stats(self) -> None:
         self.completed_runs.clear()
         self.last_run = None
+        self.totals = AcceleratorRunStats()
         self.energy.reset()
         self.counters.reset()
         self.timeline.clear()

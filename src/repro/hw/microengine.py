@@ -26,7 +26,7 @@ import numpy as np
 from repro.hw.dma import DMAEngine
 from repro.hw.energy import CimEnergyModel
 from repro.hw.scheduler import ShardWork, TileScheduler, plan_gemm_shards
-from repro.hw.stats import EnergyLedger, StatCounter
+from repro.hw.stats import AcceleratorRunStats, EnergyLedger, StatCounter
 from repro.hw.tile import CIMTile
 from repro.hw.timeline import Timeline
 
@@ -89,18 +89,6 @@ class Conv2DRequest:
             raise ValueError("input image width too small for requested output")
 
 
-@dataclass
-class MicroEngineResult:
-    """Aggregate outcome of one micro-engine invocation."""
-
-    latency_s: float = 0.0
-    gemv_count: int = 0
-    crossbar_writes: int = 0       # logical cells written
-    crossbar_write_ops: int = 0    # write_matrix invocations
-    dma_bytes: int = 0
-    macs: int = 0
-
-
 class MicroEngine:
     """Drives the CIM tile to execute GEMM / batched GEMM / convolution."""
 
@@ -159,30 +147,30 @@ class MicroEngine:
         self._programmed_operand = None
         self._programmed_values = None
 
-    def run_gemm(self, request: GemmRequest) -> MicroEngineResult:
+    def run_gemm(self, request: GemmRequest) -> AcceleratorRunStats:
         """Execute one GEMM: ``C = alpha * op(A) * op(B) + beta * C``."""
         request.validate()
-        result = MicroEngineResult()
+        result = AcceleratorRunStats()
         self._execute_gemm(request, result, reuse_programmed=False)
         self._finish(result)
         return result
 
-    def run_gemm_batched(self, requests: list[GemmRequest]) -> MicroEngineResult:
+    def run_gemm_batched(self, requests: list[GemmRequest]) -> AcceleratorRunStats:
         """Execute a batch of GEMMs, reusing the programmed operand when
         consecutive batch entries read the same ``A`` matrix (same address
         and shape) — the paper's endurance-oriented fusion payoff."""
-        result = MicroEngineResult()
+        result = AcceleratorRunStats()
         for request in requests:
             request.validate()
             self._execute_gemm(request, result, reuse_programmed=True)
         self._finish(result)
         return result
 
-    def run_conv2d(self, request: Conv2DRequest) -> MicroEngineResult:
+    def run_conv2d(self, request: Conv2DRequest) -> AcceleratorRunStats:
         """Execute a 2D convolution with the filter stationary in the
         crossbar and image patches streamed through the row buffers."""
         request.validate()
-        result = MicroEngineResult()
+        result = AcceleratorRunStats()
         self._execute_conv2d(request, result)
         self._finish(result)
         return result
@@ -191,7 +179,7 @@ class MicroEngine:
     # GEMM decomposition
     # ------------------------------------------------------------------
     def _execute_gemm(
-        self, req: GemmRequest, result: MicroEngineResult, reuse_programmed: bool
+        self, req: GemmRequest, result: AcceleratorRunStats, reuse_programmed: bool
     ) -> None:
         rows = self.tile.rows  # crossbar rows index the contraction (k)
         cols = self.tile.cols  # crossbar columns index the output rows (i)
@@ -249,7 +237,7 @@ class MicroEngine:
                     shard.program_s = cost.latency_s
                 else:
                     self._advance("crossbar", "write_crossbar", cost.latency_s)
-                result.crossbar_writes += i_size * k_size
+                result.crossbar_cell_writes += i_size * k_size
                 result.crossbar_write_ops += 1
                 self._programmed_operand = tile_key
                 self._programmed_values = a_tile.copy()
@@ -325,7 +313,7 @@ class MicroEngine:
     # ------------------------------------------------------------------
     # Convolution
     # ------------------------------------------------------------------
-    def _execute_conv2d(self, req: Conv2DRequest, result: MicroEngineResult) -> None:
+    def _execute_conv2d(self, req: Conv2DRequest, result: AcceleratorRunStats) -> None:
         """Weight-stationary unrolled convolution.
 
         The filter is replicated into ``T`` crossbar columns, column ``t``
@@ -363,7 +351,7 @@ class MicroEngine:
         # Only the filter-footprint cells are programmed (row-enable mask);
         # the tile's internal ledger counts the full block, so the endurance-
         # relevant count reported upward is the masked one.
-        result.crossbar_writes += taps * t_cols
+        result.crossbar_cell_writes += taps * t_cols
         result.crossbar_write_ops += 1
         self._programmed_operand = None
         self._programmed_values = None
@@ -476,7 +464,7 @@ class MicroEngine:
         return matrix.T if transposed else matrix
 
     def _store_matrix(
-        self, address: int, matrix: np.ndarray, leading_dim: int, result: MicroEngineResult
+        self, address: int, matrix: np.ndarray, leading_dim: int, result: AcceleratorRunStats
     ) -> None:
         n_rows, n_cols = matrix.shape
         ld = max(leading_dim, n_cols)
@@ -496,7 +484,7 @@ class MicroEngine:
         self,
         address: int,
         size_bytes: int,
-        result: MicroEngineResult,
+        result: AcceleratorRunStats,
         overlappable: bool = False,
         repeat: int = 1,
     ) -> float:
@@ -531,6 +519,6 @@ class MicroEngine:
         self.timeline.record(component, action, self._clock_s, duration_s)
         self._clock_s += duration_s
 
-    def _finish(self, result: MicroEngineResult) -> None:
+    def _finish(self, result: AcceleratorRunStats) -> None:
         result.latency_s = self._clock_s
         self._clock_s = 0.0

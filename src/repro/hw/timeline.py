@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.hw.stats import sequential_sum
+
 
 @dataclass(frozen=True)
 class TimelineEvent:
@@ -62,7 +64,7 @@ class Timeline:
 
     def busy_time(self, component: str) -> float:
         """Total busy time of one component (intervals may overlap others)."""
-        return sum(e.duration_s for e in self.events if e.component == component)
+        return sequential_sum(e.duration_s for e in self.events if e.component == component)
 
     def by_component(self) -> dict[str, list[TimelineEvent]]:
         grouped: dict[str, list[TimelineEvent]] = {}

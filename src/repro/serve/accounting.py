@@ -1,14 +1,17 @@
 """Per-tenant accounting: latency, energy and crossbar wear.
 
 Every dispatched request produces one :class:`RequestUsage` record, built
-from the same measured deltas (driver ledger, accelerator run stats) that
-the :class:`~repro.codegen.executor.ExecutionReport` is built from.  The
-records *partition* the device's activity: each accelerator run, each
-charged host instruction and each programmed crossbar cell belongs to
-exactly one request, so per-tenant sums reconcile exactly with the device
-totals — integer wear counters by ``==``, energy roll-ups via
-:func:`math.fsum` (correctly rounded, hence order-independent over the
-same records).
+from the :class:`~repro.codegen.executor.ExecutionReport` of its attempt
+(:meth:`MeasuredWork.from_report`) or, at the gateway, from the usage
+dict its worker shipped (:meth:`MeasuredWork.from_wire`).  The records
+*partition* the device's activity: each accelerator run, each charged
+host instruction and each programmed crossbar cell belongs to exactly
+one request, so per-tenant sums reconcile exactly with the device's own
+work record (:class:`~repro.hw.stats.AcceleratorRunStats`) — integer
+counters by ``==``, energy roll-ups via :func:`math.fsum` (correctly
+rounded, hence order-independent over the same records).
+:func:`partition_checks` is that reconciliation, the only one in the
+package; the serving loop, the fleet and the gateway all call it.
 
 Wear is expressed in bytes written to the crossbar (one byte per
 programmed 8-bit cell, the same convention as
@@ -23,22 +26,67 @@ performed for an attempt that was then lost to an injected fault (the
 device died before the response left it) is *compensated*: recorded as a
 :class:`FaultCompensation` attributed to the fault, never billed to the
 tenant.  Per-device physical ledgers then still partition exactly —
-``tenant bills + compensations + housekeeping == device totals`` on every
-device (:meth:`AccountingLedger.verify_fleet_partition`) — with no lost
-and no double-billed work even when requests are retried across devices.
+``tenant bills + compensations == device totals`` on every device — with
+no lost and no double-billed work even when requests are retried across
+devices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
 from repro.hw.endurance import EnduranceTracker, system_lifetime_years
+from repro.hw.stats import WORK_COUNTERS, AcceleratorRunStats
 
 
-@dataclass(frozen=True)
-class RequestUsage:
+@dataclass(frozen=True, kw_only=True)
+class MeasuredWork:
+    """What one attempt physically cost its device, measured around it as
+    ledger deltas: the part a tenant's bill (:class:`RequestUsage`) and a
+    fault's (:class:`FaultCompensation`) share, which is also the part
+    :func:`partition_checks` reconciles with the device's work record."""
+
+    offload_energy_j: float = 0.0     # driver calls, copies, flushes, polling
+    accelerator_energy_j: float = 0.0
+    crossbar_cell_writes: int = 0
+    crossbar_write_ops: int = 0
+    gemv_count: int = 0
+    macs: int = 0
+    dma_bytes: int = 0
+
+    @property
+    def wear_bytes(self) -> int:
+        """Crossbar write volume (one byte per programmed 8-bit cell)."""
+        return self.crossbar_cell_writes
+
+    @classmethod
+    def from_report(cls, report, **identity):
+        """The record of the attempt *report* measured; *identity* supplies
+        the fields that are not device work (who, when, where)."""
+        work = report.accelerator
+        return cls(
+            offload_energy_j=report.offload_energy_j,
+            accelerator_energy_j=work.energy_j,
+            **{name: getattr(work, name) for name in WORK_COUNTERS},
+            **identity,
+        )
+
+    @classmethod
+    def from_wire(cls, usage: Mapping[str, float], **identity):
+        """The record a gateway worker measured: every field *identity*
+        does not supply is read from the response's ``usage`` dict, which
+        is keyed by these field names."""
+        measured = {
+            f.name: usage[f.name] for f in fields(cls) if f.name not in identity
+        }
+        measured.update((name, int(measured[name])) for name in WORK_COUNTERS)
+        return cls(**measured, **identity)
+
+
+@dataclass(frozen=True, kw_only=True)
+class RequestUsage(MeasuredWork):
     """Measured resource usage of one dispatched request."""
 
     request_id: int
@@ -49,13 +97,6 @@ class RequestUsage:
     service_s: float                  # simulated wall time spent serving it
     latency_s: float                  # arrival -> completion (incl. queueing)
     host_energy_j: float              # host-resident loop nests
-    offload_energy_j: float           # driver calls, copies, flushes, polling
-    accelerator_energy_j: float
-    crossbar_cell_writes: int
-    crossbar_write_ops: int
-    gemv_count: int
-    macs: int
-    dma_bytes: int
     #: Fleet tier: device that performed (and is debited for) the work.
     device_id: int = 0
 
@@ -63,14 +104,9 @@ class RequestUsage:
     def energy_j(self) -> float:
         return self.host_energy_j + self.offload_energy_j + self.accelerator_energy_j
 
-    @property
-    def wear_bytes(self) -> int:
-        """Crossbar write volume (one byte per programmed 8-bit cell)."""
-        return self.crossbar_cell_writes
 
-
-@dataclass(frozen=True)
-class FaultCompensation:
+@dataclass(frozen=True, kw_only=True)
+class FaultCompensation(MeasuredWork):
     """Physical work a device performed for an attempt lost to a fault.
 
     The work happened (the device's wear counters and energy ledger moved)
@@ -78,7 +114,8 @@ class FaultCompensation:
     billed exactly once, on the attempt that actually produced its
     response.  Compensation records keep the per-device partition exact:
     they absorb the faulted attempt's measured deltas on the fault's side
-    of the ledger.
+    of the ledger.  A worker that died with its attempt shipped no deltas;
+    its compensation keeps the zero defaults and is the audit trail only.
     """
 
     request_id: int
@@ -88,21 +125,10 @@ class FaultCompensation:
     at_s: float                       # device time the fault surfaced
     reason: str                       # str(fault), e.g. "LeaseAborted: ..."
     op: str                           # faulted operation class
-    offload_energy_j: float
-    accelerator_energy_j: float
-    crossbar_cell_writes: int
-    crossbar_write_ops: int
-    gemv_count: int
-    macs: int
-    dma_bytes: int
 
     @property
     def energy_j(self) -> float:
         return self.offload_energy_j + self.accelerator_energy_j
-
-    @property
-    def wear_bytes(self) -> int:
-        return self.crossbar_cell_writes
 
 
 @dataclass
@@ -291,81 +317,58 @@ class AccountingLedger:
 
     # ------------------------------------------------------------------
     def verify_partition(self, accelerator) -> dict[str, bool]:
-        """Cross-check the accounting partition against the accelerator's
-        own ledgers.  Integer wear/work counters must agree exactly; the
-        energy roll-up (floats accumulated in a different order by the
-        hardware ledger) must agree to float precision.  Compensated
-        (faulted-attempt) work counts toward the device totals — the
-        device physically performed it — but never toward a tenant."""
-        acc_energy = accelerator.total_energy_j()
-        own_energy = self.device_accelerator_energy_j
-        checks = {
-            "cell_writes": self.device_wear_bytes == accelerator.total_cell_writes(),
-            "macs": self.device_macs == accelerator.total_macs(),
-            "gemv_count": self.device_gemv_count
-            == sum(run.gemv_count for run in accelerator.completed_runs),
-            "write_ops": self.device_crossbar_write_ops
-            == sum(run.crossbar_write_ops for run in accelerator.completed_runs),
-            "energy": math.isclose(
-                own_energy, acc_energy, rel_tol=1e-9, abs_tol=1e-18
-            ),
-        }
-        return checks
+        """:func:`partition_checks` for a one-device server (device 0)."""
+        return self.verify_fleet_partition({0: accelerator})
 
     def verify_fleet_partition(self, accelerators: Mapping[int, object]) -> dict[str, bool]:
-        """Fleet-wide exactly-once check: on *every* device, billed tenant
-        work plus fault compensations reconciles exactly with that
-        device's physical ledgers, and the per-device records partition
-        the fleet totals (nothing lost, nothing double-billed).
-
-        ``accelerators`` maps ``device_id`` to the device's accelerator
-        (its hardware ledger of record).  Integer counters compare by
-        ``==``; energies via order-independent ``fsum`` to float
-        precision.
-        """
-        checks: dict[str, bool] = {}
-        for device_id, accelerator in sorted(accelerators.items()):
-            usages = self.device_usages(device_id)
-            comps = self.device_compensations(device_id)
-            prefix = f"device{device_id}"
-            checks[f"{prefix}.cell_writes"] = (
-                sum(u.wear_bytes for u in usages) + sum(c.wear_bytes for c in comps)
-                == accelerator.total_cell_writes()
-            )
-            checks[f"{prefix}.macs"] = (
-                sum(u.macs for u in usages) + sum(c.macs for c in comps)
-                == accelerator.total_macs()
-            )
-            checks[f"{prefix}.gemv_count"] = sum(u.gemv_count for u in usages) + sum(
-                c.gemv_count for c in comps
-            ) == sum(run.gemv_count for run in accelerator.completed_runs)
-            checks[f"{prefix}.write_ops"] = sum(
-                u.crossbar_write_ops for u in usages
-            ) + sum(c.crossbar_write_ops for c in comps) == sum(
-                run.crossbar_write_ops for run in accelerator.completed_runs
-            )
-            checks[f"{prefix}.energy"] = math.isclose(
-                math.fsum(
-                    [u.accelerator_energy_j for u in usages]
-                    + [c.accelerator_energy_j for c in comps]
-                ),
-                accelerator.total_energy_j(),
-                rel_tol=1e-9,
-                abs_tol=1e-18,
-            )
-        # Every record must belong to a known device (no orphaned bills).
-        known = set(accelerators)
-        checks["no_orphan_records"] = all(
-            u.device_id in known for u in self.all_usages()
-        ) and all(c.device_id in known for c in self.compensations)
-        # The per-device partition must also exhaust the fleet totals.
-        checks["fleet_wear_total"] = self.device_wear_bytes == sum(
-            accelerators[d].total_cell_writes() for d in accelerators
+        """:func:`partition_checks` against live devices: ``accelerators``
+        maps ``device_id`` to the device's accelerator, whose running
+        totals are its hardware ledger of record."""
+        return partition_checks(
+            self, {d: accelerator.totals for d, accelerator in accelerators.items()}
         )
-        checks["fleet_energy_total"] = math.isclose(
-            self.device_accelerator_energy_j,
-            math.fsum(accelerators[d].total_energy_j() for d in accelerators),
+
+
+def partition_checks(
+    ledger: AccountingLedger, totals: Mapping[int, AcceleratorRunStats]
+) -> dict[str, bool]:
+    """The exactly-once reconciliation, for every tier: on *every* device,
+    billed tenant work plus fault compensations equals the work record
+    the device itself accumulated (``totals[device_id]``), and the
+    per-device records exhaust the ledger (nothing lost, nothing
+    double-billed, no record on an unknown device).
+
+    Integer counters compare by ``==``.  Energies compare to float
+    precision: the ledger side is an order-independent ``fsum``, the
+    device side a running sum in run order.  Compensated
+    (faulted-attempt) work counts toward the device — it physically
+    performed it — but never toward a tenant.
+    """
+    checks: dict[str, bool] = {}
+    for device_id in sorted(totals):
+        device = totals[device_id]
+        records = ledger.device_usages(device_id) + ledger.device_compensations(device_id)
+        for name in WORK_COUNTERS:
+            checks[f"device{device_id}.{name}"] = (
+                sum(getattr(record, name) for record in records) == getattr(device, name)
+            )
+        checks[f"device{device_id}.energy_j"] = math.isclose(
+            math.fsum(record.accelerator_energy_j for record in records),
+            device.energy_j,
             rel_tol=1e-9,
             abs_tol=1e-18,
         )
-        return checks
+    checks["no_orphan_records"] = all(
+        record.device_id in totals
+        for record in ledger.all_usages() + ledger.compensations
+    )
+    checks["wear_total"] = ledger.device_wear_bytes == sum(
+        device.crossbar_cell_writes for device in totals.values()
+    )
+    checks["energy_total"] = math.isclose(
+        ledger.device_accelerator_energy_j,
+        math.fsum(device.energy_j for device in totals.values()),
+        rel_tol=1e-9,
+        abs_tol=1e-18,
+    )
+    return checks

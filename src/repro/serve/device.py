@@ -16,7 +16,7 @@ machinery read: lifecycle (:class:`DeviceState`), accumulated busy time,
 capacity factor (shrunk by :class:`~repro.fleet.faults.CapacityDegrade`
 events) and total crossbar wear.  ``initial_wear_bytes`` models a device
 that joined the fleet already aged — heterogeneous fleets are where
-wear-aware placement pays off (see ``benchmarks/bench_fleet_failover.py``).
+wear-aware placement pays off (see ``tests/test_simulated_magnitudes.py``).
 """
 
 from __future__ import annotations

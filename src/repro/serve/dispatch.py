@@ -282,18 +282,7 @@ class LeaseExecutor:
             report.offload_time_s = overhead.time_s - time0
             if runtime_calls is not None and failure is None and device_fault is None:
                 report.runtime_calls = list(runtime_calls)
-            for run in self.system.accelerator.completed_runs[runs_before:]:
-                report.accelerator_energy_j += run.energy_j
-                report.accelerator_time_s += run.latency_s
-                report.gemv_count += run.gemv_count
-                report.crossbar_cell_writes += run.crossbar_cell_writes
-                report.crossbar_write_ops += run.crossbar_write_ops
-                report.accelerator_macs += run.macs
-                report.dma_bytes += run.dma_bytes
-                for key, value in run.energy_breakdown.items():
-                    report.accelerator_energy_breakdown[key] = (
-                        report.accelerator_energy_breakdown.get(key, 0.0) + value
-                    )
+            report.absorb_runs(self.system.accelerator.completed_runs[runs_before:])
         service_s = report.total_time_s
         self.clock.advance(service_s)
         if device_fault is None and failure is None and self.fault_hook is not None:
@@ -346,7 +335,8 @@ class LeaseExecutor:
         ):
             return  # the fault fired before any work happened
         self.ledger.record_compensation(
-            FaultCompensation(
+            FaultCompensation.from_report(
+                report,
                 request_id=request.seq,
                 tenant=request.tenant,
                 device_id=self.device_id,
@@ -354,13 +344,6 @@ class LeaseExecutor:
                 at_s=self.clock.now_s,
                 reason=f"{type(fault).__name__}: {fault}",
                 op=fault.op,
-                offload_energy_j=report.offload_energy_j,
-                accelerator_energy_j=report.accelerator_energy_j,
-                crossbar_cell_writes=report.crossbar_cell_writes,
-                crossbar_write_ops=report.crossbar_write_ops,
-                gemv_count=report.gemv_count,
-                macs=report.accelerator_macs,
-                dma_bytes=report.dma_bytes,
             )
         )
 
@@ -415,7 +398,8 @@ class LeaseExecutor:
         service_s: float,
     ) -> None:
         handle = request.handle
-        usage = RequestUsage(
+        usage = RequestUsage.from_report(
+            report,
             request_id=request.seq,
             tenant=request.tenant,
             batch_id=batch_id,
@@ -424,13 +408,6 @@ class LeaseExecutor:
             service_s=service_s,
             latency_s=handle.latency_s,
             host_energy_j=report.host_estimate.energy_j,
-            offload_energy_j=report.offload_energy_j,
-            accelerator_energy_j=report.accelerator_energy_j,
-            crossbar_cell_writes=report.crossbar_cell_writes,
-            crossbar_write_ops=report.crossbar_write_ops,
-            gemv_count=report.gemv_count,
-            macs=report.accelerator_macs,
-            dma_bytes=report.dma_bytes,
             device_id=self.device_id,
         )
         self.ledger.record(usage)

@@ -48,6 +48,9 @@ class MetricsRegistry:
         self.fused_batches = 0
         self.batch_sizes: list[float] = []
         self.latencies_s: list[float] = []
+        #: Left-to-right sum of ``latencies_s`` (the snapshot's mean is
+        #: pinned by golden traces, so it is not left to builtin ``sum()``).
+        self.latency_sum_s = 0.0
         self.queueing_delays_s: list[float] = []
         self.tenant_latencies_s: dict[str, list[float]] = {}
         self.compile_cache_hits = 0
@@ -101,6 +104,7 @@ class MetricsRegistry:
     ) -> None:
         self.completed += 1
         self.latencies_s.append(latency_s)
+        self.latency_sum_s += latency_s
         self.queueing_delays_s.append(queueing_delay_s)
         self.tenant_latencies_s.setdefault(tenant, []).append(latency_s)
 
@@ -251,7 +255,7 @@ class MetricsRegistry:
             snap["latency_s"] = {
                 "p50": self.latency_percentile_s(50),
                 "p99": self.latency_percentile_s(99),
-                "mean": sum(self.latencies_s) / len(self.latencies_s),
+                "mean": self.latency_sum_s / len(self.latencies_s),
                 "max": max(self.latencies_s),
             }
             snap["queueing_delay_s"] = {

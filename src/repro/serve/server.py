@@ -129,7 +129,10 @@ class ServingLoop:
     ):
         self.config = config
         self._system_config = system_config
-        self.compile_cache = compile_cache or KernelCompileCache()
+        # ``is None``, not truthiness: an empty cache has ``len() == 0``.
+        self.compile_cache = (
+            KernelCompileCache() if compile_cache is None else compile_cache
+        )
         self.compiler = TdoCimCompiler(
             self.config.compile_options, cache=self.compile_cache
         )

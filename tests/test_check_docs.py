@@ -55,3 +55,18 @@ def test_a_repo_path_in_code_must_exist(check_docs, monkeypatch, tmp_path, capsy
     assert "seeded.md:1: path does not exist -> tools/no_such_tool.py" in err
     assert "seeded.md:1: path does not exist -> NO_SUCH_*.json" in err
     assert "seeded.md:3: path does not exist -> benchmarks/no_such_bench.py" in err
+
+
+def test_a_repo_path_in_a_docstring_must_exist(check_docs, monkeypatch, tmp_path, capsys):
+    source = tmp_path / "seeded.py"
+    monkeypatch.setattr(check_docs, "iter_source_files", lambda: [source])
+    source.write_text('"""Pinned by ``tests/test_eval.py::test_edp``."""\n')
+    assert check_docs.main() == 0
+    source.write_text(
+        '"""Module docstring.\n\nMeasured by ``benchmarks/no_such_bench.py``.\n"""\n'
+        "def f():\n    # see ``tools/no_such_tool.py``\n    return 1\n"
+    )
+    assert check_docs.main() == 1
+    err = capsys.readouterr().err
+    assert "seeded.py:3: path does not exist -> benchmarks/no_such_bench.py" in err
+    assert "seeded.py:6: path does not exist -> tools/no_such_tool.py" in err

@@ -538,6 +538,36 @@ def test_compile_cache_is_shared_across_tenants(server):
     )
 
 
+def test_an_empty_caller_cache_is_kept():
+    """An empty ``KernelCompileCache`` is falsy (it has ``__len__``); the
+    server must keep it anyway."""
+    from repro.compiler import KernelCompileCache
+
+    cache = KernelCompileCache()
+    assert len(cache) == 0
+    server = CimServer(compile_cache=cache)
+    try:
+        assert server.compile_cache is cache
+    finally:
+        server.shutdown()
+
+
+def test_gateway_worker_uses_its_disk_cache(tmp_path):
+    """...which is how a gateway worker used to drop the shared on-disk
+    cache its ``cache_dir`` asked for."""
+    from repro.gateway.wire import GatewayRequest
+    from repro.gateway.worker import build_worker_server, serve_one
+
+    worker = build_worker_server({"cache_dir": str(tmp_path)})
+    try:
+        rng = np.random.default_rng(18)
+        request = GatewayRequest(1, "alice", GEMV_SOURCE, dict(PARAMS), _gemv_arrays(rng))
+        assert serve_one(worker, request, 0).status == "completed"
+    finally:
+        worker.shutdown()
+    assert len(list(tmp_path.glob("*.pkl"))) == 1
+
+
 def test_submit_precompiled_result(server):
     rng = np.random.default_rng(17)
     compiled = server.compiler.compile(GEMV_SOURCE, size_hint=PARAMS)

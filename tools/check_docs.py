@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checker run by the CI docs job.
 
-Four checks, no dependencies beyond the standard library (the docs job
+Five checks, no dependencies beyond the standard library (the docs job
 installs nothing, so the engine names are read from source, not imported):
 
 1. **Link resolution** — every intra-repo markdown link in ``docs/*.md``
@@ -18,6 +18,8 @@ installs nothing, so the engine names are read from source, not imported):
    with ``tools/``, ``benchmarks/`` or ``tests/``, and a code span that
    is just a root-level ``*.json`` name, must exist (``*`` globs must
    match something), so docs cannot keep pointing at deleted files.
+5. **Docstrings** — check 4 applied to the double-backtick code spans
+   of the docstrings (and comments) in ``src/repro/**/*.py``.
 
 Exits non-zero with one line per problem.
 """
@@ -37,6 +39,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+RST_SPAN_RE = re.compile(r"``([^`]+)``")
 #: "`fast` (default)", "**`fast`** (default)"
 DEFAULT_MARK_RE = re.compile(r"`([\w-]+)`\**\s*\(default\)")
 ROOT_JSON_RE = re.compile(r"[\w*.-]+\.json")
@@ -49,6 +52,10 @@ def iter_doc_files() -> list[Path]:
     if readme.exists():
         files.append(readme)
     return files
+
+
+def iter_source_files() -> list[Path]:
+    return sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
 
 
 def check_links(files: list[Path]) -> list[str]:
@@ -140,12 +147,26 @@ def check_lines(files: list[Path]) -> list[str]:
     return problems
 
 
+def check_docstrings(sources: list[Path]) -> list[str]:
+    return [
+        f"{os.path.relpath(source, REPO_ROOT)}:{line_no}: {problem}"
+        for source in sources
+        for line_no, line in enumerate(source.read_text().splitlines(), 1)
+        for problem in missing_repo_paths(RST_SPAN_RE.findall(line))
+    ]
+
+
 def main() -> int:
     files = iter_doc_files()
     if not files:
         print("no documentation files found", file=sys.stderr)
         return 1
-    problems = check_links(files) + check_architecture_coverage() + check_lines(files)
+    problems = (
+        check_links(files)
+        + check_architecture_coverage()
+        + check_lines(files)
+        + check_docstrings(iter_source_files())
+    )
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
