@@ -14,7 +14,8 @@ Four engine modes are available (see :func:`make_engine`):
 * ``"vectorized"`` — compiled NumPy execution through broadcast index-grid
   gathers; bit-identical to the interpreter.
 * ``"fast"`` — the **default**: additionally slice-lowers every affine
-  assignment (``coeff * var + offset`` subscripts become basic views), so
+  assignment (``coeff * var + offset`` subscripts become basic views) and
+  emits each such nest once as a straight-line Python function, so
   sequential reduction loops run as ordered folds of vectorized slice
   updates.  Still bit-identical — per element the operations and their
   order are unchanged; only operand materialization differs.
@@ -23,6 +24,11 @@ Four engine modes are available (see :func:`make_engine`):
   accumulation order is identical by construction), compiled with the
   system C compiler and called through ``cffi``.  Falls back to ``"fast"``
   per nest — and entirely when the toolchain or ``cffi`` is absent.
+
+Nest plans, emitted kernels and compiled C nests are built the first time
+a program runs and kept on the program (``Program.engine_plans``), so
+every later engine instance for that program reuses them; they are left
+behind when the program is pickled or copied.
 
 Use :func:`repro.ir.engine.lowering.program_lowering_report` (surfaced as
 ``CompilationReport.nest_lowerings``) to see which tier every nest landed

@@ -30,11 +30,16 @@ one dimension per reference, the assignment can be executed through basic
 NumPy slices (views) instead of broadcast index-grid gathers.  Sequential
 reduction loops then become ordered folds of vectorized slice updates —
 per element the exact same operations in the exact same order as the
-interpreter, so results stay bit-identical while the per-iteration cost
-drops from building and gathering index grids to taking views.  The
-analysis records a human-readable reason whenever an assignment cannot be
-slice-lowered; the engine falls back to the gather path (and the per-nest
-lowering report surfaces the reason).
+interpreter, so results stay bit-identical.  A nest whose assignments all
+have such a :class:`FoldSpec` is emitted by the engine as one Python
+function (``NestPlan.kernel``); the analysis records a human-readable
+reason whenever an assignment cannot be slice-lowered, the nest then runs
+on the gather path (and the per-nest lowering report surfaces the
+reason).
+
+A plan is a pure function of its nest, so it is built once per program
+(the engine keeps it in ``Program.engine_plans``) and is only valid for
+the statement objects it was built from.
 """
 
 from __future__ import annotations
@@ -69,9 +74,8 @@ class FoldDim:
     ``kind`` is ``"scalar"`` (no vectorized variable: the index expression
     evaluates to a plain integer) or ``"slice"`` (affine in exactly one
     vectorized variable: ``coeff * vec_var + offset`` becomes a basic
-    slice).  ``expr`` is the original index expression — the engine
-    evaluates it with the vectorized variables bound to zero to recover
-    the runtime offset.
+    slice).  ``expr`` is the original index expression — with the
+    vectorized variables at zero it evaluates to the runtime offset.
     """
 
     kind: str
@@ -144,6 +148,11 @@ class NestPlan:
     #: Per original-loop id: loop variables referenced by bounds deeper in
     #: the nest (drives enumeration in the analytical trace pass).
     enumerate_vars: dict[int, frozenset[str]] = field(default_factory=dict)
+    #: The nest lowered to one Python function (the engine's
+    #: ``NestKernel``, emitted when the plan is built), or ``None`` when
+    #: some assignment has no :class:`FoldSpec` and the nest runs on the
+    #: gather path.
+    kernel: Optional[object] = None
 
     @property
     def has_vectorized_loop(self) -> bool:

@@ -18,23 +18,31 @@ Bit-identity with the interpreter is preserved by construction:
 * the execution trace is computed analytically from trip counts, applying
   the same per-execution increments the interpreter applies dynamically.
 
-The default ``fold`` mode (engine ``"fast"``) additionally executes
-slice-lowerable assignments through basic NumPy views instead of
-broadcast index-grid gathers: sequential reduction loops become ordered
-folds of vectorized slice updates.  Per element this performs the exact
-same operations in the exact same order as the interpreter — the fold
-path changes only how operands are *materialized* (views instead of
-gathered copies), so results stay bit-identical while the per-iteration
-constant cost drops sharply.  A runtime guard falls back to the gather
-path whenever a computed slice would leave the array bounds (negative
-indices wrap element-wise in NumPy, slices do not — the gather path
-preserves the interpreter's wrapping semantics exactly).
+The default ``fold`` mode (engine ``"fast"``) compiles a planned nest
+further: when every assignment is slice-lowerable the whole nest is
+emitted, once, as one straight-line Python function
+(:class:`NestKernel`) — sequential loops are ``for`` statements, each
+assignment is one ``view op= expression`` line over basic NumPy slices,
+and what does not change inside a loop is taken outside it.  Per element
+this performs the exact same operations in the exact same order as the
+interpreter — only how operands are *materialized* changes (views
+instead of gathered copies) — so results stay bit-identical.  The
+function opens with a guard that proves, before anything is written,
+that every view it is about to take lies inside its array; when it does
+not (negative indices wrap element-wise in NumPy, slices do not), the
+nest runs on the gather path, which preserves the interpreter's wrapping
+and ``IndexError`` semantics exactly.
+
+Plans and kernels are pure functions of the program, so they are built
+once per :class:`~repro.ir.program.Program` (:class:`ProgramPlans`, kept
+on ``Program.engine_plans``) and shared by every engine instance that
+runs it.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,6 +72,7 @@ from repro.ir.engine.analysis import (
     FoldSpec,
     NestPlan,
     PlanAssign,
+    PlanLoop,
     PlanNode,
     build_plan,
 )
@@ -174,169 +183,282 @@ class _VecAssign:
 
 @dataclass
 class _VecFrame:
-    """One open vectorized loop during plan execution."""
+    """One open vectorized loop while a plan runs on the gather path."""
 
     var: str
     values: np.ndarray
-    lower: int
-    upper: int
-    step: int
 
 
 # ----------------------------------------------------------------------
-# Fold (exact slice) compilation
+# Fold (exact slice) lowering: one emitted Python function per nest
 # ----------------------------------------------------------------------
 
 
-class _FoldBail(Exception):
-    """Raised when a slice-lowered access cannot run exactly at runtime
-    (out-of-bounds slice, non-integer offset); the engine retries the
-    assignment through the gather path, which matches the interpreter's
-    element-wise semantics including negative-index wrapping."""
-
-
-def _compile_fold_ref(
-    ref: FoldRef, vec_vars: tuple[str, ...]
-) -> Callable[[dict, dict, list, ChainMap], object]:
-    """Compile one slice-lowered array reference into a view getter.
-
-    The returned callable produces a view of the array whose axes follow
-    the engine's broadcast convention (one axis per vectorized frame, in
-    stack order, size one for frames this reference does not use).
-    """
-    total = len(vec_vars)
-    entries = []  # per dim: (is_slice, offset_fn, coeff, frame_pos)
-    used_positions = []
-    for dim in ref.dims:
-        fn = compile_expr(dim.expr)
-        if dim.kind == "scalar":
-            entries.append((False, fn, 0, 0))
-        else:
-            pos = vec_vars.index(dim.vec_var)
-            used_positions.append(pos)
-            entries.append((True, fn, dim.coeff, pos))
-    rank = len(entries)
-    # Static axis bookkeeping: after basic indexing the view's axes are the
-    # slice dimensions in array order; transpose them into frame order and
-    # insert size-one axes for unused frames.
-    perm = tuple(
-        sorted(range(len(used_positions)), key=lambda ax: used_positions[ax])
-    )
-    transpose = perm if perm != tuple(range(len(perm))) else None
-    used = set(used_positions)
-    expander = (
-        tuple(slice(None) if pos in used else None for pos in range(total))
-        if len(used) < total
-        else None
-    )
-    name = ref.name
-
-    def get(scalars, arrays, frames, overlay):
-        array = arrays.get(name)
-        if array is None:
-            raise InterpreterError(f"unbound array {name!r}")
-        shape = array.shape
-        if len(shape) != rank:
-            raise _FoldBail
-        key = []
-        for axis, (is_slice, fn, coeff, pos) in enumerate(entries):
-            value = fn(overlay, arrays)
-            if not is_slice:
-                key.append(int(value))
-                continue
-            if not isinstance(value, (int, np.integer)):
-                raise _FoldBail  # non-integer offset: int() per element differs
-            offset = int(value)
-            frame = frames[pos]
-            count = frame.values.shape[0]
-            start = coeff * frame.lower + offset
-            stride = coeff * frame.step
-            last = start + (count - 1) * stride
-            low, high = (start, last) if stride > 0 else (last, start)
-            if low < 0 or high >= shape[axis]:
-                raise _FoldBail  # gather path preserves wrap/raise semantics
-            if stride > 0:
-                stop = last + 1
-            else:
-                stop = last - 1 if last > 0 else None
-            key.append(slice(start, stop, stride))
-        view = array[tuple(key)]
-        if transpose is not None:
-            view = view.transpose(transpose)
-        if expander is not None:
-            view = view[expander]
-        return view
-
-    return get
-
-
-def _compile_fold_expr(
-    expr: Expr, spec: FoldSpec
-) -> Callable[[dict, dict, list, ChainMap], object]:
-    """Compile a right-hand side for fold execution.
-
-    Mirrors :func:`compile_vec_expr` node for node — same operators, same
-    NumPy promotion — but array references become slice views and
-    vectorized variables become reshaped frame-value arrays, so the
-    element-wise arithmetic (and therefore every result bit) is unchanged.
-    """
-    vec_vars = spec.vec_vars
-    if isinstance(expr, (IntConst, FloatConst)):
-        value = expr.value
-        return lambda s, a, f, o: value
-    if isinstance(expr, (VarRef, ParamRef)):
-        name = expr.name
-        if name in vec_vars:
-            pos = vec_vars.index(name)
-            shape_suffix = (1,) * (len(vec_vars) - pos - 1)
-
-            def eval_vec_var(s, a, f, o, _pos=pos, _suffix=shape_suffix):
-                values = f[_pos].values
-                return values.reshape((1,) * _pos + (-1,) + _suffix)
-
-            return eval_vec_var
-
-        def eval_var(s, a, f, o, _n=name):
-            try:
-                return s[_n]
-            except KeyError as exc:
-                raise InterpreterError(f"unbound variable {_n!r}") from exc
-
-        return eval_var
-    if isinstance(expr, ArrayRef):
-        ref = spec.refs[id(expr)]
-        return _compile_fold_ref(ref, vec_vars)
-    if isinstance(expr, BinOp):
-        lhs = _compile_fold_expr(expr.lhs, spec)
-        rhs = _compile_fold_expr(expr.rhs, spec)
-        op = expr.op
-        if op == "+":
-            return lambda s, a, f, o: lhs(s, a, f, o) + rhs(s, a, f, o)
-        if op == "-":
-            return lambda s, a, f, o: lhs(s, a, f, o) - rhs(s, a, f, o)
-        if op == "*":
-            return lambda s, a, f, o: lhs(s, a, f, o) * rhs(s, a, f, o)
-        if op == "/":
-            return lambda s, a, f, o: lhs(s, a, f, o) / rhs(s, a, f, o)
-        if op == "%":
-            return lambda s, a, f, o: lhs(s, a, f, o) % rhs(s, a, f, o)
-        raise InterpreterError(f"unknown operator {op!r}")
-    if isinstance(expr, UnaryOp):
-        operand = _compile_fold_expr(expr.operand, spec)
-        return lambda s, a, f, o: -operand(s, a, f, o)
-    raise InterpreterError(f"cannot evaluate expression {expr!r}")
+class _NotEmittable(Exception):
+    """The nest has a shape the emitter does not lower (gather path)."""
 
 
 @dataclass
-class _FoldAssign:
-    """Compiled fold (slice) form of one planned assignment."""
+class NestKernel:
+    """One planned nest lowered to a straight-line Python function.
 
-    rhs_fn: Callable
-    target_fn: Callable
-    reduction: Optional[str]
-    #: Zero bindings for every vectorized variable: evaluating an affine
-    #: index with the vectorized variables at zero yields its offset.
-    zeros: dict
+    ``fn(*arrays, *scalars)`` runs a guard over the loop skeleton first:
+    every view the body takes must be a basic slice (or integer index)
+    inside ``[0, shape)`` of an array of the expected rank, and every
+    scalar a bound or subscript reads must be an integer.  It returns
+    ``False`` *before writing anything* when the guard trips; otherwise
+    it runs the body and returns ``True``.  ``source`` is kept for
+    inspection; it names arrays, scalars and loop variables by generated
+    locals only, never by an identifier of the input program.
+    """
+
+    source: str
+    fn: Callable[..., bool]
+    arrays: tuple[str, ...]
+    scalars: tuple[str, ...]
+
+    def run(self, scalars: dict, arrays: dict) -> bool:
+        try:
+            args = [arrays[name] for name in self.arrays]
+            args += [scalars[name] for name in self.scalars]
+        except KeyError:
+            return False  # unbound name: the gather path raises for it
+        return self.fn(*args)
+
+
+def _ends(span: range):
+    """First and last value of *span*: where a guard that is affine in
+    the loop variable takes its extremes."""
+    return {span[0], span[-1]} if span else ()
+
+
+def _bounds_read(nodes: list[PlanNode], var: str) -> bool:
+    """Does a loop bound below *nodes* depend on *var*?"""
+    return any(
+        isinstance(node, PlanLoop)
+        and (
+            var in node.lower.free_vars() | node.upper.free_vars()
+            or _bounds_read(node.body, var)
+        )
+        for node in nodes
+    )
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines or ["pass"]]
+
+
+@dataclass
+class _Scope:
+    """One block of the emitted function (the function itself or a loop
+    body): the locals it introduces, the views hoisted to it and the
+    conditions under which those views are exact."""
+
+    names: frozenset = frozenset()
+    views: dict[str, str] = field(default_factory=dict)  # text -> local
+    guards: dict[str, None] = field(default_factory=dict)  # ordered set
+
+
+class _KernelEmitter:
+    """Emits the :class:`NestKernel` of one plan.
+
+    The plan tree is walked once, producing the guard pass and the body
+    pass over the same loop skeleton.  A view (and its guard) is placed
+    in the outermost block that defines everything its subscripts read,
+    so what does not change in a sequential loop is computed outside it.
+    In the guard pass a sequential loop whose variable no deeper bound
+    reads visits only its first and last iteration: the subscripts are
+    affine in it, so the extremes are there.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, str] = {}  # source array -> local
+        self.scalars: dict[str, str] = {}  # source scalar -> local
+        self.consts: dict[str, object] = {}  # local -> bound constant
+        self.seq: dict[str, str] = {}  # sequential loop variable -> local
+        #: vectorized loop variable -> (first value, last value, step)
+        self.frames: dict[str, tuple[str, str, int]] = {}
+        self.scopes: list[_Scope] = []
+        self.used: set[str] = set()  # locals read by the view being built
+        self.serial = itertools.count(1)
+
+    # -- expressions ------------------------------------------------------
+    def expr(self, node: Expr, spec: Optional[FoldSpec] = None) -> str:
+        """Python text of *node*.
+
+        Without *spec* it is a bound or a subscript offset: integer
+        arithmetic in which the vectorized variables read 0.  With it, a
+        right-hand side over views: same operators and operand types as
+        the interpreter sees, so NumPy promotes identically.
+        """
+        if isinstance(node, (IntConst, FloatConst)):
+            if type(node.value) is int:
+                return repr(node.value)
+            local = f"c{len(self.consts)}"
+            self.consts[local] = node.value
+            return local
+        if isinstance(node, (VarRef, ParamRef)):
+            return self.name(node.name, spec)
+        if isinstance(node, ArrayRef) and spec is not None:
+            return self.view(spec.refs[id(node)], spec)
+        if isinstance(node, UnaryOp):
+            return f"(-{self.expr(node.operand, spec)})"
+        if isinstance(node, (Min, Max)):
+            pick = "min" if isinstance(node, Min) else "max"
+            return f"{pick}({self.expr(node.lhs, spec)}, {self.expr(node.rhs, spec)})"
+        if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/", "%"):
+            return f"({self.expr(node.lhs, spec)} {node.op} {self.expr(node.rhs, spec)})"
+        raise _NotEmittable(f"expression {node!r}")
+
+    def name(self, name: str, spec: Optional[FoldSpec]) -> str:
+        if name in self.frames:
+            if spec is None:
+                return "0"
+            first, last, step = self.frames[name]
+            shape = ["1"] * len(spec.vec_vars)
+            shape[spec.vec_vars.index(name)] = "-1"
+            self.used = {first, last}
+            return self.hoist(
+                f"arange({first}, {last} + 1, {step}).reshape({', '.join(shape)})"
+            )
+        local = self.seq.get(name)
+        if local is None:
+            local = self.scalars.setdefault(name, f"p{len(self.scalars)}")
+            if spec is None:  # the interpreter would truncate a float
+                self.scopes[0].guards[f"isinstance({local}, ints)"] = None
+        self.used.add(local)
+        return local
+
+    def view(self, ref: FoldRef, spec: FoldSpec) -> str:
+        """A local holding the view of *ref*: one axis per vectorized
+        frame, in frame order, size one for frames it does not use."""
+        array = self.arrays.setdefault(ref.name, f"a{len(self.arrays)}")
+        self.scopes[0].guards[f"{array}.ndim == {len(ref.dims)}"] = None
+        self.used = set()
+        sliced = {d.vec_var for d in ref.dims if d.kind == "slice"}
+        free = [pos for pos, var in enumerate(spec.vec_vars) if var not in sliced]
+        key, guards, axes = [], [], []  # axes: frame position per view axis
+        for axis, dim in enumerate(ref.dims):
+            offset, extent = self.expr(dim.expr), f"{array}.shape[{axis}]"
+            if dim.kind == "scalar":
+                key.append(offset)
+                guards.append(f"0 <= {offset} < {extent}")
+                continue
+            first, last, step = self.frames[dim.vec_var]
+            self.used |= {first, last}
+            lo, hi = (
+                (end if dim.coeff == 1 else f"{dim.coeff} * {end}")
+                + ("" if offset == "0" else f" + {offset}")
+                for end in (first, last)
+            )
+            stride = "" if dim.coeff * step == 1 else f":{dim.coeff * step}"
+            if dim.coeff > 0:
+                guards.append(f"0 <= {lo} and {hi} < {extent}")
+                text = f"{lo}:{hi} + 1{stride}"
+            else:  # reversed: a slice cannot name "stop before index 0"
+                guards.append(f"0 <= {hi} and {lo} < {extent}")
+                text = f"{lo}:({hi} - 1 if {hi} else None){stride}"
+            pos = spec.vec_vars.index(dim.vec_var)
+            while free and free[0] < pos:
+                key.append("None")
+                axes.append(free.pop(0))
+            key.append(text)
+            axes.append(pos)
+        key += ["None"] * len(free)
+        axes += free
+        text = f"{array}[{', '.join(key)}]"
+        if axes != sorted(axes):
+            text += f".transpose({sorted(axes, key=axes.__getitem__)})"
+        return self.hoist(text, guards)
+
+    def hoist(self, text: str, guards=()) -> str:
+        scope = next(
+            (s for s in reversed(self.scopes) if s.names & self.used),
+            self.scopes[0],
+        )
+        scope.guards.update(dict.fromkeys(guards))
+        if text not in scope.views:
+            scope.views[text] = f"v{next(self.serial)}"
+        return scope.views[text]
+
+    # -- statements -------------------------------------------------------
+    def block(self, nodes: list[PlanNode], names=()) -> tuple[list[str], list[str]]:
+        """(guard lines, body lines) of one block, indented."""
+        scope = _Scope(frozenset(names))
+        self.scopes.append(scope)
+        parts = [self.node(node) for node in nodes]
+        self.scopes.pop()
+        guard = [line for part in parts for line in part[0]]
+        if scope.guards:
+            guard.insert(0, f"if not ({' and '.join(scope.guards)}): return False")
+        body = [f"{local} = {text}" for text, local in scope.views.items()]
+        body += [line for part in parts for line in part[1]]
+        return _indent(guard), _indent(body)
+
+    def node(self, node: PlanNode) -> tuple[list[str], list[str]]:
+        """(guard lines, body lines) of one plan node."""
+        if isinstance(node, PlanLoop):
+            return self.loop(node)
+        spec = node.fold
+        if spec is None:
+            raise _NotEmittable(node.fold_reason)
+        target = self.view(spec.target, spec)
+        value = self.expr(node.stmt.rhs, spec)
+        if node.stmt.reduction in ("+", "*"):
+            return [], [f"{target} {node.stmt.reduction}= {value}"]
+        return [], [f"{target}[...] = {value}"]
+
+    def loop(self, node: PlanLoop) -> tuple[list[str], list[str]]:
+        if node.var in self.seq or node.var in self.frames:
+            raise _NotEmittable(f"loop variable {node.var} is shadowed")
+        lower, upper, step = self.expr(node.lower), self.expr(node.upper), node.step
+        if node.vec:
+            first, last = (f"{prefix}{next(self.serial)}" for prefix in "lm")
+            bound, names = self.frames, (first, last)
+            bound[node.var] = (first, last, step)
+            head = guard_head = [
+                f"{first} = {lower}",
+                f"{last} = {upper} - 1"
+                if step == 1
+                else f"{last} = {first} + ({upper} - {first} - 1) // {step} * {step}",
+                f"if {last} >= {first}:",
+            ]
+        else:
+            local = f"i{next(self.serial)}"
+            bound, names = self.seq, (local,)
+            bound[node.var] = local
+            span = f"range({lower}, {upper}, {step})"
+            head = [f"for {local} in {span}:"]
+            corners = span if _bounds_read(node.body, node.var) else f"ends({span})"
+            guard_head = [f"for {local} in {corners}:"]
+        guard, body = self.block(node.body, names)
+        del bound[node.var]
+        return guard_head + guard, head + body
+
+    def emit(self, plan: NestPlan) -> NestKernel:
+        guard, body = self.block(plan.nodes)
+        params = [*self.arrays.values(), *self.scalars.values()]
+        lines = [f"def kernel({', '.join(params)}):", *guard, *body, "    return True", ""]
+        source = "\n".join(lines)
+        namespace = {
+            "arange": np.arange,
+            "ends": _ends,
+            "ints": (int, np.integer),
+            **self.consts,
+        }
+        exec(compile(source, "<nest kernel>", "exec"), namespace)
+        return NestKernel(
+            source, namespace["kernel"], tuple(self.arrays), tuple(self.scalars)
+        )
+
+
+def emit_kernel(plan: NestPlan) -> Optional[NestKernel]:
+    """Lower *plan* to its :class:`NestKernel`; ``None`` when an
+    assignment has no :class:`FoldSpec` or the emitter refuses a shape."""
+    try:
+        return _KernelEmitter().emit(plan)
+    except (_NotEmittable, SyntaxError):
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -345,53 +467,35 @@ class _FoldAssign:
 
 
 def _eval_bound(expr: Expr, env: dict, scalars: dict):
-    if isinstance(expr, IntConst):
-        return expr.value
-    if isinstance(expr, FloatConst):
-        return expr.value
-    if isinstance(expr, (VarRef, ParamRef)):
-        name = expr.name
-        if name in env:
-            return env[name]
-        try:
-            return scalars[name]
-        except KeyError as exc:
-            raise InterpreterError(f"unbound variable {name!r}") from exc
-    if isinstance(expr, BinOp):
-        lhs = _eval_bound(expr.lhs, env, scalars)
-        rhs = _eval_bound(expr.rhs, env, scalars)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        if expr.op == "%":
-            return lhs % rhs
-        raise InterpreterError(f"unsupported bound operator {expr.op!r}")
-    if isinstance(expr, UnaryOp):
-        return -_eval_bound(expr.operand, env, scalars)
-    if isinstance(expr, (Min, Max)):
-        lhs = _eval_bound(expr.lhs, env, scalars)
-        rhs = _eval_bound(expr.rhs, env, scalars)
-        if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
-            return np.minimum(lhs, rhs) if isinstance(expr, Min) else np.maximum(lhs, rhs)
-        return min(lhs, rhs) if isinstance(expr, Min) else max(lhs, rhs)
-    raise InterpreterError(f"cannot evaluate bound {expr!r}")
-
-
-def _as_int_bound(value):
-    """Truncate toward zero, matching the interpreter's ``int()`` cast."""
-    if isinstance(value, np.ndarray):
-        if not np.issubdtype(value.dtype, np.integer):
-            value = np.trunc(value).astype(np.int64)
-        return value
-    return int(value)
+    """A loop bound with the enumerated loop variables of *env* as integer
+    arrays: the gather path's expression semantics and its ``int()``
+    truncation, applied to bounds."""
+    return _as_index(compile_vec_expr(expr, frozenset(env))(scalars, {}, env))
 
 
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+
+
+@dataclass
+class ProgramPlans:
+    """Everything the engines derive from one program, and nothing that
+    depends on a run: each entry is a pure function of a statement and is
+    built the first time that statement executes.  One instance hangs on
+    ``Program.engine_plans`` and is shared by every engine that runs the
+    program, so a long-lived executor or server plans a kernel once.
+    Entries are keyed on statement identity — a program edited in place
+    after it has run must be cloned (a copy starts without plans).
+    """
+
+    nests: dict[int, Optional[NestPlan]] = field(default_factory=dict)
+    vec_assigns: dict[int, _VecAssign] = field(default_factory=dict)
+    #: The interpreter's ``_assign_plans``: they hold the per-execution
+    #: trace deltas the analytical trace multiplies.
+    assigns: dict = field(default_factory=dict)
+    #: ``NativeEngine``'s compiled C nests.
+    native: dict = field(default_factory=dict)
 
 
 class VectorizedEngine(Interpreter):
@@ -405,23 +509,26 @@ class VectorizedEngine(Interpreter):
     ):
         super().__init__(program, call_handler)
         self.fold = fold
-        self._nest_plans: dict[int, Optional[NestPlan]] = {}
-        self._vec_assigns: dict[int, _VecAssign] = {}
-        self._fold_assigns: dict[int, Optional[_FoldAssign]] = {}
+        if program.engine_plans is None:
+            program.engine_plans = ProgramPlans()
+        self.plans: ProgramPlans = program.engine_plans
+        self._assign_plans = self.plans.assigns
         self._vec_stack: list[_VecFrame] = []
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
     def nest_plan(self, loop: Loop) -> Optional[NestPlan]:
-        """The (cached) vectorization plan for a loop nest, or ``None``."""
-        plan = self._nest_plans.get(id(loop), _UNSET)
+        """The program's plan for a loop nest (built once), or ``None``."""
+        plan = self.plans.nests.get(id(loop), _UNSET)
         if plan is _UNSET:
             try:
                 plan = build_plan(loop)
             except Exception:
                 plan = None  # analysis failure → safe interpreter fallback
-            self._nest_plans[id(loop)] = plan
+            if plan is not None:
+                plan.kernel = emit_kernel(plan)
+            self.plans.nests[id(loop)] = plan
         return plan
 
     # ------------------------------------------------------------------
@@ -443,6 +550,10 @@ class VectorizedEngine(Interpreter):
         ``super()`` runs the Python plan without touching accounting, so
         an override can fall back here safely.
         """
+        if self.fold and plan.kernel is not None:
+            if plan.kernel.run(self.scalars, self.arrays):
+                return
+        # Gather path: interpreter-exact wrapping and IndexError semantics.
         saved_stack = self._vec_stack
         self._vec_stack = []
         try:
@@ -452,7 +563,7 @@ class VectorizedEngine(Interpreter):
             self._vec_stack = saved_stack
 
     # ------------------------------------------------------------------
-    # Plan execution
+    # Plan execution (gather path)
     # ------------------------------------------------------------------
     def _exec_plan_node(self, node: PlanNode) -> None:
         if isinstance(node, PlanAssign):
@@ -467,7 +578,7 @@ class VectorizedEngine(Interpreter):
             return
         if node.vec:
             values = np.arange(lower, upper, node.step)
-            self._vec_stack.append(_VecFrame(node.var, values, lower, upper, node.step))
+            self._vec_stack.append(_VecFrame(node.var, values))
             try:
                 for child in node.body:
                     self._exec_plan_node(child)
@@ -495,7 +606,7 @@ class VectorizedEngine(Interpreter):
         return env
 
     def _compile_vec_assign(self, node: PlanAssign) -> _VecAssign:
-        compiled = self._vec_assigns.get(id(node))
+        compiled = self.plans.vec_assigns.get(id(node))
         if compiled is None:
             stmt = node.stmt
             target = stmt.target
@@ -509,21 +620,10 @@ class VectorizedEngine(Interpreter):
                 target_name=target.name,
                 reduction=stmt.reduction,
             )
-            self._vec_assigns[id(node)] = compiled
+            self.plans.vec_assigns[id(node)] = compiled
         return compiled
 
     def _exec_plan_assign(self, node: PlanAssign) -> None:
-        if self.fold and node.fold is not None:
-            compiled = self._fold_assigns.get(id(node), _UNSET)
-            if compiled is _UNSET:
-                compiled = self._compile_fold_assign(node)
-                self._fold_assigns[id(node)] = compiled
-            if compiled is not None:
-                try:
-                    self._exec_fold_assign(compiled)
-                    return
-                except _FoldBail:
-                    pass  # gather path below: interpreter-exact semantics
         compiled = self._compile_vec_assign(node)
         scalars = self.scalars
         arrays = self.arrays
@@ -537,36 +637,6 @@ class VectorizedEngine(Interpreter):
             array[idx] *= value
         else:
             array[idx] = value
-
-    # ------------------------------------------------------------------
-    # Fold (exact slice) execution
-    # ------------------------------------------------------------------
-    def _compile_fold_assign(self, node: PlanAssign) -> Optional[_FoldAssign]:
-        spec = node.fold
-        assert spec is not None
-        try:
-            return _FoldAssign(
-                rhs_fn=_compile_fold_expr(node.stmt.rhs, spec),
-                target_fn=_compile_fold_ref(spec.target, spec.vec_vars),
-                reduction=node.stmt.reduction,
-                zeros={var: 0 for var in spec.vec_vars},
-            )
-        except InterpreterError:
-            return None  # unsupported node slipped through: gather path
-
-    def _exec_fold_assign(self, compiled: _FoldAssign) -> None:
-        scalars = self.scalars
-        arrays = self.arrays
-        frames = self._vec_stack
-        overlay = ChainMap(compiled.zeros, scalars)
-        view = compiled.target_fn(scalars, arrays, frames, overlay)
-        value = compiled.rhs_fn(scalars, arrays, frames, overlay)
-        if compiled.reduction == "+":
-            view += value
-        elif compiled.reduction == "*":
-            view *= value
-        else:
-            view[...] = value
 
     # ------------------------------------------------------------------
     # Analytical trace accounting
@@ -603,8 +673,8 @@ class VectorizedEngine(Interpreter):
             raise InterpreterError(f"cannot account statement {stmt!r}")
 
     def _trace_loop(self, loop: Loop, env: dict, mult, enum_vars: dict) -> None:
-        lower = _as_int_bound(_eval_bound(loop.lower, env, self.scalars))
-        upper = _as_int_bound(_eval_bound(loop.upper, env, self.scalars))
+        lower = _eval_bound(loop.lower, env, self.scalars)
+        upper = _eval_bound(loop.upper, env, self.scalars)
         step = loop.step
         if isinstance(lower, np.ndarray) or isinstance(upper, np.ndarray):
             trips = np.maximum((upper - lower + (step - 1)) // step, 0)

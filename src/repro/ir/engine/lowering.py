@@ -8,10 +8,10 @@ Every top-level loop nest of a program lands on exactly one lowering tier:
 * ``"vectorized"`` — the nest is planned, but at least one assignment
   stays on the generic broadcast-gather path (the per-statement entries
   say which and why).
-* ``"fold"`` — every assignment is slice-lowered: sequential reduction
-  loops run as ordered folds of vectorized view updates, bit-identical to
-  the interpreter.  This is the tier the default ``"fast"`` engine aims
-  for.
+* ``"fold"`` — every assignment is slice-lowered, so the engine emits the
+  nest as one Python function: sequential reduction loops run as ordered
+  folds of vectorized view updates, bit-identical to the interpreter.
+  This is the tier the default ``"fast"`` engine aims for.
 * ``"native"`` — the nest additionally compiles to a C kernel (engine
   ``"native"`` with a working toolchain); the generated source rides the
   report for inspection.

@@ -510,7 +510,8 @@ class NativeEngine(VectorizedEngine):
 
     def __init__(self, program: Program, call_handler: Optional[CallHandler] = None):
         super().__init__(program, call_handler, fold=True)
-        self._native_nests: dict[int, Optional[_CompiledNest]] = {}
+        #: id(nest) -> compiled kernel or None, decided once per program.
+        self._native_nests: dict[int, Optional[_CompiledNest]] = self.plans.native
 
     def _native_nest(self, root: Loop) -> Optional[_CompiledNest]:
         compiled = self._native_nests.get(id(root), _NATIVE_UNSET)

@@ -294,7 +294,7 @@ class Interpreter:
         """Allocate zero-filled arrays for every declaration."""
         allocated: dict[str, np.ndarray] = {}
         for decl in self.program.arrays:
-            shape = decl.extent(dict(params))
+            shape = decl.extent(params)
             allocated[decl.name] = np.zeros(shape, dtype=decl.elem_type.numpy_dtype)
         return allocated
 
@@ -319,7 +319,7 @@ class Interpreter:
                 if decl.name not in arrays:
                     raise InterpreterError(f"missing array binding {decl.name!r}")
                 provided = np.asarray(arrays[decl.name], dtype=decl.elem_type.numpy_dtype)
-                expected = decl.extent(dict(params))
+                expected = decl.extent(self.scalars)
                 if tuple(provided.shape) != tuple(expected):
                     raise InterpreterError(
                         f"array {decl.name!r} has shape {provided.shape}, "

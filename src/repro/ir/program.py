@@ -67,7 +67,7 @@ class ArrayDecl:
         """Concrete shape under a parameter binding."""
         from repro.ir.interp import evaluate_expr
 
-        return tuple(int(evaluate_expr(dim, dict(params), {})) for dim in self.shape)
+        return tuple(int(evaluate_expr(dim, params, {})) for dim in self.shape)
 
     def size_bytes(self, params: dict[str, int | float]) -> int:
         """Total footprint in bytes under a parameter binding."""
@@ -94,6 +94,17 @@ class Program:
     params: list[ParamDecl] = field(default_factory=list)
     arrays: list[ArrayDecl] = field(default_factory=list)
     body: Block = field(default_factory=Block)
+    #: What the execution engines derived from this program (nest plans,
+    #: emitted kernels; see :mod:`repro.ir.engine.engine`), filled on the
+    #: first run.  It is keyed on the identity of this object's statements
+    #: and holds compiled functions, so it is not part of the program's
+    #: value: pickles and copies leave it behind and re-plan lazily.
+    engine_plans: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "engine_plans": None}
 
     def param(self, name: str) -> ParamDecl:
         for p in self.params:

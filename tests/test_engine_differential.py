@@ -18,6 +18,61 @@ from repro.workloads.polybench import KERNELS
 
 DATASET = "MINI"
 
+
+class _ExtraKernel:
+    """A hand-written input with the part of ``PolybenchKernel`` these
+    tests use, so it can ride the same parametrisations."""
+
+    def __init__(self, source: str, params: dict, shapes: dict):
+        self.source, self._params, self._shapes = source, params, shapes
+
+    def params(self, dataset: str) -> dict:
+        return dict(self._params)
+
+    def arrays(self, dataset: str, seed: int) -> dict:
+        rng = np.random.default_rng(seed)
+        return {
+            name: rng.random(shape, dtype=np.float32)
+            for name, shape in self._shapes.items()
+        }
+
+
+#: The host-only and raw-program tests also run these: mini-C identifiers
+#: that are Python keywords or names the engine itself uses, and a
+#: statement whose right-hand side reads the element it writes.
+HOST_KERNELS = {
+    **KERNELS,
+    "keyword-names": _ExtraKernel(
+        """
+        void lambda(int range, int scalars, float in[range][scalars],
+                    float np[scalars], float arrays[range], float is) {
+          for (int def = 0; def < range; def++) {
+            arrays[def] = 0.0;
+            for (int for_ = 0; for_ < scalars; for_++)
+              arrays[def] = arrays[def] + is * in[def][for_] * np[scalars - 1 - for_];
+          }
+        }
+        """,
+        {"range": 7, "scalars": 5, "is": 1.5},
+        {"in": (7, 5), "np": 5, "arrays": 7},
+    ),
+    "self-reading-target": _ExtraKernel(
+        """
+        void axpby(int N, float alpha, float beta, float A[N][N], float x[N],
+                   float tmp[N], float y[N]) {
+          for (int i = 0; i < N; i++) {
+            tmp[i] = 0.0;
+            for (int j = 0; j < N; j++)
+              tmp[i] = A[i][j] * x[j] + tmp[i];
+            y[i] = alpha * tmp[i] + beta * y[i];
+          }
+        }
+        """,
+        {"N": 9, "alpha": 1.5, "beta": 1.2},
+        {"A": (9, 9), "x": 9, "tmp": 9, "y": 9},
+    ),
+}
+
 #: Engines that must match the interpreter bit for bit, trace included.
 #: "native" silently degrades to the fold tier when the optional C
 #: toolchain is absent — still exact, so it is always safe to test.
@@ -96,11 +151,11 @@ def test_offloaded_execution_is_engine_invariant(kernel_name, crossbar_mode):
         )
 
 
-@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@pytest.mark.parametrize("kernel_name", sorted(HOST_KERNELS))
 def test_host_only_execution_is_engine_invariant(kernel_name):
     """With offloading disabled the engines execute the loop nests
     themselves — the strongest test of the vectorized lowering."""
-    kernel = KERNELS[kernel_name]
+    kernel = HOST_KERNELS[kernel_name]
     result = compile_source(kernel.source, options=CompileOptions.host_only())
     params = kernel.params(DATASET)
     arrays = kernel.arrays(DATASET, seed=23)
@@ -122,12 +177,12 @@ def test_host_only_execution_is_engine_invariant(kernel_name):
         assert not diffs, f"{kernel_name}/{engine}: report mismatch: {diffs}"
 
 
-@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@pytest.mark.parametrize("kernel_name", sorted(HOST_KERNELS))
 def test_raw_program_traces_match(kernel_name):
     """Un-compiled source programs: identical traces, identical arrays."""
     from repro.frontend import parse_program
 
-    kernel = KERNELS[kernel_name]
+    kernel = HOST_KERNELS[kernel_name]
     program = parse_program(kernel.source)
     params = kernel.params(DATASET)
     arrays = kernel.arrays(DATASET, seed=5)

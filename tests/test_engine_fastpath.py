@@ -17,42 +17,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CompileOptions, compile_source
+from repro import CompileOptions, OffloadExecutor, compile_source
 from repro.frontend import parse_program
-from repro.ir import Interpreter
+from repro.ir import ArrayDecl, Block, Interpreter, Loop, Program
 from repro.ir.engine import make_engine, native_available
+from repro.ir.expr import ArrayRef, IntConst, Max, Min, ParamRef, VarRef
 from repro.ir.engine.lowering import program_lowering_report, tier_histogram
 from repro.ir.normalize import normalize_reductions
+from repro.ir.program import ParamDecl
+from repro.ir.stmt import Assign
+from repro.ir.types import ElementType
 from repro.workloads.polybench import KERNELS
 
 #: engines that must be bit-identical to the interpreter (trace included).
 EXACT_ENGINES = ("vectorized", "fast", "native")
 
 
-def _prepare(source: str):
+def _prepare(source):
+    if isinstance(source, Program):
+        return source
     return normalize_reductions(parse_program(source))
 
 
+def _outcome(engine, params, arrays):
+    """What one run left behind: (arrays, trace, exception type).  The
+    trace of a failed run is not comparable — the compiled tiers account
+    a whole nest before executing it — so it is dropped."""
+    try:
+        engine.run(params, {k: v.copy() for k, v in arrays.items()})
+    except Exception as exc:
+        return engine.arrays, None, type(exc)
+    return engine.arrays, engine.trace, None
+
+
 def _run_reference(program, params, arrays):
-    interp = Interpreter(program)
-    out = interp.run(params, {k: v.copy() for k, v in arrays.items()})
-    return out, interp.trace
+    out, trace, raised = _outcome(Interpreter(program), params, arrays)
+    assert raised is None
+    return out, trace
 
 
-def _assert_engines_match(source: str, params: dict, arrays: dict) -> None:
-    """Run *source* under every exact engine; all must match the interpreter."""
+def _assert_engines_match(source, params: dict, arrays: dict):
+    """Run *source* under every exact engine; all must match the
+    interpreter: arrays, trace, the type of a raised exception (which is
+    returned), and the executor's report."""
     program = _prepare(source)
-    ref_out, ref_trace = _run_reference(program, params, arrays)
+    ref_out, ref_trace, ref_raised = _outcome(Interpreter(program), params, arrays)
     for engine_name in EXACT_ENGINES:
-        engine = make_engine(program, engine=engine_name)
-        out = engine.run(params, {k: v.copy() for k, v in arrays.items()})
+        out, trace, raised = _outcome(
+            make_engine(program, engine=engine_name), params, arrays
+        )
+        assert raised is ref_raised, f"{engine_name}: raised {raised}"
         for name in ref_out:
             np.testing.assert_array_equal(
                 ref_out[name],
                 out[name],
                 err_msg=f"{engine_name}: array {name!r} not bit-identical",
             )
-        assert engine.trace == ref_trace, f"{engine_name}: trace diverged"
+        assert trace == ref_trace, f"{engine_name}: trace diverged"
+    if ref_raised is None:
+        _, ref_report = OffloadExecutor(engine="interpreter").run(program, params, arrays)
+        for engine_name in EXACT_ENGINES:
+            _, report = OffloadExecutor(engine=engine_name).run(program, params, arrays)
+            assert report == ref_report, f"{engine_name}: report diverged"
+    return ref_raised
 
 
 def _arrays(rng, **shapes):
@@ -205,6 +232,125 @@ def test_diagonal_read_falls_back_and_matches():
 
 
 # ----------------------------------------------------------------------
+# Guard and naming cases: what the emitted kernel must get right or refuse
+# ----------------------------------------------------------------------
+KEYWORD_NAMES = """
+void lambda(int range, double scalars, double in[range], double np[range],
+            double arrays[range][range]) {
+  for (int is = 0; is < range; is++)
+    for (int def = 0; def < range; def++)
+      arrays[is][def] = arrays[is][def] + scalars * in[is] * np[range - 1 - def];
+}
+"""
+
+FLOAT_OFFSET = """
+void shifted(int N, int F, double A[2 * N], double B[N]) {
+  for (int i = 0; i < N; i++)
+    B[i] = A[i + F];
+}
+"""
+
+REVERSED_STRIDE_TO_ZERO = """
+void rev2(int N, double A[2 * N], double B[N]) {
+  for (int i = 0; i < N; i++)
+    B[i] = A[2 * N - 2 - 2 * i];
+}
+"""
+
+LEAVES_ABOVE_ON_LAST_ITERATION = """
+void leave(int N, int K, double A[N + K - 2], double y[N]) {
+  for (int k = 0; k < K; k++)
+    for (int i = 0; i < N; i++)
+      y[i] = y[i] + A[N - 1 - i + k];
+}
+"""
+
+LEAVES_BELOW_ON_LAST_ITERATION = """
+void wrap_last(int N, int K, double A[N + K], double y[N]) {
+  for (int k = 0; k < K; k++)
+    for (int i = 0; i < N; i++)
+      y[i] = y[i] + A[i - k + K - 2];
+}
+"""
+
+SELF_READING_TARGET = """
+void axpby(int N, double alpha, double beta, double tmp[N], double y[N]) {
+  for (int i = 0; i < N; i++)
+    y[i] = alpha * tmp[i] + beta * y[i];
+}
+"""
+
+TRANSPOSED_READ = """
+void transpose(int N, int M, double A[M][N], double B[N][M]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < M; j++)
+      B[i][j] = A[j][i] + i;
+}
+"""
+
+
+def _tiled_min_max_nest() -> Program:
+    """``for it (step 4) for i in [max(it, 1), min(it + 4, N)) for k:
+    A[i] += B[i - 1 + k]`` — bounds the frontend cannot spell."""
+    n, k_param = ParamRef("N"), ParamRef("K")
+    update = Assign(
+        ArrayRef("A", (VarRef("i"),)),
+        ArrayRef("B", (VarRef("i") - 1 + VarRef("k"),)),
+        reduction="+",
+    )
+    reduce_k = Loop("k", IntConst(0), k_param, Block([update]))
+    inner = Loop(
+        "i", Max(VarRef("it"), IntConst(1)), Min(VarRef("it") + 4, n), Block([reduce_k])
+    )
+    outer = Loop("it", IntConst(0), n, Block([inner]), step=4)
+    return Program(
+        name="tiled",
+        params=[ParamDecl("N", ElementType.I32), ParamDecl("K", ElementType.I32)],
+        arrays=[
+            ArrayDecl("A", ("N",), ElementType.F64),
+            ArrayDecl("B", (n + k_param,), ElementType.F64),
+        ],
+        body=Block([outer]),
+    )
+
+
+GUARD_CASES = {
+    "keyword-names": (
+        KEYWORD_NAMES,
+        {"range": 6, "scalars": 0.75},
+        {"in": 6, "np": 6, "arrays": (6, 6)},
+        None,
+    ),
+    "tiled-min-max": (_tiled_min_max_nest, {"N": 11, "K": 3}, {"A": 11, "B": 14}, None),
+    "float-offset": (FLOAT_OFFSET, {"N": 6, "F": 2.5}, {"A": 12, "B": 6}, None),
+    "reversed-stride-to-zero": (
+        REVERSED_STRIDE_TO_ZERO, {"N": 7}, {"A": 14, "B": 7}, None
+    ),
+    "leaves-above-on-last-iteration": (
+        LEAVES_ABOVE_ON_LAST_ITERATION, {"N": 5, "K": 4}, {"A": 7, "y": 5}, IndexError
+    ),
+    "leaves-below-on-last-iteration": (
+        LEAVES_BELOW_ON_LAST_ITERATION, {"N": 5, "K": 4}, {"A": 9, "y": 5}, None
+    ),
+    "self-reading-target": (
+        SELF_READING_TARGET, {"N": 9, "alpha": 1.5, "beta": 0.25}, {"tmp": 9, "y": 9}, None
+    ),
+    "transposed-read": (TRANSPOSED_READ, {"N": 4, "M": 6}, {"A": (6, 4), "B": (4, 6)}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_guard_and_naming_cases_match(case):
+    """Each case either runs on the emitted kernel or is refused by its
+    guard before anything is written; both must be the interpreter's
+    result — arrays, trace, report and the exception a bad index raises."""
+    source, params, shapes, raises = GUARD_CASES[case]
+    program = _prepare(source() if callable(source) else source)
+    arrays = _arrays(np.random.default_rng(12), **shapes)
+    assert _assert_engines_match(program, params, arrays) is raises
+
+
+# ----------------------------------------------------------------------
 # The per-nest lowering report: tiers and reasons
 # ----------------------------------------------------------------------
 def test_lowering_report_tiers_and_reasons():
@@ -317,14 +463,25 @@ def test_native_toolchain_is_available_in_ci():
 # ----------------------------------------------------------------------
 # Hypothesis: random affine nests must never miscompile
 # ----------------------------------------------------------------------
+#: Identifier sets for the generated nests: (function, N, A, B, i).
+NAMINGS = (
+    ("k", "N", "A", "B", "i"),
+    ("lambda", "range", "in", "np", "is"),
+    ("def", "scalars", "arrays", "range", "lambda"),
+)
+
+
 @st.composite
 def affine_nests(draw):
     """A random single-statement affine nest over 1-D arrays.
 
     Subscripts are ``coeff * i + offset`` with coefficients in {1, 2} and
-    offsets in [-1, 2]; arrays are sized ``3 * N`` so every index is
-    either in bounds or a negative wrap — both *defined* behaviors every
-    engine must reproduce exactly.
+    offsets in [-1, 2] — or, for the read, reversed (``N - 1 - i +
+    offset``, reaching index 0 or wrapping below it); arrays are sized
+    ``3 * N`` so every index is either in bounds or a negative wrap —
+    both *defined* behaviors every engine must reproduce exactly.  The
+    identifiers are drawn too (Python keywords and builtins are legal C
+    names), and ``N`` may arrive as a float.
     """
     n = draw(st.integers(2, 5))
     coeff = draw(st.sampled_from([1, 2]))
@@ -334,25 +491,31 @@ def affine_nests(draw):
     op = draw(st.sampled_from(["+", "*", "-"]))
     scale = draw(st.sampled_from(["1.0", "0.5", "3.0"]))
     reduce_form = draw(st.booleans())
-    write = f"B[{coeff} * i + {offset + 1}]"
-    read = f"A[{read_coeff} * i + {read_offset}]"
+    func, size, src, dst, var = draw(st.sampled_from(NAMINGS))
+    write = f"{dst}[{coeff} * {var} + {offset + 1}]"
+    if draw(st.booleans()):
+        read = f"{src}[{size} - 1 - {var} + {read_offset}]"
+    else:
+        read = f"{src}[{read_coeff} * {var} + {read_offset}]"
     if reduce_form:
         body = f"{write} = {write} {op} {read} * {scale};"
     else:
         body = f"{write} = {read} {op} {scale};"
     source = (
-        "void k(int N, double A[3 * N], double B[3 * N]) {\n"
-        f"  for (int i = 0; i < N; i++)\n"
+        f"void {func}(int {size}, double {src}[3 * {size}], double {dst}[3 * {size}]) {{\n"
+        f"  for (int {var} = 0; {var} < {size}; {var}++)\n"
         f"    {body}\n"
         "}\n"
     )
-    return source, n
+    params = {size: float(n) if draw(st.booleans()) else n}
+    return source, params, (src, dst)
 
 
 @given(affine_nests())
 @settings(max_examples=60, deadline=None)
 def test_random_affine_nests_never_miscompile(case):
-    source, n = case
-    rng = np.random.default_rng(n)
-    arrays = _arrays(rng, A=3 * n, B=3 * n)
-    _assert_engines_match(source, {"N": n}, arrays)
+    source, params, (src, dst) = case
+    (n,) = params.values()
+    rng = np.random.default_rng(int(n))
+    arrays = _arrays(rng, **{src: 3 * int(n), dst: 3 * int(n)})
+    _assert_engines_match(source, params, arrays)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.frontend import parse_program
-from repro.ir import ArrayDecl, Block, Interpreter, Loop, Program, VectorizedEngine
+from repro.ir import (
+    ArrayDecl,
+    Block,
+    Interpreter,
+    Loop,
+    Program,
+    VectorizedEngine,
+    make_engine,
+)
 from repro.ir.engine.analysis import PlanAssign, PlanLoop, build_plan
 from repro.ir.expr import ArrayRef, IntConst, Min, ParamRef, VarRef
 from repro.ir.normalize import normalize_reductions
@@ -26,6 +34,14 @@ def _assert_identical(program, params, arrays):
     for name in out_i:
         np.testing.assert_array_equal(out_i[name], out_v[name])
     assert interp.trace == engine.trace
+    # Every edge case of this file also goes through the emitted-kernel
+    # tiers, which share the plan the gather engine just built.
+    for mode in ("fast", "native"):
+        tier = make_engine(program, engine=mode)
+        out_t = tier.run(params, arrays)
+        for name in out_i:
+            np.testing.assert_array_equal(out_i[name], out_t[name], err_msg=mode)
+        assert interp.trace == tier.trace, mode
     return engine
 
 
