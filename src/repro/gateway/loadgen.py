@@ -212,7 +212,7 @@ async def run_open_loop(
         else:
             max_lag_s = max(max_lag_s, -delay_s)
             if index % 64 == 0:
-                # Behind schedule: still yield periodically so collector
+                # Behind schedule: still yield periodically so pipe
                 # callbacks (responses, retries) keep flowing.
                 await asyncio.sleep(0)
         item = workload(index)

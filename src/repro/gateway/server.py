@@ -15,17 +15,22 @@ Pool architecture (deliberately not ``concurrent.futures`` — a
 dies, and surviving a worker death is this subsystem's headline fault
 model):
 
-* one request ``multiprocessing.Queue`` per worker plus one shared
-  response queue;
-* a collector thread blocks on the response queue and trampolines every
-  frame onto the asyncio loop (``call_soon_threadsafe``), so all gateway
-  state is mutated from the loop thread only;
-* an async monitor task polls worker liveness; a dead worker's in-flight
+* one duplex pipe per worker and nothing shared between workers, so a
+  worker killed at any instant — even half-way through a frame — can
+  strand only its own request;
+* the gateway's end of every pipe is a non-blocking descriptor
+  registered with the asyncio loop (:class:`_Pipe`): frames are
+  reassembled and written from loop callbacks, so there are no threads,
+  all gateway state is mutated from the loop thread only, and a partial
+  frame in either direction never blocks the loop;
+* an async monitor task polls worker liveness (never the pipe's
+  end-of-file: forked siblings inherit descriptors, so EOF proves
+  nothing about one process); a dead worker's in-flight
   request is compensated (:class:`~repro.serve.accounting.FaultCompensation`)
   and retried on a surviving worker with its fault marker stripped —
   exactly-once billing, at-least-once execution;
 * at most one request is in flight per worker, so a dead worker strands
-  at most one request and its queue is empty by construction.
+  at most one request and its pipe is empty by construction.
 
 The resilience layer turns every stall into a bounded, compensated,
 retried event:
@@ -71,10 +76,11 @@ neither usage nor record, so the partition stays exact.
 from __future__ import annotations
 
 import asyncio
-import queue as queue_mod
-import threading
-from collections import deque
+import json
+import os
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Optional
 
 import numpy as np
@@ -84,6 +90,7 @@ from repro.gateway.wire import GatewayRequest, GatewayResponse, WireFormatError
 from repro.gateway.worker import (
     DRAIN_FRAME,
     DRAINED_FRAME,
+    FRAME_HEADER,
     REQUEST_FRAME,
     RESPONSE_FRAME,
     worker_main,
@@ -103,6 +110,9 @@ from repro.trace.schema import encode_compile_options
 #: How long drain() waits for a worker's final work record (and for
 #: stuck in-flight work) before escalating to a kill.
 _DRAIN_TIMEOUT_S = 30.0
+
+#: Most bytes taken from a pipe per readiness callback.
+_READ_BYTES = 1 << 18
 
 
 class GatewayError(RuntimeError):
@@ -207,15 +217,89 @@ class _Slot:
     quarantined: bool = False
 
 
+class _Pipe:
+    """The gateway's end of one worker's duplex pipe, on the event loop.
+
+    The worker talks ``Connection.send_bytes`` / ``recv_bytes``; this end
+    speaks the same length-prefixed stream through a non-blocking
+    descriptor: readiness callbacks gather bytes into ``_inbox`` and hand
+    every complete frame to *on_frame*, and ``send`` writes what the
+    socket takes now and leaves the rest of ``_outbox`` to a writability
+    callback — a frame larger than the socket buffer, or one that stops
+    half-way, costs the loop nothing but the bytes that did arrive.
+    """
+
+    def __init__(self, loop, connection, on_frame):
+        self._loop = loop
+        self._connection = connection
+        self._on_frame = on_frame
+        self._inbox = bytearray()
+        self._outbox = bytearray()
+        os.set_blocking(connection.fileno(), False)
+        loop.add_reader(connection.fileno(), self._on_readable)
+
+    def send(self, frame: bytes) -> None:
+        if not self._connection.closed:  # closed = the worker hung up
+            self._outbox += FRAME_HEADER.pack(len(frame)) + frame
+            self._on_writable()
+
+    def _on_writable(self) -> None:
+        fd = self._connection.fileno()
+        try:
+            sent = os.write(fd, self._outbox)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            sent = len(self._outbox)  # nobody left to read it
+        del self._outbox[:sent]
+        if self._outbox:
+            self._loop.add_writer(fd, self._on_writable)
+        else:
+            self._loop.remove_writer(fd)
+
+    def _on_readable(self) -> None:
+        try:
+            data = os.read(self._connection.fileno(), _READ_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            # End of file: every copy of the far end is closed.  Stop
+            # listening; whether the worker is dead is the monitor's call.
+            self.close()
+            return
+        inbox = self._inbox
+        inbox += data
+        while len(inbox) >= FRAME_HEADER.size:
+            end = FRAME_HEADER.size + FRAME_HEADER.unpack_from(inbox)[0]
+            if end < FRAME_HEADER.size:
+                # A negative length, which this protocol never sends: the
+                # stream cannot be framed further, the worker went silent.
+                self.close()
+                return
+            if len(inbox) < end:
+                return
+            frame = bytes(inbox[FRAME_HEADER.size:end])
+            del inbox[:end]
+            self._on_frame(frame)
+
+    def close(self) -> None:
+        if not self._connection.closed:
+            self._loop.remove_reader(self._connection.fileno())
+            self._loop.remove_writer(self._connection.fileno())
+            self._connection.close()
+            del self._inbox[:], self._outbox[:]  # maybe megabytes of half a frame
+
+
 class _Worker:
     """Gateway-side bookkeeping of one pool worker (one incarnation —
     a respawned slot gets a fresh ``_Worker`` with a fresh id)."""
 
-    def __init__(self, worker_id: int, process, request_queue, slot_id=None,
-                 spare: bool = False):
+    def __init__(self, worker_id: int, process, slot_id=None, spare: bool = False):
         self.worker_id = worker_id
         self.process = process
-        self.request_queue = request_queue
+        self.pipe: Optional[_Pipe] = None
         #: Active-pool slot this worker occupies (None while a spare).
         self.slot_id: Optional[int] = slot_id
         self.spare = spare
@@ -257,14 +341,14 @@ class AsyncGateway:
         self._quotas: dict[str, TenantQuota] = {}
         self._idle: deque[int] = deque()
         self._pending: deque[_Flight] = deque()
+        #: Flights of each tenant in ``_pending`` (queue-depth admission
+        #: must not scan the backlog on every submit).
+        self._tenant_pending: Counter[str] = Counter()
         self._inflight: dict[int, _Flight] = {}
         self._seq = 0
         self._bill_counter = 0
         self._ctx = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._response_queue = None
-        self._collector: Optional[threading.Thread] = None
-        self._collector_stop = threading.Event()
         self._monitor_task: Optional[asyncio.Task] = None
         self._started = False
         self._draining = False
@@ -274,8 +358,7 @@ class AsyncGateway:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "AsyncGateway":
-        """Spawn the worker pool (actives + hot spares), the collector
-        thread and the monitor."""
+        """Spawn the worker pool (actives + hot spares) and the monitor."""
         if self._started:
             raise GatewayError("gateway already started")
         import multiprocessing
@@ -289,9 +372,6 @@ class AsyncGateway:
             )
         self._ctx = multiprocessing.get_context(method)
         self._loop = asyncio.get_running_loop()
-        self._response_queue = self._ctx.Queue()
-        # Workers fork *before* the collector thread exists (forking a
-        # multi-threaded parent is where fork goes wrong).
         for slot_id in range(self.config.num_workers):
             worker = self._spawn_worker(slot_id=slot_id)
             self._slots.append(_Slot(slot_id=slot_id, worker_id=worker.worker_id))
@@ -299,10 +379,6 @@ class AsyncGateway:
         for _ in range(self.config.hot_spares):
             worker = self._spawn_worker(spare=True)
             self._spare_ids.append(worker.worker_id)
-        self._collector = threading.Thread(
-            target=self._collect, name="gateway-collector", daemon=True
-        )
-        self._collector.start()
         self._monitor_task = self._loop.create_task(self._monitor())
         self._started = True
         return self
@@ -313,17 +389,17 @@ class AsyncGateway:
         """Spawn one worker process on a fresh worker/device id and
         register its bookkeeping (shared by pool start and respawns)."""
         worker_id = len(self._workers)
-        request_queue = self._ctx.Queue()
+        near_end, far_end = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, self.config.worker_wire(), request_queue,
-                  self._response_queue),
+            args=(worker_id, self.config.worker_wire(), far_end),
             daemon=True,
             name=f"gateway-worker-{worker_id}",
         )
         process.start()
-        worker = _Worker(worker_id, process, request_queue, slot_id=slot_id,
-                         spare=spare)
+        far_end.close()  # the child holds its own copy now
+        worker = _Worker(worker_id, process, slot_id=slot_id, spare=spare)
+        worker.pipe = _Pipe(self._loop, near_end, partial(self._on_frame, worker))
         worker.drained_event = asyncio.Event()
         self._workers.append(worker)
         self.metrics.observe_device_state(worker_id, "spare" if spare else "up")
@@ -355,11 +431,6 @@ class AsyncGateway:
     def quota(self, tenant: str) -> Optional[TenantQuota]:
         return self._quotas.get(tenant, self.config.default_quota)
 
-    def _tenant_pending(self, tenant: str) -> int:
-        return sum(
-            1 for flight in self._pending if flight.request.tenant == tenant
-        )
-
     def _admission_reason(self, tenant: str) -> Optional[str]:
         """Why this submission must be rejected, or None to admit it."""
         if (
@@ -373,7 +444,7 @@ class AsyncGateway:
         quota = self.quota(tenant)
         if quota is None:
             return None
-        depth = self._tenant_pending(tenant)
+        depth = self._tenant_pending[tenant]
         if depth >= quota.max_queue_depth:
             return (
                 f"tenant queue full ({depth}/{quota.max_queue_depth} "
@@ -438,6 +509,7 @@ class AsyncGateway:
             self._resolve_failed(flight, "no surviving gateway workers")
             return future
         self._pending.append(flight)
+        self._tenant_pending[tenant] += 1
         self._dispatch()
         return future
 
@@ -455,6 +527,7 @@ class AsyncGateway:
             if worker.dead:
                 continue
             flight = self._pending.popleft()
+            self._tenant_pending[flight.request.tenant] -= 1
             if flight.deadline_passed(now_s):
                 # Shed before dispatch: the deadline has already passed,
                 # so running the request would only waste a worker.
@@ -464,39 +537,26 @@ class AsyncGateway:
             flight.worker_id = worker_id
             flight.dispatched_s = now_s
             self._inflight[worker_id] = flight
-            worker.request_queue.put((REQUEST_FRAME, flight.request.to_json()))
+            worker.pipe.send(REQUEST_FRAME + flight.request.to_json().encode())
 
-    def _collect(self) -> None:
-        """Collector thread: response queue -> asyncio loop."""
-        while not self._collector_stop.is_set():
-            try:
-                frame = self._response_queue.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            except (EOFError, OSError):
-                break
-            self._loop.call_soon_threadsafe(self._on_frame, frame)
-
-    def _on_frame(self, frame: tuple) -> None:
-        kind = frame[0]
+    def _on_frame(self, worker: _Worker, frame: bytes) -> None:
+        kind, payload = frame[:1], str(frame[1:], "utf-8", "replace")
         if kind == RESPONSE_FRAME:
-            self._on_response(frame[1], frame[2])
+            self._on_response(worker, payload)
         elif kind == DRAINED_FRAME:
-            worker = self._workers[frame[1]]
-            worker.physical = AcceleratorRunStats(**frame[2])
+            worker.physical = AcceleratorRunStats(**json.loads(payload))
             worker.drained_event.set()
         else:  # dead letter: an undecodable frame with no request to answer
-            self.dead_letters.append(str(frame[2]))
-            worker = self._workers[frame[1]]
+            self.dead_letters.append(payload)
             if not worker.dead:
-                self._idle.append(frame[1])
+                self._idle.append(worker.worker_id)
                 self._dispatch()
 
-    def _on_response(self, worker_id: int, payload: str) -> None:
-        worker = self._workers[worker_id]
+    def _on_response(self, worker: _Worker, payload: str) -> None:
+        worker_id = worker.worker_id
         if worker.dead:
-            # Monitor/collector race: the worker put this frame on the
-            # queue and then died (or was killed) before we processed it.
+            # Monitor/pipe race: the worker wrote this frame into its
+            # pipe and then died (or was killed) before we read it.
             # Its death already compensated and retried the flight, and
             # its accounting currency is the last snapshot it shipped
             # *before* we declared it dead — absorbing this late frame
@@ -558,32 +618,8 @@ class AsyncGateway:
                 f"corrupt response frame from worker {worker.worker_id}: "
                 f"{exc}",
             )
-        self._fenced_kill(worker.process)
+        worker.process.kill()
         self._on_worker_death(worker, cause="corrupt-frame")
-
-    def _fenced_kill(self, process, terminate: bool = False) -> None:
-        """SIGKILL (or SIGTERM) a worker without poisoning the shared
-        response queue.
-
-        A worker's queue feeder thread holds the queue's *cross-process*
-        write lock while it streams a frame; a kill landing in that
-        window leaves the lock permanently held, and every surviving
-        worker wedges on its next ``put`` — the whole pool deadlocks.
-        Briefly holding the lock ourselves fences the victim out of the
-        critical section for the instant of the kill (kill before
-        release: a pending SIGKILL means the feeder can never re-enter
-        userspace to take the lock once we let go of it).
-        """
-        wlock = getattr(self._response_queue, "_wlock", None)
-        acquired = wlock.acquire(timeout=1.0) if wlock is not None else False
-        try:
-            if terminate:
-                process.terminate()
-            else:
-                process.kill()
-        finally:
-            if acquired:
-                wlock.release()
 
     def _record_billing(
         self, flight: _Flight, response: GatewayResponse, now_s: float
@@ -668,7 +704,7 @@ class AsyncGateway:
             # and run the exact crash contract — compensate, retry on a
             # survivor, respawn the slot.
             self.metrics.observe_hang_detected()
-            self._fenced_kill(worker.process)
+            worker.process.kill()
             self._on_worker_death(
                 worker,
                 cause="worker-hang",
@@ -685,6 +721,7 @@ class AsyncGateway:
                 f for f in self._pending if not f.deadline_passed(now_s)
             )
             for flight in expired:
+                self._tenant_pending[flight.request.tenant] -= 1
                 self._resolve_deadline(flight, shed=True)
         for flight in self._inflight.values():
             if not flight.abandoned and flight.deadline_passed(now_s):
@@ -841,6 +878,7 @@ class AsyncGateway:
         request.fault = None
         self.metrics.observe_retry()
         self._pending.appendleft(flight)
+        self._tenant_pending[request.tenant] += 1
         self._dispatch()
 
     def _resolve_failed(self, flight: _Flight, reason: str) -> None:
@@ -864,6 +902,7 @@ class AsyncGateway:
         for flight in list(self._pending):
             self._resolve_failed(flight, reason)
         self._pending.clear()
+        self._tenant_pending.clear()
         for flight in list(self._inflight.values()):
             self._resolve_failed(flight, reason)
         self._inflight.clear()
@@ -900,7 +939,7 @@ class AsyncGateway:
                 for worker_id in list(self._inflight):
                     worker = self._workers[worker_id]
                     if not worker.dead:
-                        self._fenced_kill(worker.process)
+                        worker.process.kill()
                         self._on_worker_death(
                             worker,
                             cause="worker-hang",
@@ -915,7 +954,7 @@ class AsyncGateway:
             stalled_s += 0.05
         for worker in self._workers:
             if not worker.dead:
-                worker.request_queue.put((DRAIN_FRAME,))
+                worker.pipe.send(DRAIN_FRAME)
         for worker in self._workers:
             if worker.dead:
                 continue
@@ -927,7 +966,7 @@ class AsyncGateway:
                 # Wedged mid-drain: kill it and fail anything it strands
                 # rather than hanging close forever.  Its accounting
                 # currency falls back to the last snapshot it shipped.
-                self._fenced_kill(worker.process)
+                worker.process.kill()
                 worker.dead = True
                 self.metrics.observe_device_state(worker.worker_id, "down")
                 self.metrics.observe_fault("worker-hang")
@@ -945,19 +984,17 @@ class AsyncGateway:
                 await self._monitor_task
             except asyncio.CancelledError:
                 pass
-        self._collector_stop.set()
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
         for worker in self._workers:
+            worker.pipe.close()
             worker.process.join(timeout=5.0)
             if worker.process.is_alive():
-                self._fenced_kill(worker.process, terminate=True)
+                worker.process.terminate()
                 worker.process.join(timeout=5.0)
             if worker.process.is_alive():
                 # terminate() did not take (blocked in an uninterruptible
                 # state): escalate to SIGKILL so close never leaves a
                 # zombie behind.
-                self._fenced_kill(worker.process)
+                worker.process.kill()
                 worker.process.join(timeout=5.0)
             if not worker.dead:
                 self.metrics.observe_device_state(worker.worker_id, "drained")

@@ -48,7 +48,7 @@ from repro.trace.schema import TraceFormatError, decode_array, encode_array
 #:   request normally (deadline pressure without losing work);
 #: * ``corrupt-frame`` — the worker serves the request and then ships a
 #:   deliberately mangled response frame (undecodable JSON), the
-#:   byzantine shape the gateway's defensive collector must absorb.
+#:   byzantine shape the gateway's defensive decode must absorb.
 FAULT_MARKERS = (
     "die-before-dispatch",
     "die-mid-request",

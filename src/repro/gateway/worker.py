@@ -27,19 +27,24 @@ as per-request ledger deltas — so a request's usage record is a pure
 function of the request, independent of which worker serves it or what
 ran before.
 
-The worker speaks the :mod:`repro.gateway.wire` JSON format over a pair
-of ``multiprocessing`` queues and honours the deterministic
-fault-injection markers: ``die-before-dispatch`` exits the process before
-any work happens, ``die-mid-request`` performs the full dispatch and
-exits before the response leaves the process (so the computed outputs and
-the device's physical ledgers are genuinely lost, exactly like a machine
-kill).  Crash recovery and compensation are the gateway's job
+The worker speaks the :mod:`repro.gateway.wire` JSON format over its own
+duplex pipe to the gateway — blocking ``recv_bytes`` / ``send_bytes`` in
+the main thread, one frame per message, no helper thread and nothing
+shared with its siblings, so dying at any instruction (even half-way
+through a frame) can strand only its own request — and honours the
+deterministic fault-injection markers: ``die-before-dispatch`` exits the
+process before any work happens, ``die-mid-request`` performs the full
+dispatch and exits before the response leaves the process (so the
+computed outputs and the device's physical ledgers are genuinely lost,
+exactly like a machine kill).  Crash recovery and compensation are the gateway's job
 (:mod:`repro.gateway.server`).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import time
 from typing import Optional
 
@@ -53,13 +58,24 @@ from repro.gateway.wire import (
 )
 from repro.hw.stats import AcceleratorRunStats
 
-#: Queue frames (gateway -> worker).
-REQUEST_FRAME = "request"
-DRAIN_FRAME = "drain"
+#: A pipe frame is one kind byte followed by a UTF-8 payload, sent as one
+#: ``Connection.send_bytes`` message.  Gateway -> worker: a
+#: ``GatewayRequest`` JSON object, or the (empty) order to drain.
+REQUEST_FRAME = b"q"
+DRAIN_FRAME = b"d"
 
-#: Queue frames (worker -> gateway).
-RESPONSE_FRAME = "response"
-DRAINED_FRAME = "drained"
+#: Worker -> gateway: a ``GatewayResponse`` JSON object, the final work
+#: record (``AcceleratorRunStats.scalars()`` as JSON) answering a drain,
+#: or the error text of a request frame too broken to answer by id.
+RESPONSE_FRAME = b"r"
+DRAINED_FRAME = b"f"
+DEAD_LETTER_FRAME = b"x"
+
+#: ``send_bytes`` puts this length header before every message (a signed
+#: big-endian int; frames stay far below its 2 GiB range).  The gateway
+#: end reads and writes the same stream from its event loop without
+#: blocking, so it frames by hand.
+FRAME_HEADER = struct.Struct("!i")
 
 
 def build_worker_server(config: dict):
@@ -159,27 +175,19 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
     )
 
 
-def _crash(response_queue) -> None:
-    """Abrupt process death for the crash fault markers — but only after
-    the response queue's feeder thread has flushed.  ``os._exit`` while
-    the feeder holds the queue's *shared* write lock would leave that
-    cross-process lock permanently held, wedging every surviving worker's
-    next ``put``; close + join guarantees the feeder is done before the
-    process dies, without shipping anything new."""
-    response_queue.close()
-    response_queue.join_thread()
-    os._exit(FAULT_EXIT_CODE)
+def _send_frame(pipe, kind: bytes, payload: str) -> None:
+    pipe.send_bytes(kind + payload.encode())
 
 
-def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> None:
+def worker_main(worker_id: int, config: dict, pipe) -> None:
     """Pool worker entry point (top-level so it spawns on any platform).
 
-    Loops on the request queue until a drain frame arrives, serving one
-    request at a time and shipping each response together with the
-    worker-cumulative physical snapshot (the accounting currency that
-    survives the worker's death — see :mod:`repro.gateway.server`).  The
-    drain frame is answered with that same record, then the worker exits
-    cleanly.
+    Loops on its end of the pipe until a drain frame arrives (or the
+    gateway's end closes), serving one request at a time and shipping
+    each response together with the worker-cumulative physical snapshot
+    (the accounting currency that survives the worker's death — see
+    :mod:`repro.gateway.server`).  The drain frame is answered with that
+    same record, then the worker exits cleanly.
     """
     server = build_worker_server(config)
     # Worker-lifetime work record (``serve_one`` resets the accelerator's
@@ -187,20 +195,22 @@ def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> 
     physical = AcceleratorRunStats()
     try:
         while True:
-            frame = request_queue.get()
-            kind = frame[0]
-            if kind == DRAIN_FRAME:
-                response_queue.put((DRAINED_FRAME, worker_id, physical.scalars()))
+            try:
+                frame = pipe.recv_bytes()
+            except EOFError:
+                break  # the gateway is gone
+            if frame[:1] == DRAIN_FRAME:
+                _send_frame(pipe, DRAINED_FRAME, json.dumps(physical.scalars()))
                 break
             try:
-                request = GatewayRequest.from_json(frame[1])
+                request = GatewayRequest.from_json(str(frame[1:], "utf-8", "replace"))
             except WireFormatError as exc:
                 # A frame that decodes this badly has no request id to
                 # answer for; report it as a dead letter and move on.
-                response_queue.put(("dead-letter", worker_id, str(exc)))
+                _send_frame(pipe, DEAD_LETTER_FRAME, str(exc))
                 continue
             if request.fault == "die-before-dispatch":
-                _crash(response_queue)
+                os._exit(FAULT_EXIT_CODE)
             if request.fault == "hang":
                 # Wedge forever without doing any work: the process stays
                 # alive but never answers, which is exactly the shape the
@@ -222,7 +232,7 @@ def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> 
                 # response escapes: the work is genuinely lost, which is
                 # exactly the window the gateway's crash recovery and
                 # FaultCompensation accounting must cover.
-                _crash(response_queue)
+                os._exit(FAULT_EXIT_CODE)
             response.physical = physical.scalars()
             payload = response.to_json()
             if request.fault == "corrupt-frame":
@@ -233,6 +243,6 @@ def worker_main(worker_id: int, config: dict, request_queue, response_queue) -> 
                 # work no decodable snapshot will ever account for, so
                 # letting it live would break the partition.
                 payload = payload[: len(payload) // 2]
-            response_queue.put((RESPONSE_FRAME, worker_id, payload))
+            _send_frame(pipe, RESPONSE_FRAME, payload)
     finally:
         server.shutdown()

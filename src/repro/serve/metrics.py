@@ -13,17 +13,21 @@ because the underlying clock is.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Optional
 
 
 def percentile(values: list[float], q: float) -> float:
     """Linear-interpolation percentile (``q`` in [0, 100]) without NumPy —
     the registry must stay importable in stripped-down tooling."""
-    if not values:
+    return _percentile_of_ordered(sorted(values), q)
+
+
+def _percentile_of_ordered(ordered: list[float], q: float) -> float:
+    if not ordered:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -46,13 +50,20 @@ class MetricsRegistry:
         self.failed = 0
         self.batches = 0
         self.fused_batches = 0
-        self.batch_sizes: list[float] = []
-        self.latencies_s: list[float] = []
-        #: Left-to-right sum of ``latencies_s`` (the snapshot's mean is
-        #: pinned by golden traces, so it is not left to builtin ``sum()``).
+        self.batch_size_sum = 0.0
+        self.batch_size_max = 0.0
+        #: The percentile streams are kept in ascending order as they are
+        #: observed (``insort`` places ties after their equals, the order
+        #: a stable ``sorted()`` of the arrival list gives), so a snapshot
+        #: reads percentiles by index and never touches the history.
+        self.ordered_latencies_s: list[float] = []
+        #: Left-to-right sum of the latencies in arrival order (the
+        #: snapshot's mean is pinned by golden traces, so it is not left
+        #: to builtin ``sum()``).
         self.latency_sum_s = 0.0
-        self.queueing_delays_s: list[float] = []
-        self.tenant_latencies_s: dict[str, list[float]] = {}
+        self.latency_max_s = -math.inf
+        self.ordered_queueing_delays_s: list[float] = []
+        self.ordered_tenant_latencies_s: dict[str, list[float]] = {}
         self.compile_cache_hits = 0
         self.compile_cache_misses = 0
         self.peak_queue_depth = 0
@@ -95,7 +106,9 @@ class MetricsRegistry:
 
     def observe_batch(self, size: int, fused: bool) -> None:
         self.batches += 1
-        self.batch_sizes.append(float(size))
+        self.batch_size_sum += size
+        if size > self.batch_size_max:
+            self.batch_size_max = float(size)
         if fused:
             self.fused_batches += 1
 
@@ -103,10 +116,12 @@ class MetricsRegistry:
         self, tenant: str, latency_s: float, queueing_delay_s: float
     ) -> None:
         self.completed += 1
-        self.latencies_s.append(latency_s)
+        insort(self.ordered_latencies_s, latency_s)
         self.latency_sum_s += latency_s
-        self.queueing_delays_s.append(queueing_delay_s)
-        self.tenant_latencies_s.setdefault(tenant, []).append(latency_s)
+        if latency_s > self.latency_max_s:
+            self.latency_max_s = latency_s
+        insort(self.ordered_queueing_delays_s, queueing_delay_s)
+        insort(self.ordered_tenant_latencies_s.setdefault(tenant, []), latency_s)
 
     def observe_failure(self) -> None:
         self.failed += 1
@@ -178,9 +193,9 @@ class MetricsRegistry:
     @property
     def mean_batch_occupancy(self) -> float:
         """Mean requests per dispatch batch (1.0 = no coalescing)."""
-        if not self.batch_sizes:
+        if not self.batches:
             return 0.0
-        return sum(self.batch_sizes) / len(self.batch_sizes)
+        return self.batch_size_sum / self.batches
 
     @property
     def compile_cache_hit_rate(self) -> float:
@@ -190,7 +205,7 @@ class MetricsRegistry:
         return self.compile_cache_hits / total
 
     def latency_percentile_s(self, q: float) -> float:
-        return percentile(self.latencies_s, q)
+        return _percentile_of_ordered(self.ordered_latencies_s, q)
 
     # ------------------------------------------------------------------
     def snapshot(self, queue_depths: Optional[dict[str, int]] = None) -> dict:
@@ -207,7 +222,7 @@ class MetricsRegistry:
                 "batches": self.batches,
                 "fused_batches": self.fused_batches,
                 "mean_occupancy": round(self.mean_batch_occupancy, 3),
-                "max_size": max(self.batch_sizes) if self.batch_sizes else 0,
+                "max_size": self.batch_size_max if self.batches else 0,
             },
             "queues": {
                 "current_depths": dict(queue_depths or {}),
@@ -251,19 +266,19 @@ class MetricsRegistry:
             # Only when something fired: the simulated tiers never touch
             # these counters and their golden snapshots must stay stable.
             snap["resilience"] = resilience
-        if self.latencies_s:
+        if self.ordered_latencies_s:
             snap["latency_s"] = {
                 "p50": self.latency_percentile_s(50),
                 "p99": self.latency_percentile_s(99),
-                "mean": self.latency_sum_s / len(self.latencies_s),
-                "max": max(self.latencies_s),
+                "mean": self.latency_sum_s / len(self.ordered_latencies_s),
+                "max": self.latency_max_s,
             }
             snap["queueing_delay_s"] = {
-                "p50": percentile(self.queueing_delays_s, 50),
-                "p99": percentile(self.queueing_delays_s, 99),
+                "p50": _percentile_of_ordered(self.ordered_queueing_delays_s, 50),
+                "p99": _percentile_of_ordered(self.ordered_queueing_delays_s, 99),
             }
             snap["tenant_latency_p99_s"] = {
-                tenant: percentile(values, 99)
-                for tenant, values in sorted(self.tenant_latencies_s.items())
+                tenant: _percentile_of_ordered(ordered, 99)
+                for tenant, ordered in sorted(self.ordered_tenant_latencies_s.items())
             }
         return snap

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.gateway import AsyncGateway, GatewayConfig
@@ -261,6 +262,61 @@ class TestWallClockAdmission:
         assert "tenant queue full" in rejected.reason
         assert ledger.account("tenant-0").rejected == 3
 
+    def test_tenant_depth_count_follows_every_queue_edit(self):
+        """The per-tenant depth the quota reads is a running count; it
+        must equal a recount of the queue after a submit, a deadline
+        purge, a retry put back at the head and a dispatch, and a leaked
+        count would shed (or admit) at the wrong depth."""
+        from collections import Counter
+
+        workload = synthetic_gemv_workload(num_tenants=2, seed=20)
+
+        def recount(gateway):
+            return Counter(f.request.tenant for f in gateway._pending)
+
+        async def scenario():
+            config = GatewayConfig(
+                num_workers=1,
+                max_respawns=1,
+                respawn_backoff_base_s=0.3,
+                default_quota=TenantQuota(max_queue_depth=2),
+            )
+            async with AsyncGateway(config) as gateway:
+                # In flight (not queued); its worker will die, so it
+                # comes back through the retry path while the slot waits
+                # out its respawn backoff.
+                futures = [submit_item(gateway, workload(0), fault="die-mid-request")]
+                futures.append(submit_item(
+                    gateway, workload(0), deadline_s=gateway.clock.now_s + 0.1
+                ))
+                futures.append(submit_item(gateway, workload(0)))
+                futures.append(submit_item(gateway, workload(1)))
+                assert +gateway._tenant_pending == recount(gateway) == Counter(
+                    {"tenant-0": 2, "tenant-1": 1}
+                )
+                full = await submit_item(gateway, workload(0))
+                # The deadline purge frees one tenant-0 place, the retry
+                # takes it (at the head of the queue): full again.
+                await wait_for(lambda: gateway.metrics.deadline_shed == 1)
+                await wait_for(lambda: gateway.metrics.retries == 1)
+                assert +gateway._tenant_pending == recount(gateway) == Counter(
+                    {"tenant-0": 2, "tenant-1": 1}
+                )
+                full_again = await submit_item(gateway, workload(0))
+                responses = await asyncio.gather(*futures)
+                assert not +gateway._tenant_pending and not gateway._pending
+                await gateway.drain()
+                return full, full_again, responses
+
+        full, full_again, responses = run(scenario())
+        assert full.status == full_again.status == "rejected"
+        assert "tenant queue full (2/2" in full.reason
+        assert "tenant queue full (2/2" in full_again.reason
+        assert [r.status for r in responses] == [
+            "completed", "deadline-exceeded", "completed", "completed"
+        ]
+        assert responses[0].attempt == 2
+
     def test_energy_quota_exhaustion(self):
         workload = synthetic_gemv_workload(num_tenants=1, seed=18)
 
@@ -339,7 +395,7 @@ class TestDefensiveCollector:
 class TestLateFrameRace:
     def test_late_frame_from_dead_worker_is_ignored(self):
         """The monitor/retry race: a worker is declared dead while its
-        response frame is already on the queue.  The late frame must be
+        response frame is already in its pipe.  The late frame must be
         ignored — absorbing its usage or physical snapshot would bill
         twice and corrupt the partition."""
         workload = synthetic_gemv_workload(num_tenants=1, seed=21)
@@ -359,11 +415,8 @@ class TestLateFrameRace:
                     lambda: gateway.metrics.late_frames_ignored == 1
                 )
                 # The zombie process is still alive (the death was a
-                # simulation); reap it so drain doesn't wait on it.  The
-                # fenced kill matters even here: the frame just received
-                # may still have the worker's feeder inside the queue's
-                # shared write-lock critical section.
-                gateway._fenced_kill(worker.process)
+                # simulation); reap it so drain doesn't wait on it.
+                worker.process.kill()
                 await gateway.drain()
                 return worker_id, response, gateway
 
@@ -410,7 +463,7 @@ class TestDrainEscalation:
                     fault="hang",
                 )
                 worker = gateway._workers[0]
-                worker.request_queue.put((REQUEST_FRAME, rogue.to_json()))
+                worker.pipe.send(REQUEST_FRAME + rogue.to_json().encode())
                 await asyncio.sleep(0.2)
                 await gateway.drain()
                 return response, worker
@@ -419,3 +472,179 @@ class TestDrainEscalation:
         assert response.status == "completed"
         assert worker.dead
         assert not worker.process.is_alive()
+
+
+# A host-only kernel whose one operand (and so its request frame and its
+# response frame) is far larger than a socket buffer.
+SCALE_SOURCE = """
+void scale(int P, double big[P]) {
+  for (int i = 0; i < P; i++)
+    big[i] = big[i] * 2.0;
+}
+"""
+BIG_OPERAND = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+
+
+def submit_big(gateway):
+    return gateway.submit_nowait(
+        "bulk", SCALE_SOURCE, {"P": BIG_OPERAND.size}, {"big": BIG_OPERAND}
+    )
+
+
+class TestPipeTransport:
+    """The hazards of one non-blocking duplex pipe per worker: frames
+    larger than the socket buffer, frames that stop half-way, and kills
+    that land in the middle of a frame."""
+
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_frames_larger_than_the_socket_buffer_round_trip(self, num_workers):
+        small_item = synthetic_gemv_workload(num_tenants=1, seed=31)(0)
+
+        async def scenario():
+            config = GatewayConfig(num_workers=num_workers)
+            async with AsyncGateway(config) as gateway:
+                big_future = submit_big(gateway)
+                small = await submit_item(gateway, small_item)
+                big_pending = not big_future.done()
+                big = await big_future
+                await gateway.drain()
+                return big, small, big_pending, gateway
+
+        big, small, big_pending, gateway = run(scenario())
+        assert big.status == "completed", big.reason
+        assert np.array_equal(big.result["big"], BIG_OPERAND * 2.0)
+        assert small.status == "completed", small.reason
+        if num_workers == 2:
+            # The other worker answered while the big frames were still
+            # crossing their own pipe.
+            assert small.worker_id != big.worker_id
+            assert big_pending
+        assert all(gateway.verify_partition().values())
+
+    def test_half_written_frame_is_a_hang_not_a_stuck_loop(
+        self, monkeypatch, tmp_path
+    ):
+        """A worker writes half a response frame and wedges.  The bytes
+        that did arrive wait in that worker's buffer; the loop keeps
+        serving the other worker, and the watchdog kills the silent one
+        and retries its request."""
+        import multiprocessing
+        import os
+        import time
+
+        import repro.gateway.worker as worker_mod
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the worker-side send is patched through fork")
+        claim = tmp_path / "wedged"
+        send_frame = worker_mod._send_frame
+
+        def send_half_once(pipe, kind, payload):
+            if kind == worker_mod.RESPONSE_FRAME:
+                try:
+                    os.close(os.open(claim, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass  # some worker already wedged: behave
+                else:
+                    frame = kind + payload.encode()
+                    header = worker_mod.FRAME_HEADER.pack(len(frame))
+                    os.write(pipe.fileno(), header + frame[: len(frame) // 2])
+                    while True:
+                        time.sleep(3600.0)
+            send_frame(pipe, kind, payload)
+
+        # Patched before start(): forked workers inherit the module.
+        monkeypatch.setattr(worker_mod, "_send_frame", send_half_once)
+        workload = synthetic_gemv_workload(num_tenants=2, seed=32)
+
+        async def scenario():
+            config = GatewayConfig(
+                num_workers=2, hang_timeout_s=1.0, start_method="fork"
+            )
+            async with AsyncGateway(config) as gateway:
+                wedged_future = submit_item(gateway, workload(0))
+                await wait_for(
+                    lambda: any(w.pipe._inbox for w in gateway._workers)
+                )
+                (wedged,) = [w for w in gateway._workers if w.pipe._inbox]
+                # Half a frame is sitting in the buffer; everyone else is
+                # served as if nothing happened, well before the watchdog
+                # fires.
+                others = [
+                    await submit_item(gateway, workload(1)) for _ in range(5)
+                ]
+                hangs_meanwhile = gateway.metrics.hangs_detected
+                retried = await wedged_future
+                await gateway.drain()
+                return wedged, others, hangs_meanwhile, retried, gateway
+
+        wedged, others, hangs_meanwhile, retried, gateway = run(scenario())
+        assert [r.status for r in others] == ["completed"] * 5
+        assert all(r.worker_id != wedged.worker_id for r in others)
+        assert hangs_meanwhile == 0
+        assert retried.status == "completed"
+        assert retried.attempt == 2
+        assert retried.worker_id != wedged.worker_id
+        assert gateway.metrics.hangs_detected == 1
+        assert wedged.dead and not wedged.process.is_alive()
+        assert all(gateway.verify_partition().values())
+
+    def test_kill_in_the_middle_of_a_frame_strands_only_its_own_request(self):
+        """SIGKILL a worker while it is blocked writing a response larger
+        than the socket buffer.  With a response channel shared between
+        workers this left the channel's write lock held forever and
+        wedged every survivor (hence the old kill fence); with one pipe
+        per worker the survivor's next response arrives, the cut-off
+        request is retried, and the partition holds."""
+        import time
+
+        small_item = synthetic_gemv_workload(num_tenants=1, seed=33)(0)
+
+        async def scenario():
+            async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
+                big_future = submit_big(gateway)
+                victim = gateway._workers[next(iter(gateway._inflight))]
+                give_up = time.monotonic() + 30.0
+                while not victim.pipe._inbox:
+                    # The first bytes of the response are in: the rest
+                    # (megabytes) cannot fit in the socket buffer, so the
+                    # worker is blocked in its write right now.
+                    assert time.monotonic() < give_up
+                    await asyncio.sleep(0)
+                assert not big_future.done()
+                victim.process.kill()
+                small = await submit_item(gateway, small_item)
+                big = await big_future
+                await gateway.drain()
+                return victim, small, big, gateway
+
+        victim, small, big, gateway = run(scenario())
+        assert small.status == "completed", small.reason
+        assert small.worker_id != victim.worker_id
+        assert big.status == "completed", big.reason
+        assert big.attempt == 2
+        assert big.worker_id != victim.worker_id
+        assert np.array_equal(big.result["big"], BIG_OPERAND * 2.0)
+        assert victim.dead
+        assert gateway.metrics.faults_by_op == {"worker-crash": 1}
+        assert all(gateway.verify_partition().values())
+
+    def test_spawned_workers_serve_and_drain(self):
+        """The pipe's far end reaches a worker started with ``spawn``
+        (nothing inherited but what is passed) as well as a forked one."""
+        workload = synthetic_gemv_workload(num_tenants=2, seed=34)
+
+        async def scenario():
+            config = GatewayConfig(num_workers=1, start_method="spawn")
+            async with AsyncGateway(config) as gateway:
+                responses = [
+                    await submit_item(gateway, workload(i)) for i in range(3)
+                ]
+                snapshot = await gateway.drain()
+                return responses, snapshot, gateway
+
+        responses, snapshot, gateway = run(scenario())
+        assert [r.status for r in responses] == ["completed"] * 3
+        assert snapshot["requests"]["completed"] == 3
+        assert snapshot["fleet"]["drained"] == 1
+        assert all(gateway.verify_partition().values())

@@ -169,7 +169,7 @@ def _gateway() -> _Scenario:
     servers = [build_worker_server(gateway.config.worker_wire()) for _ in range(2)]
     lifetime = [AcceleratorRunStats() for _ in servers]
     for worker_id in range(2):
-        gateway._workers.append(_Worker(worker_id, process=None, request_queue=None))
+        gateway._workers.append(_Worker(worker_id, process=None))
     for request_id in range(1, 7):
         worker_id = request_id % 2
         request = GatewayRequest(
