@@ -48,7 +48,7 @@ from repro.trace import (
     load_trace,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "AsyncGateway",

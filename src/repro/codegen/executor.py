@@ -118,8 +118,7 @@ class OffloadExecutor:
     ``engine`` selects the execution engine for the host-side IR (see
     :data:`repro.ir.engine.ENGINE_MODES`): the slice-folding ``"fast"``
     engine (default, bit-identical to the interpreter), ``"native"``
-    (adds the optional C backend), ``"vectorized"`` (gather lowering),
-    or the reference ``"interpreter"``.  All engines produce identical
+    (adds the optional C backend), or the reference ``"interpreter"``.  All engines produce identical
     results and execution traces, so the cost-model numbers do not
     depend on this choice.
 

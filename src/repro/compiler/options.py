@@ -52,9 +52,8 @@ class CompileOptions:
     #: Execution engine for the host-side IR: ``"fast"`` (slice-folded
     #: NumPy kernels, bit-identical to the interpreter), ``"native"``
     #: (additionally compiles eligible nests to C via cffi, falling back
-    #: to ``"fast"`` when no toolchain is present), ``"vectorized"``
-    #: (broadcast-gather lowering), or ``"interpreter"`` (the reference
-    #: tree-walker).  Honoured automatically when the
+    #: to ``"fast"`` when no toolchain is present), or ``"interpreter"``
+    #: (the reference tree-walker).  Honoured automatically when the
     #: :class:`CompilationResult` is passed to :meth:`OffloadExecutor.run`;
     #: it does not change the generated code or any cost-model report.
     engine: str = "fast"

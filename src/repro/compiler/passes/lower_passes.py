@@ -41,7 +41,7 @@ class EngineLowerPass(Pass):
     Runs the engine's lowering analysis (see
     :mod:`repro.ir.engine.lowering`) over the lowered program and attaches
     the per-nest report to ``CompilationReport.nest_lowerings`` — which
-    tier (interpreter / vectorized / fold / native) each nest executes on
+    tier (interpreter / fold / native) each nest executes on
     and, for the slow tiers, the reason.  Pure analysis: the program is
     not modified, nothing is compiled or executed.  The native C lowering
     is attempted exactly when the selected engine is ``"native"``; code

@@ -9,14 +9,6 @@ from repro.compiler.passes.base import Pass, PipelineError
 from repro.compiler.passes.context import CompilationContext
 from repro.compiler.report import PassTiming
 from repro.ir.printer import to_source
-from repro.ir.program import Program
-
-
-def _ir_size(program: Optional[Program]) -> int:
-    """Lines of printed IR — the delta metric recorded per pass."""
-    if program is None:
-        return 0
-    return len(to_source(program).splitlines())
 
 
 class PassManager:
@@ -25,9 +17,9 @@ class PassManager:
     The dataflow contract (every pass's ``requires`` satisfied by an
     earlier pass's ``provides``) is validated at construction, so a broken
     pipeline fails before any compilation starts.  :meth:`run` records one
-    :class:`~repro.compiler.report.PassTiming` per executed pass (wall time
-    plus printed-IR size delta) into ``report.pass_timings`` and stores IR
-    dumps for the passes named in ``CompileOptions.dump_ir_after``.
+    :class:`~repro.compiler.report.PassTiming` (wall time) per executed
+    pass into ``report.pass_timings`` and stores IR dumps for the passes
+    named in ``CompileOptions.dump_ir_after``.
     """
 
     def __init__(self, passes: Sequence[Pass], description: Optional[str] = None):
@@ -66,27 +58,15 @@ class PassManager:
     # ------------------------------------------------------------------
     def run(self, ctx: CompilationContext) -> CompilationContext:
         dump_after = set(ctx.options.dump_ir_after or ())
-        # Each boundary size is measured once and carried forward: pass N's
-        # size_after is pass N+1's size_before (nothing runs in between).
-        size_before = _ir_size(ctx.program)
         for pass_ in self.passes:
             started = time.perf_counter()
             pass_.run(ctx)
             elapsed = time.perf_counter() - started
-            size_after = _ir_size(ctx.program)
-            ctx.report.pass_timings.append(
-                PassTiming(
-                    name=pass_.name,
-                    wall_time_s=elapsed,
-                    ir_size_before=size_before,
-                    ir_size_after=size_after,
-                )
-            )
+            ctx.report.pass_timings.append(PassTiming(pass_.name, elapsed))
             if pass_.name in dump_after:
                 ctx.report.ir_dumps[pass_.name] = (
                     to_source(ctx.program) if ctx.program is not None else ""
                 )
-            size_before = size_after
         return ctx
 
     def __repr__(self) -> str:

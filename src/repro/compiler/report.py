@@ -26,29 +26,13 @@ class KernelDecision:
 
 @dataclass
 class PassTiming:
-    """Wall time and IR delta of one compiler pass.
-
-    ``ir_size_before``/``ir_size_after`` count the lines of the printed IR
-    program around the pass (0 while no program exists yet, i.e. before the
-    parse pass ran).  A pass that only analyses leaves the size unchanged;
-    lowering and reassembly typically change it.
-    """
+    """Wall time of one compiler pass."""
 
     name: str
     wall_time_s: float
-    ir_size_before: int = 0
-    ir_size_after: int = 0
-
-    @property
-    def ir_delta(self) -> int:
-        return self.ir_size_after - self.ir_size_before
 
     def __str__(self) -> str:
-        delta = f"{self.ir_delta:+d}" if self.ir_delta else "±0"
-        return (
-            f"{self.name:<22s} {self.wall_time_s * 1e3:8.3f} ms   "
-            f"IR {self.ir_size_before:>4d} -> {self.ir_size_after:<4d} ({delta})"
-        )
+        return f"{self.name:<22s} {self.wall_time_s * 1e3:8.3f} ms"
 
 
 @dataclass
@@ -70,9 +54,9 @@ class CompilationReport:
     #: keyed by pass name.
     ir_dumps: dict[str, str] = field(default_factory=dict)
     #: Per-nest engine lowering report produced by the ``engine-lower``
-    #: pass: which execution tier (interpreter / vectorized / fold /
-    #: native) every loop nest of the compiled program lands on, and why
-    #: slower tiers were chosen.  Entries are
+    #: pass: which execution tier (interpreter / fold / native) every
+    #: loop nest of the compiled program lands on, and why slower tiers
+    #: were chosen.  Entries are
     #: :class:`~repro.ir.engine.lowering.NestLowering` objects.
     nest_lowerings: list = field(default_factory=list)
 
@@ -108,7 +92,7 @@ class CompilationReport:
         return "\n".join(lines)
 
     def timing_summary(self) -> str:
-        """Per-pass wall-time / IR-delta table (empty string if none)."""
+        """Per-pass wall-time table (empty string if none)."""
         if not self.pass_timings:
             return ""
         total = sum(t.wall_time_s for t in self.pass_timings)

@@ -1,24 +1,23 @@
-"""Compiled (vectorized) execution engine for the loop-nest IR.
+"""Compiled execution engine for the loop-nest IR.
 
-The engine compiles affine loop nests of a :class:`~repro.ir.program.Program`
-into vectorized NumPy operations instead of interpreting them element by
+The engine lowers affine loop nests of a :class:`~repro.ir.program.Program`
+to vectorized NumPy kernels instead of interpreting them element by
 element.  Results are bit-identical to the reference interpreter (no
 floating-point reassociation) and the
 :class:`~repro.ir.interp.ExecutionTrace` is derived analytically from the
 polyhedral trip counts, so the host cost model reports the exact same
 instruction/energy/time numbers.
 
-Four engine modes are available (see :func:`make_engine`):
+Three engine modes are available (see :func:`make_engine`):
 
 * ``"interpreter"`` — the reference tree-walking interpreter.
-* ``"vectorized"`` — compiled NumPy execution through broadcast index-grid
-  gathers; bit-identical to the interpreter.
-* ``"fast"`` — the **default**: additionally slice-lowers every affine
-  assignment (``coeff * var + offset`` subscripts become basic views) and
-  emits each such nest once as a straight-line Python function, so
-  sequential reduction loops run as ordered folds of vectorized slice
-  updates.  Still bit-identical — per element the operations and their
-  order are unchanged; only operand materialization differs.
+* ``"fast"`` — the **default**: slice-lowers every affine assignment
+  (``coeff * var + offset`` subscripts become basic views) and emits each
+  such nest once as a straight-line Python function, so sequential
+  reduction loops run as ordered folds of vectorized slice updates.
+  Still bit-identical — per element the operations and their order are
+  unchanged; only operand materialization differs.  A nest with no
+  emitted kernel, or whose kernel's guard trips, runs on the interpreter.
 * ``"native"`` — the fast engine plus an optional C backend: eligible
   nests are translated to C (literal loop-for-loop translation, so the
   accumulation order is identical by construction), compiled with the
@@ -51,7 +50,7 @@ from repro.ir.engine.lowering import (
 from repro.ir.engine.native import NativeEngine, native_available
 
 #: Valid values for the ``engine`` compile/execution option.
-ENGINE_MODES = ("interpreter", "vectorized", "fast", "native")
+ENGINE_MODES = ("interpreter", "fast", "native")
 
 #: The default engine: the exact fold-lowered fast path.
 DEFAULT_ENGINE = "fast"
@@ -75,10 +74,8 @@ def make_engine(
     validate_engine(engine)
     if engine == "interpreter":
         return Interpreter(program, call_handler=call_handler)
-    if engine == "vectorized":
-        return VectorizedEngine(program, call_handler=call_handler)
     if engine == "fast":
-        return VectorizedEngine(program, call_handler=call_handler, fold=True)
+        return VectorizedEngine(program, call_handler=call_handler)
     return NativeEngine(program, call_handler=call_handler)
 
 

@@ -1,6 +1,7 @@
 """Vectorization analysis: loop distribution and axis classification.
 
-The engine turns a loop nest into an execution *plan*:
+The engine turns a loop nest into an execution *plan*, which it then
+emits as one Python function:
 
 1. **Structural screening** — the nest may contain only counted loops and
    array assignments, with affine-friendly bound and index expressions.
@@ -21,21 +22,20 @@ The engine turns a loop nest into an execution *plan*:
    loops — the loop variable missing from the target subscripts — stay
    sequential, which is what keeps floating-point accumulation order, and
    therefore results, bit-identical to the interpreter.
-
-On top of the gather-based plan, every planned assignment is analysed for
-the exact **fold** lowering (the default "fast" engine): when every array
-subscript is affine with at most one vectorized variable per dimension
-(``coeff * var + offset``) and each vectorized variable separates exactly
-one dimension per reference, the assignment can be executed through basic
-NumPy slices (views) instead of broadcast index-grid gathers.  Sequential
-reduction loops then become ordered folds of vectorized slice updates —
-per element the exact same operations in the exact same order as the
-interpreter, so results stay bit-identical.  A nest whose assignments all
-have such a :class:`FoldSpec` is emitted by the engine as one Python
-function (``NestPlan.kernel``); the analysis records a human-readable
-reason whenever an assignment cannot be slice-lowered, the nest then runs
-on the gather path (and the per-nest lowering report surfaces the
-reason).
+4. **Fold lowering** — every planned assignment is analysed for the exact
+   slice lowering (the default "fast" engine): when every array subscript
+   is affine with at most one vectorized variable per dimension
+   (``coeff * var + offset``) and each vectorized variable separates
+   exactly one dimension per reference, the assignment can be executed
+   through basic NumPy slices (views).  Sequential reduction loops then
+   become ordered folds of vectorized slice updates — per element the
+   exact same operations in the exact same order as the interpreter, so
+   results stay bit-identical.  A nest whose assignments all have such a
+   :class:`FoldSpec` is emitted by the engine as one Python function
+   (``NestPlan.kernel``); the analysis records a human-readable reason
+   whenever an assignment cannot be slice-lowered, the nest then runs on
+   the interpreter (and the per-nest lowering report surfaces the
+   reason).
 
 A plan is a pure function of its nest, so it is built once per program
 (the engine keeps it in ``Program.engine_plans``) and is only valid for
@@ -45,7 +45,7 @@ the statement objects it was built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.ir.expr import (
     ArrayRef,
@@ -116,7 +116,7 @@ class PlanAssign:
     #: (filled in after classification).
     vec_vars: tuple[str, ...] = ()
     #: Exact slice lowering ("fast" engine), or None with the reason why
-    #: this assignment stays on the gather path.
+    #: this assignment keeps its nest on the interpreter.
     fold: Optional["FoldSpec"] = None
     fold_reason: str = ""
 
@@ -131,9 +131,6 @@ class PlanLoop:
     step: int
     body: list["PlanNode"] = field(default_factory=list)
     vec: bool = True
-    # Compiled bound closures, filled lazily by the engine.
-    lower_fn: Optional[Callable] = None
-    upper_fn: Optional[Callable] = None
 
 
 PlanNode = Union[PlanLoop, PlanAssign]
@@ -151,7 +148,7 @@ class NestPlan:
     #: The nest lowered to one Python function (the engine's
     #: ``NestKernel``, emitted when the plan is built), or ``None`` when
     #: some assignment has no :class:`FoldSpec` and the nest runs on the
-    #: gather path.
+    #: interpreter.
     kernel: Optional[object] = None
 
     @property
@@ -537,7 +534,7 @@ def analyze_fold_assign(
     node: PlanAssign, loop_vars: set[str]
 ) -> tuple[Optional[FoldSpec], str]:
     """Exact slice lowering of one planned assignment, or the reason why
-    it must stay on the generic gather path."""
+    its nest must stay on the interpreter."""
     vec_vars = node.vec_vars
     if not vec_vars:
         return None, "statement has no vectorized axis"
@@ -633,7 +630,7 @@ def build_plan_with_reason(root: Loop) -> tuple[Optional[NestPlan], str]:
 
 
 def build_plan(root: Loop) -> Optional[NestPlan]:
-    """Build the vectorized execution plan for a top-level loop nest.
+    """Build the execution plan for a top-level loop nest.
 
     Returns ``None`` when the nest cannot be vectorized (the engine then
     falls back to the interpreter for this nest).

@@ -1,12 +1,16 @@
-"""The vectorized execution engine.
+"""The fast execution engine: one emitted kernel per planned loop nest.
 
 :class:`VectorizedEngine` is a drop-in replacement for the reference
 :class:`~repro.ir.interp.Interpreter`: same constructor, same ``run``
 contract, same :class:`~repro.ir.interp.ExecutionTrace`, same call-handler
-protocol.  Top-level loop nests that pass the vectorization analysis are
-executed as NumPy array operations; everything else (runtime calls,
-data-dependent control flow, scalar accumulators, non-affine subscripts)
-falls back — per statement — to the inherited interpreter.
+protocol.  A top-level loop nest that passes the plan analysis and whose
+assignments are all slice-lowerable is emitted, once, as one
+straight-line Python function (:class:`NestKernel`) — sequential loops
+are ``for`` statements, each assignment is one ``view op= expression``
+line over basic NumPy slices, and what does not change inside a loop is
+taken outside it.  Everything else (runtime calls, data-dependent control
+flow, scalar accumulators, non-affine or coupled subscripts) runs on the
+inherited interpreter.
 
 Bit-identity with the interpreter is preserved by construction:
 
@@ -15,23 +19,15 @@ Bit-identity with the interpreter is preserved by construction:
   same sequence of arithmetic operations in the exact same order;
 * expressions are evaluated with the same NumPy scalar-promotion rules the
   interpreter hits element by element (NEP 50 value-independent promotion);
-* the execution trace is computed analytically from trip counts, applying
-  the same per-execution increments the interpreter applies dynamically.
-
-The default ``fold`` mode (engine ``"fast"``) compiles a planned nest
-further: when every assignment is slice-lowerable the whole nest is
-emitted, once, as one straight-line Python function
-(:class:`NestKernel`) — sequential loops are ``for`` statements, each
-assignment is one ``view op= expression`` line over basic NumPy slices,
-and what does not change inside a loop is taken outside it.  Per element
-this performs the exact same operations in the exact same order as the
-interpreter — only how operands are *materialized* changes (views
-instead of gathered copies) — so results stay bit-identical.  The
-function opens with a guard that proves, before anything is written,
-that every view it is about to take lies inside its array; when it does
-not (negative indices wrap element-wise in NumPy, slices do not), the
-nest runs on the gather path, which preserves the interpreter's wrapping
-and ``IndexError`` semantics exactly.
+* the kernel opens with a guard that proves, before anything is written,
+  that every view it is about to take lies inside its array; when it does
+  not (negative indices wrap element-wise in NumPy, slices do not), the
+  kernel writes nothing and the interpreter runs the nest, reproducing its
+  own wrapping and ``IndexError`` semantics;
+* the execution trace of a nest that ran on its kernel is computed
+  analytically from trip counts, applying the same per-execution
+  increments the interpreter applies dynamically; a nest the interpreter
+  runs is traced by the interpreter itself.
 
 Plans and kernels are pure functions of the program, so they are built
 once per :class:`~repro.ir.program.Program` (:class:`ProgramPlans`, kept
@@ -59,19 +55,13 @@ from repro.ir.expr import (
     UnaryOp,
     VarRef,
 )
-from repro.ir.interp import (
-    CallHandler,
-    Interpreter,
-    InterpreterError,
-    compile_expr,
-)
+from repro.ir.interp import CallHandler, Interpreter, InterpreterError
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, Block, Loop, Stmt
 from repro.ir.engine.analysis import (
     FoldRef,
     FoldSpec,
     NestPlan,
-    PlanAssign,
     PlanLoop,
     PlanNode,
     build_plan,
@@ -81,15 +71,15 @@ _UNSET = object()
 
 
 # ----------------------------------------------------------------------
-# Vectorized expression compilation
+# Analytical bound evaluation (integers and integer arrays)
 # ----------------------------------------------------------------------
 
 
 def _as_index(value):
-    """Normalise one subscript, matching the interpreter's ``int()`` cast.
+    """Normalise one bound, matching the interpreter's ``int()`` cast.
 
     Scalars become ints; arrays that picked up a float dtype (a float
-    parameter mixed into the index arithmetic) are truncated toward zero,
+    parameter mixed into the bound arithmetic) are truncated toward zero,
     exactly like ``int()`` element by element.
     """
     if isinstance(value, np.ndarray):
@@ -101,68 +91,57 @@ def _as_index(value):
 
 def compile_vec_expr(
     expr: Expr, vec_vars: frozenset[str]
-) -> Callable[[dict, dict, dict], object]:
-    """Compile an expression into ``fn(scalars, arrays, venv)``.
+) -> Callable[[dict, dict], object]:
+    """Compile an integer expression into ``fn(scalars, venv)``.
 
-    ``venv`` maps vectorized loop variables to broadcast-shaped index
+    ``venv`` maps the variables in *vec_vars* to broadcast-shaped integer
     arrays; all other variables resolve through ``scalars`` exactly like
-    the interpreter.
+    the interpreter.  Only what ``analysis._bound_expr_ok`` admits is
+    compiled: integer constants, variables, ``+ - * %``, negation, and
+    ``min``/``max``.
     """
-    if isinstance(expr, (IntConst, FloatConst)):
+    if isinstance(expr, IntConst):
         value = expr.value
-        return lambda s, a, v: value
+        return lambda s, v: value
     if isinstance(expr, (VarRef, ParamRef)):
         name = expr.name
         if name in vec_vars:
-            return lambda s, a, v, _n=name: v[_n]
+            return lambda s, v, _n=name: v[_n]
 
-        def eval_var(s, a, v, _n=name):
+        def eval_var(s, v, _n=name):
             try:
                 return s[_n]
             except KeyError as exc:
                 raise InterpreterError(f"unbound variable {_n!r}") from exc
 
         return eval_var
-    if isinstance(expr, ArrayRef):
-        name = expr.name
-        index_fns = tuple(compile_vec_expr(i, vec_vars) for i in expr.indices)
-
-        def eval_ref(s, a, v, _n=name, _fns=index_fns):
-            array = a.get(_n)
-            if array is None:
-                raise InterpreterError(f"unbound array {_n!r}")
-            return array[tuple(_as_index(fn(s, a, v)) for fn in _fns)]
-
-        return eval_ref
     if isinstance(expr, BinOp):
         lhs = compile_vec_expr(expr.lhs, vec_vars)
         rhs = compile_vec_expr(expr.rhs, vec_vars)
         op = expr.op
         if op == "+":
-            return lambda s, a, v: lhs(s, a, v) + rhs(s, a, v)
+            return lambda s, v: lhs(s, v) + rhs(s, v)
         if op == "-":
-            return lambda s, a, v: lhs(s, a, v) - rhs(s, a, v)
+            return lambda s, v: lhs(s, v) - rhs(s, v)
         if op == "*":
-            return lambda s, a, v: lhs(s, a, v) * rhs(s, a, v)
-        if op == "/":
-            return lambda s, a, v: lhs(s, a, v) / rhs(s, a, v)
+            return lambda s, v: lhs(s, v) * rhs(s, v)
         if op == "%":
-            return lambda s, a, v: lhs(s, a, v) % rhs(s, a, v)
+            return lambda s, v: lhs(s, v) % rhs(s, v)
         raise InterpreterError(f"unknown operator {op!r}")
     if isinstance(expr, UnaryOp):
         operand = compile_vec_expr(expr.operand, vec_vars)
-        return lambda s, a, v: -operand(s, a, v)
+        return lambda s, v: -operand(s, v)
     if isinstance(expr, (Min, Max)):
-        # Only reachable from (integer) index expressions, where NumPy's
-        # minimum/maximum agree exactly with Python's min/max.
+        # Integer operands only, where NumPy's minimum/maximum agree
+        # exactly with Python's min/max.
         lhs = compile_vec_expr(expr.lhs, vec_vars)
         rhs = compile_vec_expr(expr.rhs, vec_vars)
         pick = np.minimum if isinstance(expr, Min) else np.maximum
         py_pick = min if isinstance(expr, Min) else max
 
-        def eval_minmax(s, a, v, _pick=pick, _py=py_pick):
-            left = lhs(s, a, v)
-            right = rhs(s, a, v)
+        def eval_minmax(s, v, _pick=pick, _py=py_pick):
+            left = lhs(s, v)
+            right = rhs(s, v)
             if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
                 return _pick(left, right)
             return _py(left, right)
@@ -171,22 +150,10 @@ def compile_vec_expr(
     raise InterpreterError(f"cannot evaluate expression {expr!r}")
 
 
-@dataclass
-class _VecAssign:
-    """Compiled vectorized form of one planned assignment."""
-
-    rhs_fn: Callable
-    index_fns: tuple
-    target_name: str
-    reduction: Optional[str]
-
-
-@dataclass
-class _VecFrame:
-    """One open vectorized loop while a plan runs on the gather path."""
-
-    var: str
-    values: np.ndarray
+def _eval_bound(expr: Expr, env: dict, scalars: dict):
+    """A loop bound with the enumerated loop variables of *env* as integer
+    arrays, truncated like the interpreter's ``int()``."""
+    return _as_index(compile_vec_expr(expr, frozenset(env))(scalars, env))
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +162,7 @@ class _VecFrame:
 
 
 class _NotEmittable(Exception):
-    """The nest has a shape the emitter does not lower (gather path)."""
+    """The nest has a shape the emitter does not lower (interpreter)."""
 
 
 @dataclass
@@ -222,7 +189,7 @@ class NestKernel:
             args = [arrays[name] for name in self.arrays]
             args += [scalars[name] for name in self.scalars]
         except KeyError:
-            return False  # unbound name: the gather path raises for it
+            return False  # unbound name: the interpreter raises for it
         return self.fn(*args)
 
 
@@ -462,18 +429,6 @@ def emit_kernel(plan: NestPlan) -> Optional[NestKernel]:
 
 
 # ----------------------------------------------------------------------
-# Analytical bound evaluation (integers and integer arrays)
-# ----------------------------------------------------------------------
-
-
-def _eval_bound(expr: Expr, env: dict, scalars: dict):
-    """A loop bound with the enumerated loop variables of *env* as integer
-    arrays: the gather path's expression semantics and its ``int()``
-    truncation, applied to bounds."""
-    return _as_index(compile_vec_expr(expr, frozenset(env))(scalars, {}, env))
-
-
-# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
@@ -490,7 +445,6 @@ class ProgramPlans:
     """
 
     nests: dict[int, Optional[NestPlan]] = field(default_factory=dict)
-    vec_assigns: dict[int, _VecAssign] = field(default_factory=dict)
     #: The interpreter's ``_assign_plans``: they hold the per-execution
     #: trace deltas the analytical trace multiplies.
     assigns: dict = field(default_factory=dict)
@@ -499,21 +453,15 @@ class ProgramPlans:
 
 
 class VectorizedEngine(Interpreter):
-    """Interpreter subclass that compiles loop nests to NumPy kernels."""
+    """Interpreter subclass that runs planned loop nests on their emitted
+    kernels and everything else on the interpreter."""
 
-    def __init__(
-        self,
-        program: Program,
-        call_handler: Optional[CallHandler] = None,
-        fold: bool = False,
-    ):
+    def __init__(self, program: Program, call_handler: Optional[CallHandler] = None):
         super().__init__(program, call_handler)
-        self.fold = fold
         if program.engine_plans is None:
             program.engine_plans = ProgramPlans()
         self.plans: ProgramPlans = program.engine_plans
         self._assign_plans = self.plans.assigns
-        self._vec_stack: list[_VecFrame] = []
 
     # ------------------------------------------------------------------
     # Planning
@@ -537,112 +485,27 @@ class VectorizedEngine(Interpreter):
     def _exec_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Loop):
             plan = self.nest_plan(stmt)
-            if plan is not None:
+            if plan is not None and self._run_kernel(plan):
                 self._account_nest(plan)
-                self._exec_planned_nest(plan)
                 return
         super()._exec_stmt(stmt)
 
-    def _exec_planned_nest(self, plan: NestPlan) -> None:
-        """Execute one planned (already accounted) nest.
+    def _run_kernel(self, plan: NestPlan) -> bool:
+        """Run *plan* on its emitted kernel.
 
-        Subclasses may override to dispatch the nest elsewhere; calling
-        ``super()`` runs the Python plan without touching accounting, so
-        an override can fall back here safely.
+        ``False`` — with nothing written and nothing traced — when the
+        nest has no kernel or the kernel's guard trips; the interpreter
+        then runs (and traces) the nest.  Subclasses may override to try
+        another kernel first.
         """
-        if self.fold and plan.kernel is not None:
-            if plan.kernel.run(self.scalars, self.arrays):
-                return
-        # Gather path: interpreter-exact wrapping and IndexError semantics.
-        saved_stack = self._vec_stack
-        self._vec_stack = []
-        try:
-            for node in plan.nodes:
-                self._exec_plan_node(node)
-        finally:
-            self._vec_stack = saved_stack
-
-    # ------------------------------------------------------------------
-    # Plan execution (gather path)
-    # ------------------------------------------------------------------
-    def _exec_plan_node(self, node: PlanNode) -> None:
-        if isinstance(node, PlanAssign):
-            self._exec_plan_assign(node)
-            return
-        if node.lower_fn is None:
-            node.lower_fn = compile_expr(node.lower)
-            node.upper_fn = compile_expr(node.upper)
-        lower = int(node.lower_fn(self.scalars, self.arrays))
-        upper = int(node.upper_fn(self.scalars, self.arrays))
-        if upper <= lower:
-            return
-        if node.vec:
-            values = np.arange(lower, upper, node.step)
-            self._vec_stack.append(_VecFrame(node.var, values))
-            try:
-                for child in node.body:
-                    self._exec_plan_node(child)
-            finally:
-                self._vec_stack.pop()
-            return
-        saved = self.scalars.get(node.var)
-        scalars = self.scalars
-        for value in range(lower, upper, node.step):
-            scalars[node.var] = value
-            for child in node.body:
-                self._exec_plan_node(child)
-        if saved is None:
-            scalars.pop(node.var, None)
-        else:
-            scalars[node.var] = saved
-
-    def _vec_env(self) -> dict[str, np.ndarray]:
-        total = len(self._vec_stack)
-        env: dict[str, np.ndarray] = {}
-        for pos, frame in enumerate(self._vec_stack):
-            env[frame.var] = frame.values.reshape(
-                (1,) * pos + (-1,) + (1,) * (total - pos - 1)
-            )
-        return env
-
-    def _compile_vec_assign(self, node: PlanAssign) -> _VecAssign:
-        compiled = self.plans.vec_assigns.get(id(node))
-        if compiled is None:
-            stmt = node.stmt
-            target = stmt.target
-            assert isinstance(target, ArrayRef)
-            vec_vars = frozenset(node.vec_vars)
-            compiled = _VecAssign(
-                rhs_fn=compile_vec_expr(stmt.rhs, vec_vars),
-                index_fns=tuple(
-                    compile_vec_expr(i, vec_vars) for i in target.indices
-                ),
-                target_name=target.name,
-                reduction=stmt.reduction,
-            )
-            self.plans.vec_assigns[id(node)] = compiled
-        return compiled
-
-    def _exec_plan_assign(self, node: PlanAssign) -> None:
-        compiled = self._compile_vec_assign(node)
-        scalars = self.scalars
-        arrays = self.arrays
-        venv = self._vec_env()
-        value = compiled.rhs_fn(scalars, arrays, venv)
-        idx = tuple(_as_index(fn(scalars, arrays, venv)) for fn in compiled.index_fns)
-        array = arrays[compiled.target_name]
-        if compiled.reduction == "+":
-            array[idx] += value
-        elif compiled.reduction == "*":
-            array[idx] *= value
-        else:
-            array[idx] = value
+        return plan.kernel is not None and plan.kernel.run(self.scalars, self.arrays)
 
     # ------------------------------------------------------------------
     # Analytical trace accounting
     # ------------------------------------------------------------------
     def _account_nest(self, plan: NestPlan) -> None:
-        """Apply the exact trace increments of interpreting *plan.root*.
+        """Apply the exact trace increments of interpreting *plan.root*
+        (called once its kernel has run).
 
         Works on the *original* (undistributed) nest so loop-iteration and
         statement counts match the interpreter to the last integer, using

@@ -4,10 +4,9 @@ Every top-level loop nest of a program lands on exactly one lowering tier:
 
 * ``"interpreter"`` — the vectorization analysis rejected the nest (the
   reason says what: calls, scalar accumulators, non-affine bounds, ragged
-  enumeration, no vectorizable axis).
-* ``"vectorized"`` — the nest is planned, but at least one assignment
-  stays on the generic broadcast-gather path (the per-statement entries
-  say which and why).
+  enumeration, no vectorizable axis), or the nest is planned but at least
+  one assignment cannot be slice-lowered (the per-statement entries say
+  which and why).
 * ``"fold"`` — every assignment is slice-lowered, so the engine emits the
   nest as one Python function: sequential reduction loops run as ordered
   folds of vectorized view updates, bit-identical to the interpreter.
@@ -35,7 +34,7 @@ from repro.ir.engine.analysis import (
 )
 
 #: Tier names, slowest to fastest.
-TIERS = ("interpreter", "vectorized", "fold", "native")
+TIERS = ("interpreter", "fold", "native")
 
 
 @dataclass
@@ -78,24 +77,17 @@ def nest_lowering(
         return NestLowering(
             nest=_describe_nest(root), tier="interpreter", reason=reason
         )
-    statements = []
-    gather_reasons = []
-    for assign in plan_assigns(plan):
-        if assign.fold is not None:
-            statements.append(
-                StatementLowering(statement=str(assign.stmt), tier="fold")
-            )
-        else:
-            statements.append(
-                StatementLowering(
-                    statement=str(assign.stmt),
-                    tier="vectorized",
-                    reason=assign.fold_reason,
-                )
-            )
-            gather_reasons.append(assign.fold_reason)
-    tier = "vectorized" if gather_reasons else "fold"
-    reason = "; ".join(dict.fromkeys(gather_reasons))
+    statements = [
+        StatementLowering(
+            statement=str(assign.stmt),
+            tier="fold" if assign.fold is not None else "interpreter",
+            reason=assign.fold_reason,
+        )
+        for assign in plan_assigns(plan)
+    ]
+    refusals = [s.reason for s in statements if s.tier == "interpreter"]
+    tier = "interpreter" if refusals else "fold"
+    reason = "; ".join(dict.fromkeys(refusals))
     c_source = ""
     if native and program is not None:
         from repro.ir.engine.native import generate_nest_source, NativeUnsupported

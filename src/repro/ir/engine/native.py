@@ -18,12 +18,12 @@ The backend is strictly optional and fails soft at every layer:
   variable not disabling it (``0``/``off``/``false``).
 * A nest the code generator cannot translate raises
   :class:`NativeUnsupported` with the reason; the engine runs that nest
-  on the fold/vectorized path instead.
+  on its emitted fold kernel, or on the interpreter, instead.
 * At call time, parameter/array types are revalidated; any mismatch (or
   an out-of-bounds subscript detected by the kernel's index guards)
   restores the written arrays from a snapshot and falls back — NumPy's
   negative-index wrapping and IndexError behavior are reproduced by the
-  Python paths, never approximated natively.
+  interpreter, never approximated natively.
 
 Compiled kernels are content-addressed by the SHA-256 of their C source
 and cached on disk (``REPRO_NATIVE_CACHE`` overrides the location), so
@@ -220,7 +220,7 @@ class _CodeGen:
         if op == "/":
             # Python semantics: int/int is true division to double; the
             # result could then be divided by zero (Python raises) — too
-            # divergent to translate, so only the fold path handles "/".
+            # divergent to translate, so only the Python tiers handle "/".
             raise NativeUnsupported("division")
         if op == "%":
             if lk != _I64 or rk != _I64:
@@ -501,15 +501,15 @@ class _CompiledNest:
         if rc != 0:
             for name, saved in snapshots.items():
                 np.copyto(arrays[name], saved)
-            return False  # Python path reproduces wrap/IndexError exactly
+            return False  # the interpreter reproduces wrap/IndexError exactly
         return True
 
 
 class NativeEngine(VectorizedEngine):
-    """Fold engine that dispatches eligible nests to compiled C kernels."""
+    """Fold engine that runs eligible nests on compiled C kernels first."""
 
     def __init__(self, program: Program, call_handler: Optional[CallHandler] = None):
-        super().__init__(program, call_handler, fold=True)
+        super().__init__(program, call_handler)
         #: id(nest) -> compiled kernel or None, decided once per program.
         self._native_nests: dict[int, Optional[_CompiledNest]] = self.plans.native
 
@@ -529,11 +529,11 @@ class NativeEngine(VectorizedEngine):
             self._native_nests[id(root)] = compiled
         return compiled
 
-    def _exec_planned_nest(self, plan) -> None:
+    def _run_kernel(self, plan) -> bool:
         compiled = self._native_nest(plan.root)
         if compiled is not None and compiled.run(self.scalars, self.arrays):
-            return
-        super()._exec_planned_nest(plan)
+            return True
+        return super()._run_kernel(plan)
 
 
 _NATIVE_UNSET = object()

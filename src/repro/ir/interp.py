@@ -19,8 +19,9 @@ bounds, array index expressions and right-hand sides are compiled once into
 Python closures, and the per-execution :class:`ExecutionTrace` increments of
 each assignment are precomputed as constants.  This keeps the per-element
 work of the fallback path to a handful of dictionary lookups instead of a
-recursive tree walk per expression node.  The vectorized execution engine
-(:mod:`repro.ir.engine`) builds on the same caches.
+recursive tree walk per expression node.  The execution engine
+(:mod:`repro.ir.engine`) builds on the same caches, and runs every nest
+it does not run on an emitted kernel through this interpreter.
 """
 
 from __future__ import annotations
@@ -112,20 +113,6 @@ class ExecutionTrace:
     stores: int = 0
     branches: int = 0
     runtime_calls: list[tuple[str, tuple]] = field(default_factory=list)
-
-    @property
-    def memory_accesses(self) -> int:
-        return self.loads + self.stores
-
-    def merge(self, other: "ExecutionTrace") -> None:
-        self.loop_iterations += other.loop_iterations
-        self.statements_executed += other.statements_executed
-        self.flops += other.flops
-        self.int_ops += other.int_ops
-        self.loads += other.loads
-        self.stores += other.stores
-        self.branches += other.branches
-        self.runtime_calls.extend(other.runtime_calls)
 
 
 def _count_expr_ops(expr: Expr, trace: ExecutionTrace, is_float: bool) -> None:
@@ -219,7 +206,7 @@ def assign_trace_cost(stmt: Assign, is_float: bool) -> tuple[int, int, int, int]
     Returns ``(flops, int_ops, loads, stores)`` — exactly the deltas the
     interpreter applies for one execution of *stmt* (the right-hand side
     walk plus the store-side accounting).  Shared by the interpreter's
-    compiled fallback path and the vectorized engine's analytical trace.
+    compiled fallback path and the engine's analytical trace.
     """
     probe = ExecutionTrace()
     _count_expr_ops(stmt.rhs, probe, is_float)
@@ -367,9 +354,9 @@ class Interpreter:
         return fns
 
     def _exec_loop(self, loop: Loop) -> None:
-        lower_fn, upper_fn = self._loop_bound_fns(loop)
-        lower = int(lower_fn(self.scalars, self.arrays))
-        upper = int(upper_fn(self.scalars, self.arrays))
+        eval_lower, eval_upper = self._loop_bound_fns(loop)
+        lower = int(eval_lower(self.scalars, self.arrays))
+        upper = int(eval_upper(self.scalars, self.arrays))
         saved = self.scalars.get(loop.var)
         scalars = self.scalars
         trace = self.trace

@@ -145,9 +145,6 @@ def test_pass_timings_populated_for_every_pass():
     names = [timing.name for timing in result.report.pass_timings]
     assert names == list(resolve_pass_names("default"))
     assert all(t.wall_time_s >= 0.0 for t in result.report.pass_timings)
-    # The parse pass materialises the program; lowering reassembles it.
-    assert result.report.pass_timings[0].ir_size_before == 0
-    assert result.report.pass_timings[0].ir_size_after > 0
     assert result.report.pass_timings[-1].name == "engine-lower"
     assert result.report.timing_summary()
 

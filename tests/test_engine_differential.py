@@ -1,4 +1,4 @@
-"""Differential tests: vectorized engine vs. reference interpreter.
+"""Differential tests: execution engines vs. reference interpreter.
 
 Every PolyBench kernel is executed under both execution engines — through
 the full compile + offload + emulated-system path and through the host-only
@@ -76,7 +76,7 @@ HOST_KERNELS = {
 #: Engines that must match the interpreter bit for bit, trace included.
 #: "native" silently degrades to the fold tier when the optional C
 #: toolchain is absent — still exact, so it is always safe to test.
-EXACT_ENGINES = ("vectorized", "fast", "native")
+EXACT_ENGINES = ("fast", "native")
 
 
 def _reports_equal(a, b) -> list[str]:
@@ -154,7 +154,7 @@ def test_offloaded_execution_is_engine_invariant(kernel_name, crossbar_mode):
 @pytest.mark.parametrize("kernel_name", sorted(HOST_KERNELS))
 def test_host_only_execution_is_engine_invariant(kernel_name):
     """With offloading disabled the engines execute the loop nests
-    themselves — the strongest test of the vectorized lowering."""
+    themselves — the strongest test of the emitted kernels."""
     kernel = HOST_KERNELS[kernel_name]
     result = compile_source(kernel.source, options=CompileOptions.host_only())
     params = kernel.params(DATASET)

@@ -5,8 +5,8 @@ broadcasts, multi-reduction conv windows, outer-product reductions — is
 executed under every engine tier and must match the reference
 interpreter *bit for bit*: result arrays, :class:`ExecutionTrace`
 operation counts, and (through the trace) all derived accounting.
-Shapes the fold or native tier cannot prove must fall back a tier, never
-diverge; a hypothesis strategy generates random affine nests to enforce
+Shapes the fold or native tier cannot prove must fall back — to the
+fold kernel or to the interpreter — never diverge; a hypothesis strategy generates random affine nests to enforce
 the same contract on shapes nobody thought to write down.
 """
 
@@ -30,7 +30,7 @@ from repro.ir.types import ElementType
 from repro.workloads.polybench import KERNELS
 
 #: engines that must be bit-identical to the interpreter (trace included).
-EXACT_ENGINES = ("vectorized", "fast", "native")
+EXACT_ENGINES = ("fast", "native")
 
 
 def _prepare(source):
@@ -40,13 +40,13 @@ def _prepare(source):
 
 
 def _outcome(engine, params, arrays):
-    """What one run left behind: (arrays, trace, exception type).  The
-    trace of a failed run is not comparable — the compiled tiers account
-    a whole nest before executing it — so it is dropped."""
+    """What one run left behind: (arrays, trace, exception type).  A nest
+    is accounted only once its kernel has run, and a nest that raises runs
+    on the interpreter, so even a failed run's trace must match."""
     try:
         engine.run(params, {k: v.copy() for k, v in arrays.items()})
     except Exception as exc:
-        return engine.arrays, None, type(exc)
+        return engine.arrays, engine.trace, type(exc)
     return engine.arrays, engine.trace, None
 
 
@@ -288,6 +288,43 @@ void transpose(int N, int M, double A[M][N], double B[N][M]) {
 }
 """
 
+# Shapes the fold analysis refuses: the whole nest runs on the interpreter.
+COUPLED_SUBSCRIPT = """
+void coupled(int N, double A[2 * N - 2], double B[N][N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      B[i][j] = A[i + j];
+}
+"""
+
+NON_AFFINE_SUBSCRIPT = """
+void modread(int N, double A[N][N], double x[N], double y[N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      y[i] = y[i] + A[i][j] * x[(i + j) % N];
+}
+"""
+
+NO_VECTORIZED_AXIS = """
+void novec(int N, double A[N], double B[N], double out[1]) {
+  for (int i = 0; i < N; i++) {
+    A[i] = B[i];
+    out[0] = out[0] + B[i];
+  }
+}
+"""
+
+# A target that omits a loop variable: the analysis keeps that loop
+# sequential (a vectorized loop's writes always carry its variable), so
+# the nest still runs on its kernel, overwriting y[i] once per j.
+TARGET_OMITS_A_LOOP_AXIS = """
+void omit(int N, int M, double A[N][M], double y[N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < M; j++)
+      y[i] = A[i][j] * 2.0;
+}
+"""
+
 
 def _tiled_min_max_nest() -> Program:
     """``for it (step 4) for i in [max(it, 1), min(it + 4, N)) for k:
@@ -336,14 +373,23 @@ GUARD_CASES = {
         SELF_READING_TARGET, {"N": 9, "alpha": 1.5, "beta": 0.25}, {"tmp": 9, "y": 9}, None
     ),
     "transposed-read": (TRANSPOSED_READ, {"N": 4, "M": 6}, {"A": (6, 4), "B": (4, 6)}, None),
+    "coupled-subscript": (COUPLED_SUBSCRIPT, {"N": 5}, {"A": 8, "B": (5, 5)}, IndexError),
+    "non-affine-subscript": (
+        NON_AFFINE_SUBSCRIPT, {"N": 6}, {"A": (6, 6), "x": 6, "y": 6}, None
+    ),
+    "no-vectorized-axis": (NO_VECTORIZED_AXIS, {"N": 7}, {"A": 7, "B": 7, "out": 1}, None),
+    "target-omits-a-loop-axis": (
+        TARGET_OMITS_A_LOOP_AXIS, {"N": 4, "M": 5}, {"A": (4, 5), "y": 4}, None
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GUARD_CASES))
 def test_guard_and_naming_cases_match(case):
-    """Each case either runs on the emitted kernel or is refused by its
-    guard before anything is written; both must be the interpreter's
-    result — arrays, trace, report and the exception a bad index raises."""
+    """Each case either runs on the emitted kernel, is refused by its
+    guard before anything is written, or has no kernel at all; every one
+    must be the interpreter's result — arrays, trace, report and the
+    exception a bad index raises."""
     source, params, shapes, raises = GUARD_CASES[case]
     program = _prepare(source() if callable(source) else source)
     arrays = _arrays(np.random.default_rng(12), **shapes)
@@ -367,7 +413,7 @@ def test_lowering_report_tiers_and_reasons():
 
     # Fallback shapes explain *why* they stayed on the slow path.
     diag = program_lowering_report(_prepare(DIAGONAL_READ), native=False)
-    assert diag[0].tier == "vectorized"
+    assert diag[0].tier == "interpreter"
     assert "diagonal" in diag[0].reason
 
     prod = program_lowering_report(_prepare(PRODUCT_REDUCTION), native=False)
@@ -395,10 +441,10 @@ def test_compilation_report_carries_lowerings():
 
 
 def test_polybench_lowering_coverage_gate():
-    """>= 90% of PolyBench nests must land past the generic vectorized
-    tier.  Tier classification is static, so this is the whole
-    lowering-coverage gate — no benchmark run is involved."""
-    totals = {"interpreter": 0, "vectorized": 0, "fold": 0, "native": 0}
+    """>= 90% of PolyBench nests must land on an emitted kernel.  Tier
+    classification is static, so this is the whole lowering-coverage
+    gate — no benchmark run is involved."""
+    totals = {"interpreter": 0, "fold": 0, "native": 0}
     for name in sorted(KERNELS):
         report = program_lowering_report(_prepare(KERNELS[name].source))
         for tier, count in tier_histogram(report).items():

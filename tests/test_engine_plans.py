@@ -7,7 +7,9 @@ tests pin the three things that can go wrong with that: planning more
 than once, plans leaking from one program object to another, and plans
 (which hold compiled functions) riding along when a compilation result
 is pickled or copied — ``KernelCompileCache`` swallows pickling errors,
-so that would silently turn the disk cache off.
+so that would silently turn the disk cache off.  They also pin that every
+planned nest the benchmark runs executes on its emitted kernel, and that
+the kernel text names nothing after the input program.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import pytest
 
 from repro import CimServer, CompileOptions, OffloadExecutor, ServerConfig, compile_source
 from repro.compiler import KernelCompileCache
-from repro.ir.engine import analysis
-from repro.workloads.polybench import KERNELS
+from repro.gateway.loadgen import GEMV_SOURCE
+from repro.ir.engine import VectorizedEngine, analysis
+from repro.workloads.polybench import KERNELS, PAPER_KERNELS
 
 PLANNING_ENGINES = ("fast", "native")
 
@@ -165,6 +168,69 @@ def test_copies_run_identically_and_share_no_plan_state(engine, duplicate):
 
 
 # ----------------------------------------------------------------------
+# Every nest the benchmark runs goes through its emitted kernel
+# ----------------------------------------------------------------------
+#: ``compile_cold``'s option sets (``benchmarks/suite/workloads.py``).
+COMPILE_COLD_OPTION_SETS = (
+    {},
+    {"enable_tiling": True},
+    {"min_macs_per_write": 32},
+    {"pipeline": "no-fusion"},
+)
+
+
+def _benchmark_runs():
+    """(source, options, size hint, params, arrays) of every program the
+    benchmark's workloads drive through the engine."""
+    for name in sorted(KERNELS):  # compile_cold, checked by one run at MINI
+        kernel = KERNELS[name]
+        for changes in COMPILE_COLD_OPTION_SETS:
+            yield (kernel.source, CompileOptions(**changes), kernel.params("MEDIUM"),
+                   kernel.params("MINI"), kernel.arrays("MINI", 1))
+    for name in PAPER_KERNELS:
+        kernel = KERNELS[name]
+        params = kernel.params("MEDIUM")
+        for options in (CompileOptions.host_only(), CompileOptions()):  # exec_*
+            yield kernel.source, options, params, params, kernel.arrays("MEDIUM", 1)
+        # fleet_unbatched and gw_open_mix: the server's default options.
+        yield (kernel.source, CompileOptions(), None, kernel.params("SMALL"),
+               kernel.arrays("SMALL", 1))
+    for side in (16, 128):  # the gateway and serve_batched GEMVs
+        rng = np.random.default_rng(side)
+        arrays = {
+            "A": rng.integers(0, 8, size=(side, side)).astype(np.float32),
+            "x": rng.integers(0, 8, size=side).astype(np.float32),
+            "y": np.zeros(side, dtype=np.float32),
+        }
+        yield GEMV_SOURCE, CompileOptions(), None, {"M": side, "N": side}, arrays
+
+
+def test_every_benchmark_nest_runs_on_its_emitted_kernel(monkeypatch):
+    """A nest the fast engine cannot run on its kernel runs on the
+    interpreter — exact, but 5-1000x slower.  No input of the benchmark
+    may take that path: every planned nest must have a kernel whose guard
+    passes."""
+    outcomes = []
+    run_kernel = VectorizedEngine._run_kernel
+
+    def spy(self, plan):
+        ran = run_kernel(self, plan)
+        outcomes.append((plan.root, ran))
+        return ran
+
+    monkeypatch.setattr(VectorizedEngine, "_run_kernel", spy)
+    executor = OffloadExecutor()
+    for source, options, size_hint, params, arrays in _benchmark_runs():
+        options.enable_compile_cache = False
+        program = compile_source(source, options, size_hint=size_hint).program
+        executor.run(program, params, arrays)
+        executor.system.runtime.free_all()
+    assert outcomes, "no planned nest ran"
+    interpreted = [str(root).splitlines()[0] for root, ran in outcomes if not ran]
+    assert not interpreted, interpreted
+
+
+# ----------------------------------------------------------------------
 # The emitted kernel names nothing after the input program
 # ----------------------------------------------------------------------
 HOSTILE = """
@@ -192,7 +258,7 @@ def _kernel_sources(source: str) -> list[str]:
         decl.name: rng.random(decl.extent(params)) for decl in result.program.arrays
     }
     reference = OffloadExecutor(engine="interpreter").run(result, params, arrays)
-    for engine in ("vectorized", "fast", "native"):
+    for engine in ("fast", "native"):
         _assert_same_run(reference, OffloadExecutor(engine=engine).run(result, params, arrays))
     plans = result.program.engine_plans.nests.values()
     assert all(plan.kernel is not None for plan in plans)

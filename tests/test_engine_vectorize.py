@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized engine's analysis and edge cases."""
+"""Unit tests for the engine's plan analysis and edge cases."""
 
 import numpy as np
 import pytest
@@ -34,14 +34,13 @@ def _assert_identical(program, params, arrays):
     for name in out_i:
         np.testing.assert_array_equal(out_i[name], out_v[name])
     assert interp.trace == engine.trace
-    # Every edge case of this file also goes through the emitted-kernel
-    # tiers, which share the plan the gather engine just built.
-    for mode in ("fast", "native"):
-        tier = make_engine(program, engine=mode)
-        out_t = tier.run(params, arrays)
-        for name in out_i:
-            np.testing.assert_array_equal(out_i[name], out_t[name], err_msg=mode)
-        assert interp.trace == tier.trace, mode
+    # Every edge case of this file also goes through the native tier,
+    # which shares the plan the fast engine just built.
+    native = make_engine(program, engine="native")
+    out_n = native.run(params, arrays)
+    for name in out_i:
+        np.testing.assert_array_equal(out_i[name], out_n[name], err_msg="native")
+    assert interp.trace == native.trace
     return engine
 
 
@@ -370,13 +369,13 @@ def test_executor_honours_compile_options_engine(gemm_source, rng):
     executor.run(result, params, arrays)
     assert executor.last_engine_used == "interpreter"
     # Explicit engine argument wins over the compiled options.
-    executor.run(result, params, arrays, engine="vectorized")
-    assert executor.last_engine_used == "vectorized"
+    executor.run(result, params, arrays, engine="native")
+    assert executor.last_engine_used == "native"
     # A bare Program falls back to the executor's own default.
     executor.run(result.program, params, arrays)
     assert executor.last_engine_used == "fast"
     # An explicit constructor engine also wins over the compiled options.
-    result.options.engine = "vectorized"
+    result.options.engine = "native"
     pinned = OffloadExecutor(engine="interpreter")
     pinned.run(result, params, arrays)
     assert pinned.last_engine_used == "interpreter"
@@ -401,7 +400,7 @@ def test_fast_mode_broadcast_reduction_falls_back_to_exact():
         "A": rng.random((n, n), dtype=np.float32),
     }
     ref = Interpreter(program).run({"N": n}, arrays)
-    fast = VectorizedEngine(program, fold=True)
+    fast = VectorizedEngine(program)
     out = fast.run({"N": n}, arrays)
     np.testing.assert_array_equal(out["C"], ref["C"])
 
@@ -416,7 +415,11 @@ def test_engine_modes_validation():
         make_engine(program, engine="magic")
     from repro import ENGINE_MODES
 
-    assert ENGINE_MODES == ("interpreter", "vectorized", "fast", "native")
+    assert ENGINE_MODES == ("interpreter", "fast", "native")
+    with pytest.raises(ValueError):
+        make_engine(program, engine="vectorized")
+    with pytest.raises(TypeError):
+        VectorizedEngine(program, fold=True)
     from repro import CompileOptions
 
     with pytest.raises(ValueError):

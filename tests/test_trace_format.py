@@ -223,10 +223,20 @@ def test_corrupt_file_never_reaches_the_replayer(tmp_path, trace):
 
 
 def test_bad_config_rejected_at_build_server(trace):
-    events = [json.loads(line) for line in trace.dumps().splitlines()]
-    events[0]["config"]["warp_drive"] = True
-    with pytest.raises(TraceFormatError, match="does not rebuild"):
-        TraceReplayer(Trace(events=events)).build_server()
+    def unknown_field(config):
+        config["warp_drive"] = True
+
+    def retired_engine(config):
+        config["compile_options"]["engine"] = "vectorized"
+
+    for mutate, match in (
+        (unknown_field, "does not rebuild"),
+        (retired_engine, "bad compile options .*'vectorized'"),
+    ):
+        events = [json.loads(line) for line in trace.dumps().splitlines()]
+        mutate(events[0]["config"])
+        with pytest.raises(TraceFormatError, match=match):
+            TraceReplayer(Trace(events=events)).build_server()
 
 
 # ----------------------------------------------------------------------

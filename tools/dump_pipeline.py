@@ -4,8 +4,8 @@
 Resolves a pipeline description (a named pipeline or an explicit
 comma-separated pass list) against the pass registry, compiles the given
 mini-C file (or a built-in PolyBench kernel via ``--kernel``), and prints
-the pass list, the per-pass wall-time / IR-delta table recorded by the
-pass manager, and the compiler's decision summary.
+the pass list, the per-pass wall-time table recorded by the pass
+manager, and the compiler's decision summary.
 
 Usage::
 
