@@ -95,8 +95,7 @@ def synthetic_gemv_workload(
 
 def trace_workload(trace: Trace) -> Workload:
     """A recorded trace's submissions, cycled by index (source, params
-    and arrays byte-for-byte — the replay-driven workload of ROADMAP
-    item 5)."""
+    and arrays byte-for-byte — the replay-driven workload)."""
     from repro.trace.schema import decode_submit_arrays
 
     submissions = trace.submissions()

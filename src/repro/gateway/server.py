@@ -23,43 +23,54 @@ model):
   reassembled and written from loop callbacks, so there are no threads,
   all gateway state is mutated from the loop thread only, and a partial
   frame in either direction never blocks the loop;
-* an async monitor task polls worker liveness (never the pipe's
-  end-of-file: forked siblings inherit descriptors, so EOF proves
-  nothing about one process); a dead worker's in-flight
-  request is compensated (:class:`~repro.serve.accounting.FaultCompensation`)
-  and retried on a surviving worker with its fault marker stripped —
-  exactly-once billing, at-least-once execution;
+* a loop timer runs one synchronous monitor step,
+  :meth:`AsyncGateway._tick`, every 50 ms: worker liveness (never the
+  pipe's end-of-file — forked siblings inherit descriptors, so EOF proves
+  nothing about one process), the hang watchdog, deadlines and due
+  respawns;
 * at most one request is in flight per worker, so a dead worker strands
   at most one request and its pipe is empty by construction.
 
-The resilience layer turns every stall into a bounded, compensated,
-retried event:
+Every request is a *flight* in one state machine (:data:`_EDGES`)::
 
-* **Deadlines** — a request may carry an absolute gateway-clock
-  ``deadline_s``; the gateway sheds it with status ``deadline-exceeded``
-  if the deadline passes before dispatch, and fails it at expiry if it
-  is in flight (the worker's eventual late work is absorbed as a
-  measured :class:`~repro.serve.accounting.FaultCompensation`, never
-  billed).
-* **Hang detection** — a per-flight watchdog declares a worker wedged
-  once it exceeds ``hang_timeout_s`` on one request, SIGKILLs it,
-  compensates the lost attempt and retries on a survivor — exactly the
-  crash contract, extended to silence.
+    new -> queued | rejected          queued -> sent | shed | failed
+    sent -> answered | expired | orphaned       orphaned -> queued | failed
+
+The transition methods are the only code that writes a flight's
+bookkeeping — the queue and its per-tenant count, the binding to a
+worker, the bill or the compensation, and the future, resolved exactly
+once.  The docs' "Flight states" table (``docs/gateway.md``) lists each
+edge with its billing effect.  The resilience layer is a set of edges:
+
+* **Deadlines** — a ``queued`` flight whose ``deadline_s`` passes is
+  ``shed``; a ``sent`` one is ``expired``: the caller hears
+  ``deadline-exceeded`` at once, and the worker's late work is absorbed
+  as a measured :class:`~repro.serve.accounting.FaultCompensation`, never
+  billed.
+* **Worker loss** — a crash, a hang past ``hang_timeout_s`` (SIGKILLed
+  by the watchdog), a corrupt response frame or a drain that never
+  finishes is one event, :meth:`AsyncGateway._lose`: the process is
+  killed, its flight's attempt gets a zero-work compensation, and the
+  flight is ``orphaned`` and retried on a survivor with its fault marker
+  stripped — exactly-once billing, at-least-once execution — except
+  after a corrupt frame, which fails only its own request.
+* **Dead letters** — a request frame the worker cannot decode fails
+  only its own request (no work ran; no retry), and the worker stays.
 * **Self-healing pool** — dead or killed workers are respawned (each
   respawn is a *new* worker id, so every incarnation keeps its own
   partition-checked ledger) up to a per-slot budget with capped
   exponential backoff; a crash-looping slot is quarantined (the fleet
   tier's vocabulary); optional hot spares pre-spawn so capacity recovery
   is immediate.  With a respawn pending, "no surviving workers" is a
-  transient state, not a reason to fail traffic.
+  transient state, not a reason to fail traffic.  Once the drain frames
+  are out, nothing spawns.
 * **Wall-clock admission** — per-tenant
   :class:`~repro.serve.admission.TenantQuota` (queue depth, wear and
   energy budgets against the gateway ledger) plus the global
   ``max_pending`` queue-depth shed.
-* **Defensive collection** — an undecodable response frame fails only
-  its own request with a typed reason; the byzantine worker is killed
-  (its unaccounted work dies with it, keeping the partition exact on its
-  last good snapshot) and its slot respawns.
+* **Unencodable requests** — a request that cannot be framed (an
+  object array, a parameter JSON cannot carry) fails before any worker
+  is bound to it.
 
 Accounting mirrors the simulated tiers: every response carries the
 measured per-request usage, which the gateway records into an
@@ -81,31 +92,23 @@ import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from repro.compiler.options import CompileOptions
 from repro.gateway.wire import GatewayRequest, GatewayResponse, WireFormatError
 from repro.gateway.worker import (
-    DRAIN_FRAME,
-    DRAINED_FRAME,
-    FRAME_HEADER,
-    REQUEST_FRAME,
-    RESPONSE_FRAME,
-    worker_main,
+    DRAIN_FRAME, DRAINED_FRAME, FRAME_HEADER, REQUEST_FRAME, RESPONSE_FRAME, worker_main,
 )
 from repro.hw.stats import AcceleratorRunStats
 from repro.serve.accounting import (
-    AccountingLedger,
-    FaultCompensation,
-    RequestUsage,
-    partition_checks,
+    AccountingLedger, FaultCompensation, RequestUsage, partition_checks,
 )
 from repro.serve.admission import TenantQuota, budget_exhausted_reason
 from repro.serve.clock import WallClock, capped_backoff_s
 from repro.serve.metrics import MetricsRegistry
-from repro.trace.schema import encode_compile_options
+from repro.trace.schema import TraceFormatError, encode_compile_options
 
 #: How long drain() waits for a worker's final work record (and for
 #: stuck in-flight work) before escalating to a kill.
@@ -113,6 +116,21 @@ _DRAIN_TIMEOUT_S = 30.0
 
 #: Most bytes taken from a pipe per readiness callback.
 _READ_BYTES = 1 << 18
+
+#: The flight state machine: the states each state may move to.  A flight
+#: in ``queued``, ``sent`` or ``orphaned`` is still owed an answer; the
+#: others are terminal.  An ``expired`` flight stays bound to its worker
+#: until the worker's late frame, or its loss, releases it.
+_EDGES = {
+    "new": ("queued", "rejected"),
+    "queued": ("sent", "shed", "failed"),
+    "sent": ("answered", "expired", "orphaned"),
+    "orphaned": ("queued", "failed"),
+}
+
+#: Pool phases in which a lost worker is replaced.  Later phases are
+#: ``closing`` (the drain frames are out: nothing spawns) and ``closed``.
+_HEALING = ("open", "draining")
 
 
 class GatewayError(RuntimeError):
@@ -179,19 +197,17 @@ class GatewayConfig:
         }
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: a request carries arrays
 class _Flight:
-    """One submitted request in flight through the gateway."""
+    """One submitted request and its place in the flight state machine."""
 
     request: GatewayRequest
     future: asyncio.Future
     submitted_s: float
+    state: str = "new"
     dispatched_s: Optional[float] = None
+    #: Worker of the latest attempt (the binding itself is ``_Worker.flight``).
     worker_id: Optional[int] = None
-    #: The deadline expired while the request was in flight: its future
-    #: already resolved ``deadline-exceeded``; the worker's eventual
-    #: response is absorbed as a compensation, never billed.
-    abandoned: bool = False
 
     def deadline_passed(self, now_s: float) -> bool:
         deadline_s = self.request.deadline_s
@@ -207,13 +223,8 @@ class _Slot:
     through its whole budget is quarantined — the fleet tier's
     backoff/quarantine vocabulary, applied to pool positions."""
 
-    slot_id: int
-    worker_id: int
     respawns: int = 0
     pending_respawn_s: Optional[float] = None
-    #: The replacement goes to the spare pool (a spare was promoted into
-    #: this slot already) instead of straight into the dispatch rotation.
-    respawn_to_spare: bool = False
     quarantined: bool = False
 
 
@@ -292,24 +303,30 @@ class _Pipe:
             del self._inbox[:], self._outbox[:]  # maybe megabytes of half a frame
 
 
+@dataclass(eq=False)
 class _Worker:
     """Gateway-side bookkeeping of one pool worker (one incarnation —
     a respawned slot gets a fresh ``_Worker`` with a fresh id)."""
 
-    def __init__(self, worker_id: int, process, slot_id=None, spare: bool = False):
-        self.worker_id = worker_id
-        self.process = process
-        self.pipe: Optional[_Pipe] = None
-        #: Active-pool slot this worker occupies (None while a spare).
-        self.slot_id: Optional[int] = slot_id
-        self.spare = spare
-        self.dead = False
-        self.served = 0
-        self.busy_s = 0.0
-        #: The worker's cumulative work record as of the last frame it
-        #: shipped (the accounting currency that survives its death).
-        self.physical = AcceleratorRunStats()
-        self.drained_event: Optional[asyncio.Event] = None
+    worker_id: int
+    #: Active-pool slot this worker occupies (None while a hot spare).
+    slot_id: Optional[int] = None
+    process: Any = None
+    pipe: Optional[_Pipe] = None
+    #: The one flight bound to this worker (``sent`` or ``expired``).
+    flight: Optional[_Flight] = None
+    dead: bool = False
+    served: int = 0
+    busy_s: float = 0.0
+    #: The worker's cumulative work record as of the last frame it
+    #: shipped (the accounting currency that survives its death).
+    physical: AcceleratorRunStats = field(default_factory=AcceleratorRunStats)
+    #: Set by the worker's answer to the drain frame, or by its loss.
+    drained: asyncio.Event = field(default_factory=asyncio.Event)
+
+    @property
+    def spare(self) -> bool:
+        return self.slot_id is None
 
 
 class AsyncGateway:
@@ -326,10 +343,7 @@ class AsyncGateway:
             raise GatewayError("hang_timeout_s must be positive (or None)")
         if self.config.max_respawns < 0 or self.config.hot_spares < 0:
             raise GatewayError("max_respawns and hot_spares cannot be negative")
-        if (
-            self.config.respawn_backoff_base_s < 0
-            or self.config.respawn_backoff_max_s < 0
-        ):
+        if self.config.respawn_backoff_base_s < 0 or self.config.respawn_backoff_max_s < 0:
             raise GatewayError("respawn backoff times cannot be negative")
         self.clock = WallClock()
         self.metrics = MetricsRegistry()
@@ -337,87 +351,82 @@ class AsyncGateway:
         self.dead_letters: list[str] = []
         self._workers: list[_Worker] = []
         self._slots: list[_Slot] = []
-        self._spare_ids: deque[int] = deque()
         self._quotas: dict[str, TenantQuota] = {}
-        self._idle: deque[int] = deque()
+        #: Live active workers without a flight, longest-idle first.
+        self._idle: deque[_Worker] = deque()
+        #: The ``queued`` flights in dispatch order, and their count per
+        #: tenant (queue-depth admission must not scan the backlog).
         self._pending: deque[_Flight] = deque()
-        #: Flights of each tenant in ``_pending`` (queue-depth admission
-        #: must not scan the backlog on every submit).
         self._tenant_pending: Counter[str] = Counter()
-        self._inflight: dict[int, _Flight] = {}
         self._seq = 0
         self._bill_counter = 0
         self._ctx = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._monitor_task: Optional[asyncio.Task] = None
-        self._started = False
-        self._draining = False
-        self._closed = False
+        #: The monitor's next step (a loop timer, cancelled by drain).
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: new -> open -> draining -> closing -> closed.
+        self._phase = "new"
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "AsyncGateway":
         """Spawn the worker pool (actives + hot spares) and the monitor."""
-        if self._started:
+        if self._phase != "new":
             raise GatewayError("gateway already started")
         import multiprocessing
 
-        method = self.config.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(method)
+        self._ctx = multiprocessing.get_context(
+            self.config.start_method
+            or ("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+        )
         self._loop = asyncio.get_running_loop()
+        self._phase = "open"
         for slot_id in range(self.config.num_workers):
-            worker = self._spawn_worker(slot_id=slot_id)
-            self._slots.append(_Slot(slot_id=slot_id, worker_id=worker.worker_id))
-            self._idle.append(worker.worker_id)
+            self._slots.append(_Slot())
+            self._release(self._spawn_worker(slot_id))
         for _ in range(self.config.hot_spares):
-            worker = self._spawn_worker(spare=True)
-            self._spare_ids.append(worker.worker_id)
-        self._monitor_task = self._loop.create_task(self._monitor())
-        self._started = True
+            self._spawn_worker(None)
+        self._monitor()
         return self
 
-    def _spawn_worker(
-        self, slot_id: Optional[int] = None, spare: bool = False
-    ) -> _Worker:
-        """Spawn one worker process on a fresh worker/device id and
-        register its bookkeeping (shared by pool start and respawns)."""
-        worker_id = len(self._workers)
+    def _spawn_worker(self, slot_id: Optional[int]) -> _Worker:
+        """Start one worker on a fresh worker/device id (a hot spare when
+        *slot_id* is None) and register its bookkeeping."""
+        worker = _Worker(len(self._workers), slot_id)
+        worker.process, worker.pipe = self._launch(worker)
+        self._workers.append(worker)
+        self.metrics.observe_device_state(worker.worker_id, "spare" if worker.spare else "up")
+        return worker
+
+    def _launch(self, worker: _Worker) -> tuple[Any, _Pipe]:
+        """Start *worker*'s process on its own duplex pipe; returns the
+        process and the gateway's end of the pipe."""
         near_end, far_end = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, self.config.worker_wire(), far_end),
-            daemon=True,
-            name=f"gateway-worker-{worker_id}",
-        )
+        args = (worker.worker_id, self.config.worker_wire(), far_end)
+        name = f"gateway-worker-{worker.worker_id}"
+        process = self._ctx.Process(target=worker_main, args=args, daemon=True, name=name)
         process.start()
         far_end.close()  # the child holds its own copy now
-        worker = _Worker(worker_id, process, slot_id=slot_id, spare=spare)
-        worker.pipe = _Pipe(self._loop, near_end, partial(self._on_frame, worker))
-        worker.drained_event = asyncio.Event()
-        self._workers.append(worker)
-        self.metrics.observe_device_state(worker_id, "spare" if spare else "up")
-        return worker
+        return process, _Pipe(self._loop, near_end, partial(self._on_frame, worker))
 
     async def __aenter__(self) -> "AsyncGateway":
         return await self.start()
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
-        if not self._closed:
-            await self.drain()
+        await self.drain()
 
     @property
     def alive_workers(self) -> list[int]:
         return [w.worker_id for w in self._workers if not w.dead]
 
-    def _respawn_pending(self) -> bool:
-        return any(slot.pending_respawn_s is not None for slot in self._slots)
+    def _spares(self) -> list[_Worker]:
+        return [w for w in self._workers if w.spare and not w.dead]
+
+    def _flights(self) -> list[_Flight]:
+        """The flights still in the pool's hands: the queued ones, and
+        those bound to a worker (``sent`` or ``expired``)."""
+        return list(self._pending) + [w.flight for w in self._workers if w.flight]
 
     # ------------------------------------------------------------------
     # Admission
@@ -470,364 +479,240 @@ class AsyncGateway:
         the future with a ``rejected`` response, execution problems with
         a ``failed`` one, a missed ``deadline_s`` (absolute gateway-clock
         seconds) with a ``deadline-exceeded`` one."""
-        if not self._started:
+        if self._phase == "new":
             raise GatewayError("gateway not started")
-        if self._draining or self._closed:
+        if self._phase != "open":
             raise GatewayError("gateway is draining; admission is closed")
         self._seq += 1
+        arrays = {name: np.asarray(value) for name, value in (arrays or {}).items()}
         request = GatewayRequest(
-            request_id=self._seq,
-            tenant=tenant,
-            source=source,
-            params=dict(params or {}),
-            arrays={name: np.asarray(value) for name, value in (arrays or {}).items()},
-            fault=fault,
-            deadline_s=deadline_s,
+            self._seq, tenant, source, dict(params or {}), arrays,
+            fault=fault, deadline_s=deadline_s,
         )
-        future = self._loop.create_future()
+        flight = _Flight(request, self._loop.create_future(), self.clock.now_s)
         self.metrics.observe_submit()
-        now_s = self.clock.now_s
         reason = self._admission_reason(tenant)
+        self.metrics.observe_admission(reason is None)
         if reason is not None:
-            self.metrics.observe_admission(False)
             self.ledger.record_rejection(tenant)
-            response = GatewayResponse(
-                request_id=request.request_id,
-                tenant=tenant,
-                status="rejected",
-                worker_id=-1,
-                reason=reason,
-            )
-            response.submitted_s = response.completed_s = now_s
-            future.set_result(response)
-            return future
-        self.metrics.observe_admission(True)
-        flight = _Flight(request, future, submitted_s=now_s)
-        if not self.alive_workers and not self._respawn_pending():
-            # The pool is gone for good: answer now instead of queueing a
-            # request no worker will ever serve.
-            self._resolve_failed(flight, "no surviving gateway workers")
-            return future
-        self._pending.append(flight)
-        self._tenant_pending[tenant] += 1
-        self._dispatch()
-        return future
+            self._finish(flight, "rejected", reason)
+        else:
+            self._move(flight, "queued")
+            self._dispatch()
+        return flight.future
 
     async def submit(self, *args, **kwargs) -> GatewayResponse:
         return await self.submit_nowait(*args, **kwargs)
 
     # ------------------------------------------------------------------
-    # Dispatch / collection (loop thread only)
+    # Flight transitions (loop thread only)
     # ------------------------------------------------------------------
+    def _move(self, flight: _Flight, state: str) -> None:
+        """Take one edge of :data:`_EDGES`, keeping the queue and the
+        per-tenant pending count in step with the ``queued`` state."""
+        old, tenant = flight.state, flight.request.tenant
+        if state not in _EDGES.get(old, ()):
+            raise GatewayError(f"request {flight.request.request_id}: no edge {old} -> {state}")
+        if old == "queued":
+            self._pending.remove(flight)
+            self._tenant_pending[tenant] -= 1
+        elif state == "queued":  # a retry goes back in at the head
+            (self._pending.appendleft if old == "orphaned" else self._pending.append)(flight)
+            self._tenant_pending[tenant] += 1
+        flight.state = state
+
+    def _resolve(self, flight: _Flight, response: GatewayResponse, now_s: float) -> None:
+        response.submitted_s = flight.submitted_s
+        response.dispatched_s = flight.dispatched_s
+        response.completed_s = now_s
+        if not flight.future.cancelled():  # the caller may stop waiting
+            flight.future.set_result(response)
+
+    def _finish(self, flight: _Flight, state: str, reason: Optional[str] = None) -> None:
+        """Answer *flight* without a worker's response: ``rejected``,
+        ``shed``, ``expired`` (its worker stays bound) or ``failed``."""
+        self._move(flight, state)
+        request, deadline_s = flight.request, flight.request.deadline_s
+        if state == "failed":
+            self.metrics.observe_failure()
+        elif state == "shed":
+            self.metrics.observe_deadline_shed()
+            reason = f"deadline {deadline_s:.3f}s passed before dispatch; request shed"
+        elif state == "expired":
+            self.metrics.observe_deadline_expired()
+            reason = f"deadline {deadline_s:.3f}s expired in flight; result discarded"
+        response = GatewayResponse(
+            request.request_id, request.tenant,
+            status=state if state in ("rejected", "failed") else "deadline-exceeded",
+            worker_id=-1 if flight.worker_id is None else flight.worker_id,
+            attempt=request.attempt, reason=reason,
+        )
+        self._resolve(flight, response, self.clock.now_s)
+
     def _dispatch(self) -> None:
+        """``queued -> sent`` for as long as a worker is idle, and
+        ``queued -> failed`` once the pool is gone for good (no worker
+        left, no respawn on its way)."""
         now_s = self.clock.now_s
-        while self._pending and self._idle:
-            worker_id = self._idle.popleft()
-            worker = self._workers[worker_id]
-            if worker.dead:
+        while self._pending and (self._idle or not self._pool_alive()):
+            flight = self._pending[0]
+            if not self._idle:
+                self._finish(flight, "failed", "no surviving gateway workers")
                 continue
-            flight = self._pending.popleft()
-            self._tenant_pending[flight.request.tenant] -= 1
             if flight.deadline_passed(now_s):
-                # Shed before dispatch: the deadline has already passed,
-                # so running the request would only waste a worker.
-                self._idle.appendleft(worker_id)
-                self._resolve_deadline(flight, shed=True)
+                self._finish(flight, "shed")  # running it would only waste a worker
                 continue
-            flight.worker_id = worker_id
-            flight.dispatched_s = now_s
-            self._inflight[worker_id] = flight
-            worker.pipe.send(REQUEST_FRAME + flight.request.to_json().encode())
+            try:
+                frame = REQUEST_FRAME + flight.request.to_json().encode()
+            except (TypeError, ValueError, TraceFormatError) as exc:
+                # No worker is bound yet: the request fails alone.
+                self._finish(flight, "failed", f"request cannot be encoded for the wire: {exc}")
+                continue
+            worker = self._idle.popleft()
+            self._move(flight, "sent")
+            flight.worker_id, flight.dispatched_s = worker.worker_id, now_s
+            worker.flight = flight
+            worker.pipe.send(frame)
+
+    def _pool_alive(self) -> bool:
+        """A worker lives, or a respawn is on its way."""
+        return bool(self.alive_workers) or any(
+            slot.pending_respawn_s is not None for slot in self._slots
+        )
+
+    def _release(self, worker: _Worker) -> None:
+        """A live worker without a flight rejoins the rotation."""
+        self._idle.append(worker)
+        self._dispatch()
+
+    def _unbind(
+        self, worker: _Worker, op: str, reason: str, usage: Optional[dict] = None, retry=True
+    ) -> None:
+        """The attempt on *worker* ends without an answer to deliver.  It
+        is compensated — with the measured *usage* of a late answer, with
+        zero work otherwise (its work, if any, is in no record the worker
+        shipped) — and a ``sent`` flight is orphaned: queued again at the
+        head with its fault marker stripped (one marker means exactly one
+        fault; the caller dispatches it) or, without *retry* or once
+        ``max_attempts`` are spent, failed with *reason*."""
+        flight, worker.flight = worker.flight, None
+        request = flight.request
+        self._bill_counter += 1
+        identity = dict(
+            request_id=request.request_id, tenant=request.tenant, device_id=worker.worker_id,
+            batch_id=self._bill_counter, at_s=self.clock.now_s, reason=reason, op=op,
+        )
+        compensation = FaultCompensation.from_wire(usage, **identity) if usage else None
+        self.ledger.record_compensation(compensation or FaultCompensation(**identity))
+        if flight.state != "sent":
+            return  # expired: the caller already has its answer
+        self._move(flight, "orphaned")
+        if retry and request.attempt >= self.config.max_attempts:
+            self.metrics.observe_unrecovered()
+            retry, reason = False, (f"request {request.request_id}: {request.attempt} "
+                                    "attempts exhausted across worker deaths")
+        if not retry:
+            self._finish(flight, "failed", reason)
+            return
+        request.attempt += 1
+        request.fault = None
+        self.metrics.observe_retry()
+        self._move(flight, "queued")
 
     def _on_frame(self, worker: _Worker, frame: bytes) -> None:
         kind, payload = frame[:1], str(frame[1:], "utf-8", "replace")
-        if kind == RESPONSE_FRAME:
-            self._on_response(worker, payload)
+        if worker.dead or (worker.flight is None and kind != DRAINED_FRAME):
+            # Monitor/pipe race: the worker wrote this frame and then died
+            # (or was killed) before we read it.  Its loss already settled
+            # its flight, and its accounting currency is the last record
+            # it shipped before — absorbing this one would count twice.
+            # A live worker holding no flight has nothing to answer either.
+            self.metrics.observe_late_frame()
         elif kind == DRAINED_FRAME:
             worker.physical = AcceleratorRunStats(**json.loads(payload))
-            worker.drained_event.set()
-        else:  # dead letter: an undecodable frame with no request to answer
+            worker.drained.set()
+        elif kind == RESPONSE_FRAME:
+            self._on_response(worker, payload)
+        else:
+            # Dead letter: the worker could not read the request it was
+            # sent.  No work ran, so the flight fails without a retry.
             self.dead_letters.append(payload)
-            if not worker.dead:
-                self._idle.append(worker.worker_id)
-                self._dispatch()
+            reason = f"worker {worker.worker_id} could not decode the request: {payload}"
+            self._unbind(worker, "dead-letter", reason, retry=False)
+            self._release(worker)
 
     def _on_response(self, worker: _Worker, payload: str) -> None:
-        worker_id = worker.worker_id
-        if worker.dead:
-            # Monitor/pipe race: the worker wrote this frame into its
-            # pipe and then died (or was killed) before we read it.
-            # Its death already compensated and retried the flight, and
-            # its accounting currency is the last snapshot it shipped
-            # *before* we declared it dead — absorbing this late frame
-            # (usage or physical totals) would double-count the work.
-            self.metrics.observe_late_frame()
-            return
+        """The worker answered: ``sent -> answered``, billed; or the late
+        answer to an ``expired`` flight, compensated as measured."""
         try:
             response = GatewayResponse.from_json(payload)
             worker.physical = AcceleratorRunStats(**response.physical)
         except (WireFormatError, TypeError) as exc:
-            self._on_corrupt_frame(worker, exc)
+            # Byzantine worker: its in-process ledgers hold work no
+            # decodable record will ever account for, so it is killed and
+            # its currency stays the last good record it shipped.
+            self.metrics.observe_corrupt_frame()
+            reason = f"corrupt response frame from worker {worker.worker_id}: {exc}"
+            self._lose(worker, "corrupt-frame", reason, retry=False)
             return
-        flight = self._inflight.pop(worker_id, None)
-        if flight is None:
-            return  # stale frame (should not happen: one in flight per worker)
-        now_s = self.clock.now_s
-        response.submitted_s = flight.submitted_s
-        response.dispatched_s = flight.dispatched_s
-        response.completed_s = now_s
+        flight, now_s = worker.flight, self.clock.now_s
+        request = flight.request
         worker.served += 1
         worker.busy_s += now_s - flight.dispatched_s
-        if not worker.dead:
-            self._idle.append(worker_id)
         self.metrics.observe_compile(response.compile_hits, response.compile_misses)
-        if flight.abandoned:
-            # The deadline expired mid-flight and the future already
-            # resolved deadline-exceeded; the worker's late work is real
-            # physical activity that must land on the fault side of the
-            # ledger, never on the tenant's bill.
-            self._compensate_abandoned(flight, response, now_s)
-            self._dispatch()
+        for energy_j in response.housekeeping_energy_j:
+            self.ledger.record_housekeeping(energy_j, device_id=worker.worker_id)
+        if flight.state == "expired":
+            reason = (f"request {request.request_id} exceeded its deadline in flight; "
+                      "the late result was discarded")
+            self._unbind(worker, "deadline-exceeded", reason, response.usage)
+            self._release(worker)
             return
-        if response.status == "completed":
-            self.metrics.observe_completion(
-                response.tenant,
-                latency_s=now_s - flight.submitted_s,
-                queueing_delay_s=flight.dispatched_s - flight.submitted_s,
-            )
-            if flight.request.attempt > 1:
-                self.metrics.observe_recovery()
-        else:
+        worker.flight = None
+        self._move(flight, "answered")
+        if response.status != "completed":
             self.metrics.observe_failure()
-        self._record_billing(flight, response, now_s)
-        if not flight.future.done():
-            flight.future.set_result(response)
-        self._dispatch()
-
-    def _on_corrupt_frame(self, worker: _Worker, exc: WireFormatError) -> None:
-        """A worker shipped an undecodable response frame: fail only its
-        in-flight request (typed reason), kill the byzantine process —
-        its in-process ledgers hold work no decodable snapshot will ever
-        account for, so its accounting currency must stay the last good
-        snapshot — and let the slot respawn."""
-        self.metrics.observe_corrupt_frame()
-        flight = self._inflight.get(worker.worker_id)
-        if flight is not None and not flight.future.done():
-            self._resolve_failed(
-                flight,
-                f"corrupt response frame from worker {worker.worker_id}: "
-                f"{exc}",
-            )
-        worker.process.kill()
-        self._on_worker_death(worker, cause="corrupt-frame")
-
-    def _record_billing(
-        self, flight: _Flight, response: GatewayResponse, now_s: float
-    ) -> None:
-        """Fold the worker-measured usage into the gateway ledger, keyed
-        by worker id (= device id): the wall-clock analogue of the
-        simulated server's per-tenant accounting."""
-        for energy_j in response.housekeeping_energy_j:
-            self.ledger.record_housekeeping(energy_j, device_id=response.worker_id)
-        if not response.usage:
-            return
-        self._bill_counter += 1
-        self.ledger.record(
-            RequestUsage.from_wire(
-                response.usage,
-                request_id=response.request_id,
-                tenant=response.tenant,
-                batch_id=self._bill_counter,
-                arrival_s=flight.submitted_s,
-                completed_s=now_s,
-                latency_s=now_s - flight.submitted_s,
-                device_id=response.worker_id,
-            )
-        )
-
-    def _compensate_abandoned(
-        self, flight: _Flight, response: GatewayResponse, now_s: float
-    ) -> None:
-        """Absorb a deadline-abandoned request's measured work as a
-        compensation: the physical deltas are real (they are in the
-        worker's shipped snapshot) but no response was delivered, so the
-        tenant is never billed for them."""
-        for energy_j in response.housekeeping_energy_j:
-            self.ledger.record_housekeeping(energy_j, device_id=response.worker_id)
-        if not response.usage:
-            return
-        self._bill_counter += 1
-        self.ledger.record_compensation(
-            FaultCompensation.from_wire(
-                response.usage,
-                request_id=response.request_id,
-                tenant=response.tenant,
-                device_id=response.worker_id,
-                batch_id=self._bill_counter,
-                at_s=now_s,
-                reason=(
-                    f"request {response.request_id} exceeded its deadline "
-                    f"in flight; the late result was discarded"
-                ),
-                op="deadline-exceeded",
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Monitor: liveness, watchdog, deadlines, respawns
-    # ------------------------------------------------------------------
-    async def _monitor(self) -> None:
-        """Poll worker liveness, run the hang watchdog, enforce
-        deadlines and execute scheduled respawns."""
-        while not self._closed:
-            now_s = self.clock.now_s
-            for worker in list(self._workers):
-                if not worker.dead and not worker.process.is_alive():
-                    self._on_worker_death(worker)
-            self._check_hangs(now_s)
-            self._enforce_deadlines(now_s)
-            self._run_respawns(now_s)
-            await asyncio.sleep(0.05)
-
-    def _check_hangs(self, now_s: float) -> None:
-        timeout_s = self.config.hang_timeout_s
-        if timeout_s is None:
-            return
-        for worker_id, flight in list(self._inflight.items()):
-            worker = self._workers[worker_id]
-            if worker.dead:
-                continue
-            if now_s - flight.dispatched_s <= timeout_s:
-                continue
-            # Wedged: the process is alive but has sat on one request
-            # longer than any legitimate dispatch can take.  SIGKILL it
-            # and run the exact crash contract — compensate, retry on a
-            # survivor, respawn the slot.
-            self.metrics.observe_hang_detected()
-            worker.process.kill()
-            self._on_worker_death(
-                worker,
-                cause="worker-hang",
-                detail=(
-                    f"exceeded hang_timeout_s={timeout_s:g} on request "
-                    f"{flight.request.request_id}; SIGKILLed by the watchdog"
-                ),
-            )
-
-    def _enforce_deadlines(self, now_s: float) -> None:
-        expired = [f for f in self._pending if f.deadline_passed(now_s)]
-        if expired:
-            self._pending = deque(
-                f for f in self._pending if not f.deadline_passed(now_s)
-            )
-            for flight in expired:
-                self._tenant_pending[flight.request.tenant] -= 1
-                self._resolve_deadline(flight, shed=True)
-        for flight in self._inflight.values():
-            if not flight.abandoned and flight.deadline_passed(now_s):
-                flight.abandoned = True
-                self._resolve_deadline(flight, shed=False)
-
-    def _resolve_deadline(self, flight: _Flight, shed: bool) -> None:
-        """Answer a request whose deadline has passed: ``shed`` before
-        dispatch (no work ever happened) or at expiry in flight (the
-        worker's late work will be compensated when its frame lands)."""
-        if shed:
-            self.metrics.observe_deadline_shed()
-            reason = (
-                f"deadline {flight.request.deadline_s:.3f}s passed before "
-                "dispatch; request shed"
-            )
         else:
-            self.metrics.observe_deadline_expired()
-            reason = (
-                f"deadline {flight.request.deadline_s:.3f}s expired in "
-                "flight; result discarded"
-            )
-        if flight.future.done():
-            return
-        response = GatewayResponse(
-            request_id=flight.request.request_id,
-            tenant=flight.request.tenant,
-            status="deadline-exceeded",
-            worker_id=flight.worker_id if flight.worker_id is not None else -1,
-            attempt=flight.request.attempt,
-            reason=reason,
-        )
-        response.submitted_s = flight.submitted_s
-        response.dispatched_s = flight.dispatched_s
-        response.completed_s = self.clock.now_s
-        flight.future.set_result(response)
-
-    def _run_respawns(self, now_s: float) -> None:
-        for slot in self._slots:
-            if slot.pending_respawn_s is None or slot.pending_respawn_s > now_s:
-                continue
-            slot.pending_respawn_s = None
-            if self._closed:
-                continue
-            if slot.respawn_to_spare:
-                worker = self._spawn_worker(spare=True)
-                self._spare_ids.append(worker.worker_id)
-            else:
-                worker = self._spawn_worker(slot_id=slot.slot_id)
-                slot.worker_id = worker.worker_id
-                self._idle.append(worker.worker_id)
-            slot.respawn_to_spare = False
-            self.metrics.observe_respawn()
-            self._dispatch()
-
-    # ------------------------------------------------------------------
-    # Worker-loss recovery
-    # ------------------------------------------------------------------
-    def _on_worker_death(
-        self,
-        worker: _Worker,
-        cause: str = "worker-crash",
-        detail: Optional[str] = None,
-    ) -> None:
-        worker.dead = True
-        worker_id = worker.worker_id
-        self.metrics.observe_device_state(worker_id, "down")
-        try:
-            self._idle.remove(worker_id)
-        except ValueError:
-            pass
-        if worker.spare:
-            try:
-                self._spare_ids.remove(worker_id)
-            except ValueError:
-                pass
-        flight = self._inflight.pop(worker_id, None)
-        self.metrics.observe_fault(cause)
-        if flight is not None:
-            # The attempt's physical work (if any) died with the process:
-            # its device state is gone, and it shipped neither a usage
-            # record nor a physical snapshot, so the partition stays exact.
-            # The compensation record carries zero measured deltas and
-            # exists as the audit trail of the lost attempt.
+            latency_s = now_s - flight.submitted_s
+            queueing_s = flight.dispatched_s - flight.submitted_s
+            self.metrics.observe_completion(request.tenant, latency_s, queueing_s)
+            if request.attempt > 1:
+                self.metrics.observe_recovery()
+        if response.usage:
             self._bill_counter += 1
-            self.ledger.record_compensation(
-                FaultCompensation(
-                    request_id=flight.request.request_id,
-                    tenant=flight.request.tenant,
-                    device_id=worker_id,
-                    batch_id=self._bill_counter,
-                    at_s=self.clock.now_s,
-                    reason=detail
-                    or (
-                        f"worker {worker_id} died serving request "
-                        f"{flight.request.request_id} "
-                        f"(exitcode={worker.process.exitcode})"
-                    ),
-                    op=cause,
-                )
-            )
-            if not flight.future.done():
-                self._retry(flight)
-        self._recover_capacity(worker)
-        if not self.alive_workers and not self._respawn_pending():
-            self._fail_all("no surviving gateway workers")
+            self.ledger.record(RequestUsage.from_wire(
+                response.usage, request_id=request.request_id, tenant=request.tenant,
+                batch_id=self._bill_counter, arrival_s=flight.submitted_s, completed_s=now_s,
+                latency_s=now_s - flight.submitted_s, device_id=worker.worker_id,
+            ))
+        self._resolve(flight, response, now_s)
+        self._release(worker)
+
+    def _lose(
+        self, worker: _Worker, cause: str, reason: Optional[str] = None, retry: bool = True
+    ) -> None:
+        """The one "worker lost" event, whoever noticed it: a crash (the
+        monitor), a hang (the watchdog), a corrupt frame, a drain that
+        never finished.  The process is killed (a no-op once it exited),
+        its attempt is compensated and its flight orphaned (see
+        :meth:`_unbind`), and the slot heals."""
+        worker.process.kill()
+        worker.dead = True
+        worker.drained.set()  # nothing left to wait for at drain
+        if worker in self._idle:
+            self._idle.remove(worker)
+        self.metrics.observe_device_state(worker.worker_id, "down")
+        self.metrics.observe_fault(cause)
+        if worker.flight is not None:
+            reason = reason or (f"worker {worker.worker_id} died serving request "
+                                f"{worker.flight.request.request_id} "
+                                f"(exitcode={worker.process.exitcode})")
+            self._unbind(worker, cause, reason, retry=retry)
+        if self._phase in _HEALING:
+            self._recover_capacity(worker)
+        # The retry, once capacity is settled: with no worker left and no
+        # respawn on its way, the queue fails instead.
+        self._dispatch()
 
     def _recover_capacity(self, worker: _Worker) -> None:
         """Self-healing: promote a hot spare into the dead worker's slot
@@ -836,166 +721,105 @@ class AsyncGateway:
         if worker.slot_id is None:
             return  # a spare died; nothing occupied its capacity
         slot = self._slots[worker.slot_id]
-        promoted = False
-        if self._spare_ids:
-            spare = self._workers[self._spare_ids.popleft()]
-            spare.spare = False
-            spare.slot_id = slot.slot_id
-            slot.worker_id = spare.worker_id
-            self._idle.append(spare.worker_id)
+        spares = self._spares()
+        if spares:
+            spares[0].slot_id = worker.slot_id
             self.metrics.observe_spare_promoted()
-            self.metrics.observe_device_state(spare.worker_id, "up")
-            promoted = True
-            self._dispatch()
-        if self.config.max_respawns <= 0:
-            return  # self-healing off: the pool shrinks permanently
-        if slot.respawns < self.config.max_respawns and not self._closed:
+            self.metrics.observe_device_state(spares[0].worker_id, "up")
+            self._release(spares[0])
+        if slot.respawns < self.config.max_respawns:
             slot.respawns += 1
             slot.pending_respawn_s = self.clock.now_s + capped_backoff_s(
-                self.config.respawn_backoff_base_s,
-                self.config.respawn_backoff_max_s,
-                slot.respawns,
+                self.config.respawn_backoff_base_s, self.config.respawn_backoff_max_s, slot.respawns
             )
-            slot.respawn_to_spare = promoted
-        elif not promoted and not slot.quarantined:
+        elif self.config.max_respawns and not spares and not slot.quarantined:
             slot.quarantined = True
             self.metrics.observe_slot_quarantined()
             self.metrics.observe_device_state(worker.worker_id, "quarantined")
 
-    def _retry(self, flight: _Flight) -> None:
-        request = flight.request
-        if request.attempt >= self.config.max_attempts:
-            self.metrics.observe_unrecovered()
-            self._resolve_failed(
-                flight,
-                f"request {request.request_id}: {request.attempt} attempts "
-                "exhausted across worker deaths",
-            )
-            return
-        request.attempt += 1
-        # Strip the fault marker: one marker means exactly one fault, and
-        # the retry must run clean on a surviving worker.
-        request.fault = None
-        self.metrics.observe_retry()
-        self._pending.appendleft(flight)
-        self._tenant_pending[request.tenant] += 1
-        self._dispatch()
+    # ------------------------------------------------------------------
+    # Monitor: liveness, watchdog, deadlines, respawns
+    # ------------------------------------------------------------------
+    def _monitor(self) -> None:
+        """Run :meth:`_tick` now and every 50 ms until drain stops it."""
+        self._timer = self._loop.call_later(0.05, self._monitor)
+        self._tick(self.clock.now_s)
 
-    def _resolve_failed(self, flight: _Flight, reason: str) -> None:
-        if flight.future.done():
+    def _tick(self, now_s: float) -> None:
+        """One monitor step at gateway-clock time *now_s*: lose dead and
+        wedged workers, shed and expire flights past their deadline, and
+        run the respawns that are due."""
+        timeout_s = self.config.hang_timeout_s
+        for worker in list(self._workers):
+            flight = worker.flight
+            if worker.dead or worker.drained.is_set():
+                continue
+            if not worker.process.is_alive():
+                if self._phase == "closing":
+                    worker.pipe._on_readable()  # it may have answered the drain, then exited
+                if not worker.drained.is_set():
+                    self._lose(worker, "worker-crash")
+            elif flight and timeout_s is not None and now_s - flight.dispatched_s > timeout_s:
+                # Alive, but sat on one request longer than any legitimate
+                # dispatch can take.
+                self.metrics.observe_hang_detected()
+                reason = (f"exceeded hang_timeout_s={timeout_s:g} on request "
+                          f"{flight.request.request_id}; SIGKILLed by the watchdog")
+                self._lose(worker, "worker-hang", reason)
+        for flight in self._flights():
+            if flight.state in ("queued", "sent") and flight.deadline_passed(now_s):
+                self._finish(flight, "shed" if flight.state == "queued" else "expired")
+        if self._phase not in _HEALING:
             return
-        response = GatewayResponse(
-            request_id=flight.request.request_id,
-            tenant=flight.request.tenant,
-            status="failed",
-            worker_id=flight.worker_id if flight.worker_id is not None else -1,
-            attempt=flight.request.attempt,
-            reason=reason,
-        )
-        response.submitted_s = flight.submitted_s
-        response.dispatched_s = flight.dispatched_s
-        response.completed_s = self.clock.now_s
-        self.metrics.observe_failure()
-        flight.future.set_result(response)
-
-    def _fail_all(self, reason: str) -> None:
-        for flight in list(self._pending):
-            self._resolve_failed(flight, reason)
-        self._pending.clear()
-        self._tenant_pending.clear()
-        for flight in list(self._inflight.values()):
-            self._resolve_failed(flight, reason)
-        self._inflight.clear()
+        for slot_id, slot in enumerate(self._slots):
+            if slot.pending_respawn_s is None or slot.pending_respawn_s > now_s:
+                continue
+            slot.pending_respawn_s = None
+            self.metrics.observe_respawn()
+            # The replacement joins the spares if a promoted spare holds the slot.
+            if any(w.slot_id == slot_id and not w.dead for w in self._workers):
+                self._spawn_worker(None)
+            else:
+                self._release(self._spawn_worker(slot_id))
 
     # ------------------------------------------------------------------
     # Drain / teardown
     # ------------------------------------------------------------------
     async def drain(self) -> dict:
-        """Graceful shutdown: stop admission, serve everything in flight,
-        collect each worker's final work record, tear the pool down.
-        A worker that cannot finish draining within 30 s is killed and
-        its stranded flight failed — close never hangs and never leaves
-        zombies.  Returns the final metrics snapshot.  Idempotent."""
-        if self._closed:
+        """Graceful shutdown: stop admission, answer every flight, collect
+        each worker's final work record, tear the pool down.  A worker
+        still busy with an expired flight answers it before it reads the
+        drain frame; one that has not drained within 30 s is killed —
+        close never hangs on a worker and never leaves zombies.  Returns
+        the final metrics snapshot.  Idempotent."""
+        if self._phase == "closed":
             return self.snapshot()
-        self._draining = True
-        stalled_s = 0.0
-        while self._pending or self._inflight:
-            futures = [
-                f.future
-                for f in list(self._pending) + list(self._inflight.values())
-                if not f.future.done()
-            ]
+        self._phase = "draining"
+        while owed := [f for f in self._flights() if f.state != "expired"]:
+            futures = [f.future for f in owed if not f.future.done()]
             if futures:
-                stalled_s = 0.0
                 await asyncio.gather(*futures, return_exceptions=True)
-                continue
-            # Every future is resolved but flights still sit in _inflight:
-            # deadline-abandoned work whose workers have not answered yet.
-            # Give them a bounded grace period, then kill the stragglers
-            # (their compensations are zero-work: nothing they shipped
-            # after death counts).
-            if stalled_s >= _DRAIN_TIMEOUT_S:
-                for worker_id in list(self._inflight):
-                    worker = self._workers[worker_id]
-                    if not worker.dead:
-                        worker.process.kill()
-                        self._on_worker_death(
-                            worker,
-                            cause="worker-hang",
-                            detail=(
-                                f"worker {worker_id} never answered its "
-                                "abandoned flight; killed at drain"
-                            ),
-                        )
-                self._inflight.clear()
-                break
-            await asyncio.sleep(0.05)
-            stalled_s += 0.05
-        for worker in self._workers:
-            if not worker.dead:
-                worker.pipe.send(DRAIN_FRAME)
-        for worker in self._workers:
-            if worker.dead:
-                continue
+            else:  # only futures their callers cancelled: nothing to await
+                await asyncio.sleep(0.05)
+        self._phase = "closing"
+        live = [w for w in self._workers if not w.dead]
+        for worker in live:
+            worker.pipe.send(DRAIN_FRAME)
+        for worker in live:
             try:
-                await asyncio.wait_for(
-                    worker.drained_event.wait(), timeout=_DRAIN_TIMEOUT_S
-                )
-            except asyncio.TimeoutError:
-                # Wedged mid-drain: kill it and fail anything it strands
-                # rather than hanging close forever.  Its accounting
-                # currency falls back to the last snapshot it shipped.
-                worker.process.kill()
-                worker.dead = True
-                self.metrics.observe_device_state(worker.worker_id, "down")
-                self.metrics.observe_fault("worker-hang")
-                flight = self._inflight.pop(worker.worker_id, None)
-                if flight is not None:
-                    self._resolve_failed(
-                        flight,
-                        f"worker {worker.worker_id} failed to drain within "
-                        f"{_DRAIN_TIMEOUT_S:.0f}s and was killed",
-                    )
-        self._closed = True
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            try:
-                await self._monitor_task
-            except asyncio.CancelledError:
-                pass
+                await asyncio.wait_for(worker.drained.wait(), timeout=_DRAIN_TIMEOUT_S)
+            except asyncio.TimeoutError:  # its currency stays its last record
+                reason = (f"worker {worker.worker_id} failed to drain within "
+                          f"{_DRAIN_TIMEOUT_S:.0f}s and was killed")
+                self._lose(worker, "worker-hang", reason)
+        self._phase = "closed"
+        if self._timer is not None:
+            self._timer.cancel()
         for worker in self._workers:
             worker.pipe.close()
             worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                # terminate() did not take (blocked in an uninterruptible
-                # state): escalate to SIGKILL so close never leaves a
-                # zombie behind.
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
+            worker.process.kill()  # a no-op unless it is wedged past its drain
+            worker.process.join(timeout=5.0)
             if not worker.dead:
                 self.metrics.observe_device_state(worker.worker_id, "drained")
         return self.snapshot()
@@ -1019,24 +843,21 @@ class AsyncGateway:
         per-worker utilization (busy wall time over elapsed wall time),
         served counts, liveness, and pool-wide throughput."""
         elapsed_s = self.clock.now_s
-        snap = self.metrics.snapshot(
-            {"pending": len(self._pending), "inflight": len(self._inflight)}
-        )
-        workers = {}
-        for worker in self._workers:
-            workers[str(worker.worker_id)] = {
-                "alive": not worker.dead,
-                "spare": worker.spare,
-                "served": worker.served,
-                "busy_s": worker.busy_s,
-                "utilization": worker.busy_s / elapsed_s if elapsed_s > 0 else 0.0,
+        inflight = sum(1 for w in self._workers if w.flight)
+        snap = self.metrics.snapshot({"pending": len(self._pending), "inflight": inflight})
+        workers = {
+            str(w.worker_id): {
+                "alive": not w.dead, "spare": w.spare, "served": w.served, "busy_s": w.busy_s,
+                "utilization": w.busy_s / elapsed_s if elapsed_s > 0 else 0.0,
             }
+            for w in self._workers
+        }
         completed = self.metrics.completed
         snap["gateway"] = {
             "elapsed_s": elapsed_s,
             "num_workers": self.config.num_workers,
             "alive_workers": len(self.alive_workers),
-            "hot_spares": len(self._spare_ids),
+            "hot_spares": len(self._spares()),
             "quarantined_slots": sum(1 for s in self._slots if s.quarantined),
             "throughput_rps": completed / elapsed_s if elapsed_s > 0 else 0.0,
             "workers": workers,

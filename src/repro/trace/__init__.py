@@ -1,4 +1,4 @@
-"""Record/replay trace layer (ROADMAP item 5).
+"""Record/replay trace layer.
 
 Everything that crosses the serving boundary — submissions, admission
 decisions, leases, device/fault events, retries, migrations and final

@@ -11,7 +11,7 @@ Two plan families:
 * :func:`poisson_plan` — memoryless arrivals at a fixed rate (seeded
   exponential inter-arrival gaps), the classic open-loop workload;
 * :func:`trace_plan` — arrivals resampled from a recorded trace's
-  submission times (ROADMAP item 5: replay-driven load), with optional
+  submission times (replay-driven load), with optional
   time **amplification** (compress or stretch the recording's timescale)
   and **jittered resampling** (seeded uniform perturbation of each
   arrival) so one recording generates a family of statistically similar

@@ -100,6 +100,9 @@ def encode_array(array: np.ndarray) -> dict:
     """One array as a JSON-able payload: dtype + shape + base64 bytes +
     sha256 content hash (the bit-identity currency of the diff)."""
     data = np.ascontiguousarray(array)
+    if data.dtype.hasobject:
+        # The bytes of an object array are pointers into this process.
+        raise TraceFormatError(f"cannot encode an array of dtype {data.dtype}: it holds objects")
     raw = data.tobytes()
     return {
         "dtype": data.dtype.str,
@@ -118,6 +121,8 @@ def decode_array(payload: dict, where: str = "payload") -> np.ndarray:
         recorded_hash = payload["sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"{where}: malformed array payload ({exc})") from exc
+    if dtype.hasobject:
+        raise TraceFormatError(f"{where}: array payload of dtype {dtype} holds objects")
     expected = dtype.itemsize * math.prod(shape)
     if len(raw) != expected:
         raise TraceFormatError(

@@ -70,3 +70,21 @@ def test_a_repo_path_in_a_docstring_must_exist(check_docs, monkeypatch, tmp_path
     err = capsys.readouterr().err
     assert "seeded.py:3: path does not exist -> benchmarks/no_such_bench.py" in err
     assert "seeded.py:6: path does not exist -> tools/no_such_tool.py" in err
+
+
+def test_a_docstring_may_not_cite_a_roadmap_item_number(
+    check_docs, monkeypatch, tmp_path, capsys
+):
+    source = tmp_path / "seeded.py"
+    monkeypatch.setattr(check_docs, "iter_source_files", lambda: [source])
+    source.write_text('"""Replay-driven load; see ROADMAP.md and items like it."""\n')
+    assert check_docs.main() == 0
+    source.write_text(
+        '"""Record/replay trace layer (ROADMAP item 5).\n\nThe workload of ROADMAP\n'
+        '    item 11."""\ndef f():\n    # ROADMAP item 2(b)\n    return 1\n'
+    )
+    assert check_docs.main() == 1
+    err = capsys.readouterr().err
+    assert "seeded.py:1: cites 'ROADMAP item 5'" in err
+    assert "seeded.py:3: cites 'ROADMAP item 11'" in err
+    assert "seeded.py:6: cites 'ROADMAP item 2'" in err

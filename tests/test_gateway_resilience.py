@@ -34,6 +34,11 @@ def submit_item(gateway, item, fault=None, deadline_s=None):
     )
 
 
+def busy_workers(gateway):
+    """The workers a flight is bound to."""
+    return [worker for worker in gateway._workers if worker.flight is not None]
+
+
 async def wait_for(predicate, timeout_s=5.0, interval_s=0.02):
     """Poll *predicate* on the loop until true or the timeout expires."""
     waited = 0.0
@@ -217,7 +222,7 @@ class TestSelfHealing:
         async def scenario():
             config = GatewayConfig(num_workers=1, hot_spares=1)
             async with AsyncGateway(config) as gateway:
-                spares_before = len(gateway._spare_ids)
+                spares_before = gateway.snapshot()["gateway"]["hot_spares"]
                 response = await submit_item(
                     gateway, workload(0), fault="die-mid-request"
                 )
@@ -403,13 +408,16 @@ class TestLateFrameRace:
         async def scenario():
             async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
                 future = submit_item(gateway, workload(0), fault="slow:0.3")
-                await wait_for(lambda: gateway._inflight)
-                worker_id = next(iter(gateway._inflight))
-                worker = gateway._workers[worker_id]
+                await wait_for(lambda: busy_workers(gateway))
+                (worker,) = busy_workers(gateway)
+                worker_id = worker.worker_id
                 # Declare the worker dead while it is still serving: its
                 # response frame will land *after* the death handling —
-                # exactly the race the monitor can lose.
-                gateway._on_worker_death(worker)
+                # exactly the race the monitor can lose.  The process is
+                # spared the kill that goes with a real loss.
+                worker.process.kill = lambda: None
+                gateway._lose(worker, "worker-crash")
+                del worker.process.kill
                 response = await future
                 await wait_for(
                     lambda: gateway.metrics.late_frames_ignored == 1
@@ -603,7 +611,7 @@ class TestPipeTransport:
         async def scenario():
             async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
                 big_future = submit_big(gateway)
-                victim = gateway._workers[next(iter(gateway._inflight))]
+                (victim,) = busy_workers(gateway)
                 give_up = time.monotonic() + 30.0
                 while not victim.pipe._inbox:
                     # The first bytes of the response are in: the rest

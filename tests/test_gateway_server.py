@@ -206,6 +206,41 @@ class TestCrashRecovery:
         assert responses[0].attempt == 2
         assert all(checks.values()), checks
 
+    def test_unencodable_requests_fail_alone(self):
+        """An object array used to kill the worker that decoded it (and,
+        retried, every worker after it); a 0-d array parameter raised out
+        of the dispatch with the worker already bound, stranding it.  Both
+        now fail before any worker is bound: the pool and the next
+        request are untouched."""
+        item = synthetic_gemv_workload(num_tenants=1, seed=6)(0)
+
+        async def scenario():
+            async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
+                alive = gateway.alive_workers
+                bad_array = await gateway.submit(
+                    item.tenant, item.source, item.params,
+                    {**item.arrays, "x": np.array([1.5, "x"], dtype=object)},
+                )
+                bad_param = await gateway.submit(
+                    item.tenant, item.source, {**item.params, "alpha": np.array(1.5)},
+                    item.arrays,
+                )
+                good = await submit_item(gateway, item)
+                after = gateway.alive_workers
+                await gateway.drain()
+                return alive, after, bad_array, bad_param, good, gateway
+
+        alive, after, bad_array, bad_param, good, gateway = run(scenario())
+        assert after == alive
+        assert bad_array.status == bad_param.status == "failed"
+        assert "holds objects" in bad_array.reason
+        assert "not JSON serializable" in bad_param.reason
+        assert bad_array.attempt == bad_param.attempt == 1
+        assert good.status == "completed"
+        assert not gateway.ledger.compensations
+        assert [u.request_id for u in gateway.ledger.all_usages()] == [good.request_id]
+        assert all(gateway.verify_partition().values())
+
     def test_total_pool_loss_fails_pending_requests(self):
         workload = synthetic_gemv_workload(num_tenants=1, seed=5)
 

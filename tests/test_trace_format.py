@@ -204,6 +204,19 @@ def test_array_roundtrip_is_exact():
         assert decoded.tobytes() == array.tobytes()
 
 
+def test_object_arrays_are_rejected_both_ways():
+    """An object array's bytes are pointers into one process: encoding
+    one, or decoding a payload that claims to be one, is a typed format
+    error (``np.frombuffer`` raised a bare ValueError, which killed the
+    gateway worker that decoded it)."""
+    with pytest.raises(TraceFormatError, match="holds objects"):
+        encode_array(np.array([1.5, "x"], dtype=object))
+    payload = encode_array(np.zeros(2, dtype=np.int64))
+    payload["dtype"] = np.dtype(object).str
+    with pytest.raises(TraceFormatError, match="submit array 'x': .* holds objects"):
+        decode_array(payload, where="submit array 'x'")
+
+
 # ----------------------------------------------------------------------
 # No partial replay
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ Two things no other test checks:
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 from typing import Callable, NamedTuple
 
@@ -22,7 +23,7 @@ import pytest
 from repro.fleet import DeviceKill, FaultPlan, FleetConfig, FleetServer
 from repro.gateway.server import AsyncGateway, GatewayConfig, _Flight, _Worker
 from repro.gateway.wire import GatewayRequest, GatewayResponse
-from repro.gateway.worker import build_worker_server, serve_one
+from repro.gateway.worker import RESPONSE_FRAME, build_worker_server, serve_one
 from repro.hw.stats import WORK_COUNTERS, AcceleratorRunStats
 from repro.serve import CimServer, ServerConfig
 from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage
@@ -161,15 +162,17 @@ def _fleet_server() -> _Scenario:
 
 def _gateway() -> _Scenario:
     """The gateway's billing path without the processes: two in-process
-    worker stacks serve through ``serve_one``, every response crosses the
-    wire codec, and the gateway bills it exactly as its collector would
-    (request 3 as a deadline-abandoned flight, i.e. a compensation)."""
+    worker stacks serve through ``serve_one``, and every response frame
+    reaches the gateway's frame handler as the pipe would hand it over,
+    answering a ``sent`` flight (a bill) or, for request 3, an
+    ``expired`` one (a compensation)."""
     rng = np.random.default_rng(3)
+    loop = asyncio.new_event_loop()
     gateway = AsyncGateway(GatewayConfig(num_workers=2))
     servers = [build_worker_server(gateway.config.worker_wire()) for _ in range(2)]
     lifetime = [AcceleratorRunStats() for _ in servers]
     for worker_id in range(2):
-        gateway._workers.append(_Worker(worker_id, process=None))
+        gateway._workers.append(_Worker(worker_id, slot_id=worker_id))
     for request_id in range(1, 7):
         worker_id = request_id % 2
         request = GatewayRequest(
@@ -180,16 +183,16 @@ def _gateway() -> _Scenario:
         response.physical = lifetime[worker_id].scalars()
         response = GatewayResponse.from_json(response.to_json())
         assert response.status == "completed"
-        gateway._workers[worker_id].physical = AcceleratorRunStats(**response.physical)
-        flight = _Flight(request, future=None, submitted_s=0.0, dispatched_s=0.0)
-        if request_id == 3:
-            gateway._compensate_abandoned(flight, response, now_s=1.0)
-        else:
-            gateway._record_billing(flight, response, now_s=1.0)
+        worker = gateway._workers[worker_id]
+        state = "expired" if request_id == 3 else "sent"
+        worker.flight = _Flight(request, loop.create_future(), 0.0, state, dispatched_s=0.0)
+        gateway._on_frame(worker, RESPONSE_FRAME + response.to_json().encode())
+        assert worker.flight is None
 
     def close():
         for server in servers:
             server.shutdown()
+        loop.close()
 
     return _Scenario(
         gateway.ledger,

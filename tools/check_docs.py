@@ -19,7 +19,8 @@ installs nothing, so the engine names are read from source, not imported):
    is just a root-level ``*.json`` name, must exist (``*`` globs must
    match something), so docs cannot keep pointing at deleted files.
 5. **Docstrings** — check 4 applied to the double-backtick code spans
-   of the docstrings (and comments) in ``src/repro/**/*.py``.
+   of the docstrings (and comments) in ``src/repro/**/*.py``, which also
+   may not cite a roadmap item by number (the numbers are not stable).
 
 Exits non-zero with one line per problem.
 """
@@ -44,6 +45,7 @@ RST_SPAN_RE = re.compile(r"``([^`]+)``")
 DEFAULT_MARK_RE = re.compile(r"`([\w-]+)`\**\s*\(default\)")
 ROOT_JSON_RE = re.compile(r"[\w*.-]+\.json")
 REPO_PATH_PREFIXES = ("tools/", "benchmarks/", "tests/")
+ROADMAP_ITEM_RE = re.compile(r"ROADMAP\s+item\s+\d+")
 
 
 def iter_doc_files() -> list[Path]:
@@ -148,12 +150,22 @@ def check_lines(files: list[Path]) -> list[str]:
 
 
 def check_docstrings(sources: list[Path]) -> list[str]:
-    return [
-        f"{os.path.relpath(source, REPO_ROOT)}:{line_no}: {problem}"
-        for source in sources
-        for line_no, line in enumerate(source.read_text().splitlines(), 1)
-        for problem in missing_repo_paths(RST_SPAN_RE.findall(line))
-    ]
+    problems = []
+    for source in sources:
+        text = source.read_text()
+        where = os.path.relpath(source, REPO_ROOT)
+        for line_no, line in enumerate(text.splitlines(), 1):
+            for problem in missing_repo_paths(RST_SPAN_RE.findall(line)):
+                problems.append(f"{where}:{line_no}: {problem}")
+        # Matched on the whole text: a docstring may wrap the citation.
+        for match in ROADMAP_ITEM_RE.finditer(text):
+            line_no = text.count("\n", 0, match.start()) + 1
+            citation = " ".join(match.group().split())
+            problems.append(
+                f"{where}:{line_no}: cites {citation!r}; roadmap item numbers "
+                "change when the roadmap is re-anchored"
+            )
+    return problems
 
 
 def main() -> int:
