@@ -1,11 +1,19 @@
-"""Tokenizer for the mini-C subset."""
+"""Scanner for the mini-C subset.
+
+One regular expression reads the input once: each match is the whitespace
+and comments a token is preceded by, then the token.  Its last three
+alternatives are the end of the input, an unterminated ``/*`` and any other
+character, so the matches are contiguous and every one is a token, the EOF
+token or an error at a known offset.  The parser reads the texts and kinds
+:func:`scan` returns; a line and column is worked out for an error
+(:func:`location`) and by :func:`tokenize`, never per token while parsing.
+"""
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 from repro.frontend.errors import FrontendError
 
@@ -33,55 +41,27 @@ KEYWORDS = {
     "static",
 }
 
-# Multi-character punctuators must come before their single-char prefixes.
-_PUNCTUATORS = [
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "++",
-    "--",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ";",
-    ",",
-    "=",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "<",
-    ">",
-    "&",
-]
-
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<line_comment>//[^\n]*)
-  | (?P<block_comment>/\*.*?\*/)
-  | (?P<float>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>""" + "|".join(re.escape(p) for p in _PUNCTUATORS) + r""")
+    [ \t\r\n]* (?:/(?:/[^\n]*|\*.*?\*/) [ \t\r\n]*)*  # skipped before the token
+    (?:
+        ([A-Za-z_][A-Za-z0-9_]*)                    # 1 identifier or keyword
+      | ([-+*/<>=!]= | \+\+ | -- | && | \|\|         # 2 punctuator, longest first
+         | /(?!\*) | [-+*%<>=&()\[\]{};,])
+      | ((?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fF]?   # 3 float
+         | \d+[eE][+-]?\d+[fF]?)
+      | (\d+)                                       # 4 int
+      | (\Z)                                        # 5 end of input
+      | (/\*)                                       # 6 a comment that never ends
+      | (.)                                         # 7 anything else
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
+_KINDS = (None, TokenKind.IDENT, TokenKind.PUNCT, TokenKind.FLOAT, TokenKind.INT)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source location (1-based)."""
 
     kind: TokenKind
@@ -93,38 +73,47 @@ class Token:
         return f"{self.kind.value}:{self.text!r}@{self.line}:{self.column}"
 
 
+def location(source: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of *offset* in *source*."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def scan(source: str) -> tuple[list[str], list[TokenKind], list[int]]:
+    """The text, kind and start offset of every token of *source*, EOF last.
+
+    Raises :class:`FrontendError` at the first character no token rule
+    accepts and at a ``/*`` that is never closed.
+    """
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    starts: list[int] = []
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastindex
+        if group > 4:
+            break
+        text = match[group]
+        texts.append(text)
+        kinds.append(TokenKind.KEYWORD if text in KEYWORDS else _KINDS[group])
+        starts.append(match.start(group))
+    if group > 5:
+        message = "unterminated comment" if group == 6 else f"unexpected character {match[7]!r}"
+        raise FrontendError(message, *location(source, match.start(group)))
+    texts.append("")
+    kinds.append(TokenKind.EOF)
+    starts.append(len(source))
+    return texts, kinds, starts
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize mini-C source, raising :class:`FrontendError` on bad input."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            column = pos - line_start + 1
-            raise FrontendError(
-                f"unexpected character {source[pos]!r}", line=line, column=column
-            )
-        text = match.group(0)
-        column = pos - line_start + 1
-        kind_name = match.lastgroup
-        if kind_name in ("ws", "line_comment", "block_comment"):
-            pass  # skipped; only track newlines below
-        elif kind_name == "float":
-            tokens.append(Token(TokenKind.FLOAT, text, line, column))
-        elif kind_name == "int":
-            tokens.append(Token(TokenKind.INT, text, line, column))
-        elif kind_name == "ident":
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, column))
-        elif kind_name == "punct":
-            tokens.append(Token(TokenKind.PUNCT, text, line, column))
-        # Maintain line/column bookkeeping across the consumed text.
-        newline_count = text.count("\n")
-        if newline_count:
-            line += newline_count
-            line_start = pos + text.rfind("\n") + 1
-        pos = match.end()
-    tokens.append(Token(TokenKind.EOF, "", line, pos - line_start + 1))
+    line, line_start, previous = 1, 0, 0
+    for text, kind, start in zip(*scan(source)):
+        # Tokens hold no newline: only the gap since the last token can.
+        newline = source.rfind("\n", previous, start)
+        if newline >= 0:
+            line += source.count("\n", previous, newline + 1)
+            line_start = newline + 1
+        previous = start
+        tokens.append(Token(kind, text, line, start - line_start + 1))
     return tokens

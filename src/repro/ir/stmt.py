@@ -8,6 +8,8 @@ from typing import Iterator, Optional, Sequence
 
 from repro.ir.expr import ArrayRef, Expr, VarRef
 
+# Default names of hand-built statements, unique in the process.  The parser
+# names its statements itself, S0, S1, ... afresh for every parse.
 _stmt_counter = itertools.count()
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.ir.expr import ArrayRef, VarRef
 from repro.ir.program import Program
-from repro.ir.stmt import Assign, Block, CallStmt, IfStmt, Loop, Stmt
+from repro.ir.stmt import Assign, Block, Loop, Stmt
 from repro.poly.access import AccessKind, AccessRelation, accesses_of_statement
 from repro.poly.affine import affine_from_expr
 from repro.poly.domain import IterationDomain, LoopDim
@@ -118,64 +118,42 @@ def detect_scops(program: Program) -> list[Scop]:
     current: Optional[Scop] = None
 
     for position, stmt in enumerate(program.body.stmts):
-        affine_nest = (
-            isinstance(stmt, Loop)
-            and _collect_nest(stmt, program, param_names) is not None
-        )
-        if affine_nest:
-            assert isinstance(stmt, Loop)
-            if current is None:
-                current = Scop(
-                    name=f"scop_{len(scops)}",
-                    program=program,
-                    body_start=position,
-                )
-            nest_index = len(current.nests)
-            current.nests.append(stmt)
-            collected = _collect_nest(stmt, program, param_names)
-            assert collected is not None
-            for assign, domain in collected:
-                accesses = accesses_of_statement(
-                    assign, domain.var_names, tuple(param_names)
-                )
-                assert accesses is not None
-                current.statements.append(
-                    ScopStatement(
-                        name=assign.name,
-                        assign=assign,
-                        domain=domain,
-                        accesses=accesses,
-                        nest_index=nest_index,
-                    )
-                )
-        else:
+        collected = _collect_nest(stmt, param_names) if isinstance(stmt, Loop) else None
+        if collected is None:
             if current is not None and current.statements:
                 scops.append(current)
             current = None
+            continue
+        if current is None:
+            current = Scop(name=f"scop_{len(scops)}", program=program, body_start=position)
+        nest_index = len(current.nests)
+        current.nests.append(stmt)
+        current.statements.extend(
+            ScopStatement(assign.name, assign, domain, accesses, nest_index)
+            for assign, domain, accesses in collected
+        )
     if current is not None and current.statements:
         scops.append(current)
     return scops
 
 
 def _collect_nest(
-    loop: Loop,
-    program: Program,
-    param_names: set[str],
-) -> Optional[list[tuple[Assign, IterationDomain]]]:
-    """Collect (statement, domain) pairs of an affine loop nest.
+    loop: Loop, param_names: set[str]
+) -> Optional[list[tuple[Assign, IterationDomain, list[AccessRelation]]]]:
+    """The statements of an affine loop nest with their domains and accesses.
 
     Returns ``None`` when anything inside the nest is not static control.
     """
-    results: list[tuple[Assign, IterationDomain]] = []
+    results: list[tuple[Assign, IterationDomain, list[AccessRelation]]] = []
 
     def visit(stmt: Stmt, dims: tuple[LoopDim, ...], loop_vars: tuple[str, ...]) -> bool:
         if isinstance(stmt, Loop):
-            outer_vars = set(loop_vars) | param_names
-            lower = affine_from_expr(stmt.lower, set(loop_vars), param_names)
-            upper = affine_from_expr(stmt.upper, set(loop_vars), param_names)
+            enclosing = set(loop_vars)
+            lower = affine_from_expr(stmt.lower, enclosing, param_names)
+            upper = affine_from_expr(stmt.upper, enclosing, param_names)
             if lower is None or upper is None:
                 return False
-            if stmt.var in loop_vars or stmt.var in param_names:
+            if stmt.var in enclosing or stmt.var in param_names:
                 return False  # shadowing breaks static control
             dim = LoopDim(var=stmt.var, lower=lower, upper=upper, step=stmt.step)
             return visit(stmt.body, dims + (dim,), loop_vars + (stmt.var,))
@@ -184,14 +162,12 @@ def _collect_nest(
         if isinstance(stmt, Assign):
             if isinstance(stmt.target, VarRef):
                 return False  # scalar writes not supported in SCoPs
-            accesses = accesses_of_statement(stmt, loop_vars, tuple(param_names))
+            accesses = accesses_of_statement(stmt, loop_vars, param_names)
             if accesses is None:
                 return False
-            results.append((stmt, IterationDomain(dims)))
+            results.append((stmt, IterationDomain(dims), accesses))
             return True
-        if isinstance(stmt, (CallStmt, IfStmt)):
-            return False
-        return False
+        return False  # calls, conditionals
 
     if not visit(loop, (), ()):
         return None

@@ -5,7 +5,7 @@ pass-based default pipeline must reproduce the frozen legacy monolith
 (:mod:`repro.compiler.legacy`) bit-identically — program IR, decisions,
 fusion groups, tiled kernels, runtime calls — on every PolyBench workload
 and across the option space.  Both compilers receive the *same* parsed
-program object so statement names (drawn from a global counter) align.
+program object.
 """
 
 from __future__ import annotations
@@ -86,6 +86,19 @@ def test_default_pipeline_matches_legacy_on_polybench(name):
         kernel.source, options, size_hint=kernel.params("SMALL")
     )
     _assert_identical(pipelined, legacy)
+
+
+@pytest.mark.parametrize("name", kernel_names())
+def test_two_compiles_of_one_input_decide_identically(name):
+    """Statement names are numbered per parse, so the decisions of two
+    compiles of one source are equal, names included."""
+    kernel = get_kernel(name)
+    first, second = (
+        compile_source(kernel.source, CompileOptions(**UNCACHED), size_hint=kernel.params("SMALL"))
+        for _ in range(2)
+    )
+    assert first.report.decisions
+    assert first.report.decisions == second.report.decisions
 
 
 @pytest.mark.parametrize("name", kernel_names())

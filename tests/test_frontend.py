@@ -143,3 +143,61 @@ def test_two_functions_rejected():
     source = "void f(int N) { } void g(int N) { }"
     with pytest.raises(FrontendError):
         parse_program(source)
+
+
+# ----------------------------------------------------------------------
+# Parser: programs the IR cannot represent are rejected with a location
+# ----------------------------------------------------------------------
+def _rejection(source):
+    with pytest.raises(FrontendError) as err:
+        parse_program(source)
+    return str(err.value), err.value.line, err.value.column
+
+
+@pytest.mark.parametrize("statement", ["i = i + 1;", "i += 1;"])
+def test_assignment_to_induction_variable_rejected(statement):
+    # C steps i twice per iteration here; the IR's Loop owns its counter, so
+    # accepting this would run every iteration: [1,1,1,1,1,1], not [1,0,1,0,1,0].
+    source = (
+        "void f(int N, int A[N]) {\n"
+        "  for (int i = 0; i < N; i++) {\n"
+        "    A[i] = 1;\n"
+        f"    {statement}\n"
+        "  }\n"
+        "}"
+    )
+    assert _rejection(source) == (
+        "cannot assign to loop variable 'i' at line 4, column 5", 4, 5
+    )
+
+
+def test_zero_loop_step_rejected_at_the_step():
+    source = "void f(int N, float A[N]) {\n  for (int i = 0; i < N; i += 0)\n    A[i] = 0.0;\n}"
+    assert _rejection(source) == ("loop step must be positive at line 2, column 31", 2, 31)
+
+
+@pytest.mark.parametrize(
+    "parameters, name, column",
+    [
+        ("int N, int N", "N", 19),
+        ("int N, float A[N], float A[N]", "A", 33),
+        ("int N, float N[4]", "N", 21),
+    ],
+)
+def test_duplicate_declaration_rejected_at_the_second(parameters, name, column):
+    assert _rejection(f"void f({parameters}) {{ }}") == (
+        f"{name!r} is declared twice at line 1, column {column}", 1, column
+    )
+
+
+def test_unterminated_comment_reported_where_it_opens():
+    source = "void f(int N, float A[N]) {\n  A[0] = 1.0; /* never\n  closed\n}"
+    assert _rejection(source) == ("unterminated comment at line 2, column 15", 2, 15)
+    with pytest.raises(FrontendError, match="unterminated comment at line 1, column 3"):
+        tokenize("a /* b")
+
+
+def test_statements_are_numbered_per_parse_in_source_order(gemm_source):
+    first, second = parse_program(gemm_source), parse_program(gemm_source)
+    assert [s.name for s in first.statements()] == ["S0", "S1"]
+    assert [s.name for s in second.statements()] == ["S0", "S1"]

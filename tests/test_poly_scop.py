@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.poly.scop as scop_module
 from repro.frontend import parse_program
 from repro.ir.normalize import normalize_reductions
 from repro.poly import detect_scops
+from repro.workloads.polybench import KERNELS
 
 
 def test_gemm_is_one_scop_with_two_statements(gemm_program):
@@ -56,6 +58,17 @@ def test_scalar_write_breaks_scop():
     assert detect_scops(program) == []
 
 
+def test_loop_reusing_an_enclosing_variable_breaks_scop():
+    source = """
+    void f(int N, float A[N][N]) {
+      for (int i = 0; i < N; i++)
+        for (int i = 0; i < N; i++)
+          A[i][i] = 0.0;
+    }
+    """
+    assert detect_scops(parse_program(source)) == []
+
+
 def test_affine_and_non_affine_nests_split_scops():
     source = """
     void f(int N, float A[N], float B[N]) {
@@ -89,6 +102,22 @@ def test_statement_lookup_by_name(gemm_scop):
     assert gemm_scop.statement(name) is gemm_scop.statements[0]
     with pytest.raises(KeyError):
         gemm_scop.statement("does_not_exist")
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_accesses_are_converted_once_per_scop_statement(kernel, monkeypatch):
+    converted = []
+    convert = scop_module.accesses_of_statement
+
+    def spy(stmt, *args):
+        converted.append(stmt.name)
+        return convert(stmt, *args)
+
+    monkeypatch.setattr(scop_module, "accesses_of_statement", spy)
+    scops = detect_scops(normalize_reductions(parse_program(KERNELS[kernel].source)))
+    statements = [stmt for scop in scops for stmt in scop.statements]
+    assert statements
+    assert converted == [stmt.name for stmt in statements]
 
 
 def test_triangular_loop_is_still_affine():
