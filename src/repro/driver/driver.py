@@ -157,6 +157,11 @@ class CimDriver:
     def submit(self, registers: dict[Register, int], flush_bytes: int) -> None:
         """Program a kernel descriptor and start the accelerator.
 
+        ``registers`` are the descriptor registers this launch writes; a
+        re-trigger of the descriptor the registers still hold passes none,
+        and the ioctl then writes ``COMMAND.START`` only.  Its host charges
+        (the ioctl and the cache flush) are the same either way.
+
         ``flush_bytes`` is the total size of the shared buffers involved; the
         driver flushes the corresponding cache lines before triggering so the
         accelerator's un-cacheable reads observe the host's writes.

@@ -85,6 +85,10 @@ class ContextRegisterFile:
     Writing ``Command.START`` to the COMMAND register invokes the callback
     installed by the accelerator (which runs the micro-engine); this mirrors
     the PMIO behaviour of the modelled hardware.
+
+    ``descriptor_version`` counts writes to every register other than
+    COMMAND: while it is unchanged, the registers still hold the kernel
+    descriptor of the last start, and a bare START re-runs it.
     """
 
     def __init__(self, on_start: Optional[Callable[[], None]] = None):
@@ -92,6 +96,7 @@ class ContextRegisterFile:
         self._on_start = on_start
         self.reads = 0
         self.writes = 0
+        self.descriptor_version = 0
 
     def install_start_handler(self, handler: Callable[[], None]) -> None:
         self._on_start = handler
@@ -107,7 +112,9 @@ class ContextRegisterFile:
         if register not in self._regs:
             raise KeyError(f"write to unknown context register 0x{register:02x}")
         self._regs[register] = int(value)
-        if register == int(Register.COMMAND) and int(value) == int(Command.START):
+        if register != Register.COMMAND:
+            self.descriptor_version += 1
+        elif int(value) == int(Command.START):
             if self._on_start is None:
                 raise RuntimeError("COMMAND.START written but no handler installed")
             self._regs[int(Register.STATUS)] = int(Status.BUSY)

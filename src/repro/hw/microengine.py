@@ -137,6 +137,9 @@ class MicroEngine:
         # against stale reuse after the host rewrites the operand buffer.
         self._programmed_operand: Optional[tuple] = None
         self._programmed_values: Optional[np.ndarray] = None
+        #: ``((m, k, cols, rows), blocks)`` of the last GEMM shard plan: a
+        #: re-triggered descriptor plans the same blocks.
+        self._shard_plan: Optional[tuple[tuple[int, int, int, int], list]] = None
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -205,7 +208,10 @@ class MicroEngine:
         # exactly as in the serial (single-tile) path.
         sharded = self.num_tiles > 1
         shard_work: list[ShardWork] = []
-        for block in plan_gemm_shards(req.m, req.k, cols, rows):
+        plan_key = (req.m, req.k, cols, rows)
+        if self._shard_plan is None or self._shard_plan[0] != plan_key:
+            self._shard_plan = (plan_key, plan_gemm_shards(*plan_key))
+        for block in self._shard_plan[1]:
             i0, i_size, k0, k_size = block.i0, block.i_size, block.k0, block.k_size
             shard = (
                 ShardWork(label=f"A[{i0}:{i0 + i_size},{k0}:{k0 + k_size}]")

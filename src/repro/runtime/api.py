@@ -10,6 +10,8 @@ work (Figure 2 (d): "Prepare data in shared memory").
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.driver.driver import CimDriver
@@ -180,7 +182,7 @@ class CimRuntime:
         """Copy data back from the shared buffer into a new host array."""
         self._require_init()
         dtype = np.dtype(dtype)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * dtype.itemsize
         buffer.require_capacity(nbytes)
         window = self.driver.memory.view(buffer.physical, nbytes)

@@ -2,15 +2,22 @@
 
 ``polly_cimBlasSGemm``, ``polly_cimBlasSGemv``, ``polly_cimBlasGemmBatched``
 and ``polly_cimConv2D`` from the paper map onto :class:`CimBlas`.  Each call
-encodes its parameters into context-register values, submits them through
-the driver (which flushes caches and triggers the accelerator), waits for
-completion, and returns the accelerator's per-run statistics.
+encodes its parameters into a :class:`KernelDescriptor` (context-register
+values plus the shared bytes to flush) and launches it
+(:meth:`~CimBlas.launch`): the driver writes the registers, flushes the
+caches and triggers the accelerator, then waits for completion, and the
+call returns the accelerator's per-run statistics.
+
+A caller that owns the device between launches (a serving lease) may build
+a GEMV descriptor once with :meth:`~CimBlas.gemv_descriptor` and re-trigger
+it: ``launch(descriptor, programmed=True)`` writes only ``COMMAND.START``.
+Every host and device charge of a re-trigger equals that of a full launch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,13 +43,23 @@ class BlasCallStats:
     batch_size: int = 1
 
 
+@dataclass(frozen=True)
+class KernelDescriptor:
+    """One encoded kernel launch: the context-register values, the shared
+    bytes the driver flushes before every start, and the batch size."""
+
+    operation: str
+    registers: dict[Register, int]
+    flush_bytes: int
+    batch_size: int = 1
+
+
 class CimBlas:
     """BLAS-style kernel launches on the CIM accelerator."""
 
     def __init__(self, runtime: CimRuntime):
         self.runtime = runtime
         self.driver: CimDriver = runtime.driver
-        self.calls: list[BlasCallStats] = []
 
     # ------------------------------------------------------------------
     # polly_cimBlasSGemm
@@ -84,7 +101,7 @@ class CimBlas:
             Register.ELEM_SIZE: 4,
         }
         flush_bytes = self._gemm_flush_bytes(m, n, k, beta)
-        return self._submit("sgemm", registers, flush_bytes)
+        return self.launch(KernelDescriptor("sgemm", registers, flush_bytes))
 
     # ------------------------------------------------------------------
     # polly_cimBlasSGemv
@@ -106,16 +123,29 @@ class CimBlas:
         ``m`` and ``n`` describe ``op(A)`` (m rows, n columns); ``x`` has
         ``n`` entries and ``y`` has ``m`` entries.
         """
+        return self.launch(
+            self.gemv_descriptor(trans_a, m, n, alpha, a, lda, x, beta, y)
+        )
+
+    def gemv_descriptor(
+        self,
+        trans_a: bool,
+        m: int,
+        n: int,
+        alpha: float,
+        a: DeviceBuffer,
+        lda: int,
+        x: DeviceBuffer,
+        beta: float,
+        y: DeviceBuffer,
+    ) -> KernelDescriptor:
+        """Validate and encode one :meth:`sgemv` without launching it."""
         if min(m, n) <= 0:
             raise CimRuntimeError("GEMV dimensions must be positive")
         a.require_capacity(m * n * 4)
         x.require_capacity(n * 4)
         y.require_capacity(m * 4)
         flags = Flags.TRANS_A if trans_a else Flags.NONE
-        registers = {
-            Register.OPCODE: int(Opcode.GEMV),
-            Register.ADDR_A: y.physical,   # placeholder, fixed below
-        }
         # The accelerator's GEMV is GEMM with N = 1: A is the matrix operand,
         # x the single-column B, y the single-column C.
         registers = {
@@ -132,7 +162,7 @@ class CimBlas:
             Register.ELEM_SIZE: 4,
         }
         flush_bytes = (m * n + n + (m if beta != 0.0 else 0)) * 4
-        return self._submit("sgemv", registers, flush_bytes)
+        return KernelDescriptor("sgemv", registers, flush_bytes)
 
     # ------------------------------------------------------------------
     # polly_cimBlasGemmBatched
@@ -185,8 +215,8 @@ class CimBlas:
             Register.ELEM_SIZE: 4,
         }
         flush_bytes += len(table)
-        stats = self._submit("gemm_batched", registers, flush_bytes,
-                             batch_size=len(problems))
+        stats = self.launch(KernelDescriptor(
+            "gemm_batched", registers, flush_bytes, batch_size=len(problems)))
         self.runtime.cim_free(descriptor_buffer)
         return stats
 
@@ -229,7 +259,35 @@ class CimBlas:
         flush_bytes = (img_h * img_w + filter_h * filter_w) * 4
         if beta != 0.0:
             flush_bytes += out_h * out_w * 4
-        return self._submit("conv2d", registers, flush_bytes)
+        return self.launch(KernelDescriptor("conv2d", registers, flush_bytes))
+
+    # ------------------------------------------------------------------
+    # Launch
+    # ------------------------------------------------------------------
+    def launch(
+        self, descriptor: KernelDescriptor, programmed: bool = False
+    ) -> BlasCallStats:
+        """Submit *descriptor*, wait for the accelerator, return its run.
+
+        ``programmed`` says the context registers still hold *descriptor*
+        (this caller launched it last and nothing has written them since):
+        the submit then writes ``COMMAND.START`` only, and the accelerator
+        re-runs its decoded request.  The ioctl, flush and wait charges are
+        those of a full launch.
+        """
+        self.driver.submit(
+            {} if programmed else descriptor.registers, descriptor.flush_bytes
+        )
+        self.driver.wait()
+        run = self.driver.accelerator.last_run
+        if run is None:
+            raise CimRuntimeError("accelerator finished without reporting statistics")
+        return BlasCallStats(
+            operation=descriptor.operation,
+            accelerator=run,
+            flush_bytes=descriptor.flush_bytes,
+            batch_size=descriptor.batch_size,
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -257,24 +315,3 @@ class CimBlas:
         if beta != 0.0:
             operand_bytes += m * n * 4
         return operand_bytes
-
-    def _submit(
-        self,
-        operation: str,
-        registers: dict[Register, int],
-        flush_bytes: int,
-        batch_size: int = 1,
-    ) -> BlasCallStats:
-        self.driver.submit(registers, flush_bytes)
-        self.driver.wait()
-        run = self.driver.accelerator.last_run
-        if run is None:
-            raise CimRuntimeError("accelerator finished without reporting statistics")
-        stats = BlasCallStats(
-            operation=operation,
-            accelerator=run,
-            flush_bytes=flush_bytes,
-            batch_size=batch_size,
-        )
-        self.calls.append(stats)
-        return stats

@@ -118,6 +118,29 @@ def batch_signature(
     return digest.hexdigest()
 
 
+#: Unsigned integer views of each element size, for bitwise comparison.
+_BITS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def same_bytes(a: object, b: object) -> bool:
+    """Whether *a* and *b* are arrays of one dtype and shape whose
+    elements are bitwise equal — signed zeros and NaN payloads included,
+    so equal arrays hash to equal :func:`batch_signature` bytes."""
+    if a is b:
+        return True
+    if (
+        not isinstance(a, np.ndarray)
+        or not isinstance(b, np.ndarray)
+        or a.dtype != b.dtype
+        or a.shape != b.shape
+    ):
+        return False
+    bits = _BITS.get(a.dtype.itemsize)
+    if bits is None or a.dtype.hasobject:
+        return a.tobytes() == b.tobytes()
+    return bool((a.view(bits) == b.view(bits)).all())
+
+
 # ----------------------------------------------------------------------
 # Fused single-GEMV dispatch plans
 # ----------------------------------------------------------------------

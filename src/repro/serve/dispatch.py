@@ -35,7 +35,7 @@ import numpy as np
 from repro.codegen.executor import ExecutionReport, OffloadExecutor
 from repro.hw.timeline import Timeline
 from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage
-from repro.serve.batcher import FusedGemvPlan, extract_fused_gemv_plan
+from repro.serve.batcher import FusedGemvPlan, extract_fused_gemv_plan, same_bytes
 from repro.serve.clock import VirtualClock
 from repro.serve.errors import DeviceFault
 from repro.serve.metrics import MetricsRegistry
@@ -154,64 +154,74 @@ class LeaseExecutor:
     def _dispatch_fused(
         self, batch: list[TenantRequest], plan: FusedGemvPlan, batch_id: int
     ) -> list[FaultedRequest]:
-        """Fused GEMV lease: upload the stationary matrix once, then
-        stream one ``sgemv`` per request against the resident operand."""
+        """Fused GEMV lease: the establishing member uploads the
+        stationary matrix and its launch programs the GEMV descriptor;
+        every member then uploads its vector, re-triggers the descriptor
+        and reads its result back."""
         runtime = self.system.runtime
-        buffers: dict[str, object] = {"a": None, "x": None, "y": None}
+        blas = self.system.blas
+        # The established lease: its stationary matrix, device buffers and
+        # (once its first member has launched) the descriptor the context
+        # registers hold.  Empty = not established.
+        lease: dict[str, object] = {}
         faulted: list[FaultedRequest] = []
 
         def run_fused(request: TenantRequest):
-            if buffers["a"] is None:
+            if not lease:
                 # Lease setup — the request that establishes the lease
                 # supplies the operands and pays for the shared upload.
-                # (Batch compatibility makes the stationary matrix
-                # byte-identical across members, so any establisher
-                # serves the whole lease; a malformed member must only
-                # ever fail itself.)
-                matrix = request.arrays[plan.array_a]
-                buffers["a"] = runtime.cim_malloc(matrix.nbytes)
-                buffers["x"] = runtime.cim_malloc(
-                    request.arrays[plan.array_x].nbytes
-                )
-                buffers["y"] = runtime.cim_malloc(
-                    request.arrays[plan.array_y].nbytes
-                )
-                runtime.cim_host_to_dev(buffers["a"], matrix)
+                # (A malformed member must only ever fail itself.)
+                matrix = lease["matrix"] = request.arrays[plan.array_a]
+                lease["a"] = runtime.cim_malloc(matrix.nbytes)
+                lease["x"] = runtime.cim_malloc(request.arrays[plan.array_x].nbytes)
+                lease["y"] = runtime.cim_malloc(request.arrays[plan.array_y].nbytes)
+                runtime.cim_host_to_dev(lease["a"], matrix)
             x = request.arrays[plan.array_x]
             y = request.arrays[plan.array_y]
-            runtime.cim_host_to_dev(buffers["x"], x)
+            runtime.cim_host_to_dev(lease["x"], x)
             if plan.uploads_y:
-                runtime.cim_host_to_dev(buffers["y"], y)
-            self.system.blas.sgemv(
-                plan.trans_a,
-                plan.m,
-                plan.n,
-                plan.alpha,
-                buffers["a"],
-                plan.n,
-                buffers["x"],
-                plan.beta,
-                buffers["y"],
-            )
-            result_y = runtime.cim_dev_to_host(buffers["y"], y.shape).astype(
-                y.dtype
+                runtime.cim_host_to_dev(lease["y"], y)
+            descriptor = lease.get("gemv")
+            if descriptor is None:
+                descriptor = lease["gemv"] = blas.gemv_descriptor(
+                    plan.trans_a, plan.m, plan.n, plan.alpha, lease["a"], plan.n,
+                    lease["x"], plan.beta, lease["y"],
+                )
+                blas.launch(descriptor)
+            else:
+                blas.launch(descriptor, programmed=True)
+            result_y = runtime.cim_dev_to_host(lease["y"], y.shape).astype(
+                y.dtype, copy=False
             )
             outputs = {
-                name: np.array(value, copy=True)
+                name: result_y if name == plan.array_y else np.array(value, copy=True)
                 for name, value in request.arrays.items()
             }
-            outputs[plan.array_y] = result_y
             return outputs, None
+
+        def end_lease() -> None:
+            self._release_lease_buffers()
+            lease.clear()
 
         try:
             for index, request in enumerate(batch):
-                fault = self._execute_guarded(
-                    request,
-                    batch_id,
-                    len(batch),
-                    lambda request=request: run_fused(request),
-                    runtime_calls=["polly_cimBlasSGemv"],
-                )
+                if lease and not same_bytes(
+                    request.arrays.get(plan.array_a), lease["matrix"]
+                ):
+                    # A member is only ever computed with its own matrix:
+                    # one whose matrix is not the lease's (its signature
+                    # was forged or collided) is served alone.
+                    end_lease()
+                    alone = self._dispatch_programs([request], batch_id)
+                    fault = alone[0].fault if alone else None
+                else:
+                    fault = self._execute_guarded(
+                        request,
+                        batch_id,
+                        len(batch),
+                        lambda request=request: run_fused(request),
+                        runtime_calls=["polly_cimBlasSGemv"],
+                    )
                 if fault is not None:
                     faulted.append(FaultedRequest(request, fault, attempted=True))
                     if fault.fatal:
@@ -223,8 +233,7 @@ class LeaseExecutor:
                 # A failed or faulted request may leave the lease half set
                 # up; scrub it so the next request re-establishes cleanly.
                 if not _served_ok(request):
-                    self._release_lease_buffers()
-                    buffers["a"] = buffers["x"] = buffers["y"] = None
+                    end_lease()
         finally:
             self._release_lease_buffers()
         return faulted

@@ -52,7 +52,9 @@ class TenantRequest:
     signature: str                 # batch-compatibility key (see batcher)
     program: object                # compiled IR program
     params: Mapping[str, float]
-    arrays: dict[str, np.ndarray]  # private snapshot of the tenant's data
+    #: Snapshot of the tenant's data; stationary operands may be read-only
+    #: snapshots shared with other requests (see ``ServingLoop._snapshot``).
+    arrays: dict[str, np.ndarray]
     arrival_s: float
     #: Execution engine the kernel was compiled for (None = executor default).
     engine: Optional[str] = None

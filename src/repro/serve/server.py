@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -62,7 +62,12 @@ from repro.hw.timeline import Timeline
 from repro.ir.program import Program
 from repro.serve.accounting import AccountingLedger
 from repro.serve.admission import AdmissionController, TenantQuota
-from repro.serve.batcher import DynamicBatcher, batch_signature
+from repro.serve.batcher import (
+    DynamicBatcher,
+    batch_signature,
+    same_bytes,
+    stationary_operand_arrays,
+)
 from repro.serve.clock import VirtualClock
 from repro.serve.device import Device
 from repro.serve.dispatch import LeaseExecutor
@@ -71,6 +76,49 @@ from repro.serve.metrics import MetricsRegistry
 from repro.serve.request import RequestHandle, TenantRequest
 from repro.system.config import SystemConfig
 from repro.system.system import CimSystem
+
+#: Stationary-operand sets a serving loop keeps interned.  A hit costs one
+#: bytewise comparison per operand; a miss, the sha256 of
+#: :func:`batch_signature` as before.
+STATIONARY_INTERN_CAPACITY = 16
+
+
+class _StationaryInterner:
+    """Read-only snapshots of recently submitted stationary operands and
+    their batch signatures, least recently used out first.
+
+    A key is the compile fingerprint, the parameters and, per stationary
+    operand, its name, dtype, shape and a strided sample of its bytes.  A
+    set that differs from the interned one only outside the sample has
+    the same key and replaces it.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._sets: OrderedDict[tuple, tuple[tuple[np.ndarray, ...], str]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def find(
+        self, key: tuple, operands: tuple[np.ndarray, ...]
+    ) -> Optional[tuple[tuple[np.ndarray, ...], str]]:
+        """The interned ``(snapshots, signature)`` bytewise equal to
+        *operands*, or ``None``."""
+        entry = self._sets.get(key)
+        if entry is None or not all(map(same_bytes, operands, entry[0])):
+            return None
+        self._sets.move_to_end(key)
+        return entry
+
+    def add(self, key: tuple, snapshots: tuple[np.ndarray, ...], signature: str) -> None:
+        """Intern *snapshots*, made read-only, under *key*."""
+        for snapshot in snapshots:
+            snapshot.setflags(write=False)
+        self._sets[key] = (snapshots, signature)
+        self._sets.move_to_end(key)
+        if len(self._sets) > self.capacity:
+            self._sets.popitem(last=False)
 
 
 @dataclass
@@ -150,6 +198,7 @@ class ServingLoop:
             max_batch_size=self.config.max_batch_size,
         )
         self.metrics = MetricsRegistry()
+        self._interned = _StationaryInterner(STATIONARY_INTERN_CAPACITY)
         #: Serving-level lease/occupancy timeline (one event per lease).
         self.timeline = Timeline()
         self.devices: list[Device] = []
@@ -269,11 +318,7 @@ class ServingLoop:
                 f"(clock={self.clock.now_s}, last arrival={self._last_arrival_s})"
             )
         program, fingerprint, engine = self._resolve_kernel(kernel, params)
-        snapshot = {
-            name: np.array(value, copy=True)
-            for name, value in (arrays or {}).items()
-        }
-        signature = batch_signature(fingerprint, program, params, snapshot)
+        snapshot, signature = self._snapshot(fingerprint, program, params, arrays or {})
         self._seq += 1
         handle = RequestHandle(
             request_id=self._seq, tenant=tenant, arrival_s=arrival_s
@@ -323,6 +368,50 @@ class ServingLoop:
             kernel, self.config.compile_options, params
         )
         return result.program, fingerprint, self.config.compile_options.engine
+
+    def _snapshot(
+        self,
+        fingerprint: str,
+        program: Program,
+        params: Mapping[str, float],
+        arrays: Mapping[str, np.ndarray],
+    ) -> tuple[dict[str, np.ndarray], str]:
+        """The request's private copy of *arrays* and its batch signature.
+
+        Stationary operands already interned (:class:`_StationaryInterner`)
+        are not copied or hashed again: the request shares the interned
+        read-only snapshots and their signature string, which is the one
+        :func:`batch_signature` returns for these bytes.  Anything else is
+        copied and hashed, and its stationary operands are interned.
+        """
+        names = stationary_operand_arrays(program)
+        operands = tuple(arrays.get(name) for name in names)
+        key = None
+        if names and all(
+            isinstance(operand, np.ndarray) and not operand.dtype.hasobject
+            for operand in operands
+        ):
+            key = (
+                fingerprint,
+                tuple(f"{name}={float(params[name])!r}" for name in sorted(params)),
+                tuple(
+                    (name, op.dtype.str, op.shape, op.flat[:: op.size // 8 or 1].tobytes())
+                    for name, op in zip(names, operands)
+                ),
+            )
+            interned = self._interned.find(key, operands)
+            if interned is not None:
+                snapshots, signature = interned
+                shared = dict(zip(names, snapshots))
+                return {
+                    name: shared[name] if name in shared else np.array(value, copy=True)
+                    for name, value in arrays.items()
+                }, signature
+        snapshot = {name: np.array(value, copy=True) for name, value in arrays.items()}
+        signature = batch_signature(fingerprint, program, params, snapshot)
+        if key is not None:
+            self._interned.add(key, tuple(snapshot[name] for name in names), signature)
+        return snapshot, signature
 
     # ------------------------------------------------------------------
     # Event loop

@@ -224,6 +224,49 @@ def test_blas_sgemv_end_to_end(system, rng):
     np.testing.assert_allclose(out, a @ x, rtol=1e-4)
 
 
+def test_a_retriggered_gemv_is_charged_like_an_sgemv():
+    """``sgemv`` is a descriptor plus a launch; re-triggering the
+    descriptor the registers hold writes only ``COMMAND.START`` and moves
+    every host and device record exactly as a full ``sgemv`` does."""
+
+    def serve(retrigger: bool) -> tuple[CimSystem, list[np.ndarray]]:
+        rng = np.random.default_rng(4)
+        system = CimSystem(SystemConfig(crossbar_rows=16, crossbar_cols=16))
+        system.runtime.cim_init(0)
+        a = rng.standard_normal((20, 12)).astype(np.float32)
+        buf_a = _device_array(system, a)
+        buf_x = system.runtime.cim_malloc(12 * 4)
+        buf_y = _device_array(system, rng.standard_normal(20).astype(np.float32))
+        args = (False, 20, 12, 0.75, buf_a, 12, buf_x, 1.25, buf_y)
+        descriptor = system.blas.gemv_descriptor(*args)
+        outputs = []
+        for index in range(3):
+            system.runtime.cim_host_to_dev(buf_x, rng.standard_normal(12).astype(np.float32))
+            if retrigger:
+                system.blas.launch(descriptor, programmed=index > 0)
+            else:
+                system.blas.sgemv(*args)
+            outputs.append(system.runtime.cim_dev_to_host(buf_y, (20,)))
+        return system, outputs
+
+    (full, full_out), (lease, lease_out) = serve(False), serve(True)
+    assert all(np.array_equal(f, r) for f, r in zip(full_out, lease_out))
+    for record in (
+        lambda s: vars(s.host_overhead),
+        lambda s: [vars(run) for run in s.accelerator.completed_runs],
+        lambda s: s.accelerator.energy.as_dict(),
+        lambda s: s.accelerator.tile.energy.as_dict(),
+        lambda s: s.accelerator.timeline.events,
+        lambda s: vars(s.accelerator.totals),
+    ):
+        assert record(full) == record(lease)
+    full_counts = full.driver.counters.as_dict()
+    lease_counts = lease.driver.counters.as_dict()
+    # Two re-triggers skip the eleven descriptor registers each.
+    assert full_counts.pop("driver.reg_write") - lease_counts.pop("driver.reg_write") == 22
+    assert full_counts == lease_counts
+
+
 def test_blas_batched_gemm_reuses_shared_operand(system, rng):
     system.runtime.cim_init(0)
     n = 16

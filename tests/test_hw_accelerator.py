@@ -149,6 +149,66 @@ def test_gemv_opcode_uses_single_column(rng):
     assert acc.last_run.gemv_count == 1
 
 
+def _gemv_registers(addr_x: int) -> dict:
+    return {
+        Register.OPCODE: int(Opcode.GEMV),
+        Register.ADDR_A: 0,
+        Register.ADDR_B: addr_x,
+        Register.ADDR_C: 128 * 1024,
+        Register.DIM_M: 15,
+        Register.DIM_K: 11,
+        Register.ALPHA: encode_scalar(1.5),
+        Register.BETA: encode_scalar(0.0),
+        Register.ELEM_SIZE: 4,
+    }
+
+
+def _gemv_on(rng_seed: int, registers: dict, starts: int):
+    """A GEMV programmed with *registers* on a fresh accelerator and
+    started *starts* times; returns (accelerator, memory, output)."""
+    rng = np.random.default_rng(rng_seed)
+    acc, mem = make_accelerator()
+    mem.write_array(0, rng.standard_normal((15, 11)).astype(np.float32))
+    mem.write_array(64 * 1024, rng.standard_normal(11).astype(np.float32))
+    mem.write_array(192 * 1024, rng.standard_normal(11).astype(np.float32))
+    for reg, value in registers.items():
+        acc.mmio_write(reg, value)
+    for _ in range(starts):
+        acc.mmio_write(Register.COMMAND, int(Command.START))
+    return acc, mem, mem.read_array(128 * 1024, 15)
+
+
+@pytest.mark.parametrize(
+    "register, value",
+    [
+        (Register.ALPHA, encode_scalar(-0.75)),
+        (Register.ADDR_B, 192 * 1024),
+        (Register.DIM_M, 7),
+        (Register.ELEM_SIZE, 4),
+    ],
+)
+def test_a_bare_start_reruns_the_decoded_descriptor_until_a_register_changes(
+    register, value
+):
+    """START alone re-runs the request decoded at the previous start; a
+    write to any other register through ``mmio_write`` drops it, even a
+    write of the value the register already holds."""
+    acc, mem, first = _gemv_on(3, _gemv_registers(64 * 1024), starts=1)
+    decoded = acc._decoded_gemm[1]
+    acc.mmio_write(Register.COMMAND, int(Command.START))
+    assert acc._decoded_gemm[1] is decoded
+    assert np.array_equal(mem.read_array(128 * 1024, 15), first)
+    assert len(acc.completed_runs) == 2
+
+    acc.mmio_write(register, value)
+    acc.mmio_write(Register.COMMAND, int(Command.START))
+    assert acc._decoded_gemm[1] is not decoded
+    changed = {**_gemv_registers(64 * 1024), register: value}
+    _, _, expected = _gemv_on(3, changed, starts=1)
+    rows = changed[Register.DIM_M]
+    assert np.array_equal(mem.read_array(128 * 1024, 15)[:rows], expected[:rows])
+
+
 def test_energy_and_latency_accounting_consistency(rng):
     acc, mem = make_accelerator()
     a = rng.random((16, 16), dtype=np.float32)

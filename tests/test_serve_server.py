@@ -163,6 +163,9 @@ def test_same_matrix_requests_share_one_batch(server):
     writes = [handle.report.crossbar_cell_writes for handle in handles]
     assert writes[0] == 24 * 24
     assert writes[1:] == [0, 0, 0]
+    # The GEMV descriptor's eleven registers were written once; every
+    # member wrote COMMAND.START.
+    assert server.system.driver.counters.get("driver.reg_write") == 11 + 4
 
 
 def test_different_matrices_do_not_batch(server):
@@ -509,6 +512,182 @@ def test_bad_payload_fails_on_generic_path(server):
     assert good.status is RequestStatus.COMPLETED
     checks = server.ledger.verify_partition(server.system.accelerator)
     assert all(checks.values()), checks
+
+
+# ----------------------------------------------------------------------
+# The fused lease and the stationary-operand intern table
+# ----------------------------------------------------------------------
+def _direct(server, source, params, arrays):
+    program = server.compiler.compile(source, size_hint=params).program
+    outputs, _ = OffloadExecutor().run(
+        program, params, {name: np.array(value) for name, value in arrays.items()}
+    )
+    return outputs
+
+
+def test_a_member_is_computed_with_its_own_matrix(server):
+    """A forged (or colliding) signature puts a member whose matrix is not
+    the lease's into the lease: it is served alone on the whole-program
+    path, billed normally, and the lease re-establishes after it."""
+    from repro.serve import RequestHandle, TenantRequest
+
+    rng = np.random.default_rng(40)
+    program = server.compiler.compile(GEMV_SOURCE, size_hint=PARAMS).program
+    shared = rng.random((24, 24), dtype=np.float32)
+    other = rng.random((24, 24), dtype=np.float32)
+    batch = []
+    for seq, matrix in enumerate((shared, other, shared, shared), start=1):
+        batch.append(TenantRequest(
+            seq=seq, tenant=f"t{seq}", signature="forged", program=program,
+            params=dict(PARAMS), arrays=_gemv_arrays(rng, matrix), arrival_s=0.0,
+            handle=RequestHandle(request_id=seq, tenant=f"t{seq}", arrival_s=0.0),
+        ))
+    assert server.lease_executor.dispatch(batch, batch_id=1) == []
+    for request in batch:
+        expected = _direct(server, GEMV_SOURCE, PARAMS, request.arrays)
+        assert np.array_equal(request.handle.result()["y"], expected["y"])
+    assert [r.handle.batch_size for r in batch] == [4, 1, 4, 4]
+    alone = batch[1].handle.report
+    assert alone.crossbar_cell_writes == 24 * 24
+    assert alone.runtime_calls != ["polly_cimBlasSGemv"]
+    # The lease re-established after it: member 3 programs the shared
+    # matrix again and member 4 streams against it.
+    assert [r.handle.report.crossbar_cell_writes for r in batch[2:]] == [24 * 24, 0]
+    checks = server.ledger.verify_partition(server.system.accelerator)
+    assert all(checks.values()), checks
+    assert len(server.ledger.all_usages()) == 4
+
+
+def _count_signatures(monkeypatch) -> list:
+    import repro.serve.server as serve_server
+
+    calls = []
+    real = serve_server.batch_signature
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(serve_server, "batch_signature", counting)
+    return calls
+
+
+@pytest.mark.parametrize("element", [(0, 0), (23, 23)])
+def test_a_one_element_different_matrix_does_not_batch(server, monkeypatch, element):
+    """Element (0, 0) falls in the intern key's byte sample, (23, 23) does
+    not; either way each matrix carries the sha256 signature of its own
+    bytes and batches only with its equals."""
+    from repro.serve import batch_signature
+
+    calls = _count_signatures(monkeypatch)
+    rng = np.random.default_rng(41)
+    matrix = rng.random((24, 24), dtype=np.float32)
+    nearly = matrix.copy()
+    nearly[element] = np.nextafter(nearly[element], np.float32(2))
+    matrices = (matrix, nearly, matrix, nearly)
+    handles = [
+        server.submit("alice", GEMV_SOURCE, PARAMS, _gemv_arrays(rng, m), arrival_s=0.0)
+        for m in matrices
+    ]
+    requests = list(server._arrivals)
+    for request, m in zip(requests, matrices):
+        assert request.signature == batch_signature(
+            calls[0][0], request.program, PARAMS, {**request.arrays, "A": m}
+        )
+    assert requests[0].signature != requests[1].signature
+    if element == (0, 0):
+        # Two distinct keys: the repeats are hits, sharing one snapshot.
+        assert len(calls) == 2
+        assert requests[0].arrays["A"] is requests[2].arrays["A"]
+    server.drain()
+    assert handles[0].batch_id == handles[2].batch_id != handles[1].batch_id
+    assert handles[1].batch_id == handles[3].batch_id
+
+
+def test_mutating_the_callers_arrays_after_submit_changes_nothing(server):
+    rng = np.random.default_rng(42)
+    matrix = rng.random((24, 24), dtype=np.float32)
+    first = _gemv_arrays(rng, matrix)
+    first_copy = {name: value.copy() for name, value in first.items()}
+    first_handle = server.submit("alice", GEMV_SOURCE, PARAMS, first, arrival_s=0.0)
+    matrix[0, 0] += 1.0  # the caller reuses its buffer for another model
+    second = _gemv_arrays(rng, matrix)
+    second_copy = {name: value.copy() for name, value in second.items()}
+    second_handle = server.submit("bob", GEMV_SOURCE, PARAMS, second, arrival_s=0.0)
+    matrix[:] = -1.0
+    for arrays in (first, second):
+        arrays["x"][:] = 7.0
+    server.drain()
+    assert first_handle.batch_id != second_handle.batch_id
+    for handle, arrays in ((first_handle, first_copy), (second_handle, second_copy)):
+        expected = _direct(server, GEMV_SOURCE, PARAMS, arrays)
+        for name in expected:
+            assert np.array_equal(expected[name], handle.result()[name])
+
+
+def test_the_intern_table_is_bounded(server, monkeypatch):
+    from repro.serve.server import STATIONARY_INTERN_CAPACITY
+
+    calls = _count_signatures(monkeypatch)
+    rng = np.random.default_rng(43)
+    matrices = [
+        rng.random((24, 24), dtype=np.float32)
+        for _ in range(STATIONARY_INTERN_CAPACITY + 1)
+    ]
+    for matrix in matrices:
+        server.submit("alice", GEMV_SOURCE, PARAMS, _gemv_arrays(rng, matrix))
+    assert len(server._interned) == STATIONARY_INTERN_CAPACITY
+    assert len(calls) == len(matrices)
+    server.submit("alice", GEMV_SOURCE, PARAMS, _gemv_arrays(rng, matrices[-1]))
+    assert len(calls) == len(matrices)  # recent: a hit
+    server.submit("alice", GEMV_SOURCE, PARAMS, _gemv_arrays(rng, matrices[0]))
+    assert len(calls) == len(matrices) + 1  # evicted: hashed again
+    assert len(server._interned) == STATIONARY_INTERN_CAPACITY
+    server.drain()
+
+
+def test_unique_operands_cost_one_signature_each(monkeypatch):
+    """The ``fleet_unbatched`` shape: every submit has unique operands, so
+    every one misses and is hashed exactly once, as before interning."""
+    from repro.workloads.polybench import KERNELS, PAPER_KERNELS
+
+    calls = _count_signatures(monkeypatch)
+    with FleetServer() as fleet:
+        for serial in range(12):
+            kernel = KERNELS[PAPER_KERNELS[serial % len(PAPER_KERNELS)]]
+            fleet.submit(
+                "t", kernel.source, kernel.params("MINI"), kernel.arrays("MINI", serial)
+            )
+            assert len(calls) == serial + 1
+        fleet.drain()
+        checks = fleet.verify_fleet_partition()
+        assert all(checks.values()), checks
+
+
+def test_the_programs_path_runs_on_interned_snapshots(server):
+    """A whole-program request whose stationary operand is a shared,
+    read-only interned snapshot runs bit-identically."""
+    rng = np.random.default_rng(44)
+    shared_a = rng.random((12, 12), dtype=np.float32)
+    submissions = []
+    for _ in range(3):
+        arrays = {
+            "A": shared_a,
+            "B": rng.random((12, 12), dtype=np.float32),
+            "C": rng.random((12, 12), dtype=np.float32),
+        }
+        handle = server.submit("alice", GEMM_SOURCE, {"M": 12, "N": 12}, arrays)
+        submissions.append((handle, {n: v.copy() for n, v in arrays.items()}))
+    interned = [request.arrays["A"] for request in server._arrivals]
+    assert interned[0] is interned[1] is interned[2]
+    assert not interned[0].flags.writeable
+    server.drain()
+    assert server.metrics.fused_batches == 0
+    for handle, arrays in submissions:
+        expected = _direct(server, GEMM_SOURCE, {"M": 12, "N": 12}, arrays)
+        for name in expected:
+            assert np.array_equal(expected[name], handle.result()[name])
+        assert handle.result()["A"].flags.writeable
 
 
 # ----------------------------------------------------------------------
