@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.hw.adc import ADCConfig, ADCStage
 from repro.hw.digital_logic import DigitalLogic
-from repro.hw.pcm import PCMCellArray, PCMDeviceParams
+from repro.hw.pcm import MAX_PENDING_BLOCKS, PCMCellArray, PCMDeviceParams
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,13 @@ class CrossbarConfig:
             raise ValueError(f"unknown crossbar mode {self.mode!r}")
         if self.cell_bits % self.device_bits != 0:
             raise ValueError("cell_bits must be a multiple of device_bits")
+        # Crossbar.write stores the two device levels of a logical 8-bit
+        # cell without re-checking them against the device range.
+        if max(0xFF >> self.device_bits, (1 << self.device_bits) - 1) >= self.pcm.levels:
+            raise ValueError(
+                f"{self.pcm.bits}-bit devices cannot hold the {self.device_bits}-bit "
+                "halves of an 8-bit cell"
+            )
 
     @property
     def devices_per_cell(self) -> int:
@@ -99,6 +106,11 @@ class Crossbar:
         # for read-back checks in quantized mode).
         self._values = np.zeros((cfg.rows, cfg.cols), dtype=np.float64)
         self._scale = 1.0
+        #: ``(r0, r1, c0, c1, scale)`` of the blocks written since the
+        #: planes' levels were last stored (scale 0.0: programmed as zeros).
+        self._unquantised: list[tuple[int, int, int, int, float]] = []
+        self.msb_plane._store_deferred_levels = self._quantise_pending
+        self.lsb_plane._store_deferred_levels = self._quantise_pending
         # Lifetime counters.
         self.total_cell_writes = 0
         self.total_gemvs = 0
@@ -114,46 +126,54 @@ class Crossbar:
         row_offset: int = 0,
         col_offset: int = 0,
     ) -> WriteReport:
-        """Program a block of the crossbar with *matrix* (float values)."""
-        matrix = np.asarray(matrix, dtype=np.float64)
+        """Program a block of the crossbar with *matrix* (float values).
+
+        An empty block programs nothing and leaves the scale alone."""
+        matrix = np.asarray(matrix)
+        if matrix.dtype.kind != "f":
+            matrix = matrix.astype(np.float64)
         if matrix.ndim != 2:
             raise ValueError("crossbar write expects a 2-D matrix")
         rows, cols = matrix.shape
         cfg = self.config
-        if row_offset + rows > cfg.rows or col_offset + cols > cfg.cols:
+        if (row_offset + rows > cfg.rows or col_offset + cols > cfg.cols
+                or row_offset < 0 or col_offset < 0):
             raise ValueError(
                 f"write of {rows}x{cols} at ({row_offset},{col_offset}) exceeds "
                 f"crossbar {cfg.rows}x{cfg.cols}"
             )
+        if matrix.size == 0:
+            return WriteReport()
         # Quantise to 8-bit levels for the physical planes, offset by 128
         # into the unsigned range 1..255; the scale is shared across the
         # whole crossbar (the micro-engine writes one operand tile at a
         # time, so this matches its usage).  A block with no magnitude to
         # scale by -- all zeros, or holding a NaN -- is programmed as zeros.
-        max_abs = float(max(matrix.max(), -matrix.min())) if matrix.size else 0.0
+        # Widening a float to float64 is exact, so the extremes of a
+        # narrower operand are those of the widened one.
+        max_abs = float(max(matrix.max(), -matrix.min()))
         scale = max_abs / 127.0 if max_abs > 0 else 1.0
         if not 0.0 < scale < np.inf:
             raise ValueError(f"operand magnitude {max_abs} cannot be quantised")
-        if max_abs > 0:
-            scaled = matrix / scale
-            np.rint(scaled, out=scaled)
-            scaled += 128.0
-            levels = scaled.astype(np.uint8)
-        else:
-            levels = np.full(matrix.shape, 128, dtype=np.uint8)
-        self._values[row_offset : row_offset + rows, col_offset : col_offset + cols] = (
-            matrix
-        )
+        r1, c1 = row_offset + rows, col_offset + cols
+        self._values[row_offset:r1, col_offset:c1] = matrix
         self._scale = scale
+        # The device levels are quantised from the shadow when the planes
+        # are next read; a pending block this one covers needs no levels.
+        block = (row_offset, r1, col_offset, c1)
+        unquantised = [
+            pending for pending in self._unquantised
+            if not (row_offset <= pending[0] and pending[1] <= r1
+                    and col_offset <= pending[2] and pending[3] <= c1)
+        ]
+        unquantised.append((*block, scale if max_abs > 0 else 0.0))
+        self._unquantised = unquantised
+        if len(unquantised) > MAX_PENDING_BLOCKS:
+            self._quantise_pending()
         # Wear is counted per programming pulse (no program-and-verify skip):
         # the paper's endurance analysis counts every write issued to a cell.
-        self.msb_plane.program(
-            levels >> cfg.device_bits, row_offset, col_offset, count_unchanged=True
-        )
-        self.lsb_plane.program(
-            levels & ((1 << cfg.device_bits) - 1), row_offset, col_offset,
-            count_unchanged=True,
-        )
+        self.msb_plane._pulse(*block)
+        self.lsb_plane._pulse(*block)
         report = WriteReport(
             cells_targeted=rows * cols,
             cells_changed=rows * cols,  # logical 8-bit cells programmed
@@ -162,6 +182,35 @@ class Crossbar:
         self.total_cell_writes += report.cells_changed
         self.total_rows_written += rows
         return report
+
+    def _quantise_pending(self) -> None:
+        """Store the device levels of the blocks written since the planes
+        were last read, oldest first, from the shadow.
+
+        A block's cells that a later write changed quantise to garbage
+        (another block's value at this block's scale), which the later
+        block's levels then overwrite; every other cell still holds this
+        block's value, so the levels are those an eager write stores.
+        """
+        if not self._unquantised:
+            return
+        pending, self._unquantised = self._unquantised, []
+        bits = self.config.device_bits
+        msb, lsb = self.msb_plane._levels, self.lsb_plane._levels
+        with np.errstate(all="ignore"):  # the garbage may overflow int8
+            for r0, r1, c0, c1, scale in pending:
+                if scale:
+                    # rint(v / scale) lies in -127..127: as int8 its two's-
+                    # complement byte XOR 0x80 is the offset level v + 128.
+                    scaled = self._values[r0:r1, c0:c1] / scale
+                    np.rint(scaled, out=scaled)
+                    levels = scaled.astype(np.int8).view(np.uint8)
+                    levels ^= 0x80
+                else:
+                    levels = np.full((r1 - r0, c1 - c0), 128, dtype=np.uint8)
+                msb[r0:r1, c0:c1] = levels >> bits
+                levels &= (1 << bits) - 1
+                lsb[r0:r1, c0:c1] = levels
 
     def read_values(self) -> np.ndarray:
         """Full-precision read-back of the stored matrix (shadow copy)."""

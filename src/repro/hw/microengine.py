@@ -258,7 +258,7 @@ class MicroEngine:
                 # the reports are identical to the sequential loop.
                 x_block = np.ascontiguousarray(b[k0 : k0 + k_size, :].T, dtype=np.float64)
                 dma_time = self._dma_in(req.addr_b, in_bytes, result,
-                                        overlappable=True, repeat=req.n)
+                                        overlappable=True, transfers=req.n)
                 partial, cost = self.tile.gemv_batch(
                     x_block, rows_active=k_size, cols_active=i_size
                 )
@@ -305,14 +305,17 @@ class MicroEngine:
                 shard_work, start_s=self._clock_s, timeline=self.timeline
             )
         # --- post-processing and write-back ------------------------------
+        # alpha * C_acc + beta * C, in place (the same three roundings per
+        # element as the expression, without its temporaries).
         digital_ops = req.m * req.n  # alpha scaling
+        c_out *= req.alpha
         if req.beta != 0.0:
             c_orig = self._load_matrix(req.addr_c, req.m, req.n, req.ldc, False)
             self._dma_in(req.addr_c, req.m * req.n * elem, result)
-            c_out = req.alpha * c_out + req.beta * c_orig.astype(np.float64)
+            c_in = c_orig.astype(np.float64)
+            c_in *= req.beta
+            c_out += c_in
             digital_ops += 2 * req.m * req.n
-        else:
-            c_out = req.alpha * c_out
         self.tile.digital_ops(digital_ops)
         self._store_matrix(req.addr_c, c_out.astype(np.float32), req.ldc, result)
 
@@ -376,12 +379,6 @@ class MicroEngine:
         slabs = np.lib.stride_tricks.sliding_window_view(padded, (kh, slab_w))[
             : req.out_h, : n_slabs * t_cols : t_cols
         ].reshape(req.out_h * n_slabs, slab_len)
-        if self.batch_gemv:
-            # One tile product for the image; the per-row charges below
-            # are those of one batched dispatch per output row.
-            values, _ = self.tile.crossbar.gemv_batch(slabs, slab_len, t_cols)
-        else:
-            values = np.empty((len(slabs), t_cols), dtype=np.float64)
         slab_bytes = slab_len * elem
         per_gemv_j = self.energy_model.dma_microengine_energy_per_gemv_j
         # Multi-tile mode: the filter was broadcast-programmed into every
@@ -390,18 +387,27 @@ class MicroEngine:
         # whichever tile lane frees up first.
         sharded = self.num_tiles > 1
         shard_work: list[ShardWork] = []
-        for oi in range(req.out_h):
-            shard = ShardWork(label=f"out_row[{oi}]") if sharded else None
-            if self.batch_gemv:
-                dma_time = self._dma_in(req.addr_img, slab_bytes, result,
-                                        overlappable=True, repeat=n_slabs)
-                cost = self.tile.charge_gemv(n_slabs, slab_len, t_cols)
-                gemv_time = cost.latency_s / n_slabs
-                step = n_slabs * (max(gemv_time, dma_time) if self.double_buffering
-                                  else gemv_time + dma_time)
-                self._step_compute(shard, sharded, step)
-                self.energy.add("cim.dma_microengine", n_slabs * per_gemv_j)
+        if self.batch_gemv:
+            # One tile product for the image, and one batched dispatch per
+            # output row charged out_h times over: every row streams the
+            # same slabs, so each charge is one addend of that dispatch.
+            values, _ = self.tile.crossbar.gemv_batch(slabs, slab_len, t_cols)
+            dma_time = self._dma_in(req.addr_img, slab_bytes, result, overlappable=True,
+                                    transfers=n_slabs, repeat=req.out_h)
+            cost = self.tile.charge_gemv(n_slabs, slab_len, t_cols, repeat=req.out_h)
+            gemv_time = cost.latency_s / n_slabs
+            step = n_slabs * (max(gemv_time, dma_time) if self.double_buffering
+                              else gemv_time + dma_time)
+            if sharded:
+                shard_work = [ShardWork(compute_s=step, label=f"out_row[{oi}]")
+                              for oi in range(req.out_h)]
             else:
+                self._advance("crossbar", "compute", step, repeat=req.out_h)
+            self.energy.add("cim.dma_microengine", n_slabs * per_gemv_j, req.out_h)
+        else:
+            values = np.empty((len(slabs), t_cols), dtype=np.float64)
+            for oi in range(req.out_h):
+                shard = ShardWork(label=f"out_row[{oi}]") if sharded else None
                 for index in range(oi * n_slabs, (oi + 1) * n_slabs):
                     dma_time = self._dma_in(req.addr_img, slab_bytes, result,
                                             overlappable=True)
@@ -413,8 +419,8 @@ class MicroEngine:
                     )
                     self._step_compute(shard, sharded, step)
                     self.energy.add("cim.dma_microengine", per_gemv_j)
-            if sharded:
-                shard_work.append(shard)
+                if sharded:
+                    shard_work.append(shard)
         if sharded:
             self._clock_s = self.scheduler.schedule(
                 shard_work, start_s=self._clock_s, timeline=self.timeline
@@ -426,15 +432,15 @@ class MicroEngine:
         out = values.reshape(req.out_h, n_slabs * t_cols)[:, : req.out_w]
 
         digital_ops = req.out_h * req.out_w
+        out *= req.alpha
         if req.beta != 0.0:
             orig = self.dma.read_array(
                 req.addr_out, req.out_h * req.out_w
             ).reshape(req.out_h, req.out_w).astype(np.float64)
             result.dma_bytes += req.out_h * req.out_w * elem
-            out = req.alpha * out + req.beta * orig
+            orig *= req.beta
+            out += orig
             digital_ops += 2 * req.out_h * req.out_w
-        else:
-            out = req.alpha * out
         self.tile.digital_ops(digital_ops)
         self._store_matrix(req.addr_out, out.astype(np.float32), req.out_w, result)
 
@@ -492,22 +498,25 @@ class MicroEngine:
         size_bytes: int,
         result: AcceleratorRunStats,
         overlappable: bool = False,
+        transfers: int = 1,
         repeat: int = 1,
     ) -> float:
-        """Charge *repeat* input DMA transfers; returns the duration of one.
+        """Charge *repeat* times a stream of *transfers* equal input DMA
+        transfers; returns the duration of one transfer.
 
         The actual data was already fetched functionally; this only accounts
-        energy/time for the streamed traffic.  ``repeat`` lets batched
-        dispatch charge a whole stream of equal transfers in one call with
-        totals identical to *repeat* single calls.
+        energy/time for the streamed traffic.  A stream is one energy
+        addend (batched dispatch charges all its transfers at once); each
+        of the *repeat* streams is its own addend and, unless
+        *overlappable*, its own timeline event.
         """
-        energy = repeat * size_bytes * self.energy_model.dma_energy_per_byte_j
+        energy = transfers * size_bytes * self.energy_model.dma_energy_per_byte_j
         duration = size_bytes / self.energy_model.dma_bandwidth_bytes_per_s
-        self.energy.add("cim.dma_traffic", energy)
-        self.counters.add("cim.dma_bytes", repeat * size_bytes)
-        result.dma_bytes += repeat * size_bytes
+        self.energy.add("cim.dma_traffic", energy, repeat)
+        self.counters.add("cim.dma_bytes", repeat * transfers * size_bytes)
+        result.dma_bytes += repeat * transfers * size_bytes
         if not overlappable:
-            self._advance("dma", "fill_buffer", repeat * duration)
+            self._advance("dma", "fill_buffer", transfers * duration, repeat)
         return duration
 
     # ------------------------------------------------------------------
@@ -521,9 +530,13 @@ class MicroEngine:
         else:
             self._advance("crossbar", "compute", step_s)
 
-    def _advance(self, component: str, action: str, duration_s: float) -> None:
-        self.timeline.record(component, action, self._clock_s, duration_s)
-        self._clock_s += duration_s
+    def _advance(
+        self, component: str, action: str, duration_s: float, repeat: int = 1
+    ) -> None:
+        """Record *repeat* back-to-back phases on the serial clock."""
+        self._clock_s = self.timeline.record_run(
+            component, action, self._clock_s, duration_s, repeat
+        )
 
     def _finish(self, result: AcceleratorRunStats) -> None:
         result.latency_s = self._clock_s

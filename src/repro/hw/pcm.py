@@ -16,13 +16,25 @@ and converts levels to conductances for the analog MVM model.  Programming
 pulses only count as wear when the level actually changes (program-and-verify
 skips redundant writes), which is also how the endurance benchmarks interpret
 "writes".
+
+Wear is kept as block records: a write that pulses every cell of a block
+(``count_unchanged=True``, the crossbar's case) adds one to the pulse
+count of its ``(r0, r1, c0, c1)`` rectangle in a pending map, and the map
+is folded into the per-cell counts only when wear is read, on
+:meth:`PCMCellArray.reset_wear`, or when it holds more than
+:data:`MAX_PENDING_BLOCKS` distinct rectangles.  Integer addition
+commutes, so the counts read back are those of per-cell increments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+#: Distinct pending wear rectangles a cell array holds before it folds them.
+MAX_PENDING_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -69,11 +81,23 @@ class PCMCellArray:
         self.params = params or PCMDeviceParams()
         # Levels are validated against the device range before they are
         # stored, so the narrowest unsigned type holds them.
-        self.levels = np.zeros(
+        self._levels = np.zeros(
             (rows, cols), dtype=np.min_scalar_type(self.params.levels - 1)
         )
-        self.write_counts = np.zeros((rows, cols), dtype=np.int64)
+        #: Set by an owner that stores levels lazily (the crossbar): called
+        #: before the levels are read or written.
+        self._store_deferred_levels: Callable[[], None] | None = None
+        self._counts = np.zeros((rows, cols), dtype=np.int64)
+        #: ``(r0, r1, c0, c1) -> pulses`` not yet folded into ``_counts``.
+        self._pending: dict[tuple[int, int, int, int], int] = {}
         self.total_program_ops = 0
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The programmed level of every device."""
+        if self._store_deferred_levels is not None:
+            self._store_deferred_levels()
+        return self._levels
 
     # ------------------------------------------------------------------
     # Programming and reading
@@ -106,16 +130,35 @@ class PCMCellArray:
         r1, c1 = r0 + values.shape[0], c0 + values.shape[1]
         if r1 > self.rows or c1 > self.cols or r0 < 0 or c0 < 0:
             raise ValueError("programmed block exceeds array bounds")
+        levels = self.levels
         if count_unchanged:
-            self.write_counts[r0:r1, c0:c1] += 1
-            n_changed = values.size
-        else:
-            changed = self.levels[r0:r1, c0:c1] != values
-            self.write_counts[r0:r1, c0:c1] += changed
-            n_changed = int(changed.sum())
+            levels[r0:r1, c0:c1] = values
+            return self._pulse(r0, r1, c0, c1)
+        changed = levels[r0:r1, c0:c1] != values
+        self._counts[r0:r1, c0:c1] += changed
+        n_changed = int(changed.sum())
         self.total_program_ops += n_changed
-        self.levels[r0:r1, c0:c1] = values
+        levels[r0:r1, c0:c1] = values
         return n_changed
+
+    def _pulse(self, r0: int, r1: int, c0: int, c1: int) -> int:
+        """Count one programming pulse on every device of the block
+        (the wear of ``program(count_unchanged=True)``, for an owner that
+        stores the levels itself)."""
+        key = (r0, r1, c0, c1)
+        pending = self._pending
+        pending[key] = pending.get(key, 0) + 1
+        if len(pending) > MAX_PENDING_BLOCKS:
+            self._fold_wear()
+        pulses = (r1 - r0) * (c1 - c0)
+        self.total_program_ops += pulses
+        return pulses
+
+    def _fold_wear(self) -> None:
+        counts = self._counts
+        for (r0, r1, c0, c1), pulses in self._pending.items():
+            counts[r0:r1, c0:c1] += pulses
+        self._pending.clear()
 
     def read(self, row_offset: int = 0, col_offset: int = 0,
              rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -134,20 +177,27 @@ class PCMCellArray:
     # Wear statistics
     # ------------------------------------------------------------------
     @property
+    def write_counts(self) -> np.ndarray:
+        """Per-device program-operation counts (int64)."""
+        if self._pending:
+            self._fold_wear()
+        return self._counts
+
+    @property
     def max_cell_writes(self) -> int:
         return int(self.write_counts.max(initial=0))
 
     @property
     def mean_cell_writes(self) -> float:
-        return float(self.write_counts.mean()) if self.write_counts.size else 0.0
+        return float(self.write_counts.mean())
 
     def worn_out_fraction(self, endurance_cycles: float | None = None) -> float:
         """Fraction of devices past their endurance limit."""
-        limit = endurance_cycles or self.params.endurance_cycles
-        if self.write_counts.size == 0:
-            return 0.0
-        return float((self.write_counts >= limit).mean())
+        if endurance_cycles is None:
+            endurance_cycles = self.params.endurance_cycles
+        return float((self.write_counts >= endurance_cycles).mean())
 
     def reset_wear(self) -> None:
-        self.write_counts[:] = 0
+        self._pending.clear()
+        self._counts[:] = 0
         self.total_program_ops = 0

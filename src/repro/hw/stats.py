@@ -48,10 +48,19 @@ class EnergyLedger:
     def __init__(self) -> None:
         self._joules: dict[str, float] = defaultdict(float)
 
-    def add(self, category: str, joules: float) -> None:
+    def add(self, category: str, joules: float, repeat: int = 1) -> None:
+        """Charge *joules* to *category*, *repeat* times: each charge is
+        its own float addition, never one ``repeat * joules`` addend."""
         if joules < 0:
             raise ValueError(f"negative energy charge for {category!r}: {joules}")
-        self._joules[category] += joules
+        if repeat == 1:
+            self._joules[category] += joules
+            return
+        if repeat > 0:
+            total = self._joules[category]
+            for _ in range(repeat):
+                total += joules
+            self._joules[category] = total
 
     def get(self, category: str) -> float:
         return self._joules.get(category, 0.0)

@@ -73,7 +73,6 @@ class CIMTile:
         The data passes through the column buffers (write data) and the row
         buffers (row-enable mask), then each touched row is programmed.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
         report: WriteReport = self.crossbar.write(matrix, row_offset, col_offset)
         model = self.energy_model
         # Buffer traffic: one byte per 8-bit cell staged, one mask byte per row.
@@ -121,23 +120,24 @@ class CIMTile:
         )
 
     def charge_gemv(
-        self, n_vectors: int, rows_active: int, cols_active: int
+        self, n_vectors: int, rows_active: int, cols_active: int, repeat: int = 1
     ) -> TileOperationCost:
-        """Charge *n_vectors* GEMVs over a ``rows_active x cols_active``
-        sub-array: energy, latency, buffer traffic and counters.
+        """Charge *repeat* dispatches of *n_vectors* GEMVs each over a
+        ``rows_active x cols_active`` sub-array: energy, latency, buffer
+        traffic and counters.  Returns the cost of one dispatch.
 
         Touches no array.  A caller that computed the values of many such
-        batches with one crossbar product (the micro-engine, for a whole
-        convolution) still charges each batch here, in dispatch order:
-        per-run energies are differences of these running float totals,
-        so the sequence of addends is part of the model.
+        dispatches with one crossbar product (the micro-engine, for a
+        whole convolution) still charges each dispatch's energy as its own
+        addend: per-run energies are differences of these running float
+        totals, so the sequence of addends is part of the model.
         """
         model = self.energy_model
         macs = n_vectors * rows_active * cols_active
         input_bytes = n_vectors * rows_active
         output_bytes = n_vectors * cols_active * 4
-        self.row_buffer.bytes_written += input_bytes
-        self.output_buffer.bytes_written += output_bytes
+        self.row_buffer.bytes_written += repeat * input_bytes
+        self.output_buffer.bytes_written += repeat * output_bytes
         buffer_bytes = input_bytes + output_bytes
         energy = (
             macs * model.compute_energy_per_mac_j
@@ -146,12 +146,13 @@ class CIMTile:
             + buffer_bytes * model.buffer_energy_per_byte_j
         )
         latency = n_vectors * model.compute_latency_per_gemv_s
-        self.energy.add("cim.crossbar_compute", macs * model.compute_energy_per_mac_j)
-        self.energy.add("cim.mixed_signal", n_vectors * model.mixed_signal_energy_per_gemv_j)
-        self.energy.add("cim.digital_logic", n_vectors * model.digital_weighted_sum_per_gemv_j)
-        self.energy.add("cim.buffers", buffer_bytes * model.buffer_energy_per_byte_j)
-        self.counters.add("cim.gemv_ops", n_vectors)
-        self.counters.add("cim.macs", macs)
+        add = self.energy.add
+        add("cim.crossbar_compute", macs * model.compute_energy_per_mac_j, repeat)
+        add("cim.mixed_signal", n_vectors * model.mixed_signal_energy_per_gemv_j, repeat)
+        add("cim.digital_logic", n_vectors * model.digital_weighted_sum_per_gemv_j, repeat)
+        add("cim.buffers", buffer_bytes * model.buffer_energy_per_byte_j, repeat)
+        self.counters.add("cim.gemv_ops", repeat * n_vectors)
+        self.counters.add("cim.macs", repeat * macs)
         return TileOperationCost(energy, latency)
 
     def digital_ops(self, n_ops: int) -> TileOperationCost:

@@ -18,15 +18,13 @@ not the sum of event durations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.hw.stats import sequential_sum
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One hardware activity interval."""
+class TimelineEvent(NamedTuple):
+    """One hardware activity interval (immutable)."""
 
     component: str   # "dma", "crossbar", "digital", "micro_engine", "host"
     action: str      # "fill_buffer", "write_crossbar", "compute", ...
@@ -52,6 +50,21 @@ class Timeline:
         event = TimelineEvent(component, action, start_s, duration_s)
         self.events.append(event)
         return event
+
+    def record_run(
+        self, component: str, action: str, start_s: float, duration_s: float,
+        count: int,
+    ) -> float:
+        """Record *count* back-to-back events of *duration_s* from
+        *start_s*, each starting where the previous ended (one float
+        addition per event); returns the end of the last."""
+        if duration_s < 0:
+            raise ValueError("event duration must be non-negative")
+        append = self.events.append
+        for _ in range(count):
+            append(TimelineEvent(component, action, start_s, duration_s))
+            start_s += duration_s
+        return start_s
 
     @property
     def makespan_s(self) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hw.crossbar import Crossbar, CrossbarConfig
+from repro.hw.crossbar import Crossbar, CrossbarConfig, WriteReport
 from repro.hw.pcm import PCMCellArray, PCMDeviceParams
 
 
@@ -73,6 +73,15 @@ def test_worn_out_fraction():
     assert array.worn_out_fraction() == 0.0
 
 
+def test_worn_out_fraction_takes_an_endurance_of_zero_at_its_word():
+    """0 is an endurance, not "use the device default"."""
+    array = PCMCellArray(2, 2)
+    array.program(np.ones((1, 2), dtype=int), count_unchanged=True)
+    assert array.worn_out_fraction(0) == 1.0
+    assert array.worn_out_fraction(1) == 0.5
+    assert array.worn_out_fraction() == 0.0
+
+
 # ----------------------------------------------------------------------
 # Crossbar
 # ----------------------------------------------------------------------
@@ -130,6 +139,9 @@ def test_write_out_of_bounds_rejected():
     xbar = Crossbar(CrossbarConfig(rows=4, cols=4))
     with pytest.raises(ValueError):
         xbar.write(np.zeros((5, 5)))
+    for offsets in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            xbar.write(np.zeros((2, 2)), *offsets)
 
 
 def test_nan_operand_programs_the_block_as_zeros():
@@ -155,6 +167,19 @@ def test_infinite_operand_is_rejected(value):
     assert xbar.total_cell_writes == 0
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_write_programs_nothing(shape):
+    """An empty block is a no-op: no wear, no counters, and the scale of
+    the stored values stays that of the last real write."""
+    xbar = Crossbar(CrossbarConfig(rows=4, cols=4, mode="quantized"))
+    xbar.write(np.full((2, 2), 3.0))
+    stored = xbar.stored_quantised()
+    assert xbar.write(np.zeros(shape), 1, 1) == WriteReport()
+    np.testing.assert_array_equal(xbar.stored_quantised(), stored)
+    assert xbar.total_cell_writes == 4 and xbar.total_rows_written == 2
+    assert xbar.max_cell_writes == 1 and xbar.write_counts().sum() == 4
+
+
 def test_gemv_wrong_vector_length_rejected():
     xbar = Crossbar(CrossbarConfig(rows=4, cols=4))
     xbar.write(np.zeros((4, 4)))
@@ -174,3 +199,12 @@ def test_wear_accumulates_per_logical_cell():
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
         CrossbarConfig(mode="analogish")
+
+
+def test_devices_too_narrow_for_a_cell_half_rejected():
+    """Writes store device levels unchecked, so the configuration must
+    guarantee that both halves of an 8-bit cell fit a device."""
+    with pytest.raises(ValueError):
+        CrossbarConfig(device_bits=2)
+    with pytest.raises(ValueError):
+        CrossbarConfig(pcm=PCMDeviceParams(bits=3))
