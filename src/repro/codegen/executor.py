@@ -116,9 +116,10 @@ class OffloadExecutor:
     """Runs IR programs against the emulated host + CIM system.
 
     ``engine`` selects the execution engine for the host-side IR (see
-    :data:`repro.ir.engine.ENGINE_MODES`): the slice-folding ``"fast"``
-    engine (default, bit-identical to the interpreter), ``"native"``
-    (adds the optional C backend), or the reference ``"interpreter"``.  All engines produce identical
+    :data:`repro.ir.engine.ENGINE_MODES`): the ``"fast"`` engine (default,
+    emitted C or slice-folded kernels, bit-identical to the interpreter;
+    ``"native"`` is another name for it), or the reference
+    ``"interpreter"``.  All engines produce identical
     results and execution traces, so the cost-model numbers do not
     depend on this choice.
 

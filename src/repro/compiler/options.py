@@ -49,11 +49,12 @@ class CompileOptions:
     #: in-memory only).  Entries are content-addressed pickles, so they are
     #: never stale and can be shared across processes.
     compile_cache_dir: str | None = None
-    #: Execution engine for the host-side IR: ``"fast"`` (slice-folded
-    #: NumPy kernels, bit-identical to the interpreter), ``"native"``
-    #: (additionally compiles eligible nests to C via cffi, falling back
-    #: to ``"fast"`` when no toolchain is present), or ``"interpreter"``
-    #: (the reference tree-walker).  Honoured automatically when the
+    #: Execution engine for the host-side IR: ``"fast"`` (one emitted
+    #: kernel per nest, run as C when a C toolchain and cffi are present
+    #: and as slice-folded NumPy otherwise, bit-identical to the
+    #: interpreter; ``"native"`` is another name for it), or
+    #: ``"interpreter"`` (the reference tree-walker).  Honoured
+    #: automatically when the
     #: :class:`CompilationResult` is passed to :meth:`OffloadExecutor.run`;
     #: it does not change the generated code or any cost-model report.
     engine: str = "fast"

@@ -41,13 +41,12 @@ class EngineLowerPass(Pass):
     Runs the engine's lowering analysis (see
     :mod:`repro.ir.engine.lowering`) over the lowered program and attaches
     the per-nest report to ``CompilationReport.nest_lowerings`` — which
-    tier (interpreter / fold / native) each nest executes on
-    and, for the slow tiers, the reason.  Pure analysis: the program is
-    not modified, nothing is compiled or executed.  The native C lowering
-    is attempted exactly when the selected engine is ``"native"``; code
-    generation is pure, so the report is deterministic and safe to share
-    through the on-disk compile cache even across machines without a C
-    toolchain (the engine re-checks availability at run time).
+    tier (interpreter / fold) each nest executes on and, for the
+    interpreter, the reason.  Pure analysis: the program is not modified,
+    nothing is compiled or executed, and no C is generated (a nest's C
+    body is written at its first run, where the toolchain is checked), so
+    the report is the same for every engine and machine and safe to share
+    through the on-disk compile cache.
     """
 
     name = "engine-lower"
@@ -57,8 +56,5 @@ class EngineLowerPass(Pass):
     def run(self, ctx: CompilationContext) -> None:
         from repro.ir.engine.lowering import program_lowering_report
 
-        if ctx.program is None:
-            return
-        ctx.report.nest_lowerings = program_lowering_report(
-            ctx.program, native=ctx.options.engine == "native"
-        )
+        if ctx.program is not None:
+            ctx.report.nest_lowerings = program_lowering_report(ctx.program)

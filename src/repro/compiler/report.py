@@ -54,7 +54,7 @@ class CompilationReport:
     #: keyed by pass name.
     ir_dumps: dict[str, str] = field(default_factory=dict)
     #: Per-nest engine lowering report produced by the ``engine-lower``
-    #: pass: which execution tier (interpreter / fold / native) every
+    #: pass: which execution tier (interpreter / fold) every
     #: loop nest of the compiled program lands on, and why slower tiers
     #: were chosen.  Entries are
     #: :class:`~repro.ir.engine.lowering.NestLowering` objects.

@@ -530,6 +530,17 @@ def _analyze_fold_ref(
     return FoldRef(name=name, dims=tuple(dims)), ""
 
 
+def _value_vars(expr: Expr) -> set[str]:
+    """Variables *expr* reads as values (subscripts are not values)."""
+    if isinstance(expr, (VarRef, ParamRef)):
+        return {expr.name}
+    if isinstance(expr, BinOp):
+        return _value_vars(expr.lhs) | _value_vars(expr.rhs)
+    if isinstance(expr, UnaryOp):
+        return _value_vars(expr.operand)
+    return set()
+
+
 def analyze_fold_assign(
     node: PlanAssign, loop_vars: set[str]
 ) -> tuple[Optional[FoldSpec], str]:
@@ -546,6 +557,12 @@ def analyze_fold_assign(
     )
     if target_ref is None:
         return None, reason
+    # A vectorized variable would be an int64 array where the interpreter
+    # has a Python int, and NumPy promotes the two differently (with a
+    # float32 operand, to float64 instead of float32).
+    read = sorted(_value_vars(stmt.rhs) & set(vec_vars))
+    if read:
+        return None, f"vectorized loop variable {read[0]} read as a value"
     covered = {d.vec_var for d in target_ref.dims if d.kind == "slice"}
     if covered != set(vec_vars):
         missing = sorted(set(vec_vars) - covered)

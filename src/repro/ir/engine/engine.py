@@ -4,13 +4,15 @@
 :class:`~repro.ir.interp.Interpreter`: same constructor, same ``run``
 contract, same :class:`~repro.ir.interp.ExecutionTrace`, same call-handler
 protocol.  A top-level loop nest that passes the plan analysis and whose
-assignments are all slice-lowerable is emitted, once, as one
-straight-line Python function (:class:`NestKernel`) — sequential loops
-are ``for`` statements, each assignment is one ``view op= expression``
-line over basic NumPy slices, and what does not change inside a loop is
-taken outside it.  Everything else (runtime calls, data-dependent control
-flow, scalar accumulators, non-affine or coupled subscripts) runs on the
-inherited interpreter.
+assignments are all slice-lowerable is emitted, once, as one kernel
+(:class:`NestKernel`): a guard and two bodies.  The fold body is
+straight-line Python — sequential loops are ``for`` statements, each
+assignment is one ``view op= expression`` line over basic NumPy slices,
+and what does not change inside a loop is taken outside it.  The C body
+(:mod:`repro.ir.engine.native`) is written from the same plan and runs
+instead whenever the C toolchain is present.  Everything else (runtime
+calls, data-dependent control flow, scalar accumulators, non-affine or
+coupled subscripts) runs on the inherited interpreter.
 
 Bit-identity with the interpreter is preserved by construction:
 
@@ -66,6 +68,7 @@ from repro.ir.engine.analysis import (
     PlanNode,
     build_plan,
 )
+from repro.ir.engine.native import attach_c_body, native_available
 
 _UNSET = object()
 
@@ -165,17 +168,23 @@ class _NotEmittable(Exception):
     """The nest has a shape the emitter does not lower (interpreter)."""
 
 
+def _no_c_body(*args) -> bool:
+    return False
+
+
 @dataclass
 class NestKernel:
-    """One planned nest lowered to a straight-line Python function.
+    """One planned nest lowered to one guard and two bodies.
 
-    ``fn(*arrays, *scalars)`` runs a guard over the loop skeleton first:
-    every view the body takes must be a basic slice (or integer index)
-    inside ``[0, shape)`` of an array of the expected rank, and every
-    scalar a bound or subscript reads must be an integer.  It returns
-    ``False`` *before writing anything* when the guard trips; otherwise
-    it runs the body and returns ``True``.  ``source`` is kept for
-    inspection; it names arrays, scalars and loop variables by generated
+    ``fn(native, *arrays, *scalars)`` runs a guard over the loop skeleton
+    first: every view the body takes must be a basic slice (or integer
+    index) inside ``[0, shape)`` of an array of the expected rank, and
+    every scalar a bound or subscript reads must be an integer.  It
+    returns ``False`` *before writing anything* when the guard trips.
+    Otherwise it calls ``native(*arrays, *scalars)``, the C body, and runs
+    the fold body (Python over NumPy views) when that returns ``False``;
+    then it returns ``True``.  ``source`` and ``c_source`` are kept for
+    inspection; they name arrays, scalars and loop variables by generated
     locals only, never by an identifier of the input program.
     """
 
@@ -183,6 +192,9 @@ class NestKernel:
     fn: Callable[..., bool]
     arrays: tuple[str, ...]
     scalars: tuple[str, ...]
+    #: The C body (``native.attach_c_body``), or one that always declines.
+    native: Callable[..., bool] = _no_c_body
+    c_source: str = ""
 
     def run(self, scalars: dict, arrays: dict) -> bool:
         try:
@@ -190,7 +202,7 @@ class NestKernel:
             args += [scalars[name] for name in self.scalars]
         except KeyError:
             return False  # unbound name: the interpreter raises for it
-        return self.fn(*args)
+        return self.fn(self.native, *args)
 
 
 def _ends(span: range):
@@ -404,8 +416,15 @@ class _KernelEmitter:
 
     def emit(self, plan: NestPlan) -> NestKernel:
         guard, body = self.block(plan.nodes)
-        params = [*self.arrays.values(), *self.scalars.values()]
-        lines = [f"def kernel({', '.join(params)}):", *guard, *body, "    return True", ""]
+        params = ", ".join([*self.arrays.values(), *self.scalars.values()])
+        lines = [
+            f"def kernel(native, {params}):",
+            *guard,
+            f"    if native({params}): return True",
+            *body,
+            "    return True",
+            "",
+        ]
         source = "\n".join(lines)
         namespace = {
             "arange": np.arange,
@@ -448,13 +467,12 @@ class ProgramPlans:
     #: The interpreter's ``_assign_plans``: they hold the per-execution
     #: trace deltas the analytical trace multiplies.
     assigns: dict = field(default_factory=dict)
-    #: ``NativeEngine``'s compiled C nests.
-    native: dict = field(default_factory=dict)
 
 
 class VectorizedEngine(Interpreter):
     """Interpreter subclass that runs planned loop nests on their emitted
-    kernels and everything else on the interpreter."""
+    kernels (C body, else fold body) and everything else on the
+    interpreter."""
 
     def __init__(self, program: Program, call_handler: Optional[CallHandler] = None):
         super().__init__(program, call_handler)
@@ -467,7 +485,8 @@ class VectorizedEngine(Interpreter):
     # Planning
     # ------------------------------------------------------------------
     def nest_plan(self, loop: Loop) -> Optional[NestPlan]:
-        """The program's plan for a loop nest (built once), or ``None``."""
+        """The program's plan for a loop nest (built, with its kernel and
+        the kernel's C body, on the nest's first run), or ``None``."""
         plan = self.plans.nests.get(id(loop), _UNSET)
         if plan is _UNSET:
             try:
@@ -476,6 +495,8 @@ class VectorizedEngine(Interpreter):
                 plan = None  # analysis failure → safe interpreter fallback
             if plan is not None:
                 plan.kernel = emit_kernel(plan)
+                if plan.kernel is not None and native_available():
+                    attach_c_body(plan, self.program)
             self.plans.nests[id(loop)] = plan
         return plan
 
@@ -495,8 +516,7 @@ class VectorizedEngine(Interpreter):
 
         ``False`` — with nothing written and nothing traced — when the
         nest has no kernel or the kernel's guard trips; the interpreter
-        then runs (and traces) the nest.  Subclasses may override to try
-        another kernel first.
+        then runs (and traces) the nest.
         """
         return plan.kernel is not None and plan.kernel.run(self.scalars, self.arrays)
 

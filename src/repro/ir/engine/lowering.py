@@ -8,14 +8,13 @@ Every top-level loop nest of a program lands on exactly one lowering tier:
   one assignment cannot be slice-lowered (the per-statement entries say
   which and why).
 * ``"fold"`` — every assignment is slice-lowered, so the engine emits the
-  nest as one Python function: sequential reduction loops run as ordered
-  folds of vectorized view updates, bit-identical to the interpreter.
-  This is the tier the default ``"fast"`` engine aims for.
-* ``"native"`` — the nest additionally compiles to a C kernel (engine
-  ``"native"`` with a working toolchain); the generated source rides the
-  report for inspection.
+  nest as one kernel: a guard, a C body (run when the C toolchain is
+  present) and a fold body, in which sequential reduction loops run as
+  ordered folds of vectorized view updates.  Both bodies are
+  bit-identical to the interpreter.
 
-The report is pure analysis — building it executes nothing — so the
+The report is pure analysis — building it executes, generates and
+compiles nothing (a C body is written at the nest's first run) — so the
 compiler's ``engine-lower`` pass can attach it to the
 :class:`~repro.compiler.report.CompilationReport` (it is picklable and
 travels through the kernel-compile cache).
@@ -24,7 +23,6 @@ travels through the kernel-compile cache).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.ir.program import Program
 from repro.ir.stmt import Loop
@@ -34,7 +32,7 @@ from repro.ir.engine.analysis import (
 )
 
 #: Tier names, slowest to fastest.
-TIERS = ("interpreter", "fold", "native")
+TIERS = ("interpreter", "fold")
 
 
 @dataclass
@@ -54,8 +52,6 @@ class NestLowering:
     tier: str
     reason: str = ""
     statements: list[StatementLowering] = field(default_factory=list)
-    #: Generated C source when the nest lowers to the native tier.
-    c_source: str = ""
 
     def summary(self) -> str:
         line = f"{self.nest}: {self.tier}"
@@ -68,9 +64,7 @@ def _describe_nest(root: Loop) -> str:
     return f"for {root.var} in [{root.lower}, {root.upper})"
 
 
-def nest_lowering(
-    root: Loop, program: Optional[Program] = None, native: bool = False
-) -> NestLowering:
+def nest_lowering(root: Loop) -> NestLowering:
     """Classify one top-level loop nest onto its lowering tier."""
     plan, reason = build_plan_with_reason(root)
     if plan is None:
@@ -88,41 +82,14 @@ def nest_lowering(
     refusals = [s.reason for s in statements if s.tier == "interpreter"]
     tier = "interpreter" if refusals else "fold"
     reason = "; ".join(dict.fromkeys(refusals))
-    c_source = ""
-    if native and program is not None:
-        from repro.ir.engine.native import generate_nest_source, NativeUnsupported
-
-        try:
-            c_source = generate_nest_source(root, program).c_source
-            tier = "native"
-            reason = ""
-        except NativeUnsupported as exc:
-            if reason:
-                reason += f"; native: {exc}"
-            else:
-                reason = f"native: {exc}"
     return NestLowering(
-        nest=_describe_nest(root),
-        tier=tier,
-        reason=reason,
-        statements=statements,
-        c_source=c_source,
+        nest=_describe_nest(root), tier=tier, reason=reason, statements=statements
     )
 
 
-def program_lowering_report(
-    program: Program, native: bool = False
-) -> list[NestLowering]:
-    """Lowering report for every top-level loop nest of *program*.
-
-    ``native=True`` additionally attempts the C lowering per nest (pure
-    code generation — nothing is compiled or executed here).
-    """
-    return [
-        nest_lowering(stmt, program, native=native)
-        for stmt in program.body.stmts
-        if isinstance(stmt, Loop)
-    ]
+def program_lowering_report(program: Program) -> list[NestLowering]:
+    """Lowering report for every top-level loop nest of *program*."""
+    return [nest_lowering(stmt) for stmt in program.body.stmts if isinstance(stmt, Loop)]
 
 
 def tier_histogram(report: list[NestLowering]) -> dict[str, int]:

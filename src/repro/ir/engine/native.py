@@ -1,46 +1,56 @@
-"""Optional native (C-via-cffi) backend for the execution engine.
+"""The C body of a planned loop nest.
 
-Eligible host loop nests are translated **literally** — loop for loop,
-statement for statement, in original program order — into a small C
-kernel, compiled with the system C compiler and called through ``cffi``'s
-ABI mode (``dlopen``; no Python headers needed).  Because the translation
-preserves the interpreter's evaluation order exactly, and the code
-generator emulates NumPy's NEP 50 scalar-promotion rules with explicit C
-casts (float constants are emitted as C99 hex literals, so not a single
-bit is lost in translation), the native results are bit-identical to the
-interpreter.  Compilation uses ``-ffp-contract=off`` so the compiler
-cannot fuse multiply-adds into FMAs, which would change rounding.
+An emitted nest kernel (:class:`~repro.ir.engine.engine.NestKernel`) has
+one guard and two bodies.  The fold body is Python over NumPy views; this
+module writes the other one in C, from the same
+:class:`~repro.ir.engine.analysis.NestPlan`, compiles it with the system C
+compiler and loads it through ``cffi``'s ABI mode (``dlopen``; no Python
+headers needed).  The kernel calls it once its guard has passed, so the C
+checks nothing and nothing needs restoring.
 
-The backend is strictly optional and fails soft at every layer:
+The C runs the plan in its own loop order.  Sequential loops stay where
+the plan put them.  Every assignment gets its own loop nest over its
+vectorized axes, innermost, with the axis of the target's last subscript
+last (unit stride).  The planner has proven that vectorized axes carry no
+dependence, so every element sees the fold body's operations in the fold
+body's order.  Operands are typed the way NumPy types the fold body's
+(NEP 50: Python scalars are weak, array elements strong) with explicit C
+casts; float constants are C99 hex literals.  The flags keep that exact:
+``-ffp-contract=off`` forbids fused multiply-adds, and without
+``-ffast-math`` the vectorizer never reassociates, so it only ever
+vectorizes the innermost (independent) axes.  Arrays are passed
+``restrict``: every array an engine holds is its own copy.  Arrays,
+scalars, extents and loop variables are generated locals (``a0``, ``p0``,
+``n0``, ``i1``), so no identifier of the input can collide with the C.
 
-* :func:`native_available` gates on ``cffi`` being importable, a C
-  compiler being on ``PATH``, and the ``REPRO_NATIVE`` environment
-  variable not disabling it (``0``/``off``/``false``).
-* A nest the code generator cannot translate raises
-  :class:`NativeUnsupported` with the reason; the engine runs that nest
-  on its emitted fold kernel, or on the interpreter, instead.
-* At call time, parameter/array types are revalidated; any mismatch (or
-  an out-of-bounds subscript detected by the kernel's index guards)
-  restores the written arrays from a snapshot and falls back — NumPy's
-  negative-index wrapping and IndexError behavior are reproduced by the
-  interpreter, never approximated natively.
+It fails soft at every layer, down to the fold body:
 
-Compiled kernels are content-addressed by the SHA-256 of their C source
-and cached on disk (``REPRO_NATIVE_CACHE`` overrides the location), so
-repeat compilations across processes are ``dlopen``-only.  The generated
-source also rides the :class:`~repro.compiler.report.CompilationReport`
-(``nest_lowerings``), which is what the kernel-compile cache persists.
+* :func:`native_available` gates on ``cffi``, a C compiler on ``PATH`` and
+  the ``REPRO_NATIVE`` environment variable (``0``/``off``/``false``/``no``
+  disable it);
+* a plan with no exact C form (true division, float ``%``, integer
+  arrays) gets no C body;
+* at call time an array of another dtype or layout, or a scalar that is
+  not the declared Python ``int``/``float``, sends that run to the fold
+  body.
+
+Shared objects are cached on disk (``REPRO_NATIVE_CACHE`` overrides the
+location), addressed by the SHA-256 of the compiler, the flags and the
+source, so later processes only ``dlopen``.  Every outcome, a failed
+compile included, is remembered for the life of the process.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
+import math
 import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,338 +66,232 @@ from repro.ir.expr import (
     UnaryOp,
     VarRef,
 )
-from repro.ir.interp import CallHandler
 from repro.ir.program import Program
-from repro.ir.stmt import Assign, Block, Loop, Stmt
 from repro.ir.types import ElementType
-from repro.ir.engine.engine import VectorizedEngine
+from repro.ir.engine.analysis import NestPlan, PlanAssign, PlanLoop, PlanNode
 
 
 class NativeUnsupported(Exception):
-    """The code generator cannot translate this nest exactly."""
+    """The plan has no exact C body; its fold body runs instead."""
 
-
-# ----------------------------------------------------------------------
-# Availability
-# ----------------------------------------------------------------------
 
 _DISABLE_VALUES = ("0", "off", "false", "no")
 
 
+@functools.cache
 def _find_compiler() -> Optional[str]:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
+    return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
 def native_available() -> bool:
-    """True when the native backend can compile and load kernels."""
+    """True when C bodies can be compiled and loaded."""
     if os.environ.get("REPRO_NATIVE", "").lower() in _DISABLE_VALUES:
-        return False
-    if _find_compiler() is None:
         return False
     try:
         import cffi  # noqa: F401
     except ImportError:
         return False
-    return True
+    return _find_compiler() is not None
 
 
 # ----------------------------------------------------------------------
-# Typed C code generation
+# Emitting the C body from the plan
 # ----------------------------------------------------------------------
 
-#: Value types: weak (python) int, weak float, and strong array elements.
+#: Value kinds: weak (Python) int, weak float, and strong array elements.
 _I64, _F64W, _F32, _F64 = "i64", "f64w", "f32", "f64"
 
 _C_TYPE = {_I64: "int64_t", _F64W: "double", _F32: "float", _F64: "double"}
 
-_ELEM_TYPE = {ElementType.F32: _F32, ElementType.F64: _F64}
+_ELEM_KIND = {ElementType.F32: _F32, ElementType.F64: _F64}
+
+#: The dtype an array of each strong kind must arrive as, and the Python
+#: type a scalar of each weak kind must arrive as.
+_DTYPE = {_F32: np.dtype(np.float32), _F64: np.dtype(np.float64)}
+_PY_TYPE = {_I64: "int", _F64W: "float"}
+
+_PRELUDE = """#include <stdint.h>
+
+static inline int64_t imin(int64_t a, int64_t b) { return a < b ? a : b; }
+static inline int64_t imax(int64_t a, int64_t b) { return a > b ? a : b; }
+static inline int64_t pymod(int64_t a, int64_t b) {
+    int64_t r = a % b;
+    return r != 0 && (r < 0) != (b < 0) ? r + b : r;
+}
+"""
 
 
 def _promote(lhs: str, rhs: str) -> str:
-    """NEP 50 result type of a binary operation between *lhs* and *rhs*."""
-    if _F64 in (lhs, rhs):
-        return _F64
-    if _F32 in (lhs, rhs):
-        return _F32  # weak scalars convert to the array dtype
-    if _F64W in (lhs, rhs):
-        return _F64W
+    """NEP 50 result kind of a binary operation between *lhs* and *rhs*."""
+    for kind in (_F64, _F32, _F64W):
+        if kind in (lhs, rhs):
+            return kind  # a weak scalar takes the array's type
     return _I64
 
 
 def _cast(code: str, src: str, dst: str) -> str:
-    if src == dst or (src, dst) == (_F64W, _F64) or (src, dst) == (_F64, _F64W):
+    if _C_TYPE[src] == _C_TYPE[dst]:
         return code
     return f"({_C_TYPE[dst]})({code})"
 
 
-@dataclass
-class NativeKernel:
-    """Generated C source plus the argument layout to call it with."""
-
-    c_source: str
-    float_params: tuple[str, ...]
-    int_params: tuple[str, ...]
-    array_names: tuple[str, ...]
-    written: tuple[str, ...]
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
-class _CodeGen:
-    def __init__(self, root: Loop, program: Program):
-        self.root = root
-        self.program = program
-        self.lines: list[str] = []
-        self.indent = 1
-        self.temp = 0
-        self.loop_vars: set[str] = {
-            node.var for node in root.walk() if isinstance(node, Loop)
+class _CEmitter:
+    """Writes the C body of one plan, with the argument order of its
+    kernel: arrays, then scalars (as the kernel names them), then the
+    array extents the flat indices read."""
+
+    def __init__(self, kernel, program: Program):
+        self.arrays = {name: f"a{k}" for k, name in enumerate(kernel.arrays)}
+        self.scalars = {name: f"p{k}" for k, name in enumerate(kernel.scalars)}
+        decls = {decl.name: decl.elem_type for decl in program.arrays}
+        params = {decl.name: decl.elem_type for decl in program.params}
+        #: local -> value kind; an undeclared scalar is a loop variable.
+        self.kinds = {
+            local: _ELEM_KIND.get(decls.get(name)) for name, local in self.arrays.items()
         }
-        self.param_types = {p.name: p.elem_type for p in self.program.params}
-        self.used_arrays: list[str] = []
-        self.used_fparams: list[str] = []
-        self.used_iparams: list[str] = []
-        self.written: list[str] = []
-        self.uses_pymod = False
+        if None in self.kinds.values():
+            raise NativeUnsupported("an array is not float or double")
+        for name, local in self.scalars.items():
+            self.kinds[local] = _F64W if name in params and params[name].is_float else _I64
+        self.extents: dict[tuple[str, int], str] = {}  # (array, axis) -> local
+        self.loop_vars: dict[str, str] = {}  # loop variable -> local
+        self.frames: dict[str, PlanLoop] = {}  # vectorized loop variable -> loop
+        self.serial = itertools.count(1)
 
-    # -- bookkeeping ----------------------------------------------------
-    def _fresh(self, prefix: str) -> str:
-        self.temp += 1
-        return f"_{prefix}{self.temp}"
-
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-    def _use_array(self, name: str):
-        if not self.program.has_array(name):
-            raise NativeUnsupported(f"unknown array {name}")
-        decl = self.program.array(name)
-        if decl.elem_type not in _ELEM_TYPE:
-            raise NativeUnsupported(f"array {name} has integer element type")
-        if name not in self.used_arrays:
-            self.used_arrays.append(name)
-        return decl
-
-    def _use_param(self, name: str) -> str:
-        elem = self.param_types[name]
-        if elem.is_float:
-            if name not in self.used_fparams:
-                self.used_fparams.append(name)
-            return _F64W
-        if name not in self.used_iparams:
-            self.used_iparams.append(name)
-        return _I64
-
-    # -- expressions ----------------------------------------------------
+    # -- expressions ------------------------------------------------------
     def expr(self, node: Expr) -> tuple[str, str]:
-        """Emit one expression; returns (C code, value type)."""
-        if isinstance(node, IntConst):
-            return f"INT64_C({node.value})", _I64
-        if isinstance(node, FloatConst):
-            return float(node.value).hex(), _F64W
+        """C text and value kind of *node*."""
+        if isinstance(node, (IntConst, FloatConst)):
+            value = node.value
+            if type(value) is float and math.isfinite(value):
+                return value.hex(), _F64W
+            if type(value) is int and abs(value) < 2**63:
+                return f"INT64_C({value})", _I64
+            raise NativeUnsupported(f"constant {value!r}")
         if isinstance(node, (VarRef, ParamRef)):
-            name = node.name
-            if name in self.loop_vars:
-                return name, _I64
-            if name in self.param_types:
-                return name, self._use_param(name)
-            raise NativeUnsupported(f"non-parameter scalar {name}")
+            if node.name in self.loop_vars:
+                return self.loop_vars[node.name], _I64
+            local = self.scalars[node.name]
+            return local, self.kinds[local]
         if isinstance(node, ArrayRef):
-            return self.array_read(node)
+            return self.element(node)
         if isinstance(node, UnaryOp):
             code, kind = self.expr(node.operand)
-            return f"(-({code}))", kind
-        if isinstance(node, BinOp):
-            return self.binop(node)
-        if isinstance(node, (Min, Max)):
-            lhs, lk = self.expr(node.lhs)
-            rhs, rk = self.expr(node.rhs)
-            if lk != _I64 or rk != _I64:
-                raise NativeUnsupported("min/max on floating operands")
-            a, b = self._fresh("m"), self._fresh("m")
-            self.emit(f"int64_t {a} = {lhs};")
-            self.emit(f"int64_t {b} = {rhs};")
-            op = "<" if isinstance(node, Min) else ">"
-            return f"({a} {op} {b} ? {a} : {b})", _I64
-        raise NativeUnsupported(f"unsupported expression {type(node).__name__}")
+            return f"(-{code})", kind
+        lhs, lkind = self.expr(node.lhs)
+        rhs, rkind = self.expr(node.rhs)
+        if isinstance(node, (Min, Max)) or node.op == "%":
+            if (lkind, rkind) != (_I64, _I64):
+                raise NativeUnsupported("min, max or % on floating operands")
+            helper = {Min: "imin", Max: "imax"}.get(type(node), "pymod")
+            return f"{helper}({lhs}, {rhs})", _I64
+        if not isinstance(node, BinOp) or node.op not in ("+", "-", "*"):
+            raise NativeUnsupported(f"expression {node!r}")  # true division
+        kind = _promote(lkind, rkind)
+        return f"({_cast(lhs, lkind, kind)} {node.op} {_cast(rhs, rkind, kind)})", kind
 
-    def binop(self, node: BinOp) -> tuple[str, str]:
-        lhs, lk = self.expr(node.lhs)
-        rhs, rk = self.expr(node.rhs)
-        op = node.op
-        if op == "/":
-            # Python semantics: int/int is true division to double; the
-            # result could then be divided by zero (Python raises) — too
-            # divergent to translate, so only the Python tiers handle "/".
-            raise NativeUnsupported("division")
-        if op == "%":
-            if lk != _I64 or rk != _I64:
-                raise NativeUnsupported("modulo on floating operands")
-            self.uses_pymod = True
-            return f"pymod({lhs}, {rhs})", _I64
-        if op not in ("+", "-", "*"):
-            raise NativeUnsupported(f"operator {op}")
-        kind = _promote(lk, rk)
-        return (
-            f"({_cast(lhs, lk, kind)} {op} {_cast(rhs, rk, kind)})",
-            kind,
-        )
-
-    def index_expr(self, node: Expr) -> str:
+    def index(self, node: Expr) -> str:
         code, kind = self.expr(node)
         if kind != _I64:
-            raise NativeUnsupported("non-integer subscript arithmetic")
+            raise NativeUnsupported(f"non-integer bound or subscript {node}")
         return code
 
-    def flat_index(self, ref: ArrayRef) -> str:
-        """Emit guarded index normalization; returns the flat-offset temp."""
-        decl = self._use_array(ref.name)
-        if len(ref.indices) != decl.rank:
-            raise NativeUnsupported(f"rank mismatch on {ref.name}")
-        name = ref.name
-        flat = self._fresh("idx")
-        self.emit(f"int64_t {flat} = 0;")
-        for axis, idx in enumerate(ref.indices):
-            code = self.index_expr(idx)
-            tmp = self._fresh("i")
-            dim = f"dims_{name}[{axis}]"
-            self.emit(f"int64_t {tmp} = {code};")
-            self.emit(f"if ({tmp} < 0) {tmp} += {dim};")
-            self.emit(f"if ({tmp} < 0 || {tmp} >= {dim}) return 1;")
-            self.emit(f"{flat} = {flat} * {dim} + {tmp};")
-        return flat
+    def element(self, ref: ArrayRef) -> tuple[str, str]:
+        """One element of *ref*, flat-indexed in row-major order."""
+        local = self.arrays[ref.name]
+        flat = self.index(ref.indices[0])
+        for axis, index in enumerate(ref.indices[1:], 1):
+            extent = self.extents.setdefault((local, axis), f"n{len(self.extents)}")
+            flat = f"({flat}) * {extent} + {self.index(index)}"
+        return f"{local}[{flat}]", self.kinds[local]
 
-    def array_read(self, ref: ArrayRef) -> tuple[str, str]:
-        decl = self._use_array(ref.name)
-        flat = self.flat_index(ref)
-        return f"{ref.name}[{flat}]", _ELEM_TYPE[decl.elem_type]
+    # -- statements -------------------------------------------------------
+    def head(self, loop: PlanLoop) -> str:
+        """The ``for`` line of *loop*; binds its variable."""
+        lower, upper = self.index(loop.lower), self.index(loop.upper)
+        local = self.loop_vars[loop.var] = f"i{next(self.serial)}"
+        return f"for (int64_t {local} = {lower}; {local} < {upper}; {local} += {loop.step})"
 
-    # -- statements -----------------------------------------------------
-    def stmt(self, node: Stmt) -> None:
-        if isinstance(node, Block):
-            for child in node.stmts:
-                self.stmt(child)
-        elif isinstance(node, Loop):
-            self.loop(node)
-        elif isinstance(node, Assign):
-            self.assign(node)
-        else:
-            raise NativeUnsupported(f"statement {type(node).__name__}")
+    def block(self, nodes: list[PlanNode]) -> list[str]:
+        lines = []
+        for node in nodes:
+            if isinstance(node, PlanAssign):
+                lines += self.assign(node)
+            elif node.vec:  # each assignment below loops over it itself
+                self.frames[node.var] = node
+                lines += self.block(node.body)
+                del self.frames[node.var]
+            else:
+                lines += [self.head(node) + " {", *_indent(self.block(node.body)), "}"]
+                del self.loop_vars[node.var]
+        return lines
 
-    def loop(self, node: Loop) -> None:
-        lo_code = self.index_expr(node.lower)
-        hi_code = self.index_expr(node.upper)
-        lo, hi = self._fresh("lo"), self._fresh("hi")
-        self.emit(f"int64_t {lo} = {lo_code};")
-        self.emit(f"int64_t {hi} = {hi_code};")
-        self.emit(
-            f"for (int64_t {node.var} = {lo}; {node.var} < {hi}; "
-            f"{node.var} += {node.step}) {{"
-        )
-        self.indent += 1
-        self.stmt(node.body)
-        self.indent -= 1
-        self.emit("}")
+    def assign(self, node: PlanAssign) -> list[str]:
+        """The assignment inside a nest over its vectorized axes."""
+        stmt, spec = node.stmt, node.fold
+        last = spec.target.dims[-1].vec_var
+        order = sorted(spec.vec_vars, key=lambda var: var == last)
+        lines = [self.head(self.frames[var]) for var in order]
+        slot, elem = self.element(stmt.target)
+        value, kind = self.expr(stmt.rhs)
+        if stmt.reduction in ("+", "*"):  # NumPy's in-place ufunc: promote, cast back
+            wide = _promote(elem, kind)
+            value = f"{_cast(slot, elem, wide)} {stmt.reduction} {_cast(value, kind, wide)}"
+        for var in order:
+            del self.loop_vars[var]
+        lines.append(f"{slot} = ({_C_TYPE[elem]})({value});")
+        return ["    " * depth + line for depth, line in enumerate(lines)]
 
-    def assign(self, node: Assign) -> None:
-        target = node.target
-        if not isinstance(target, ArrayRef):
-            raise NativeUnsupported(f"scalar target {target}")
-        decl = self._use_array(target.name)
-        if target.name not in self.written:
-            self.written.append(target.name)
-        elem = _ELEM_TYPE[decl.elem_type]
-        value, kind = self.expr(node.rhs)
-        flat = self.flat_index(target)
-        slot = f"{target.name}[{flat}]"
-        if node.reduction in ("+", "*"):
-            # In-place update: computed in the NEP 50 promoted type of
-            # (element, value), then cast back on store — exactly NumPy's
-            # in-place ufunc behavior the interpreter hits per element.
-            op = node.reduction
-            kind2 = _promote(elem, kind)
-            self.emit(
-                f"{slot} = ({_C_TYPE[elem]})"
-                f"({_cast(slot, elem, kind2)} {op} {_cast(value, kind, kind2)});"
-            )
-        elif node.reduction is None:
-            self.emit(f"{slot} = ({_C_TYPE[elem]})({value});")
-        else:
-            raise NativeUnsupported(f"reduction {node.reduction!r}")
+    def dispatch(self, ffi, lib) -> Callable[..., bool]:
+        """The kernel's ``native``: the loaded C body behind the run-time
+        checks its static types need.  Called with the kernel's arguments
+        once the guard has passed, it returns ``False`` (nothing written)
+        when an array is not of the declared dtype or not C-contiguous,
+        aligned and writable, or a scalar is not of the declared Python
+        type — the fold body then runs."""
+        arrays, scalars = list(self.arrays.values()), list(self.scalars.values())
+        checks = [f"{a}.dtype == d{a} and {a}.flags.carray" for a in arrays]
+        checks += [f"type({p}) is {_PY_TYPE[self.kinds[p]]}" for p in scalars]
+        args = [f"buffer(t{a}, {a})" for a in arrays] + scalars
+        args += [f"{a}.shape[{axis}]" for a, axis in self.extents]
+        source = "\n".join([
+            f"def native({', '.join(arrays + scalars)}):",
+            f"    if not ({' and '.join(checks)}): return False",
+            "    try:",
+            f"        lib.kernel({', '.join(args)})",
+            "    except OverflowError:  # an int beyond int64_t: before the call",
+            "        return False",
+            "    return True",
+        ])
+        namespace = {"lib": lib, "buffer": ffi.from_buffer}
+        for a in arrays:
+            namespace[f"d{a}"] = _DTYPE[self.kinds[a]]
+            namespace[f"t{a}"] = ffi.typeof(f"{_C_TYPE[self.kinds[a]]}[]")
+        exec(compile(source, "<C body dispatch>", "exec"), namespace)
+        return namespace["native"]
 
-    # -- assembly -------------------------------------------------------
-    def generate(self) -> NativeKernel:
-        self.stmt(self.root)
-        body = self.lines
-        header = [
-            "#include <stdint.h>",
-            "",
-        ]
-        if self.uses_pymod:
-            header += [
-                "static inline int64_t pymod(int64_t a, int64_t b) {",
-                "    int64_t r = a % b;",
-                "    return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;",
-                "}",
-                "",
-            ]
-        header.append(
-            "int kernel(const double *fp, const int64_t *ip, "
-            "char **arrays, const int64_t *dims) {"
-        )
-        prologue = []
-        for pos, name in enumerate(self.used_fparams):
-            prologue.append(f"    double {name} = fp[{pos}];")
-        for pos, name in enumerate(self.used_iparams):
-            prologue.append(f"    int64_t {name} = ip[{pos}];")
-        offset = 0
-        for pos, name in enumerate(self.used_arrays):
-            decl = self.program.array(name)
-            ctype = _C_TYPE[_ELEM_TYPE[decl.elem_type]]
-            prologue.append(f"    {ctype} *{name} = ({ctype} *)arrays[{pos}];")
-            prologue.append(
-                f"    const int64_t *dims_{name} = dims + {offset};"
-            )
-            offset += decl.rank
-        footer = ["    return 0;", "}", ""]
-        source = "\n".join(header + prologue + body + footer)
-        return NativeKernel(
-            c_source=source,
-            float_params=tuple(self.used_fparams),
-            int_params=tuple(self.used_iparams),
-            array_names=tuple(self.used_arrays),
-            written=tuple(self.written),
-        )
-
-
-def generate_nest_source(root: Loop, program: Program) -> NativeKernel:
-    """Translate one loop nest to C, or raise :class:`NativeUnsupported`."""
-    return _CodeGen(root, program).generate()
+    def emit(self, plan: NestPlan) -> tuple[str, str]:
+        """(prototype, source) of the C body."""
+        body = self.block(plan.nodes)
+        params = [f"{_C_TYPE[self.kinds[a]]} *restrict {a}" for a in self.arrays.values()]
+        params += [f"{_C_TYPE[self.kinds[p]]} {p}" for p in self.scalars.values()]
+        params += [f"int64_t {n}" for n in self.extents.values()]
+        prototype = f"void kernel({', '.join(params)})"
+        return prototype, "\n".join([_PRELUDE, prototype + " {", *_indent(body), "}", ""])
 
 
 # ----------------------------------------------------------------------
-# Compilation and loading (content-addressed .so cache)
+# Compiling and loading (content-addressed shared objects)
 # ----------------------------------------------------------------------
 
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv")
+_CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fwrapv", "-fPIC", "-shared")
 
-_loaded_libs: dict[str, object] = {}
-_ffi = None
-
-
-def _get_ffi():
-    global _ffi
-    if _ffi is None:
-        import cffi
-
-        _ffi = cffi.FFI()
-        _ffi.cdef(
-            "int kernel(const double *fp, const int64_t *ip, "
-            "char **arrays, const int64_t *dims);"
-        )
-    return _ffi
+#: digest -> (ffi, lib), or None for a compile or load that failed.
+_loaded: dict[str, Optional[tuple]] = {}
 
 
 def native_cache_dir() -> str:
@@ -398,153 +302,71 @@ def native_cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def compile_and_load(c_source: str):
-    """Compile *c_source* (or reuse the cached .so) and return the cffi lib.
+def compile_and_load(c_source: str, prototype: str) -> Optional[tuple]:
+    """``(ffi, lib)`` of *c_source*, whose one function is *prototype*.
 
-    Returns ``None`` when compilation or loading fails for any reason —
-    the engine then stays on the Python fast path.
+    Compiles it, or reuses the shared object cached under the digest of
+    the compiler, the flags and the source.  ``None`` when compiling or
+    loading fails; both outcomes are remembered for the process.
     """
-    digest = hashlib.sha256(c_source.encode()).hexdigest()
-    lib = _loaded_libs.get(digest)
-    if lib is not None:
-        return lib
+    compiler = _find_compiler()
+    key = "\0".join([str(compiler), *_CFLAGS, c_source])
+    digest = hashlib.sha256(key.encode()).hexdigest()
+    if digest not in _loaded:
+        _loaded[digest] = _build(digest, compiler, c_source, prototype)
+    return _loaded[digest]
+
+
+def _build(digest: str, compiler, c_source: str, prototype: str) -> Optional[tuple]:
+    import cffi
+
+    if compiler is None:
+        return None
     try:
-        ffi = _get_ffi()
         cache_dir = native_cache_dir()
         os.makedirs(cache_dir, exist_ok=True)
         so_path = os.path.join(cache_dir, f"{digest}.so")
         if not os.path.exists(so_path):
-            compiler = _find_compiler()
-            if compiler is None:
-                return None
-            fd, c_path = tempfile.mkstemp(suffix=".c", dir=cache_dir)
-            try:
-                with os.fdopen(fd, "w") as handle:
+            with tempfile.TemporaryDirectory(dir=cache_dir) as work:
+                c_path, built = os.path.join(work, "k.c"), os.path.join(work, "k.so")
+                with open(c_path, "w") as handle:
                     handle.write(c_source)
-                fd_so, tmp_so = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-                os.close(fd_so)
-                result = subprocess.run(
-                    [compiler, *_CFLAGS, c_path, "-o", tmp_so],
-                    capture_output=True,
-                    timeout=120,
+                subprocess.run(
+                    [compiler, *_CFLAGS, c_path, "-o", built],
+                    capture_output=True, timeout=120, check=True,
                 )
-                if result.returncode != 0:
-                    os.unlink(tmp_so)
-                    return None
-                os.replace(tmp_so, so_path)
-            finally:
-                os.unlink(c_path)
-        lib = ffi.dlopen(so_path)
-    except Exception:
+                os.replace(built, so_path)
+        ffi = cffi.FFI()
+        ffi.cdef(prototype + ";")
+        return ffi, ffi.dlopen(so_path)
+    except (OSError, subprocess.SubprocessError):  # no cache dir, gcc failed, dlopen failed
         return None
-    _loaded_libs[digest] = lib
-    return lib
 
 
 # ----------------------------------------------------------------------
-# The native engine
+# Binding a C body to its kernel
 # ----------------------------------------------------------------------
 
 
-class _CompiledNest:
-    """One nest bound to its compiled kernel and argument layout."""
-
-    def __init__(self, kernel: NativeKernel, lib):
-        self.kernel = kernel
-        self.lib = lib
-        self.ffi = _get_ffi()
-
-    def run(self, scalars: dict, arrays: dict) -> bool:
-        """Execute natively; True on success, False to fall back.
-
-        On fallback nothing observable has changed: written arrays are
-        snapshotted before the call and restored if the kernel bails on
-        an index guard.
-        """
-        kernel = self.kernel
-        fvals = []
-        for name in kernel.float_params:
-            value = scalars.get(name)
-            if type(value) is not float:
-                return False  # weak-type mismatch: Python path is exact
-            fvals.append(value)
-        ivals = []
-        for name in kernel.int_params:
-            value = scalars.get(name)
-            if type(value) is not int:
-                return False
-            ivals.append(value)
-        buffers = []
-        dims = []
-        for name in kernel.array_names:
-            array = arrays.get(name)
-            if (
-                not isinstance(array, np.ndarray)
-                or not array.flags.c_contiguous
-                or array.dtype not in (np.float32, np.float64)
-            ):
-                return False
-            buffers.append(array)
-            dims.extend(array.shape)
-        ffi = self.ffi
-        fp = ffi.new("double[]", fvals or [0.0])
-        ip = ffi.new("int64_t[]", ivals or [0])
-        views = [ffi.from_buffer(array) for array in buffers]
-        ptrs = ffi.new("char *[]", [ffi.cast("char *", v) for v in views])
-        dim_buf = ffi.new("int64_t[]", dims or [0])
-        snapshots = {
-            name: arrays[name].copy()
-            for name in kernel.written
-            if name in arrays
-        }
-        rc = self.lib.kernel(fp, ip, ptrs, dim_buf)
-        if rc != 0:
-            for name, saved in snapshots.items():
-                np.copyto(arrays[name], saved)
-            return False  # the interpreter reproduces wrap/IndexError exactly
-        return True
-
-
-class NativeEngine(VectorizedEngine):
-    """Fold engine that runs eligible nests on compiled C kernels first."""
-
-    def __init__(self, program: Program, call_handler: Optional[CallHandler] = None):
-        super().__init__(program, call_handler)
-        #: id(nest) -> compiled kernel or None, decided once per program.
-        self._native_nests: dict[int, Optional[_CompiledNest]] = self.plans.native
-
-    def _native_nest(self, root: Loop) -> Optional[_CompiledNest]:
-        compiled = self._native_nests.get(id(root), _NATIVE_UNSET)
-        if compiled is _NATIVE_UNSET:
-            compiled = None
-            if native_available():
-                try:
-                    kernel = generate_nest_source(root, self.program)
-                except NativeUnsupported:
-                    kernel = None
-                if kernel is not None:
-                    lib = compile_and_load(kernel.c_source)
-                    if lib is not None:
-                        compiled = _CompiledNest(kernel, lib)
-            self._native_nests[id(root)] = compiled
-        return compiled
-
-    def _run_kernel(self, plan) -> bool:
-        compiled = self._native_nest(plan.root)
-        if compiled is not None and compiled.run(self.scalars, self.arrays):
-            return True
-        return super()._run_kernel(plan)
-
-
-_NATIVE_UNSET = object()
+def attach_c_body(plan: NestPlan, program: Program) -> None:
+    """Give ``plan.kernel`` its C body, when the plan has an exact one and
+    it compiles; otherwise the kernel keeps running its fold body."""
+    kernel = plan.kernel
+    try:
+        emitter = _CEmitter(kernel, program)
+        prototype, source = emitter.emit(plan)
+    except NativeUnsupported:
+        return
+    loaded = compile_and_load(source, prototype)
+    if loaded is not None:
+        kernel.c_source = source
+        kernel.native = emitter.dispatch(*loaded)
 
 
 __all__ = [
-    "NativeEngine",
-    "NativeKernel",
     "NativeUnsupported",
+    "attach_c_body",
     "compile_and_load",
-    "generate_nest_source",
     "native_available",
     "native_cache_dir",
 ]

@@ -5,12 +5,16 @@ broadcasts, multi-reduction conv windows, outer-product reductions — is
 executed under every engine tier and must match the reference
 interpreter *bit for bit*: result arrays, :class:`ExecutionTrace`
 operation counts, and (through the trace) all derived accounting.
-Shapes the fold or native tier cannot prove must fall back — to the
-fold kernel or to the interpreter — never diverge; a hypothesis strategy generates random affine nests to enforce
-the same contract on shapes nobody thought to write down.
+Shapes a kernel cannot prove must fall back — from the C body to the
+fold body, or to the interpreter — never diverge; hypothesis strategies
+generate random affine nests and multi-dimensional reduction nests to
+enforce the same contract on shapes nobody thought to write down.
 """
 
 from __future__ import annotations
+
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from repro import CompileOptions, OffloadExecutor, compile_source
 from repro.frontend import parse_program
 from repro.ir import ArrayDecl, Block, Interpreter, Loop, Program
-from repro.ir.engine import make_engine, native_available
+from repro.ir.engine import make_engine, native, native_available
 from repro.ir.expr import ArrayRef, IntConst, Max, Min, ParamRef, VarRef
 from repro.ir.engine.lowering import program_lowering_report, tier_histogram
 from repro.ir.normalize import normalize_reductions
@@ -289,6 +293,16 @@ void transpose(int N, int M, double A[M][N], double B[N][M]) {
 """
 
 # Shapes the fold analysis refuses: the whole nest runs on the interpreter.
+# A vectorized loop variable read as a value: NumPy would see an int64
+# array where the interpreter sees a Python int, and promote ``A[i] * i``
+# to float64 instead of float32.
+LOOP_VARIABLE_IN_A_FLOAT_VALUE = """
+void ramp(int N, float A[N], float B[N]) {
+  for (int i = 0; i < N; i++)
+    B[i] = A[i] * i + A[i];
+}
+"""
+
 COUPLED_SUBSCRIPT = """
 void coupled(int N, double A[2 * N - 2], double B[N][N]) {
   for (int i = 0; i < N; i++)
@@ -373,6 +387,9 @@ GUARD_CASES = {
         SELF_READING_TARGET, {"N": 9, "alpha": 1.5, "beta": 0.25}, {"tmp": 9, "y": 9}, None
     ),
     "transposed-read": (TRANSPOSED_READ, {"N": 4, "M": 6}, {"A": (6, 4), "B": (4, 6)}, None),
+    "loop-variable-in-a-float-value": (
+        LOOP_VARIABLE_IN_A_FLOAT_VALUE, {"N": 64}, {"A": 64, "B": 64}, None
+    ),
     "coupled-subscript": (COUPLED_SUBSCRIPT, {"N": 5}, {"A": 8, "B": (5, 5)}, IndexError),
     "non-affine-subscript": (
         NON_AFFINE_SUBSCRIPT, {"N": 6}, {"A": (6, 6), "x": 6, "y": 6}, None
@@ -407,27 +424,40 @@ def test_lowering_report_tiers_and_reasons():
         BROADCAST_READ: ("fold", ""),
     }
     for source, (tier, reason) in expectations.items():
-        report = program_lowering_report(_prepare(source), native=False)
+        report = program_lowering_report(_prepare(source))
         assert [nest.tier for nest in report] == [tier]
         assert report[0].reason == reason
 
     # Fallback shapes explain *why* they stayed on the slow path.
-    diag = program_lowering_report(_prepare(DIAGONAL_READ), native=False)
+    diag = program_lowering_report(_prepare(DIAGONAL_READ))
     assert diag[0].tier == "interpreter"
     assert "diagonal" in diag[0].reason
 
-    prod = program_lowering_report(_prepare(PRODUCT_REDUCTION), native=False)
+    prod = program_lowering_report(_prepare(PRODUCT_REDUCTION))
     assert prod[0].tier == "interpreter"
     assert prod[0].reason  # non-empty explanation
 
+    ramp = program_lowering_report(_prepare(LOOP_VARIABLE_IN_A_FLOAT_VALUE))
+    assert ramp[0].tier == "interpreter"
+    assert ramp[0].reason == "vectorized loop variable i read as a value"
 
-def test_lowering_report_native_tier():
-    report = program_lowering_report(_prepare(SHIFTED_READ), native=True)
-    assert [nest.tier for nest in report] == ["native"]
-    # The generated C source is kept for inspection.
-    assert "for" in report[0].c_source
-    hist = tier_histogram(report)
-    assert hist["native"] == 1
+
+def test_c_body_is_written_at_first_run_not_in_engine_lower():
+    """``engine-lower`` generates no C under any engine name: the report
+    is the same static analysis, and a nest's C body is written (and
+    compiled) the first time the nest runs."""
+    options = CompileOptions.host_only()
+    options.engine = "native"
+    options.enable_compile_cache = False
+    result = compile_source(SHIFTED_READ, options=options)
+    report = result.report.nest_lowerings
+    assert [nest.tier for nest in report] == ["fold"]
+    assert tier_histogram(report) == {"interpreter": 0, "fold": 1}
+    assert result.program.engine_plans is None  # nothing planned yet
+    rng = np.random.default_rng(9)
+    OffloadExecutor().run(result, {"N": 9}, _arrays(rng, A=9, B=9))
+    (plan,) = result.program.engine_plans.nests.values()
+    assert ("for (int64_t" in plan.kernel.c_source) is native_available()
 
 
 def test_compilation_report_carries_lowerings():
@@ -565,3 +595,116 @@ def test_random_affine_nests_never_miscompile(case):
     rng = np.random.default_rng(int(n))
     arrays = _arrays(rng, **{src: 3 * int(n), dst: 3 * int(n)})
     _assert_engines_match(source, params, arrays)
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: multi-dimensional reduction nests, C body vs fold body
+# ----------------------------------------------------------------------
+#: (loops, target, reads) per shape: a loop is (variable, extent), a
+#: reference (array, subscripts) with a subscript (variable, extent).
+REDUCTION_SHAPES = {
+    "gemm": (
+        [("i", "I"), ("j", "J"), ("k", "K")],
+        ("C", [("i", "I"), ("j", "J")]),
+        [("A", [("i", "I"), ("k", "K")]), ("B", [("k", "K"), ("j", "J")])],
+    ),
+    "conv": (
+        [("i", "I"), ("j", "J"), ("p", "K"), ("q", "L")],
+        ("out", [("i", "I"), ("j", "J")]),
+        [("W", [("p", "K"), ("q", "L")])],
+    ),
+    "gemv": (
+        [("i", "I"), ("j", "J")],
+        ("y", [("i", "I")]),
+        [("A", [("i", "I"), ("j", "J")]), ("x", [("j", "J")])],
+    ),
+}
+
+
+@st.composite
+def reduction_nests(draw):
+    """A random gemm-, conv- or gemv-like reduction nest.
+
+    The update is a ``+`` or ``*`` reduction, or a plain assignment that
+    reads its target (``-``).  The loops come in any order; every array is ``float`` or ``double``;
+    the scale is a weak int or a weak float, declared to match; and a read
+    subscript may be reversed (``E - 1 - v``) or strided (``2 * v``, its
+    array twice as long).  The two outer extents pass a SIMD width, so a
+    compiled C body runs vector lanes and, mostly, a remainder.
+    """
+    shape = draw(st.sampled_from(sorted(REDUCTION_SHAPES)))
+    loops, (target, target_subs), reads = REDUCTION_SHAPES[shape]
+    params = {"I": draw(st.integers(5, 11)), "J": draw(st.integers(5, 11)),
+              "K": draw(st.integers(1, 6)), "L": draw(st.integers(1, 4))}
+    decls, shapes, operands = [], {}, []
+
+    def declare(name, dims, subscripts):
+        elem = draw(st.sampled_from(["float", "double"]))
+        decls.append(f"{elem} {name}{''.join(f'[{d}]' for d in dims)}")
+        shapes[name] = (np.float32 if elem == "float" else np.float64, dims)
+        return f"{name}{''.join(f'[{s}]' for s in subscripts)}"
+
+    for name, subs in reads:
+        dims, texts = [], []
+        for var, extent in subs:
+            form = draw(st.sampled_from(["plain", "reversed", "strided"]))
+            dims.append(f"2 * {extent}" if form == "strided" else extent)
+            texts.append({"plain": var, "reversed": f"{extent} - 1 - {var}",
+                          "strided": f"2 * {var}"}[form])
+        operands.append(declare(name, dims, texts))
+    if target == "out":  # the convolution's image window
+        operands.append(declare("img", ["I + K - 1", "J + L - 1"], ["i + p", "j + q"]))
+    slot = declare(target, [e for _, e in target_subs], [v for v, _ in target_subs])
+    scale = draw(st.one_of(st.integers(-3, 3), st.sampled_from([0.5, 1.5, -2.25, 0.1])))
+    operands.insert(draw(st.integers(0, len(operands))), "s")
+    op = draw(st.sampled_from(["+", "-", "*"]))  # reductions + and *; - reads its target
+    order = draw(st.permutations(loops))
+    lines = [
+        f"{'  ' * depth}for (int {v} = 0; {v} < {e}; {v}++)"
+        for depth, (v, e) in enumerate(order)
+    ]
+    lines.append(f"{'  ' * len(order)}{slot} = {slot} {op} {' * '.join(operands)};")
+    scale_type = "int" if type(scale) is int else "double"
+    source = (
+        f"void k(int I, int J, int K, int L, {scale_type} s, {', '.join(decls)}) {{\n"
+        + "\n".join("  " + line for line in lines) + "\n}\n"
+    )
+    seed = draw(st.integers(0, 2**16))
+    return source, {**params, "s": scale}, shapes, seed
+
+
+def _run_engine(source, params, arrays, fold_only: bool):
+    """Run a fresh program on the default engine — plans, kernels and C
+    bodies are built on its first run — and count the C body's runs."""
+    program = _prepare(source)
+    ran, dispatch = [], native._CEmitter.dispatch
+
+    def bind(emitter, *loaded):
+        body = dispatch(emitter, *loaded)
+        return lambda *args: ran.append(body(*args)) or ran[-1]
+
+    env = {"REPRO_NATIVE": "0"} if fold_only else {}
+    with mock.patch.dict(os.environ, env), mock.patch.object(native._CEmitter, "dispatch", bind):
+        out, trace, raised = _outcome(make_engine(program), params, arrays)
+    return out, trace, raised, ran
+
+
+@given(reduction_nests())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_reduction_nests_c_fold_and_interpreter_agree(case):
+    source, params, shapes, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, (dtype, dims) in shapes.items():
+        extent = tuple(int(eval(d, {}, params)) for d in dims)
+        arrays[name] = (rng.random(extent) * 4 - 2).astype(dtype)
+    ref_out, ref_trace, ref_raised = _outcome(Interpreter(_prepare(source)), params, arrays)
+    assert ref_raised is None
+    c_run, fold_run = (_run_engine(source, params, arrays, fold) for fold in (False, True))
+    for out, trace, raised, _ in (c_run, fold_run):
+        assert raised is None
+        for name in ref_out:
+            np.testing.assert_array_equal(ref_out[name], out[name], err_msg=name)
+        assert trace == ref_trace
+    assert fold_run[3] == []
+    assert c_run[3] == ([True] if native_available() else [])

@@ -8,8 +8,11 @@ than once, plans leaking from one program object to another, and plans
 (which hold compiled functions) riding along when a compilation result
 is pickled or copied — ``KernelCompileCache`` swallows pickling errors,
 so that would silently turn the disk cache off.  They also pin that every
-planned nest the benchmark runs executes on its emitted kernel, and that
-the kernel text names nothing after the input program.
+planned nest the benchmark runs executes on its emitted kernel — its C
+body when the toolchain is present, its fold body otherwise — that a
+guard trip writes nothing and the C body copies nothing, that neither
+kernel text names anything after the input program, and what the C
+compile cache keys on.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import copy
 import gc
 import io
 import pickle
+import re
 import tokenize
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ import pytest
 from repro import CimServer, CompileOptions, OffloadExecutor, ServerConfig, compile_source
 from repro.compiler import KernelCompileCache
 from repro.gateway.loadgen import GEMV_SOURCE
-from repro.ir.engine import VectorizedEngine, analysis
+from repro.ir.engine import VectorizedEngine, analysis, make_engine, native, native_available
 from repro.workloads.polybench import KERNELS, PAPER_KERNELS
 
 PLANNING_ENGINES = ("fast", "native")
@@ -205,20 +210,31 @@ def _benchmark_runs():
         yield GEMV_SOURCE, CompileOptions(), None, {"M": side, "N": side}, arrays
 
 
-def test_every_benchmark_nest_runs_on_its_emitted_kernel(monkeypatch):
-    """A nest the fast engine cannot run on its kernel runs on the
-    interpreter — exact, but 5-1000x slower.  No input of the benchmark
-    may take that path: every planned nest must have a kernel whose guard
-    passes."""
-    outcomes = []
+def spy_on_c_bodies(monkeypatch) -> list[bool]:
+    """What every C body bound from now on returns, call by call."""
+    runs, dispatch = [], native._CEmitter.dispatch
+
+    def bind(emitter, *loaded):
+        body = dispatch(emitter, *loaded)
+        return lambda *args: runs.append(body(*args)) or runs[-1]
+
+    monkeypatch.setattr(native._CEmitter, "dispatch", bind)
+    return runs
+
+
+def _benchmark_kernel_runs(monkeypatch) -> list[tuple]:
+    """(nest, ran on its kernel, ran its C body) for every planned nest
+    execution of the benchmark's inputs, on freshly compiled programs."""
+    outcomes, c_runs = [], spy_on_c_bodies(monkeypatch)
     run_kernel = VectorizedEngine._run_kernel
 
-    def spy(self, plan):
+    def kernel_spy(self, plan):
+        before = len(c_runs)
         ran = run_kernel(self, plan)
-        outcomes.append((plan.root, ran))
+        outcomes.append((plan.root, ran, c_runs[before:] == [True]))
         return ran
 
-    monkeypatch.setattr(VectorizedEngine, "_run_kernel", spy)
+    monkeypatch.setattr(VectorizedEngine, "_run_kernel", kernel_spy)
     executor = OffloadExecutor()
     for source, options, size_hint, params, arrays in _benchmark_runs():
         options.enable_compile_cache = False
@@ -226,8 +242,115 @@ def test_every_benchmark_nest_runs_on_its_emitted_kernel(monkeypatch):
         executor.run(program, params, arrays)
         executor.system.runtime.free_all()
     assert outcomes, "no planned nest ran"
-    interpreted = [str(root).splitlines()[0] for root, ran in outcomes if not ran]
+    interpreted = [str(root).splitlines()[0] for root, ran, _ in outcomes if not ran]
     assert not interpreted, interpreted
+    return outcomes
+
+
+def test_every_benchmark_nest_runs_on_its_emitted_kernel(monkeypatch):
+    """A nest the fast engine cannot run on its kernel runs on the
+    interpreter — exact, but 5-1000x slower.  No input of the benchmark
+    may take that path: every planned nest must have a kernel whose guard
+    passes, and with the C toolchain present it must run the kernel's C
+    body."""
+    in_c = [c for _, _, c in _benchmark_kernel_runs(monkeypatch)]
+    assert all(in_c) if native_available() else not any(in_c)
+
+
+def test_every_benchmark_nest_runs_its_fold_body_without_the_toolchain(monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    assert not any(c for _, _, c in _benchmark_kernel_runs(monkeypatch))
+
+
+# ----------------------------------------------------------------------
+# One guard: a trip writes nothing, and the C body copies nothing
+# ----------------------------------------------------------------------
+TRIPS_ON_THE_SECOND_STATEMENT = """
+void trip(int N, double A[N], double B[N], double C[N]) {
+  for (int i = 0; i < N; i++) {
+    B[i] = A[i] * 2.0;
+    C[i] = A[i - 1];
+  }
+}
+"""
+
+
+def _planned(source: str, params: dict, arrays: dict):
+    """A fresh program run once (so its nests are planned) and its plans."""
+    options = CompileOptions.host_only()
+    options.enable_compile_cache = False
+    program = compile_source(source, options=options).program
+    make_engine(program).run(params, arrays)
+    return list(program.engine_plans.nests.values())
+
+
+def test_a_guard_trip_writes_nothing():
+    """``C[i] = A[i - 1]`` reads ``A[-1]`` at ``i = 0``; the guard must
+    refuse the whole nest before ``B`` — the statement before it — is
+    written, whichever body would have run."""
+    rng = np.random.default_rng(4)
+    arrays = {name: rng.random(6) for name in "ABC"}
+    (plan,) = _planned(TRIPS_ON_THE_SECOND_STATEMENT, {"N": 6}, arrays)
+    work = {name: array.copy() for name, array in arrays.items()}
+    assert plan.kernel.run({"N": 6}, work) is False
+    assert {n: a.tobytes() for n, a in work.items()} == {
+        n: a.tobytes() for n, a in arrays.items()
+    }
+
+
+def test_the_c_body_copies_no_array():
+    """The success path takes no snapshot: running a MEDIUM gemm nest on
+    its C body allocates less than its smallest array."""
+    if not native_available():
+        pytest.skip("no C toolchain: the fold body runs")
+    kernel = KERNELS["gemm"]
+    params, arrays = kernel.params("MEDIUM"), kernel.arrays("MEDIUM", 1)
+    (plan,) = _planned(kernel.source, params, arrays)
+    assert plan.kernel.c_source
+    tracemalloc.start()
+    try:
+        assert plan.kernel.run(params, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(array.nbytes for array in arrays.values())
+
+
+def _float64(arrays, params):
+    return {name: array.astype(np.float64) for name, array in arrays.items()}, params
+
+
+def _fortran_order(arrays, params):
+    return {**arrays, "C": np.asfortranarray(arrays["C"])}, params
+
+
+def _read_only(arrays, params):
+    frozen = arrays["A"].copy()
+    frozen.flags.writeable = False
+    return {**arrays, "A": frozen}, params
+
+
+@pytest.mark.parametrize("change", [
+    _float64,
+    _fortran_order,
+    _read_only,
+    lambda arrays, params: (arrays, {**params, "alpha": 2}),  # declared float
+    lambda arrays, params: (arrays, {**params, "NI": np.int64(params["NI"])}),
+], ids=["float64", "fortran-order", "read-only", "int-alpha", "numpy-int"])
+def test_the_c_body_declines_what_it_was_not_compiled_for(change):
+    """The C body is typed from the declarations; called with anything
+    else it writes nothing and returns ``False``, and the kernel runs its
+    fold body instead."""
+    if not native_available():
+        pytest.skip("no C toolchain: the fold body runs")
+    kernel = KERNELS["gemm"]
+    (plan,) = _planned(kernel.source, kernel.params("MINI"), kernel.arrays("MINI", 1))
+    arrays, params = change(kernel.arrays("MINI", 2), kernel.params("MINI"))
+    before = {name: array.tobytes() for name, array in arrays.items()}
+    args = [arrays[name] for name in plan.kernel.arrays]
+    args += [params[name] for name in plan.kernel.scalars]
+    assert plan.kernel.native(*args) is False
+    assert {name: array.tobytes() for name, array in arrays.items()} == before
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +371,7 @@ BENIGN = (
 )
 
 
-def _kernel_sources(source: str) -> list[str]:
+def _kernels(source: str) -> list:
     options = CompileOptions.host_only()
     options.enable_compile_cache = False
     result = compile_source(source, options=options)
@@ -262,21 +385,74 @@ def _kernel_sources(source: str) -> list[str]:
         _assert_same_run(reference, OffloadExecutor(engine=engine).run(result, params, arrays))
     plans = result.program.engine_plans.nests.values()
     assert all(plan.kernel is not None for plan in plans)
-    return [plan.kernel.source for plan in plans]
+    return [plan.kernel for plan in plans]
+
+
+#: What the C body may name besides generated locals: its prelude (three
+#: helpers and their operands) and C's own words.
+C_VOCABULARY = {
+    "include", "stdint", "h", "static", "inline", "int64_t", "INT64_C", "void",
+    "float", "double", "restrict", "for", "return", "kernel", "imin", "imax",
+    "pymod", "a", "b", "r",
+}
 
 
 def test_emitted_source_contains_no_input_identifier():
-    hostile, benign = _kernel_sources(HOSTILE), _kernel_sources(BENIGN)
-    # Renaming every identifier of the input leaves the emitted text alone…
-    assert hostile == benign
-    # …and what it does name is the emitter's own vocabulary: Python
-    # keywords, six helpers, and generated locals (letter + serial).
+    hostile, benign = _kernels(HOSTILE), _kernels(BENIGN)
+    # Renaming every identifier of the input leaves both bodies alone…
+    assert [k.source for k in hostile] == [k.source for k in benign]
+    assert [k.c_source for k in hostile] == [k.c_source for k in benign]
+    # …and what they do name is the emitters' own vocabulary: Python
+    # keywords and helpers, C words, and generated locals (letter + serial).
     vocabulary = {
         "def", "kernel", "if", "not", "and", "or", "else", "for", "in", "return",
         "True", "False", "None", "isinstance", "ints", "ndim", "shape", "range",
-        "ends", "arange", "reshape", "transpose", "min", "max", "pass",
+        "ends", "arange", "reshape", "transpose", "min", "max", "pass", "native",
     }
-    for source in hostile:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+    for kernel in hostile:
+        for token in tokenize.generate_tokens(io.StringIO(kernel.source).readline):
             if token.type == tokenize.NAME and token.string not in vocabulary:
                 assert token.string[0] in "acilmpv" and token.string[1:].isdigit(), token
+        c_text = re.sub(r"-?0x[0-9a-f.]+p[-+]\d+", "", kernel.c_source)
+        for name in re.findall(r"\b[A-Za-z_]\w*", c_text):
+            assert name in C_VOCABULARY or (name[0] in "ainp" and name[1:].isdigit()), name
+
+
+def test_hostile_names_run_on_their_c_body(monkeypatch):
+    """Input names that are C's or the kernel's own (``arrays``, ``in``,
+    ``np``) once made the C fail to compile, and the nest silently ran on
+    its fold body."""
+    if not native_available():
+        pytest.skip("no C toolchain: the fold body runs")
+    ran = spy_on_c_bodies(monkeypatch)
+    kernels = _kernels(HOSTILE)
+    assert all(kernel.c_source for kernel in kernels)
+    assert ran and all(ran)
+
+
+# ----------------------------------------------------------------------
+# The C compile cache
+# ----------------------------------------------------------------------
+def test_compile_cache_keys_on_the_flags_and_remembers_failures(monkeypatch, tmp_path):
+    if not native_available():
+        pytest.skip("no C toolchain")
+    compiles, run = [], native.subprocess.run
+    monkeypatch.setattr(
+        native.subprocess, "run", lambda *a, **k: compiles.append(a) or run(*a, **k)
+    )
+    monkeypatch.setattr(native, "_loaded", {})
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    prototype = "void kernel(int64_t p0)"
+    good = f"#include <stdint.h>\n{prototype} {{ (void)p0; }}\n"
+    assert native.compile_and_load(good, prototype) is not None
+    assert native.compile_and_load(good, prototype) is not None
+    assert len(compiles) == 1
+    # Other flags are another object: nothing built with the old ones is reused.
+    monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + ("-O1",))
+    assert native.compile_and_load(good, prototype) is not None
+    assert len(compiles) == 2 and len(list(tmp_path.glob("*.so"))) == 2
+    # A failed compile is tried once per process, not once per program.
+    broken = good.replace("(void)p0;", "syntax error")
+    assert native.compile_and_load(broken, prototype) is None
+    assert native.compile_and_load(broken, prototype) is None
+    assert len(compiles) == 3
