@@ -48,7 +48,7 @@ from repro.trace import (
     load_trace,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "AsyncGateway",

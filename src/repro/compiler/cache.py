@@ -4,12 +4,15 @@ Workload sweeps and serving loops compile the same mini-C kernels over and
 over; the poly + tactics + transforms pipeline is pure (same source, same
 options, same size hint → same result), so its output can be memoised.
 :func:`compile_fingerprint` hashes the source (or the printed IR program),
-the :class:`~repro.compiler.options.CompileOptions`, the size hint and the
-package version (so a persisted entry from an older compiler pipeline is
-never served by a newer one) into a stable content address; :class:`KernelCompileCache` maps those addresses
+the :class:`~repro.compiler.options.CompileOptions` and the size hint into
+a stable content address; :class:`KernelCompileCache` maps those addresses
 to :class:`~repro.compiler.driver.CompilationResult` objects with an
 in-memory LRU, optionally persisted to disk so separate processes (e.g.
-benchmark sweeps) share warm compiles.
+benchmark sweeps) share warm compiles.  A persisted entry carries the
+:func:`pipeline_salt` of the process that wrote it — the package version and
+a digest of the compiler pipeline's own sources — and is served only to a
+process with the same salt, so an entry from another compiler pipeline is
+never served.
 
 Cache-control fields of ``CompileOptions`` (``enable_compile_cache``,
 ``compile_cache_dir``) are excluded from the fingerprint because they do
@@ -18,6 +21,7 @@ not affect the compiled artifact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -38,6 +42,37 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: CompileOptions fields that steer caching itself, not the compiled output.
 _CACHE_CONTROL_FIELDS = frozenset({"enable_compile_cache", "compile_cache_dir"})
 
+#: The packages whose sources make the compiled output.
+PIPELINE_PACKAGES = ("frontend", "poly", "tactics", "transforms", "compiler", "ir", "codegen")
+
+#: The first element of a fingerprint's payload.  It was the package version
+#: until the version moved into :func:`pipeline_salt`; it stays frozen so a
+#: request's fingerprint — and the batch signature and lease label derived
+#: from it — do not move with the version.
+_FINGERPRINT_TAG = "1.14.0"
+
+
+def source_digest(root: Path) -> str:
+    """sha256 over the ``*.py`` files of :data:`PIPELINE_PACKAGES` under
+    *root*: each file's path relative to *root*, its size and its bytes, in
+    path order."""
+    digest = hashlib.sha256()
+    for package in PIPELINE_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline_salt() -> str:
+    """The package version and the digest of the compiler pipeline's
+    sources, computed once per process (on its first disk-cache access)."""
+    from repro import __version__
+
+    return f"{__version__}:{source_digest(Path(__file__).resolve().parent.parent)}"
+
 
 def compile_fingerprint(
     source,
@@ -50,8 +85,6 @@ def compile_fingerprint(
     (hashed via its printed form, so later mutation of a program object
     yields a different key).
     """
-    from repro import __version__
-
     if not isinstance(source, str):
         from repro.ir.printer import to_source
 
@@ -64,9 +97,7 @@ def compile_fingerprint(
     hint_items = tuple(
         sorted((str(k), float(v)) for k, v in (size_hint or {}).items())
     )
-    # The package version salts the key so persisted entries from an older
-    # compiler pipeline are never served by a newer one.
-    payload = repr((__version__, source, option_items, hint_items)).encode("utf-8")
+    payload = repr((_FINGERPRINT_TAG, source, option_items, hint_items)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -118,12 +149,14 @@ class KernelCompileCache:
     are evicted first).  With ``disk_dir`` set, every stored result is also
     pickled to ``<disk_dir>/<key>.pkl`` and in-memory misses fall back to
     disk; disk I/O failures (unpicklable results, read-only filesystems)
-    silently degrade to a miss, never an error.  A corrupt or truncated
-    disk entry — a torn write from a crashed process, disk rot — also
-    degrades to a miss, and is additionally *quarantined* (renamed to
-    ``<key>.pkl.corrupt``, or unlinked if the rename fails) and counted in
-    :attr:`disk_corruptions`, so the poisoned entry is read at most once
-    and its slot becomes storable again.
+    silently degrade to a miss, never an error.  So does an entry written
+    under another :func:`pipeline_salt`, which the next store of its key
+    replaces.  A corrupt or truncated disk entry — a torn write from a
+    crashed process, disk rot — also degrades to a miss, and is
+    additionally *quarantined* (renamed to ``<key>.pkl.corrupt``, or
+    unlinked if the rename fails) and counted in :attr:`disk_corruptions`,
+    so the poisoned entry is read at most once and its slot becomes
+    storable again.
 
     The cache is safe for concurrent use from multiple threads: one
     re-entrant lock serialises the LRU mutation and the hit/miss
@@ -247,7 +280,8 @@ class KernelCompileCache:
                 # atomically, never interleave into one shared temp file.
                 fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump((pipeline_salt(), result), handle,
+                                protocol=pickle.HIGHEST_PROTOCOL)
                 os.replace(tmp_name, path)
                 tmp_name = None
         except Exception:
@@ -270,7 +304,7 @@ class KernelCompileCache:
                 return None  # degrade to a miss, never block a compile
             try:
                 with open(path, "rb") as handle:
-                    return pickle.load(handle)
+                    entry = pickle.load(handle)
             except FileNotFoundError:
                 return None  # raced with another process; plain miss
             except Exception:
@@ -281,6 +315,13 @@ class KernelCompileCache:
                 # slot becomes storable again.
                 self._quarantine_corrupt(path)
                 return None
+        try:
+            salt = pipeline_salt()
+        except OSError:
+            return None  # the pipeline's sources are unreadable: a miss
+        if isinstance(entry, tuple) and len(entry) == 2 and entry[0] == salt:
+            return entry[1]
+        return None  # written by another compiler pipeline
 
     def _quarantine_corrupt(self, path: Path) -> None:
         with self._lock:

@@ -27,7 +27,7 @@ from repro.driver.ioctl import IoctlCommand
 from repro.hw.accelerator import CIMAccelerator
 from repro.hw.context_regs import Command, Register, Status
 from repro.hw.energy import HostEnergyModel
-from repro.hw.stats import EnergyLedger, StatCounter
+from repro.hw.stats import StatCounter
 
 
 class DriverError(RuntimeError):
@@ -157,10 +157,11 @@ class CimDriver:
     def submit(self, registers: dict[Register, int], flush_bytes: int) -> None:
         """Program a kernel descriptor and start the accelerator.
 
-        ``registers`` are the descriptor registers this launch writes; a
-        re-trigger of the descriptor the registers still hold passes none,
-        and the ioctl then writes ``COMMAND.START`` only.  Its host charges
-        (the ioctl and the cache flush) are the same either way.
+        ``registers`` are the descriptor registers this launch writes, as
+        one register-file update; a re-trigger of the descriptor the
+        registers still hold passes none, and the ioctl then writes
+        ``COMMAND.START`` only.  Its host charges (the ioctl and the cache
+        flush) are the same either way.
 
         ``flush_bytes`` is the total size of the shared buffers involved; the
         driver flushes the corresponding cache lines before triggering so the
@@ -174,8 +175,9 @@ class CimDriver:
         self.counters.add("driver.ioctl", 1)
         self.counters.add("driver.submit", 1)
         self._flush_caches(flush_bytes)
-        for register, value in registers.items():
-            self.write_register(register, value)
+        if registers:
+            self.counters.add("driver.reg_write", len(registers))
+            self.accelerator.registers.write_descriptor(registers)
         self.write_register(Register.COMMAND, int(Command.START))
 
     def query_info(self) -> dict:

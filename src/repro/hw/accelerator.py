@@ -6,8 +6,9 @@ register file.  The host (through the driver) writes
 kernel parameters into the context registers and writes ``START`` to the
 command register; the accelerator then decodes the request, lets the
 micro-engine execute it, and flips the status register to ``DONE``.  A
-GEMM/GEMV descriptor is decoded once: a later ``START`` with no other
-register written in between re-runs the decoded request.
+GEMM/GEMV descriptor is decoded and costed once, into the micro-engine's
+:class:`~repro.hw.microengine.RunPlan`: a later ``START`` with no other
+register written in between re-runs the plan.
 
 Batched GEMM requests pass a descriptor table in shared memory: ``ADDR_D``
 points at ``BATCH_COUNT`` descriptors, each a sequence of eight 64-bit
@@ -35,7 +36,7 @@ from repro.hw.context_regs import (
 from repro.hw.crossbar import CrossbarConfig
 from repro.hw.dma import DMAEngine
 from repro.hw.energy import CimEnergyModel
-from repro.hw.microengine import Conv2DRequest, GemmRequest, MicroEngine
+from repro.hw.microengine import Conv2DRequest, GemmRequest, MicroEngine, RunPlan
 from repro.hw.stats import AcceleratorRunStats, EnergyLedger, StatCounter, sequential_sum
 from repro.hw.tile import CIMTile
 from repro.hw.timeline import Timeline
@@ -131,10 +132,10 @@ class CIMAccelerator:
             num_tiles=self.config.num_tiles,
         )
         self.registers = ContextRegisterFile(on_start=self._on_start)
-        #: ``(descriptor_version, request)`` of the last decoded GEMM/GEMV
+        #: ``(descriptor_version, plan)`` of the last decoded GEMM/GEMV
         #: descriptor: a re-trigger of unchanged registers is not decoded
-        #: again.
-        self._decoded_gemm: Optional[tuple[int, GemmRequest]] = None
+        #: or costed again.
+        self._decoded_gemm: Optional[tuple[int, RunPlan]] = None
         self.completed_runs: list[AcceleratorRunStats] = []
         self.last_run: Optional[AcceleratorRunStats] = None
         #: Running fold of ``completed_runs`` (what the ``total_*`` helpers,
@@ -155,49 +156,53 @@ class CIMAccelerator:
     # ------------------------------------------------------------------
     def _on_start(self) -> None:
         """Triggered by a START write to the command register."""
-        tile_before = self.tile.energy.as_dict()
-        own_before = self.energy.as_dict()
-        dma_energy_before = self.dma.total_energy_j
-        dma_bytes_before = self.dma.total_bytes
-
+        tile_ledger, own_ledger, dma = self.tile.energy, self.energy, self.dma
+        tile_before, own_before = tile_ledger.as_dict(), own_ledger.as_dict()
+        dma_energy_before, dma_bytes_before = dma.total_energy_j, dma.total_bytes
         try:
-            version = self.registers.descriptor_version
             decoded = self._decoded_gemm
-            if decoded is not None and decoded[0] == version:
+            if decoded is not None and decoded[0] == self.registers.descriptor_version:
                 # No register was written since this GEMM/GEMV was decoded.
                 stats = self.micro_engine.run_gemm(decoded[1])
-            elif (opcode := self.registers.opcode()) in (Opcode.GEMM, Opcode.GEMV):
-                self._decoded_gemm = (version, self._decode_gemm())
-                stats = self.micro_engine.run_gemm(self._decoded_gemm[1])
-            elif opcode is Opcode.GEMM_BATCHED:
-                stats = self.micro_engine.run_gemm_batched(self._decode_batch())
-            elif opcode is Opcode.CONV2D:
-                stats = self.micro_engine.run_conv2d(self._decode_conv2d())
             else:
-                raise ValueError(f"unsupported opcode {opcode}")
+                stats = self._decode_and_run()
         except Exception:
             self.registers.set_status(Status.ERROR)
             raise
 
-        dma_energy = self.dma.total_energy_j - dma_energy_before
         # The micro-engine filled the run's counters and latency; the
-        # energy is measured here, as the ledgers' movement over the run.
+        # energy is measured here, as the ledgers' movement over the run
+        # (differences of running totals, so history moves their last bits).
+        dma_energy = dma.total_energy_j - dma_energy_before
         stats.energy_j = (
-            (self.tile.energy.total() - sequential_sum(tile_before.values()))
-            + (self.energy.total() - sequential_sum(own_before.values()))
+            (tile_ledger.total() - sequential_sum(tile_before.values()))
+            + (own_ledger.total() - sequential_sum(own_before.values()))
             + dma_energy
         )
-        self.energy.add("cim.dma_traffic", dma_energy)
-        for ledger, before in ((self.tile.energy, tile_before), (self.energy, own_before)):
+        own_ledger.add("cim.dma_traffic", dma_energy)
+        breakdown = stats.energy_breakdown
+        for ledger, before in ((tile_ledger, tile_before), (own_ledger, own_before)):
             for key, value in ledger.as_dict().items():
                 delta = value - before.get(key, 0.0)
                 if delta > 0:
-                    stats.energy_breakdown[key] = delta
-        stats.dma_bytes += self.dma.total_bytes - dma_bytes_before
+                    breakdown[key] = delta
+        stats.dma_bytes += dma.total_bytes - dma_bytes_before
         self.completed_runs.append(stats)
         self.last_run = stats
         self.totals.add(stats)
         self.registers.set_status(Status.DONE)
+
+    def _decode_and_run(self) -> AcceleratorRunStats:
+        opcode = self.registers.opcode()
+        if opcode in (Opcode.GEMM, Opcode.GEMV):
+            plan = self.micro_engine.plan_gemm(self._decode_gemm())
+            self._decoded_gemm = (self.registers.descriptor_version, plan)
+            return self.micro_engine.run_gemm(plan)
+        if opcode is Opcode.GEMM_BATCHED:
+            return self.micro_engine.run_gemm_batched(self._decode_batch())
+        if opcode is Opcode.CONV2D:
+            return self.micro_engine.run_conv2d(self._decode_conv2d())
+        raise ValueError(f"unsupported opcode {opcode}")
 
     # ------------------------------------------------------------------
     # Register decoding

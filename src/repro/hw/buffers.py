@@ -5,56 +5,24 @@ row buffers, column buffers, and output buffers.  During a write the column
 buffers hold the data to be programmed and the row buffers the row-enable
 mask; during a compute the row buffers latch the input vector and the column
 buffers supply the column-enable mask.  Every byte moved in or out of a
-buffer is charged at Table I's 5.4 pJ/byte figure by the tile.
+buffer is charged at Table I's 5.4 pJ/byte figure by the tile.  The buffers
+are much smaller than an operand tile and the hardware streams data through
+them, so only their byte traffic is modelled, not their content.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-
-class BufferOverflowError(RuntimeError):
-    """Raised when more data is staged than the buffer can hold."""
-
 
 class SRAMBuffer:
-    """A small SRAM buffer with byte-access counting."""
+    """A small SRAM buffer's byte-access counters."""
 
     def __init__(self, name: str, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("buffer capacity must be positive")
         self.name = name
         self.capacity_bytes = capacity_bytes
-        self.data = np.zeros(capacity_bytes, dtype=np.uint8)
         self.bytes_written = 0
         self.bytes_read = 0
-
-    # ------------------------------------------------------------------
-    def write(self, payload: np.ndarray | bytes, offset: int = 0) -> int:
-        """Store *payload* starting at *offset*; returns bytes written."""
-        payload = np.frombuffer(bytes(payload), dtype=np.uint8) if isinstance(
-            payload, (bytes, bytearray)
-        ) else np.asarray(payload, dtype=np.uint8).ravel()
-        end = offset + payload.size
-        if offset < 0 or end > self.capacity_bytes:
-            raise BufferOverflowError(
-                f"{self.name}: write of {payload.size} B at offset {offset} exceeds "
-                f"capacity {self.capacity_bytes} B"
-            )
-        self.data[offset:end] = payload
-        self.bytes_written += payload.size
-        return int(payload.size)
-
-    def read(self, size: int, offset: int = 0) -> np.ndarray:
-        """Read *size* bytes starting at *offset*."""
-        end = offset + size
-        if offset < 0 or end > self.capacity_bytes:
-            raise BufferOverflowError(
-                f"{self.name}: read of {size} B at offset {offset} exceeds "
-                f"capacity {self.capacity_bytes} B"
-            )
-        self.bytes_read += size
-        return self.data[offset:end].copy()
 
     @property
     def total_accessed_bytes(self) -> int:

@@ -11,8 +11,7 @@ which the host polls.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 
 class Register(enum.IntEnum):
@@ -79,6 +78,11 @@ def decode_scalar(raw: int) -> float:
     return raw / SCALAR_FIXED_POINT_SCALE
 
 
+#: The statuses by register value (the enum's own lookup is slow enough to
+#: show on the launch path, which reads the status twice).
+_STATUSES = {int(status): status for status in Status}
+
+
 class ContextRegisterFile:
     """The accelerator's register file with a trigger callback.
 
@@ -97,9 +101,6 @@ class ContextRegisterFile:
         self.reads = 0
         self.writes = 0
         self.descriptor_version = 0
-
-    def install_start_handler(self, handler: Callable[[], None]) -> None:
-        self._on_start = handler
 
     # ------------------------------------------------------------------
     def read(self, register: Register | int) -> int:
@@ -120,9 +121,21 @@ class ContextRegisterFile:
             self._regs[int(Register.STATUS)] = int(Status.BUSY)
             self._on_start()
 
+    def write_descriptor(self, values: Mapping[Register | int, int]) -> None:
+        """Write a kernel descriptor — registers other than COMMAND — as one
+        update.  Each register counts as one write, as with :meth:`write`."""
+        update = {int(register): int(value) for register, value in values.items()}
+        rejected = [reg for reg in update if reg not in self._regs or reg == Register.COMMAND]
+        if rejected:
+            raise KeyError(f"descriptor write to register(s) {rejected}")
+        self._regs.update(update)
+        self.writes += len(values)
+        self.descriptor_version += len(values)
+
     # Convenience wrappers used by the micro-engine -----------------------
     def status(self) -> Status:
-        return Status(self._regs[int(Register.STATUS)])
+        value = self._regs[int(Register.STATUS)]
+        return _STATUSES[value] if value in _STATUSES else Status(value)
 
     def set_status(self, status: Status) -> None:
         self._regs[int(Register.STATUS)] = int(status)

@@ -6,7 +6,9 @@ per named category, e.g. ``cim.crossbar_write``) and a shared
 evaluation layer slices these into the paper's host/accelerator totals.
 Per accelerator invocation the measured work leaves the device as one
 :class:`AcceleratorRunStats` record, the only place its fields are
-spelled and accumulated.
+spelled and accumulated.  A charge sequence that repeats (every run of a
+decoded descriptor, every GEMV of one shape) is recorded once as
+:class:`Charges` and replayed.
 
 Accounting invariant: energy and counters are charged where the *work*
 happens (one charge per physical operation), never where the *time* is
@@ -70,9 +72,6 @@ class EnergyLedger:
             return sequential_sum(self._joules.values())
         return sequential_sum(self._joules.get(c, 0.0) for c in categories)
 
-    def categories(self) -> list[str]:
-        return sorted(self._joules)
-
     def as_dict(self) -> dict[str, float]:
         return dict(self._joules)
 
@@ -105,6 +104,77 @@ class StatCounter:
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
         return f"StatCounter({parts})"
+
+
+class Charges:
+    """Bookkeeping recorded once and replayed many times.
+
+    A record is one accumulation the device makes: ``target[key] +=
+    amount``, *repeat* times, each its own float addition, so a replay
+    rounds exactly like the charges it records.  ``target`` is a ledger's
+    or a counter's table, or a component's attribute dict (``vars(dma)``);
+    ``None`` is a phase on a serial clock (:meth:`replay` records it in a
+    timeline).  Records replay in the order they were made: the order of
+    the addends of one accumulator is part of the model, and so is the
+    order in which a ledger's categories first appear.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self) -> None:
+        self.records: list[tuple] = []
+
+    def energy(self, ledger: EnergyLedger, category: str, joules: float, repeat: int = 1) -> None:
+        """Record :meth:`EnergyLedger.add`."""
+        if joules < 0:
+            raise ValueError(f"negative energy charge for {category!r}: {joules}")
+        if repeat > 0:
+            self.records.append((ledger._joules, category, joules, repeat))
+
+    def count(self, counter: StatCounter, name: str, count: int) -> None:
+        """Record :meth:`StatCounter.add`."""
+        self.records.append((counter._counts, name, int(count), 1))
+
+    def add(self, owner: object, attribute: str, amount: float) -> None:
+        """Record ``owner.attribute += amount``."""
+        self.records.append((vars(owner), attribute, amount, 1))
+
+    def phase(self, component: str, action: str, duration_s: float, repeat: int = 1) -> None:
+        """Record *repeat* back-to-back phases on the serial clock."""
+        if duration_s < 0:
+            raise ValueError("event duration must be non-negative")
+        self.records.append((None, (component, action), duration_s, repeat))
+
+    def replay(self, timeline=None, clock_s: float = 0.0) -> float:
+        """Make every recorded charge; returns the serial clock after the
+        phases, which are recorded in *timeline* from *clock_s*."""
+        for target, key, amount, repeat in self.records:
+            if target is None:
+                clock_s = timeline.record_run(key[0], key[1], clock_s, amount, repeat)
+            elif repeat == 1:
+                target[key] += amount
+            else:
+                total = target[key]
+                for _ in range(repeat):
+                    total += amount
+                target[key] = total
+        return clock_s
+
+
+#: Entries a :func:`memoized` table holds before it is emptied.
+MEMO_LIMIT = 256
+
+
+def memoized(table: dict, build, *args):
+    """``build(*args)``, kept in *table* under *args*: what is recorded once
+    per shape or descriptor and reused.  The table is emptied when it
+    holds :data:`MEMO_LIMIT` entries."""
+    value = table.get(args)
+    if value is None:
+        if len(table) >= MEMO_LIMIT:
+            table.clear()
+        value = table[args] = build(*args)
+    return value
 
 
 @dataclass

@@ -4,9 +4,7 @@ The tile bundles the crossbar, the row/column/output buffers, the shared
 ADC stage and the digital logic block, and converts the raw operation counts
 of those components into energy using the Table I model.  The micro-engine
 charges every operation to the tile; the tile hides the MSB/LSB column
-pairing and the buffer staging.  The buffers are much smaller than an
-operand tile and the hardware streams data through them, so only their
-byte traffic is modelled, not their content.
+pairing and the buffer staging (byte counts, see :mod:`repro.hw.buffers`).
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ import numpy as np
 from repro.hw.buffers import SRAMBuffer
 from repro.hw.crossbar import Crossbar, CrossbarConfig, WriteReport
 from repro.hw.energy import CimEnergyModel
-from repro.hw.stats import EnergyLedger, StatCounter
+from repro.hw.stats import Charges, EnergyLedger, StatCounter, memoized
 
 
-@dataclass
+@dataclass(frozen=True)
 class TileOperationCost:
     """Energy and latency of one tile-level operation."""
 
@@ -52,6 +50,9 @@ class CIMTile:
         self.output_buffer = SRAMBuffer("output", buffer_bytes)
         self.energy = EnergyLedger()
         self.counters = StatCounter()
+        #: ``shape -> (charges, cost)`` of :meth:`charge_gemv`, recorded at
+        #: the shape's first dispatch and replayed after that.
+        self._gemv_charges: dict[tuple, tuple[Charges, TileOperationCost]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -132,37 +133,46 @@ class CIMTile:
         addend: per-run energies are differences of these running float
         totals, so the sequence of addends is part of the model.
         """
+        charges, cost = memoized(self._gemv_charges, self._record_gemv,
+                                 n_vectors, rows_active, cols_active, repeat)
+        charges.replay()
+        return cost
+
+    def _record_gemv(
+        self, n_vectors: int, rows_active: int, cols_active: int, repeat: int
+    ) -> tuple[Charges, TileOperationCost]:
         model = self.energy_model
         macs = n_vectors * rows_active * cols_active
         input_bytes = n_vectors * rows_active
         output_bytes = n_vectors * cols_active * 4
-        self.row_buffer.bytes_written += repeat * input_bytes
-        self.output_buffer.bytes_written += repeat * output_bytes
         buffer_bytes = input_bytes + output_bytes
+        charges = Charges()
+        charges.add(self.row_buffer, "bytes_written", repeat * input_bytes)
+        charges.add(self.output_buffer, "bytes_written", repeat * output_bytes)
+        charges.energy(self.energy, "cim.crossbar_compute",
+                       macs * model.compute_energy_per_mac_j, repeat)
+        charges.energy(self.energy, "cim.mixed_signal",
+                       n_vectors * model.mixed_signal_energy_per_gemv_j, repeat)
+        charges.energy(self.energy, "cim.digital_logic",
+                       n_vectors * model.digital_weighted_sum_per_gemv_j, repeat)
+        charges.energy(self.energy, "cim.buffers",
+                       buffer_bytes * model.buffer_energy_per_byte_j, repeat)
+        charges.count(self.counters, "cim.gemv_ops", repeat * n_vectors)
+        charges.count(self.counters, "cim.macs", repeat * macs)
         energy = (
             macs * model.compute_energy_per_mac_j
             + n_vectors * model.mixed_signal_energy_per_gemv_j
             + n_vectors * model.digital_weighted_sum_per_gemv_j
             + buffer_bytes * model.buffer_energy_per_byte_j
         )
-        latency = n_vectors * model.compute_latency_per_gemv_s
-        add = self.energy.add
-        add("cim.crossbar_compute", macs * model.compute_energy_per_mac_j, repeat)
-        add("cim.mixed_signal", n_vectors * model.mixed_signal_energy_per_gemv_j, repeat)
-        add("cim.digital_logic", n_vectors * model.digital_weighted_sum_per_gemv_j, repeat)
-        add("cim.buffers", buffer_bytes * model.buffer_energy_per_byte_j, repeat)
-        self.counters.add("cim.gemv_ops", repeat * n_vectors)
-        self.counters.add("cim.macs", repeat * macs)
-        return TileOperationCost(energy, latency)
+        return charges, TileOperationCost(energy, n_vectors * model.compute_latency_per_gemv_s)
 
-    def digital_ops(self, n_ops: int) -> TileOperationCost:
-        """Charge extra scalar ALU work done in the digital logic block."""
-        energy = n_ops * self.energy_model.digital_alu_op_j
-        self.energy.add("cim.digital_logic", energy)
-        self.counters.add("cim.alu_ops", n_ops)
-        # The digital block runs at the accelerator clock; its latency is
-        # hidden behind the crossbar compute in practice.
-        return TileOperationCost(energy, 0.0)
+    def record_digital_ops(self, charges: Charges, n_ops: int) -> None:
+        """Record the charge of *n_ops* scalar ALU operations in the digital
+        logic block into *charges*.  The block runs at the accelerator
+        clock; its latency is hidden behind the crossbar compute."""
+        charges.energy(self.energy, "cim.digital_logic", n_ops * self.energy_model.digital_alu_op_j)
+        charges.count(self.counters, "cim.alu_ops", n_ops)
 
     # ------------------------------------------------------------------
     @property

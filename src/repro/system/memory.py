@@ -33,6 +33,16 @@ class MemoryAccessError(RuntimeError):
     """Out-of-range or misaligned physical memory access."""
 
 
+class WriteWatch:
+    """Whether ``[start, end)`` was written since the watch began (see
+    :meth:`SharedMemory.watch`)."""
+
+    __slots__ = ("start", "end", "written")
+
+    def __init__(self, start: int, end: int):
+        self.start, self.end, self.written = start, end, False
+
+
 class SharedMemory:
     """Byte-addressable simulated DRAM shared by host and accelerator."""
 
@@ -51,6 +61,7 @@ class SharedMemory:
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
+        self._watches: list[WriteWatch] = []
 
     # ------------------------------------------------------------------
     @property
@@ -72,9 +83,15 @@ class SharedMemory:
         the memory: it shows later writes, so a caller that keeps it past
         the next write must copy it.
         """
-        self._check(address, size)
+        window = self.window(address, size)
         self.reads += 1
         self.bytes_read += size
+        return window
+
+    def window(self, address: int, size: int) -> np.ndarray:
+        """:meth:`view` without counting the read: for a reader that keeps
+        the window across accesses and counts every access itself."""
+        self._check(address, size)
         window = self._data[address : address + size]
         window.flags.writeable = False
         return window
@@ -93,6 +110,8 @@ class SharedMemory:
         self.writes += 1
         self.bytes_written += data.size
         self._data[address : address + data.size] = data
+        if self._watches:
+            self._mark_written(address, address + data.size)
         return data.size
 
     # Typed helpers --------------------------------------------------------
@@ -108,6 +127,26 @@ class SharedMemory:
     def fill(self, address: int, size: int, value: int = 0) -> None:
         self._check(address, size)
         self._data[address : address + size] = value
+        self._mark_written(address, address + size)
+
+    # Write watches ----------------------------------------------------------
+    def watch(self, address: int, size: int) -> WriteWatch:
+        """Watch ``[address, address + size)``: the watch's ``written``
+        turns True at the first :meth:`write` or :meth:`fill` that overlaps
+        it.  A reader that keeps a copy of the range learns for free that
+        the copy is still current.  End it with :meth:`unwatch`."""
+        self._check(address, size)
+        watch = WriteWatch(address, address + size)
+        self._watches.append(watch)
+        return watch
+
+    def unwatch(self, watch: WriteWatch) -> None:
+        self._watches.remove(watch)
+
+    def _mark_written(self, start: int, end: int) -> None:
+        for watch in self._watches:
+            if start < watch.end and watch.start < end:
+                watch.written = True
 
     def reset_stats(self) -> None:
         self.reads = 0

@@ -1,5 +1,4 @@
-"""Corrupt-disk-entry hardening of :class:`KernelCompileCache` (PR 6
-satellite).
+"""Corrupt-disk-entry hardening of :class:`KernelCompileCache`.
 
 A crashed writer, disk rot or a hostile tenant can leave a truncated or
 garbage pickle under a cache key.  Reading one must degrade to a plain
@@ -15,10 +14,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.compiler import KernelCompileCache
+from repro.compiler import cache as cache_module
 
 
 def _store(tmp_path, key: str, payload) -> None:
@@ -72,6 +75,63 @@ def test_corruption_counter_only_counts_corrupt_files(tmp_path):
     cache.put("good", 123)
     assert cache.get("good") == 123
     assert cache.disk_corruptions == 0
+
+
+def test_a_changed_pipeline_source_byte_changes_the_salt(tmp_path):
+    """The salt digests every source of the compiler pipeline: a copy of
+    the sources digests the same, and one changed byte does not."""
+    root = Path(cache_module.__file__).resolve().parent.parent
+    for package in cache_module.PIPELINE_PACKAGES:
+        shutil.copytree(root / package, tmp_path / package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    live = cache_module.source_digest(root)
+    assert cache_module.source_digest(tmp_path) == live
+    assert cache_module.pipeline_salt() == f"{repro.__version__}:{live}"
+    victim = tmp_path / "compiler" / "cache.py"
+    data = bytearray(victim.read_bytes())
+    data[len(data) // 2] ^= 1
+    victim.write_bytes(bytes(data))
+    assert cache_module.source_digest(tmp_path) != live
+
+
+def test_an_entry_from_another_pipeline_is_a_miss_never_an_error(tmp_path, monkeypatch):
+    """An entry written under another salt — another version or other
+    pipeline sources — or in the unsalted format of older trees is a plain
+    miss (not a corruption), and the next store of the key replaces it."""
+    monkeypatch.setattr(cache_module, "pipeline_salt", lambda: "1.14.0:older-sources")
+    _store(tmp_path, "kernel-c", ("payload", "old"))
+    with open(tmp_path / "kernel-d.pkl", "wb") as handle:
+        pickle.dump(("payload", "unsalted"), handle)
+    monkeypatch.undo()
+
+    fresh = KernelCompileCache(capacity=4, disk_dir=tmp_path)
+    assert fresh.get("kernel-c") is None and fresh.get("kernel-d") is None
+    assert (fresh.misses, fresh.disk_corruptions) == (2, 0)
+    fresh.put("kernel-c", ("payload", "new"))
+    assert KernelCompileCache(capacity=4, disk_dir=tmp_path).get("kernel-c") == ("payload", "new")
+
+
+def test_unreadable_pipeline_sources_degrade_to_a_miss(tmp_path, monkeypatch):
+    """When the salt cannot be computed (a pipeline source is unreadable),
+    a disk entry is a miss and a store is skipped, never an error."""
+    _store(tmp_path, "kernel-e", ("payload", "kernel-e"))
+
+    def unreadable(root):
+        raise PermissionError("pipeline source unreadable")
+
+    cache_module.pipeline_salt.cache_clear()
+    monkeypatch.setattr(cache_module, "source_digest", unreadable)
+    try:
+        fresh = KernelCompileCache(capacity=4, disk_dir=tmp_path)
+        assert fresh.get("kernel-e") is None
+        assert (fresh.misses, fresh.disk_corruptions) == (1, 0)
+        fresh.put("kernel-f", ("payload", "kernel-f"))
+        assert not (tmp_path / "kernel-f.pkl").exists()
+    finally:
+        monkeypatch.undo()
+        cache_module.pipeline_salt.cache_clear()
+    assert KernelCompileCache(capacity=4, disk_dir=tmp_path).get("kernel-e") == (
+        "payload", "kernel-e")
 
 
 def test_in_memory_hit_ignores_corrupt_disk_entry(tmp_path):
@@ -140,9 +200,9 @@ def test_cross_process_corruption_stress(tmp_path):
         assert value in (None, ("payload", f"shared-{i}"))
 
     # The sweep quarantined any leftover poison, so every surviving .pkl
-    # is now a valid pickle of its own key's payload (atomic writes: no
-    # torn state).
+    # is now a valid pickle of its own key's payload, under this
+    # pipeline's salt (atomic writes: no torn state).
     for path in tmp_path.glob("*.pkl"):
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        assert payload == ("payload", path.stem)
+            salt, payload = pickle.load(fh)
+        assert (salt, payload) == (cache_module.pipeline_salt(), ("payload", path.stem))

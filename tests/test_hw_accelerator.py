@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import CimServer, ServerConfig
+from repro.gateway.loadgen import GEMV_SOURCE
 from repro.hw.accelerator import CIMAccelerator
 from repro.hw.context_regs import (
     Command,
@@ -14,6 +16,7 @@ from repro.hw.context_regs import (
     decode_scalar,
     encode_scalar,
 )
+from repro.system import CimSystem
 from repro.system.memory import SharedMemory
 
 
@@ -257,3 +260,83 @@ def test_reset_stats_clears_history(rng):
     acc.reset_stats()
     assert acc.completed_runs == [] and acc.last_run is None
     assert acc.total_energy_j() == 0.0
+
+
+# ----------------------------------------------------------------------
+# A run that raises
+# ----------------------------------------------------------------------
+def _gemv_system(matrix: np.ndarray, x: np.ndarray):
+    system = CimSystem()
+    runtime = system.runtime
+    runtime.cim_init(0)
+    buffers = [runtime.cim_malloc(array.nbytes) for array in (matrix, x, x)]
+    for buffer, array in zip(buffers, (matrix, x)):
+        runtime.cim_host_to_dev(buffer, array)
+    m, n = matrix.shape
+    descriptor = system.blas.gemv_descriptor(False, m, n, 1.0, buffers[0], n, buffers[1],
+                                             0.0, buffers[2])
+    return system, buffers[0], descriptor
+
+
+def _events(acc, since: int = 0) -> list:
+    return [(e.component, e.action, e.start_s, e.duration_s) for e in acc.timeline.events[since:]]
+
+
+def test_a_failed_run_keeps_its_charges_but_not_its_clock(rng):
+    """A crossbar write that rejects its operand (an inf cannot be
+    quantised) fails the run after the block's DMA-in was charged.  The
+    failed run keeps the charges made before the raise — reading A and x,
+    the tile's DMA-in and its timeline phase — records no run, and leaves
+    the clock at zero: the next run's latency and phase start times are
+    those of the same run on a fresh device."""
+    matrix = rng.integers(-4, 5, (64, 64)).astype(np.float32)
+    x = rng.integers(-4, 5, 64).astype(np.float32)
+    fresh, _, descriptor = _gemv_system(matrix, x)
+    fresh.blas.launch(descriptor)
+    expected = fresh.accelerator.last_run
+
+    poisoned = matrix.copy()
+    poisoned[3, 5] = np.inf
+    system, a_buffer, descriptor = _gemv_system(poisoned, x)
+    acc = system.accelerator
+    memory_before = (system.memory.reads, system.memory.bytes_read)
+    with pytest.raises(ValueError, match="cannot be quantised"):
+        system.blas.launch(descriptor)
+    assert acc.registers.status() is Status.ERROR
+    assert acc.completed_runs == [] and acc.last_run is None
+    model = acc.energy_model
+    tile_bytes = 64 * 64 * 4
+    assert acc.energy.as_dict() == {"cim.dma_traffic": tile_bytes * model.dma_energy_per_byte_j}
+    assert acc.counters.as_dict() == {"cim.dma_bytes": tile_bytes}
+    assert acc.tile.energy.as_dict() == {} and acc.tile.crossbar.total_cell_writes == 0
+    assert _events(acc) == [
+        ("dma", "fill_buffer", 0.0, tile_bytes / model.dma_bandwidth_bytes_per_s)]
+    assert (system.memory.reads, system.memory.bytes_read) == (
+        memory_before[0] + 2, memory_before[1] + tile_bytes + 64 * 4)
+    assert acc.dma.total_bytes == 0
+
+    system.runtime.cim_host_to_dev(a_buffer, matrix)
+    system.blas.launch(descriptor)
+    assert acc.last_run.latency_s == expected.latency_s
+    assert _events(acc, since=1) == _events(fresh.accelerator)
+
+
+def test_a_failed_request_does_not_delay_the_next_tenant(rng):
+    """The same through the serving layer: tenant b's request costs the
+    same simulated time alone and right after tenant a's failed one."""
+    matrix = rng.integers(0, 8, (64, 64)).astype(np.float32)
+    arrays = {"A": matrix, "x": rng.integers(0, 8, 64).astype(np.float32),
+              "y": np.zeros(64, dtype=np.float32)}
+    poisoned = {**arrays, "A": np.where(np.eye(64, dtype=bool), np.inf, matrix).astype(np.float32)}
+    params = {"M": 64, "N": 64}
+    times = []
+    for first in (None, poisoned):
+        with CimServer(ServerConfig(batch_window_s=0.0)) as server:
+            if first is not None:
+                failed = server.submit("a", GEMV_SOURCE, params, first)
+                server.drain()
+                assert failed.status.value == "failed"
+            handle = server.submit("b", GEMV_SOURCE, params, arrays)
+            server.drain()
+            times.append(handle.report.total_time_s)
+    assert times[0] == times[1]

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.hw.adc import ADCConfig, ADCStage
-from repro.hw.buffers import BufferOverflowError, SRAMBuffer
+from repro.hw.buffers import SRAMBuffer
 from repro.hw.digital_logic import DigitalLogic
 from repro.hw.endurance import EnduranceTracker, system_lifetime_years
 from repro.hw.energy import CimEnergyModel, HostEnergyModel, TABLE_I, table_i_rows
+from repro.hw.stats import Charges
 from repro.hw.tile import CIMTile
 from repro.hw.timeline import Timeline
 
@@ -38,20 +39,18 @@ def test_adc_saturates_at_full_scale():
 # ----------------------------------------------------------------------
 # Buffers
 # ----------------------------------------------------------------------
-def test_buffer_write_read_roundtrip():
+def test_buffer_counts_byte_traffic():
+    """A buffer is its traffic counters: the tile streams far more bytes
+    through it than its capacity holds."""
     buf = SRAMBuffer("row", 64)
-    payload = bytes(range(16))
-    buf.write(payload, offset=8)
-    assert bytes(buf.read(16, offset=8)) == payload
-    assert buf.bytes_written == 16 and buf.bytes_read == 16
-
-
-def test_buffer_overflow_detected():
-    buf = SRAMBuffer("row", 16)
-    with pytest.raises(BufferOverflowError):
-        buf.write(bytes(32))
-    with pytest.raises(BufferOverflowError):
-        buf.read(8, offset=12)
+    buf.bytes_written += 1000
+    buf.bytes_read += 24
+    assert buf.total_accessed_bytes == 1024
+    assert "w=1000" in repr(buf) and "r=24" in repr(buf)
+    buf.reset_stats()
+    assert (buf.bytes_written, buf.bytes_read, buf.capacity_bytes) == (0, 0, 64)
+    with pytest.raises(ValueError):
+        SRAMBuffer("row", 0)
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +123,13 @@ def test_tile_charge_gemv_is_the_accounting_half_of_gemv_batch(rng):
 
 def test_tile_digital_ops_energy():
     tile = CIMTile()
-    cost = tile.digital_ops(100)
-    assert cost.energy_j == pytest.approx(100 * tile.energy_model.digital_alu_op_j)
+    charges = Charges()
+    tile.record_digital_ops(charges, 100)
+    assert tile.energy.as_dict() == {}  # recorded, not yet charged
+    charges.replay()
+    assert tile.energy.get("cim.digital_logic") == pytest.approx(
+        100 * tile.energy_model.digital_alu_op_j)
+    assert tile.counters.get("cim.alu_ops") == 100
 
 
 # ----------------------------------------------------------------------
