@@ -19,6 +19,13 @@ Typical usage::
     print(report.total_energy_j, report.edp)
 """
 
+from repro.blas_threads import pin_blas_threads, started_as_cli
+
+if started_as_cli():
+    # One BLAS thread in the ``repro`` command: before the imports below
+    # load NumPy (see repro.blas_threads).
+    pin_blas_threads()
+
 from repro.compiler import (
     CompileOptions,
     CompilationReport,

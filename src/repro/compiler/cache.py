@@ -74,6 +74,15 @@ def pipeline_salt() -> str:
     return f"{__version__}:{source_digest(Path(__file__).resolve().parent.parent)}"
 
 
+@functools.lru_cache(maxsize=None)
+def fingerprinted_fields(options_type: type) -> tuple[str, ...]:
+    """The option fields a fingerprint covers: every field of the options
+    dataclass but the cache-control ones, in declaration order."""
+    return tuple(
+        f.name for f in fields(options_type) if f.name not in _CACHE_CONTROL_FIELDS
+    )
+
+
 def compile_fingerprint(
     source,
     options,
@@ -83,16 +92,15 @@ def compile_fingerprint(
 
     ``source`` may be mini-C text or an IR :class:`~repro.ir.program.Program`
     (hashed via its printed form, so later mutation of a program object
-    yields a different key).
+    yields a different key).  The options enter as the ``repr`` of each
+    :func:`fingerprinted_fields` value.
     """
     if not isinstance(source, str):
         from repro.ir.printer import to_source
 
         source = to_source(source)
     option_items = tuple(
-        (f.name, repr(getattr(options, f.name)))
-        for f in fields(options)
-        if f.name not in _CACHE_CONTROL_FIELDS
+        (name, repr(getattr(options, name))) for name in fingerprinted_fields(type(options))
     )
     hint_items = tuple(
         sorted((str(k), float(v)) for k, v in (size_hint or {}).items())

@@ -13,12 +13,17 @@ lives entirely in the pass classes.
 from __future__ import annotations
 
 import copy
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Optional, Union
 
 from repro.compiler.cache import (
     KernelCompileCache,
     compile_fingerprint,
+    fingerprinted_fields,
     get_default_cache,
 )
 from repro.compiler.options import CompileOptions
@@ -31,6 +36,96 @@ from repro.poly.schedule_tree import DomainNode
 from repro.poly.scop import Scop
 from repro.tactics.patterns import KernelMatch
 from repro.transforms.device_map import DeviceMappingResult
+
+#: Mini-C fingerprints one compiler keeps, per (source text, size hint).
+FINGERPRINT_MEMO_CAPACITY = 64
+
+#: Types whose values cannot change their ``repr`` in place.
+_ATOMS = frozenset({bool, int, float, complex, str, bytes, type(None)})
+
+
+def _repr_is_pinned(value) -> bool:
+    """Whether *value*'s ``repr`` can only change by replacing the value:
+    an atom, or a tuple of such values."""
+    if type(value) is tuple:
+        return all(map(_repr_is_pinned, value))
+    return type(value) in _ATOMS
+
+
+class _FingerprintMemo:
+    """:func:`compile_fingerprint` of mini-C sources under one compiler's
+    options, kept per (source text, size hint) in a bounded LRU table.
+
+    A key is valid while the options' fingerprinted fields keep their
+    ``repr``, the form the fingerprint hashes them in.  Every lookup reads
+    the fields: one that is still the same object needs no more unless
+    its ``repr`` can change in place (a list, a dict, anything but atoms
+    and tuples of atoms), which is compared again.  When a ``repr`` moved
+    (an in-place list edit, a value replaced by one of another type, such
+    as ``256`` by ``256.0``), the table is emptied.  A size hint enters
+    the key as ``(str(name), float(value).hex())`` per item, which is what
+    the fingerprint reads of it.  A miss calls :func:`compile_fingerprint`,
+    so a memoized key is always the string a fresh call returns.
+    """
+
+    def __init__(self, capacity: int = FINGERPRINT_MEMO_CAPACITY):
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._names: tuple[str, ...] = ()
+        self._options_type: Optional[type] = None
+        self._values: Optional[tuple] = None  # the field objects last read
+        self._reprs: list[str] = []
+        self._mutable: tuple[int, ...] = ()  # fields whose repr is re-read
+        self._keys: OrderedDict[tuple, str] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def fingerprint(
+        self,
+        source: str,
+        options: CompileOptions,
+        size_hint: Optional[Mapping[str, int | float]],
+    ) -> str:
+        hint = tuple([
+            (str(name), float(value).hex()) for name, value in (size_hint or {}).items()
+        ])
+        with self._lock:
+            self._sync(options)
+            key = (source, hint)
+            fingerprint = self._keys.get(key)
+            if fingerprint is not None:
+                self._keys.move_to_end(key)
+                return fingerprint
+            fingerprint = self._keys[key] = compile_fingerprint(source, options, size_hint)
+            if len(self._keys) > self.capacity:
+                self._keys.popitem(last=False)
+            return fingerprint
+
+    def _sync(self, options: CompileOptions) -> None:
+        """Empty the table if a fingerprinted field's repr moved since the
+        last lookup."""
+        if type(options) is not self._options_type:
+            self._options_type = type(options)
+            self._names = fingerprinted_fields(type(options))
+            self._values = None
+        values = tuple(map(getattr, repeat(options), self._names))
+        if (
+            self._values is not None
+            and all(map(operator.is_, values, self._values))
+            and (
+                not self._mutable
+                or all(repr(values[i]) == self._reprs[i] for i in self._mutable)
+            )
+        ):
+            return
+        reprs = [repr(value) for value in values]
+        if reprs != self._reprs:
+            self._keys.clear()
+        self._values, self._reprs = values, reprs
+        self._mutable = tuple(
+            index for index, value in enumerate(values) if not _repr_is_pinned(value)
+        )
 
 
 @dataclass
@@ -76,6 +171,7 @@ class TdoCimCompiler:
     ):
         self.options = options or CompileOptions()
         self.policy = policy
+        self._fingerprints = _FingerprintMemo()
         if policy is not None:
             self.cache: Optional[KernelCompileCache] = None
         elif cache is not None:
@@ -104,11 +200,16 @@ class TdoCimCompiler:
         With ``options.enable_compile_cache`` (the default) the result is
         memoised by content fingerprint — see :mod:`repro.compiler.cache`.
         The fingerprint covers every options field, including the pipeline
-        description, so results from different pipelines never alias.
+        description, so results from different pipelines never alias.  A
+        mini-C source's fingerprint is memoized (:class:`_FingerprintMemo`);
+        the cache itself is asked on every call.
         """
         key: Optional[str] = None
         if self.cache is not None:
-            key = compile_fingerprint(source, self.options, size_hint)
+            if isinstance(source, str):
+                key = self._fingerprints.fingerprint(source, self.options, size_hint)
+            else:
+                key = compile_fingerprint(source, self.options, size_hint)
             cached = self.cache.get(key)
             if cached is not None:
                 return cached

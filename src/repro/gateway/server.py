@@ -96,6 +96,7 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
+from repro.blas_threads import pinned_blas_threads
 from repro.compiler.options import CompileOptions
 from repro.gateway.wire import GatewayRequest, GatewayResponse, WireFormatError
 from repro.gateway.worker import (
@@ -406,7 +407,8 @@ class AsyncGateway:
         args = (worker.worker_id, self.config.worker_wire(), far_end)
         name = f"gateway-worker-{worker.worker_id}"
         process = self._ctx.Process(target=worker_main, args=args, daemon=True, name=name)
-        process.start()
+        with pinned_blas_threads():  # a spawned interpreter reads it as NumPy loads
+            process.start()
         far_end.close()  # the child holds its own copy now
         return process, _Pipe(self._loop, near_end, partial(self._on_frame, worker))
 

@@ -14,6 +14,7 @@ store, a flush is roughly one cache-maintenance instruction per line).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 # Unit helpers -----------------------------------------------------------
@@ -99,7 +100,7 @@ class HostEnergyModel:
     # Polling loop: instructions executed per status-register check.
     spin_poll_instructions: int = 20
 
-    @property
+    @functools.cached_property
     def seconds_per_instruction(self) -> float:
         return 1.0 / (self.frequency_hz * self.instructions_per_cycle)
 

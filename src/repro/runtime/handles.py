@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.runtime.errors import CimRuntimeError
+
 
 @dataclass(frozen=True)
 class DeviceBuffer:
@@ -21,8 +23,6 @@ class DeviceBuffer:
     size: int
 
     def require_capacity(self, needed: int) -> None:
-        from repro.runtime.errors import CimRuntimeError
-
         if needed > self.size:
             raise CimRuntimeError(
                 f"buffer {self.handle} holds {self.size} B, {needed} B required"

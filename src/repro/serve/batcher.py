@@ -253,6 +253,24 @@ def extract_fused_gemv_plan(
     )
 
 
+@dataclass(frozen=True)
+class ProgramAnalysis:
+    """What the serving path reads of a compiled program under one set of
+    parameters: its stationary operands and its fused GEMV plan (``None``
+    when it is not the Listing 1 shape)."""
+
+    stationary: tuple[str, ...]
+    fused: Optional[FusedGemvPlan]
+
+
+def analyse_program(program: Program, params: Mapping[str, float]) -> ProgramAnalysis:
+    """:func:`stationary_operand_arrays` and :func:`extract_fused_gemv_plan`
+    of *program* under *params*."""
+    return ProgramAnalysis(
+        stationary_operand_arrays(program), extract_fused_gemv_plan(program, params)
+    )
+
+
 # ----------------------------------------------------------------------
 # Batch formation
 # ----------------------------------------------------------------------

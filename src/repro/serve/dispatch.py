@@ -39,7 +39,7 @@ from repro.serve.batcher import FusedGemvPlan, extract_fused_gemv_plan, same_byt
 from repro.serve.clock import VirtualClock
 from repro.serve.errors import DeviceFault
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.request import TenantRequest
+from repro.serve.request import RequestStatus, TenantRequest
 from repro.system.system import CimSystem
 
 #: ``fault_hook(stage, request)`` — raises DeviceFault to inject a fault.
@@ -96,7 +96,12 @@ class LeaseExecutor:
             # Lease isolation: a batch never inherits the previous
             # tenant's programmed operand.
             self.system.accelerator.micro_engine.invalidate_residency()
-        plan = extract_fused_gemv_plan(batch[0].program, batch[0].params)
+        head = batch[0]
+        plan = (
+            head.analysis.fused
+            if head.analysis is not None
+            else extract_fused_gemv_plan(head.program, head.params)
+        )
         lease_start_s = self.clock.now_s
         if plan is not None:
             faulted = self._dispatch_fused(batch, plan, batch_id)
@@ -125,18 +130,8 @@ class LeaseExecutor:
         """
         faulted: list[FaultedRequest] = []
         for index, request in enumerate(batch):
-
-            def run_program(request=request):
-                return self.executor.run(
-                    request.program,
-                    request.params,
-                    request.arrays,
-                    reset_stats=False,
-                    engine=request.engine,
-                )
-
             fault = self._execute_guarded(
-                request, batch_id, len(batch), run_program
+                request, batch_id, len(batch), self._run_program
             )
             self._release_lease_buffers()
             if fault is not None:
@@ -151,13 +146,31 @@ class LeaseExecutor:
                     break
         return faulted
 
+    def _run_program(self, request: TenantRequest):
+        """The whole program: its results are the engine's private copies
+        of the request's arrays."""
+        return self.executor.run(
+            request.program,
+            request.params,
+            request.arrays,
+            reset_stats=False,
+            engine=request.engine,
+        )
+
     def _dispatch_fused(
         self, batch: list[TenantRequest], plan: FusedGemvPlan, batch_id: int
     ) -> list[FaultedRequest]:
         """Fused GEMV lease: the establishing member uploads the
         stationary matrix and its launch programs the GEMV descriptor;
         every member then uploads its vector, re-triggers the descriptor
-        and reads its result back."""
+        and reads its result back.
+
+        A member's result is its own submit-time snapshot with the fresh
+        read-back in place of ``y``, and nothing is copied: a stationary
+        operand is the shared read-only snapshot the loop interned, every
+        other array is the request's private copy (see
+        ``ServingLoop._snapshot``), so no result aliases a caller's input
+        or another request's writable array."""
         runtime = self.system.runtime
         blas = self.system.blas
         # The established lease: its stationary matrix, device buffers and
@@ -190,13 +203,10 @@ class LeaseExecutor:
                 blas.launch(descriptor)
             else:
                 blas.launch(descriptor, programmed=True)
-            result_y = runtime.cim_dev_to_host(lease["y"], y.shape).astype(
+            outputs = dict(request.arrays)
+            outputs[plan.array_y] = runtime.cim_dev_to_host(lease["y"], y.shape).astype(
                 y.dtype, copy=False
             )
-            outputs = {
-                name: result_y if name == plan.array_y else np.array(value, copy=True)
-                for name, value in request.arrays.items()
-            }
             return outputs, None
 
         def end_lease() -> None:
@@ -219,7 +229,7 @@ class LeaseExecutor:
                         request,
                         batch_id,
                         len(batch),
-                        lambda request=request: run_fused(request),
+                        run_fused,
                         runtime_calls=["polly_cimBlasSGemv"],
                     )
                 if fault is not None:
@@ -244,10 +254,11 @@ class LeaseExecutor:
         request: TenantRequest,
         batch_id: int,
         batch_size: int,
-        thunk,
+        execute: Callable[[TenantRequest], tuple],
         runtime_calls: Optional[list[str]] = None,
     ) -> Optional[DeviceFault]:
-        """Execute one request under full measurement.
+        """Execute one request under full measurement: ``execute(request)``
+        returns its outputs and report (``None`` = measure the ledgers).
 
         Outcomes:
 
@@ -276,7 +287,7 @@ class LeaseExecutor:
         try:
             if self.fault_hook is not None:
                 self.fault_hook("attempt", request)
-            outputs, report = thunk()
+            outputs, report = execute(request)
         except DeviceFault as fault:
             device_fault = fault
             report = None  # bill nothing; measure the lost work below
@@ -426,6 +437,4 @@ class LeaseExecutor:
 
 def _served_ok(request: TenantRequest) -> bool:
     """Whether the request just completed successfully (lease still clean)."""
-    from repro.serve.request import RequestStatus
-
     return request.handle.status is RequestStatus.COMPLETED

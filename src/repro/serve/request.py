@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
 from repro.codegen.executor import ExecutionReport
 from repro.serve.errors import AdmissionError, HandleStateError, ServeError
+
+if TYPE_CHECKING:
+    from repro.serve.batcher import ProgramAnalysis
 
 
 class RequestStatus(enum.Enum):
@@ -59,6 +62,10 @@ class TenantRequest:
     #: Execution engine the kernel was compiled for (None = executor default).
     engine: Optional[str] = None
     handle: "RequestHandle" = None  # type: ignore[assignment]
+    #: The program's :class:`~repro.serve.batcher.ProgramAnalysis` under
+    #: ``params``, when the submitting loop made it (dispatch makes it
+    #: otherwise).
+    analysis: Optional["ProgramAnalysis"] = None
 
     def sort_key(self) -> tuple[float, int]:
         return (self.arrival_s, self.seq)

@@ -64,9 +64,10 @@ from repro.serve.accounting import AccountingLedger
 from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.batcher import (
     DynamicBatcher,
+    ProgramAnalysis,
+    analyse_program,
     batch_signature,
     same_bytes,
-    stationary_operand_arrays,
 )
 from repro.serve.clock import VirtualClock
 from repro.serve.device import Device
@@ -81,6 +82,20 @@ from repro.system.system import CimSystem
 #: bytewise comparison per operand; a miss, the sha256 of
 #: :func:`batch_signature` as before.
 STATIONARY_INTERN_CAPACITY = 16
+
+#: Program analyses a serving loop keeps, by compile fingerprint and
+#: parameters: a hit skips walking the program's calls.
+PROGRAM_ANALYSIS_CAPACITY = 64
+
+
+def _params_key(params: Mapping[str, float]) -> tuple:
+    """A key for *params*: equal keys give every name the same
+    ``repr(float(value))``, which is how :func:`batch_signature` reads it.
+    An ``int`` stands for itself, any other value for that ``repr``."""
+    return tuple([
+        (name, value if type(value) is int else repr(float(value)))
+        for name, value in params.items()
+    ])
 
 
 class _StationaryInterner:
@@ -101,7 +116,7 @@ class _StationaryInterner:
         return len(self._sets)
 
     def find(
-        self, key: tuple, operands: tuple[np.ndarray, ...]
+        self, key: tuple, operands: list[np.ndarray]
     ) -> Optional[tuple[tuple[np.ndarray, ...], str]]:
         """The interned ``(snapshots, signature)`` bytewise equal to
         *operands*, or ``None``."""
@@ -199,6 +214,7 @@ class ServingLoop:
         )
         self.metrics = MetricsRegistry()
         self._interned = _StationaryInterner(STATIONARY_INTERN_CAPACITY)
+        self._analyses: OrderedDict[tuple, ProgramAnalysis] = OrderedDict()
         #: Serving-level lease/occupancy timeline (one event per lease).
         self.timeline = Timeline()
         self.devices: list[Device] = []
@@ -304,7 +320,7 @@ class ServingLoop:
         self._require_open()
         if not tenant:
             raise ServeError("tenant name must be non-empty")
-        params = {key: value for key, value in (params or {}).items()}
+        params = dict(params or {})
         earliest = max(self.clock.now_s, self._last_arrival_s)
         if arrival_s is None:
             arrival_s = earliest
@@ -318,7 +334,11 @@ class ServingLoop:
                 f"(clock={self.clock.now_s}, last arrival={self._last_arrival_s})"
             )
         program, fingerprint, engine = self._resolve_kernel(kernel, params)
-        snapshot, signature = self._snapshot(fingerprint, program, params, arrays or {})
+        params_key = _params_key(params)
+        analysis = self._analyse(fingerprint, params_key, program, params)
+        snapshot, signature = self._snapshot(
+            fingerprint, params_key, analysis.stationary, program, params, arrays or {}
+        )
         self._seq += 1
         handle = RequestHandle(
             request_id=self._seq, tenant=tenant, arrival_s=arrival_s
@@ -333,6 +353,7 @@ class ServingLoop:
             arrival_s=arrival_s,
             engine=engine,
             handle=handle,
+            analysis=analysis,
         )
         self._arrivals.append(request)
         self._last_arrival_s = arrival_s
@@ -350,7 +371,11 @@ class ServingLoop:
         kernel was compiled for, so dispatch honours it exactly like a
         direct ``OffloadExecutor.run`` of the compilation result would.
         """
-        if hasattr(kernel, "program") and hasattr(kernel, "report"):
+        if (
+            not isinstance(kernel, (str, Program))
+            and hasattr(kernel, "program")
+            and hasattr(kernel, "report")
+        ):
             program = kernel.program  # pre-compiled CompilationResult
             fingerprint = getattr(kernel, "cache_key", None) or compile_fingerprint(
                 program, self.config.compile_options, params
@@ -369,35 +394,56 @@ class ServingLoop:
         )
         return result.program, fingerprint, self.config.compile_options.engine
 
+    def _analyse(
+        self,
+        fingerprint: str,
+        params_key: tuple,
+        program: Program,
+        params: Mapping[str, float],
+    ) -> ProgramAnalysis:
+        """The program's :class:`ProgramAnalysis`, kept by compile
+        fingerprint and parameters (least recently used out first)."""
+        key = (fingerprint, params_key)
+        analysis = self._analyses.get(key)
+        if analysis is not None:
+            self._analyses.move_to_end(key)
+            return analysis
+        analysis = self._analyses[key] = analyse_program(program, params)
+        if len(self._analyses) > PROGRAM_ANALYSIS_CAPACITY:
+            self._analyses.popitem(last=False)
+        return analysis
+
     def _snapshot(
         self,
         fingerprint: str,
+        params_key: tuple,
+        names: tuple[str, ...],
         program: Program,
         params: Mapping[str, float],
         arrays: Mapping[str, np.ndarray],
     ) -> tuple[dict[str, np.ndarray], str]:
         """The request's private copy of *arrays* and its batch signature.
 
-        Stationary operands already interned (:class:`_StationaryInterner`)
-        are not copied or hashed again: the request shares the interned
-        read-only snapshots and their signature string, which is the one
-        :func:`batch_signature` returns for these bytes.  Anything else is
-        copied and hashed, and its stationary operands are interned.
+        *names* are the program's stationary operands.  Those already
+        interned (:class:`_StationaryInterner`) are not copied or hashed
+        again: the request shares the interned read-only snapshots and
+        their signature string, which is the one :func:`batch_signature`
+        returns for these bytes.  Anything else is copied and hashed, and
+        its stationary operands are interned.
         """
-        names = stationary_operand_arrays(program)
-        operands = tuple(arrays.get(name) for name in names)
+        operands = [arrays.get(name) for name in names]
         key = None
-        if names and all(
+        if names and all([
             isinstance(operand, np.ndarray) and not operand.dtype.hasobject
             for operand in operands
-        ):
+        ]):
             key = (
                 fingerprint,
-                tuple(f"{name}={float(params[name])!r}" for name in sorted(params)),
-                tuple(
+                params_key,
+                tuple([
                     (name, op.dtype.str, op.shape, op.flat[:: op.size // 8 or 1].tobytes())
                     for name, op in zip(names, operands)
-                ),
+                ]),
             )
             interned = self._interned.find(key, operands)
             if interned is not None:

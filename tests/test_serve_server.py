@@ -691,6 +691,99 @@ def test_the_programs_path_runs_on_interned_snapshots(server):
 
 
 # ----------------------------------------------------------------------
+# The result contract: what a result array may share
+# ----------------------------------------------------------------------
+def _aliases_any(array, others) -> bool:
+    return any(np.shares_memory(array, other) for other in others)
+
+
+def _assert_results_equal(handle, expected) -> None:
+    for name in expected:
+        assert np.array_equal(handle.result()[name], expected[name]), name
+
+
+def test_a_fused_result_shares_only_the_read_only_stationary_snapshot(server):
+    """Fused lease: ``A`` comes back as the one interned read-only snapshot
+    all members share; ``x`` is the member's private submit-time snapshot
+    and ``y`` its own read-back, both writable.  No result array aliases a
+    caller's input or another member's writable array, and writing into
+    one member's result changes no other result and no later request."""
+    rng = np.random.default_rng(45)
+    matrix = rng.random((24, 24), dtype=np.float32)
+    inputs = [_gemv_arrays(rng, matrix) for _ in range(4)]
+    handles = [
+        server.submit(f"t{index}", GEMV_SOURCE, PARAMS, arrays, arrival_s=0.0)
+        for index, arrays in enumerate(inputs)
+    ]
+    server.drain()
+    assert server.metrics.fused_batches == 1
+    assert len({handle.batch_id for handle in handles}) == 1
+    expected = [_direct(server, GEMV_SOURCE, PARAMS, arrays) for arrays in inputs]
+    results = [handle.result() for handle in handles]
+    shared = results[0]["A"]
+    assert not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0, 0] = 1.0
+    callers = [value for arrays in inputs for value in arrays.values()]
+    for handle, result, want in zip(handles, results, expected):
+        assert result["A"] is shared
+        assert result["x"].flags.writeable and result["y"].flags.writeable
+        for name, value in result.items():
+            assert not _aliases_any(value, callers), name
+        _assert_results_equal(handle, want)
+    private = [result[name] for result in results for name in ("x", "y")]
+    for index, array in enumerate(private):
+        assert not _aliases_any(array, private[index + 1 :])
+    results[0]["x"][:] = -1.0
+    results[0]["y"][:] = -1.0
+    for handle, want in zip(handles[1:], expected[1:]):
+        _assert_results_equal(handle, want)
+    later_arrays = _gemv_arrays(rng, matrix)
+    later = server.submit("late", GEMV_SOURCE, PARAMS, later_arrays)
+    server.drain()
+    _assert_results_equal(later, _direct(server, GEMV_SOURCE, PARAMS, later_arrays))
+    assert later.result()["A"] is shared
+
+
+def test_a_whole_program_result_is_private_to_its_request(server):
+    """Whole-program lease: every result array is the engine's own
+    writable copy, even of an interned stationary operand, so nothing a
+    caller does to it reaches an input, the intern table or another
+    request."""
+    rng = np.random.default_rng(46)
+    shared_a = rng.random((12, 12), dtype=np.float32)
+    params = {"M": 12, "N": 12}
+    inputs = [
+        {
+            "A": shared_a,
+            "B": rng.random((12, 12), dtype=np.float32),
+            "C": rng.random((12, 12), dtype=np.float32),
+        }
+        for _ in range(3)
+    ]
+    handles = [server.submit("alice", GEMM_SOURCE, params, arrays) for arrays in inputs]
+    interned = server._arrivals[0].arrays["A"]
+    server.drain()
+    assert server.metrics.fused_batches == 0
+    expected = [_direct(server, GEMM_SOURCE, params, arrays) for arrays in inputs]
+    results = [handle.result() for handle in handles]
+    outside = [value for arrays in inputs for value in arrays.values()] + [interned]
+    every = [value for result in results for value in result.values()]
+    for index, array in enumerate(every):
+        assert array.flags.writeable
+        assert not _aliases_any(array, outside)
+        assert not _aliases_any(array, every[index + 1 :])
+    results[0]["A"][:] = 0.0
+    results[0]["C"][:] = 0.0
+    for handle, want in zip(handles[1:], expected[1:]):
+        _assert_results_equal(handle, want)
+    later_arrays = {**inputs[0], "B": rng.random((12, 12), dtype=np.float32)}
+    later = server.submit("bob", GEMM_SOURCE, params, later_arrays)
+    server.drain()
+    _assert_results_equal(later, _direct(server, GEMM_SOURCE, params, later_arrays))
+
+
+# ----------------------------------------------------------------------
 # Lifecycle & misc
 # ----------------------------------------------------------------------
 def test_server_shutdown_releases_session():
