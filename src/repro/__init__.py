@@ -55,7 +55,7 @@ from repro.trace import (
     load_trace,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "AsyncGateway",

@@ -25,7 +25,6 @@ from repro.compiler.options import CompileOptions
 from repro.compiler.report import CompilationReport, KernelDecision, PassTiming
 from repro.compiler.cache import (
     KernelCompileCache,
-    clear_compile_cache,
     compile_fingerprint,
     get_default_cache,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "KernelCompileCache",
     "compile_fingerprint",
     "get_default_cache",
-    "clear_compile_cache",
     "Pass",
     "PassManager",
     "PipelineError",

@@ -359,8 +359,3 @@ _default_cache = KernelCompileCache()
 
 def get_default_cache() -> KernelCompileCache:
     return _default_cache
-
-
-def clear_compile_cache() -> None:
-    """Empty the process-wide default compile cache."""
-    _default_cache.clear()

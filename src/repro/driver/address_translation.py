@@ -76,7 +76,3 @@ class PageTable:
 
     def is_mapped(self, virtual: int, size: int = 1) -> bool:
         return any(m.contains(virtual, size) for m in self._mappings)
-
-    @property
-    def live_mappings(self) -> int:
-        return len(self._mappings)

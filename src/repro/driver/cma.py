@@ -107,8 +107,3 @@ class CMAAllocator:
 
     def owns(self, address: int) -> bool:
         return address in self._allocated
-
-    def allocation_size(self, address: int) -> int:
-        if address not in self._allocated:
-            raise CMAError(f"unknown CMA allocation 0x{address:x}")
-        return self._allocated[address]

@@ -124,12 +124,6 @@ class HostCostModel:
         self._finalise(estimate)
         return estimate
 
-    def instructions_to_energy(self, instructions: float) -> float:
-        return self.model.instruction_energy(instructions)
-
-    def instructions_to_time(self, instructions: float) -> float:
-        return self.model.instruction_time(instructions)
-
     # ------------------------------------------------------------------
     # Recursive estimation
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ Two numeric modes are supported:
   per-write scale factor), split into 4-bit MSB/LSB device levels, multiplied
   in the "analog" domain, digitised by the shared ADC and recombined
   digitally.  This mode exposes the accuracy impact of the analog substrate
-  and is exercised by dedicated tests and an ablation benchmark.
+  and is exercised by dedicated tests and a pinned ablation table.
 """
 
 from __future__ import annotations
@@ -211,10 +211,6 @@ class Crossbar:
                 msb[r0:r1, c0:c1] = levels >> bits
                 levels &= (1 << bits) - 1
                 lsb[r0:r1, c0:c1] = levels
-
-    def read_values(self) -> np.ndarray:
-        """Full-precision read-back of the stored matrix (shadow copy)."""
-        return self._values.copy()
 
     def stored_quantised(self) -> np.ndarray:
         """The values as represented by the physical 8-bit cells."""

@@ -63,15 +63,6 @@ class CimEnergyModel:
     # Input/output buffer capacity (Table I: 1.5 KB).
     io_buffer_bytes: int = 1536
 
-    @property
-    def cells_per_crossbar(self) -> int:
-        return self.crossbar_rows * self.crossbar_cols
-
-    @property
-    def crossbar_capacity_bytes(self) -> int:
-        """Bytes of operand data one full crossbar write can hold."""
-        return self.crossbar_rows * self.crossbar_cols * self.cell_bits // 8
-
 
 @dataclass(frozen=True)
 class HostEnergyModel:

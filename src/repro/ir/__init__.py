@@ -34,7 +34,6 @@ from repro.ir.stmt import (
     IfStmt,
 )
 from repro.ir.program import ArrayDecl, ParamDecl, Program
-from repro.ir.builder import IRBuilder
 from repro.ir.printer import to_source
 from repro.ir.visitor import IRVisitor, IRTransformer, walk
 from repro.ir.interp import Interpreter, ExecutionTrace
@@ -61,7 +60,6 @@ __all__ = [
     "ArrayDecl",
     "ParamDecl",
     "Program",
-    "IRBuilder",
     "to_source",
     "IRVisitor",
     "IRTransformer",

@@ -118,9 +118,6 @@ class Program:
                 return a
         raise KeyError(f"no array named {name!r} in program {self.name!r}")
 
-    def has_array(self, name: str) -> bool:
-        return any(a.name == name for a in self.arrays)
-
     @property
     def param_names(self) -> list[str]:
         return [p.name for p in self.params]

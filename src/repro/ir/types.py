@@ -43,11 +43,3 @@ class ElementType(enum.Enum):
     @property
     def is_float(self) -> bool:
         return self in (ElementType.F32, ElementType.F64)
-
-    @classmethod
-    def from_c_name(cls, name: str) -> "ElementType":
-        """Map a C type name (``float``, ``double``, ``int``, ``long``)."""
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown C element type: {name!r}")

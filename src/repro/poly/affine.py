@@ -92,11 +92,6 @@ class AffineExpr:
     def is_constant(self) -> bool:
         return not self.var_coeffs and not self.param_coeffs
 
-    @property
-    def is_param_only(self) -> bool:
-        """True when the expression has no loop-variable terms."""
-        return not self.var_coeffs
-
     def used_vars(self) -> set[str]:
         return {v for v, _ in self.var_coeffs}
 

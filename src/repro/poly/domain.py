@@ -68,18 +68,6 @@ class IterationDomain:
     def has_dim(self, var: str) -> bool:
         return any(d.var == var for d in self.dims)
 
-    def is_rectangular(self) -> bool:
-        """True when no bound references an enclosing loop variable."""
-        seen: set[str] = set()
-        for d in self.dims:
-            used = d.lower.used_vars() | d.upper.used_vars()
-            if used & seen or used & {d.var}:
-                if used - seen == set() and not (used & {d.var}):
-                    pass
-                return False if used else True
-            seen.add(d.var)
-        return True
-
     def cardinality(self, params: Mapping[str, int]) -> int:
         """Number of iteration points under a parameter binding.
 

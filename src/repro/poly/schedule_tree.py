@@ -197,10 +197,6 @@ class SequenceNode(ScheduleNode):
         self._children[index] = node
         _adopt(self, node)
 
-    def insert_child(self, index: int, node: "FilterNode") -> None:
-        self._children.insert(index, node)
-        _adopt(self, node)
-
     def remove_child(self, index: int) -> "FilterNode":
         node = self._children.pop(index)
         node.parent = None

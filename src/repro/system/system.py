@@ -9,7 +9,6 @@ object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.driver.driver import CimDriver, HostOverheadLedger
@@ -21,31 +20,6 @@ from repro.runtime.blas import CimBlas
 from repro.system.bus import SystemBus
 from repro.system.config import SystemConfig
 from repro.system.memory import SharedMemory
-
-
-@dataclass
-class SystemEnergySummary:
-    """Energy roll-up of one simulated workload execution."""
-
-    host_compute_j: float = 0.0     # host loop-nest execution
-    host_offload_j: float = 0.0     # driver + copies + flushes + polling
-    accelerator_j: float = 0.0      # everything inside the CIM accelerator
-    host_compute_time_s: float = 0.0
-    host_offload_time_s: float = 0.0
-    accelerator_time_s: float = 0.0
-
-    @property
-    def total_j(self) -> float:
-        return self.host_compute_j + self.host_offload_j + self.accelerator_j
-
-    @property
-    def total_time_s(self) -> float:
-        return self.host_compute_time_s + self.host_offload_time_s + self.accelerator_time_s
-
-    @property
-    def edp(self) -> float:
-        """Energy-delay product (J * s)."""
-        return self.total_j * self.total_time_s
 
 
 class CimSystem:
@@ -75,27 +49,6 @@ class CimSystem:
         self.host_cost_model = HostCostModel(self.config.host)
 
     # ------------------------------------------------------------------
-    def energy_summary(
-        self, host_compute_j: float = 0.0, host_compute_time_s: float = 0.0
-    ) -> SystemEnergySummary:
-        """Roll up the energy spent since the last :meth:`reset_stats`.
-
-        ``host_compute_j``/``host_compute_time_s`` are the analytical host
-        costs of the loop nests that stayed on the host (computed by the
-        caller, which knows which program ran).
-        """
-        return SystemEnergySummary(
-            host_compute_j=host_compute_j,
-            host_offload_j=self.host_overhead.energy_j,
-            accelerator_j=self.accelerator.total_energy_j(),
-            host_compute_time_s=host_compute_time_s,
-            host_offload_time_s=self.host_overhead.time_s
-            - self.accelerator.total_latency_s()
-            if self.host_overhead.time_s > self.accelerator.total_latency_s()
-            else 0.0,
-            accelerator_time_s=self.accelerator.total_latency_s(),
-        )
-
     def reset_stats(self) -> None:
         """Clear all accumulated statistics (buffers stay allocated)."""
         self.accelerator.reset_stats()

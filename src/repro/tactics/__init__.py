@@ -18,7 +18,6 @@ from repro.tactics.matchers import (
     m_domain,
     m_filter,
     m_leaf,
-    m_mark,
     m_sequence,
     match_tree,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "m_domain",
     "m_filter",
     "m_leaf",
-    "m_mark",
     "m_sequence",
     "match_tree",
     "Placeholder",

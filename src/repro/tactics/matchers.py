@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 from repro.poly.schedule_tree import (
     BandNode,
     DomainNode,
-    ExtensionNode,
     FilterNode,
     LeafNode,
     MarkNode,
@@ -166,27 +165,6 @@ def m_filter(
 
 def m_leaf(capture: Optional[str] = None) -> TreeMatcher:
     return TreeMatcher(node_type=LeafNode, capture=capture)
-
-
-def m_mark(
-    *children: TreeMatcher,
-    capture: Optional[str] = None,
-    mark: Optional[str] = None,
-) -> TreeMatcher:
-    def predicate(node: ScheduleNode) -> bool:
-        assert isinstance(node, MarkNode)
-        return mark is None or node.mark == mark
-
-    return TreeMatcher(
-        node_type=MarkNode,
-        children=tuple(children),
-        predicate=predicate,
-        capture=capture,
-    )
-
-
-def m_extension(capture: Optional[str] = None) -> TreeMatcher:
-    return TreeMatcher(node_type=ExtensionNode, capture=capture)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@
   Listing 3: split a GEMM's bands so one operand tile fits the crossbar and
   reorder the tile loops so the written tile is reused across consecutive
   point-loop executions.
-* :mod:`repro.transforms.interchange` — loop interchange on permutable bands.
 * :mod:`repro.transforms.fusion` — the revisited kernel fusion of Listing 2:
   group adjacent, independent, same-shaped kernels so device mapping can
   emit one batched runtime call and write shared operands only once.
@@ -13,7 +12,6 @@
 """
 
 from repro.transforms.tiling import tile_band_chain, tile_gemm_for_crossbar, TilingError
-from repro.transforms.interchange import interchange_band_chain, permute_band, InterchangeError
 from repro.transforms.fusion import (
     FusionGroup,
     find_fusable_groups,
@@ -30,9 +28,6 @@ __all__ = [
     "tile_band_chain",
     "tile_gemm_for_crossbar",
     "TilingError",
-    "interchange_band_chain",
-    "permute_band",
-    "InterchangeError",
     "FusionGroup",
     "find_fusable_groups",
     "fuse_sibling_nests",

@@ -104,18 +104,6 @@ def distribute_band(tree: DomainNode, band: BandNode) -> SequenceNode:
     return new_sequence
 
 
-def _bands_between(root: ScheduleNode, leaf: ScheduleNode) -> list[BandNode]:
-    """Band nodes on the path from *root* (exclusive) down to *leaf*."""
-    path: list[BandNode] = []
-    node: Optional[ScheduleNode] = leaf
-    while node is not None and node is not root:
-        if isinstance(node, BandNode):
-            path.append(node)
-        node = node.parent
-    path.reverse()
-    return path
-
-
 def isolate_match(tree: DomainNode, match: KernelMatch, *, max_steps: int = 16) -> bool:
     """Distribute loops until *match* owns a complete loop nest.
 

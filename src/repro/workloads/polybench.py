@@ -44,10 +44,6 @@ class PolybenchKernel:
     def arrays(self, dataset: str = "SMALL", seed: int = 0) -> dict[str, np.ndarray]:
         return self.init_arrays(self.params(dataset), seed)
 
-    @property
-    def is_gemm_like(self) -> bool:
-        return self.category == "gemm-like"
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)

@@ -1,11 +1,10 @@
-"""Tests for the host cost model, cache model, CPU model, bus, and memory."""
+"""Tests for the host cost model, CPU model, bus, and memory."""
 
 import numpy as np
 import pytest
 
 from repro.frontend import parse_program
-from repro.host import ArmA7Core, CacheConfig, CacheModel, HostCostModel, HostCPU
-from repro.host.cache import default_host_hierarchy
+from repro.host import ArmA7Core, HostCostModel, HostCPU
 from repro.ir import Interpreter
 from repro.ir.normalize import normalize_reductions
 from repro.system import CimSystem, SystemConfig
@@ -76,47 +75,6 @@ def test_empty_loop_contributes_nothing():
     program = parse_program(source)
     estimate = HostCostModel().estimate_program(program, {"N": 0})
     assert estimate.instructions == 0
-
-
-# ----------------------------------------------------------------------
-# Cache model
-# ----------------------------------------------------------------------
-def test_cache_hit_after_miss():
-    cache = CacheModel(CacheConfig(size_bytes=1024, line_bytes=64, associativity=2))
-    assert cache.access(0) is False
-    assert cache.access(32) is True  # same line
-    assert cache.stats.misses == 1 and cache.stats.hits == 1
-
-
-def test_cache_eviction_lru():
-    cache = CacheModel(CacheConfig(size_bytes=2 * 64, line_bytes=64, associativity=2))
-    # Single set with 2 ways: three distinct lines mapping to the same set.
-    cache.access(0)
-    cache.access(64)
-    cache.access(128)
-    assert cache.stats.evictions == 1
-    assert cache.access(0) is False  # evicted
-
-
-def test_cache_flush_range_counts_lines():
-    cache = CacheModel(CacheConfig(size_bytes=4096, line_bytes=64, associativity=4))
-    for address in range(0, 640, 64):
-        cache.access(address, is_write=True)
-    flushed = cache.flush_range(0, 640)
-    assert flushed == 10
-    assert cache.stats.writebacks == 10
-
-
-def test_default_hierarchy_has_two_levels():
-    l1 = default_host_hierarchy()
-    assert l1.next_level is not None
-    l1.access(0)
-    assert l1.next_level.stats.accesses == 1
-
-
-def test_cache_config_validation():
-    with pytest.raises(ValueError):
-        CacheConfig(size_bytes=1000, line_bytes=64, associativity=3)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for tiling, interchange, fusion, distribution, and device mapping."""
+"""Tests for tiling, fusion, distribution, and device mapping."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from repro.transforms import (
     TilingError,
     find_fusable_groups,
     fuse_sibling_nests,
-    interchange_band_chain,
     map_kernels_to_cim,
     tile_band_chain,
     tile_gemm_for_crossbar,
@@ -111,36 +110,6 @@ def test_tiling_imperfect_nest_rejected(gemm_source):
     match = find_gemm_kernels(scop, tree)[0]
     with pytest.raises(TilingError):
         tile_gemm_for_crossbar(tree, match)
-
-
-# ----------------------------------------------------------------------
-# Interchange
-# ----------------------------------------------------------------------
-def test_interchange_preserves_semantics(rng):
-    program, scop, tree = _analyse(PURE_GEMM_SOURCE)
-    match = find_gemm_kernels(scop, tree)[0]
-    bands = match.band_chain(tree)
-    interchange_band_chain(bands, ["k", "i", "j"])
-    assert [b.dims[0] for b in match.band_chain(tree)] == ["k", "i", "j"]
-    params = {"N": 4}
-    arrays = {
-        "A": rng.random((4, 4), dtype=np.float32),
-        "B": rng.random((4, 4), dtype=np.float32),
-        "C": np.zeros((4, 4), dtype=np.float32),
-    }
-    reference = Interpreter(program).run(params, arrays)
-    swapped = _run(program, generate_ir(tree), params, arrays)
-    np.testing.assert_allclose(swapped["C"], reference["C"], rtol=1e-5)
-
-
-def test_interchange_rejects_non_permutation():
-    from repro.transforms import InterchangeError
-
-    _, scop, tree = _analyse(PURE_GEMM_SOURCE)
-    match = find_gemm_kernels(scop, tree)[0]
-    bands = match.band_chain(tree)
-    with pytest.raises(InterchangeError):
-        interchange_band_chain(bands, ["i", "j", "j"])
 
 
 # ----------------------------------------------------------------------
