@@ -28,6 +28,7 @@ from repro.ir.normalize import normalize_reductions
 from repro.ir.program import Program
 from repro.ir.stmt import Stmt
 from repro.poly.astgen import generate_ir
+from repro.poly.dependence import compute_dependences
 from repro.poly.schedule_build import build_schedule_tree
 from repro.poly.scop import Scop, detect_scops
 from repro.tactics.patterns import KernelMatch, find_all_kernels
@@ -97,7 +98,7 @@ def compile_monolithic(
         # the host.
         isolated: list[KernelMatch] = []
         for match in selected:
-            if isolate_match(tree, match):
+            if isolate_match(tree, match, compute_dependences(scop)):
                 isolated.append(match)
             else:
                 for decision in decisions:

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from repro.compiler.report import CompilationReport, KernelDecision
 from repro.ir.program import Program
+from repro.poly.dependence import Dependence, compute_dependences
 from repro.poly.schedule_tree import DomainNode
 from repro.poly.scop import Scop
 from repro.tactics.patterns import KernelMatch
@@ -47,6 +48,9 @@ class CompilationContext:
     source_program: Optional[Program] = None
     report: CompilationReport = field(default_factory=CompilationReport)
     scops: list[Scop] = field(default_factory=list)
+    #: Each SCoP's dependences, computed on first use (see
+    #: :meth:`dependences`); ``None`` until then.
+    dependences_by_scop: list[Optional[list[Dependence]]] = field(default_factory=list)
     trees: list[DomainNode] = field(default_factory=list)
     matches_by_scop: list[list[KernelMatch]] = field(default_factory=list)
     selected_by_scop: list[list[KernelMatch]] = field(default_factory=list)
@@ -70,6 +74,18 @@ class CompilationContext:
     def matches(self) -> list[KernelMatch]:
         """All kernel matches, flattened in SCoP order."""
         return [match for matches in self.matches_by_scop for match in matches]
+
+    def dependences(self, scop_index: int) -> list[Dependence]:
+        """The dependences of one SCoP, computed once per compile.
+
+        No pass changes a :class:`Scop` after detection, so every step of
+        every transformation can share one list.
+        """
+        dependences = self.dependences_by_scop[scop_index]
+        if dependences is None:
+            dependences = compute_dependences(self.scops[scop_index])
+            self.dependences_by_scop[scop_index] = dependences
+        return dependences
 
     def selected_for(self, scop_index: int) -> list[KernelMatch]:
         if scop_index < len(self.selected_by_scop):

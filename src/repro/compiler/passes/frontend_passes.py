@@ -48,6 +48,7 @@ class DetectScopsPass(Pass):
 
     def run(self, ctx: CompilationContext) -> None:
         ctx.scops = detect_scops(ctx.program)
+        ctx.dependences_by_scop = [None] * len(ctx.scops)
         ctx.report.scop_count = len(ctx.scops)
 
 

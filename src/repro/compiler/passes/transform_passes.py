@@ -7,7 +7,7 @@ from repro.compiler.passes.context import CompilationContext
 from repro.tactics.patterns import KernelMatch
 from repro.tactics.patterns.gemm import GemmMatch
 from repro.transforms.device_map import map_kernels_to_cim
-from repro.transforms.distribution import isolate_match
+from repro.transforms.distribution import isolate_match, owns_nest
 from repro.transforms.fusion import FusionGroup, find_fusable_groups
 from repro.transforms.tiling import TilingError, tile_gemm_for_crossbar
 
@@ -17,7 +17,9 @@ class IsolatePass(Pass):
 
     Loop distribution is attempted per kernel; kernels that cannot be
     legally isolated are dropped from the selection and their decision is
-    flipped back to "kept on host" with the legality reason.
+    flipped back to "kept on host" with the legality reason.  A SCoP's
+    dependences are computed only when one of its kernels needs
+    distributing.
     """
 
     name = "isolate"
@@ -30,7 +32,9 @@ class IsolatePass(Pass):
             decisions = ctx.decisions_by_scop[index]
             isolated: list[KernelMatch] = []
             for match in selected:
-                if isolate_match(tree, match):
+                if owns_nest(tree, match) or isolate_match(
+                    tree, match, ctx.dependences(index)
+                ):
                     isolated.append(match)
                 else:
                     for decision in decisions:

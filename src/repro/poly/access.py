@@ -12,7 +12,7 @@ the reduction variable appears in both reads but not the write).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.ir.expr import ArrayRef
@@ -36,6 +36,19 @@ class AccessRelation:
     kind: AccessKind
     indices: tuple[AffineExpr, ...]
     stmt_name: str = ""
+    #: :meth:`single_vars`, computed once at construction.
+    _single_vars: Optional[tuple[str, ...]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
+
+    def __post_init__(self) -> None:
+        if all(
+            len(idx.var_coeffs) == 1 and idx.var_coeffs[0][1] == 1
+            and idx.constant == 0 and not idx.param_coeffs
+            for idx in self.indices
+        ):
+            names = tuple(idx.var_coeffs[0][0] for idx in self.indices)
+            object.__setattr__(self, "_single_vars", names)
 
     @property
     def rank(self) -> int:
@@ -54,19 +67,11 @@ class AccessRelation:
     def is_simple(self) -> bool:
         """True when every subscript is a single loop variable (coefficient 1,
         no constant) — the form the paper's GEMM/GEMV kernels use."""
-        for idx in self.indices:
-            coeffs = idx.vars
-            if len(coeffs) != 1 or idx.constant != 0 or idx.params:
-                return False
-            if next(iter(coeffs.values())) != 1:
-                return False
-        return True
+        return self._single_vars is not None
 
     def single_vars(self) -> Optional[tuple[str, ...]]:
         """If :meth:`is_simple`, the subscript variable per dimension."""
-        if not self.is_simple():
-            return None
-        return tuple(next(iter(idx.vars)) for idx in self.indices)
+        return self._single_vars
 
     def rename_var(self, old: str, new: str) -> "AccessRelation":
         return AccessRelation(

@@ -10,7 +10,7 @@ non-affine and therefore not a SCoP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.ir.expr import (
@@ -60,15 +60,15 @@ class AffineExpr:
 
     @staticmethod
     def constant_expr(value: int) -> "AffineExpr":
-        return AffineExpr.from_parts(constant=value)
+        return AffineExpr(constant=int(value))
 
     @staticmethod
     def var(name: str, coeff: int = 1) -> "AffineExpr":
-        return AffineExpr.from_parts(var_coeffs={name: coeff})
+        return AffineExpr(((name, int(coeff)),) if coeff else ())
 
     @staticmethod
     def param(name: str, coeff: int = 1) -> "AffineExpr":
-        return AffineExpr.from_parts(param_coeffs={name: coeff})
+        return AffineExpr((), ((name, int(coeff)),) if coeff else ())
 
     # ------------------------------------------------------------------
     # Accessors
@@ -102,24 +102,29 @@ class AffineExpr:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: "AffineExpr | int") -> "AffineExpr":
-        other = _as_affine(other)
-        vars_sum = self.vars
-        for v, c in other.vars.items():
-            vars_sum[v] = vars_sum.get(v, 0) + c
-        params_sum = self.params
-        for p, c in other.params.items():
-            params_sum[p] = params_sum.get(p, 0) + c
-        return AffineExpr.from_parts(vars_sum, params_sum, self.constant + other.constant)
+        return self._plus(_as_affine(other), 1)
 
     def __sub__(self, other: "AffineExpr | int") -> "AffineExpr":
-        return self + (_as_affine(other) * -1)
+        return self._plus(_as_affine(other), -1)
+
+    def _plus(self, other: "AffineExpr", sign: int) -> "AffineExpr":
+        constant = self.constant + sign * other.constant
+        if other.is_constant:
+            return AffineExpr(self.var_coeffs, self.param_coeffs, constant)
+        vars_sum = dict(self.var_coeffs)
+        for v, c in other.var_coeffs:
+            vars_sum[v] = vars_sum.get(v, 0) + sign * c
+        params_sum = dict(self.param_coeffs)
+        for p, c in other.param_coeffs:
+            params_sum[p] = params_sum.get(p, 0) + sign * c
+        return AffineExpr.from_parts(vars_sum, params_sum, constant)
 
     def __mul__(self, scalar: int) -> "AffineExpr":
         if not isinstance(scalar, int):
             raise TypeError("affine expressions can only be scaled by integers")
         return AffineExpr.from_parts(
-            {v: c * scalar for v, c in self.vars.items()},
-            {p: c * scalar for p, c in self.params.items()},
+            {v: c * scalar for v, c in self.var_coeffs},
+            {p: c * scalar for p, c in self.param_coeffs},
             self.constant * scalar,
         )
 
@@ -131,8 +136,8 @@ class AffineExpr:
         if coeff == 0:
             return self
         remaining = AffineExpr.from_parts(
-            {v: c for v, c in self.vars.items() if v != var},
-            self.params,
+            {v: c for v, c in self.var_coeffs if v != var},
+            dict(self.param_coeffs),
             self.constant,
         )
         return remaining + replacement * coeff

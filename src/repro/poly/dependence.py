@@ -81,48 +81,46 @@ def _uniform_distance(
     dst: AccessRelation,
     common_loops: tuple[str, ...],
 ) -> Optional[tuple[int, ...]]:
-    """Distance vector for uniform accesses, ``None`` if not uniform.
+    """Constant distance vector of two accesses, ``None`` when unknown.
 
-    Accesses are uniform when, for every subscript dimension, the loop
-    variable coefficients agree and only the constant/parameter parts differ
-    by a constant.  The per-subscript offset then constrains the common-loop
-    distance; subscripts that do not involve common loops must be equal for a
-    dependence to exist at all (we conservatively return the zero distance
-    contribution in that case).
+    Accesses are uniform when every subscript pair has equal loop-variable
+    and parameter coefficients, so they differ by a constant offset.  A
+    subscript in one variable ``v`` pins ``coeff * delta_v = offset``; one in
+    several variables pins nothing, and holds only if single-variable
+    subscripts pin all its variables and satisfy its equation.  Anything
+    else is ``None`` (unknown: callers stay conservative).  Common loops no
+    subscript mentions get distance 0.
     """
     if src.rank != dst.rank:
         return None
-    distance = {var: 0 for var in common_loops}
-    constrained: set[str] = set()
+    distance = dict.fromkeys(common_loops, 0)
+    pinned: set[str] = set()
+    unpinned: list[tuple[tuple[tuple[str, int], ...], int]] = []
     for s_idx, d_idx in zip(src.indices, dst.indices):
-        s_coeffs, d_coeffs = s_idx.vars, d_idx.vars
-        if s_idx.params != d_idx.params:
+        coeffs = s_idx.var_coeffs
+        if coeffs != d_idx.var_coeffs or s_idx.param_coeffs != d_idx.param_coeffs:
             return None
-        # All variables mentioned must be common loops with equal coefficients.
-        used = set(s_coeffs) | set(d_coeffs)
-        if not used <= set(common_loops):
+        if any(var not in distance for var, _ in coeffs):
             return None
-        for var in used:
-            if s_coeffs.get(var, 0) != d_coeffs.get(var, 0):
-                return None
         offset = s_idx.constant - d_idx.constant
-        # Solve coeff * delta = offset for single-variable subscripts; for
-        # multi-variable subscripts only the all-zero delta is derived (the
-        # conservative uniform solution).
-        vars_used = [v for v in common_loops if s_coeffs.get(v, 0) != 0]
-        if len(vars_used) == 1:
-            coeff = s_coeffs[vars_used[0]]
+        if len(coeffs) > 1:
+            unpinned.append((coeffs, offset))
+        elif coeffs:
+            ((var, coeff),) = coeffs
             if offset % coeff != 0:
-                return None  # no integer solution: no dependence on this dim
+                return None  # no integer solution: unknown, not "no dependence"
             delta = offset // coeff
-            if vars_used[0] in constrained and distance[vars_used[0]] != delta:
+            if var in pinned and distance[var] != delta:
                 return None
-            distance[vars_used[0]] = delta
-            constrained.add(vars_used[0])
-        elif not vars_used:
-            if offset != 0:
-                # Subscripts are distinct constants: accesses never overlap.
-                return None
+            distance[var] = delta
+            pinned.add(var)
+        elif offset != 0:
+            return None  # distinct constants never overlap; also reported as unknown
+    for coeffs, offset in unpinned:
+        if any(var not in pinned for var, _ in coeffs):
+            return None
+        if sum(coeff * distance[var] for var, coeff in coeffs) != offset:
+            return None
     return tuple(distance[var] for var in common_loops)
 
 
@@ -162,9 +160,8 @@ def _statement_pair(
     src_stmt: ScopStatement, dst_stmt: ScopStatement
 ) -> list[Dependence]:
     result: list[Dependence] = []
-    common_loops = tuple(
-        var for var in src_stmt.loop_vars if var in dst_stmt.loop_vars
-    )
+    dst_loops = dst_stmt.loop_vars
+    common_loops = tuple(var for var in src_stmt.loop_vars if var in dst_loops)
     seen: set[tuple[str, str, str, DependenceKind]] = set()
     for src_acc, dst_acc in itertools.product(src_stmt.accesses, dst_stmt.accesses):
         if src_acc.array != dst_acc.array:

@@ -73,9 +73,6 @@ class AccessBinding:
     def array(self, name: str) -> str:
         return self.arrays[name]
 
-    def copy(self) -> "AccessBinding":
-        return AccessBinding(dict(self.dims), dict(self.arrays))
-
 
 def _bind_access(
     pattern: AccessPattern,
@@ -86,28 +83,26 @@ def _bind_access(
     """Try to unify one pattern with one concrete access."""
     if pattern.kind is not access.kind:
         return None
-    if len(pattern.subscripts) != access.rank:
-        return None
     concrete_vars = access.single_vars()
-    if concrete_vars is None:
+    if concrete_vars is None or len(concrete_vars) != len(pattern.subscripts):
         return None  # only simple single-variable subscripts are matched here
-    result = binding.copy()
     # Array placeholder unification.
-    bound_array = result.arrays.get(pattern.array.name)
-    if bound_array is None:
-        result.arrays[pattern.array.name] = access.array
-    elif bound_array != access.array:
+    bound_array = binding.arrays.get(pattern.array.name)
+    if bound_array is not None and bound_array != access.array:
         return None
     # Subscript placeholder unification.
+    dims = dict(binding.dims)
     for ph, var in zip(pattern.subscripts, concrete_vars):
-        bound = result.dims.get(ph.name)
+        bound = dims.get(ph.name)
         if bound is None:
-            if distinct_dims and var in result.dims.values():
+            if distinct_dims and var in dims.values():
                 return None
-            result.dims[ph.name] = var
+            dims[ph.name] = var
         elif bound != var:
             return None
-    return result
+    arrays = dict(binding.arrays)
+    arrays[pattern.array.name] = access.array
+    return AccessBinding(dims, arrays)
 
 
 def match_accesses(

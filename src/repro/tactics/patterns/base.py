@@ -17,6 +17,7 @@ from repro.ir.expr import (
 from repro.poly.schedule_tree import (
     BandNode,
     DomainNode,
+    FilterNode,
     LeafNode,
     ScheduleNode,
 )
@@ -87,10 +88,16 @@ class KernelMatch:
     # Tree helpers
     # ------------------------------------------------------------------
     def leaf_node(self, tree: DomainNode) -> LeafNode:
-        """The leaf scheduling the update statement."""
-        for node in tree.walk():
-            if isinstance(node, LeafNode) and self.update_stmt in node.statements:
-                return node
+        """The leaf scheduling the update statement, found by entering only
+        the filters that name it (a filter names every statement below it)."""
+        pending: list[ScheduleNode] = [tree]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, LeafNode):
+                if self.update_stmt in node.statements:
+                    return node
+            elif not isinstance(node, FilterNode) or self.update_stmt in node.statements:
+                pending.extend(reversed(node.children()))
         raise LookupError(
             f"schedule tree has no leaf for statement {self.update_stmt!r}"
         )
@@ -100,18 +107,18 @@ class KernelMatch:
 
         This is the node device mapping will replace with runtime calls: the
         outermost ancestor (band/filter/mark) under which the set of active
-        statements is a subset of this match's statements.
+        statements is a subset of this match's statements: active sets only
+        shrink downwards, so it is the first fit from the domain down.
         """
         leaf = self.leaf_node(tree)
-        candidate: ScheduleNode = leaf
-        node: Optional[ScheduleNode] = leaf.parent
-        while node is not None and not isinstance(node, DomainNode):
-            if node.active_statements() <= self.statements:
-                candidate = node
-            else:
-                break
-            node = node.parent
-        return candidate
+        path = [node for node in leaf.ancestors() if not isinstance(node, DomainNode)]
+        active = set(tree.scop.statement_names)
+        for node in reversed(path):
+            if isinstance(node, FilterNode):
+                active &= node.statements
+            if active <= self.statements:
+                return node
+        return leaf
 
     def band_chain(self, tree: DomainNode) -> list[BandNode]:
         """Bands enclosing the update statement, outermost first."""

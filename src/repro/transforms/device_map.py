@@ -104,45 +104,38 @@ class _CallBuilder:
     """Accumulates the runtime calls of one extension node."""
 
     def __init__(self, tree: DomainNode, result: DeviceMappingResult):
-        self.tree = tree
-        self.scop = tree.scop
         self.program = tree.scop.program
         self.result = result
         self.calls: list[CallStmt] = []
+        # Byte-size expression per array, built once: a buffer's malloc and
+        # copies all name the same size.
+        self._sizes: dict[str, Expr] = {}
+
+    def _size(self, array: str) -> Expr:
+        if array not in self._sizes:
+            self._sizes[array] = _array_size_bytes_expr(self.program.array(array))
+        return self._sizes[array]
 
     # -- building blocks -------------------------------------------------
     def ensure_buffer(self, array: str) -> str:
         buffer = _buffer_name(array)
         if array not in self.result.allocated_buffers:
-            decl = self.program.array(array)
             self.calls.append(
-                CallStmt(
-                    CIM_MALLOC,
-                    [MallocCallArgs(buffer, array, _array_size_bytes_expr(decl))],
-                )
+                CallStmt(CIM_MALLOC, [MallocCallArgs(buffer, array, self._size(array))])
             )
             self.result.allocated_buffers[array] = buffer
         return buffer
 
     def copy_in(self, array: str) -> str:
-        buffer = self.ensure_buffer(array)
-        decl = self.program.array(array)
-        self.calls.append(
-            CallStmt(
-                CIM_HOST_TO_DEV,
-                [CopyCallArgs(buffer, array, _array_size_bytes_expr(decl))],
-            )
-        )
-        return buffer
+        return self._copy(CIM_HOST_TO_DEV, array)
 
     def copy_out(self, array: str) -> str:
+        return self._copy(CIM_DEV_TO_HOST, array)
+
+    def _copy(self, callee: str, array: str) -> str:
         buffer = self.ensure_buffer(array)
-        decl = self.program.array(array)
         self.calls.append(
-            CallStmt(
-                CIM_DEV_TO_HOST,
-                [CopyCallArgs(buffer, array, _array_size_bytes_expr(decl))],
-            )
+            CallStmt(callee, [CopyCallArgs(buffer, array, self._size(array))])
         )
         return buffer
 

@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.poly.dependence import Dependence, compute_dependences
+from repro.poly.dependence import Dependence
 from repro.poly.schedule_tree import (
     BandNode,
     DomainNode,
     FilterNode,
     MarkNode,
-    ScheduleNode,
     SequenceNode,
     replace_node,
 )
-from repro.poly.scop import Scop
 from repro.tactics.patterns.base import KernelMatch
 
 
@@ -49,14 +47,15 @@ def _filter_order(sequence: SequenceNode) -> dict[str, int]:
     return order
 
 
-def can_distribute(scop: Scop, band: BandNode) -> bool:
-    """Legality of distributing *band* over the sequence below it."""
+def can_distribute(band: BandNode, dependences: Sequence[Dependence]) -> bool:
+    """Legality of distributing *band* over the sequence below it, given
+    the SCoP's *dependences* (distribution never changes them)."""
     sequence = _sequence_below(band)
     if sequence is None:
         return False
     order = _filter_order(sequence)
     band_vars = set(band.dims)
-    for dep in compute_dependences(scop):
+    for dep in dependences:
         src_pos = order.get(dep.source)
         dst_pos = order.get(dep.target)
         if src_pos is None or dst_pos is None or src_pos == dst_pos:
@@ -73,7 +72,9 @@ def can_distribute(scop: Scop, band: BandNode) -> bool:
     return True
 
 
-def distribute_band(tree: DomainNode, band: BandNode) -> SequenceNode:
+def distribute_band(
+    tree: DomainNode, band: BandNode, dependences: Sequence[Dependence]
+) -> SequenceNode:
     """Distribute *band* over the sequence below it (checked for legality).
 
     ``band(sequence(f1, f2, ...))`` becomes
@@ -81,8 +82,7 @@ def distribute_band(tree: DomainNode, band: BandNode) -> SequenceNode:
     original band's dimensions.  Returns the new sequence node, which takes
     the band's place in the tree.
     """
-    scop = tree.scop
-    if not can_distribute(scop, band):
+    if not can_distribute(band, dependences):
         raise DistributionError(
             f"distributing band {band.dims} would violate a dependence"
         )
@@ -93,51 +93,47 @@ def distribute_band(tree: DomainNode, band: BandNode) -> SequenceNode:
         assert isinstance(child, FilterNode)
         new_band = BandNode(
             list(band.dims),
+            child.child,
             permutable=band.permutable,
             tile_steps=dict(band.tile_steps),
             tile_origin=dict(band.tile_origin),
         )
-        new_band.set_child(0, child.child) if child.child is not None else None
         new_filters.append(FilterNode(set(child.statements), new_band))
     new_sequence = SequenceNode(new_filters)
     replace_node(band, new_sequence)
     return new_sequence
 
 
-def isolate_match(tree: DomainNode, match: KernelMatch, *, max_steps: int = 16) -> bool:
+def owns_nest(tree: DomainNode, match: KernelMatch) -> bool:
+    """True when the match's subtree root encloses all of the match's loops."""
+    return _blocking_band(tree, match) is None
+
+
+def _blocking_band(tree: DomainNode, match: KernelMatch) -> Optional[BandNode]:
+    """The innermost band above the match's subtree root that schedules one
+    of the match's loops, if any."""
+    needed_dims = set(match.dims.values())
+    for node in match.subtree_root(tree).ancestors():
+        if isinstance(node, BandNode) and not needed_dims.isdisjoint(node.dims):
+            return node
+    return None
+
+
+def isolate_match(
+    tree: DomainNode, match: KernelMatch, dependences: Sequence[Dependence], *, max_steps: int = 16
+) -> bool:
     """Distribute loops until *match* owns a complete loop nest.
 
-    Returns True when the match's subtree root now contains every band of
-    the match's loop dimensions (so device mapping can replace one subtree
-    by one runtime call); returns False when a required distribution is
-    illegal — the kernel then stays on the host.
+    *dependences* are the SCoP's.  Returns True when the match's subtree
+    root encloses every band of the match's loop dimensions; returns False
+    when a required distribution is illegal — the kernel then stays on the
+    host.
     """
-    needed_dims = set(match.dims.values())
     for _ in range(max_steps):
-        root = match.subtree_root(tree)
-        covered = {
-            dim
-            for node in root.walk()
-            if isinstance(node, BandNode)
-            for dim in node.dims
-        }
-        if isinstance(root, BandNode):
-            covered |= set(root.dims)
-        if needed_dims <= covered:
-            return True
-        # Find the innermost band above the root that schedules a needed
-        # dimension but also non-match statements, and distribute it.
-        blocking: Optional[BandNode] = None
-        node: Optional[ScheduleNode] = root.parent
-        while node is not None:
-            if isinstance(node, BandNode) and set(node.dims) & needed_dims:
-                blocking = node
-                break
-            node = node.parent
+        blocking = _blocking_band(tree, match)
         if blocking is None:
+            return True
+        if not can_distribute(blocking, dependences):
             return False
-        sequence = _sequence_below(blocking)
-        if sequence is None or not can_distribute(tree.scop, blocking):
-            return False
-        distribute_band(tree, blocking)
+        distribute_band(tree, blocking, dependences)
     return False

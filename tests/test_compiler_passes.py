@@ -10,6 +10,8 @@ program object.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.compiler import (
@@ -399,3 +401,30 @@ def test_uncached_result_keeps_live_options():
     compiler = TdoCimCompiler(options)
     result = compiler.compile(get_kernel("gemm").source)
     assert result.options is options
+
+
+# ----------------------------------------------------------------------
+# Facts computed once per compile
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kernel", ["bicg", "gesummv", "atax"])
+def test_dependences_are_computed_once_per_scop(kernel, monkeypatch):
+    """These kernels share a nest between two contractions, so isolating
+    them takes several distribution steps; all of them share one list."""
+    import repro.poly.dependence as dependence
+
+    original = dependence.compute_dependences
+    scops = []
+
+    def counting(scop):
+        scops.append(scop)
+        return original(scop)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "compute_dependences", None) is original:
+            monkeypatch.setattr(module, "compute_dependences", counting)
+    spec = get_kernel(kernel)
+    result = compile_source(spec.source, CompileOptions(**UNCACHED), spec.params("MEDIUM"))
+    assert sum(decision.offloaded for decision in result.report.decisions) == 2
+    assert scops, "isolating these kernels needs dependences"
+    assert len({id(scop) for scop in scops}) == len(scops) <= len(result.scops)
+    assert all(any(scop is s for s in result.scops) for scop in scops)

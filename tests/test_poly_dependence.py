@@ -69,6 +69,33 @@ def test_disjoint_constant_subscripts_have_no_dependence():
     assert cross == []
 
 
+@pytest.mark.parametrize(
+    "write, read, distance",
+    [
+        # i + j against i + j + 1: no subscript pins i or j, so the true
+        # distance (1, -1) is unknown to the test, not zero.
+        ("D[i + j]", "D[i + j + 1]", None),
+        # The single-variable subscripts pin (1, 0), which satisfies the
+        # i + j subscript's equation.
+        ("D[i][j][i + j]", "D[i - 1][j][i + j - 1]", (1, 0)),
+        # The pinned (1, 0) contradicts it: unknown, not zero.
+        ("D[i][j][i + j]", "D[i - 1][j][i + j]", None),
+    ],
+)
+def test_multi_variable_subscripts_pin_nothing(write, read, distance):
+    scop = _scop(
+        f"""
+        void f(int N, float D{"[2 * N]" * write.count("[")}) {{
+          for (int i = 1; i < N; i++)
+            for (int j = 1; j < N; j++)
+              {write} = {read} + 1.0;
+        }}
+        """
+    )
+    deps = [d for d in compute_dependences(scop) if d.kind is not DependenceKind.OUTPUT]
+    assert {d.distance for d in deps} == {distance}
+
+
 def test_read_read_is_not_a_dependence():
     scop = _scop(
         """

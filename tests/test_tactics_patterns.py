@@ -6,6 +6,7 @@ from repro.frontend import parse_program
 from repro.ir.expr import FloatConst, ParamRef
 from repro.ir.normalize import normalize_reductions
 from repro.poly import build_schedule_tree, detect_scops
+from repro.poly.schedule_tree import DomainNode, LeafNode
 from repro.tactics import (
     find_all_kernels,
     find_conv2d_kernels,
@@ -13,6 +14,7 @@ from repro.tactics import (
     find_gemv_kernels,
 )
 from repro.workloads import get_kernel
+from tests.test_compiler_golden import INPUTS, compile_case
 
 
 def _analyse(source):
@@ -165,3 +167,90 @@ def test_polybench_kernel_detection_counts():
             for match in find_all_kernels(scop, tree):
                 found[match.kind] = found.get(match.kind, 0) + 1
         assert found == counts, f"{name}: {found} != {counts}"
+
+
+# ----------------------------------------------------------------------
+# The descending lookups equal the full-walk definitions
+# ----------------------------------------------------------------------
+def _walk_leaf(match, tree):
+    """``KernelMatch.leaf_node`` as a pre-order walk of the whole tree."""
+    for node in tree.walk():
+        if isinstance(node, LeafNode) and match.update_stmt in node.statements:
+            return node
+    raise LookupError(match.update_stmt)
+
+
+def _walk_subtree_root(match, tree):
+    """``KernelMatch.subtree_root`` with one ``active_statements()`` per
+    ancestor."""
+    candidate = _walk_leaf(match, tree)
+    node = candidate.parent
+    while node is not None and not isinstance(node, DomainNode):
+        if not node.active_statements() <= match.statements:
+            break
+        candidate, node = node, node.parent
+    return candidate
+
+
+def _assert_lookups_agree(tree, matches):
+    for match in matches:
+        try:
+            leaf = _walk_leaf(match, tree)
+        except LookupError:
+            with pytest.raises(LookupError):
+                match.leaf_node(tree)
+            continue
+        assert match.leaf_node(tree) is leaf
+        assert match.subtree_root(tree) is _walk_subtree_root(match, tree)
+
+
+@pytest.mark.parametrize("case", sorted(INPUTS))
+def test_lookups_equal_full_walks(case, monkeypatch):
+    """On every compiler snapshot case: after matching, after each
+    distribution step and after each device-map replacement."""
+    import repro.compiler.passes.analysis_passes as analysis_passes
+    import repro.compiler.passes.transform_passes as transform_passes
+    import repro.transforms.device_map as device_map
+    import repro.transforms.distribution as distribution
+
+    matches_of: list[tuple] = []  # (tree, its matches)
+    checked = []
+
+    def check(tree):
+        [matches] = [m for t, m in matches_of if t is tree]
+        _assert_lookups_agree(tree, matches)
+        checked.append(tree)
+
+    def after(function, tree_of):
+        def wrapped(*args):
+            tree = tree_of(*args)
+            result = function(*args)
+            check(tree)
+            return result
+        return wrapped
+
+    find_all = analysis_passes.find_all_kernels
+
+    def find_and_check(scop, tree):
+        matches = find_all(scop, tree)
+        matches_of.append((tree, matches))
+        check(tree)
+        return matches
+
+    monkeypatch.setattr(analysis_passes, "find_all_kernels", find_and_check)
+    monkeypatch.setattr(
+        distribution, "distribute_band",
+        after(distribution.distribute_band, lambda tree, band, deps: tree),
+    )
+    monkeypatch.setattr(
+        device_map, "replace_node", after(device_map.replace_node, lambda old, new: old.root())
+    )
+    monkeypatch.setattr(
+        device_map, "_detach_root", after(device_map._detach_root, lambda root: root.root())
+    )
+    monkeypatch.setattr(
+        transform_passes, "map_kernels_to_cim",
+        after(transform_passes.map_kernels_to_cim, lambda tree, *rest: tree),
+    )
+    result = compile_case(case)
+    assert len(checked) >= len(result.trees)

@@ -6,7 +6,7 @@ import pytest
 from repro.frontend import parse_program
 from repro.ir import Block, Interpreter, Program
 from repro.ir.normalize import normalize_reductions
-from repro.poly import build_schedule_tree, detect_scops, generate_ir
+from repro.poly import build_schedule_tree, compute_dependences, detect_scops, generate_ir
 from repro.poly.schedule_tree import (
     BandNode,
     ExtensionNode,
@@ -202,8 +202,9 @@ def test_distribution_legality_and_mechanics(rng):
     program, scop, tree = _analyse(source)
     band_i = tree.child
     assert isinstance(band_i, BandNode)
-    assert can_distribute(scop, band_i)
-    distribute_band(tree, band_i)
+    dependences = compute_dependences(scop)
+    assert can_distribute(band_i, dependences)
+    distribute_band(tree, band_i, dependences)
     assert isinstance(tree.child, SequenceNode)
     assert validate_tree(tree) == []
     params = {"N": 5}
@@ -232,7 +233,7 @@ def test_distribution_illegal_with_backward_dependence():
     program, scop, tree = _analyse(source)
     band_i = tree.child
     assert isinstance(band_i, BandNode)
-    assert not can_distribute(scop, band_i)
+    assert not can_distribute(band_i, compute_dependences(scop))
 
 
 def test_isolate_match_enables_offload_of_shared_nest(rng):
@@ -245,13 +246,61 @@ def test_isolate_match_enables_offload_of_shared_nest(rng):
     matches = find_gemv_kernels(scop, tree)
     assert len(matches) == 2
     for match in matches:
-        assert isolate_match(tree, match)
+        assert isolate_match(tree, match, compute_dependences(scop))
         root = match.subtree_root(tree)
         covered = {
             dim for node in root.walk() if isinstance(node, BandNode) for dim in node.dims
         }
         assert set(match.dims.values()) <= covered
     assert validate_tree(tree) == []
+
+
+#: A GEMV sharing its nest with a statement pair whose subscripts ``i + j``
+#: and ``i + j + 1`` carry a (1, -1) anti-dependence across the loops.
+SHIFTED_DIAGONAL_SOURCE = """
+void f(int N, float y[N], float A[N][N], float x[N], float E[N][N],
+       float D[2 * N + 1], float F[N][N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++) {
+      y[i] += A[i][j] * x[j];
+      E[i][j] = D[i + j + 1];
+      D[i + j] = F[i][j];
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("policy", ["threshold", "always"])
+def test_multi_variable_subscripts_block_distribution(policy, rng):
+    """Fissioning the nest would run every ``D[i + j] = ...`` before every
+    ``E[i][j] = D[i + j + 1]``; the kernel must stay on the host."""
+    from repro import CompileOptions, OffloadExecutor, compile_source
+
+    n = 8
+    options = CompileOptions(enable_compile_cache=False, offload_policy=policy)
+    result = compile_source(SHIFTED_DIAGONAL_SOURCE, options, size_hint={"N": n})
+    [decision] = result.report.decisions
+    assert not decision.offloaded
+    assert decision.reason == (
+        "kernel shares its loop nest with other statements "
+        "and loop distribution is not legal"
+    )
+    arrays = {
+        "y": rng.random(n, dtype=np.float32),
+        "A": rng.random((n, n), dtype=np.float32),
+        "x": rng.random(n, dtype=np.float32),
+        "E": np.zeros((n, n), dtype=np.float32),
+        "D": rng.random(2 * n + 1, dtype=np.float32),
+        "F": rng.random((n, n), dtype=np.float32),
+    }
+    reference = Interpreter(parse_program(SHIFTED_DIAGONAL_SOURCE)).run(
+        {"N": n}, {name: a.copy() for name, a in arrays.items()}
+    )
+    outputs, _ = OffloadExecutor().run(
+        result.program, {"N": n}, {name: a.copy() for name, a in arrays.items()}
+    )
+    for name in arrays:
+        np.testing.assert_array_equal(outputs[name], reference[name])
 
 
 # ----------------------------------------------------------------------
