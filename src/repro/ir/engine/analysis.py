@@ -153,14 +153,7 @@ class NestPlan:
 
     @property
     def has_vectorized_loop(self) -> bool:
-        def any_vec(nodes: list[PlanNode]) -> bool:
-            for node in nodes:
-                if isinstance(node, PlanLoop):
-                    if node.vec or any_vec(node.body):
-                        return True
-            return False
-
-        return any_vec(self.nodes)
+        return any(loop.vec for loop in _all_loops(self.nodes))
 
 
 # ----------------------------------------------------------------------
@@ -448,51 +441,54 @@ def _vec_legal(node: PlanLoop, loop_vars: set[str], vec_names: set[str]) -> bool
     return True
 
 
+def _all_loops(items: list[PlanNode]) -> list[PlanLoop]:
+    """Every loop of a plan subtree, in pre-order."""
+    result = []
+    for item in items:
+        if isinstance(item, PlanLoop):
+            result.append(item)
+            result.extend(_all_loops(item.body))
+    return result
+
+
+def _demote_bound_deps(items: list[PlanNode], ancestors: list[PlanLoop]) -> bool:
+    """Demote every vectorized loop whose variable a deeper bound reads."""
+    changed = False
+    for item in items:
+        if not isinstance(item, PlanLoop):
+            continue
+        free = item.lower.free_vars() | item.upper.free_vars()
+        for anc in ancestors:
+            if anc.vec and anc.var in free:
+                anc.vec = False
+                changed = True
+        changed |= _demote_bound_deps(item.body, ancestors + [item])
+    return changed
+
+
+def _record_vec_vars(items: list[PlanNode], stack: tuple[str, ...]) -> None:
+    """Give each assignment the vectorized loop variables enclosing it."""
+    for item in items:
+        if isinstance(item, PlanAssign):
+            item.vec_vars = stack
+        else:
+            child_stack = stack + (item.var,) if item.vec else stack
+            _record_vec_vars(item.body, child_stack)
+
+
 def _classify(nodes: list[PlanNode], loop_vars: set[str]) -> None:
     """Fixpoint VEC/SEQ classification over the plan tree."""
-
-    def all_loops(items: list[PlanNode]) -> list[PlanLoop]:
-        result = []
-        for item in items:
-            if isinstance(item, PlanLoop):
-                result.append(item)
-                result.extend(all_loops(item.body))
-        return result
-
-    loops = all_loops(nodes)
-
-    def demote_bound_deps(items: list[PlanNode], ancestors: list[PlanLoop]) -> bool:
-        changed = False
-        for item in items:
-            if not isinstance(item, PlanLoop):
-                continue
-            free = item.lower.free_vars() | item.upper.free_vars()
-            for anc in ancestors:
-                if anc.vec and anc.var in free:
-                    anc.vec = False
-                    changed = True
-            changed |= demote_bound_deps(item.body, ancestors + [item])
-        return changed
-
+    loops = _all_loops(nodes)
     changed = True
     while changed:
-        changed = demote_bound_deps(nodes, [])
+        changed = _demote_bound_deps(nodes, [])
         vec_names = {loop.var for loop in loops if loop.vec}
         for loop in loops:
             if loop.vec and not _vec_legal(loop, loop_vars, vec_names):
                 loop.vec = False
                 changed = True
                 vec_names = {l.var for l in loops if l.vec}
-
-    def record_vec_vars(items: list[PlanNode], stack: tuple[str, ...]) -> None:
-        for item in items:
-            if isinstance(item, PlanAssign):
-                item.vec_vars = stack
-            else:
-                child_stack = stack + (item.var,) if item.vec else stack
-                record_vec_vars(item.body, child_stack)
-
-    record_vec_vars(nodes, ())
+    _record_vec_vars(nodes, ())
 
 
 # ----------------------------------------------------------------------
@@ -592,15 +588,13 @@ def _annotate_folds(nodes: list[PlanNode], loop_vars: set[str]) -> None:
 def plan_assigns(plan: NestPlan) -> list[PlanAssign]:
     """All planned assignments of a nest, in program order."""
     out: list[PlanAssign] = []
-
-    def visit(nodes: list[PlanNode]) -> None:
-        for node in nodes:
-            if isinstance(node, PlanAssign):
-                out.append(node)
-            else:
-                visit(node.body)
-
-    visit(plan.nodes)
+    pending: list[PlanNode] = list(reversed(plan.nodes))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, PlanAssign):
+            out.append(node)
+        else:
+            pending.extend(reversed(node.body))
     return out
 
 

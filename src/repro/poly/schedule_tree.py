@@ -19,6 +19,12 @@ Loop Tactics passes:
 
 Trees are mutable (children lists can be edited in place) but every node
 exposes ``copy()`` for non-destructive transformation pipelines.
+
+Trees point down only, as ISL's do: a node knows its children, never its
+parent.  Code that needs a node's ancestors holds a *path*, the list of
+nodes from the root down to it, and the statements active at a node are
+:func:`active_statements` of its path.  A tree therefore holds no
+reference cycle and is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -32,11 +38,6 @@ from repro.ir.stmt import CallStmt
 
 class ScheduleNode:
     """Base class of all schedule-tree nodes."""
-
-    parent: Optional["ScheduleNode"]
-
-    def __init__(self) -> None:
-        self.parent = None
 
     # -- structure ------------------------------------------------------
     def children(self) -> Sequence["ScheduleNode"]:
@@ -55,63 +56,16 @@ class ScheduleNode:
         return [node for node in self.walk() if predicate(node)]
 
     def copy(self) -> "ScheduleNode":
-        """Deep copy of this subtree (parent links are rebuilt)."""
-        cloned = _copy.deepcopy(self)
-        _fix_parents(cloned, None)
-        return cloned
-
-    # -- convenience ----------------------------------------------------
-    def ancestors(self) -> Iterator["ScheduleNode"]:
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
-    def root(self) -> "ScheduleNode":
-        node: ScheduleNode = self
-        while node.parent is not None:
-            node = node.parent
-        return node
-
-    def active_statements(self) -> set[str]:
-        """Statement names active at this node (domain minus filters above)."""
-        root = self.root()
-        if not isinstance(root, DomainNode):
-            return set()
-        active = set(root.scop.statement_names)
-        for ancestor in list(self.ancestors()) + [self]:
-            if isinstance(ancestor, FilterNode):
-                active &= ancestor.statements
-        return active
-
-    def band_ancestor_dims(self) -> list[str]:
-        """Schedule dimensions introduced by bands above this node, outer first."""
-        dims: list[str] = []
-        for ancestor in reversed(list(self.ancestors())):
-            if isinstance(ancestor, BandNode):
-                dims.extend(ancestor.dims)
-        return dims
-
-
-def _fix_parents(node: ScheduleNode, parent: Optional[ScheduleNode]) -> None:
-    node.parent = parent
-    for child in node.children():
-        _fix_parents(child, node)
-
-
-def _adopt(parent: ScheduleNode, child: Optional[ScheduleNode]) -> None:
-    if child is not None:
-        child.parent = parent
+        """Deep copy of this subtree."""
+        return _copy.deepcopy(self)
 
 
 class DomainNode(ScheduleNode):
     """Root node owning the SCoP."""
 
     def __init__(self, scop, child: Optional[ScheduleNode] = None):
-        super().__init__()
         self.scop = scop
         self.child = child
-        _adopt(self, child)
 
     def children(self) -> Sequence[ScheduleNode]:
         return (self.child,) if self.child is not None else ()
@@ -120,7 +74,6 @@ class DomainNode(ScheduleNode):
         if index != 0:
             raise IndexError("DomainNode has a single child")
         self.child = node
-        _adopt(self, node)
 
     def __repr__(self) -> str:
         return f"DomainNode({self.scop.name})"
@@ -132,8 +85,8 @@ class BandNode(ScheduleNode):
     ``dims`` are loop-variable names, outermost first.  ``permutable`` is set
     by dependence analysis and allows interchange/tiling.  Tiling metadata
     (``tile_origin``) records, for a point band created by the tiling
-    transformation, the name of the corresponding tile-loop variable so the
-    AST generator can emit ``min`` upper bounds.
+    transformation, the corresponding tile-loop variable and tile size so
+    the AST generator can emit ``min`` upper bounds.
     """
 
     def __init__(
@@ -142,17 +95,15 @@ class BandNode(ScheduleNode):
         child: Optional[ScheduleNode] = None,
         permutable: bool = False,
         tile_steps: Optional[dict[str, int]] = None,
-        tile_origin: Optional[dict[str, str]] = None,
+        tile_origin: Optional[dict[str, tuple[str, int]]] = None,
     ):
-        super().__init__()
         self.dims = list(dims)
         self.child = child
         self.permutable = permutable
         # For a *tile* band: loop steps (tile sizes) per dimension.
         self.tile_steps = dict(tile_steps or {})
-        # For a *point* band: maps point-loop var -> tile-loop var.
+        # For a *point* band: maps point-loop var -> (tile-loop var, tile size).
         self.tile_origin = dict(tile_origin or {})
-        _adopt(self, child)
 
     def children(self) -> Sequence[ScheduleNode]:
         return (self.child,) if self.child is not None else ()
@@ -161,7 +112,6 @@ class BandNode(ScheduleNode):
         if index != 0:
             raise IndexError("BandNode has a single child")
         self.child = node
-        _adopt(self, node)
 
     @property
     def n_dims(self) -> int:
@@ -183,10 +133,7 @@ class SequenceNode(ScheduleNode):
     """Ordered sequence; children must be filter nodes."""
 
     def __init__(self, children: Sequence["FilterNode"] = ()):
-        super().__init__()
         self._children: list[FilterNode] = list(children)
-        for child in self._children:
-            _adopt(self, child)
 
     def children(self) -> Sequence[ScheduleNode]:
         return tuple(self._children)
@@ -195,12 +142,9 @@ class SequenceNode(ScheduleNode):
         if not isinstance(node, FilterNode):
             raise TypeError("SequenceNode children must be FilterNodes")
         self._children[index] = node
-        _adopt(self, node)
 
     def remove_child(self, index: int) -> "FilterNode":
-        node = self._children.pop(index)
-        node.parent = None
-        return node
+        return self._children.pop(index)
 
     def __repr__(self) -> str:
         return f"SequenceNode({len(self._children)} children)"
@@ -210,10 +154,8 @@ class FilterNode(ScheduleNode):
     """Restricts execution to a subset of statements."""
 
     def __init__(self, statements: set[str] | Sequence[str], child: Optional[ScheduleNode] = None):
-        super().__init__()
         self.statements = set(statements)
         self.child = child
-        _adopt(self, child)
 
     def children(self) -> Sequence[ScheduleNode]:
         return (self.child,) if self.child is not None else ()
@@ -222,7 +164,6 @@ class FilterNode(ScheduleNode):
         if index != 0:
             raise IndexError("FilterNode has a single child")
         self.child = node
-        _adopt(self, node)
 
     def __repr__(self) -> str:
         return f"FilterNode({sorted(self.statements)})"
@@ -232,11 +173,9 @@ class MarkNode(ScheduleNode):
     """Annotation node; ``payload`` typically holds a pattern match capture."""
 
     def __init__(self, mark: str, payload: object = None, child: Optional[ScheduleNode] = None):
-        super().__init__()
         self.mark = mark
         self.payload = payload
         self.child = child
-        _adopt(self, child)
 
     def children(self) -> Sequence[ScheduleNode]:
         return (self.child,) if self.child is not None else ()
@@ -245,7 +184,6 @@ class MarkNode(ScheduleNode):
         if index != 0:
             raise IndexError("MarkNode has a single child")
         self.child = node
-        _adopt(self, node)
 
     def __repr__(self) -> str:
         return f"MarkNode({self.mark!r})"
@@ -259,10 +197,8 @@ class ExtensionNode(ScheduleNode):
     """
 
     def __init__(self, calls: Sequence[CallStmt], child: Optional[ScheduleNode] = None):
-        super().__init__()
         self.calls = list(calls)
         self.child = child
-        _adopt(self, child)
 
     def children(self) -> Sequence[ScheduleNode]:
         return (self.child,) if self.child is not None else ()
@@ -271,7 +207,6 @@ class ExtensionNode(ScheduleNode):
         if index != 0:
             raise IndexError("ExtensionNode has a single child")
         self.child = node
-        _adopt(self, node)
 
     def __repr__(self) -> str:
         return f"ExtensionNode({[c.callee for c in self.calls]})"
@@ -281,7 +216,6 @@ class LeafNode(ScheduleNode):
     """Execution point of the statements active at this position."""
 
     def __init__(self, statements: Optional[Sequence[str]] = None):
-        super().__init__()
         # Explicit ordering of statements sharing the same innermost point
         # (textual order within the innermost loop body).
         self.statements = list(statements or [])
@@ -290,16 +224,46 @@ class LeafNode(ScheduleNode):
         return f"LeafNode({self.statements})"
 
 
-def replace_node(old: ScheduleNode, new: ScheduleNode) -> None:
-    """Replace *old* by *new* in the tree (old must have a parent)."""
-    parent = old.parent
-    if parent is None:
+def walk_paths(root: ScheduleNode) -> Iterator[list[ScheduleNode]]:
+    """Pre-order traversal yielding each node's root-to-node path."""
+    pending = [[root]]
+    while pending:
+        path = pending.pop()
+        yield path
+        pending.extend(path + [child] for child in reversed(path[-1].children()))
+
+
+def path_to(root: ScheduleNode, node: ScheduleNode) -> list[ScheduleNode]:
+    """The root-to-*node* path in the tree below *root*."""
+    for path in walk_paths(root):
+        if path[-1] is node:
+            return path
+    raise LookupError(f"{node!r} is not in the tree")
+
+
+def active_statements(path: Sequence[ScheduleNode]) -> set[str]:
+    """Statements active at the end of a root-to-node *path*: the domain's
+    statements that every filter on the path admits."""
+    root = path[0]
+    if not isinstance(root, DomainNode):
+        return set()
+    active = set(root.scop.statement_names)
+    for node in path:
+        if isinstance(node, FilterNode):
+            active &= node.statements
+    return active
+
+
+def replace_node(path: Sequence[ScheduleNode], new: ScheduleNode) -> None:
+    """Replace the last node of a root-to-node *path* by *new*."""
+    if len(path) < 2:
         raise ValueError("cannot replace the root node")
+    parent, old = path[-2], path[-1]
     for index, child in enumerate(parent.children()):
         if child is old:
             parent.set_child(index, new)
             return
-    raise ValueError("node is not a child of its parent (corrupted tree)")
+    raise ValueError("path does not follow the tree's child links")
 
 
 def tree_to_string(node: ScheduleNode, depth: int = 0) -> str:
@@ -316,10 +280,11 @@ def validate_tree(root: ScheduleNode) -> list[str]:
     problems: list[str] = []
     if not isinstance(root, DomainNode):
         problems.append("root node must be a DomainNode")
-    for node in root.walk():
-        for child in node.children():
-            if child.parent is not node:
-                problems.append(f"broken parent link at {child!r}")
+    # Every domain statement must be reachable through exactly one leaf or be
+    # deliberately dropped by a device-mapping extension.
+    reachable: dict[str, int] = {}
+    for path in walk_paths(root):
+        node = path[-1]
         if isinstance(node, SequenceNode):
             for child in node.children():
                 if not isinstance(child, FilterNode):
@@ -330,17 +295,11 @@ def validate_tree(root: ScheduleNode) -> list[str]:
             problems.append("BandNode with no dimensions")
         if isinstance(node, FilterNode) and not node.statements:
             problems.append("FilterNode with empty statement set")
-    # Every domain statement must be reachable through exactly one leaf or be
-    # deliberately dropped by a device-mapping extension.
-    if isinstance(root, DomainNode):
-        reachable: dict[str, int] = {}
-        for node in root.walk():
-            if isinstance(node, LeafNode):
-                for name in node.active_statements() & set(
-                    node.statements or node.active_statements()
-                ):
-                    reachable[name] = reachable.get(name, 0) + 1
-        for name, count in reachable.items():
-            if count > 1:
-                problems.append(f"statement {name!r} scheduled {count} times")
+        if isinstance(node, LeafNode):
+            active = active_statements(path)
+            for name in active & set(node.statements or active):
+                reachable[name] = reachable.get(name, 0) + 1
+    for name, count in reachable.items():
+        if count > 1:
+            problems.append(f"statement {name!r} scheduled {count} times")
     return problems

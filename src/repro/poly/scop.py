@@ -145,30 +145,43 @@ def _collect_nest(
     Returns ``None`` when anything inside the nest is not static control.
     """
     results: list[tuple[Assign, IterationDomain, list[AccessRelation]]] = []
-
-    def visit(stmt: Stmt, dims: tuple[LoopDim, ...], loop_vars: tuple[str, ...]) -> bool:
-        if isinstance(stmt, Loop):
-            enclosing = set(loop_vars)
-            lower = affine_from_expr(stmt.lower, enclosing, param_names)
-            upper = affine_from_expr(stmt.upper, enclosing, param_names)
-            if lower is None or upper is None:
-                return False
-            if stmt.var in enclosing or stmt.var in param_names:
-                return False  # shadowing breaks static control
-            dim = LoopDim(var=stmt.var, lower=lower, upper=upper, step=stmt.step)
-            return visit(stmt.body, dims + (dim,), loop_vars + (stmt.var,))
-        if isinstance(stmt, Block):
-            return all(visit(child, dims, loop_vars) for child in stmt.stmts)
-        if isinstance(stmt, Assign):
-            if isinstance(stmt.target, VarRef):
-                return False  # scalar writes not supported in SCoPs
-            accesses = accesses_of_statement(stmt, loop_vars, param_names)
-            if accesses is None:
-                return False
-            results.append((stmt, IterationDomain(dims), accesses))
-            return True
-        return False  # calls, conditionals
-
-    if not visit(loop, (), ()):
+    if not _visit_nest(loop, (), (), param_names, results):
         return None
     return results
+
+
+def _visit_nest(
+    stmt: Stmt,
+    dims: tuple[LoopDim, ...],
+    loop_vars: tuple[str, ...],
+    param_names: set[str],
+    results: list[tuple[Assign, IterationDomain, list[AccessRelation]]],
+) -> bool:
+    """Append the statements under *stmt* to *results*; False when
+    something there is not static control."""
+    if isinstance(stmt, Loop):
+        enclosing = set(loop_vars)
+        lower = affine_from_expr(stmt.lower, enclosing, param_names)
+        upper = affine_from_expr(stmt.upper, enclosing, param_names)
+        if lower is None or upper is None:
+            return False
+        if stmt.var in enclosing or stmt.var in param_names:
+            return False  # shadowing breaks static control
+        dim = LoopDim(var=stmt.var, lower=lower, upper=upper, step=stmt.step)
+        return _visit_nest(
+            stmt.body, dims + (dim,), loop_vars + (stmt.var,), param_names, results
+        )
+    if isinstance(stmt, Block):
+        return all(
+            _visit_nest(child, dims, loop_vars, param_names, results)
+            for child in stmt.stmts
+        )
+    if isinstance(stmt, Assign):
+        if isinstance(stmt.target, VarRef):
+            return False  # scalar writes not supported in SCoPs
+        accesses = accesses_of_statement(stmt, loop_vars, param_names)
+        if accesses is None:
+            return False
+        results.append((stmt, IterationDomain(dims), accesses))
+        return True
+    return False  # calls, conditionals

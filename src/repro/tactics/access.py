@@ -128,23 +128,25 @@ def match_accesses(
         return None
     if len(patterns) > len(accesses):
         return None
+    return _backtrack(patterns, accesses, AccessBinding(), distinct_dims)
 
-    def backtrack(
-        remaining: list[AccessPattern],
-        available: list[AccessRelation],
-        binding: AccessBinding,
-    ) -> Optional[AccessBinding]:
-        if not remaining:
-            return binding
-        pattern = remaining[0]
-        for index, access in enumerate(available):
-            attempt = _bind_access(pattern, access, binding, distinct_dims)
-            if attempt is None:
-                continue
-            rest = available[:index] + available[index + 1 :]
-            result = backtrack(remaining[1:], rest, attempt)
-            if result is not None:
-                return result
-        return None
 
-    return backtrack(patterns, accesses, AccessBinding())
+def _backtrack(
+    remaining: list[AccessPattern],
+    available: list[AccessRelation],
+    binding: AccessBinding,
+    distinct_dims: bool,
+) -> Optional[AccessBinding]:
+    """Bind each remaining pattern to a distinct available access."""
+    if not remaining:
+        return binding
+    pattern = remaining[0]
+    for index, access in enumerate(available):
+        attempt = _bind_access(pattern, access, binding, distinct_dims)
+        if attempt is None:
+            continue
+        rest = available[:index] + available[index + 1 :]
+        result = _backtrack(remaining[1:], rest, attempt, distinct_dims)
+        if result is not None:
+            return result
+    return None

@@ -87,45 +87,49 @@ class KernelMatch:
     # ------------------------------------------------------------------
     # Tree helpers
     # ------------------------------------------------------------------
-    def leaf_node(self, tree: DomainNode) -> LeafNode:
-        """The leaf scheduling the update statement, found by entering only
-        the filters that name it (a filter names every statement below it)."""
-        pending: list[ScheduleNode] = [tree]
-        while pending:
-            node = pending.pop()
-            if isinstance(node, LeafNode):
-                if self.update_stmt in node.statements:
-                    return node
-            elif not isinstance(node, FilterNode) or self.update_stmt in node.statements:
-                pending.extend(reversed(node.children()))
+    def leaf_path(self, tree: DomainNode) -> list[ScheduleNode]:
+        """Root-to-leaf path of the leaf scheduling the update statement.
+
+        The descent enters only the filters that name the statement: a
+        filter names every statement below it, and the filters under one
+        sequence name disjoint sets, so there is a single way down.
+        """
+        path: list[ScheduleNode] = [tree]
+        while not isinstance(path[-1], LeafNode):
+            for child in path[-1].children():
+                if not isinstance(child, FilterNode) or self.update_stmt in child.statements:
+                    path.append(child)
+                    break
+            else:
+                break
+        if isinstance(path[-1], LeafNode) and self.update_stmt in path[-1].statements:
+            return path
         raise LookupError(
             f"schedule tree has no leaf for statement {self.update_stmt!r}"
         )
 
-    def subtree_root(self, tree: DomainNode) -> ScheduleNode:
-        """The highest node that schedules only this kernel's statements.
+    def subtree_path(self, tree: DomainNode) -> list[ScheduleNode]:
+        """Root-to-node path of the highest node that schedules only this
+        kernel's statements.
 
         This is the node device mapping will replace with runtime calls: the
         outermost ancestor (band/filter/mark) under which the set of active
         statements is a subset of this match's statements: active sets only
         shrink downwards, so it is the first fit from the domain down.
         """
-        leaf = self.leaf_node(tree)
-        path = [node for node in leaf.ancestors() if not isinstance(node, DomainNode)]
+        path = self.leaf_path(tree)
+        statements = self.statements
         active = set(tree.scop.statement_names)
-        for node in reversed(path):
+        for depth, node in enumerate(path):
             if isinstance(node, FilterNode):
                 active &= node.statements
-            if active <= self.statements:
-                return node
-        return leaf
+            if depth and active <= statements:
+                return path[: depth + 1]
+        return path
 
     def band_chain(self, tree: DomainNode) -> list[BandNode]:
         """Bands enclosing the update statement, outermost first."""
-        leaf = self.leaf_node(tree)
-        bands = [n for n in leaf.ancestors() if isinstance(n, BandNode)]
-        bands.reverse()
-        return bands
+        return [n for n in self.leaf_path(tree) if isinstance(n, BandNode)]
 
     def __str__(self) -> str:
         dims = ", ".join(f"{k}={v}" for k, v in self.dims.items())

@@ -12,12 +12,7 @@
 """
 
 from repro.transforms.tiling import tile_band_chain, tile_gemm_for_crossbar, TilingError
-from repro.transforms.fusion import (
-    FusionGroup,
-    find_fusable_groups,
-    fuse_sibling_nests,
-    FusionError,
-)
+from repro.transforms.fusion import FusionGroup, find_fusable_groups
 from repro.transforms.device_map import (
     DeviceMapping,
     DeviceMappingResult,
@@ -30,8 +25,6 @@ __all__ = [
     "TilingError",
     "FusionGroup",
     "find_fusable_groups",
-    "fuse_sibling_nests",
-    "FusionError",
     "DeviceMapping",
     "DeviceMappingResult",
     "map_kernels_to_cim",

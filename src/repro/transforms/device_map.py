@@ -37,6 +37,7 @@ from repro.poly.schedule_tree import (
     FilterNode,
     ScheduleNode,
     SequenceNode,
+    active_statements,
     replace_node,
 )
 from repro.tactics.patterns.base import KernelMatch
@@ -143,12 +144,15 @@ class _CallBuilder:
         self.calls.append(call)
 
 
-def _effective_beta(match: KernelMatch, root: ScheduleNode) -> tuple[Expr, bool]:
+def _effective_beta(
+    match: KernelMatch, path: Sequence[ScheduleNode]
+) -> tuple[Expr, bool]:
     """Beta to pass to the runtime call, and whether the init statement is
-    absorbed by the offload (True) or stays on the host (False)."""
+    absorbed by the offload (True) or stays on the host (False); *path*
+    leads to the subtree the offload replaces."""
     if match.init_stmt is None:
         return match.beta, False
-    if match.init_stmt in root.active_statements():
+    if match.init_stmt in active_statements(path):
         return match.beta, True
     # The init statement lives outside the replaced subtree (e.g. a separate
     # scaling nest): it keeps running on the host, the device call must then
@@ -191,14 +195,14 @@ def _map_gemm_group(
     tree: DomainNode,
     group: list[GemmMatch],
     result: DeviceMappingResult,
-) -> tuple[ExtensionNode, DeviceMapping, list[ScheduleNode]]:
+) -> tuple[ExtensionNode, DeviceMapping, list[list[ScheduleNode]]]:
     """Build the extension node for one GEMM (len==1) or fused group."""
     builder = _CallBuilder(tree, result)
-    roots = [match.subtree_root(tree) for match in group]
+    paths = [match.subtree_path(tree) for match in group]
     problems: list[GemmCallArgs] = []
     statements: set[str] = set()
-    for match, root in zip(group, roots):
-        beta, absorbs_init = _effective_beta(match, root)
+    for match, path in zip(group, paths):
+        beta, absorbs_init = _effective_beta(match, path)
         problems.append(_gemm_call_args(match, builder, beta))
         statements.add(match.update_stmt)
         if absorbs_init and match.init_stmt is not None:
@@ -221,15 +225,15 @@ def _map_gemm_group(
                        | {p.buffer_c for p in problems}),
         shared_arrays=FusionGroup(list(group)).shared_arrays() if len(group) > 1 else set(),
     )
-    return ExtensionNode(builder.calls), mapping, roots
+    return ExtensionNode(builder.calls), mapping, paths
 
 
 def _map_gemv(
     tree: DomainNode, match: GemvMatch, result: DeviceMappingResult
-) -> tuple[ExtensionNode, DeviceMapping, list[ScheduleNode]]:
+) -> tuple[ExtensionNode, DeviceMapping, list[list[ScheduleNode]]]:
     builder = _CallBuilder(tree, result)
-    root = match.subtree_root(tree)
-    beta, absorbs_init = _effective_beta(match, root)
+    path = match.subtree_path(tree)
+    beta, absorbs_init = _effective_beta(match, path)
     a, x, y = match.arrays["A"], match.arrays["x"], match.arrays["y"]
     program = builder.program
     buffer_a = builder.copy_in(a)
@@ -261,15 +265,15 @@ def _map_gemv(
         statements=statements,
         buffers=[buffer_a, buffer_x, buffer_y],
     )
-    return ExtensionNode(builder.calls), mapping, [root]
+    return ExtensionNode(builder.calls), mapping, [path]
 
 
 def _map_conv2d(
     tree: DomainNode, match: Conv2DMatch, result: DeviceMappingResult
-) -> tuple[ExtensionNode, DeviceMapping, list[ScheduleNode]]:
+) -> tuple[ExtensionNode, DeviceMapping, list[list[ScheduleNode]]]:
     builder = _CallBuilder(tree, result)
-    root = match.subtree_root(tree)
-    beta, absorbs_init = _effective_beta(match, root)
+    path = match.subtree_path(tree)
+    beta, absorbs_init = _effective_beta(match, path)
     out, img, weights = match.arrays["out"], match.arrays["img"], match.arrays["W"]
     buffer_img = builder.copy_in(img)
     buffer_w = builder.copy_in(weights)
@@ -302,22 +306,22 @@ def _map_conv2d(
         statements=statements,
         buffers=[buffer_img, buffer_w, buffer_out],
     )
-    return ExtensionNode(builder.calls), mapping, [root]
+    return ExtensionNode(builder.calls), mapping, [path]
 
 
-def _detach_root(root: ScheduleNode) -> None:
-    """Remove a subtree that became redundant after fusion."""
-    parent = root.parent
-    if isinstance(parent, SequenceNode) is False and isinstance(root, FilterNode) is False:
+def _detach_root(path: Sequence[ScheduleNode]) -> None:
+    """Remove the subtree at the end of a root-to-node *path*, which became
+    redundant after fusion, together with the nodes above it that enclose
+    only it."""
+    depth = len(path) - 1
+    if not isinstance(path[depth], FilterNode):
         # Walk up to the filter that encloses only this subtree, if any.
-        node = root
-        while node.parent is not None and not isinstance(node.parent, SequenceNode):
-            node = node.parent
-        root = node
-        parent = node.parent
+        while depth > 1 and not isinstance(path[depth - 1], SequenceNode):
+            depth -= 1
+    parent = path[depth - 1]
     if isinstance(parent, SequenceNode):
         for index, child in enumerate(parent.children()):
-            if child is root:
+            if child is path[depth]:
                 parent.remove_child(index)
                 return
     raise DeviceMappingError(
@@ -352,29 +356,27 @@ def map_kernels_to_cim(
     for group in grouped:
         kind = group[0].kind
         if kind == "gemm":
-            extension, mapping, roots = _map_gemm_group(tree, group, result)  # type: ignore[arg-type]
+            extension, mapping, paths = _map_gemm_group(tree, group, result)  # type: ignore[arg-type]
         elif kind == "gemv":
             if len(group) != 1:
                 raise DeviceMappingError("GEMV kernels cannot be batched")
-            extension, mapping, roots = _map_gemv(tree, group[0], result)  # type: ignore[arg-type]
+            extension, mapping, paths = _map_gemv(tree, group[0], result)  # type: ignore[arg-type]
         elif kind == "conv2d":
             if len(group) != 1:
                 raise DeviceMappingError("convolutions cannot be batched")
-            extension, mapping, roots = _map_conv2d(tree, group[0], result)  # type: ignore[arg-type]
+            extension, mapping, paths = _map_conv2d(tree, group[0], result)  # type: ignore[arg-type]
         else:
             raise DeviceMappingError(f"unsupported kernel kind {kind!r}")
         # Replace the first kernel's subtree by the runtime calls, drop the
         # rest (their work is covered by the batched call).  Sequence nodes
         # only accept filter children, so when the replaced subtree is a
         # filter the extension is grafted underneath it instead.
-        first_root = roots[0]
-        if isinstance(first_root, FilterNode) and isinstance(
-            first_root.parent, SequenceNode
-        ):
-            first_root.set_child(0, extension)
+        first = paths[0]
+        if isinstance(first[-1], FilterNode) and isinstance(first[-2], SequenceNode):
+            first[-1].set_child(0, extension)
         else:
-            replace_node(first_root, extension)
-        for redundant in roots[1:]:
+            replace_node(first, extension)
+        for redundant in paths[1:]:
             _detach_root(redundant)
         result.mappings.append(mapping)
         result.offloaded_statements |= mapping.statements

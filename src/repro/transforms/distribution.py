@@ -21,6 +21,7 @@ from repro.poly.schedule_tree import (
     FilterNode,
     MarkNode,
     SequenceNode,
+    path_to,
     replace_node,
 )
 from repro.tactics.patterns.base import KernelMatch
@@ -100,7 +101,7 @@ def distribute_band(
         )
         new_filters.append(FilterNode(set(child.statements), new_band))
     new_sequence = SequenceNode(new_filters)
-    replace_node(band, new_sequence)
+    replace_node(path_to(tree, band), new_sequence)
     return new_sequence
 
 
@@ -113,7 +114,7 @@ def _blocking_band(tree: DomainNode, match: KernelMatch) -> Optional[BandNode]:
     """The innermost band above the match's subtree root that schedules one
     of the match's loops, if any."""
     needed_dims = set(match.dims.values())
-    for node in match.subtree_root(tree).ancestors():
+    for node in reversed(match.subtree_path(tree)[:-1]):
         if isinstance(node, BandNode) and not needed_dims.isdisjoint(node.dims):
             return node
     return None

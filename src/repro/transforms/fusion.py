@@ -12,8 +12,7 @@ pays off twice on the CIM device:
    input buffers — the "smart mapping" that roughly doubles PCM lifetime in
    Figure 5.
 
-This module finds fusable groups among pattern matches and can also fuse the
-loop nests structurally (for host-side execution studies); device mapping
+This module finds fusable groups among pattern matches; device mapping
 consumes the groups to emit ``polly_cimBlasGemmBatched`` calls.
 """
 
@@ -23,22 +22,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.poly.dependence import kernels_independent
-from repro.poly.schedule_tree import (
-    BandNode,
-    DomainNode,
-    FilterNode,
-    LeafNode,
-    ScheduleNode,
-    SequenceNode,
-)
 from repro.poly.scop import Scop
-from repro.tactics.matchers import nested_band_chain
 from repro.tactics.patterns.base import KernelMatch
 from repro.tactics.patterns.gemm import GemmMatch
-
-
-class FusionError(RuntimeError):
-    """Illegal fusion request."""
 
 
 @dataclass
@@ -146,91 +132,3 @@ def find_fusable_groups(
             current.append(match)
     flush()
     return groups
-
-
-def fuse_sibling_nests(tree: DomainNode, first: FilterNode, second: FilterNode) -> FilterNode:
-    """Structurally fuse two sibling loop nests in the schedule tree.
-
-    Both filters must be children of the same sequence and their subtrees
-    must be band chains of the same depth with identical loop extents (the
-    caller is responsible for the legality check via
-    :func:`find_fusable_groups` / dependence analysis).  The second nest's
-    loops are renamed to the first nest's loop variables and its statements
-    are appended under the shared bands.  Used for host-side fusion studies;
-    CIM offloading itself keeps the nests separate and fuses at the runtime
-    call level.
-    """
-    parent = first.parent
-    if parent is None or parent is not second.parent or not isinstance(parent, SequenceNode):
-        raise FusionError("fuse_sibling_nests needs two filters under one sequence")
-    scop: Scop = tree.scop
-
-    first_chain = nested_band_chain(first.child) if first.child is not None else []
-    second_chain = nested_band_chain(second.child) if second.child is not None else []
-    if not first_chain or len(first_chain) != len(second_chain):
-        raise FusionError("fused nests must be band chains of equal depth")
-
-    renaming = {}
-    for band_a, band_b in zip(first_chain, second_chain):
-        if band_a.n_dims != 1 or band_b.n_dims != 1:
-            raise FusionError("fusion expects single-dimension bands")
-        renaming[band_b.dims[0]] = band_a.dims[0]
-
-    # Verify extents match (symbolically) for every statement being moved.
-    second_stmts = sorted(second.statements)
-    for name in second_stmts:
-        stmt = scop.statement(name)
-        for old_var, new_var in renaming.items():
-            if not stmt.domain.has_dim(old_var):
-                continue
-            old_dim = stmt.domain.dim(old_var)
-            ref_stmt_name = next(iter(sorted(first.statements)))
-            ref_dim = scop.statement(ref_stmt_name).domain.dim(new_var)
-            if (old_dim.upper - old_dim.lower) != (ref_dim.upper - ref_dim.lower):
-                raise FusionError(
-                    f"loop extents differ for {old_var!r} vs {new_var!r}; "
-                    "nests cannot be fused"
-                )
-
-    # Rename the moved statements' domains, accesses and IR in the SCoP.
-    from repro.ir.expr import VarRef
-    from repro.ir.visitor import substitute
-
-    for name in second_stmts:
-        stmt = scop.statement(name)
-        for old_var, new_var in renaming.items():
-            if old_var == new_var:
-                continue
-            stmt.domain = stmt.domain.rename(old_var, new_var)
-            stmt.accesses = [a.rename_var(old_var, new_var) for a in stmt.accesses]
-        mapping = {old: VarRef(new) for old, new in renaming.items() if old != new}
-        if mapping:
-            stmt.assign.rhs = substitute(stmt.assign.rhs, mapping)
-            if hasattr(stmt.assign.target, "indices"):
-                from repro.ir.expr import ArrayRef
-
-                stmt.assign.target = ArrayRef(
-                    stmt.assign.target.name,
-                    [substitute(i, mapping) for i in stmt.assign.target.indices],
-                )
-
-    # Graft the second nest's innermost content under the first nest.
-    innermost_first = first_chain[-1]
-    innermost_second = second_chain[-1]
-    first_tail = innermost_first.child
-    second_tail = innermost_second.child
-    merged = SequenceNode(
-        [
-            FilterNode(set(first.statements), first_tail),
-            FilterNode(set(second.statements), second_tail),
-        ]
-    )
-    innermost_first.set_child(0, merged)
-
-    # Update the first filter to cover both statement sets, drop the second.
-    first.statements = set(first.statements) | set(second.statements)
-    for index, child in enumerate(parent.children()):
-        if child is second:
-            parent.remove_child(index)
-            break
-    return first

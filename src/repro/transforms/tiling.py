@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.poly.schedule_tree import BandNode, DomainNode, ScheduleNode, replace_node
-from repro.tactics.matchers import nested_band_chain
+from repro.poly.schedule_tree import BandNode, DomainNode, path_to, replace_node
 from repro.tactics.patterns.gemm import GemmMatch
 
 
@@ -26,11 +25,12 @@ class TilingError(RuntimeError):
 
 
 def tile_band_chain(
+    tree: DomainNode,
     bands: Sequence[BandNode],
     tile_sizes: dict[str, int],
     tile_loop_order: Optional[Sequence[str]] = None,
 ) -> BandNode:
-    """Tile a chain of nested 1-D bands.
+    """Tile a chain of nested 1-D bands in *tree*.
 
     ``bands`` is the chain outermost-first (each band must be the single
     child of the previous one).  ``tile_sizes`` maps loop-variable names to
@@ -47,7 +47,7 @@ def tile_band_chain(
         if band.n_dims != 1:
             raise TilingError("tile_band_chain expects single-dimension bands")
     for outer, inner in zip(bands, bands[1:]):
-        if inner.parent is not outer:
+        if outer.child is not inner:
             raise TilingError("bands do not form a nested chain")
     chain_vars = [band.dims[0] for band in bands]
     unknown = set(tile_sizes) - set(chain_vars)
@@ -68,9 +68,10 @@ def tile_band_chain(
         )
 
     outermost = bands[0]
-    parent = outermost.parent
-    if parent is None:
-        raise TilingError("cannot tile a detached band chain")
+    try:
+        path = path_to(tree, outermost)
+    except LookupError:
+        raise TilingError("cannot tile a detached band chain") from None
 
     # Build the tile band: one dimension per tiled loop, in the given order.
     tile_dims = [f"{var}_t" for var in order]
@@ -78,12 +79,7 @@ def tile_band_chain(
     tile_band = BandNode(tile_dims, permutable=True, tile_steps=tile_steps)
 
     # Splice the tile band between the parent and the original chain.
-    for index, child in enumerate(parent.children()):
-        if child is outermost:
-            parent.set_child(index, tile_band)
-            break
-    else:
-        raise TilingError("band chain is not attached to its parent")
+    replace_node(path, tile_band)
     tile_band.set_child(0, outermost)
 
     # Point bands: original loops now iterate within their tile.
@@ -126,4 +122,4 @@ def tile_gemm_for_crossbar(
         j_var: crossbar_cols,
     }
     order = [i_var, k_var, j_var]
-    return tile_band_chain(update_bands, sizes, tile_loop_order=order)
+    return tile_band_chain(tree, update_bands, sizes, tile_loop_order=order)

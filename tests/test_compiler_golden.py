@@ -20,7 +20,9 @@ has, so an entry keeps the tree it was first recorded from::
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
@@ -100,6 +102,26 @@ def snapshot(result) -> dict:
 def compile_case(case: str):
     source, options, size_hint = INPUTS[case]
     return compile_source(source, CompileOptions(**options, **UNCACHED), size_hint)
+
+
+def test_a_compile_leaves_no_cyclic_garbage():
+    """Schedule trees point down only and no pass builds a function that
+    captures itself, so reference counting alone frees every compile."""
+    for case in sorted(INPUTS):  # warm-up: first-use caches are not garbage
+        compile_case(case)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for case in sorted(INPUTS):
+            compile_case(case)
+        gc.collect()
+        kinds = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        assert not gc.garbage, (
+            f"{len(gc.garbage)} objects in reference cycles: {kinds.most_common()}"
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 @pytest.fixture(scope="module")

@@ -375,7 +375,7 @@ def _tile_write_count(tile_order: tuple[str, str, str]) -> int:
     tree = build_schedule_tree(scop)
     bands = find_gemm_kernels(scop, tree)[0].band_chain(tree)
     tile_band = tile_band_chain(
-        bands, dict.fromkeys("ijk", CROSSBAR), tile_loop_order=list(tile_order)
+        tree, bands, dict.fromkeys("ijk", CROSSBAR), tile_loop_order=list(tile_order)
     )
     writes, resident = 0, None
     for point in itertools.product(range(TILE_BLOCKS), repeat=3):

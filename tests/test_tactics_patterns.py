@@ -6,7 +6,7 @@ from repro.frontend import parse_program
 from repro.ir.expr import FloatConst, ParamRef
 from repro.ir.normalize import normalize_reductions
 from repro.poly import build_schedule_tree, detect_scops
-from repro.poly.schedule_tree import DomainNode, LeafNode
+from repro.poly.schedule_tree import DomainNode, FilterNode, LeafNode
 from repro.tactics import (
     find_all_kernels,
     find_conv2d_kernels,
@@ -133,7 +133,7 @@ def test_gemm_preferred_over_gemv_for_3d_contraction(two_gemms_source):
 def test_subtree_root_covers_whole_nest_for_gemm(gemm_source):
     scop, tree = _analyse(gemm_source)
     match = find_gemm_kernels(scop, tree)[0]
-    root = match.subtree_root(tree)
+    root = match.subtree_path(tree)[-1]
     from repro.poly.schedule_tree import BandNode
 
     assert isinstance(root, BandNode) and root.dims == ["i"]
@@ -173,35 +173,55 @@ def test_polybench_kernel_detection_counts():
 # The descending lookups equal the full-walk definitions
 # ----------------------------------------------------------------------
 def _walk_leaf(match, tree):
-    """``KernelMatch.leaf_node`` as a pre-order walk of the whole tree."""
+    """The end of ``KernelMatch.leaf_path`` as a pre-order walk of the
+    whole tree."""
     for node in tree.walk():
         if isinstance(node, LeafNode) and match.update_stmt in node.statements:
             return node
     raise LookupError(match.update_stmt)
 
 
-def _walk_subtree_root(match, tree):
-    """``KernelMatch.subtree_root`` with one ``active_statements()`` per
-    ancestor."""
+def _ancestry(node, parents):
+    """Root-to-*node* path, climbing a child -> parent map."""
+    path = [node]
+    while id(path[-1]) in parents:
+        path.append(parents[id(path[-1])])
+    return path[::-1]
+
+
+def _walk_subtree_root(match, tree, parents):
+    """The end of ``KernelMatch.subtree_path`` as a climb from the leaf,
+    with the statements active at each ancestor recomputed from the
+    domain down."""
+
+    def active(node):
+        names = set(tree.scop.statement_names)
+        for ancestor in _ancestry(node, parents):
+            if isinstance(ancestor, FilterNode):
+                names &= ancestor.statements
+        return names
+
     candidate = _walk_leaf(match, tree)
-    node = candidate.parent
+    node = parents.get(id(candidate))
     while node is not None and not isinstance(node, DomainNode):
-        if not node.active_statements() <= match.statements:
+        if not active(node) <= match.statements:
             break
-        candidate, node = node, node.parent
+        candidate, node = node, parents.get(id(node))
     return candidate
 
 
 def _assert_lookups_agree(tree, matches):
+    parents = {id(child): node for node in tree.walk() for child in node.children()}
     for match in matches:
         try:
             leaf = _walk_leaf(match, tree)
         except LookupError:
             with pytest.raises(LookupError):
-                match.leaf_node(tree)
+                match.leaf_path(tree)
             continue
-        assert match.leaf_node(tree) is leaf
-        assert match.subtree_root(tree) is _walk_subtree_root(match, tree)
+        assert match.leaf_path(tree) == _ancestry(leaf, parents)
+        root = _walk_subtree_root(match, tree, parents)
+        assert match.subtree_path(tree) == _ancestry(root, parents)
 
 
 @pytest.mark.parametrize("case", sorted(INPUTS))
@@ -243,10 +263,10 @@ def test_lookups_equal_full_walks(case, monkeypatch):
         after(distribution.distribute_band, lambda tree, band, deps: tree),
     )
     monkeypatch.setattr(
-        device_map, "replace_node", after(device_map.replace_node, lambda old, new: old.root())
+        device_map, "replace_node", after(device_map.replace_node, lambda path, new: path[0])
     )
     monkeypatch.setattr(
-        device_map, "_detach_root", after(device_map._detach_root, lambda root: root.root())
+        device_map, "_detach_root", after(device_map._detach_root, lambda path: path[0])
     )
     monkeypatch.setattr(
         transform_passes, "map_kernels_to_cim",

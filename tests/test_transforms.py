@@ -16,10 +16,8 @@ from repro.poly.schedule_tree import (
 )
 from repro.tactics import find_all_kernels, find_gemm_kernels, find_gemv_kernels
 from repro.transforms import (
-    FusionError,
     TilingError,
     find_fusable_groups,
-    fuse_sibling_nests,
     map_kernels_to_cim,
     tile_band_chain,
     tile_gemm_for_crossbar,
@@ -60,7 +58,7 @@ def test_tiling_preserves_semantics(rng):
     program, scop, tree = _analyse(PURE_GEMM_SOURCE)
     match = find_gemm_kernels(scop, tree)[0]
     bands = match.band_chain(tree)
-    tile_band_chain(bands, {"i": 2, "j": 3, "k": 2})
+    tile_band_chain(tree, bands, {"i": 2, "j": 3, "k": 2})
     assert validate_tree(tree) == []
     params = {"N": 5}
     arrays = {
@@ -96,13 +94,13 @@ def test_tiling_rejects_bad_requests():
     match = find_gemm_kernels(scop, tree)[0]
     bands = match.band_chain(tree)
     with pytest.raises(TilingError):
-        tile_band_chain(bands, {"z": 4})
+        tile_band_chain(tree, bands, {"z": 4})
     with pytest.raises(TilingError):
-        tile_band_chain(bands, {"i": 0})
+        tile_band_chain(tree, bands, {"i": 0})
     with pytest.raises(TilingError):
-        tile_band_chain(bands, {"i": 2}, tile_loop_order=["i", "j"])
+        tile_band_chain(tree, bands, {"i": 2}, tile_loop_order=["i", "j"])
     with pytest.raises(TilingError):
-        tile_band_chain([], {"i": 2})
+        tile_band_chain(tree, [], {"i": 2})
 
 
 def test_tiling_imperfect_nest_rejected(gemm_source):
@@ -159,28 +157,6 @@ def test_gemv_matches_not_grouped():
     tree = build_schedule_tree(scop)
     matches = find_gemv_kernels(scop, tree)
     assert find_fusable_groups(scop, matches) == []
-
-
-def test_structural_fusion_of_sibling_nests(two_gemms_source, rng):
-    program, scop, tree = _analyse(two_gemms_source)
-    seq = tree.child
-    assert isinstance(seq, SequenceNode)
-    first, second = seq.children()
-    fuse_sibling_nests(tree, first, second)
-    assert len(seq.children()) == 1
-    assert validate_tree(tree) == []
-    params = {"N": 4}
-    arrays = {
-        "A": rng.random((4, 4), dtype=np.float32),
-        "B": rng.random((4, 4), dtype=np.float32),
-        "E": rng.random((4, 4), dtype=np.float32),
-        "C": np.zeros((4, 4), dtype=np.float32),
-        "D": np.zeros((4, 4), dtype=np.float32),
-    }
-    reference = Interpreter(program).run(params, arrays)
-    fused = _run(program, generate_ir(tree), params, arrays)
-    np.testing.assert_allclose(fused["C"], reference["C"], rtol=1e-5)
-    np.testing.assert_allclose(fused["D"], reference["D"], rtol=1e-5)
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +223,7 @@ def test_isolate_match_enables_offload_of_shared_nest(rng):
     assert len(matches) == 2
     for match in matches:
         assert isolate_match(tree, match, compute_dependences(scop))
-        root = match.subtree_root(tree)
+        root = match.subtree_path(tree)[-1]
         covered = {
             dim for node in root.walk() if isinstance(node, BandNode) for dim in node.dims
         }
