@@ -31,8 +31,7 @@ from repro.poly.astgen import generate_ir
 from repro.poly.dependence import compute_dependences
 from repro.poly.schedule_build import build_schedule_tree
 from repro.poly.scop import Scop, detect_scops
-from repro.tactics.patterns import KernelMatch, find_all_kernels
-from repro.tactics.patterns.gemm import GemmMatch
+from repro.tactics.patterns import GemmMatch, KernelMatch, find_all_kernels
 from repro.transforms.device_map import map_kernels_to_cim
 from repro.transforms.distribution import isolate_match
 from repro.transforms.fusion import FusionGroup, find_fusable_groups
@@ -70,7 +69,7 @@ def compile_monolithic(
         for scop in scops:
             tree = build_schedule_tree(scop)
             result.trees.append(tree)
-            for match in find_all_kernels(scop, tree):
+            for match in find_all_kernels(scop):
                 result.matches.append(match)
                 report.decisions.append(
                     KernelDecision(
@@ -88,7 +87,7 @@ def compile_monolithic(
     for scop in scops:
         tree = build_schedule_tree(scop)
         result.trees.append(tree)
-        matches = find_all_kernels(scop, tree)
+        matches = find_all_kernels(scop)
         result.matches.extend(matches)
 
         selected, decisions = policy.select(scop, matches, options, hints)

@@ -12,17 +12,14 @@ from repro.tactics.patterns import find_all_kernels
 
 
 class MatchKernelsPass(Pass):
-    """Run the Loop Tactics matchers over every schedule tree."""
+    """Match every SCoP's statements against the kernel specs."""
 
     name = "match-kernels"
     requires = ("schedule-trees",)
     provides = ("kernel-matches",)
 
     def run(self, ctx: CompilationContext) -> None:
-        ctx.matches_by_scop = [
-            find_all_kernels(scop, tree)
-            for scop, tree in zip(ctx.scops, ctx.trees)
-        ]
+        ctx.matches_by_scop = [find_all_kernels(scop) for scop in ctx.scops]
 
 
 class SelectOffloadPass(Pass):

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from repro.compiler.passes.base import Pass
 from repro.compiler.passes.context import CompilationContext
-from repro.tactics.patterns import KernelMatch
-from repro.tactics.patterns.gemm import GemmMatch
+from repro.tactics.patterns import GemmMatch, KernelMatch
 from repro.transforms.device_map import map_kernels_to_cim
 from repro.transforms.distribution import isolate_match, owns_nest
 from repro.transforms.fusion import FusionGroup, find_fusable_groups

@@ -36,19 +36,21 @@ class AccessRelation:
     kind: AccessKind
     indices: tuple[AffineExpr, ...]
     stmt_name: str = ""
-    #: :meth:`single_vars`, computed once at construction.
-    _single_vars: Optional[tuple[str, ...]] = field(
-        init=False, repr=False, compare=False, default=None
+    #: Per subscript, its loop variables when it is their plain sum (every
+    #: coefficient 1, no constant, no parameter), else ``None``; computed
+    #: once at construction.
+    unit_vars: tuple[Optional[tuple[str, ...]], ...] = field(
+        init=False, repr=False, compare=False, default=()
     )
 
     def __post_init__(self) -> None:
-        if all(
-            len(idx.var_coeffs) == 1 and idx.var_coeffs[0][1] == 1
-            and idx.constant == 0 and not idx.param_coeffs
+        object.__setattr__(self, "unit_vars", tuple(
+            tuple(var for var, _ in idx.var_coeffs)
+            if idx.constant == 0 and not idx.param_coeffs
+            and all(coeff == 1 for _, coeff in idx.var_coeffs)
+            else None
             for idx in self.indices
-        ):
-            names = tuple(idx.var_coeffs[0][0] for idx in self.indices)
-            object.__setattr__(self, "_single_vars", names)
+        ))
 
     @property
     def rank(self) -> int:
@@ -67,11 +69,13 @@ class AccessRelation:
     def is_simple(self) -> bool:
         """True when every subscript is a single loop variable (coefficient 1,
         no constant) — the form the paper's GEMM/GEMV kernels use."""
-        return self._single_vars is not None
+        return self.single_vars() is not None
 
     def single_vars(self) -> Optional[tuple[str, ...]]:
         """If :meth:`is_simple`, the subscript variable per dimension."""
-        return self._single_vars
+        if all(unit is not None and len(unit) == 1 for unit in self.unit_vars):
+            return tuple(unit[0] for unit in self.unit_vars)
+        return None
 
     def rename_var(self, old: str, new: str) -> "AccessRelation":
         return AccessRelation(

@@ -1,26 +1,18 @@
 """Loop Tactics: declarative detection of computational patterns.
 
 This package reproduces the role of Loop Tactics (Zinenko/Chelini et al.) in
-the paper's flow: declarative *structural matchers* over schedule trees
-combined with *access-relation matchers* with placeholders, and a pattern
-library that recognises the kernels the CIM accelerator can execute (GEMM,
-GEMV, batched GEMM, 2D convolution).
+the paper's flow: *access-relation matchers* with placeholders
+(:mod:`repro.tactics.access`) and a pattern library
+(:mod:`repro.tactics.patterns`) that declares each kernel the CIM
+accelerator can execute (GEMM, GEMV, 2D convolution) as a table of access
+patterns.  Detection is per statement, on access patterns and domain depth;
+the loop-nest structure around a kernel is left to ``isolate``.
 
 The matchers do not transform anything; they produce capture objects
-(:class:`~repro.tactics.patterns.gemm.GemmMatch` etc.) that the
+(:class:`~repro.tactics.patterns.GemmMatch` etc.) that the
 transformations in :mod:`repro.transforms` consume.
 """
 
-from repro.tactics.matchers import (
-    TreeMatcher,
-    m_any,
-    m_band,
-    m_domain,
-    m_filter,
-    m_leaf,
-    m_sequence,
-    match_tree,
-)
 from repro.tactics.access import (
     Placeholder,
     AccessPattern,
@@ -29,36 +21,28 @@ from repro.tactics.access import (
     write_access,
 )
 from repro.tactics.patterns import (
+    KERNEL_SPECS,
     GemmMatch,
     GemvMatch,
     Conv2DMatch,
     KernelMatch,
-    find_gemm_kernels,
-    find_gemv_kernels,
-    find_conv2d_kernels,
+    KernelSpec,
     find_all_kernels,
+    match_statement,
 )
 
 __all__ = [
-    "TreeMatcher",
-    "m_any",
-    "m_band",
-    "m_domain",
-    "m_filter",
-    "m_leaf",
-    "m_sequence",
-    "match_tree",
     "Placeholder",
     "AccessPattern",
     "match_accesses",
     "read_access",
     "write_access",
+    "KERNEL_SPECS",
     "GemmMatch",
     "GemvMatch",
     "Conv2DMatch",
     "KernelMatch",
-    "find_gemm_kernels",
-    "find_gemv_kernels",
-    "find_conv2d_kernels",
+    "KernelSpec",
     "find_all_kernels",
+    "match_statement",
 ]

@@ -1,21 +1,24 @@
 """Access-relation matchers with placeholders.
 
-Loop Tactics complements structural tree matchers with *access matchers*: a
-pattern like ``write(C[i, j]), read(A[i, k]), read(B[k, j])`` is matched
-against a statement's access relations, where ``i``/``j``/``k`` and
-``A``/``B``/``C`` are placeholders that unify with concrete loop variables
-and array names.  Unification is consistent: the same placeholder must bind
-to the same concrete name everywhere, and two distinct placeholders may not
-bind to the same loop variable (arrays *may* alias unless
-``distinct_arrays`` is requested, since e.g. ``C += A * A^T`` is a valid
-GEMM with repeated operands).
+Loop Tactics describes a kernel by the *shape* of its accesses: a pattern
+like ``write(C[i, j]), read(A[i, k]), read(B[k, j])`` is matched against a
+statement's access relations, where ``i``/``j``/``k`` and ``A``/``B``/``C``
+are placeholders that unify with concrete loop variables and array names.
+A subscript pattern is one placeholder or a sum of placeholders
+(``img[?i + ?p]``); it matches a subscript that is exactly that many loop
+variables, each with coefficient 1, with no constant and no parameter.
+Unification is consistent: the same placeholder must bind to the same
+concrete name everywhere, and with ``distinct_dims`` two distinct
+placeholders may not bind to the same loop variable.  Array placeholders
+may alias, since e.g. ``C += A * A^T`` is a valid GEMM with repeated
+operands.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.poly.access import AccessKind, AccessRelation
 
@@ -30,6 +33,10 @@ class Placeholder:
     def __str__(self) -> str:
         return f"?{self.name}"
 
+    def __add__(self, other: "Placeholder") -> tuple["Placeholder", ...]:
+        """``?i + ?p``: a subscript pattern that sums two loop variables."""
+        return (self, other)
+
 
 def dim_placeholders(*names: str) -> tuple[Placeholder, ...]:
     return tuple(Placeholder(n, "dim") for n in names)
@@ -39,25 +46,34 @@ def array_placeholders(*names: str) -> tuple[Placeholder, ...]:
     return tuple(Placeholder(n, "array") for n in names)
 
 
+#: One subscript pattern: a placeholder, or a tuple of them meaning their sum.
+SubscriptPattern = Union[Placeholder, tuple[Placeholder, ...]]
+
+
 @dataclass(frozen=True)
 class AccessPattern:
-    """One access to match: kind, array placeholder, subscript placeholders."""
+    """One access to match: kind, array placeholder, and per subscript the
+    placeholders it sums (one term for a plain loop variable)."""
 
     kind: AccessKind
     array: Placeholder
-    subscripts: tuple[Placeholder, ...]
+    subscripts: tuple[tuple[Placeholder, ...], ...]
 
     def __str__(self) -> str:
-        subs = "][".join(str(s) for s in self.subscripts)
+        subs = "][".join(" + ".join(map(str, terms)) for terms in self.subscripts)
         return f"{self.kind}:{self.array}[{subs}]"
 
 
-def read_access(array: Placeholder, subscripts: Sequence[Placeholder]) -> AccessPattern:
-    return AccessPattern(AccessKind.READ, array, tuple(subscripts))
+def _terms(subscripts: Sequence[SubscriptPattern]) -> tuple[tuple[Placeholder, ...], ...]:
+    return tuple(s if isinstance(s, tuple) else (s,) for s in subscripts)
 
 
-def write_access(array: Placeholder, subscripts: Sequence[Placeholder]) -> AccessPattern:
-    return AccessPattern(AccessKind.WRITE, array, tuple(subscripts))
+def read_access(array: Placeholder, subscripts: Sequence[SubscriptPattern]) -> AccessPattern:
+    return AccessPattern(AccessKind.READ, array, _terms(subscripts))
+
+
+def write_access(array: Placeholder, subscripts: Sequence[SubscriptPattern]) -> AccessPattern:
+    return AccessPattern(AccessKind.WRITE, array, _terms(subscripts))
 
 
 @dataclass
@@ -74,25 +90,15 @@ class AccessBinding:
         return self.arrays[name]
 
 
-def _bind_access(
-    pattern: AccessPattern,
-    access: AccessRelation,
-    binding: AccessBinding,
+def _unify(
+    placeholders: Sequence[Placeholder],
+    variables: Sequence[str],
+    dims: dict[str, str],
     distinct_dims: bool,
-) -> Optional[AccessBinding]:
-    """Try to unify one pattern with one concrete access."""
-    if pattern.kind is not access.kind:
-        return None
-    concrete_vars = access.single_vars()
-    if concrete_vars is None or len(concrete_vars) != len(pattern.subscripts):
-        return None  # only simple single-variable subscripts are matched here
-    # Array placeholder unification.
-    bound_array = binding.arrays.get(pattern.array.name)
-    if bound_array is not None and bound_array != access.array:
-        return None
-    # Subscript placeholder unification.
-    dims = dict(binding.dims)
-    for ph, var in zip(pattern.subscripts, concrete_vars):
+) -> Optional[dict[str, str]]:
+    """Extend *dims* so each placeholder names its variable, if consistent."""
+    dims = dict(dims)
+    for ph, var in zip(placeholders, variables):
         bound = dims.get(ph.name)
         if bound is None:
             if distinct_dims and var in dims.values():
@@ -100,9 +106,39 @@ def _bind_access(
             dims[ph.name] = var
         elif bound != var:
             return None
-    arrays = dict(binding.arrays)
-    arrays[pattern.array.name] = access.array
-    return AccessBinding(dims, arrays)
+    return dims
+
+
+def _bind_access(
+    pattern: AccessPattern,
+    access: AccessRelation,
+    binding: AccessBinding,
+    distinct_dims: bool,
+) -> Iterator[AccessBinding]:
+    """Every extension of *binding* that unifies one pattern with one access.
+
+    A sum's terms may bind its variables in any order (``?i + ?p`` matches
+    ``p + i``), so a sum yields one candidate per consistent order.
+    """
+    if pattern.kind is not access.kind or len(pattern.subscripts) != len(access.indices):
+        return
+    bound_array = binding.arrays.get(pattern.array.name)
+    if bound_array is not None and bound_array != access.array:
+        return
+    orders = []
+    for terms, variables in zip(pattern.subscripts, access.unit_vars):
+        if variables is None or len(variables) != len(terms):
+            return
+        # A plain variable has one order; building no permutations for it
+        # keeps matching as cheap as before sums existed.
+        orders.append(itertools.permutations(variables) if len(terms) > 1 else (variables,))
+    placeholders = [ph for terms in pattern.subscripts for ph in terms]
+    arrays = {**binding.arrays, pattern.array.name: access.array}
+    for order in itertools.product(*orders):
+        variables = [var for chosen in order for var in chosen]
+        dims = _unify(placeholders, variables, binding.dims, distinct_dims)
+        if dims is not None:
+            yield AccessBinding(dims, arrays)
 
 
 def match_accesses(
@@ -142,11 +178,9 @@ def _backtrack(
         return binding
     pattern = remaining[0]
     for index, access in enumerate(available):
-        attempt = _bind_access(pattern, access, binding, distinct_dims)
-        if attempt is None:
-            continue
-        rest = available[:index] + available[index + 1 :]
-        result = _backtrack(remaining[1:], rest, attempt, distinct_dims)
-        if result is not None:
-            return result
+        for attempt in _bind_access(pattern, access, binding, distinct_dims):
+            rest = available[:index] + available[index + 1 :]
+            result = _backtrack(remaining[1:], rest, attempt, distinct_dims)
+            if result is not None:
+                return result
     return None

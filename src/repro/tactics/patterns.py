@@ -1,9 +1,28 @@
-"""Common infrastructure shared by all kernel patterns."""
+"""Pattern library: the computational kernels the CIM accelerator supports.
+
+The accelerator executes matrix-vector products natively and matrix-matrix
+products as a sequence of matrix-vector products (Section II-C of the
+paper), so the kernels recognised here are:
+
+* **GEMM** — ``C = alpha * op(A) * op(B) + beta * C`` contractions,
+* **GEMV** — ``y = alpha * op(A) * x + beta * y`` contractions,
+* **2D convolution** — ``out += alpha * W[p][q] * img[i + p][j + q]``,
+  lowered to GEMM on the device via im2col by the runtime library.
+
+Each kind is data, not code: a :class:`KernelSpec` in :data:`KERNEL_SPECS`
+lists its access-pattern variants and roles, and :func:`match_statement`
+reads every spec the same way.  Detection is per statement, on its access
+patterns, its product form and its domain depth; the enclosing loop nest is
+not inspected (``isolate`` gives a selected kernel a nest of its own).
+A match is a capture object (:class:`GemmMatch` etc.) describing everything
+device mapping needs: the statements involved, the loop dimensions and
+their extents, the operand arrays, transpose flags and scaling factors.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.ir.expr import (
     ArrayRef,
@@ -22,6 +41,16 @@ from repro.poly.schedule_tree import (
     ScheduleNode,
 )
 from repro.poly.scop import Scop, ScopStatement
+from repro.tactics.access import (
+    AccessPattern,
+    Placeholder,
+    SubscriptPattern,
+    array_placeholders,
+    dim_placeholders,
+    match_accesses,
+    read_access,
+    write_access,
+)
 
 
 @dataclass
@@ -137,8 +166,225 @@ class KernelMatch:
         return f"{self.kind}({arrays}; {dims}; stmt={self.update_stmt})"
 
 
+@dataclass
+class GemmMatch(KernelMatch):
+    """Capture of a GEMM kernel.
+
+    Dimension roles: ``i`` (rows of C), ``j`` (columns of C), ``k``
+    (contraction).  Array roles: ``C`` (output), ``A`` (left operand), ``B``
+    (right operand).  ``trans_a`` is set when the left operand is accessed as
+    ``A[k][i]``; ``trans_b`` when the right operand is accessed as
+    ``B[j][k]``.
+    """
+
+    kind: str = "gemm"
+
+    @property
+    def m_expr(self):
+        return self.extent_expr("i")
+
+    @property
+    def n_expr(self):
+        return self.extent_expr("j")
+
+    @property
+    def k_expr(self):
+        return self.extent_expr("k")
+
+
+@dataclass
+class GemvMatch(KernelMatch):
+    """Capture of a GEMV kernel.
+
+    Dimension roles: ``i`` (output rows), ``j`` (contraction).  Array roles:
+    ``y`` (output vector), ``A`` (matrix), ``x`` (input vector).  ``trans_a``
+    is set when the matrix is accessed as ``A[j][i]``.
+    """
+
+    kind: str = "gemv"
+
+    @property
+    def m_expr(self):
+        return self.extent_expr("i")
+
+    @property
+    def n_expr(self):
+        return self.extent_expr("j")
+
+
+@dataclass
+class Conv2DMatch(KernelMatch):
+    """Capture of a direct 2D convolution.
+
+    Dimension roles: ``i``/``j`` (output rows/columns), ``p``/``q`` (filter
+    rows/columns).  Array roles: ``out`` (output image), ``img`` (input
+    image), ``W`` (filter weights).  The paper groups it with the GEMM-like
+    kernels: the filter is written to the crossbar once and image patches
+    stream through it, so its MACs-per-CIM-write intensity is high.
+    """
+
+    kind: str = "conv2d"
+
+    @property
+    def out_h_expr(self):
+        return self.extent_expr("i")
+
+    @property
+    def out_w_expr(self):
+        return self.extent_expr("j")
+
+    @property
+    def filter_h_expr(self):
+        return self.extent_expr("p")
+
+    @property
+    def filter_w_expr(self):
+        return self.extent_expr("q")
+
+
 # ----------------------------------------------------------------------
-# Right-hand-side structural analysis shared by GEMM and GEMV detection
+# Kernel kinds as data
+# ----------------------------------------------------------------------
+class Variant(NamedTuple):
+    """One accepted access shape of a kernel kind, with its transpose flags."""
+
+    accesses: tuple[AccessPattern, ...]
+    trans_a: bool = False
+    trans_b: bool = False
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Everything that defines one kernel kind.
+
+    ``capture`` is the match class, which names the kind.  ``rank`` is the
+    output's rank and ``min_depth`` the least domain depth.  ``dims`` lists
+    the dimension roles, the output's first (they are the capture's
+    ``dims`` keys, in order); ``arrays`` lists the output role and then the
+    two operand roles, which must be the product's array factors.  A
+    statement matches with the first of ``variants`` whose accesses bind.
+    """
+
+    capture: type[KernelMatch]
+    rank: int
+    min_depth: int
+    variants: tuple[Variant, ...]
+    dims: tuple[str, ...]
+    arrays: tuple[str, str, str]
+
+
+def _update(
+    out: Placeholder,
+    out_subscripts: tuple[Placeholder, ...],
+    *operands: tuple[Placeholder, tuple[SubscriptPattern, ...]],
+    trans_a: bool = False,
+    trans_b: bool = False,
+) -> Variant:
+    """``out[...] += operand * operand``: the write, the reduction's re-read
+    of the output, then one read per operand."""
+    accesses = (write_access(out, out_subscripts), read_access(out, out_subscripts))
+    accesses += tuple(read_access(array, subs) for array, subs in operands)
+    return Variant(accesses, trans_a, trans_b)
+
+
+_i, _j, _k, _p, _q = dim_placeholders("i", "j", "k", "p", "q")
+_C, _A, _B, _y, _x, _out, _W, _img = array_placeholders(
+    "C", "A", "B", "y", "x", "out", "W", "img"
+)
+
+#: Every kernel kind, in the order :func:`find_all_kernels` claims them.
+KERNEL_SPECS: tuple[KernelSpec, ...] = (
+    KernelSpec(
+        GemmMatch, rank=2, min_depth=3, dims=("i", "j", "k"), arrays=("C", "A", "B"),
+        variants=(
+            _update(_C, (_i, _j), (_A, (_i, _k)), (_B, (_k, _j))),
+            _update(_C, (_i, _j), (_A, (_k, _i)), (_B, (_k, _j)), trans_a=True),
+            _update(_C, (_i, _j), (_A, (_i, _k)), (_B, (_j, _k)), trans_b=True),
+            _update(_C, (_i, _j), (_A, (_k, _i)), (_B, (_j, _k)), trans_a=True, trans_b=True),
+        ),
+    ),
+    KernelSpec(
+        Conv2DMatch, rank=2, min_depth=4, dims=("i", "j", "p", "q"), arrays=("out", "img", "W"),
+        variants=(
+            _update(_out, (_i, _j), (_W, (_p, _q)), (_img, (_i + _p, _j + _q))),
+        ),
+    ),
+    KernelSpec(
+        GemvMatch, rank=1, min_depth=2, dims=("i", "j"), arrays=("y", "A", "x"),
+        variants=(
+            _update(_y, (_i,), (_A, (_i, _j)), (_x, (_j,))),
+            _update(_y, (_i,), (_A, (_j, _i)), (_x, (_j,)), trans_a=True),
+        ),
+    ),
+)
+
+
+def match_statement(scop: Scop, stmt: ScopStatement, spec: KernelSpec) -> Optional[KernelMatch]:
+    """Match one statement against one kernel spec."""
+    assign = stmt.assign
+    if assign.reduction != "+":
+        return None
+    if not isinstance(assign.target, ArrayRef) or assign.target.rank != spec.rank:
+        return None
+    if stmt.domain.depth < spec.min_depth:
+        return None
+    # A pure product of exactly two array reads and optional scalar
+    # factors (alpha).
+    split = split_product(assign.rhs)
+    if split is None or len(split[0]) != 2:
+        return None
+    array_factors, scalar_factors = split
+    factor_names = sorted(ref.name for ref in array_factors)
+    domain_vars = set(stmt.domain.var_names)
+    for variant in spec.variants:
+        binding = match_accesses(stmt.accesses, variant.accesses, distinct_dims=True)
+        if binding is None:
+            continue
+        dims = {role: binding.dim(role) for role in spec.dims}
+        if not set(dims.values()) <= domain_vars:
+            continue
+        arrays = {role: binding.array(role) for role in spec.arrays}
+        out_array = arrays[spec.arrays[0]]
+        operands = sorted(arrays[role] for role in spec.arrays[1:])
+        # The operands must be the product's array factors (so the scalar
+        # factors really are alpha), and neither may be the output, which
+        # the statement overwrites while reading it.
+        if operands != factor_names or out_array in operands:
+            continue
+        out_vars = tuple(dims[role] for role in spec.dims[: spec.rank])
+        init_stmt, beta = find_init_statement(scop, stmt, out_array, out_vars)
+        return spec.capture(
+            scop=scop,
+            update_stmt=stmt.name,
+            init_stmt=init_stmt,
+            dims=dims,
+            arrays=arrays,
+            alpha=scalar_product_expr(scalar_factors),
+            beta=beta,
+            trans_a=variant.trans_a,
+            trans_b=variant.trans_b,
+        )
+    return None
+
+
+def find_all_kernels(scop: Scop) -> list[KernelMatch]:
+    """Every kernel in *scop*: the specs in order, statements in order
+    within a spec.  A statement is claimed by at most one match, so GEMM
+    shadows conv2d and GEMV on the same statements."""
+    matches: list[KernelMatch] = []
+    claimed: set[str] = set()
+    for spec in KERNEL_SPECS:
+        for stmt in scop.statements:
+            match = match_statement(scop, stmt, spec)
+            if match is None or match.statements & claimed:
+                continue
+            claimed |= match.statements
+            matches.append(match)
+    return matches
+
+
+# ----------------------------------------------------------------------
+# Right-hand-side analysis
 # ----------------------------------------------------------------------
 def multiplicative_factors(expr: Expr) -> Optional[list[Expr]]:
     """Flatten a pure product into its factors.

@@ -40,10 +40,7 @@ from repro.poly.schedule_tree import (
     active_statements,
     replace_node,
 )
-from repro.tactics.patterns.base import KernelMatch
-from repro.tactics.patterns.conv import Conv2DMatch
-from repro.tactics.patterns.gemm import GemmMatch
-from repro.tactics.patterns.gemv import GemvMatch
+from repro.tactics.patterns import Conv2DMatch, GemmMatch, GemvMatch, KernelMatch
 from repro.transforms.fusion import FusionGroup
 
 

@@ -24,7 +24,7 @@ from repro.poly.schedule_tree import (
     path_to,
     replace_node,
 )
-from repro.tactics.patterns.base import KernelMatch
+from repro.tactics.patterns import KernelMatch
 
 
 class DistributionError(RuntimeError):

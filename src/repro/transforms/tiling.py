@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.poly.schedule_tree import BandNode, DomainNode, path_to, replace_node
-from repro.tactics.patterns.gemm import GemmMatch
+from repro.tactics.patterns import GemmMatch
 
 
 class TilingError(RuntimeError):

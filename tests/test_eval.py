@@ -28,7 +28,7 @@ from repro.frontend import parse_program
 from repro.ir.normalize import normalize_reductions
 from repro.poly import build_schedule_tree, detect_scops
 from repro.system import CimSystem, SystemConfig
-from repro.tactics import find_gemm_kernels
+from repro.tactics import find_all_kernels
 from repro.transforms import tile_band_chain
 from repro.workloads import PAPER_KERNELS, get_kernel
 
@@ -373,7 +373,8 @@ def _tile_write_count(tile_order: tuple[str, str, str]) -> int:
     program = normalize_reductions(parse_program(PURE_GEMM))
     scop = detect_scops(program)[0]
     tree = build_schedule_tree(scop)
-    bands = find_gemm_kernels(scop, tree)[0].band_chain(tree)
+    [match] = find_all_kernels(scop)
+    bands = match.band_chain(tree)
     tile_band = tile_band_chain(
         tree, bands, dict.fromkeys("ijk", CROSSBAR), tile_loop_order=list(tile_order)
     )

@@ -1,18 +1,7 @@
-"""Tests for structural schedule-tree matchers and access matchers."""
+"""Tests for the access matchers."""
 
-import pytest
-
-from repro.poly.access import AccessKind
-from repro.poly.schedule_tree import BandNode, LeafNode
-from repro.tactics import (
-    m_any,
-    m_band,
-    m_domain,
-    m_filter,
-    m_leaf,
-    m_sequence,
-    match_tree,
-)
+from repro.poly.access import AccessKind, AccessRelation
+from repro.poly.affine import AffineExpr
 from repro.tactics.access import (
     array_placeholders,
     dim_placeholders,
@@ -20,70 +9,6 @@ from repro.tactics.access import (
     read_access,
     write_access,
 )
-from repro.tactics.matchers import band_chain_matcher, find_matches, nested_band_chain
-
-
-# ----------------------------------------------------------------------
-# Structural matchers
-# ----------------------------------------------------------------------
-def test_match_canonical_gemm_shape(gemm_tree):
-    matcher = m_domain(
-        m_band(
-            m_band(
-                m_sequence(
-                    m_filter(m_leaf(capture="init_leaf")),
-                    m_filter(m_band(m_leaf(capture="update_leaf"), capture="band_k")),
-                ),
-                capture="band_j",
-            ),
-            capture="band_i",
-        )
-    )
-    captures = match_tree(matcher, gemm_tree)
-    assert captures is not None
-    assert isinstance(captures["band_i"], BandNode)
-    assert captures["band_i"].dims == ["i"]
-    assert captures["band_k"].dims == ["k"]
-    assert isinstance(captures["update_leaf"], LeafNode)
-
-
-def test_match_fails_on_wrong_shape(gemm_tree):
-    matcher = m_domain(m_band(m_leaf()))
-    assert match_tree(matcher, gemm_tree) is None
-
-
-def test_band_dimension_constraints(gemm_tree):
-    band_i = gemm_tree.child
-    assert match_tree(m_band(n_dims=1, dims=["i"]), band_i) is not None
-    assert match_tree(m_band(dims=["j"]), band_i) is None
-    assert match_tree(m_band(n_dims=2), band_i) is None
-
-
-def test_wildcard_matches_anything(gemm_tree):
-    for node in gemm_tree.walk():
-        assert match_tree(m_any(), node) is not None
-
-
-def test_filter_statement_constraint(gemm_tree, gemm_scop):
-    init_name = gemm_scop.statements[0].name
-    matches = find_matches(m_filter(statements={init_name}), gemm_tree)
-    assert len(matches) == 1
-
-
-def test_find_matches_counts_bands(gemm_tree):
-    assert len(find_matches(m_band(), gemm_tree)) == 3
-
-
-def test_band_chain_matcher(gemm_tree):
-    captures = match_tree(band_chain_matcher(2), gemm_tree.child)
-    assert captures is not None
-    assert captures["band0"].dims == ["i"]
-    assert captures["band1"].dims == ["j"]
-
-
-def test_nested_band_chain_stops_at_sequence(gemm_tree):
-    chain = nested_band_chain(gemm_tree.child)
-    assert [b.dims[0] for b in chain] == ["i", "j"]
 
 
 # ----------------------------------------------------------------------
@@ -136,9 +61,6 @@ def test_access_match_requires_all_accesses_consumed(gemm_scop):
 
 
 def test_distinct_dims_constraint():
-    from repro.poly.access import AccessRelation
-    from repro.poly.affine import AffineExpr
-
     accesses = [
         AccessRelation("X", AccessKind.WRITE, (AffineExpr.var("i"), AffineExpr.var("i"))),
     ]
@@ -149,3 +71,23 @@ def test_distinct_dims_constraint():
         match_accesses(accesses, [write_access(x, (i, j))], distinct_dims=False)
         is not None
     )
+
+
+def test_sum_subscript_binds_its_terms_in_any_order():
+    r, c, a, b = (AffineExpr.var(v) for v in ("r", "c", "a", "b"))
+    accesses = [
+        AccessRelation("F", AccessKind.READ, (a, b)),
+        AccessRelation("I", AccessKind.READ, (r + a, c + b)),
+    ]
+    i, j, p, q = dim_placeholders("i", "j", "p", "q")
+    f, img = array_placeholders("F", "img")
+    pattern = [read_access(f, (p, q)), read_access(img, (i + p, j + q))]
+    binding = match_accesses(accesses, pattern)
+    assert binding is not None
+    assert binding.dims == {"p": "a", "q": "b", "i": "r", "j": "c"}
+    assert str(pattern[1]) == "read:?img[?i + ?p][?j + ?q]"
+    # A sum matches only unit coefficients, no constant and no parameter.
+    for index in (r + a + AffineExpr.constant_expr(1), r + AffineExpr.var("a", 2),
+                  r + a + AffineExpr.param("N"), r):
+        shifted = [accesses[0], AccessRelation("I", AccessKind.READ, (index, c + b))]
+        assert match_accesses(shifted, pattern) is None

@@ -14,7 +14,7 @@ from repro.poly.schedule_tree import (
     SequenceNode,
     validate_tree,
 )
-from repro.tactics import find_all_kernels, find_gemm_kernels, find_gemv_kernels
+from repro.tactics import find_all_kernels
 from repro.transforms import (
     TilingError,
     find_fusable_groups,
@@ -41,6 +41,10 @@ def _analyse(source):
     return program, scop, build_schedule_tree(scop)
 
 
+def _of_kind(scop, kind):
+    return [m for m in find_all_kernels(scop) if m.kind == kind]
+
+
 def _run(program_template, stmts, params, arrays):
     program = Program(
         name="regen",
@@ -56,7 +60,7 @@ def _run(program_template, stmts, params, arrays):
 # ----------------------------------------------------------------------
 def test_tiling_preserves_semantics(rng):
     program, scop, tree = _analyse(PURE_GEMM_SOURCE)
-    match = find_gemm_kernels(scop, tree)[0]
+    match = _of_kind(scop, "gemm")[0]
     bands = match.band_chain(tree)
     tile_band_chain(tree, bands, {"i": 2, "j": 3, "k": 2})
     assert validate_tree(tree) == []
@@ -73,7 +77,7 @@ def test_tiling_preserves_semantics(rng):
 
 def test_tiling_with_interchanged_tile_loops(rng):
     program, scop, tree = _analyse(PURE_GEMM_SOURCE)
-    match = find_gemm_kernels(scop, tree)[0]
+    match = _of_kind(scop, "gemm")[0]
     tile_band = tile_gemm_for_crossbar(tree, match, crossbar_rows=3, crossbar_cols=2)
     # Listing 3 order: i_t, k_t, j_t.
     assert tile_band.dims == ["i_t", "k_t", "j_t"]
@@ -91,7 +95,7 @@ def test_tiling_with_interchanged_tile_loops(rng):
 
 def test_tiling_rejects_bad_requests():
     _, scop, tree = _analyse(PURE_GEMM_SOURCE)
-    match = find_gemm_kernels(scop, tree)[0]
+    match = _of_kind(scop, "gemm")[0]
     bands = match.band_chain(tree)
     with pytest.raises(TilingError):
         tile_band_chain(tree, bands, {"z": 4})
@@ -105,7 +109,7 @@ def test_tiling_rejects_bad_requests():
 
 def test_tiling_imperfect_nest_rejected(gemm_source):
     _, scop, tree = _analyse(gemm_source)
-    match = find_gemm_kernels(scop, tree)[0]
+    match = _of_kind(scop, "gemm")[0]
     with pytest.raises(TilingError):
         tile_gemm_for_crossbar(tree, match)
 
@@ -115,7 +119,7 @@ def test_tiling_imperfect_nest_rejected(gemm_source):
 # ----------------------------------------------------------------------
 def test_fusable_group_found_for_shared_input(two_gemms_source):
     _, scop, tree = _analyse(two_gemms_source)
-    matches = find_gemm_kernels(scop, tree)
+    matches = _of_kind(scop, "gemm")
     groups = find_fusable_groups(scop, matches)
     assert len(groups) == 1
     assert groups[0].size == 2
@@ -136,14 +140,14 @@ def test_dependent_kernels_not_fused():
     }
     """
     _, scop, tree = _analyse(source)
-    matches = find_gemm_kernels(scop, tree)
+    matches = _of_kind(scop, "gemm")
     assert find_fusable_groups(scop, matches) == []
 
 
 def test_require_shared_input_option(two_gemms_source):
     source_no_sharing = two_gemms_source.replace("A[i][k] * E[k][j]", "E[k][i] * E[k][j]")
     _, scop, tree = _analyse(source_no_sharing)
-    matches = find_gemm_kernels(scop, tree)
+    matches = _of_kind(scop, "gemm")
     assert find_fusable_groups(scop, matches, require_shared_input=True) == []
     assert len(find_fusable_groups(scop, matches, require_shared_input=False)) == 1
 
@@ -154,8 +158,7 @@ def test_gemv_matches_not_grouped():
     kernel = get_kernel("mvt")
     program = normalize_reductions(parse_program(kernel.source))
     scop = detect_scops(program)[0]
-    tree = build_schedule_tree(scop)
-    matches = find_gemv_kernels(scop, tree)
+    matches = _of_kind(scop, "gemv")
     assert find_fusable_groups(scop, matches) == []
 
 
@@ -219,7 +222,7 @@ def test_isolate_match_enables_offload_of_shared_nest(rng):
     program = normalize_reductions(parse_program(kernel.source))
     scop = detect_scops(program)[0]
     tree = build_schedule_tree(scop)
-    matches = find_gemv_kernels(scop, tree)
+    matches = _of_kind(scop, "gemv")
     assert len(matches) == 2
     for match in matches:
         assert isolate_match(tree, match, compute_dependences(scop))
@@ -284,7 +287,7 @@ def test_multi_variable_subscripts_block_distribution(policy, rng):
 # ----------------------------------------------------------------------
 def test_device_mapping_single_gemm(gemm_source):
     _, scop, tree = _analyse(gemm_source)
-    matches = find_all_kernels(scop, tree)
+    matches = find_all_kernels(scop)
     result = map_kernels_to_cim(tree, matches)
     assert result.any_offloaded
     assert len(result.mappings) == 1
@@ -298,7 +301,7 @@ def test_device_mapping_single_gemm(gemm_source):
 
 def test_device_mapping_emits_batched_call_for_fused_group(two_gemms_source):
     _, scop, tree = _analyse(two_gemms_source)
-    matches = find_gemm_kernels(scop, tree)
+    matches = _of_kind(scop, "gemm")
     groups = find_fusable_groups(scop, matches)
     result = map_kernels_to_cim(tree, matches, groups)
     assert len(result.mappings) == 1
@@ -311,7 +314,7 @@ def test_device_mapping_emits_batched_call_for_fused_group(two_gemms_source):
 
 def test_device_mapping_allocates_each_array_once(two_gemms_source):
     _, scop, tree = _analyse(two_gemms_source)
-    matches = find_gemm_kernels(scop, tree)
+    matches = _of_kind(scop, "gemm")
     groups = find_fusable_groups(scop, matches)
     map_kernels_to_cim(tree, matches, groups)
     extensions = [n for n in tree.walk() if isinstance(n, ExtensionNode)]
