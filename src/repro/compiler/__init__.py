@@ -10,8 +10,8 @@ report describing every decision the compiler made.
 The pipeline is a pass-manager subsystem (:mod:`repro.compiler.passes`):
 composable :class:`Pass` stages over one :class:`CompilationContext`,
 ordering validated at assembly, per-pass wall-time/IR-delta timings in
-``CompilationReport.pass_timings``, swappable :class:`OffloadPolicy`
-selection strategies, and named pipelines (``"default"``, ``"no-fusion"``,
+``CompilationReport.pass_timings``, offload policies selected by name,
+and named pipelines (``"default"``, ``"no-fusion"``,
 ``"detect-only"``) selectable via ``CompileOptions.pipeline``.
 
 Because the pipeline is pure, repeated invocations are memoised by the
@@ -31,14 +31,10 @@ from repro.compiler.cache import (
 from repro.compiler.driver import TdoCimCompiler, CompilationResult, compile_source
 from repro.compiler.passes import (
     NAMED_PIPELINES,
-    AlwaysOffload,
     CompilationContext,
-    NeverOffload,
-    OffloadPolicy,
     Pass,
     PassManager,
     PipelineError,
-    ThresholdPolicy,
     build_pipeline,
     resolve_pass_names,
 )
@@ -58,10 +54,6 @@ __all__ = [
     "PassManager",
     "PipelineError",
     "CompilationContext",
-    "OffloadPolicy",
-    "ThresholdPolicy",
-    "AlwaysOffload",
-    "NeverOffload",
     "NAMED_PIPELINES",
     "build_pipeline",
     "resolve_pass_names",

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompileOptions:
     """Knobs of the TDO-CIM compilation flow.
+
+    A value: frozen, with every sequence field stored as a tuple, so the
+    options (with the source and the size hint) are the whole input of a
+    compile and its fingerprint names it.  Change one with
+    :func:`dataclasses.replace`.
 
     The defaults correspond to the paper's ``clang -O3 -march-native
     -enable-loop-tactics`` configuration: offloading enabled for every kernel
@@ -66,7 +71,7 @@ class CompileOptions:
     #: Offload-selection policy applied by the ``select-offload`` pass:
     #: ``"threshold"`` (the paper's behaviour — kind filter plus the optional
     #: ``min_macs_per_write`` compute-intensity heuristic), ``"always"`` or
-    #: ``"never"`` (ablation strategies).
+    #: ``"never"`` (ablation policies).
     offload_policy: str = "threshold"
     #: Pass names after which the pass manager stores the printed IR into
     #: ``CompilationReport.ir_dumps`` (e.g. ``("isolate", "lower")``).
@@ -76,16 +81,39 @@ class CompileOptions:
         from repro.compiler.passes.pipelines import PASS_REGISTRY, validate_pipeline
         from repro.compiler.passes.policy import validate_policy
         from repro.ir.engine import validate_engine
+        from repro.tactics.patterns import KERNEL_SPECS
 
+        for name in ("offload_kinds", "dump_ir_after"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                raise ValueError(f"{name} takes a sequence of names, not the string {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not isinstance(self.pipeline, str):
+            object.__setattr__(self, "pipeline", tuple(self.pipeline))
         validate_engine(self.engine)
         validate_pipeline(self.pipeline)
         validate_policy(self.offload_policy)
+        kinds = [spec.capture.kind for spec in KERNEL_SPECS]
+        for kind in self.offload_kinds:
+            if kind not in kinds:
+                raise ValueError(
+                    f"unknown kernel kind {kind!r} in offload_kinds; available: {kinds}"
+                )
         for name in self.dump_ir_after:
             if name not in PASS_REGISTRY:
                 raise ValueError(
                     f"unknown pass {name!r} in dump_ir_after; "
                     f"available passes: {sorted(PASS_REGISTRY)}"
                 )
+        for name in ("crossbar_rows", "crossbar_cols"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        threshold = self.min_macs_per_write
+        if threshold is not None and not (isinstance(threshold, (int, float)) and threshold >= 0):
+            raise ValueError(
+                f"min_macs_per_write must be None or a number >= 0, got {threshold!r}"
+            )
 
     def wants_kind(self, kind: str) -> bool:
         return kind in self.offload_kinds

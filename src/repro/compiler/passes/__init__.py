@@ -12,8 +12,9 @@ The :class:`PassManager` validates pass ordering at construction, records
 per-pass wall time and IR deltas into ``CompilationReport.pass_timings``,
 and honours ``CompileOptions.dump_ir_after``.  Pipelines are selected
 declaratively via ``CompileOptions.pipeline`` — a name from
-:data:`NAMED_PIPELINES` or an explicit pass list — and offload selection is
-a swappable :class:`OffloadPolicy` strategy.  See ``docs/compiler.md``.
+:data:`NAMED_PIPELINES` or an explicit pass list — and offload selection
+follows the policy named by ``CompileOptions.offload_policy``.  See
+``docs/compiler.md``.
 """
 
 from repro.compiler.passes.analysis_passes import MatchKernelsPass, SelectOffloadPass
@@ -34,15 +35,7 @@ from repro.compiler.passes.pipelines import (
     resolve_pass_names,
     validate_pipeline,
 )
-from repro.compiler.passes.policy import (
-    POLICY_REGISTRY,
-    AlwaysOffload,
-    NeverOffload,
-    OffloadPolicy,
-    ThresholdPolicy,
-    estimated_intensity,
-    resolve_policy,
-)
+from repro.compiler.passes.policy import OFFLOAD_POLICIES, estimated_intensity
 from repro.compiler.passes.transform_passes import (
     DeviceMapPass,
     FusionPass,
@@ -66,13 +59,8 @@ __all__ = [
     "TilingPass",
     "DeviceMapPass",
     "LowerPass",
-    "OffloadPolicy",
-    "ThresholdPolicy",
-    "AlwaysOffload",
-    "NeverOffload",
     "estimated_intensity",
-    "resolve_policy",
-    "POLICY_REGISTRY",
+    "OFFLOAD_POLICIES",
     "PASS_REGISTRY",
     "NAMED_PIPELINES",
     "build_pipeline",

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.compiler.passes.base import Pass
 from repro.compiler.passes.context import CompilationContext
-from repro.compiler.passes.policy import OffloadPolicy, resolve_policy
-from repro.compiler.report import KernelDecision
+from repro.compiler.passes.policy import decide_offload
 from repro.tactics.patterns import find_all_kernels
 
 
@@ -23,47 +20,23 @@ class MatchKernelsPass(Pass):
 
 
 class SelectOffloadPass(Pass):
-    """Apply the offloading policy to the detected kernels.
-
-    The policy is a swappable :class:`OffloadPolicy` strategy — an explicit
-    instance given at construction wins, otherwise the name in
-    ``CompileOptions.offload_policy`` is resolved.  With
-    ``options.enable_offload`` unset (the plain ``-O3`` host baseline) the
-    policy is bypassed entirely and every kernel is reported as kept on the
-    host, mirroring the original monolithic driver.
-    """
+    """Decide, per detected kernel, whether it is offloaded
+    (:func:`~repro.compiler.passes.policy.decide_offload`)."""
 
     name = "select-offload"
     requires = ("kernel-matches",)
     provides = ("offload-selection",)
 
-    def __init__(self, policy: Optional[OffloadPolicy] = None):
-        self.policy = policy
-
     def run(self, ctx: CompilationContext) -> None:
         ctx.selected_by_scop = []
         ctx.decisions_by_scop = []
-        if not ctx.options.enable_offload:
-            for scop, matches in zip(ctx.scops, ctx.matches_by_scop):
-                decisions = [
-                    KernelDecision(
-                        scop=scop.name,
-                        statement=match.update_stmt,
-                        kind=match.kind,
-                        offloaded=False,
-                        reason="offloading disabled",
-                    )
-                    for match in matches
-                ]
-                ctx.selected_by_scop.append([])
-                ctx.decisions_by_scop.append(decisions)
-                ctx.report.decisions.extend(decisions)
-            return
-        policy = self.policy or resolve_policy(ctx.options.offload_policy)
         for scop, matches in zip(ctx.scops, ctx.matches_by_scop):
-            selected, decisions = policy.select(
-                scop, matches, ctx.options, ctx.size_hint_values
+            decisions = [
+                decide_offload(scop, match, ctx.options, ctx.size_hint_values)
+                for match in matches
+            ]
+            ctx.selected_by_scop.append(
+                [match for match, decision in zip(matches, decisions) if decision.offloaded]
             )
-            ctx.selected_by_scop.append(selected)
             ctx.decisions_by_scop.append(decisions)
             ctx.report.decisions.extend(decisions)

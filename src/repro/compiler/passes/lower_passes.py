@@ -14,9 +14,8 @@ class LowerPass(Pass):
     """AST regeneration + program reassembly (the Polly codegen stage).
 
     With offloading disabled or no SCoP detected, the compiled program *is*
-    the (normalised) input program — no regeneration happens, exactly as in
-    the original monolithic driver, so the ``-O3`` host baseline round-trips
-    the input byte-for-byte.
+    the (normalised) input program — no regeneration happens, so the
+    ``-O3`` host baseline round-trips the input byte-for-byte.
     """
 
     name = "lower"

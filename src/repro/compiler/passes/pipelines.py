@@ -9,7 +9,7 @@ pipeline or an explicit sequence of pass names; both resolve through
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from repro.compiler.passes.analysis_passes import MatchKernelsPass, SelectOffloadPass
 from repro.compiler.passes.base import Pass, PipelineError
@@ -21,7 +21,6 @@ from repro.compiler.passes.frontend_passes import (
 )
 from repro.compiler.passes.lower_passes import EngineLowerPass, LowerPass
 from repro.compiler.passes.manager import PassManager
-from repro.compiler.passes.policy import OffloadPolicy
 from repro.compiler.passes.transform_passes import (
     DeviceMapPass,
     FusionPass,
@@ -114,22 +113,8 @@ def validate_pipeline(description: PipelineDescription) -> None:
     resolve_pass_names(description)
 
 
-def build_pipeline(
-    description: PipelineDescription = "default",
-    policy: Optional[OffloadPolicy] = None,
-) -> PassManager:
-    """Instantiate a :class:`PassManager` for a pipeline description.
-
-    ``policy`` optionally overrides the offload-selection strategy of the
-    ``select-offload`` pass (otherwise ``CompileOptions.offload_policy`` is
-    resolved at run time).
-    """
+def build_pipeline(description: PipelineDescription = "default") -> PassManager:
+    """Instantiate a :class:`PassManager` for a pipeline description."""
     names = resolve_pass_names(description)
-    passes: list[Pass] = []
-    for name in names:
-        if name == SelectOffloadPass.name:
-            passes.append(SelectOffloadPass(policy=policy))
-        else:
-            passes.append(PASS_REGISTRY[name]())
     label = description if isinstance(description, str) else "+".join(names)
-    return PassManager(passes, description=label)
+    return PassManager([PASS_REGISTRY[name]() for name in names], description=label)

@@ -1,22 +1,18 @@
-"""Offload-selection policies (the strategy behind the select-offload pass).
+"""Offload selection: the decision the select-offload pass makes per kernel.
 
 The paper's compiler offloads every kernel Loop Tactics matches, with an
 optional compute-intensity threshold ("Selective Geomean").  That behaviour
-is :class:`ThresholdPolicy`, the default.  :class:`AlwaysOffload` and
-:class:`NeverOffload` are ablation strategies: they bypass the kind filter
-and the intensity heuristic entirely, so benchmarks can bound what the
-selection logic itself contributes.
-
-A policy receives the matches of one SCoP and returns the selected subset
-plus one :class:`~repro.compiler.report.KernelDecision` per match.  Custom
-policies subclass :class:`OffloadPolicy` and are either registered under a
-name (usable via ``CompileOptions.offload_policy``) or passed as an
-instance to :class:`~repro.compiler.driver.TdoCimCompiler`.
+is the ``"threshold"`` policy, the default.  ``"always"`` and ``"never"``
+are ablation policies: they bypass the kind filter and the intensity
+heuristic entirely, so benchmarks can bound what the selection logic itself
+contributes.  A policy is a name in ``CompileOptions.offload_policy``, so
+it is part of the compile fingerprint like every other option;
+:func:`decide_offload` reads it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.compiler.report import KernelDecision
 from repro.tactics.patterns import KernelMatch
@@ -70,141 +66,57 @@ def estimated_intensity(
     return macs / writes, None
 
 
-class OffloadPolicy:
-    """Strategy deciding which matched kernels are offloaded."""
-
-    name: ClassVar[str] = "<anonymous>"
-
-    def select(
-        self,
-        scop: "Scop",
-        matches: Sequence[KernelMatch],
-        options: "CompileOptions",
-        size_hint: Optional[dict[str, int | float]],
-    ) -> tuple[list[KernelMatch], list[KernelDecision]]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class ThresholdPolicy(OffloadPolicy):
-    """The paper's selection: kind filter + optional intensity threshold."""
-
-    name = "threshold"
-
-    def select(self, scop, matches, options, size_hint):
-        selected: list[KernelMatch] = []
-        decisions: list[KernelDecision] = []
-        for match in matches:
-            intensity, note = estimated_intensity(match, size_hint)
-            if not options.wants_kind(match.kind):
-                decisions.append(
-                    KernelDecision(
-                        scop=scop.name,
-                        statement=match.update_stmt,
-                        kind=match.kind,
-                        offloaded=False,
-                        reason=f"kind {match.kind!r} excluded by options",
-                        estimated_macs_per_write=intensity,
-                    )
-                )
-                continue
-            if (
-                options.min_macs_per_write is not None
-                and intensity is not None
-                and intensity < options.min_macs_per_write
-            ):
-                decisions.append(
-                    KernelDecision(
-                        scop=scop.name,
-                        statement=match.update_stmt,
-                        kind=match.kind,
-                        offloaded=False,
-                        reason=(
-                            f"compute intensity {intensity:.1f} MACs/write below "
-                            f"threshold {options.min_macs_per_write:.1f}"
-                        ),
-                        estimated_macs_per_write=intensity,
-                    )
-                )
-                continue
-            reason = "pattern matched by Loop Tactics"
-            if note is not None:
-                reason = f"{reason} ({note})"
-            selected.append(match)
-            decisions.append(
-                KernelDecision(
-                    scop=scop.name,
-                    statement=match.update_stmt,
-                    kind=match.kind,
-                    offloaded=True,
-                    reason=reason,
-                    estimated_macs_per_write=intensity,
-                )
-            )
-        return selected, decisions
-
-
-class AlwaysOffload(OffloadPolicy):
-    """Ablation: offload every match, ignoring kind filter and threshold."""
-
-    name = "always"
-
-    def select(self, scop, matches, options, size_hint):
-        selected: list[KernelMatch] = []
-        decisions: list[KernelDecision] = []
-        for match in matches:
-            intensity, _ = estimated_intensity(match, size_hint)
-            selected.append(match)
-            decisions.append(
-                KernelDecision(
-                    scop=scop.name,
-                    statement=match.update_stmt,
-                    kind=match.kind,
-                    offloaded=True,
-                    reason="always-offload policy (ablation)",
-                    estimated_macs_per_write=intensity,
-                )
-            )
-        return selected, decisions
-
-
-class NeverOffload(OffloadPolicy):
-    """Ablation: keep every match on the host (detection still reported)."""
-
-    name = "never"
-
-    def select(self, scop, matches, options, size_hint):
-        decisions = [
-            KernelDecision(
-                scop=scop.name,
-                statement=match.update_stmt,
-                kind=match.kind,
-                offloaded=False,
-                reason="never-offload policy (ablation)",
-                estimated_macs_per_write=estimated_intensity(match, size_hint)[0],
-            )
-            for match in matches
-        ]
-        return [], decisions
-
-
-#: Policies selectable by name via ``CompileOptions.offload_policy``.
-POLICY_REGISTRY: dict[str, type[OffloadPolicy]] = {
-    policy.name: policy
-    for policy in (ThresholdPolicy, AlwaysOffload, NeverOffload)
-}
+#: The names ``CompileOptions.offload_policy`` accepts.
+OFFLOAD_POLICIES = ("threshold", "always", "never")
 
 
 def validate_policy(name: str) -> None:
-    if name not in POLICY_REGISTRY:
+    if name not in OFFLOAD_POLICIES:
         raise ValueError(
             f"unknown offload policy {name!r}; "
-            f"available: {sorted(POLICY_REGISTRY)}"
+            f"available: {sorted(OFFLOAD_POLICIES)}"
         )
 
 
-def resolve_policy(name: str) -> OffloadPolicy:
-    validate_policy(name)
-    return POLICY_REGISTRY[name]()
+def decide_offload(
+    scop: "Scop",
+    match: KernelMatch,
+    options: "CompileOptions",
+    size_hint: Optional[dict[str, int | float]],
+) -> KernelDecision:
+    """Whether *match* is offloaded under *options*, and why.
+
+    With offloading disabled (the plain ``-O3`` host baseline) every kernel
+    stays on the host and no intensity is estimated.  Otherwise the
+    ablation policies decide alone; ``"threshold"`` applies the kind filter,
+    then ``min_macs_per_write`` when the intensity can be estimated.
+    """
+    intensity = note = None
+    if options.enable_offload:
+        intensity, note = estimated_intensity(match, size_hint)
+    threshold = options.min_macs_per_write
+    if not options.enable_offload:
+        offloaded, reason = False, "offloading disabled"
+    elif options.offload_policy == "always":
+        offloaded, reason = True, "always-offload policy (ablation)"
+    elif options.offload_policy == "never":
+        offloaded, reason = False, "never-offload policy (ablation)"
+    elif not options.wants_kind(match.kind):
+        offloaded, reason = False, f"kind {match.kind!r} excluded by options"
+    elif threshold is not None and intensity is not None and intensity < threshold:
+        offloaded, reason = False, (
+            f"compute intensity {intensity:.1f} MACs/write below "
+            f"threshold {threshold:.1f}"
+        )
+    else:
+        offloaded, reason = True, "pattern matched by Loop Tactics"
+        if note is not None:
+            reason = f"{reason} ({note})"
+    return KernelDecision(
+        scop=scop.name,
+        statement=match.update_stmt,
+        kind=match.kind,
+        offloaded=offloaded,
+        reason=reason,
+        estimated_macs_per_write=intensity,
+    )

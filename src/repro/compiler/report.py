@@ -47,8 +47,7 @@ class CompilationReport:
     runtime_calls_emitted: list[str] = field(default_factory=list)
     #: Per-pass instrumentation recorded by the
     #: :class:`~repro.compiler.passes.manager.PassManager` — one entry per
-    #: executed pass, in pipeline order.  Empty for results produced by the
-    #: frozen legacy monolith (:mod:`repro.compiler.legacy`).
+    #: executed pass, in pipeline order.
     pass_timings: list[PassTiming] = field(default_factory=list)
     #: Printed IR snapshots requested via ``CompileOptions.dump_ir_after``,
     #: keyed by pass name.

@@ -218,12 +218,8 @@ def decode_compile_options(encoded: dict) -> CompileOptions:
         raise TraceFormatError(
             f"header: unknown compile option(s) {sorted(unknown)}"
         )
-    kwargs = dict(encoded)
-    for key in ("offload_kinds", "dump_ir_after"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
     try:
-        return CompileOptions(**kwargs)
+        return CompileOptions(**encoded)
     except (TypeError, ValueError) as exc:
         raise TraceFormatError(f"header: bad compile options ({exc})") from exc
 

@@ -1,19 +1,16 @@
 """The compiler's observable output, pinned bit for bit.
 
-For every case of the pass-manager differential in
-``tests/test_compiler_passes.py`` — each PolyBench kernel with and without
-a SMALL size hint, four kernels across eight option sets, and Listing 2's
-shared-input source — plus one GEMM that Listing 3's tiling does split,
-``tests/golden/compiler/compiler.json`` holds the
-printed program, the decisions, the fusion groups, the tiled kernels, the
-runtime calls and the device mappings.  The differential compares the
-pipeline with :mod:`repro.compiler.legacy`, which calls the same leaf
-transforms, so it cannot see a change inside one of them; these
-snapshots can.
+For each PolyBench kernel with and without a SMALL size hint, four kernels
+across eight option sets, Listing 2's shared-input source, and one GEMM
+that Listing 3's tiling does split, ``tests/golden/compiler/compiler.json``
+holds the printed program, the decisions, the fusion groups, the tiled
+kernels, the runtime calls and the device mappings.  The snapshots see a
+change inside a leaf transform as well as one in the pipeline that
+orchestrates them.
 
-Recording checks that the pipeline and the legacy monolith agree on every
-case, adds the cases the file does not have yet and never rewrites one it
-has, so an entry keeps the tree it was first recorded from::
+Recording adds the cases the file does not have yet and never rewrites one
+it has, so an entry keeps the tree it was first recorded from; record from
+the parent of a change, never from the change itself::
 
     PYTHONPATH=src python tests/test_compiler_golden.py
 """
@@ -30,7 +27,6 @@ import pytest
 
 from repro.compiler import CompileOptions, compile_source
 from repro.eval.lifetime import SHARED_INPUT_GEMMS_SOURCE
-from repro.frontend import parse_program
 from repro.ir.printer import to_source
 from repro.workloads import get_kernel, kernel_names
 
@@ -38,7 +34,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "compiler" / "compiler.jso
 
 UNCACHED = dict(enable_compile_cache=False)
 
-#: The option sets of the differential, by the ids it gives them.
+#: The option sets the four kernels are compiled under, by id.
 OPTION_SETS = {
     "no-offload": dict(enable_offload=False),
     "no-fusion-flag": dict(enable_fusion=False),
@@ -139,17 +135,10 @@ def test_compiler_output_equals_golden(case, golden):
 
 
 if __name__ == "__main__":
-    from repro.compiler.legacy import compile_monolithic
-
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     added = sorted(set(INPUTS) - set(recorded))
     for case in added:
-        source, options, size_hint = INPUTS[case]
-        legacy = compile_monolithic(
-            parse_program(source), CompileOptions(**options, **UNCACHED), size_hint
-        )
         recorded[case] = snapshot(compile_case(case))
-        assert recorded[case] == snapshot(legacy), case
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(added)} new case(s) to {GOLDEN}")

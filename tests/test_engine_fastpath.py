@@ -13,6 +13,7 @@ enforce the same contract on shapes nobody thought to write down.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from unittest import mock
 
@@ -446,9 +447,9 @@ def test_c_body_is_written_at_first_run_not_in_engine_lower():
     """``engine-lower`` generates no C under any engine name: the report
     is the same static analysis, and a nest's C body is written (and
     compiled) the first time the nest runs."""
-    options = CompileOptions.host_only()
-    options.engine = "native"
-    options.enable_compile_cache = False
+    options = dataclasses.replace(
+        CompileOptions.host_only(), engine="native", enable_compile_cache=False
+    )
     result = compile_source(SHIFTED_READ, options=options)
     report = result.report.nest_lowerings
     assert [nest.tier for nest in report] == ["fold"]

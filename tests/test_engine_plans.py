@@ -18,6 +18,7 @@ compile cache keys on.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import io
 import pickle
@@ -41,9 +42,9 @@ def _compiled(name: str = "gesummv", engine: str = "fast"):
     """A private compilation (the process-wide compile cache would hand
     every test the same program object, plans and all)."""
     kernel = KERNELS[name]
-    options = CompileOptions.host_only()
-    options.engine = engine
-    options.enable_compile_cache = False
+    options = dataclasses.replace(
+        CompileOptions.host_only(), engine=engine, enable_compile_cache=False
+    )
     return (
         compile_source(kernel.source, options=options),
         kernel.params("MINI"),
@@ -97,8 +98,7 @@ def test_second_and_later_runs_do_not_plan(engine, planning_spy):
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
 def test_second_lease_of_one_kernel_does_not_plan(engine, planning_spy):
     kernel = KERNELS["mvt"]
-    options = CompileOptions.host_only()
-    options.engine = engine
+    options = dataclasses.replace(CompileOptions.host_only(), engine=engine)
     params = kernel.params("MINI")
     with CimServer(ServerConfig(compile_options=options)) as server:
         first = server.submit("tenant", kernel.source, params, kernel.arrays("MINI", 1))
@@ -237,7 +237,7 @@ def _benchmark_kernel_runs(monkeypatch) -> list[tuple]:
     monkeypatch.setattr(VectorizedEngine, "_run_kernel", kernel_spy)
     executor = OffloadExecutor()
     for source, options, size_hint, params, arrays in _benchmark_runs():
-        options.enable_compile_cache = False
+        options = dataclasses.replace(options, enable_compile_cache=False)
         program = compile_source(source, options, size_hint=size_hint).program
         executor.run(program, params, arrays)
         executor.system.runtime.free_all()
@@ -277,8 +277,7 @@ void trip(int N, double A[N], double B[N], double C[N]) {
 
 def _planned(source: str, params: dict, arrays: dict):
     """A fresh program run once (so its nests are planned) and its plans."""
-    options = CompileOptions.host_only()
-    options.enable_compile_cache = False
+    options = dataclasses.replace(CompileOptions.host_only(), enable_compile_cache=False)
     program = compile_source(source, options=options).program
     make_engine(program).run(params, arrays)
     return list(program.engine_plans.nests.values())
@@ -372,8 +371,7 @@ BENIGN = (
 
 
 def _kernels(source: str) -> list:
-    options = CompileOptions.host_only()
-    options.enable_compile_cache = False
+    options = dataclasses.replace(CompileOptions.host_only(), enable_compile_cache=False)
     result = compile_source(source, options=options)
     rng = np.random.default_rng(0)
     params = dict(zip(result.program.param_names, (5, 4)))

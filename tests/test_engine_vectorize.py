@@ -1,5 +1,7 @@
 """Unit tests for the engine's plan analysis and edge cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -358,7 +360,9 @@ def test_executor_honours_compile_options_engine(gemm_source, rng):
     result = compile_source(
         gemm_source, options=CompileOptions.host_only()
     )
-    result.options.engine = "interpreter"
+    result = dataclasses.replace(
+        result, options=dataclasses.replace(result.options, engine="interpreter")
+    )
     params = {"M": 4, "N": 4, "K": 4, "alpha": 1.0, "beta": 0.0}
     arrays = {
         "A": rng.random((4, 4), dtype=np.float32),
@@ -375,7 +379,9 @@ def test_executor_honours_compile_options_engine(gemm_source, rng):
     executor.run(result.program, params, arrays)
     assert executor.last_engine_used == "fast"
     # An explicit constructor engine also wins over the compiled options.
-    result.options.engine = "native"
+    result = dataclasses.replace(
+        result, options=dataclasses.replace(result.options, engine="native")
+    )
     pinned = OffloadExecutor(engine="interpreter")
     pinned.run(result, params, arrays)
     assert pinned.last_engine_used == "interpreter"

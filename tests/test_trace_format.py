@@ -242,9 +242,13 @@ def test_bad_config_rejected_at_build_server(trace):
     def retired_engine(config):
         config["compile_options"]["engine"] = "vectorized"
 
+    def unknown_kind(config):
+        config["compile_options"]["offload_kinds"] = ["gemmm"]
+
     for mutate, match in (
         (unknown_field, "does not rebuild"),
         (retired_engine, "bad compile options .*'vectorized'"),
+        (unknown_kind, "bad compile options .*'gemmm'"),
     ):
         events = [json.loads(line) for line in trace.dumps().splitlines()]
         mutate(events[0]["config"])
