@@ -298,6 +298,25 @@ def test_estimated_intensity_none_without_hint():
     assert intensity is None and "size hint missing extent" in note
 
 
+@pytest.mark.parametrize(
+    "kernel, kind, intensity, partial_hint, missing",
+    [
+        ("gemm", "gemm", 14.0, {"NI": 12}, "NJ"),
+        ("atax", "gemv", 1.0, {"M": 14}, "N"),
+        ("conv", "conv2d", 80.0, {"OH": 8, "OW": 10}, "KH"),
+    ],
+)
+def test_estimated_intensity_per_kind(kernel, kind, intensity, partial_hint, missing):
+    workload = get_kernel(kernel)
+    options = CompileOptions(pipeline="detect-only", **UNCACHED)
+    match = compile_source(workload.source, options=options).matches[0]
+    assert match.kind == kind
+    assert estimated_intensity(match, workload.params("MINI")) == (intensity, None)
+    assert estimated_intensity(match, partial_hint) == (
+        None, f"size hint missing extent: {missing!r}"
+    )
+
+
 # ----------------------------------------------------------------------
 # Options are a value
 # ----------------------------------------------------------------------

@@ -67,24 +67,28 @@ def test_runtime_call_arg_rendering():
         buffer_b="cim_B", ldb=n, beta=ParamRef("beta"), buffer_c="cim_C", ldc=n,
         array_a="A", array_b="B", array_c="C",
     )
-    text = str(gemm)
-    assert text.startswith("CimNoTrans, CimTrans, M, N, K, &alpha, cim_A")
+    assert str(gemm) == (
+        "CimNoTrans, CimTrans, M, N, K, &alpha, cim_A, K, cim_B, N, &beta, cim_C, N"
+    )
     assert str(InitCallArgs(0)) == "0"
-    assert "(void**)&cim_A" in str(MallocCallArgs("cim_A", "A", m))
+    assert str(MallocCallArgs("cim_A", "A", m)) == "(void**)&cim_A, M"
     assert str(CopyCallArgs("cim_C", "C", m)) == "cim_C, C, M"
     gemv = GemvCallArgs(
         trans_a=True, m=m, n=n, alpha=ParamRef("alpha"), buffer_a="cim_A",
         lda=n, buffer_x="cim_x", beta=ParamRef("beta"), buffer_y="cim_y",
     )
-    assert str(gemv).startswith("CimTrans, M, N, &alpha")
+    assert str(gemv) == "CimTrans, M, N, &alpha, cim_A, N, cim_x, &beta, cim_y"
     conv = Conv2DCallArgs(
         out_h=m, out_w=n, filter_h=IntConst(3), filter_w=IntConst(3),
         alpha=ParamRef("alpha"), buffer_img="cim_img", buffer_w="cim_W",
         beta=ParamRef("beta"), buffer_out="cim_out",
     )
-    assert "cim_img, cim_W" in str(conv)
+    assert str(conv) == "M, N, 3, 3, &alpha, cim_img, cim_W, &beta, cim_out"
     batched = BatchedGemmCallArgs((gemm, gemm))
-    assert "{cim_A, cim_A}" in str(batched)
+    assert str(batched) == (
+        "CimNoTrans, CimTrans, M, N, K, &alpha, {cim_A, cim_A}, K, "
+        "{cim_B, cim_B}, N, &beta, {cim_C, cim_C}, N, 2"
+    )
     assert batched.trans_b is True
     with pytest.raises(ValueError):
         BatchedGemmCallArgs(())
