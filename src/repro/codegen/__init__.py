@@ -23,10 +23,9 @@ from repro.codegen.runtime_calls import (
     CIM_GEMV,
     CIM_GEMM_BATCHED,
     CIM_CONV2D,
-    GemmCallArgs,
-    GemvCallArgs,
+    KernelCallArgs,
     BatchedGemmCallArgs,
-    Conv2DCallArgs,
+    Slot,
     MallocCallArgs,
     CopyCallArgs,
     InitCallArgs,
@@ -44,10 +43,9 @@ __all__ = [
     "CIM_GEMV",
     "CIM_GEMM_BATCHED",
     "CIM_CONV2D",
-    "GemmCallArgs",
-    "GemvCallArgs",
+    "KernelCallArgs",
     "BatchedGemmCallArgs",
-    "Conv2DCallArgs",
+    "Slot",
     "MallocCallArgs",
     "CopyCallArgs",
     "InitCallArgs",

@@ -11,27 +11,27 @@ latency, GEMV count and crossbar writes.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.codegen.runtime_calls import (
-    CIM_CONV2D,
+    ALL_RUNTIME_CALLS,
+    BUFFER,
     CIM_DEV_TO_HOST,
     CIM_FREE,
-    CIM_GEMM,
     CIM_GEMM_BATCHED,
-    CIM_GEMV,
     CIM_HOST_TO_DEV,
     CIM_INIT,
     CIM_MALLOC,
+    SCALAR,
+    TRANS,
     BatchedGemmCallArgs,
-    Conv2DCallArgs,
     CopyCallArgs,
-    GemmCallArgs,
-    GemvCallArgs,
     InitCallArgs,
+    KernelCallArgs,
     MallocCallArgs,
 )
 from repro.host.cost_model import HostCostModel, HostExecutionEstimate
@@ -40,12 +40,18 @@ from repro.ir.engine import DEFAULT_ENGINE, make_engine, validate_engine
 from repro.ir.expr import Expr
 from repro.ir.interp import Interpreter, evaluate_expr
 from repro.ir.program import Program
+from repro.runtime.blas import CimBlas
 from repro.runtime.handles import DeviceBuffer
 from repro.system.system import CimSystem
 
 
 class ExecutorError(RuntimeError):
     """Malformed runtime call encountered during execution."""
+
+
+#: ``CimBlas.gemm_batched`` reads each problem's arguments by the names of
+#: the ``sgemm`` parameters they fill.
+_SGEMM_PARAMS = tuple(inspect.signature(CimBlas.sgemm).parameters)[1:]
 
 
 def _accelerator_field(name: str) -> property:
@@ -117,9 +123,8 @@ class OffloadExecutor:
 
     ``engine`` selects the execution engine for the host-side IR (see
     :data:`repro.ir.engine.ENGINE_MODES`): the ``"fast"`` engine (default,
-    emitted C or slice-folded kernels, bit-identical to the interpreter;
-    ``"native"`` is another name for it), or the reference
-    ``"interpreter"``.  All engines produce identical
+    emitted C or slice-folded kernels, bit-identical to the interpreter) or
+    the reference ``"interpreter"``.  Both engines produce identical
     results and execution traces, so the cost-model numbers do not
     depend on this choice.
 
@@ -167,7 +172,6 @@ class OffloadExecutor:
         #: Engine actually used by the most recent :meth:`run` call.
         self.last_engine_used: Optional[str] = None
         self._buffers: dict[str, DeviceBuffer] = {}
-        self._buffer_arrays: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -203,7 +207,6 @@ class OffloadExecutor:
         if reset_stats:
             self.system.reset_stats()
         self._buffers.clear()
-        self._buffer_arrays.clear()
 
         overhead = self.system.host_overhead
         overhead_energy_before = overhead.energy_j
@@ -230,38 +233,25 @@ class OffloadExecutor:
     # Runtime call dispatch
     # ------------------------------------------------------------------
     def _handle_call(self, callee: str, args: list, interp: Interpreter) -> None:
-        if callee == CIM_INIT:
-            payload = args[0] if args else InitCallArgs(0)
-            device = payload.device if isinstance(payload, InitCallArgs) else int(payload)
+        payload = args[0] if args else None
+        if isinstance(payload, KernelCallArgs) and callee in ALL_RUNTIME_CALLS:
+            getattr(self.system.blas, payload.entry)(*self._resolve(payload, interp))
+        elif callee == CIM_INIT:
+            device = payload.device if isinstance(payload, InitCallArgs) else int(payload or 0)
             self.system.runtime.cim_init(device)
-            return
-        if callee == CIM_MALLOC:
-            self._do_malloc(args[0], interp)
-            return
-        if callee == CIM_HOST_TO_DEV:
-            self._do_host_to_dev(args[0], interp)
-            return
-        if callee == CIM_DEV_TO_HOST:
-            self._do_dev_to_host(args[0], interp)
-            return
-        if callee == CIM_FREE:
-            payload = args[0]
+        elif callee == CIM_MALLOC:
+            self._do_malloc(payload, interp)
+        elif callee == CIM_HOST_TO_DEV:
+            self._do_host_to_dev(payload, interp)
+        elif callee == CIM_DEV_TO_HOST:
+            self._do_dev_to_host(payload, interp)
+        elif callee == CIM_FREE:
             buffer = self._require_buffer(payload if isinstance(payload, str) else payload.buffer)
             self.system.runtime.cim_free(buffer)
-            return
-        if callee == CIM_GEMM:
-            self._do_gemm(args[0], interp)
-            return
-        if callee == CIM_GEMM_BATCHED:
-            self._do_gemm_batched(args[0], interp)
-            return
-        if callee == CIM_GEMV:
-            self._do_gemv(args[0], interp)
-            return
-        if callee == CIM_CONV2D:
-            self._do_conv2d(args[0], interp)
-            return
-        raise ExecutorError(f"unknown runtime call {callee!r}")
+        elif callee == CIM_GEMM_BATCHED:
+            self._do_gemm_batched(payload, interp)
+        else:
+            raise ExecutorError(f"unknown runtime call {callee!r}")
 
     # ------------------------------------------------------------------
     def _eval(self, expr, interp: Interpreter) -> float:
@@ -281,7 +271,6 @@ class OffloadExecutor:
         size = self._eval_int(payload.size, interp)
         buffer = self.system.runtime.cim_malloc(size)
         self._buffers[payload.buffer] = buffer
-        self._buffer_arrays[payload.buffer] = payload.array
 
     def _do_host_to_dev(self, payload: CopyCallArgs, interp: Interpreter) -> None:
         buffer = self._require_buffer(payload.buffer)
@@ -298,64 +287,26 @@ class OffloadExecutor:
         result = self.system.runtime.cim_dev_to_host(buffer, array.shape)
         interp.arrays[payload.array] = result.astype(array.dtype)
 
-    def _do_gemm(self, payload: GemmCallArgs, interp: Interpreter) -> None:
-        self.system.blas.sgemm(
-            payload.trans_a,
-            payload.trans_b,
-            self._eval_int(payload.m, interp),
-            self._eval_int(payload.n, interp),
-            self._eval_int(payload.k, interp),
-            self._eval(payload.alpha, interp),
-            self._require_buffer(payload.buffer_a),
-            self._eval_int(payload.lda, interp),
-            self._require_buffer(payload.buffer_b),
-            self._eval_int(payload.ldb, interp),
-            self._eval(payload.beta, interp),
-            self._require_buffer(payload.buffer_c),
-            self._eval_int(payload.ldc, interp),
-        )
+    def _resolve(self, payload: KernelCallArgs, interp: Interpreter) -> list:
+        """The positional arguments of *payload*'s BLAS entry: dimensions
+        and leading dimensions as ints, scalars as evaluated, buffers as
+        device buffers, transpose flags as they are."""
+        resolved: list = []
+        for slot, value in payload.args:
+            if slot.kind == BUFFER:
+                resolved.append(self._require_buffer(value))
+            elif slot.kind == SCALAR:
+                resolved.append(self._eval(value, interp))
+            elif slot.kind == TRANS:
+                resolved.append(value)
+            else:
+                resolved.append(self._eval_int(value, interp))
+        return resolved
 
     def _do_gemm_batched(self, payload: BatchedGemmCallArgs, interp: Interpreter) -> None:
-        problems = []
-        for problem in payload.problems:
-            problems.append(
-                {
-                    "m": self._eval_int(problem.m, interp),
-                    "n": self._eval_int(problem.n, interp),
-                    "k": self._eval_int(problem.k, interp),
-                    "alpha": self._eval(problem.alpha, interp),
-                    "beta": self._eval(problem.beta, interp),
-                    "a": self._require_buffer(problem.buffer_a),
-                    "b": self._require_buffer(problem.buffer_b),
-                    "c": self._require_buffer(problem.buffer_c),
-                }
-            )
-        self.system.blas.gemm_batched(
-            payload.trans_a, payload.trans_b, problems
-        )
-
-    def _do_gemv(self, payload: GemvCallArgs, interp: Interpreter) -> None:
-        self.system.blas.sgemv(
-            payload.trans_a,
-            self._eval_int(payload.m, interp),
-            self._eval_int(payload.n, interp),
-            self._eval(payload.alpha, interp),
-            self._require_buffer(payload.buffer_a),
-            self._eval_int(payload.lda, interp),
-            self._require_buffer(payload.buffer_x),
-            self._eval(payload.beta, interp),
-            self._require_buffer(payload.buffer_y),
-        )
-
-    def _do_conv2d(self, payload: Conv2DCallArgs, interp: Interpreter) -> None:
-        self.system.blas.conv2d(
-            self._eval_int(payload.out_h, interp),
-            self._eval_int(payload.out_w, interp),
-            self._eval_int(payload.filter_h, interp),
-            self._eval_int(payload.filter_w, interp),
-            self._eval(payload.alpha, interp),
-            self._require_buffer(payload.buffer_img),
-            self._require_buffer(payload.buffer_w),
-            self._eval(payload.beta, interp),
-            self._require_buffer(payload.buffer_out),
-        )
+        problems = [
+            dict(zip(_SGEMM_PARAMS, self._resolve(problem, interp)))
+            for problem in payload.problems
+        ]
+        first = problems[0]
+        self.system.blas.gemm_batched(first["trans_a"], first["trans_b"], problems)

@@ -5,16 +5,20 @@ carries one structured argument object; the objects render as the C-like
 argument lists Listing 1 shows, so ``repro.ir.to_source`` output of a
 compiled program reads like the paper's generated code.
 
-Dimension and scalar fields are IR expressions (parameters stay symbolic in
-the compiled program and are evaluated at run time by the executor); array
-fields are array *names* in the enclosing program; buffer fields are the
-symbolic device-buffer names (``cim_A`` etc.) introduced by device mapping.
+Every kernel call carries one :class:`KernelCallArgs`: its kind's argument
+layout (a tuple of :class:`Slot`, declared on the kind's
+``repro.tactics.patterns.KernelSpec``) paired with values, in the order
+of the :class:`~repro.runtime.blas.CimBlas` entry it runs.  Dimension and
+scalar values are IR expressions (parameters stay symbolic in the compiled
+program and are evaluated at run time by the executor); array fields are
+array *names* in the enclosing program; buffers are the symbolic
+device-buffer names (``cim_A`` etc.) introduced by device mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 from repro.ir.expr import Expr
 
@@ -80,62 +84,71 @@ class CopyCallArgs:
         return f"{self.buffer}, {self.array}, {self.size}"
 
 
-@dataclass(frozen=True)
-class GemmCallArgs:
-    """``polly_cimBlasSGemm(transA, transB, M, N, K, alpha, A, lda, B, ldb,
-    beta, C, ldc)``"""
+#: Slot kinds: what one positional argument of a BLAS entry carries.
+TRANS, DIM, SCALAR, BUFFER, LD = "trans", "dim", "scalar", "buffer", "ld"
+SLOT_KINDS = (TRANS, DIM, SCALAR, BUFFER, LD)
 
-    trans_a: bool
-    trans_b: bool
-    m: Expr
-    n: Expr
-    k: Expr
-    alpha: Expr
-    buffer_a: str
-    lda: Expr
-    buffer_b: str
-    ldb: Expr
-    beta: Expr
-    buffer_c: str
-    ldc: Expr
-    # Host arrays backing the buffers (used by the executor for data flow).
-    array_a: str = ""
-    array_b: str = ""
-    array_c: str = ""
+
+class Slot(NamedTuple):
+    """One positional argument of a BLAS entry: a transpose flag of an
+    operand role, a dimension role's extent, a scalar (``alpha`` or
+    ``beta``), an operand role's buffer, or an operand's leading dimension.
+    """
+
+    kind: str
+    role: str
+
+
+def layout(text: str) -> tuple[Slot, ...]:
+    """Slots from ``"kind:role"`` words, in order (``"trans:A dim:i ..."``)."""
+    slots = tuple(Slot(*word.split(":")) for word in text.split())
+    for slot in slots:
+        if slot.kind not in SLOT_KINDS:
+            raise ValueError(f"unknown slot kind {slot.kind!r}; expected one of {SLOT_KINDS}")
+    return slots
+
+
+def _render(slot: Slot, value: object) -> str:
+    """A slot's value as Listing 1 prints it."""
+    if slot.kind == TRANS:
+        return "CimTrans" if value else "CimNoTrans"
+    if slot.kind == SCALAR:
+        return f"&{value}"
+    return str(value)
+
+
+@dataclass(frozen=True)
+class KernelCallArgs:
+    """The arguments of one kernel's runtime call.
+
+    ``entry`` names the :class:`~repro.runtime.blas.CimBlas` method the
+    call runs, and ``args`` pairs each slot of the kind's layout with its
+    value, in the entry's positional order: a transpose flag, an IR
+    expression (dimensions, scalars, leading dimensions) or a buffer name.
+    ``arrays`` maps each operand role to the host array behind its buffer,
+    and ``stationary`` is the role programmed into the crossbar.
+    """
+
+    entry: str
+    args: tuple[tuple[Slot, object], ...]
+    arrays: Mapping[str, str]
+    stationary: str
+
+    @property
+    def problems(self) -> tuple["KernelCallArgs", ...]:
+        """The kernel problems the call runs: this one (a batched call
+        lists several)."""
+        return (self,)
+
+    def value(self, kind: str, role: str) -> object:
+        """The value of the slot ``kind:role``."""
+        for slot, value in self.args:
+            if slot.kind == kind and slot.role == role:
+                return value
+        raise KeyError(f"{kind}:{role}")
 
     def __str__(self) -> str:
-        ta = "CimTrans" if self.trans_a else "CimNoTrans"
-        tb = "CimTrans" if self.trans_b else "CimNoTrans"
-        return (
-            f"{ta}, {tb}, {self.m}, {self.n}, {self.k}, &{self.alpha}, "
-            f"{self.buffer_a}, {self.lda}, {self.buffer_b}, {self.ldb}, "
-            f"&{self.beta}, {self.buffer_c}, {self.ldc}"
-        )
-
-
-@dataclass(frozen=True)
-class GemvCallArgs:
-    """``polly_cimBlasSGemv(trans, M, N, alpha, A, lda, x, beta, y)``"""
-
-    trans_a: bool
-    m: Expr
-    n: Expr
-    alpha: Expr
-    buffer_a: str
-    lda: Expr
-    buffer_x: str
-    beta: Expr
-    buffer_y: str
-    array_a: str = ""
-    array_x: str = ""
-    array_y: str = ""
-
-    def __str__(self) -> str:
-        ta = "CimTrans" if self.trans_a else "CimNoTrans"
-        return (
-            f"{ta}, {self.m}, {self.n}, &{self.alpha}, {self.buffer_a}, "
-            f"{self.lda}, {self.buffer_x}, &{self.beta}, {self.buffer_y}"
-        )
+        return ", ".join(_render(slot, value) for slot, value in self.args)
 
 
 @dataclass(frozen=True)
@@ -143,58 +156,25 @@ class BatchedGemmCallArgs:
     """``polly_cimBlasGemmBatched(transA, transB, M, N, K, alpha, A[], lda,
     B[], ldb, beta, C[], ldc, batchCount)``
 
-    The per-problem parameters are carried as a tuple of
-    :class:`GemmCallArgs`; the batch shares transpose flags.
+    The problems are ``sgemm`` calls of one shape; the batch shares their
+    transpose flags, dimensions and scalars and lists their buffers.
     """
 
-    problems: tuple[GemmCallArgs, ...]
+    problems: tuple[KernelCallArgs, ...]
 
     def __post_init__(self) -> None:
         if not self.problems:
             raise ValueError("batched GEMM needs at least one problem")
-
-    @property
-    def trans_a(self) -> bool:
-        return self.problems[0].trans_a
-
-    @property
-    def trans_b(self) -> bool:
-        return self.problems[0].trans_b
+        if any(problem.entry != "sgemm" for problem in self.problems):
+            raise ValueError("batched GEMM takes GEMM problems only")
 
     def __str__(self) -> str:
-        first = self.problems[0]
-        ta = "CimTrans" if first.trans_a else "CimNoTrans"
-        tb = "CimTrans" if first.trans_b else "CimNoTrans"
-        a_list = ", ".join(p.buffer_a for p in self.problems)
-        b_list = ", ".join(p.buffer_b for p in self.problems)
-        c_list = ", ".join(p.buffer_c for p in self.problems)
-        return (
-            f"{ta}, {tb}, {first.m}, {first.n}, {first.k}, &{first.alpha}, "
-            f"{{{a_list}}}, {first.lda}, {{{b_list}}}, {first.ldb}, "
-            f"&{first.beta}, {{{c_list}}}, {first.ldc}, {len(self.problems)}"
-        )
-
-
-@dataclass(frozen=True)
-class Conv2DCallArgs:
-    """``polly_cimConv2D(outH, outW, kH, kW, alpha, img, W, beta, out)``"""
-
-    out_h: Expr
-    out_w: Expr
-    filter_h: Expr
-    filter_w: Expr
-    alpha: Expr
-    buffer_img: str
-    buffer_w: str
-    beta: Expr
-    buffer_out: str
-    array_img: str = ""
-    array_w: str = ""
-    array_out: str = ""
-
-    def __str__(self) -> str:
-        return (
-            f"{self.out_h}, {self.out_w}, {self.filter_h}, {self.filter_w}, "
-            f"&{self.alpha}, {self.buffer_img}, {self.buffer_w}, &{self.beta}, "
-            f"{self.buffer_out}"
-        )
+        rendered = []
+        for index, (slot, value) in enumerate(self.problems[0].args):
+            if slot.kind == BUFFER:
+                buffers = ", ".join(str(p.args[index][1]) for p in self.problems)
+                rendered.append(f"{{{buffers}}}")
+            else:
+                rendered.append(_render(slot, value))
+        rendered.append(str(len(self.problems)))
+        return ", ".join(rendered)

@@ -57,8 +57,7 @@ class CompileOptions:
     #: Execution engine for the host-side IR: ``"fast"`` (one emitted
     #: kernel per nest, run as C when a C toolchain and cffi are present
     #: and as slice-folded NumPy otherwise, bit-identical to the
-    #: interpreter; ``"native"`` is another name for it), or
-    #: ``"interpreter"`` (the reference tree-walker).  Honoured
+    #: interpreter), or ``"interpreter"`` (the reference tree-walker).  Honoured
     #: automatically when the
     #: :class:`CompilationResult` is passed to :meth:`OffloadExecutor.run`;
     #: it does not change the generated code or any cost-model report.
@@ -93,7 +92,7 @@ class CompileOptions:
         validate_engine(self.engine)
         validate_pipeline(self.pipeline)
         validate_policy(self.offload_policy)
-        kinds = [spec.capture.kind for spec in KERNEL_SPECS]
+        kinds = [spec.kind for spec in KERNEL_SPECS]
         for kind in self.offload_kinds:
             if kind not in kinds:
                 raise ValueError(

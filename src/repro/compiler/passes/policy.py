@@ -12,6 +12,7 @@ it is part of the compile fingerprint like every other option;
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.compiler.report import KernelDecision
@@ -26,7 +27,9 @@ def estimated_intensity(
     match: KernelMatch,
     size_hint: Optional[Mapping[str, int | float]],
 ) -> tuple[Optional[float], Optional[str]]:
-    """MACs per crossbar-cell write, estimated from the size hint.
+    """MACs per crossbar-cell write, estimated from the size hint: the
+    product of the kernel's extents over the product of the extents that
+    subscript its stationary operand.
 
     Returns ``(intensity, note)``: ``intensity`` is ``None`` when it cannot
     be estimated, and ``note`` explains why when the cause is an incomplete
@@ -39,31 +42,19 @@ def estimated_intensity(
     if size_hint is None:
         return None, None
     hints = size_hint if isinstance(size_hint, dict) else dict(size_hint)
+    spec = match.spec
     try:
-        if match.kind == "gemm":
-            macs = (
-                match.extent("i", hints)
-                * match.extent("j", hints)
-                * match.extent("k", hints)
-            )
-            writes = match.extent("i", hints) * match.extent("k", hints)
-        elif match.kind == "gemv":
-            macs = match.extent("i", hints) * match.extent("j", hints)
-            writes = macs  # every matrix element is written and used once
-        elif match.kind == "conv2d":
-            out = match.extent("i", hints) * match.extent("j", hints)
-            taps = match.extent("p", hints) * match.extent("q", hints)
-            macs = out * taps
-            writes = taps
-        else:
-            return None, None
+        extents = {role: match.extent(role, hints) for role in spec.dims}
     except (KeyError, TypeError) as exc:
         # An extent parameter is absent from (or non-numeric in) the size
         # hint; anything else — a genuinely broken match — must propagate.
         return None, f"size hint missing extent: {exc}"
+    # Every stationary-operand element is written once and used by the
+    # iterations over the other dimensions.
+    writes = math.prod(extents[role] for role in spec.stationary_dims)
     if writes == 0:
         return None, None
-    return macs / writes, None
+    return math.prod(extents.values()) / writes, None
 
 
 #: The names ``CompileOptions.offload_policy`` accepts.

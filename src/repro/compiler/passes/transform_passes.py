@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.compiler.passes.base import Pass
 from repro.compiler.passes.context import CompilationContext
-from repro.tactics.patterns import GemmMatch, KernelMatch
+from repro.tactics.patterns import KernelMatch
 from repro.transforms.device_map import map_kernels_to_cim
 from repro.transforms.distribution import isolate_match, owns_nest
 from repro.transforms.fusion import FusionGroup, find_fusable_groups
@@ -93,19 +93,19 @@ class TilingPass(Pass):
             return
         for index, tree in enumerate(ctx.trees):
             for match in ctx.selected_for(index):
-                if isinstance(match, GemmMatch):
-                    try:
-                        tile_gemm_for_crossbar(
-                            tree,
-                            match,
-                            ctx.options.crossbar_rows,
-                            ctx.options.crossbar_cols,
-                        )
-                        ctx.report.tiled_kernels.append(match.update_stmt)
-                    except TilingError:
-                        # Imperfect nests (init statement inside) are left
-                        # untiled; the micro-engine still tiles internally.
-                        pass
+                try:
+                    tile_gemm_for_crossbar(
+                        tree,
+                        match,
+                        ctx.options.crossbar_rows,
+                        ctx.options.crossbar_cols,
+                    )
+                    ctx.report.tiled_kernels.append(match.update_stmt)
+                except TilingError:
+                    # Other kinds, and imperfect nests (init statement
+                    # inside), are left untiled; the micro-engine still
+                    # tiles internally.
+                    pass
 
 
 class DeviceMapPass(Pass):

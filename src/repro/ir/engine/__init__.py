@@ -8,7 +8,7 @@ interpreter (no floating-point reassociation) and the
 polyhedral trip counts, so the host cost model reports the exact same
 instruction/energy/time numbers.
 
-Three engine names are accepted (see :func:`make_engine`):
+Two engine names are accepted (see :func:`make_engine`):
 
 * ``"interpreter"`` — the reference tree-walking interpreter.
 * ``"fast"`` — the **default**: slice-lowers every affine assignment
@@ -21,7 +21,6 @@ Three engine names are accepted (see :func:`make_engine`):
   are bit-identical — per element the operations and their order are
   unchanged.  A nest with no kernel, or whose guard trips, runs on the
   interpreter.
-* ``"native"`` — another name for ``"fast"``: the same ladder.
 
 Nest plans and their kernels, C bodies included, are built the first
 time a nest runs and kept on the program (``Program.engine_plans``), so
@@ -49,7 +48,7 @@ from repro.ir.engine.lowering import (
 from repro.ir.engine.native import native_available
 
 #: Valid values for the ``engine`` compile/execution option.
-ENGINE_MODES = ("interpreter", "fast", "native")
+ENGINE_MODES = ("interpreter", "fast")
 
 #: The default engine: emitted kernels (C body, else fold body).
 DEFAULT_ENGINE = "fast"

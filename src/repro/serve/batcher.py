@@ -34,19 +34,19 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.codegen.runtime_calls import (
-    CIM_CONV2D,
+    BUFFER,
     CIM_DEV_TO_HOST,
     CIM_FREE,
-    CIM_GEMM,
-    CIM_GEMM_BATCHED,
     CIM_GEMV,
     CIM_HOST_TO_DEV,
     CIM_INIT,
     CIM_MALLOC,
+    DIM,
+    SCALAR,
+    TRANS,
     BatchedGemmCallArgs,
-    Conv2DCallArgs,
     CopyCallArgs,
-    GemvCallArgs,
+    KernelCallArgs,
     MallocCallArgs,
 )
 from repro.ir.expr import Expr
@@ -67,27 +67,18 @@ def stationary_operand_arrays(program: Program) -> tuple[str, ...]:
     """Names of the host arrays a program programs into the crossbar.
 
     These are the operands whose content decides whether two requests can
-    share one crossbar lease: the ``A`` matrix of every GEMV/GEMM call and
-    the filter of every convolution.
+    share one crossbar lease: the stationary role of every kernel call's
+    payload (the ``A`` matrix of a GEMV/GEMM, the filter of a convolution).
     """
     names: list[str] = []
     for stmt in _call_stmts(program):
         payload = stmt.args[0] if stmt.args else None
-        if stmt.callee in (CIM_GEMM, CIM_GEMV) and payload is not None:
-            name = payload.array_a
-        elif stmt.callee == CIM_GEMM_BATCHED and isinstance(
-            payload, BatchedGemmCallArgs
-        ):
-            for problem in payload.problems:
-                if problem.array_a and problem.array_a not in names:
-                    names.append(problem.array_a)
+        if not isinstance(payload, (KernelCallArgs, BatchedGemmCallArgs)):
             continue
-        elif stmt.callee == CIM_CONV2D and isinstance(payload, Conv2DCallArgs):
-            name = payload.array_w
-        else:
-            continue
-        if name and name not in names:
-            names.append(name)
+        for problem in payload.problems:
+            name = problem.arrays[problem.stationary]
+            if name not in names:
+                names.append(name)
     return tuple(names)
 
 
@@ -185,7 +176,7 @@ def extract_fused_gemv_plan(
     stmts = program.body.stmts
     if not all(isinstance(stmt, CallStmt) for stmt in stmts):
         return None
-    gemv: Optional[GemvCallArgs] = None
+    gemv: Optional[KernelCallArgs] = None
     buffer_arrays: dict[str, str] = {}
     uploaded: set[str] = set()
     downloads: list[CopyCallArgs] = []
@@ -204,7 +195,7 @@ def extract_fused_gemv_plan(
                 return None
             uploaded.add(payload.buffer)
             continue
-        if stmt.callee == CIM_GEMV and isinstance(payload, GemvCallArgs):
+        if stmt.callee == CIM_GEMV and isinstance(payload, KernelCallArgs):
             if saw_gemv:
                 return None
             saw_gemv = True
@@ -220,20 +211,21 @@ def extract_fused_gemv_plan(
         return None
     if gemv is None or len(downloads) != 1:
         return None
-    if gemv.buffer_a not in uploaded or gemv.buffer_x not in uploaded:
+    buffer_a, buffer_x, buffer_y = (gemv.value(BUFFER, role) for role in ("A", "x", "y"))
+    if buffer_a not in uploaded or buffer_x not in uploaded:
         return None
-    if downloads[0].buffer != gemv.buffer_y:
+    if downloads[0].buffer != buffer_y:
         return None
-    uploads_y = gemv.buffer_y in uploaded
+    uploads_y = buffer_y in uploaded
     # Every uploaded buffer must feed the GEMV — a stray upload means the
     # program does something this plan would not reproduce.
-    if uploaded - {gemv.buffer_a, gemv.buffer_x, gemv.buffer_y}:
+    if uploaded - {buffer_a, buffer_x, buffer_y}:
         return None
     try:
-        m = int(round(_eval(gemv.m, params)))
-        n = int(round(_eval(gemv.n, params)))
-        alpha = _eval(gemv.alpha, params)
-        beta = _eval(gemv.beta, params)
+        m = int(round(_eval(gemv.value(DIM, "i"), params)))
+        n = int(round(_eval(gemv.value(DIM, "j"), params)))
+        alpha = _eval(gemv.value(SCALAR, "alpha"), params)
+        beta = _eval(gemv.value(SCALAR, "beta"), params)
     except Exception:
         return None
     if beta != 0.0 and not uploads_y:
@@ -241,10 +233,10 @@ def extract_fused_gemv_plan(
         # never fast-path a shape with undefined semantics.
         return None
     return FusedGemvPlan(
-        array_a=buffer_arrays[gemv.buffer_a],
-        array_x=buffer_arrays[gemv.buffer_x],
-        array_y=buffer_arrays[gemv.buffer_y],
-        trans_a=gemv.trans_a,
+        array_a=buffer_arrays[buffer_a],
+        array_x=buffer_arrays[buffer_x],
+        array_y=buffer_arrays[buffer_y],
+        trans_a=gemv.value(TRANS, "A"),
         m=m,
         n=n,
         alpha=alpha,

@@ -8,9 +8,9 @@ accelerator can execute (GEMM, GEMV, 2D convolution) as a table of access
 patterns.  Detection is per statement, on access patterns and domain depth;
 the loop-nest structure around a kernel is left to ``isolate``.
 
-The matchers do not transform anything; they produce capture objects
-(:class:`~repro.tactics.patterns.GemmMatch` etc.) that the
-transformations in :mod:`repro.transforms` consume.
+The matchers do not transform anything; they produce
+:class:`~repro.tactics.patterns.KernelMatch` objects, each bound to its
+kind's spec, that the transformations in :mod:`repro.transforms` consume.
 """
 
 from repro.tactics.access import (
@@ -22,9 +22,6 @@ from repro.tactics.access import (
 )
 from repro.tactics.patterns import (
     KERNEL_SPECS,
-    GemmMatch,
-    GemvMatch,
-    Conv2DMatch,
     KernelMatch,
     KernelSpec,
     find_all_kernels,
@@ -38,9 +35,6 @@ __all__ = [
     "read_access",
     "write_access",
     "KERNEL_SPECS",
-    "GemmMatch",
-    "GemvMatch",
-    "Conv2DMatch",
     "KernelMatch",
     "KernelSpec",
     "find_all_kernels",

@@ -14,9 +14,12 @@ lists its access-pattern variants and roles, and :func:`match_statement`
 reads every spec the same way.  Detection is per statement, on its access
 patterns, its product form and its domain depth; the enclosing loop nest is
 not inspected (``isolate`` gives a selected kernel a nest of its own).
-A match is a capture object (:class:`GemmMatch` etc.) describing everything
+A match is a :class:`KernelMatch` bound to its spec, describing everything
 device mapping needs: the statements involved, the loop dimensions and
 their extents, the operand arrays, transpose flags and scaling factors.
+The spec also carries the kind's lowering (its runtime call, ``CimBlas``
+entry, argument layout and stationary operand), so device mapping, the
+intensity estimate, the executor and the serving batcher read one row.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+from repro.codegen.runtime_calls import CIM_CONV2D, CIM_GEMM, CIM_GEMV, Slot, layout
 from repro.ir.expr import (
     ArrayRef,
     BinOp,
@@ -53,22 +57,65 @@ from repro.tactics.access import (
 )
 
 
+class Variant(NamedTuple):
+    """One accepted access shape of a kernel kind, with its transpose flags."""
+
+    accesses: tuple[AccessPattern, ...]
+    trans_a: bool = False
+    trans_b: bool = False
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Everything that defines one kernel kind, from match to BLAS call.
+
+    ``rank`` is the output's rank and ``min_depth`` the least domain depth.
+    ``dims`` lists the dimension roles, the output's first (they are the
+    match's ``dims`` keys, in order); ``arrays`` lists the output role and
+    then the two operand roles, which must be the product's array factors.
+    A statement matches with the first of ``variants`` whose accesses bind;
+    a variant's ``trans_a``/``trans_b`` flag the first/second operand.
+
+    An offloaded match becomes the runtime call ``call``, which runs the
+    :class:`~repro.runtime.blas.CimBlas` method ``entry`` with one
+    argument per slot of ``layout``.  ``stationary`` is the operand role
+    programmed into the crossbar.
+    """
+
+    kind: str
+    call: str
+    entry: str
+    rank: int
+    min_depth: int
+    dims: tuple[str, ...]
+    arrays: tuple[str, str, str]
+    stationary: str
+    layout: tuple[Slot, ...]
+    variants: tuple[Variant, ...]
+
+    @property
+    def stationary_dims(self) -> tuple[str, ...]:
+        """Dimension roles subscripting the stationary operand."""
+        access = next(a for a in self.variants[0].accesses if a.array.name == self.stationary)
+        return tuple(term.name for terms in access.subscripts for term in terms)
+
+
 @dataclass
 class KernelMatch:
-    """Base class of pattern captures.
+    """A statement bound to the roles of its kernel spec.
 
     ``update_stmt`` is the reduction statement computing the contraction;
     ``init_stmt`` the optional statement initialising / scaling the output
-    (``C[i][j] = beta * C[i][j]`` or ``= 0``).  ``dims`` maps canonical
+    (``C[i][j] = beta * C[i][j]`` or ``= 0``).  ``dims`` maps the spec's
     dimension roles (``"i"``, ``"j"``, ``"k"`` …) to concrete loop-variable
-    names, ``arrays`` maps operand roles (``"A"``, ``"B"``, ``"C"`` …) to
+    names, ``arrays`` maps its array roles (``"A"``, ``"B"``, ``"C"`` …) to
     concrete array names.  ``alpha``/``beta`` are IR expressions (parameter
     references or constants).
     """
 
-    kind: str = "kernel"
-    scop: Optional[Scop] = None
-    update_stmt: str = ""
+    spec: KernelSpec = field(repr=False)
+    scop: Scop
+    update_stmt: str
     init_stmt: Optional[str] = None
     dims: dict[str, str] = field(default_factory=dict)
     arrays: dict[str, str] = field(default_factory=dict)
@@ -76,6 +123,10 @@ class KernelMatch:
     beta: Expr = field(default_factory=lambda: FloatConst(0.0))
     trans_a: bool = False
     trans_b: bool = False
+
+    @property
+    def kind(self) -> str:
+        return self.spec.kind
 
     @property
     def statements(self) -> set[str]:
@@ -89,7 +140,6 @@ class KernelMatch:
     # ------------------------------------------------------------------
     def extent_expr(self, role: str) -> Expr:
         """Symbolic extent (trip count) of the loop bound to dimension *role*."""
-        assert self.scop is not None
         stmt = self.scop.statement(self.update_stmt)
         dim = stmt.domain.dim(self.dims[role])
         extent = dim.upper - dim.lower
@@ -99,7 +149,6 @@ class KernelMatch:
 
     def extent(self, role: str, params: dict[str, int | float]) -> int:
         """Concrete extent of dimension *role* under a parameter binding."""
-        assert self.scop is not None
         stmt = self.scop.statement(self.update_stmt)
         dim = stmt.domain.dim(self.dims[role])
         bindings = {k: int(v) for k, v in params.items() if isinstance(v, (int, float))}
@@ -107,7 +156,6 @@ class KernelMatch:
 
     def macs(self, params: dict[str, int | float]) -> int:
         """Multiply-accumulate count of the kernel under a parameter binding."""
-        assert self.scop is not None
         stmt = self.scop.statement(self.update_stmt)
         return stmt.domain.cardinality(
             {k: int(v) for k, v in params.items() if isinstance(v, (int, float))}
@@ -166,113 +214,9 @@ class KernelMatch:
         return f"{self.kind}({arrays}; {dims}; stmt={self.update_stmt})"
 
 
-@dataclass
-class GemmMatch(KernelMatch):
-    """Capture of a GEMM kernel.
-
-    Dimension roles: ``i`` (rows of C), ``j`` (columns of C), ``k``
-    (contraction).  Array roles: ``C`` (output), ``A`` (left operand), ``B``
-    (right operand).  ``trans_a`` is set when the left operand is accessed as
-    ``A[k][i]``; ``trans_b`` when the right operand is accessed as
-    ``B[j][k]``.
-    """
-
-    kind: str = "gemm"
-
-    @property
-    def m_expr(self):
-        return self.extent_expr("i")
-
-    @property
-    def n_expr(self):
-        return self.extent_expr("j")
-
-    @property
-    def k_expr(self):
-        return self.extent_expr("k")
-
-
-@dataclass
-class GemvMatch(KernelMatch):
-    """Capture of a GEMV kernel.
-
-    Dimension roles: ``i`` (output rows), ``j`` (contraction).  Array roles:
-    ``y`` (output vector), ``A`` (matrix), ``x`` (input vector).  ``trans_a``
-    is set when the matrix is accessed as ``A[j][i]``.
-    """
-
-    kind: str = "gemv"
-
-    @property
-    def m_expr(self):
-        return self.extent_expr("i")
-
-    @property
-    def n_expr(self):
-        return self.extent_expr("j")
-
-
-@dataclass
-class Conv2DMatch(KernelMatch):
-    """Capture of a direct 2D convolution.
-
-    Dimension roles: ``i``/``j`` (output rows/columns), ``p``/``q`` (filter
-    rows/columns).  Array roles: ``out`` (output image), ``img`` (input
-    image), ``W`` (filter weights).  The paper groups it with the GEMM-like
-    kernels: the filter is written to the crossbar once and image patches
-    stream through it, so its MACs-per-CIM-write intensity is high.
-    """
-
-    kind: str = "conv2d"
-
-    @property
-    def out_h_expr(self):
-        return self.extent_expr("i")
-
-    @property
-    def out_w_expr(self):
-        return self.extent_expr("j")
-
-    @property
-    def filter_h_expr(self):
-        return self.extent_expr("p")
-
-    @property
-    def filter_w_expr(self):
-        return self.extent_expr("q")
-
-
 # ----------------------------------------------------------------------
 # Kernel kinds as data
 # ----------------------------------------------------------------------
-class Variant(NamedTuple):
-    """One accepted access shape of a kernel kind, with its transpose flags."""
-
-    accesses: tuple[AccessPattern, ...]
-    trans_a: bool = False
-    trans_b: bool = False
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Everything that defines one kernel kind.
-
-    ``capture`` is the match class, which names the kind.  ``rank`` is the
-    output's rank and ``min_depth`` the least domain depth.  ``dims`` lists
-    the dimension roles, the output's first (they are the capture's
-    ``dims`` keys, in order); ``arrays`` lists the output role and then the
-    two operand roles, which must be the product's array factors.  A
-    statement matches with the first of ``variants`` whose accesses bind.
-    """
-
-    capture: type[KernelMatch]
-    rank: int
-    min_depth: int
-    variants: tuple[Variant, ...]
-    dims: tuple[str, ...]
-    arrays: tuple[str, str, str]
-
-
 def _update(
     out: Placeholder,
     out_subscripts: tuple[Placeholder, ...],
@@ -294,8 +238,14 @@ _C, _A, _B, _y, _x, _out, _W, _img = array_placeholders(
 
 #: Every kernel kind, in the order :func:`find_all_kernels` claims them.
 KERNEL_SPECS: tuple[KernelSpec, ...] = (
+    # C[i][j] += A[i][k] * B[k][j], either operand possibly transposed.
     KernelSpec(
-        GemmMatch, rank=2, min_depth=3, dims=("i", "j", "k"), arrays=("C", "A", "B"),
+        "gemm", CIM_GEMM, "sgemm", rank=2, min_depth=3,
+        dims=("i", "j", "k"), arrays=("C", "A", "B"), stationary="A",
+        layout=layout(
+            "trans:A trans:B dim:i dim:j dim:k scalar:alpha "
+            "buffer:A ld:A buffer:B ld:B scalar:beta buffer:C ld:C"
+        ),
         variants=(
             _update(_C, (_i, _j), (_A, (_i, _k)), (_B, (_k, _j))),
             _update(_C, (_i, _j), (_A, (_k, _i)), (_B, (_k, _j)), trans_a=True),
@@ -303,14 +253,25 @@ KERNEL_SPECS: tuple[KernelSpec, ...] = (
             _update(_C, (_i, _j), (_A, (_k, _i)), (_B, (_j, _k)), trans_a=True, trans_b=True),
         ),
     ),
+    # out[i][j] += W[p][q] * img[i + p][j + q]: the filter is written to the
+    # crossbar once and image patches stream through it.
     KernelSpec(
-        Conv2DMatch, rank=2, min_depth=4, dims=("i", "j", "p", "q"), arrays=("out", "img", "W"),
+        "conv2d", CIM_CONV2D, "conv2d", rank=2, min_depth=4,
+        dims=("i", "j", "p", "q"), arrays=("out", "img", "W"), stationary="W",
+        layout=layout(
+            "dim:i dim:j dim:p dim:q scalar:alpha buffer:img buffer:W scalar:beta buffer:out"
+        ),
         variants=(
             _update(_out, (_i, _j), (_W, (_p, _q)), (_img, (_i + _p, _j + _q))),
         ),
     ),
+    # y[i] += A[i][j] * x[j], the matrix possibly transposed.
     KernelSpec(
-        GemvMatch, rank=1, min_depth=2, dims=("i", "j"), arrays=("y", "A", "x"),
+        "gemv", CIM_GEMV, "sgemv", rank=1, min_depth=2,
+        dims=("i", "j"), arrays=("y", "A", "x"), stationary="A",
+        layout=layout(
+            "trans:A dim:i dim:j scalar:alpha buffer:A ld:A buffer:x scalar:beta buffer:y"
+        ),
         variants=(
             _update(_y, (_i,), (_A, (_i, _j)), (_x, (_j,))),
             _update(_y, (_i,), (_A, (_j, _i)), (_x, (_j,)), trans_a=True),
@@ -353,7 +314,8 @@ def match_statement(scop: Scop, stmt: ScopStatement, spec: KernelSpec) -> Option
             continue
         out_vars = tuple(dims[role] for role in spec.dims[: spec.rank])
         init_stmt, beta = find_init_statement(scop, stmt, out_array, out_vars)
-        return spec.capture(
+        return KernelMatch(
+            spec=spec,
             scop=scop,
             update_stmt=stmt.name,
             init_stmt=init_stmt,

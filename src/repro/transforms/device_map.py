@@ -11,21 +11,21 @@ first kernel's position; the remaining kernels' subtrees are removed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.codegen.runtime_calls import (
-    CIM_CONV2D,
+    BUFFER,
     CIM_DEV_TO_HOST,
-    CIM_GEMM,
     CIM_GEMM_BATCHED,
-    CIM_GEMV,
     CIM_HOST_TO_DEV,
     CIM_MALLOC,
+    DIM,
+    LD,
+    SCALAR,
+    TRANS,
     BatchedGemmCallArgs,
-    Conv2DCallArgs,
     CopyCallArgs,
-    GemmCallArgs,
-    GemvCallArgs,
+    KernelCallArgs,
     MallocCallArgs,
 )
 from repro.ir.expr import BinOp, Expr, FloatConst, IntConst
@@ -40,7 +40,7 @@ from repro.poly.schedule_tree import (
     active_statements,
     replace_node,
 )
-from repro.tactics.patterns import Conv2DMatch, GemmMatch, GemvMatch, KernelMatch
+from repro.tactics.patterns import KernelMatch
 from repro.transforms.fusion import FusionGroup
 
 
@@ -56,7 +56,6 @@ class DeviceMapping:
     call_name: str
     matches: list[KernelMatch]
     statements: set[str]
-    buffers: list[str]
     shared_arrays: set[str] = field(default_factory=set)
 
     def __str__(self) -> str:
@@ -157,153 +156,64 @@ def _effective_beta(
     return FloatConst(1.0), False
 
 
-def _gemm_call_args(
-    match: GemmMatch, builder: _CallBuilder, beta: Expr
-) -> GemmCallArgs:
-    program = builder.program
-    a, b, c = match.arrays["A"], match.arrays["B"], match.arrays["C"]
-    buffer_a = builder.copy_in(a)
-    buffer_b = builder.copy_in(b)
+def _call_args(match: KernelMatch, builder: _CallBuilder, beta: Expr) -> KernelCallArgs:
+    """Copy *match*'s operands in, then fill its spec's argument layout.
+
+    The output is copied in only when the call reads it (``beta`` is not
+    the literal 0); otherwise its buffer is just allocated.
+    """
+    spec = match.spec
+    out, *operands = spec.arrays
+    buffers = {role: builder.copy_in(match.arrays[role]) for role in operands}
     if _is_literal_zero(beta):
-        buffer_c = builder.ensure_buffer(c)
+        buffers[out] = builder.ensure_buffer(match.arrays[out])
     else:
-        buffer_c = builder.copy_in(c)
-    return GemmCallArgs(
-        trans_a=match.trans_a,
-        trans_b=match.trans_b,
-        m=match.m_expr,
-        n=match.n_expr,
-        k=match.k_expr,
-        alpha=match.alpha,
-        buffer_a=buffer_a,
-        lda=_leading_dim_expr(program.array(a)),
-        buffer_b=buffer_b,
-        ldb=_leading_dim_expr(program.array(b)),
-        beta=beta,
-        buffer_c=buffer_c,
-        ldc=_leading_dim_expr(program.array(c)),
-        array_a=a,
-        array_b=b,
-        array_c=c,
-    )
+        buffers[out] = builder.copy_in(match.arrays[out])
+    flags = dict(zip(operands, (match.trans_a, match.trans_b)))
+    scalars = {"alpha": match.alpha, "beta": beta}
+    resolve = {
+        TRANS: flags.__getitem__,
+        DIM: match.extent_expr,
+        SCALAR: scalars.__getitem__,
+        BUFFER: buffers.__getitem__,
+        LD: lambda role: _leading_dim_expr(builder.program.array(match.arrays[role])),
+    }
+    args = tuple((slot, resolve[slot.kind](slot.role)) for slot in spec.layout)
+    return KernelCallArgs(spec.entry, args, dict(match.arrays), spec.stationary)
 
 
-def _map_gemm_group(
+def _map_group(
     tree: DomainNode,
-    group: list[GemmMatch],
+    group: list[KernelMatch],
     result: DeviceMappingResult,
 ) -> tuple[ExtensionNode, DeviceMapping, list[list[ScheduleNode]]]:
-    """Build the extension node for one GEMM (len==1) or fused group."""
+    """Build the extension node for one kernel, or one batched GEMM call
+    for a fused group."""
     builder = _CallBuilder(tree, result)
     paths = [match.subtree_path(tree) for match in group]
-    problems: list[GemmCallArgs] = []
+    problems: list[KernelCallArgs] = []
     statements: set[str] = set()
     for match, path in zip(group, paths):
         beta, absorbs_init = _effective_beta(match, path)
-        problems.append(_gemm_call_args(match, builder, beta))
+        problems.append(_call_args(match, builder, beta))
         statements.add(match.update_stmt)
         if absorbs_init and match.init_stmt is not None:
             statements.add(match.init_stmt)
     if len(problems) == 1:
-        builder.append(CallStmt(CIM_GEMM, [problems[0]]))
-        call_name = CIM_GEMM
+        call_name, payload = group[0].spec.call, problems[0]
     else:
-        builder.append(CallStmt(CIM_GEMM_BATCHED, [BatchedGemmCallArgs(tuple(problems))]))
-        call_name = CIM_GEMM_BATCHED
-    for args in problems:
-        builder.copy_out(args.array_c)
+        call_name, payload = CIM_GEMM_BATCHED, BatchedGemmCallArgs(tuple(problems))
+    builder.append(CallStmt(call_name, [payload]))
+    for match in group:
+        builder.copy_out(match.arrays[match.spec.arrays[0]])
     mapping = DeviceMapping(
-        kind="gemm",
+        kind=group[0].kind,
         call_name=call_name,
         matches=list(group),
         statements=statements,
-        buffers=sorted({p.buffer_a for p in problems}
-                       | {p.buffer_b for p in problems}
-                       | {p.buffer_c for p in problems}),
         shared_arrays=FusionGroup(list(group)).shared_arrays() if len(group) > 1 else set(),
     )
     return ExtensionNode(builder.calls), mapping, paths
-
-
-def _map_gemv(
-    tree: DomainNode, match: GemvMatch, result: DeviceMappingResult
-) -> tuple[ExtensionNode, DeviceMapping, list[list[ScheduleNode]]]:
-    builder = _CallBuilder(tree, result)
-    path = match.subtree_path(tree)
-    beta, absorbs_init = _effective_beta(match, path)
-    a, x, y = match.arrays["A"], match.arrays["x"], match.arrays["y"]
-    program = builder.program
-    buffer_a = builder.copy_in(a)
-    buffer_x = builder.copy_in(x)
-    buffer_y = builder.ensure_buffer(y) if _is_literal_zero(beta) else builder.copy_in(y)
-    args = GemvCallArgs(
-        trans_a=match.trans_a,
-        m=match.m_expr,
-        n=match.n_expr,
-        alpha=match.alpha,
-        buffer_a=buffer_a,
-        lda=_leading_dim_expr(program.array(a)),
-        buffer_x=buffer_x,
-        beta=beta,
-        buffer_y=buffer_y,
-        array_a=a,
-        array_x=x,
-        array_y=y,
-    )
-    builder.append(CallStmt(CIM_GEMV, [args]))
-    builder.copy_out(y)
-    statements = {match.update_stmt}
-    if absorbs_init and match.init_stmt is not None:
-        statements.add(match.init_stmt)
-    mapping = DeviceMapping(
-        kind="gemv",
-        call_name=CIM_GEMV,
-        matches=[match],
-        statements=statements,
-        buffers=[buffer_a, buffer_x, buffer_y],
-    )
-    return ExtensionNode(builder.calls), mapping, [path]
-
-
-def _map_conv2d(
-    tree: DomainNode, match: Conv2DMatch, result: DeviceMappingResult
-) -> tuple[ExtensionNode, DeviceMapping, list[list[ScheduleNode]]]:
-    builder = _CallBuilder(tree, result)
-    path = match.subtree_path(tree)
-    beta, absorbs_init = _effective_beta(match, path)
-    out, img, weights = match.arrays["out"], match.arrays["img"], match.arrays["W"]
-    buffer_img = builder.copy_in(img)
-    buffer_w = builder.copy_in(weights)
-    buffer_out = (
-        builder.ensure_buffer(out) if _is_literal_zero(beta) else builder.copy_in(out)
-    )
-    args = Conv2DCallArgs(
-        out_h=match.out_h_expr,
-        out_w=match.out_w_expr,
-        filter_h=match.filter_h_expr,
-        filter_w=match.filter_w_expr,
-        alpha=match.alpha,
-        buffer_img=buffer_img,
-        buffer_w=buffer_w,
-        beta=beta,
-        buffer_out=buffer_out,
-        array_img=img,
-        array_w=weights,
-        array_out=out,
-    )
-    builder.append(CallStmt(CIM_CONV2D, [args]))
-    builder.copy_out(out)
-    statements = {match.update_stmt}
-    if absorbs_init and match.init_stmt is not None:
-        statements.add(match.init_stmt)
-    mapping = DeviceMapping(
-        kind="conv2d",
-        call_name=CIM_CONV2D,
-        matches=[match],
-        statements=statements,
-        buffers=[buffer_img, buffer_w, buffer_out],
-    )
-    return ExtensionNode(builder.calls), mapping, [path]
 
 
 def _detach_root(path: Sequence[ScheduleNode]) -> None:
@@ -351,19 +261,7 @@ def map_kernels_to_cim(
             grouped.append([match])
 
     for group in grouped:
-        kind = group[0].kind
-        if kind == "gemm":
-            extension, mapping, paths = _map_gemm_group(tree, group, result)  # type: ignore[arg-type]
-        elif kind == "gemv":
-            if len(group) != 1:
-                raise DeviceMappingError("GEMV kernels cannot be batched")
-            extension, mapping, paths = _map_gemv(tree, group[0], result)  # type: ignore[arg-type]
-        elif kind == "conv2d":
-            if len(group) != 1:
-                raise DeviceMappingError("convolutions cannot be batched")
-            extension, mapping, paths = _map_conv2d(tree, group[0], result)  # type: ignore[arg-type]
-        else:
-            raise DeviceMappingError(f"unsupported kernel kind {kind!r}")
+        extension, mapping, paths = _map_group(tree, group, result)
         # Replace the first kernel's subtree by the runtime calls, drop the
         # rest (their work is covered by the batched call).  Sequence nodes
         # only accept filter children, so when the replaced subtree is a

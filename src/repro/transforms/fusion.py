@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from repro.poly.dependence import kernels_independent
 from repro.poly.scop import Scop
-from repro.tactics.patterns import GemmMatch, KernelMatch
+from repro.tactics.patterns import KernelMatch
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.poly.schedule_tree import BandNode, DomainNode, path_to, replace_node
-from repro.tactics.patterns import GemmMatch
+from repro.tactics.patterns import KernelMatch
 
 
 class TilingError(RuntimeError):
@@ -92,7 +92,7 @@ def tile_band_chain(
 
 def tile_gemm_for_crossbar(
     tree: DomainNode,
-    match: GemmMatch,
+    match: KernelMatch,
     crossbar_rows: int = 256,
     crossbar_cols: int = 256,
 ) -> BandNode:

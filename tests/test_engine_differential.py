@@ -74,9 +74,9 @@ HOST_KERNELS = {
 }
 
 #: Engines that must match the interpreter bit for bit, trace included.
-#: "native" silently degrades to the fold tier when the optional C
+#: "fast" silently degrades to the fold tier when the optional C
 #: toolchain is absent — still exact, so it is always safe to test.
-EXACT_ENGINES = ("fast", "native")
+EXACT_ENGINES = ("fast",)
 
 
 def _reports_equal(a, b) -> list[str]:

@@ -35,7 +35,7 @@ from repro.ir.types import ElementType
 from repro.workloads.polybench import KERNELS
 
 #: engines that must be bit-identical to the interpreter (trace included).
-EXACT_ENGINES = ("fast", "native")
+EXACT_ENGINES = ("fast",)
 
 
 def _prepare(source):
@@ -448,7 +448,7 @@ def test_c_body_is_written_at_first_run_not_in_engine_lower():
     is the same static analysis, and a nest's C body is written (and
     compiled) the first time the nest runs."""
     options = dataclasses.replace(
-        CompileOptions.host_only(), engine="native", enable_compile_cache=False
+        CompileOptions.host_only(), engine="fast", enable_compile_cache=False
     )
     result = compile_source(SHIFTED_READ, options=options)
     report = result.report.nest_lowerings
@@ -485,10 +485,10 @@ def test_polybench_lowering_coverage_gate():
 
 
 # ----------------------------------------------------------------------
-# PolyBench differentials under the new default and the native backend
+# PolyBench differentials under the default engine
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
-@pytest.mark.parametrize("engine_name", ["fast", "native"])
+@pytest.mark.parametrize("engine_name", EXACT_ENGINES)
 def test_polybench_fastpath_is_bit_identical(kernel_name, engine_name):
     kernel = KERNELS[kernel_name]
     program = _prepare(kernel.source)
@@ -508,12 +508,12 @@ def test_polybench_fastpath_is_bit_identical(kernel_name, engine_name):
 def test_repro_native_env_disables_backend(monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE", "0")
     assert not native_available()
-    # engine="native" stays requestable: it degrades to the fold tier.
+    # engine="fast" degrades to the fold tier without a C compiler.
     rng = np.random.default_rng(9)
     arrays = _arrays(rng, A=9, B=9)
     program = _prepare(SHIFTED_READ)
     ref_out, ref_trace = _run_reference(program, {"N": 9}, arrays)
-    engine = make_engine(program, engine="native")
+    engine = make_engine(program, engine="fast")
     out = engine.run({"N": 9}, {k: v.copy() for k, v in arrays.items()})
     np.testing.assert_array_equal(ref_out["B"], out["B"])
     assert engine.trace == ref_trace

@@ -35,7 +35,7 @@ from repro.gateway.loadgen import GEMV_SOURCE
 from repro.ir.engine import VectorizedEngine, analysis, make_engine, native, native_available
 from repro.workloads.polybench import KERNELS, PAPER_KERNELS
 
-PLANNING_ENGINES = ("fast", "native")
+PLANNING_ENGINES = ("fast",)
 
 
 def _compiled(name: str = "gesummv", engine: str = "fast"):
@@ -379,8 +379,7 @@ def _kernels(source: str) -> list:
         decl.name: rng.random(decl.extent(params)) for decl in result.program.arrays
     }
     reference = OffloadExecutor(engine="interpreter").run(result, params, arrays)
-    for engine in ("fast", "native"):
-        _assert_same_run(reference, OffloadExecutor(engine=engine).run(result, params, arrays))
+    _assert_same_run(reference, OffloadExecutor(engine="fast").run(result, params, arrays))
     plans = result.program.engine_plans.nests.values()
     assert all(plan.kernel is not None for plan in plans)
     return [plan.kernel for plan in plans]

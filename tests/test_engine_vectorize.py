@@ -36,13 +36,13 @@ def _assert_identical(program, params, arrays):
     for name in out_i:
         np.testing.assert_array_equal(out_i[name], out_v[name])
     assert interp.trace == engine.trace
-    # Every edge case of this file also goes through the native tier,
-    # which shares the plan the fast engine just built.
-    native = make_engine(program, engine="native")
-    out_n = native.run(params, arrays)
+    # Every edge case of this file also runs on a second fast engine,
+    # which shares the plan the first one just built.
+    again = make_engine(program, engine="fast")
+    out_again = again.run(params, arrays)
     for name in out_i:
-        np.testing.assert_array_equal(out_i[name], out_n[name], err_msg="native")
-    assert interp.trace == native.trace
+        np.testing.assert_array_equal(out_i[name], out_again[name], err_msg="shared plan")
+    assert interp.trace == again.trace
     return engine
 
 
@@ -373,14 +373,14 @@ def test_executor_honours_compile_options_engine(gemm_source, rng):
     executor.run(result, params, arrays)
     assert executor.last_engine_used == "interpreter"
     # Explicit engine argument wins over the compiled options.
-    executor.run(result, params, arrays, engine="native")
-    assert executor.last_engine_used == "native"
+    executor.run(result, params, arrays, engine="fast")
+    assert executor.last_engine_used == "fast"
     # A bare Program falls back to the executor's own default.
     executor.run(result.program, params, arrays)
     assert executor.last_engine_used == "fast"
     # An explicit constructor engine also wins over the compiled options.
     result = dataclasses.replace(
-        result, options=dataclasses.replace(result.options, engine="native")
+        result, options=dataclasses.replace(result.options, engine="fast")
     )
     pinned = OffloadExecutor(engine="interpreter")
     pinned.run(result, params, arrays)
@@ -421,7 +421,10 @@ def test_engine_modes_validation():
         make_engine(program, engine="magic")
     from repro import ENGINE_MODES
 
-    assert ENGINE_MODES == ("interpreter", "fast", "native")
+    assert ENGINE_MODES == ("interpreter", "fast")
+    # "native" was a second name for "fast"; the error names the one left.
+    with pytest.raises(ValueError, match="'fast'"):
+        make_engine(program, engine="native")
     with pytest.raises(ValueError):
         make_engine(program, engine="vectorized")
     with pytest.raises(TypeError):

@@ -1,15 +1,16 @@
 """Additional coverage: IR visitors, runtime-call rendering, options, errors."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.codegen.runtime_calls import (
+    ALL_RUNTIME_CALLS,
     BatchedGemmCallArgs,
-    Conv2DCallArgs,
     CopyCallArgs,
-    GemmCallArgs,
-    GemvCallArgs,
     InitCallArgs,
+    KernelCallArgs,
     MallocCallArgs,
 )
 from repro.compiler import CompileOptions
@@ -17,6 +18,8 @@ from repro.hw.microengine import Conv2DRequest, GemmRequest
 from repro.ir.expr import ArrayRef, BinOp, IntConst, ParamRef, VarRef
 from repro.ir.stmt import Assign, Block, Loop
 from repro.ir.visitor import IRVisitor, rename_arrays, substitute
+from repro.runtime.blas import CimBlas
+from repro.tactics.patterns import KERNEL_SPECS
 from repro.workloads import PAPER_KERNELS, get_kernel
 
 
@@ -59,13 +62,18 @@ def test_visitor_dispatch(gemm_program):
 # ----------------------------------------------------------------------
 # Runtime call argument rendering (Listing 1 fidelity)
 # ----------------------------------------------------------------------
+def _call_args(kind, *values):
+    """A kind's payload with *values* in its layout's order."""
+    spec = next(spec for spec in KERNEL_SPECS if spec.kind == kind)
+    return KernelCallArgs(spec.entry, tuple(zip(spec.layout, values, strict=True)), {},
+                          spec.stationary)
+
+
 def test_runtime_call_arg_rendering():
     m, n, k = ParamRef("M"), ParamRef("N"), ParamRef("K")
-    gemm = GemmCallArgs(
-        trans_a=False, trans_b=True, m=m, n=n, k=k,
-        alpha=ParamRef("alpha"), buffer_a="cim_A", lda=k,
-        buffer_b="cim_B", ldb=n, beta=ParamRef("beta"), buffer_c="cim_C", ldc=n,
-        array_a="A", array_b="B", array_c="C",
+    alpha, beta = ParamRef("alpha"), ParamRef("beta")
+    gemm = _call_args(
+        "gemm", False, True, m, n, k, alpha, "cim_A", k, "cim_B", n, beta, "cim_C", n
     )
     assert str(gemm) == (
         "CimNoTrans, CimTrans, M, N, K, &alpha, cim_A, K, cim_B, N, &beta, cim_C, N"
@@ -73,15 +81,10 @@ def test_runtime_call_arg_rendering():
     assert str(InitCallArgs(0)) == "0"
     assert str(MallocCallArgs("cim_A", "A", m)) == "(void**)&cim_A, M"
     assert str(CopyCallArgs("cim_C", "C", m)) == "cim_C, C, M"
-    gemv = GemvCallArgs(
-        trans_a=True, m=m, n=n, alpha=ParamRef("alpha"), buffer_a="cim_A",
-        lda=n, buffer_x="cim_x", beta=ParamRef("beta"), buffer_y="cim_y",
-    )
+    gemv = _call_args("gemv", True, m, n, alpha, "cim_A", n, "cim_x", beta, "cim_y")
     assert str(gemv) == "CimTrans, M, N, &alpha, cim_A, N, cim_x, &beta, cim_y"
-    conv = Conv2DCallArgs(
-        out_h=m, out_w=n, filter_h=IntConst(3), filter_w=IntConst(3),
-        alpha=ParamRef("alpha"), buffer_img="cim_img", buffer_w="cim_W",
-        beta=ParamRef("beta"), buffer_out="cim_out",
+    conv = _call_args(
+        "conv2d", m, n, IntConst(3), IntConst(3), alpha, "cim_img", "cim_W", beta, "cim_out"
     )
     assert str(conv) == "M, N, 3, 3, &alpha, cim_img, cim_W, &beta, cim_out"
     batched = BatchedGemmCallArgs((gemm, gemm))
@@ -89,9 +92,18 @@ def test_runtime_call_arg_rendering():
         "CimNoTrans, CimTrans, M, N, K, &alpha, {cim_A, cim_A}, K, "
         "{cim_B, cim_B}, N, &beta, {cim_C, cim_C}, N, 2"
     )
-    assert batched.trans_b is True
+    with pytest.raises(ValueError, match="GEMM problems only"):
+        BatchedGemmCallArgs((gemm, gemv))
     with pytest.raises(ValueError):
         BatchedGemmCallArgs(())
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda spec: spec.kind)
+def test_spec_layout_fills_its_blas_entry(spec):
+    parameters = list(inspect.signature(getattr(CimBlas, spec.entry)).parameters.values())[1:]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+    assert len(spec.layout) == len(parameters)
+    assert spec.call in ALL_RUNTIME_CALLS
 
 
 # ----------------------------------------------------------------------

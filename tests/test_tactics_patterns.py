@@ -42,9 +42,7 @@ def test_gemm_detected_with_alpha_beta(gemm_source):
 def test_gemm_extent_expressions(gemm_source):
     scop, tree = _analyse(gemm_source)
     match = _of_kind(scop, "gemm")[0]
-    assert str(match.m_expr) == "M"
-    assert str(match.n_expr) == "N"
-    assert str(match.k_expr) == "K"
+    assert [str(match.extent_expr(role)) for role in "ijk"] == ["M", "N", "K"]
     assert match.extent("i", {"M": 7, "N": 3, "K": 2}) == 7
     assert match.macs({"M": 2, "N": 3, "K": 4}) == 24
 
