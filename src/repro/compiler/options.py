@@ -57,10 +57,10 @@ class CompileOptions:
     #: Execution engine for the host-side IR: ``"fast"`` (one emitted
     #: kernel per nest, run as C when a C toolchain and cffi are present
     #: and as slice-folded NumPy otherwise, bit-identical to the
-    #: interpreter), or ``"interpreter"`` (the reference tree-walker).  Honoured
-    #: automatically when the
-    #: :class:`CompilationResult` is passed to :meth:`OffloadExecutor.run`;
-    #: it does not change the generated code or any cost-model report.
+    #: interpreter), or ``"interpreter"`` (the reference tree-walker).
+    #: Honoured automatically when the :class:`CompilationResult` is passed
+    #: to :meth:`OffloadExecutor.run`; it does not change the generated code
+    #: or any cost-model report.
     engine: str = "fast"
     #: Pass pipeline to run: a named pipeline (``"default"``, ``"no-fusion"``,
     #: ``"detect-only"``) or an explicit sequence of pass names (see

@@ -25,6 +25,7 @@ intensity estimate, the executor and the serving batcher read one row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from repro.codegen.runtime_calls import CIM_CONV2D, CIM_GEMM, CIM_GEMV, Slot, layout
@@ -93,7 +94,7 @@ class KernelSpec:
     layout: tuple[Slot, ...]
     variants: tuple[Variant, ...]
 
-    @property
+    @cached_property
     def stationary_dims(self) -> tuple[str, ...]:
         """Dimension roles subscripting the stationary operand."""
         access = next(a for a in self.variants[0].accesses if a.array.name == self.stationary)
