@@ -1,19 +1,20 @@
 """Execution of compiled programs on the emulated system.
 
 The executor is the "linker + loader" of the flow: it runs a (possibly
-offloaded) IR program with the reference interpreter, dispatching every
-``polly_cim*`` call statement to the CIM runtime library of a
-:class:`~repro.system.system.CimSystem`, and collects a complete execution
-report — host instructions/energy/time for the statements that stayed on
-the host, driver/copy/flush overheads, and the accelerator's energy,
-latency, GEMV count and crossbar writes.
+offloaded) IR program on an execution engine, runs every ``polly_cim*``
+call on the CIM runtime library of a :class:`~repro.system.system.CimSystem`
+once :func:`bind_call` has bound it (per params, into the fast engine's
+plan, for a top-level call that can be; per run otherwise), and collects a
+complete execution report — host instructions/energy/time for the
+statements that stayed on the host, driver/copy/flush overheads, and the
+accelerator's energy, latency, GEMV count and crossbar writes.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,11 +29,8 @@ from repro.codegen.runtime_calls import (
     CIM_MALLOC,
     SCALAR,
     TRANS,
-    BatchedGemmCallArgs,
-    CopyCallArgs,
     InitCallArgs,
     KernelCallArgs,
-    MallocCallArgs,
 )
 from repro.host.cost_model import HostCostModel, HostExecutionEstimate
 from repro.hw.stats import AcceleratorRunStats
@@ -123,10 +121,10 @@ class OffloadExecutor:
 
     ``engine`` selects the execution engine for the host-side IR (see
     :data:`repro.ir.engine.ENGINE_MODES`): the ``"fast"`` engine (default,
-    emitted C or slice-folded kernels, bit-identical to the interpreter) or
-    the reference ``"interpreter"``.  Both engines produce identical
-    results and execution traces, so the cost-model numbers do not
-    depend on this choice.
+    emitted C or slice-folded kernels, bit-identical to the interpreter,
+    replaying a plan per params) or the reference ``"interpreter"``.  Both
+    produce identical results and execution traces, so the cost-model
+    numbers do not depend on this choice.
 
     Engine precedence, most specific wins: the ``engine`` argument of
     :meth:`run`, then an ``engine`` given to this constructor, then the
@@ -215,7 +213,8 @@ class OffloadExecutor:
         runs_before = len(self.system.accelerator.completed_runs)
 
         interpreter = make_engine(
-            program, call_handler=self._handle_call, engine=self.last_engine_used
+            program, self._handle_call, self.last_engine_used,
+            call_binder=bind_call, call_runner=self._run_bound,
         )
         final_arrays = interpreter.run(params, arrays)
 
@@ -230,83 +229,110 @@ class OffloadExecutor:
         return final_arrays, report
 
     # ------------------------------------------------------------------
-    # Runtime call dispatch
+    # Runtime calls: bound by bind_call, run by the _do_* methods
     # ------------------------------------------------------------------
     def _handle_call(self, callee: str, args: list, interp: Interpreter) -> None:
-        payload = args[0] if args else None
-        if isinstance(payload, KernelCallArgs) and callee in ALL_RUNTIME_CALLS:
-            getattr(self.system.blas, payload.entry)(*self._resolve(payload, interp))
-        elif callee == CIM_INIT:
-            device = payload.device if isinstance(payload, InitCallArgs) else int(payload or 0)
-            self.system.runtime.cim_init(device)
-        elif callee == CIM_MALLOC:
-            self._do_malloc(payload, interp)
-        elif callee == CIM_HOST_TO_DEV:
-            self._do_host_to_dev(payload, interp)
-        elif callee == CIM_DEV_TO_HOST:
-            self._do_dev_to_host(payload, interp)
-        elif callee == CIM_FREE:
-            buffer = self._require_buffer(payload if isinstance(payload, str) else payload.buffer)
-            self.system.runtime.cim_free(buffer)
-        elif callee == CIM_GEMM_BATCHED:
-            self._do_gemm_batched(payload, interp)
-        else:
-            raise ExecutorError(f"unknown runtime call {callee!r}")
+        self._run_bound(bind_call(callee, args, interp.scalars, interp.arrays), interp)
 
-    # ------------------------------------------------------------------
-    def _eval(self, expr, interp: Interpreter) -> float:
-        if isinstance(expr, Expr):
-            return evaluate_expr(expr, interp.scalars, interp.arrays)
-        return float(expr)
-
-    def _eval_int(self, expr, interp: Interpreter) -> int:
-        return int(round(self._eval(expr, interp)))
+    def _run_bound(self, bound: BoundCall, interp: Interpreter) -> None:
+        getattr(self, bound.method)(interp.arrays, *bound.args)
 
     def _require_buffer(self, name: str) -> DeviceBuffer:
         if name not in self._buffers:
             raise ExecutorError(f"runtime call references unknown buffer {name!r}")
         return self._buffers[name]
 
-    def _do_malloc(self, payload: MallocCallArgs, interp: Interpreter) -> None:
-        size = self._eval_int(payload.size, interp)
-        buffer = self.system.runtime.cim_malloc(size)
-        self._buffers[payload.buffer] = buffer
+    def _with_buffers(self, args: tuple) -> list:
+        return [self._require_buffer(arg) if type(arg) is _Buffer else arg for arg in args]
 
-    def _do_host_to_dev(self, payload: CopyCallArgs, interp: Interpreter) -> None:
-        buffer = self._require_buffer(payload.buffer)
-        array = interp.arrays.get(payload.array)
-        if array is None:
-            raise ExecutorError(f"host array {payload.array!r} is not bound")
-        self.system.runtime.cim_host_to_dev(buffer, array)
+    def _do_init(self, arrays: dict, device: int) -> None:
+        self.system.runtime.cim_init(device)
 
-    def _do_dev_to_host(self, payload: CopyCallArgs, interp: Interpreter) -> None:
-        buffer = self._require_buffer(payload.buffer)
-        array = interp.arrays.get(payload.array)
-        if array is None:
-            raise ExecutorError(f"host array {payload.array!r} is not bound")
-        result = self.system.runtime.cim_dev_to_host(buffer, array.shape)
-        interp.arrays[payload.array] = result.astype(array.dtype)
+    def _do_malloc(self, arrays: dict, buffer: str, size: int) -> None:
+        self._buffers[buffer] = self.system.runtime.cim_malloc(size)
 
-    def _resolve(self, payload: KernelCallArgs, interp: Interpreter) -> list:
-        """The positional arguments of *payload*'s BLAS entry: dimensions
-        and leading dimensions as ints, scalars as evaluated, buffers as
-        device buffers, transpose flags as they are."""
-        resolved: list = []
-        for slot, value in payload.args:
-            if slot.kind == BUFFER:
-                resolved.append(self._require_buffer(value))
-            elif slot.kind == SCALAR:
-                resolved.append(self._eval(value, interp))
-            elif slot.kind == TRANS:
-                resolved.append(value)
-            else:
-                resolved.append(self._eval_int(value, interp))
-        return resolved
+    def _do_free(self, arrays: dict, buffer: str) -> None:
+        self.system.runtime.cim_free(self._require_buffer(buffer))
 
-    def _do_gemm_batched(self, payload: BatchedGemmCallArgs, interp: Interpreter) -> None:
-        problems = [
-            dict(zip(_SGEMM_PARAMS, self._resolve(problem, interp)))
-            for problem in payload.problems
-        ]
-        first = problems[0]
-        self.system.blas.gemm_batched(first["trans_a"], first["trans_b"], problems)
+    def _do_host_to_dev(self, arrays: dict, buffer: str, array: str) -> None:
+        device = self._require_buffer(buffer)
+        self.system.runtime.cim_host_to_dev(device, _require_array(arrays, array))
+
+    def _do_dev_to_host(self, arrays: dict, buffer: str, array: str) -> None:
+        device = self._require_buffer(buffer)
+        host = _require_array(arrays, array)
+        # cim_dev_to_host returns a fresh array: stored as is, it is still
+        # private, which the C bodies' ``restrict`` needs.
+        result = self.system.runtime.cim_dev_to_host(device, host.shape)
+        arrays[array] = result.astype(host.dtype, copy=False)
+
+    def _do_kernel(self, arrays: dict, entry: str, args: tuple) -> None:
+        getattr(self.system.blas, entry)(*self._with_buffers(args))
+
+    def _do_gemm_batched(self, arrays: dict, *problems: tuple) -> None:
+        bound = [dict(zip(_SGEMM_PARAMS, self._with_buffers(args))) for args in problems]
+        first = bound[0]
+        self.system.blas.gemm_batched(first["trans_a"], first["trans_b"], bound)
+
+
+class BoundCall(NamedTuple):
+    """A runtime call resolved to the :class:`OffloadExecutor` method that
+    runs it and that method's arguments after the host arrays: names and
+    numbers only, so one bound call serves every executor."""
+
+    method: str
+    args: tuple
+
+
+class _Buffer(str):
+    """A device buffer's name among a kernel's bound arguments."""
+
+
+def _require_array(arrays: dict, name: str) -> np.ndarray:
+    array = arrays.get(name)
+    if array is None:
+        raise ExecutorError(f"host array {name!r} is not bound")
+    return array
+
+
+def _value(expr, scalars: Mapping, arrays: Mapping):
+    return evaluate_expr(expr, scalars, arrays) if isinstance(expr, Expr) else float(expr)
+
+
+def _resolve(payload: KernelCallArgs, scalars: Mapping, arrays: Mapping) -> tuple:
+    """The positional arguments of *payload*'s BLAS entry: dimensions and
+    leading dimensions as ints, scalars as evaluated, buffers as names,
+    transpose flags as they are."""
+    return tuple(
+        _Buffer(value) if slot.kind == BUFFER
+        else value if slot.kind == TRANS
+        else _value(value, scalars, arrays) if slot.kind == SCALAR
+        else int(round(_value(value, scalars, arrays)))
+        for slot, value in payload.args
+    )
+
+
+#: callee -> (payload, scalars, arrays) -> (method, args) of its BoundCall.
+_BINDERS = {
+    CIM_INIT: lambda p, s, a: (
+        "_do_init", (p.device if isinstance(p, InitCallArgs) else int(p or 0),)),
+    CIM_MALLOC: lambda p, s, a: ("_do_malloc", (p.buffer, int(round(_value(p.size, s, a))))),
+    CIM_FREE: lambda p, s, a: ("_do_free", (p if isinstance(p, str) else p.buffer,)),
+    CIM_HOST_TO_DEV: lambda p, s, a: ("_do_host_to_dev", (p.buffer, p.array)),
+    CIM_DEV_TO_HOST: lambda p, s, a: ("_do_dev_to_host", (p.buffer, p.array)),
+    CIM_GEMM_BATCHED: lambda p, s, a: (
+        "_do_gemm_batched", tuple(_resolve(q, s, a) for q in p.problems)),
+}
+
+
+def bind_call(callee: str, args: list, scalars: Mapping, arrays: Mapping) -> BoundCall:
+    """Resolve one runtime call against *scalars* and *arrays*: the one
+    binding path of the reference engine's calls and the fast engine's
+    per-params plans."""
+    payload = args[0] if args else None
+    if isinstance(payload, KernelCallArgs) and callee in ALL_RUNTIME_CALLS:
+        return BoundCall("_do_kernel", (payload.entry, _resolve(payload, scalars, arrays)))
+    binder = _BINDERS.get(callee)
+    if binder is None:
+        raise ExecutorError(f"unknown runtime call {callee!r}")
+    return BoundCall(*binder(payload, scalars, arrays))

@@ -25,7 +25,8 @@ Two engine names are accepted (see :func:`make_engine`):
 Nest plans and their kernels, C bodies included, are built the first
 time a nest runs and kept on the program (``Program.engine_plans``), so
 every later engine instance for that program reuses them; they are left
-behind when the program is pickled or copied.
+behind when the program is pickled or copied.  So are the fast engine's
+per-params plans (array shapes, nest trace deltas, bound runtime calls).
 
 Use :func:`repro.ir.engine.lowering.program_lowering_report` (surfaced as
 ``CompilationReport.nest_lowerings``) to see which tier every nest landed
@@ -34,7 +35,7 @@ on and why.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.ir.interp import CallHandler, Interpreter
 from repro.ir.program import Program
@@ -67,11 +68,14 @@ def make_engine(
     program: Program,
     call_handler: Optional[CallHandler] = None,
     engine: str = DEFAULT_ENGINE,
+    call_binder: Optional[Callable] = None,
+    call_runner: Optional[Callable] = None,
 ) -> Interpreter:
-    """Instantiate the execution engine selected by *engine*."""
+    """Instantiate the execution engine selected by *engine*; the
+    reference interpreter takes no call binder or runner."""
     if validate_engine(engine) == "interpreter":
         return Interpreter(program, call_handler=call_handler)
-    return VectorizedEngine(program, call_handler=call_handler)
+    return VectorizedEngine(program, call_handler, call_binder, call_runner)
 
 
 __all__ = [

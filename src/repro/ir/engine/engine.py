@@ -40,8 +40,8 @@ runs it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,9 +57,9 @@ from repro.ir.expr import (
     UnaryOp,
     VarRef,
 )
-from repro.ir.interp import CallHandler, Interpreter, InterpreterError
+from repro.ir.interp import CallHandler, ExecutionTrace, Interpreter, InterpreterError
 from repro.ir.program import Program
-from repro.ir.stmt import Assign, Block, Loop, Stmt
+from repro.ir.stmt import Assign, Block, CallStmt, Loop, Stmt
 from repro.ir.engine.analysis import (
     FoldRef,
     FoldSpec,
@@ -452,6 +452,13 @@ def emit_kernel(plan: NestPlan) -> Optional[NestKernel]:
 # ----------------------------------------------------------------------
 
 
+#: Per-params plans a program keeps, least recently used dropped first.
+PARAMS_PLANS = 8
+
+#: The counts of an :class:`ExecutionTrace` a nest's kernel run adds.
+TRACE_COUNTS = tuple(f.name for f in fields(ExecutionTrace) if f.name != "runtime_calls")
+
+
 @dataclass
 class ProgramPlans:
     """Everything the engines derive from one program, and nothing that
@@ -467,19 +474,56 @@ class ProgramPlans:
     #: The interpreter's ``_assign_plans``: they hold the per-execution
     #: trace deltas the analytical trace multiplies.
     assigns: dict = field(default_factory=dict)
+    #: A :class:`ParamsPlan` (a function of the statements and the
+    #: params) by the params' names, types and reprs, least recently
+    #: used first.
+    runs: dict = field(default_factory=dict)
+
+
+@dataclass
+class NestStep:
+    """A top-level nest that has a kernel, with the variables its loop
+    bounds read and its trace delta: ``(their values, TRACE_COUNTS)``."""
+
+    plan: NestPlan
+    names: tuple[str, ...]
+    delta: tuple = (None, ())
+
+
+class CallStep(NamedTuple):
+    """A top-level runtime call's trace record and its call binder's result."""
+
+    record: tuple
+    bound: object
+
+
+@dataclass
+class ParamsPlan:
+    """What a run with given params replays: its arrays, then its statements."""
+
+    #: ``(name, shape, dtype)`` of each declared array.
+    layout: tuple
+    #: Per top-level statement: its :class:`NestStep` or :class:`CallStep`,
+    #: or the statement itself, run as an unplanned run would.
+    steps: tuple
 
 
 class VectorizedEngine(Interpreter):
     """Interpreter subclass that runs planned loop nests on their emitted
     kernels (C body, else fold body) and everything else on the
-    interpreter."""
+    interpreter, replaying the :class:`ParamsPlan` of a run's params.  A
+    top-level call is bound into it by ``call_binder(callee, args,
+    scalars, arrays)`` and run by ``call_runner(bound, engine)``."""
 
-    def __init__(self, program: Program, call_handler: Optional[CallHandler] = None):
+    def __init__(self, program: Program, call_handler: Optional[CallHandler] = None,
+                 call_binder: Optional[Callable] = None, call_runner: Optional[Callable] = None):
         super().__init__(program, call_handler)
         if program.engine_plans is None:
             program.engine_plans = ProgramPlans()
         self.plans: ProgramPlans = program.engine_plans
         self._assign_plans = self.plans.assigns
+        self.call_binder = call_binder
+        self.call_runner = call_runner
 
     # ------------------------------------------------------------------
     # Planning
@@ -500,14 +544,71 @@ class VectorizedEngine(Interpreter):
             self.plans.nests[id(loop)] = plan
         return plan
 
+    def _params_plan(self, params) -> Optional[ParamsPlan]:
+        runs = self.plans.runs
+        # repr() tells -0.0 from 0.0, which a bound call would pass on.
+        key = tuple((name, type(value), repr(value)) for name, value in params.items())
+        plan = runs.pop(key, None)
+        if plan is None:
+            plan = ParamsPlan(self.array_layout(params), self._steps(params))
+            if len(runs) >= PARAMS_PLANS:  # list() reads the keys in one step
+                runs.pop(list(runs)[0], None)
+        runs[key] = plan
+        return plan
+
+    def _steps(self, params) -> tuple:
+        body = self.program.body
+        assigned = {s.target.name for s in body.walk()
+                    if isinstance(s, Assign) and not isinstance(s.target, ArrayRef)}
+        fixed = {name: value for name, value in params.items() if name not in assigned}
+        return tuple(self._step(stmt, fixed) for stmt in body.stmts)
+
+    def _step(self, stmt: Stmt, fixed: dict):
+        """*stmt*'s step, or *stmt*.  A call binds against *fixed* (the params
+        no statement assigns) and no arrays, or not at all."""
+        if isinstance(stmt, Loop):
+            plan = self.nest_plan(stmt)
+            if plan is not None and plan.kernel is not None:
+                names = set().union(*(loop.lower.free_vars() | loop.upper.free_vars()
+                                      for loop in stmt.walk() if isinstance(loop, Loop)))
+                return NestStep(plan, tuple(sorted(names)))
+        elif isinstance(stmt, CallStmt) and self.call_binder and self.call_runner:
+            try:
+                bound = self.call_binder(stmt.callee, list(stmt.args), fixed, {})
+                return CallStep((stmt.callee, tuple(stmt.args)), bound)
+            except Exception:
+                pass  # bound again on every run, by the call handler
+        return stmt
+
     # ------------------------------------------------------------------
     # Statement dispatch
     # ------------------------------------------------------------------
+    def _exec_body(self, plan: Optional[ParamsPlan]) -> None:
+        if plan is None:
+            return super()._exec_body(plan)
+        trace = self.trace
+        for step in plan.steps:
+            if type(step) is CallStep:
+                trace.statements_executed += 1
+                trace.runtime_calls.append(step.record)
+                self.call_runner(step.bound, self)
+            elif type(step) is not NestStep:
+                self._exec_stmt(step)
+            elif self._run_kernel(step.plan):
+                key = tuple(map(self.scalars.get, step.names))
+                cached, delta = step.delta
+                if cached != key:
+                    delta = self._nest_delta(step.plan)
+                    step.delta = (key, delta)
+                self._add(delta)
+            else:  # the guard tripped: the interpreter runs and traces it
+                super()._exec_stmt(step.plan.root)
+
     def _exec_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Loop):
             plan = self.nest_plan(stmt)
             if plan is not None and self._run_kernel(plan):
-                self._account_nest(plan)
+                self._add(self._nest_delta(plan))
                 return
         super()._exec_stmt(stmt)
 
@@ -523,9 +624,14 @@ class VectorizedEngine(Interpreter):
     # ------------------------------------------------------------------
     # Analytical trace accounting
     # ------------------------------------------------------------------
-    def _account_nest(self, plan: NestPlan) -> None:
-        """Apply the exact trace increments of interpreting *plan.root*
-        (called once its kernel has run).
+    def _add(self, delta: tuple) -> None:
+        trace = self.trace
+        for name, count in zip(TRACE_COUNTS, delta):
+            setattr(trace, name, getattr(trace, name) + count)
+
+    def _nest_delta(self, plan: NestPlan) -> tuple:
+        """The exact trace increments (:data:`TRACE_COUNTS`) of
+        interpreting *plan.root*, added once its kernel has run.
 
         Works on the *original* (undistributed) nest so loop-iteration and
         statement counts match the interpreter to the last integer, using
@@ -533,20 +639,21 @@ class VectorizedEngine(Interpreter):
         appear in deeper bounds are enumerated as integer grids, so
         triangular/tiled (min/max) bounds are also counted exactly.
         """
-        self._trace_stmt(plan.root, {}, 1, plan.enumerate_vars)
+        trace = ExecutionTrace()
+        self._trace_stmt(plan.root, {}, 1, plan.enumerate_vars, trace)
+        return tuple(getattr(trace, name) for name in TRACE_COUNTS)
 
-    def _trace_stmt(self, stmt: Stmt, env: dict, mult, enum_vars: dict) -> None:
+    def _trace_stmt(self, stmt: Stmt, env: dict, mult, enum_vars: dict, trace) -> None:
         if isinstance(stmt, Block):
             for child in stmt.stmts:
-                self._trace_stmt(child, env, mult, enum_vars)
+                self._trace_stmt(child, env, mult, enum_vars, trace)
         elif isinstance(stmt, Loop):
-            self._trace_loop(stmt, env, mult, enum_vars)
+            self._trace_loop(stmt, env, mult, enum_vars, trace)
         elif isinstance(stmt, Assign):
             plan = self._assign_plan(stmt)
             total = int(np.sum(mult)) if isinstance(mult, np.ndarray) else int(mult)
             if total <= 0:
                 return
-            trace = self.trace
             trace.statements_executed += total
             trace.flops += plan.d_flops * total
             trace.int_ops += plan.d_int_ops * total
@@ -555,7 +662,7 @@ class VectorizedEngine(Interpreter):
         else:  # pragma: no cover - screened out at plan time
             raise InterpreterError(f"cannot account statement {stmt!r}")
 
-    def _trace_loop(self, loop: Loop, env: dict, mult, enum_vars: dict) -> None:
+    def _trace_loop(self, loop: Loop, env: dict, mult, enum_vars: dict, trace) -> None:
         lower = _eval_bound(loop.lower, env, self.scalars)
         upper = _eval_bound(loop.upper, env, self.scalars)
         step = loop.step
@@ -567,7 +674,6 @@ class VectorizedEngine(Interpreter):
         total = int(np.sum(iter_total)) if isinstance(iter_total, np.ndarray) else int(
             iter_total
         )
-        trace = self.trace
         trace.loop_iterations += total
         trace.branches += total
         trace.int_ops += total  # induction-variable increments
@@ -591,7 +697,7 @@ class VectorizedEngine(Interpreter):
             else:
                 child_mult = mult * per_value
             for child in loop.body.stmts:
-                self._trace_stmt(child, child_env, child_mult, enum_vars)
+                self._trace_stmt(child, child_env, child_mult, enum_vars, trace)
         else:
             for child in loop.body.stmts:
-                self._trace_stmt(child, env, iter_total, enum_vars)
+                self._trace_stmt(child, env, iter_total, enum_vars, trace)

@@ -236,7 +236,6 @@ class _CompiledAssign:
     target_name: Optional[str]  # None for scalar targets
     index_fns: tuple
     reduction: Optional[str]
-    is_float: bool
     d_flops: int
     d_int_ops: int
     d_loads: int
@@ -275,15 +274,12 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Setup and entry point
     # ------------------------------------------------------------------
-    def allocate_arrays(
-        self, params: Mapping[str, int | float]
-    ) -> dict[str, np.ndarray]:
-        """Allocate zero-filled arrays for every declaration."""
-        allocated: dict[str, np.ndarray] = {}
-        for decl in self.program.arrays:
-            shape = decl.extent(params)
-            allocated[decl.name] = np.zeros(shape, dtype=decl.elem_type.numpy_dtype)
-        return allocated
+    def array_layout(self, params: Mapping[str, int | float]) -> tuple:
+        """``(name, shape, dtype)`` of every declared array under *params*."""
+        return tuple(
+            (decl.name, decl.extent(params), decl.elem_type.numpy_dtype)
+            for decl in self.program.arrays
+        )
 
     def run(
         self,
@@ -298,24 +294,32 @@ class Interpreter:
         missing = [p.name for p in self.program.params if p.name not in self.scalars]
         if missing:
             raise InterpreterError(f"missing parameter bindings: {missing}")
+        plan = self._params_plan(params)
+        layout = self.array_layout(params) if plan is None else plan.layout
         if arrays is None:
-            self.arrays = self.allocate_arrays(params)
+            self.arrays = {name: np.zeros(shape, dtype) for name, shape, dtype in layout}
         else:
             self.arrays = {}
-            for decl in self.program.arrays:
-                if decl.name not in arrays:
-                    raise InterpreterError(f"missing array binding {decl.name!r}")
-                provided = np.asarray(arrays[decl.name], dtype=decl.elem_type.numpy_dtype)
-                expected = decl.extent(self.scalars)
-                if tuple(provided.shape) != tuple(expected):
+            for name, shape, dtype in layout:
+                if name not in arrays:
+                    raise InterpreterError(f"missing array binding {name!r}")
+                provided = np.array(arrays[name], dtype=dtype, order="C")
+                if provided.shape != shape:
                     raise InterpreterError(
-                        f"array {decl.name!r} has shape {provided.shape}, "
-                        f"expected {expected}"
+                        f"array {name!r} has shape {provided.shape}, expected {shape}"
                     )
-                self.arrays[decl.name] = provided.copy()
+                self.arrays[name] = provided
         self.trace = ExecutionTrace()
-        self._exec_block(self.program.body)
+        self._exec_body(plan)
         return self.arrays
+
+    def _params_plan(self, params: Mapping[str, int | float]) -> Optional[object]:
+        """What a run with *params* replays (it has a ``layout``): none here."""
+        return None
+
+    def _exec_body(self, plan: Optional[object]) -> None:
+        """Execute the program body (*plan* is ``_params_plan``'s)."""
+        self._exec_block(self.program.body)
 
     # ------------------------------------------------------------------
     # Statement execution
@@ -393,7 +397,6 @@ class Interpreter:
             target_name=target_name,
             index_fns=index_fns,
             reduction=stmt.reduction,
-            is_float=is_float,
             d_flops=d_flops,
             d_int_ops=d_int_ops,
             d_loads=d_loads,
@@ -438,19 +441,3 @@ class Interpreter:
                 f"no call handler installed for runtime call {stmt.callee!r}"
             )
         self.call_handler(stmt.callee, list(stmt.args), self)
-
-    # ------------------------------------------------------------------
-    # Helpers for call handlers
-    # ------------------------------------------------------------------
-    def resolve(self, arg: object) -> object:
-        """Resolve a call argument: expressions are evaluated, array names
-        are looked up, other values pass through unchanged."""
-        if isinstance(arg, Expr) and not isinstance(arg, ArrayRef):
-            return evaluate_expr(arg, self.scalars, self.arrays)
-        if isinstance(arg, ArrayRef) and not arg.indices:
-            return self.arrays[arg.name]
-        if isinstance(arg, str) and arg in self.arrays:
-            return self.arrays[arg]
-        if isinstance(arg, Expr):
-            return evaluate_expr(arg, self.scalars, self.arrays)
-        return arg

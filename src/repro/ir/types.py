@@ -23,23 +23,23 @@ class ElementType(enum.Enum):
     @property
     def size_bytes(self) -> int:
         """Size of one element in bytes (as on a 32/64-bit C target)."""
-        return {
-            ElementType.F32: 4,
-            ElementType.F64: 8,
-            ElementType.I32: 4,
-            ElementType.I64: 8,
-        }[self]
+        return _SIZE_BYTES[self._value_]
 
     @property
     def numpy_dtype(self) -> np.dtype:
         """NumPy dtype used by the interpreter for this element type."""
-        return {
-            ElementType.F32: np.dtype(np.float32),
-            ElementType.F64: np.dtype(np.float64),
-            ElementType.I32: np.dtype(np.int32),
-            ElementType.I64: np.dtype(np.int64),
-        }[self]
+        return _NUMPY_DTYPES[self._value_]
 
     @property
     def is_float(self) -> bool:
         return self in (ElementType.F32, ElementType.F64)
+
+
+# Keyed by the enum's values: a string lookup, not a member hash.
+_SIZE_BYTES = {"float": 4, "double": 8, "int": 4, "long": 8}
+_NUMPY_DTYPES = {
+    "float": np.dtype(np.float32),
+    "double": np.dtype(np.float64),
+    "int": np.dtype(np.int32),
+    "long": np.dtype(np.int64),
+}

@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import CompileOptions, OffloadExecutor, compile_source
 from repro.system import CimSystem
+from repro.workloads.polybench import KERNELS
 
 SUITE_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "suite"
 
@@ -99,3 +101,32 @@ def test_traced_device_calls_keep_the_conventions_the_tracer_reads(suite):
     for span in ("hw.tile_write_ms", "hw.gemv_ms", "hw.microengine_ms", "hw.dma_ms",
                  "system.memory_ms"):
         assert calls.get(span, 0) > 0, f"no traced call reached {span}"
+
+
+@pytest.mark.parametrize("offload", [False, True], ids=["host", "offload"])
+def test_a_traced_run_reaches_the_engine_and_the_device_spans(suite, offload):
+    """The layer-separation checks read ``ir.engine.run_self_ms`` (the
+    wrapped ``Interpreter.run``, which the fast engine must not override)
+    and the device spans, which a pre-bound runtime call reaches only if
+    it looks its ``CimBlas`` entry up when it runs."""
+    spans, workloads = suite
+    kernel = KERNELS["gesummv"]
+    options = CompileOptions() if offload else CompileOptions.host_only()
+    program = compile_source(kernel.source, options).program
+    params, arrays = kernel.params("MINI"), kernel.arrays("MINI", 1)
+    executor = OffloadExecutor()
+    executor.run(program, params, arrays)  # plans outside the traced operations
+    tracer = spans.Tracer()
+    try:
+        workloads.instrument(tracer)
+        for op in range(2):
+            with tracer.operation(op):
+                executor.run(program, params, arrays)
+            executor.system.runtime.free_all()
+    finally:
+        tracer.unwrap_all()
+    own = tracer.self_times()
+    assert own.get("ir.engine.run_self_ms", 0.0) > 0
+    device = ("runtime.blas_self_ms", "hw.microengine_ms")
+    for span in device:
+        assert (own.get(span, 0.0) > 0) == offload, span

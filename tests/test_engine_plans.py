@@ -38,12 +38,14 @@ from repro.workloads.polybench import KERNELS, PAPER_KERNELS
 PLANNING_ENGINES = ("fast",)
 
 
-def _compiled(name: str = "gesummv", engine: str = "fast"):
+def _compiled(name: str = "gesummv", engine: str = "fast", offload: bool = False):
     """A private compilation (the process-wide compile cache would hand
     every test the same program object, plans and all)."""
     kernel = KERNELS[name]
     options = dataclasses.replace(
-        CompileOptions.host_only(), engine=engine, enable_compile_cache=False
+        CompileOptions() if offload else CompileOptions.host_only(),
+        engine=engine,
+        enable_compile_cache=False,
     )
     return (
         compile_source(kernel.source, options=options),
@@ -83,16 +85,30 @@ def planning_spy(monkeypatch):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
 def test_second_and_later_runs_do_not_plan(engine, planning_spy):
-    result, params, arrays = _compiled(engine=engine)
-    executor = OffloadExecutor()
-    first = executor.run(result, params, arrays)
-    planned = len(planning_spy)
-    assert planned > 0, "the first run did not plan through the spied function"
-    for _ in range(3):
-        _assert_same_run(first, executor.run(result, params, arrays))
-    # A fresh executor (and so a fresh engine instance) shares them too.
-    _assert_same_run(first, OffloadExecutor().run(result, params, arrays))
-    assert len(planning_spy) == planned
+    for offload in (False, True):
+        planning_spy.clear()
+        result, params, arrays = _compiled(engine=engine, offload=offload)
+
+        def run(executor):
+            outcome = executor.run(result, params, arrays)
+            executor.system.runtime.free_all()
+            return outcome
+
+        executor = OffloadExecutor()
+        first = run(executor)
+        planned = len(planning_spy)
+        assert planned > 0, "the first run did not plan through the spied function"
+        (params_plan,) = result.program.engine_plans.runs.values()
+        steps = {type(step).__name__ for step in params_plan.steps}
+        assert steps == ({"CallStep", "NestStep"} if offload else {"NestStep"})
+        # An executor's first offloaded run also initialises its runtime.
+        second = run(executor)
+        for _ in range(2):
+            _assert_same_run(second, run(executor))
+        # A fresh executor (and so a fresh engine instance) shares them too.
+        _assert_same_run(first, run(OffloadExecutor()))
+        assert len(planning_spy) == planned
+        assert list(result.program.engine_plans.runs.values()) == [params_plan]
 
 
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
@@ -157,19 +173,28 @@ def test_disk_cache_stores_a_result_that_has_run(engine, tmp_path):
     ids=["pickle", "deepcopy"],
 )
 def test_copies_run_identically_and_share_no_plan_state(engine, duplicate):
-    result, params, arrays = _compiled(engine=engine)
-    original = _run(result, params, arrays)
-    twin = duplicate(result)
-    assert twin.program == result.program
-    assert twin.program.engine_plans is None
-    _assert_same_run(original, _run(twin, params, arrays))
-    mine, theirs = result.program.engine_plans, twin.program.engine_plans
-    assert theirs is not None and theirs is not mine
-    assert not set(mine.nests) & set(theirs.nests)
-    for plan in theirs.nests.values():
-        assert any(plan.root is loop for loop in twin.program.top_level_loops())
-    # The original keeps working after its twin planned.
-    _assert_same_run(original, _run(result, params, arrays))
+    for offload in (False, True):
+        result, params, arrays = _compiled(engine=engine, offload=offload)
+        original = _run(result, params, arrays)
+        twin = duplicate(result)
+        assert twin.program == result.program
+        # No nest plan, per-params plan, bound call or trace delta rides along.
+        assert twin.program.engine_plans is None
+        _assert_same_run(original, _run(twin, params, arrays))
+        mine, theirs = result.program.engine_plans, twin.program.engine_plans
+        assert theirs is not None and theirs is not mine
+        assert not set(mine.nests) & set(theirs.nests)
+        for plan in theirs.nests.values():
+            assert any(plan.root is loop for loop in twin.program.top_level_loops())
+        (my_run,), (their_run,) = mine.runs.values(), theirs.runs.values()
+        assert their_run is not my_run
+        assert not {id(step) for step in my_run.steps} & {id(step) for step in their_run.steps}
+        for step in their_run.steps:
+            if hasattr(step, "plan"):  # a nest step: the twin's plan, the twin's delta
+                assert any(step.plan.root is loop for loop in twin.program.top_level_loops())
+                assert step.delta[1]
+        # The original keeps working after its twin planned.
+        _assert_same_run(original, _run(result, params, arrays))
 
 
 # ----------------------------------------------------------------------
