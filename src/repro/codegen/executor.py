@@ -245,6 +245,9 @@ class OffloadExecutor:
     def _with_buffers(self, args: tuple) -> list:
         return [self._require_buffer(arg) if type(arg) is _Buffer else arg for arg in args]
 
+    def _do_unknown(self, arrays: dict, callee: str) -> None:
+        raise ExecutorError(f"unknown runtime call {callee!r}")
+
     def _do_init(self, arrays: dict, device: int) -> None:
         self.system.runtime.cim_init(device)
 
@@ -328,11 +331,12 @@ _BINDERS = {
 def bind_call(callee: str, args: list, scalars: Mapping, arrays: Mapping) -> BoundCall:
     """Resolve one runtime call against *scalars* and *arrays*: the one
     binding path of the reference engine's calls and the fast engine's
-    per-params plans."""
+    per-params plans.  Raises :class:`InterpreterError` if an expression
+    reads a name or array that is not given."""
     payload = args[0] if args else None
     if isinstance(payload, KernelCallArgs) and callee in ALL_RUNTIME_CALLS:
         return BoundCall("_do_kernel", (payload.entry, _resolve(payload, scalars, arrays)))
     binder = _BINDERS.get(callee)
-    if binder is None:
-        raise ExecutorError(f"unknown runtime call {callee!r}")
+    if binder is None:  # fails when it runs, as any call fails
+        return BoundCall("_do_unknown", (callee,))
     return BoundCall(*binder(payload, scalars, arrays))

@@ -25,8 +25,9 @@ Two engine names are accepted (see :func:`make_engine`):
 Nest plans and their kernels, C bodies included, are built the first
 time a nest runs and kept on the program (``Program.engine_plans``), so
 every later engine instance for that program reuses them; they are left
-behind when the program is pickled or copied.  So are the fast engine's
-per-params plans (array shapes, nest trace deltas, bound runtime calls).
+behind when the program is pickled or copied.  So are the nests' trace
+deltas and the fast engine's per-params plans (array shapes, bound
+runtime calls).
 
 Use :func:`repro.ir.engine.lowering.program_lowering_report` (surfaced as
 ``CompilationReport.nest_lowerings``) to see which tier every nest landed

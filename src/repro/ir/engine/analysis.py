@@ -150,6 +150,11 @@ class NestPlan:
     #: some assignment has no :class:`FoldSpec` and the nest runs on the
     #: interpreter.
     kernel: Optional[object] = None
+    #: The variables the loop bounds read that no loop of the nest sets.
+    bound_vars: tuple[str, ...] = ()
+    #: ``(values of bound_vars, the engine's trace delta)`` of the last
+    #: kernel run: the trace is a function of those values alone.
+    delta: Optional[tuple] = None
 
     @property
     def has_vectorized_loop(self) -> bool:
@@ -633,7 +638,10 @@ def build_plan_with_reason(root: Loop) -> tuple[Optional[NestPlan], str]:
     loop_vars = _loop_vars_in(root)
     nodes = _rewrite_loop(root, loop_vars)
     _classify(nodes, loop_vars)
-    plan = NestPlan(root=root, nodes=nodes, enumerate_vars=enumerate_vars)
+    read = set().union(*(node.lower.free_vars() | node.upper.free_vars()
+                         for node in root.walk() if isinstance(node, Loop)))
+    plan = NestPlan(root=root, nodes=nodes, enumerate_vars=enumerate_vars,
+                    bound_vars=tuple(sorted(read - loop_vars)))
     if not plan.has_vectorized_loop:
         return None, "no vectorizable axis"
     _annotate_folds(nodes, loop_vars)

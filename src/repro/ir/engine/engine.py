@@ -452,9 +452,6 @@ def emit_kernel(plan: NestPlan) -> Optional[NestKernel]:
 # ----------------------------------------------------------------------
 
 
-#: Per-params plans a program keeps, least recently used dropped first.
-PARAMS_PLANS = 8
-
 #: The counts of an :class:`ExecutionTrace` a nest's kernel run adds.
 TRACE_COUNTS = tuple(f.name for f in fields(ExecutionTrace) if f.name != "runtime_calls")
 
@@ -462,10 +459,11 @@ TRACE_COUNTS = tuple(f.name for f in fields(ExecutionTrace) if f.name != "runtim
 @dataclass
 class ProgramPlans:
     """Everything the engines derive from one program, and nothing that
-    depends on a run: each entry is a pure function of a statement and is
-    built the first time that statement executes.  One instance hangs on
-    ``Program.engine_plans`` and is shared by every engine that runs the
-    program, so a long-lived executor or server plans a kernel once.
+    depends on a run's data: each entry is a pure function of the
+    statements (and ``run`` of the params too) and is built the first
+    time it is needed.  One instance hangs on ``Program.engine_plans``
+    and is shared by every engine that runs the program, so a long-lived
+    executor or server plans a kernel once.
     Entries are keyed on statement identity — a program edited in place
     after it has run must be cloned (a copy starts without plans).
     """
@@ -474,20 +472,11 @@ class ProgramPlans:
     #: The interpreter's ``_assign_plans``: they hold the per-execution
     #: trace deltas the analytical trace multiplies.
     assigns: dict = field(default_factory=dict)
-    #: A :class:`ParamsPlan` (a function of the statements and the
-    #: params) by the params' names, types and reprs, least recently
-    #: used first.
-    runs: dict = field(default_factory=dict)
-
-
-@dataclass
-class NestStep:
-    """A top-level nest that has a kernel, with the variables its loop
-    bounds read and its trace delta: ``(their values, TRACE_COUNTS)``."""
-
-    plan: NestPlan
-    names: tuple[str, ...]
-    delta: tuple = (None, ())
+    #: ``(key, ParamsPlan)`` of the last run: the params' names, types and
+    #: reprs, and what a run with them replays.
+    run: Optional[tuple] = None
+    #: The scalars some statement of the program assigns.
+    assigned: Optional[frozenset] = None
 
 
 class CallStep(NamedTuple):
@@ -503,8 +492,8 @@ class ParamsPlan:
 
     #: ``(name, shape, dtype)`` of each declared array.
     layout: tuple
-    #: Per top-level statement: its :class:`NestStep` or :class:`CallStep`,
-    #: or the statement itself, run as an unplanned run would.
+    #: Per top-level statement: its :class:`CallStep`, or the statement
+    #: itself, run as an unplanned run would.
     steps: tuple
 
 
@@ -544,65 +533,50 @@ class VectorizedEngine(Interpreter):
             self.plans.nests[id(loop)] = plan
         return plan
 
-    def _params_plan(self, params) -> Optional[ParamsPlan]:
-        runs = self.plans.runs
+    def _params_plan(self, params) -> ParamsPlan:
         # repr() tells -0.0 from 0.0, which a bound call would pass on.
         key = tuple((name, type(value), repr(value)) for name, value in params.items())
-        plan = runs.pop(key, None)
-        if plan is None:
-            plan = ParamsPlan(self.array_layout(params), self._steps(params))
-            if len(runs) >= PARAMS_PLANS:  # list() reads the keys in one step
-                runs.pop(list(runs)[0], None)
-        runs[key] = plan
+        last = self.plans.run
+        if last is not None and last[0] == key:
+            return last[1]
+        plan = ParamsPlan(self.array_layout(params), self._steps(params))
+        self.plans.run = (key, plan)
         return plan
 
     def _steps(self, params) -> tuple:
         body = self.program.body
-        assigned = {s.target.name for s in body.walk()
-                    if isinstance(s, Assign) and not isinstance(s.target, ArrayRef)}
-        fixed = {name: value for name, value in params.items() if name not in assigned}
+        if self.plans.assigned is None:
+            self.plans.assigned = frozenset(
+                s.target.name for s in body.walk()
+                if isinstance(s, Assign) and not isinstance(s.target, ArrayRef))
+        fixed = {name: value for name, value in params.items()
+                 if name not in self.plans.assigned}
         return tuple(self._step(stmt, fixed) for stmt in body.stmts)
 
     def _step(self, stmt: Stmt, fixed: dict):
-        """*stmt*'s step, or *stmt*.  A call binds against *fixed* (the params
-        no statement assigns) and no arrays, or not at all."""
-        if isinstance(stmt, Loop):
-            plan = self.nest_plan(stmt)
-            if plan is not None and plan.kernel is not None:
-                names = set().union(*(loop.lower.free_vars() | loop.upper.free_vars()
-                                      for loop in stmt.walk() if isinstance(loop, Loop)))
-                return NestStep(plan, tuple(sorted(names)))
-        elif isinstance(stmt, CallStmt) and self.call_binder and self.call_runner:
+        """*stmt*'s :class:`CallStep`, or *stmt*.  A call binds against
+        *fixed* (the params no statement assigns) and no arrays, or reads
+        something else (an :class:`InterpreterError`) and does not bind."""
+        if isinstance(stmt, CallStmt) and self.call_binder and self.call_runner:
             try:
                 bound = self.call_binder(stmt.callee, list(stmt.args), fixed, {})
-                return CallStep((stmt.callee, tuple(stmt.args)), bound)
-            except Exception:
-                pass  # bound again on every run, by the call handler
+            except InterpreterError:
+                return stmt  # bound again on every run, by the call handler
+            return CallStep((stmt.callee, tuple(stmt.args)), bound)
         return stmt
 
     # ------------------------------------------------------------------
     # Statement dispatch
     # ------------------------------------------------------------------
-    def _exec_body(self, plan: Optional[ParamsPlan]) -> None:
-        if plan is None:
-            return super()._exec_body(plan)
+    def _exec_body(self, plan: ParamsPlan) -> None:
         trace = self.trace
         for step in plan.steps:
             if type(step) is CallStep:
                 trace.statements_executed += 1
                 trace.runtime_calls.append(step.record)
                 self.call_runner(step.bound, self)
-            elif type(step) is not NestStep:
+            else:
                 self._exec_stmt(step)
-            elif self._run_kernel(step.plan):
-                key = tuple(map(self.scalars.get, step.names))
-                cached, delta = step.delta
-                if cached != key:
-                    delta = self._nest_delta(step.plan)
-                    step.delta = (key, delta)
-                self._add(delta)
-            else:  # the guard tripped: the interpreter runs and traces it
-                super()._exec_stmt(step.plan.root)
 
     def _exec_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Loop):
@@ -637,11 +611,18 @@ class VectorizedEngine(Interpreter):
         statement counts match the interpreter to the last integer, using
         trip counts instead of per-element updates.  Loops whose variables
         appear in deeper bounds are enumerated as integer grids, so
-        triangular/tiled (min/max) bounds are also counted exactly.
+        triangular/tiled (min/max) bounds are also counted exactly.  The
+        result is kept on *plan* with the values of ``plan.bound_vars``.
         """
+        key = tuple(map(self.scalars.get, plan.bound_vars))
+        last = plan.delta
+        if last is not None and last[0] == key:
+            return last[1]
         trace = ExecutionTrace()
         self._trace_stmt(plan.root, {}, 1, plan.enumerate_vars, trace)
-        return tuple(getattr(trace, name) for name in TRACE_COUNTS)
+        delta = tuple(getattr(trace, name) for name in TRACE_COUNTS)
+        plan.delta = (key, delta)
+        return delta
 
     def _trace_stmt(self, stmt: Stmt, env: dict, mult, enum_vars: dict, trace) -> None:
         if isinstance(stmt, Block):

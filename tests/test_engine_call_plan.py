@@ -1,13 +1,13 @@
 """A run with given params replays a plan.
 
-The fast engine keeps, per program and per params, what a run would
-otherwise work out again: each array's shape and dtype, each top-level
-nest's trace delta, and each top-level runtime call bound to numbers.
-These tests pin that the replay is invisible: a hand-built program that
-exercises every way out of the plan runs identically on both engines; a
-program shared by executors on different systems keeps each system's
-work on that system; the plans stay few; and an offloaded program plans
-once.
+The fast engine keeps, per program, what a run with the last params
+would otherwise work out again: each array's shape and dtype and each
+top-level runtime call bound to numbers; each nest keeps its trace delta
+for the last values its bounds read.  These tests pin that the replay is
+invisible: a hand-built program that exercises every way out of the plan
+runs identically on both engines; a program shared by executors on
+different systems keeps each system's work on that system; other params
+plan again; and every call a compiled program makes at top level binds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro import CompileOptions, OffloadExecutor, compile_source
+from repro.codegen.executor import ExecutorError
 from repro.codegen.runtime_calls import (
+    ALL_RUNTIME_CALLS,
     CIM_DEV_TO_HOST,
     CIM_FREE,
     CIM_GEMV,
@@ -158,15 +160,46 @@ def test_only_calls_fixed_by_the_params_are_bound_into_the_plan():
     program = hand_built_program()
     executor = OffloadExecutor()
     executor.run(program, PARAMS, _inputs())
-    (plan,) = program.engine_plans.runs.values()
+    _, plan = program.engine_plans.run
     kinds = [type(step).__name__ for step in plan.steps]
     # The malloc sized by the reassigned P, and the loop of calls, stay
     # statements: the call handler binds them again on every run.
     assert kinds == [
         "CallStep", "Assign", "CallStmt", "CallStep", "CallStep", "CallStep", "CallStep",
-        "CallStep", "Loop", "CallStep", "CallStep", "NestStep",
+        "CallStep", "Loop", "CallStep", "CallStep", "Loop",
     ]
     assert plan.steps[2] is program.body.stmts[2]
+
+
+def test_every_top_level_call_of_a_compiled_program_is_bound_into_the_plan():
+    """Offloaded PolyBench programs between them emit every callee but
+    ``cimFree`` (the hand-built program's) at top level, and each such
+    call binds; a binder that raised would leave a ``CallStmt``."""
+    callees = {CIM_FREE}
+    options = dataclasses.replace(CompileOptions(), enable_compile_cache=False)
+    for name in ("2mm", "3mm", "atax", "conv"):
+        kernel = KERNELS[name]
+        program = compile_source(kernel.source, options, size_hint=kernel.params("MEDIUM")).program
+        OffloadExecutor().run(program, kernel.params("MINI"), kernel.arrays("MINI", 1))
+        _, plan = program.engine_plans.run
+        for stmt, step in zip(program.body.stmts, plan.steps):
+            if isinstance(stmt, CallStmt):
+                assert type(step).__name__ == "CallStep", (name, stmt.callee)
+                callees.add(stmt.callee)
+    assert callees == set(ALL_RUNTIME_CALLS)
+
+
+@pytest.mark.parametrize("engine", ["interpreter", "fast"])
+def test_an_unknown_callee_fails_where_it_runs(engine):
+    """The first malloc before it has run, on every run: the plan binds
+    the call to a failure, it does not fail to plan."""
+    program = hand_built_program()
+    program.body.stmts.insert(4, _call("polly_cimUnknown", None))
+    executor = OffloadExecutor(engine=engine)
+    for runs in (1, 2):
+        with pytest.raises(ExecutorError, match="unknown runtime call 'polly_cimUnknown'"):
+            executor.run(program, PARAMS, _inputs())
+        assert executor.system.runtime.live_buffers == runs
 
 
 @pytest.mark.parametrize("engine", ["interpreter", "fast"])
@@ -206,6 +239,7 @@ def test_executors_on_different_systems_share_a_program_and_not_their_work():
         return [OffloadExecutor(CimSystem(SystemConfig(num_tiles=n))) for n in (1, 4)]
 
     sharing, private = executors(), executors()
+    plans = set()
     for _ in range(3):
         for mine, (executor, twin) in enumerate(zip(sharing, private)):
             completed = [len(e.system.accelerator.completed_runs) for e in sharing]
@@ -214,36 +248,39 @@ def test_executors_on_different_systems_share_a_program_and_not_their_work():
             after = [len(e.system.accelerator.completed_runs) for e in sharing]
             assert after[mine] > 0
             assert after[1 - mine] == completed[1 - mine]
-    assert len(shared.engine_plans.runs) == 1
+            plans.add(id(shared.engine_plans.run[1]))
+    assert len(plans) == 1
 
 
 # ----------------------------------------------------------------------
-# How many plans, and for which params
+# Which params a plan serves
 # ----------------------------------------------------------------------
-def test_plans_are_few_and_keyed_by_value_and_type():
+def test_a_program_keeps_the_last_params_plan_keyed_by_value_and_type():
+    """A run with other params than the last plans again, and runs as the
+    interpreter runs it."""
     program = hand_built_program()
     executor, reference = OffloadExecutor(), OffloadExecutor(engine="interpreter")
-    for n in range(1, 51):
-        params = {**PARAMS, "N": n}
+
+    def plan_after(params):
+        n = int(params["N"])
         _assert_same_run(
             reference.run(program, params, _inputs(n)), executor.run(program, params, _inputs(n))
         )
-        assert len(program.engine_plans.runs) <= 8
-    runs = program.engine_plans.runs
-    executor.run(program, {**PARAMS, "N": 8}, _inputs(8))
-    as_int = runs[next(reversed(runs))]
-    executor.run(program, {**PARAMS, "N": 8.0}, _inputs(8))
-    as_float = runs[next(reversed(runs))]
-    assert as_int is not as_float
-    signed = []
-    for alpha in (0.0, -0.0):  # a bound call passes alpha on, sign and all
-        params = {**PARAMS, "alpha": alpha}
-        _assert_same_run(
-            reference.run(program, params, _inputs()), executor.run(program, params, _inputs())
-        )
-        signed.append(runs[next(reversed(runs))])
-    assert signed[0] is not signed[1]
-    assert len(runs) == 8
+        return program.engine_plans.run[1]
+
+    for n in (*range(1, 51), 1):
+        plan_after({**PARAMS, "N": n})
+        assert ("N", int, repr(n)) in program.engine_plans.run[0]
+    (nest,) = [plan for plan in program.engine_plans.nests.values() if plan is not None]
+    assert nest.bound_vars == ("N",) and nest.delta[0] == (1,)
+    plans = [
+        plan_after({**PARAMS, **changed})
+        for changed in ({"N": 8}, {"N": 8}, {"N": 8.0},
+                        # a bound call passes alpha on, sign and all
+                        {"alpha": 0.0}, {"alpha": -0.0})
+    ]
+    assert plans[0] is plans[1]
+    assert len({id(plan) for plan in plans[1:]}) == 4
 
 
 def test_a_nan_param_runs_as_the_interpreter_runs_it():
@@ -298,5 +335,5 @@ def test_a_nest_delta_follows_the_scalars_its_bounds_read():
         run = executor.run(program, {"N": 8}, arrays)
         _assert_same_run(reference.run(program, {"N": 8}, arrays), run)
         assert run[1].host_estimate.stores == count
-    (plan,) = program.engine_plans.runs.values()
-    assert type(plan.steps[1]).__name__ == "NestStep"
+    nest = program.engine_plans.nests[id(program.body.stmts[1])]
+    assert nest.bound_vars == ("m",) and nest.delta[0] == (2,)

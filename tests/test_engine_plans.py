@@ -98,9 +98,9 @@ def test_second_and_later_runs_do_not_plan(engine, planning_spy):
         first = run(executor)
         planned = len(planning_spy)
         assert planned > 0, "the first run did not plan through the spied function"
-        (params_plan,) = result.program.engine_plans.runs.values()
+        _, params_plan = result.program.engine_plans.run
         steps = {type(step).__name__ for step in params_plan.steps}
-        assert steps == ({"CallStep", "NestStep"} if offload else {"NestStep"})
+        assert steps == ({"CallStep", "Loop"} if offload else {"Loop"})
         # An executor's first offloaded run also initialises its runtime.
         second = run(executor)
         for _ in range(2):
@@ -108,7 +108,7 @@ def test_second_and_later_runs_do_not_plan(engine, planning_spy):
         # A fresh executor (and so a fresh engine instance) shares them too.
         _assert_same_run(first, run(OffloadExecutor()))
         assert len(planning_spy) == planned
-        assert list(result.program.engine_plans.runs.values()) == [params_plan]
+        assert result.program.engine_plans.run[1] is params_plan
 
 
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
@@ -186,13 +186,10 @@ def test_copies_run_identically_and_share_no_plan_state(engine, duplicate):
         assert not set(mine.nests) & set(theirs.nests)
         for plan in theirs.nests.values():
             assert any(plan.root is loop for loop in twin.program.top_level_loops())
-        (my_run,), (their_run,) = mine.runs.values(), theirs.runs.values()
+            assert plan.delta is not None  # worked out by the twin's own run
+        my_run, their_run = mine.run[1], theirs.run[1]
         assert their_run is not my_run
         assert not {id(step) for step in my_run.steps} & {id(step) for step in their_run.steps}
-        for step in their_run.steps:
-            if hasattr(step, "plan"):  # a nest step: the twin's plan, the twin's delta
-                assert any(step.plan.root is loop for loop in twin.program.top_level_loops())
-                assert step.delta[1]
         # The original keeps working after its twin planned.
         _assert_same_run(original, _run(result, params, arrays))
 
