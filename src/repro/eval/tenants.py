@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.serve.accounting import fold
 from repro.serve.metrics import percentile
 
 #: Figure 5's mid-range PCM cell endurance (writes) — the default scale
@@ -43,20 +44,21 @@ def tenant_usage_rows(
     """Per-tenant rows of *server*'s ledger (sorted by tenant name)."""
     ledger = server.ledger
     elapsed_s = server.clock.now_s
-    device_wear = ledger.device_wear_bytes
+    device_wear = fold(ledger.all_usages() + ledger.compensations, "wear_bytes")["wear_bytes"]
     rows = []
     for tenant in sorted(ledger.tenants):
         account = ledger.tenants[tenant]
+        bill = fold(account.usages, "energy_j", "wear_bytes")
         latencies = account.latencies_s()
         rows.append(
             TenantUsageRow(
                 tenant=tenant,
                 completed=account.completed,
                 rejected=account.rejected,
-                energy_j=account.energy_j,
-                wear_bytes=account.wear_bytes,
+                energy_j=bill["energy_j"],
+                wear_bytes=bill["wear_bytes"],
                 wear_share=(
-                    account.wear_bytes / device_wear if device_wear else 0.0
+                    bill["wear_bytes"] / device_wear if device_wear else 0.0
                 ),
                 p50_latency_s=percentile(latencies, 50) if latencies else None,
                 p99_latency_s=percentile(latencies, 99) if latencies else None,
@@ -96,19 +98,15 @@ def fleet_device_rows(
     fleet dies with its most-worn device — which is exactly the quantity
     wear-aware placement maximises.
     """
-    import math
-
     elapsed_s = fleet.clock.now_s
     rows = []
     for device in fleet.devices:
         usages = fleet.ledger.device_usages(device.device_id)
         comps = fleet.ledger.device_compensations(device.device_id)
-        run_wear = sum(u.wear_bytes for u in usages) + sum(
-            c.wear_bytes for c in comps
-        )
-        if elapsed_s > 0 and run_wear > 0:
+        run = fold(usages + comps, "wear_bytes", "energy_j")
+        if elapsed_s > 0 and run["wear_bytes"] > 0:
             seconds_per_year = 365.25 * 24 * 3600.0
-            rate_bytes_per_year = run_wear / elapsed_s * seconds_per_year
+            rate_bytes_per_year = run["wear_bytes"] / elapsed_s * seconds_per_year
         else:
             rate_bytes_per_year = 0.0
         rows.append(
@@ -119,10 +117,8 @@ def fleet_device_rows(
                 served=len(usages),
                 busy_s=device.busy_s,
                 wear_bytes=device.total_wear_bytes,
-                compensated_wear_bytes=sum(c.wear_bytes for c in comps),
-                energy_j=math.fsum(
-                    [u.energy_j for u in usages] + [c.energy_j for c in comps]
-                ),
+                compensated_wear_bytes=fold(comps, "wear_bytes")["wear_bytes"],
+                energy_j=run["energy_j"],
                 implied_lifetime_years=device.implied_lifetime_years(
                     cell_endurance_writes, rate_bytes_per_year
                 ),

@@ -26,7 +26,6 @@ from repro.gateway.chaos import (
 )
 from repro.gateway.differential import (
     DifferentialResult,
-    GatewayDiff,
     ModeRun,
     diff_runs,
     gateway_config_from_trace,
@@ -56,7 +55,6 @@ __all__ = [
     "DifferentialResult",
     "FAULT_MARKERS",
     "GatewayConfig",
-    "GatewayDiff",
     "GatewayError",
     "GatewayRequest",
     "GatewayResponse",

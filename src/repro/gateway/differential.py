@@ -17,22 +17,28 @@ The same recorded trace is driven through both serving modes —
 
 and the runs must agree **bit-for-bit**: per-request status, failure
 reason and result array bytes; per-request measured usage (every billing
-counter, floats by exact ``==`` — the JSON wire round-trips doubles
-exactly); per-tenant bills (``fsum`` energies by exact equality — fsum
-is correctly rounded and therefore independent of completion order); and
-the aggregate accounting partition on both sides.  This holds because a
-request's usage is a pure function of the request: leases are scrubbed,
-device buffers are released between requests (deterministic CMA address
-reuse), and — the keystone — both modes serve every request through the
-same :func:`~repro.gateway.worker.serve_one` path under *measurement
-isolation* (stats ledgers and buffer-handle numbering reset per request),
-so the measured deltas are exact values rather than differences against
-a cumulative float ledger.  *Which* worker serves a request, and *when*,
-therefore cannot change what it computes or bills.
+counter — the JSON wire round-trips doubles exactly); per-tenant bills
+and the pool's aggregate totals (both :func:`~repro.serve.accounting.fold`
+totals: ``fsum`` is correctly rounded and therefore independent of
+completion order); and the accounting partition on both sides.  This
+holds because a request's usage is a pure function of the request:
+leases are scrubbed, device buffers are released between requests
+(deterministic CMA address reuse), and — the keystone — both modes serve
+every request through the same :func:`~repro.gateway.worker.serve_one`
+path under *measurement isolation* (stats ledgers and buffer-handle
+numbering reset per request), so the measured deltas are exact values
+rather than differences against a cumulative float ledger.  *Which*
+worker serves a request, and *when*, therefore cannot change what it
+computes or bills.
+
+The comparison itself is the trace diff's
+(:class:`~repro.trace.replayer.TraceDiff`, type-strict: ``0`` is not
+``0.0``); this module only chooses the records the two modes are
+compared on and names the sides ("VirtualClock", "wall-clock").
 
 As a third leg, completed gateway results are cross-checked against the
-recording's own response events (batching never changes values — the PR 4
-server invariant), tying the differential back to the original run.
+recording's own response events (batching never changes values — a
+serving-loop invariant), tying the differential back to the original run.
 """
 
 from __future__ import annotations
@@ -41,13 +47,11 @@ import asyncio
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import USAGE_FIELDS, GatewayRequest, GatewayResponse
 from repro.hw.stats import AcceleratorRunStats
-from repro.serve.accounting import partition_checks
-from repro.trace.recorder import BILL_FIELDS, tenant_bills
+from repro.serve.accounting import fold, partition_checks
+from repro.trace.recorder import BILL_FIELDS, tenant_bills  # BILL_FIELDS: re-exported
 from repro.trace.replayer import TraceDiff
 from repro.trace.schema import (
     Trace,
@@ -66,17 +70,6 @@ DIFF_SECTIONS = (
 )
 
 
-class GatewayDiff(TraceDiff):
-    """Every way the two modes disagree, by section; empty == pass."""
-
-    sections = DIFF_SECTIONS
-    identical_verdict = (
-        "wall-clock and VirtualClock modes are identical "
-        "(bit-for-bit responses and accounting)"
-    )
-    differ_verdict = "serving modes differ"
-
-
 @dataclass
 class ModeRun:
     """One serving mode's observable outcome, keyed by request id."""
@@ -93,7 +86,7 @@ class ModeRun:
 class DifferentialResult:
     """Outcome of one wall-clock vs VirtualClock differential."""
 
-    diff: GatewayDiff
+    diff: TraceDiff
     num_requests: int
     reference: ModeRun
     gateway: ModeRun
@@ -113,14 +106,15 @@ def _require_serve_trace(trace: Trace) -> None:
 
 
 def _totals(ledger) -> dict[str, float]:
+    """The pool's aggregate accounting: device work, all energy (work
+    plus housekeeping) and housekeeping alone."""
+    work = ledger.all_usages() + ledger.compensations
+    housekeeping = ledger.housekeeping()
+    counters = ("wear_bytes", "crossbar_write_ops", "gemv_count", "macs")
     return {
-        "wear_bytes": int(ledger.device_wear_bytes),
-        "write_ops": int(ledger.device_crossbar_write_ops),
-        "gemv_count": int(ledger.device_gemv_count),
-        "macs": int(ledger.device_macs),
-        "accelerator_energy_j": ledger.device_accelerator_energy_j,
-        "energy_j": ledger.device_energy_j,
-        "housekeeping_energy_j": ledger.housekeeping_energy_j,
+        **fold(work, *counters, "accelerator_energy_j"),
+        "energy_j": fold(work + housekeeping, "energy_j")["energy_j"],
+        "housekeeping_energy_j": fold(housekeeping, "energy_j")["energy_j"],
     }
 
 
@@ -251,152 +245,39 @@ def gateway_run(
 # ----------------------------------------------------------------------
 # The diff
 # ----------------------------------------------------------------------
-def diff_runs(trace: Trace, reference: ModeRun, gateway: ModeRun) -> GatewayDiff:
-    diff = GatewayDiff()
-    _diff_responses(diff, reference, gateway)
-    _diff_usage(diff, reference, gateway)
-    _diff_bills(diff, reference, gateway)
-    _diff_accounting(diff, reference, gateway)
-    _diff_recorded(diff, trace, gateway)
+def diff_runs(trace: Trace, reference: ModeRun, gateway: ModeRun) -> TraceDiff:
+    """The two modes' records through the trace diff, section by section."""
+    diff = TraceDiff(
+        DIFF_SECTIONS, "wall-clock and VirtualClock modes", ("VirtualClock", "wall-clock")
+    )
+    diff.keyed("responses", reference.responses, gateway.responses, "request")
+    diff.keyed("usage", reference.usage, gateway.usage, "request")
+    diff.keyed("tenant_bills", reference.tenant_bills, gateway.tenant_bills, "tenant")
+    diff.keyed("accounting", reference.totals, gateway.totals, "aggregate")
+    for side, run in zip(diff.sides, (reference, gateway)):
+        for name, passed in run.partition.items():
+            if not passed:
+                diff.add("accounting", f"{side} partition check failed: {name}")
+    # Completed results vs the recording's own responses: the original
+    # (batched, quota'd) run must agree on every result it completed —
+    # batching and admission change scheduling, never values.
+    completed = [rid for rid, r in trace.responses().items() if r["status"] == "completed"]
+
+    def outcomes(responses):
+        return {
+            rid: {"status": responses[rid]["status"], "result": responses[rid]["result"]}
+            for rid in completed
+            if rid in responses
+        }
+
+    diff.keyed(
+        "recorded_responses",
+        outcomes(trace.responses()),
+        outcomes(gateway.responses),
+        "request",
+        sides=("recording", "wall-clock"),
+    )
     return diff
-
-
-def _diff_responses(diff, reference: ModeRun, gateway: ModeRun) -> None:
-    for rid in sorted(set(reference.responses) | set(gateway.responses)):
-        ref = reference.responses.get(rid)
-        gwy = gateway.responses.get(rid)
-        if ref is None or gwy is None:
-            diff.add(
-                "responses",
-                f"request {rid} present only in "
-                f"{'reference' if gwy is None else 'gateway'} mode",
-            )
-            continue
-        if ref["status"] != gwy["status"]:
-            diff.add(
-                "responses",
-                f"request {rid}: status {ref['status']!r} (VirtualClock) "
-                f"vs {gwy['status']!r} (wall-clock)",
-            )
-            continue
-        if ref["reason"] != gwy["reason"]:
-            diff.add(
-                "responses",
-                f"request {rid}: reason {ref['reason']!r} vs {gwy['reason']!r}",
-            )
-        for name in sorted(set(ref["result"]) | set(gwy["result"])):
-            left = ref["result"].get(name)
-            right = gwy["result"].get(name)
-            if left is None or right is None:
-                diff.add("responses", f"request {rid}: result array {name!r} missing")
-            elif (
-                left.dtype != right.dtype
-                or left.shape != right.shape
-                or np.asarray(left).tobytes() != np.asarray(right).tobytes()
-            ):
-                diff.add(
-                    "responses",
-                    f"request {rid}: result array {name!r} bytes differ",
-                )
-
-
-def _diff_usage(diff, reference: ModeRun, gateway: ModeRun) -> None:
-    for rid in sorted(set(reference.usage) | set(gateway.usage)):
-        ref = reference.usage.get(rid)
-        gwy = gateway.usage.get(rid)
-        if ref is None or gwy is None:
-            diff.add(
-                "usage",
-                f"request {rid} billed only in "
-                f"{'reference' if gwy is None else 'gateway'} mode",
-            )
-            continue
-        for name in USAGE_FIELDS:
-            if ref[name] != gwy[name]:
-                diff.add(
-                    "usage",
-                    f"request {rid}: {name} {ref[name]!r} (VirtualClock) "
-                    f"vs {gwy[name]!r} (wall-clock)",
-                )
-
-
-def _diff_bills(diff, reference: ModeRun, gateway: ModeRun) -> None:
-    for tenant in sorted(set(reference.tenant_bills) | set(gateway.tenant_bills)):
-        ref = reference.tenant_bills.get(tenant)
-        gwy = gateway.tenant_bills.get(tenant)
-        if ref is None or gwy is None:
-            diff.add(
-                "tenant_bills",
-                f"tenant {tenant!r} billed only in "
-                f"{'reference' if gwy is None else 'gateway'} mode",
-            )
-            continue
-        for name in BILL_FIELDS:
-            if ref[name] != gwy[name]:
-                diff.add(
-                    "tenant_bills",
-                    f"tenant {tenant!r}: {name} {ref[name]!r} vs {gwy[name]!r}",
-                )
-
-
-def _diff_accounting(diff, reference: ModeRun, gateway: ModeRun) -> None:
-    for name, passed in reference.partition.items():
-        if not passed:
-            diff.add("accounting", f"reference partition check failed: {name}")
-    for name, passed in gateway.partition.items():
-        if not passed:
-            diff.add("accounting", f"gateway partition check failed: {name}")
-    for name in ("wear_bytes", "write_ops", "gemv_count", "macs"):
-        if reference.totals[name] != gateway.totals[name]:
-            diff.add(
-                "accounting",
-                f"aggregate {name}: {reference.totals[name]!r} vs "
-                f"{gateway.totals[name]!r}",
-            )
-    for name in ("accelerator_energy_j", "energy_j", "housekeeping_energy_j"):
-        # fsum over the identical per-request record multiset: exact.
-        if reference.totals[name] != gateway.totals[name]:
-            diff.add(
-                "accounting",
-                f"aggregate {name}: {reference.totals[name]!r} vs "
-                f"{gateway.totals[name]!r}",
-            )
-
-
-def _diff_recorded(diff, trace: Trace, gateway: ModeRun) -> None:
-    """Completed gateway results vs the recording's own responses: the
-    original (batched, quota'd) run must agree on every result it
-    completed — batching and admission change scheduling, never values."""
-    import hashlib
-
-    for rid, recorded in sorted(trace.responses().items()):
-        if recorded["status"] != "completed":
-            continue
-        gwy = gateway.responses.get(rid)
-        if gwy is None or gwy["status"] != "completed":
-            diff.add(
-                "recorded_responses",
-                f"request {rid}: completed in the recording but "
-                f"{gwy['status'] if gwy else 'missing'} at the gateway",
-            )
-            continue
-        for name, payload in recorded["result"].items():
-            value = gwy["result"].get(name)
-            if value is None:
-                diff.add(
-                    "recorded_responses",
-                    f"request {rid}: result array {name!r} missing at the gateway",
-                )
-                continue
-            digest = hashlib.sha256(
-                np.ascontiguousarray(value).tobytes()
-            ).hexdigest()
-            if digest != payload["sha256"]:
-                diff.add(
-                    "recorded_responses",
-                    f"request {rid}: result array {name!r} bytes differ "
-                    "from the recording",
-                )
 
 
 def run_differential(

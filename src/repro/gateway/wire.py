@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.trace.schema import TraceFormatError, decode_array, encode_array
+from repro.trace.schema import TraceFormatError, decode_array, encode_array, plain_scalar
 
 #: Fault markers a request may carry (see module docstring).
 #:
@@ -158,7 +158,7 @@ class GatewayRequest:
             "request_id": self.request_id,
             "tenant": self.tenant,
             "source": self.source,
-            "params": {key: _plain(value) for key, value in self.params.items()},
+            "params": {key: plain_scalar(value) for key, value in self.params.items()},
             "arrays": {
                 name: encode_array(np.asarray(value))
                 for name, value in self.arrays.items()
@@ -311,11 +311,3 @@ class GatewayResponse:
             raise WireFormatError(f"response: corrupt JSON frame ({exc.msg})") from exc
         return cls.from_wire(wire)
 
-
-def _plain(value):
-    """Coerce numpy scalars to JSON-native Python numbers."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value

@@ -9,9 +9,10 @@ host instruction and each programmed crossbar cell belongs to exactly
 one request, so per-tenant sums reconcile exactly with the device's own
 work record (:class:`~repro.hw.stats.AcceleratorRunStats`) — integer
 counters by ``==``, energy roll-ups via :func:`math.fsum` (correctly
-rounded, hence order-independent over the same records).
-:func:`partition_checks` is that reconciliation, the only one in the
-package; the serving loop, the fleet and the gateway all call it.
+rounded, hence order-independent over the same records).  :func:`fold`
+is the only function that totals records — every bill, device ledger and
+trace roll-up reads it — and :func:`partition_checks` is the only
+reconciliation; the serving loop, the fleet and the gateway all call it.
 
 Wear is expressed in bytes written to the crossbar (one byte per
 programmed 8-bit cell, the same convention as
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.hw.endurance import EnduranceTracker, system_lifetime_years
 from repro.hw.stats import WORK_COUNTERS, AcceleratorRunStats
@@ -131,9 +132,36 @@ class FaultCompensation(MeasuredWork):
         return self.offload_energy_j + self.accelerator_energy_j
 
 
+class Housekeeping(NamedTuple):
+    """One housekeeping charge (a lease-buffer release) as a record
+    :func:`fold` can total: host energy a device spent for no tenant."""
+
+    energy_j: float
+    device_id: int
+
+
+#: Fields :func:`fold` totals as integers; every other field is a float.
+COUNTERS = frozenset((*WORK_COUNTERS, "wear_bytes"))
+
+
+def fold(records: Sequence, *names: str) -> dict[str, float]:
+    """Each field in *names* totalled over *records*: the one place
+    ledger records become totals.  Counters (:data:`COUNTERS`) sum exactly
+    as integers; a float field is one :func:`math.fsum` over all of
+    *records*, correctly rounded and hence the same double for any order
+    of the same records.  Fold the whole multiset at once: two partial
+    ``fsum`` totals added together can differ in the last bit."""
+    return {
+        name: int(sum(getattr(record, name) for record in records))
+        if name in COUNTERS
+        else math.fsum(getattr(record, name) for record in records)
+        for name in names
+    }
+
+
 @dataclass
 class TenantAccount:
-    """Running account of one tenant's usage."""
+    """Running account of one tenant's usage; :func:`fold` totals it."""
 
     tenant: str
     usages: list[RequestUsage] = field(default_factory=list)
@@ -143,38 +171,6 @@ class TenantAccount:
     @property
     def completed(self) -> int:
         return len(self.usages)
-
-    @property
-    def energy_j(self) -> float:
-        return math.fsum(u.energy_j for u in self.usages)
-
-    @property
-    def accelerator_energy_j(self) -> float:
-        return math.fsum(u.accelerator_energy_j for u in self.usages)
-
-    @property
-    def service_s(self) -> float:
-        return math.fsum(u.service_s for u in self.usages)
-
-    @property
-    def wear_bytes(self) -> int:
-        return sum(u.wear_bytes for u in self.usages)
-
-    @property
-    def crossbar_write_ops(self) -> int:
-        return sum(u.crossbar_write_ops for u in self.usages)
-
-    @property
-    def gemv_count(self) -> int:
-        return sum(u.gemv_count for u in self.usages)
-
-    @property
-    def macs(self) -> int:
-        return sum(u.macs for u in self.usages)
-
-    @property
-    def dma_bytes(self) -> int:
-        return sum(u.dma_bytes for u in self.usages)
 
     def latencies_s(self) -> list[float]:
         return [u.latency_s for u in self.usages]
@@ -205,7 +201,7 @@ class TenantAccount:
             )
         if elapsed_s <= 0:
             return float("inf")
-        traffic = self.wear_bytes / elapsed_s
+        traffic = fold(self.usages, "wear_bytes")["wear_bytes"] / elapsed_s
         if traffic == 0.0:
             return float("inf")
         return system_lifetime_years(
@@ -260,60 +256,15 @@ class AccountingLedger:
     def device_compensations(self, device_id: int) -> list[FaultCompensation]:
         return [c for c in self.compensations if c.device_id == device_id]
 
-    @property
-    def device_energy_j(self) -> float:
-        """Total energy across every request of every tenant plus server
-        housekeeping and fault compensations.  ``fsum`` over the
-        underlying records makes this identical to summing the per-tenant
-        accounts in any order."""
-        return math.fsum(
-            [u.energy_j for u in self.all_usages()]
-            + [c.energy_j for c in self.compensations]
-            + self.housekeeping_energy_j_records
-        )
-
-    @property
-    def device_accelerator_energy_j(self) -> float:
-        return math.fsum(
-            [u.accelerator_energy_j for u in self.all_usages()]
-            + [c.accelerator_energy_j for c in self.compensations]
-        )
-
-    @property
-    def device_wear_bytes(self) -> int:
-        return sum(u.wear_bytes for u in self.all_usages()) + sum(
-            c.wear_bytes for c in self.compensations
-        )
-
-    @property
-    def device_crossbar_write_ops(self) -> int:
-        return sum(u.crossbar_write_ops for u in self.all_usages()) + sum(
-            c.crossbar_write_ops for c in self.compensations
-        )
-
-    @property
-    def device_gemv_count(self) -> int:
-        return sum(u.gemv_count for u in self.all_usages()) + sum(
-            c.gemv_count for c in self.compensations
-        )
-
-    @property
-    def device_macs(self) -> int:
-        return sum(u.macs for u in self.all_usages()) + sum(
-            c.macs for c in self.compensations
-        )
-
-    @property
-    def housekeeping_energy_j(self) -> float:
-        return math.fsum(self.housekeeping_energy_j_records)
-
-    @property
-    def compensated_energy_j(self) -> float:
-        return math.fsum(c.energy_j for c in self.compensations)
-
-    @property
-    def compensated_wear_bytes(self) -> int:
-        return sum(c.wear_bytes for c in self.compensations)
+    def housekeeping(self, device_id: Optional[int] = None) -> list[Housekeeping]:
+        """The housekeeping records (of one device, or all), foldable."""
+        return [
+            Housekeeping(energy_j, device)
+            for energy_j, device in zip(
+                self.housekeeping_energy_j_records, self.housekeeping_device_ids
+            )
+            if device_id is None or device == device_id
+        ]
 
     # ------------------------------------------------------------------
     def verify_partition(self, accelerator) -> dict[str, bool]:
@@ -347,28 +298,22 @@ def partition_checks(
     checks: dict[str, bool] = {}
     for device_id in sorted(totals):
         device = totals[device_id]
-        records = ledger.device_usages(device_id) + ledger.device_compensations(device_id)
-        for name in WORK_COUNTERS:
-            checks[f"device{device_id}.{name}"] = (
-                sum(getattr(record, name) for record in records) == getattr(device, name)
-            )
-        checks[f"device{device_id}.energy_j"] = math.isclose(
-            math.fsum(record.accelerator_energy_j for record in records),
-            device.energy_j,
-            rel_tol=1e-9,
-            abs_tol=1e-18,
+        work = fold(
+            ledger.device_usages(device_id) + ledger.device_compensations(device_id),
+            *WORK_COUNTERS,
+            "accelerator_energy_j",
         )
-    checks["no_orphan_records"] = all(
-        record.device_id in totals
-        for record in ledger.all_usages() + ledger.compensations
-    )
-    checks["wear_total"] = ledger.device_wear_bytes == sum(
-        device.crossbar_cell_writes for device in totals.values()
-    )
+        for name in WORK_COUNTERS:
+            checks[f"device{device_id}.{name}"] = work[name] == getattr(device, name)
+        checks[f"device{device_id}.energy_j"] = math.isclose(
+            work["accelerator_energy_j"], device.energy_j, rel_tol=1e-9, abs_tol=1e-18
+        )
+    records = ledger.all_usages() + ledger.compensations
+    checks["no_orphan_records"] = all(record.device_id in totals for record in records)
+    billed = fold(records, "wear_bytes", "accelerator_energy_j")
+    physical = fold(list(totals.values()), "crossbar_cell_writes", "energy_j")
+    checks["wear_total"] = billed["wear_bytes"] == physical["crossbar_cell_writes"]
     checks["energy_total"] = math.isclose(
-        ledger.device_accelerator_energy_j,
-        math.fsum(device.energy_j for device in totals.values()),
-        rel_tol=1e-9,
-        abs_tol=1e-18,
+        billed["accelerator_energy_j"], physical["energy_j"], rel_tol=1e-9, abs_tol=1e-18
     )
     return checks

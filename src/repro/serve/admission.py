@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.serve.accounting import AccountingLedger, TenantAccount
+from repro.serve.accounting import AccountingLedger, TenantAccount, fold
 from repro.serve.request import TenantRequest
 
 
@@ -62,22 +62,20 @@ def budget_exhausted_reason(
     """Why *account* has spent *quota*'s wear or energy budget, or
     ``None`` while it is within both.  Shared by the simulated loop's
     admission and the wall-clock gateway's."""
-    if (
-        quota.wear_budget_bytes is not None
-        and account.wear_bytes >= quota.wear_budget_bytes
-    ):
-        return (
-            f"wear quota exhausted ({account.wear_bytes} B written "
-            f">= budget {quota.wear_budget_bytes:.0f} B)"
-        )
-    if (
-        quota.energy_budget_j is not None
-        and account.energy_j >= quota.energy_budget_j
-    ):
-        return (
-            f"energy quota exhausted ({account.energy_j:.3e} J "
-            f">= budget {quota.energy_budget_j:.3e} J)"
-        )
+    if quota.wear_budget_bytes is not None:
+        wear_bytes = fold(account.usages, "wear_bytes")["wear_bytes"]
+        if wear_bytes >= quota.wear_budget_bytes:
+            return (
+                f"wear quota exhausted ({wear_bytes} B written "
+                f">= budget {quota.wear_budget_bytes:.0f} B)"
+            )
+    if quota.energy_budget_j is not None:
+        energy_j = fold(account.usages, "energy_j")["energy_j"]
+        if energy_j >= quota.energy_budget_j:
+            return (
+                f"energy quota exhausted ({energy_j:.3e} J "
+                f">= budget {quota.energy_budget_j:.3e} J)"
+            )
     return None
 
 

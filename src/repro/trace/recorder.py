@@ -28,12 +28,12 @@ no-op when nothing raises.)
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from repro.fleet.server import FleetConfig
+from repro.serve.accounting import fold
 from repro.serve.errors import DeviceFault
 from repro.serve.request import RequestHandle, RequestStatus
 from repro.serve.server import ServerConfig, ServingLoop
@@ -48,6 +48,7 @@ from repro.trace.schema import (
     encode_compile_options,
     encode_fault_plan,
     encode_quota,
+    plain_scalar,
 )
 
 
@@ -167,7 +168,7 @@ class TraceRecorder:
                     "tenant": tenant,
                     "source": kernel,
                     "params": {
-                        key: _plain(value)
+                        key: plain_scalar(value)
                         for key, value in (params or {}).items()
                     },
                     "arrays": {
@@ -261,16 +262,9 @@ class TraceRecorder:
         for device in server.devices:
             device_id = device.device_id
             accelerator = device.system.accelerator
-            usages = ledger.device_usages(device_id)
             comps = ledger.device_compensations(device_id)
-            housekeeping = math.fsum(
-                energy
-                for energy, dev in zip(
-                    ledger.housekeeping_energy_j_records,
-                    ledger.housekeeping_device_ids,
-                )
-                if dev == device_id
-            )
+            billed = fold(ledger.device_usages(device_id), "wear_bytes", "accelerator_energy_j")
+            compensated = fold(comps, "wear_bytes", "accelerator_energy_j")
             events.append(
                 {
                     "event": "device_bill",
@@ -279,18 +273,14 @@ class TraceRecorder:
                     "physical_cell_writes": int(accelerator.total_cell_writes()),
                     "physical_macs": int(accelerator.total_macs()),
                     "physical_energy_j": accelerator.total_energy_j(),
-                    "billed_wear_bytes": int(sum(u.wear_bytes for u in usages)),
-                    "billed_energy_j": math.fsum(
-                        u.accelerator_energy_j for u in usages
-                    ),
-                    "compensated_wear_bytes": int(
-                        sum(c.wear_bytes for c in comps)
-                    ),
-                    "compensated_energy_j": math.fsum(
-                        c.accelerator_energy_j for c in comps
-                    ),
+                    "billed_wear_bytes": billed["wear_bytes"],
+                    "billed_energy_j": billed["accelerator_energy_j"],
+                    "compensated_wear_bytes": compensated["wear_bytes"],
+                    "compensated_energy_j": compensated["accelerator_energy_j"],
                     "compensations": len(comps),
-                    "housekeeping_energy_j": housekeeping,
+                    "housekeeping_energy_j": fold(
+                        ledger.housekeeping(device_id), "energy_j"
+                    )["energy_j"],
                     "partition_ok": bool(all(partition.values())),
                 }
             )
@@ -304,8 +294,9 @@ class TraceRecorder:
 
 
 # ----------------------------------------------------------------------
-#: Tenant-bill fields: integer counters (compared by ``==``) and fsum
-#: energies / service time (compared by exact float equality).
+#: Tenant-bill fields: the account's two counts, then the totals
+#: :func:`~repro.serve.accounting.fold` makes of its usages (integer
+#: counters, ``fsum`` energies and service time).
 BILL_FIELDS = (
     "completed",
     "rejected",
@@ -324,10 +315,11 @@ def tenant_bills(ledger) -> dict[str, dict]:
     """Every tenant's bill as JSON-plain fields, in tenant-name order."""
     return {
         tenant: {
-            name: _plain(getattr(ledger.tenants[tenant], name))
-            for name in BILL_FIELDS
+            "completed": account.completed,
+            "rejected": account.rejected,
+            **fold(account.usages, *BILL_FIELDS[2:]),
         }
-        for tenant in sorted(ledger.tenants)
+        for tenant, account in sorted(ledger.tenants.items())
     }
 
 
@@ -355,18 +347,9 @@ def _response_event(handle: RequestHandle, encode_payload) -> dict:
     return event
 
 
-def _plain(value):
-    """Coerce numpy scalars to JSON-native Python numbers."""
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def _plain_tree(value):
     if isinstance(value, dict):
         return {str(key): _plain_tree(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain_tree(item) for item in value]
-    return _plain(value)
+    return plain_scalar(value)

@@ -11,19 +11,25 @@ whole stack is a deterministic discrete-event simulation, the replayed
 trace must equal the recording event for event.
 
 :func:`diff_traces` is the gate: it compares two traces section by
-section — responses (bit-identical result arrays by content hash *and*
-bytes), per-tenant bills (integer wear/work counters by ``==``, ``fsum``
-energies by exact float equality), per-device physical/billed ledgers,
-the attempt/commit/fault streams, and the metrics snapshot — and returns
-a :class:`TraceDiff` listing every mismatch.  Exact equality is the
-right bar: replay determinism means every float is the same IEEE double,
-and JSON round-trips doubles exactly (``repr`` shortest round-trip).
+section — responses (bit-identical result arrays: dtype, shape, content
+hash *and* bytes), per-tenant bills (integer wear/work counters,
+``fsum`` energies), per-device physical/billed ledgers, the
+attempt/commit/fault streams, and the metrics snapshot — and returns a
+:class:`TraceDiff` listing every mismatch.  Every value is compared as
+canonical JSON text, so the comparison is type-strict: ``0`` is not
+``0.0`` and ``true`` is not ``1``.  Exact equality is the right bar:
+replay determinism means every float is the same IEEE double, and JSON
+round-trips doubles exactly (``repr`` shortest round-trip).  The
+gateway's wall-clock vs VirtualClock differential compares its two runs
+through the same :class:`TraceDiff` methods; there is no other diff.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import ClassVar
+
+import numpy as np
 
 from repro.fleet.server import FleetConfig, FleetServer
 from repro.serve.server import CimServer, ServerConfig, ServingLoop
@@ -35,6 +41,7 @@ from repro.trace.schema import (
     decode_fault_plan,
     decode_quota,
     decode_submit_arrays,
+    encode_array,
 )
 
 #: Sections :func:`diff_traces` compares, in report order.
@@ -51,15 +58,19 @@ DIFF_SECTIONS = (
 
 @dataclass
 class TraceDiff:
-    """Every way two traces disagree, grouped by section; empty == pass."""
+    """Every way two runs disagree, grouped by section; empty == pass.
 
-    #: Sections reported, and the two verdict phrases; the gateway's
-    #: differential (:class:`repro.gateway.differential.GatewayDiff`)
-    #: overrides all three.
-    sections: ClassVar[tuple[str, ...]] = DIFF_SECTIONS
-    identical_verdict: ClassVar[str] = "traces are identical (bit-for-bit)"
-    differ_verdict: ClassVar[str] = "traces differ"
+    The diff is also the one comparison engine of the package:
+    :meth:`keyed` and :meth:`events` compare the two runs' records
+    through :meth:`value`, type-strict.  *subject* names the two runs in
+    the verdict and *sides* in a mismatch; :func:`diff_traces` compares a
+    recording with its replay, the gateway differential
+    (:func:`repro.gateway.differential.diff_runs`) two serving modes.
+    """
 
+    sections: tuple[str, ...] = DIFF_SECTIONS
+    subject: str = "traces"
+    sides: tuple[str, str] = ("recording", "replay")
     mismatches: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -79,12 +90,49 @@ class TraceDiff:
     def summary(self) -> str:
         """Human-readable verdict, one line per mismatch."""
         if self.identical:
-            return self.identical_verdict
-        lines = [f"{self.differ_verdict}: {self.count()} mismatch(es)"]
+            return f"{self.subject} are identical (bit-for-bit)"
+        lines = [f"{self.subject} differ: {self.count()} mismatch(es)"]
         for section in self.mismatches:
             for message in self.mismatches[section]:
                 lines.append(f"  [{section}] {message}")
         return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # The comparison
+    # ------------------------------------------------------------------
+    def value(self, section: str, left, right, label: str) -> None:
+        """Add a mismatch unless *left* and *right* are the same value.
+
+        Both sides are compared as canonical JSON text: a tuple equals a
+        list and an int key its string (a fresh recording vs one parsed
+        back from JSONL), but ``0`` is not ``0.0`` and ``true`` is not
+        ``1``, and an array is its dtype, shape and bytes."""
+        left, right = _plain_json(left), _plain_json(right)
+        if _canonical(left) != _canonical(right):
+            self.add(section, _describe(left, right, label))
+
+    def keyed(self, section: str, expected, actual, noun: str, sides=None) -> None:
+        """Compare two mappings entry by entry (*noun* names a key)."""
+        sides = sides or self.sides
+        for key in expected:
+            if key not in actual:
+                self.add(section, f"{noun} {key!r} missing from {sides[1]}")
+            else:
+                self.value(section, expected[key], actual[key], f"{noun} {key!r}")
+        for key in actual:
+            if key not in expected:
+                self.add(section, f"{noun} {key!r} missing from {sides[0]}")
+
+    def events(self, section: str, expected, actual, describe) -> None:
+        """Compare two event streams in order (*describe* labels one)."""
+        if len(expected) != len(actual):
+            self.add(
+                section,
+                f"{len(expected)} event(s) in the {self.sides[0]} vs "
+                f"{len(actual)} in the {self.sides[1]}",
+            )
+        for left, right in zip(expected, actual):
+            self.value(section, left, right, describe(left))
 
 
 @dataclass
@@ -167,104 +215,59 @@ class TraceReplayer:
 def diff_traces(expected: Trace, actual: Trace) -> TraceDiff:
     """Compare two traces section by section; see :class:`TraceDiff`."""
     diff = TraceDiff()
-    _diff_header(diff, expected, actual)
-    _diff_events(
-        diff,
+    diff.keyed("header", expected.header, actual.header, "header field")
+    diff.events(
         "submissions",
         expected.submissions(),
         actual.submissions(),
         lambda event: f"request {event['request_id']}",
     )
-    _diff_events(
-        diff,
+    diff.events(
         "schedule",
-        [e for e in expected.body() if e["event"] in ("attempt", "commit", "fault")],
-        [e for e in actual.body() if e["event"] in ("attempt", "commit", "fault")],
+        _schedule(expected),
+        _schedule(actual),
         lambda event: (
             f"{event['event']} of request {event['request_id']} on device "
             f"{event['device_id']}"
         ),
     )
-    _diff_keyed(
-        diff, "responses", expected.responses(), actual.responses(), "request"
+    diff.keyed("responses", expected.responses(), actual.responses(), "request")
+    diff.keyed("tenant_bills", expected.tenant_bills(), actual.tenant_bills(), "tenant")
+    diff.keyed("device_bills", expected.device_bills(), actual.device_bills(), "device")
+    diff.events(
+        "metrics", [expected.metrics()], [actual.metrics()], lambda _: "metrics snapshot"
     )
-    _diff_keyed(
-        diff, "tenant_bills", expected.tenant_bills(), actual.tenant_bills(), "tenant"
-    )
-    _diff_keyed(
-        diff, "device_bills", expected.device_bills(), actual.device_bills(), "device"
-    )
-    if _normalize(expected.metrics()) != _normalize(actual.metrics()):
-        diff.add("metrics", _describe_dict_diff(
-            _normalize(expected.metrics()) or {},
-            _normalize(actual.metrics()) or {},
-            "metrics snapshot",
-        ))
     return diff
 
 
-def _diff_header(diff: TraceDiff, expected: Trace, actual: Trace) -> None:
-    if expected.kind != actual.kind:
-        diff.add("header", f"kind {expected.kind!r} != {actual.kind!r}")
-    if expected.schema_version != actual.schema_version:
-        diff.add(
-            "header",
-            f"schema_version {expected.schema_version} != {actual.schema_version}",
-        )
-    if _normalize(expected.config) != _normalize(actual.config):
-        diff.add(
-            "header",
-            _describe_dict_diff(
-                _normalize(expected.config), _normalize(actual.config), "config"
-            ),
-        )
+def _schedule(trace: Trace) -> list[dict]:
+    return [e for e in trace.body() if e["event"] in ("attempt", "commit", "fault")]
 
 
-def _diff_events(diff, section, expected, actual, describe) -> None:
-    if len(expected) != len(actual):
-        diff.add(
-            section, f"{len(expected)} recorded event(s) vs {len(actual)} replayed"
-        )
-    for left, right in zip(expected, actual):
-        left, right = _normalize(left), _normalize(right)
-        if left != right:
-            diff.add(
-                section, _describe_dict_diff(left, right, describe(left))
-            )
+def _plain_json(value):
+    """*value* as parsed JSON: lists, string keys, arrays as payloads."""
+    return json.loads(json.dumps(value, default=_jsonable))
 
 
-def _diff_keyed(diff, section, expected, actual, noun) -> None:
-    for key in expected:
-        if key not in actual:
-            diff.add(section, f"{noun} {key!r} missing from replay")
-    for key in actual:
-        if key not in expected:
-            diff.add(section, f"{noun} {key!r} absent from recording")
-    for key in expected:
-        if key not in actual:
-            continue
-        left, right = _normalize(expected[key]), _normalize(actual[key])
-        if left != right:
-            diff.add(section, _describe_dict_diff(left, right, f"{noun} {key!r}"))
+def _jsonable(value):
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"cannot compare a {type(value).__name__}")
 
 
-def _normalize(value):
-    """JSON-normalize an event so a freshly recorded trace (tuples, int
-    keys) compares equal to one parsed back from JSONL (lists, str keys)."""
-    import json
-
-    if value is None:
-        return None
-    return json.loads(json.dumps(value, sort_keys=True))
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
-def _describe_dict_diff(left, right, label: str) -> str:
+def _describe(left, right, label: str) -> str:
     if not isinstance(left, dict) or not isinstance(right, dict):
-        return f"{label}: {left!r} != {right!r}"
+        return f"{label}: {_shorten(left)} != {_shorten(right)}"
     parts = []
     for key in sorted(set(left) | set(right)):
         lval, rval = left.get(key, "<missing>"), right.get(key, "<missing>")
-        if lval != rval:
+        if _canonical(lval) != _canonical(rval):
             parts.append(f"{key}: {_shorten(lval)} != {_shorten(rval)}")
     return f"{label} differs ({'; '.join(parts)})"
 

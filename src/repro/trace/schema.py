@@ -112,6 +112,15 @@ def encode_array(array: np.ndarray) -> dict:
     }
 
 
+def plain_scalar(value):
+    """Coerce numpy scalars to JSON-native Python numbers."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
 def decode_array(payload: dict, where: str = "payload") -> np.ndarray:
     """Rebuild an array from its payload, verifying the content hash."""
     try:

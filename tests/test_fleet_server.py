@@ -35,6 +35,7 @@ from repro.fleet import (
     make_placement,
 )
 from repro.serve import CimServer, RequestStatus, ServerConfig, ServeError
+from repro.serve.accounting import fold
 from repro.serve.errors import HandleStateError
 from repro.serve.request import RequestHandle
 
@@ -346,7 +347,7 @@ class TestFleetFaults:
             assert all(h.status is RequestStatus.COMPLETED for h in handles)
             comps = fleet.ledger.device_compensations(0)
             assert comps, "the interrupted attempt's work must be compensated"
-            assert fleet.ledger.compensated_wear_bytes > 0
+            assert fold(fleet.ledger.compensations, "wear_bytes")["wear_bytes"] > 0
             # The dead device's physical ledger still reconciles exactly.
             assert all(fleet.verify_fleet_partition().values())
             # No tenant was billed for the lost attempt: tenant wear on
@@ -355,7 +356,7 @@ class TestFleetFaults:
                 u.wear_bytes for u in fleet.ledger.device_usages(0)
             )
             physical = fleet.devices[0].system.accelerator.total_cell_writes()
-            assert billed + fleet.ledger.compensated_wear_bytes == physical
+            assert billed + fold(fleet.ledger.compensations, "wear_bytes")["wear_bytes"] == physical
 
     def test_whole_fleet_death_fails_remaining_requests(self):
         plan = FaultPlan(kills=[DeviceKill(0, 1.5e-4)])

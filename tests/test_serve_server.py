@@ -13,6 +13,7 @@ import pytest
 from repro import CimServer, FleetServer, OffloadExecutor, ServerConfig, TenantQuota
 from repro.eval import format_tenant_table, tenant_usage_rows
 from repro.hw.endurance import wear_budget_bytes
+from repro.serve.accounting import fold
 from repro.serve import (
     AdmissionError,
     RequestStatus,
@@ -329,7 +330,7 @@ def test_accounting_partitions_device_totals(server):
     checks = server.ledger.verify_partition(server.system.accelerator)
     assert all(checks.values()), checks
     # Integer wear partitions exactly.
-    total_wear = sum(a.wear_bytes for a in server.ledger.tenants.values())
+    total_wear = fold(server.ledger.all_usages(), "wear_bytes")["wear_bytes"]
     assert total_wear == server.system.accelerator.total_cell_writes()
     # Request count conservation.
     assert sum(a.completed for a in server.ledger.tenants.values()) == 9

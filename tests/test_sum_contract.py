@@ -18,14 +18,16 @@ import pytest
 
 import repro.hw.accelerator
 import repro.hw.stats
+import repro.serve.accounting
 import repro.serve.metrics
 from repro.trace import TraceReplayer, load_trace
 from tests.test_hw_equivalence import GOLDEN, run_case
 
 TRACES_DIR = Path(__file__).parent / "traces"
 
-#: Modules whose builtin ``sum()`` calls used to feed pinned floats.
-MODULES = (repro.hw.stats, repro.hw.accelerator, repro.serve.metrics)
+#: Modules whose builtin ``sum()`` calls used to feed pinned floats, and
+#: the ledger fold, whose ``sum()`` must only ever see integers.
+MODULES = (repro.hw.stats, repro.hw.accelerator, repro.serve.accounting, repro.serve.metrics)
 
 #: Five of the 55 (of 104) device reports a compensated sum moved before
 #: the sums were spelled out.

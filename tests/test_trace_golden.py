@@ -14,6 +14,7 @@ When an intentional behavior change lands, re-record per docs/trace.md::
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,10 @@ import pytest
 
 from repro.trace import (
     SCENARIOS,
+    Trace,
     TraceReplayer,
     decode_array,
+    diff_traces,
     load_trace,
 )
 
@@ -102,14 +105,36 @@ def test_golden_fixture_matches_pinned_scenario(golden):
     fresh recording must reproduce the fixture, not just replay it (so
     the fixture cannot drift from the generator)."""
     name, trace, _ = golden
-    from repro.trace.replayer import diff_traces
-
     fresh = SCENARIOS[name]()
     diff = diff_traces(trace, fresh)
     assert diff.identical, (
         f"scenario {name!r} no longer reproduces its committed fixture "
         f"(re-record if the change is intentional):\n" + diff.summary()
     )
+    # The diff compares values; the fixture is pinned as bytes.
+    assert fresh.dumps() == FIXTURES[name].read_text()
+
+
+@pytest.mark.parametrize(
+    "kind, key, retype",
+    [
+        ("header", "schema_version", float),       # 2 vs 2.0
+        ("tenant_bill", "completed", float),       # an integer bill field
+        ("device_bill", "partition_ok", int),      # true vs 1
+    ],
+)
+def test_trace_diff_is_type_strict(kind, key, retype):
+    """A value that differs only in its JSON type is a mismatch: ``==``
+    would call ``0`` and ``0.0``, or ``true`` and ``1``, the same."""
+    trace = load_trace(FIXTURES["fleet_faultstorm"])
+    events = copy.deepcopy(trace.events)
+    event = next(event for event in events if event["event"] == kind)
+    retyped = retype(event[key])
+    assert retyped == event[key] and type(retyped) is not type(event[key])
+    event[key] = retyped
+    diff = diff_traces(trace, Trace(events))
+    assert diff.count() == 1, diff.summary()
+    assert f"{event[key]!r}" in diff.summary() and key in diff.summary()
 
 
 def test_serve_fixture_covers_every_terminal_path():

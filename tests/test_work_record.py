@@ -1,10 +1,12 @@
 """The work record (``AcceleratorRunStats``) and its one reconciliation.
 
-Two things no other test checks:
+Three things no other test checks:
 
 * the accelerator's running ``totals`` (what the ``total_*()`` helpers,
   placement and the partition check read in O(1)) equal the
   left-to-right sum of ``completed_runs`` after every lease;
+* :func:`repro.serve.accounting.fold` gives the same totals for any
+  order of the same ledger records;
 * :func:`repro.serve.accounting.partition_checks` can *fail*: every
   other use in the suite is ``assert all(checks.values())``, so a check
   that always said yes would pass them all.  One defect at a time is
@@ -15,10 +17,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import random
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import DeviceKill, FaultPlan, FleetConfig, FleetServer
 from repro.gateway.server import AsyncGateway, GatewayConfig, _Flight, _Worker
@@ -26,7 +31,7 @@ from repro.gateway.wire import GatewayRequest, GatewayResponse
 from repro.gateway.worker import RESPONSE_FRAME, build_worker_server, serve_one
 from repro.hw.stats import WORK_COUNTERS, AcceleratorRunStats
 from repro.serve import CimServer, ServerConfig
-from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage
+from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage, fold
 from repro.serve.errors import DeviceFault
 
 GEMV_SOURCE = """
@@ -98,6 +103,59 @@ def test_scalars_is_the_wire_form_of_the_record():
     assert AcceleratorRunStats(**scalars) == dataclasses.replace(
         record, energy_breakdown={}
     )
+
+
+# ----------------------------------------------------------------------
+# The fold is order-independent
+# ----------------------------------------------------------------------
+def _record(index, compensated, host_j, offload_j, accelerator_j, counters):
+    work = dict(
+        offload_energy_j=offload_j,
+        accelerator_energy_j=accelerator_j,
+        **dict(zip(WORK_COUNTERS, counters)),
+    )
+    if compensated:
+        return FaultCompensation(
+            request_id=index, tenant="t", device_id=0, batch_id=index,
+            at_s=0.0, reason="injected", op="commit", **work,
+        )
+    return RequestUsage(
+        request_id=index, tenant="t", batch_id=index, arrival_s=0.0,
+        completed_s=host_j, service_s=host_j, latency_s=host_j,
+        host_energy_j=host_j, **work,
+    )
+
+
+_ENERGY = st.floats(min_value=0.0, max_value=1.0)
+_RECORD = st.tuples(
+    st.booleans(), _ENERGY, _ENERGY, _ENERGY,
+    st.lists(st.integers(0, 2**40), min_size=len(WORK_COUNTERS), max_size=len(WORK_COUNTERS)),
+)
+_FOLDED = (*WORK_COUNTERS, "wear_bytes", "energy_j", "accelerator_energy_j", "offload_energy_j")
+
+
+@settings(max_examples=30, deadline=None)
+@example(
+    # Left to right, 1.0 + 1e-16 + 1e-16 rounds back to 1.0 twice; in
+    # the shuffled order (seed 0) the two small terms add up first.
+    specs=[
+        (False, 1.0, 0.0, 1.0, [1, 2, 3, 4, 5]),
+        (True, 0.0, 1e-16, 1e-16, [0, 0, 0, 0, 0]),
+        (False, 1e-16, 1e-16, 1e-16, [5, 4, 3, 2, 1]),
+    ],
+    seed=0,
+)
+@given(specs=st.lists(_RECORD, max_size=12), seed=st.integers(0, 2**32))
+def test_fold_is_independent_of_record_order(specs, seed):
+    """What lets the differential compare bills across worker completion
+    orders: folding the records in any order gives the same totals —
+    integers by ``==``, floats to the last bit."""
+    records = [_record(index, *spec) for index, spec in enumerate(specs)]
+    shuffled = random.Random(seed).sample(records, len(records))
+    expected, actual = fold(records, *_FOLDED), fold(shuffled, *_FOLDED)
+    for name in _FOLDED:
+        assert type(actual[name]) is type(expected[name]), name
+        assert actual[name] == expected[name], name
 
 
 # ----------------------------------------------------------------------
