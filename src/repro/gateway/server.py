@@ -292,9 +292,11 @@ class _Pipe:
                 return
             if len(inbox) < end:
                 return
-            frame = bytes(inbox[FRAME_HEADER.size:end])
-            del inbox[:end]
-            self._on_frame(frame)
+            # The decoder reads the frame in place: the buffer it sits in
+            # is handed over whole, and a new one keeps what follows it.
+            frame, self._inbox = inbox, inbox[end:]
+            self._on_frame(memoryview(frame)[FRAME_HEADER.size:end])
+            inbox = self._inbox
 
     def close(self) -> None:
         if not self._connection.closed:
@@ -565,7 +567,7 @@ class AsyncGateway:
                 self._finish(flight, "shed")  # running it would only waste a worker
                 continue
             try:
-                frame = REQUEST_FRAME + flight.request.to_json().encode()
+                frame = flight.request.to_frame(REQUEST_FRAME)
             except (TypeError, ValueError, TraceFormatError) as exc:
                 # No worker is bound yet: the request fails alone.
                 self._finish(flight, "failed", f"request cannot be encoded for the wire: {exc}")
@@ -621,8 +623,8 @@ class AsyncGateway:
         self.metrics.observe_retry()
         self._move(flight, "queued")
 
-    def _on_frame(self, worker: _Worker, frame: bytes) -> None:
-        kind, payload = frame[:1], str(frame[1:], "utf-8", "replace")
+    def _on_frame(self, worker: _Worker, frame: memoryview) -> None:
+        kind = frame[:1]
         if worker.dead or (worker.flight is None and kind != DRAINED_FRAME):
             # Monitor/pipe race: the worker wrote this frame and then died
             # (or was killed) before we read it.  Its loss already settled
@@ -631,23 +633,24 @@ class AsyncGateway:
             # A live worker holding no flight has nothing to answer either.
             self.metrics.observe_late_frame()
         elif kind == DRAINED_FRAME:
-            worker.physical = AcceleratorRunStats(**json.loads(payload))
+            worker.physical = AcceleratorRunStats(**json.loads(bytes(frame[1:])))
             worker.drained.set()
         elif kind == RESPONSE_FRAME:
-            self._on_response(worker, payload)
+            self._on_response(worker, frame)
         else:
             # Dead letter: the worker could not read the request it was
             # sent.  No work ran, so the flight fails without a retry.
+            payload = str(frame[1:], "utf-8", "replace")
             self.dead_letters.append(payload)
             reason = f"worker {worker.worker_id} could not decode the request: {payload}"
             self._unbind(worker, "dead-letter", reason, retry=False)
             self._release(worker)
 
-    def _on_response(self, worker: _Worker, payload: str) -> None:
+    def _on_response(self, worker: _Worker, frame: memoryview) -> None:
         """The worker answered: ``sent -> answered``, billed; or the late
         answer to an ``expired`` flight, compensated as measured."""
         try:
-            response = GatewayResponse.from_json(payload)
+            response = GatewayResponse.from_frame(frame)
             worker.physical = AcceleratorRunStats(**response.physical)
         except (WireFormatError, TypeError) as exc:
             # Byzantine worker: its in-process ledgers hold work no

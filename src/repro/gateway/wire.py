@@ -1,19 +1,25 @@
 """Typed request/response schema of the wall-clock gateway.
 
-Requests and responses are dataclasses with a JSON wire format — one
-object per message, array payloads carried as base64 bytes with a sha256
-content hash, exactly the encoding of the trace layer
-(:func:`repro.trace.schema.encode_array` / :func:`~repro.trace.schema.decode_array`).
-The shared encoding is deliberate: a recorded trace's ``submit`` events
-*are* valid gateway request bodies, which is what lets the load generator
-replay recordings and the differential drive the same bytes through both
-serving modes.
+Requests and responses are dataclasses with one schema (``to_wire``'s
+dict) and two encodings.  The text form (``to_json`` / ``from_json``) is
+one JSON object with array payloads as base64 bytes plus a sha256
+content hash, exactly the trace layer's encoding, so a recorded trace's
+``submit`` events *are* valid request bodies (the load generator and the
+differential replay them).  The pipe frame (``to_frame`` /
+``from_frame``), the only thing that crosses a worker pipe, is a kind
+byte, the 4-byte big-endian length of a UTF-8 JSON header, the header,
+then each array's raw C-order bytes in header order; the header's array
+payloads are the trace's reference form (``dtype``, ``shape``,
+``sha256``, no ``data``), so each array byte crosses the pipe once, raw,
+and is copied once, out of the frame into its array.
 
-The wire format crosses a process boundary (gateway process → pool
-worker → gateway process), so decoding is defensive: malformed messages
-raise :class:`WireFormatError` — a worker never crashes on a bad frame,
-it answers with a failed response — and every array payload is verified
-against its content hash on both sides of the pipe.
+Both encodings check arrays with one function,
+:func:`~repro.trace.schema.array_from_bytes` (dtype, no objects, byte
+length against the shape, sha256), so every array is verified on both
+sides of the pipe.  Decoding is defensive: any malformed message — a
+missing or mistyped field, a truncated frame, stray bytes, a hash
+mismatch — raises :class:`WireFormatError` and nothing else, so a worker
+never crashes on a bad frame (it answers with a dead letter).
 
 ``GatewayRequest.fault`` is the gateway's deterministic fault-injection
 seam (the wall-clock analogue of the fleet's seeded
@@ -27,12 +33,17 @@ from __future__ import annotations
 
 import json
 import math
+import struct
+import threading
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.trace.schema import TraceFormatError, decode_array, encode_array, plain_scalar
+from repro.trace.schema import (
+    TraceFormatError, array_from_bytes, array_layout, array_reference, decode_array,
+    encode_array, plain_scalar,
+)
 
 #: Fault markers a request may carry (see module docstring).
 #:
@@ -46,9 +57,9 @@ from repro.trace.schema import TraceFormatError, decode_array, encode_array, pla
 #: * ``slow`` / ``slow:<seconds>`` — the worker stalls for
 #:   :data:`SLOW_FAULT_DELAY_S` (or the given delay) and then serves the
 #:   request normally (deadline pressure without losing work);
-#: * ``corrupt-frame`` — the worker serves the request and then ships a
-#:   deliberately mangled response frame (undecodable JSON), the
-#:   byzantine shape the gateway's defensive decode must absorb.
+#: * ``corrupt-frame`` — the worker serves the request and then ships the
+#:   first half of its response frame, the byzantine shape the gateway's
+#:   defensive decode must absorb.
 FAULT_MARKERS = (
     "die-before-dispatch",
     "die-mid-request",
@@ -63,7 +74,9 @@ SLOW_FAULT_DELAY_S = 0.25
 
 def validate_fault_marker(fault: Optional[str]) -> None:
     """Raise :class:`WireFormatError` for an unknown fault marker
-    (``None``, a known marker, or ``slow:<seconds>`` are accepted)."""
+    (``None``, a known marker, or ``slow:<seconds>`` with a delay
+    ``time.sleep`` takes — finite, at most ``threading.TIMEOUT_MAX`` —
+    are accepted)."""
     if fault is None or fault in FAULT_MARKERS:
         return
     if fault.startswith("slow:"):
@@ -71,11 +84,11 @@ def validate_fault_marker(fault: Optional[str]) -> None:
             delay_s = float(fault[len("slow:"):])
         except ValueError:
             delay_s = -1.0
-        if delay_s >= 0.0:
+        if 0.0 <= delay_s <= threading.TIMEOUT_MAX:
             return
     raise WireFormatError(
         f"request: unknown fault marker {fault!r} (known: {FAULT_MARKERS}, "
-        "or 'slow:<seconds>')"
+        f"or 'slow:<seconds>' with 0 <= seconds <= {threading.TIMEOUT_MAX})"
     )
 
 
@@ -93,35 +106,95 @@ FAULT_EXIT_CODE = 137
 
 
 class WireFormatError(RuntimeError):
-    """A gateway wire message violates the schema: missing fields, a
-    payload whose bytes do not match their recorded sha256, an unknown
-    status or fault marker.  Raised by the decoders before any state is
-    touched — a bad frame is rejected whole."""
+    """A gateway wire message violates the schema: a missing or mistyped
+    field, a truncated frame or stray bytes, a payload whose bytes do not
+    match their recorded sha256, an unknown status or fault marker.  Raised
+    by the decoders before any state is touched — a bad frame is rejected whole."""
 
 
-def _require(mapping: Mapping, key: str, where: str):
-    try:
-        return mapping[key]
-    except KeyError:
-        raise WireFormatError(f"{where}: missing field {key!r}") from None
+_MISSING = object()
+
+#: The frame header's length prefix (big-endian, after the kind byte).
+_HEADER_LENGTH = struct.Struct("!I")
 
 
-def _decode_payloads(payloads, where: str) -> dict[str, np.ndarray]:
-    if not isinstance(payloads, dict):
-        raise WireFormatError(f"{where}: array payloads must be an object")
+def _field(wire: Mapping, key: str, types: tuple, where: str, default=_MISSING):
+    """``wire[key]`` (or *default*), typed exactly one of *types*: a bool is no int."""
+    value = wire.get(key, default)
+    if type(value) not in types:
+        if value is _MISSING:
+            raise WireFormatError(f"{where}: missing field {key!r}")
+        names = " or ".join(kind.__name__ for kind in types)
+        raise WireFormatError(f"{where}: field {key!r} must be {names}, got {value!r}")
+    return value
+
+
+def _decode_payloads(payloads: dict, where: str, decode: Callable) -> dict[str, np.ndarray]:
     try:
         return {
-            name: decode_array(payload, where=f"{where} array {name!r}")
+            name: decode(payload, f"{where} array {name!r}")
             for name, payload in payloads.items()
         }
     except TraceFormatError as exc:
         raise WireFormatError(str(exc)) from exc
 
 
+class _Message:
+    """Both codecs, over ``to_wire(encode)`` (array -> payload dict) and
+    ``from_wire(wire, decode)`` ((payload dict, label) -> array)."""
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_wire(), separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            wire = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise WireFormatError(f"{cls._where}: corrupt JSON frame ({exc.msg})") from exc
+        return cls.from_wire(wire)
+
+    def to_frame(self, kind: bytes) -> bytes:
+        """The pipe frame of this message (see the module docstring)."""
+        bodies = []
+
+        def reference(array) -> dict:
+            payload, raw = array_reference(array)
+            bodies.append(raw)
+            return payload
+
+        header = json.dumps(self.to_wire(reference), separators=(",", ":")).encode()
+        return b"".join([kind, _HEADER_LENGTH.pack(len(header)), header, *bodies])
+
+    @classmethod
+    def from_frame(cls, frame):
+        """Decode a pipe frame (kind byte first, not checked here) from any
+        bytes-like object; each array is copied out of it once."""
+        view = memoryview(frame)
+        try:  # the header starts after the kind byte and its 4-byte length
+            end = 5 + _HEADER_LENGTH.unpack_from(view, 1)[0]
+            wire = json.loads(str(view[5:end], "utf-8"))
+        except (struct.error, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise WireFormatError(f"{cls._where}: corrupt frame header ({exc})") from exc
+
+        def take(payload, where: str) -> np.ndarray:
+            nonlocal end
+            layout = array_layout(payload, where)
+            offset, end = end, end + layout[2]
+            return array_from_bytes(payload, view[offset:end], where, layout)
+
+        message = cls.from_wire(wire, take)
+        if end != len(view):
+            raise WireFormatError(f"{cls._where}: frame is {len(view)} bytes, not {end}")
+        return message
+
+
 # ----------------------------------------------------------------------
 @dataclass
-class GatewayRequest:
+class GatewayRequest(_Message):
     """One offload request on the wire (gateway → worker)."""
+
+    _where = "request"
 
     request_id: int
     tenant: str
@@ -145,54 +218,43 @@ class GatewayRequest:
             raise WireFormatError("request: kernel source must be a non-empty string")
         validate_fault_marker(self.fault)
         if self.deadline_s is not None:
-            deadline_s = float(self.deadline_s)
+            try:
+                deadline_s = float(self.deadline_s)
+            except (TypeError, ValueError, OverflowError):
+                deadline_s = math.nan
             if not math.isfinite(deadline_s):
                 raise WireFormatError(
-                    f"request: deadline_s must be finite, got {self.deadline_s!r}"
+                    f"request: deadline_s must be a finite number, got {self.deadline_s!r}"
                 )
             self.deadline_s = deadline_s
 
     # -- wire codec -----------------------------------------------------
-    def to_wire(self) -> dict:
+    def to_wire(self, encode: Callable = encode_array) -> dict:
         return {
             "request_id": self.request_id,
             "tenant": self.tenant,
             "source": self.source,
             "params": {key: plain_scalar(value) for key, value in self.params.items()},
-            "arrays": {
-                name: encode_array(np.asarray(value))
-                for name, value in self.arrays.items()
-            },
+            "arrays": {name: encode(value) for name, value in self.arrays.items()},
             "attempt": self.attempt,
             "fault": self.fault,
             "deadline_s": self.deadline_s,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_wire(), separators=(",", ":"))
-
     @classmethod
-    def from_wire(cls, wire: Mapping) -> "GatewayRequest":
+    def from_wire(cls, wire: Mapping, decode: Callable = decode_array) -> "GatewayRequest":
         if not isinstance(wire, Mapping):
             raise WireFormatError("request: wire frame is not an object")
         return cls(
-            request_id=int(_require(wire, "request_id", "request")),
-            tenant=_require(wire, "tenant", "request"),
-            source=_require(wire, "source", "request"),
-            params=dict(_require(wire, "params", "request")),
-            arrays=_decode_payloads(_require(wire, "arrays", "request"), "request"),
-            attempt=int(wire.get("attempt", 1)),
-            fault=wire.get("fault"),
-            deadline_s=wire.get("deadline_s"),
+            request_id=_field(wire, "request_id", (int,), "request"),
+            tenant=_field(wire, "tenant", (str,), "request"),
+            source=_field(wire, "source", (str,), "request"),
+            params=dict(_field(wire, "params", (dict,), "request")),
+            arrays=_decode_payloads(_field(wire, "arrays", (dict,), "request"), "request", decode),
+            attempt=_field(wire, "attempt", (int,), "request", 1),
+            fault=_field(wire, "fault", (str, type(None)), "request", None),
+            deadline_s=_field(wire, "deadline_s", (int, float, type(None)), "request", None),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GatewayRequest":
-        try:
-            wire = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise WireFormatError(f"request: corrupt JSON frame ({exc.msg})") from exc
-        return cls.from_wire(wire)
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +282,10 @@ USAGE_FIELDS = (
 
 
 @dataclass
-class GatewayResponse:
+class GatewayResponse(_Message):
     """One served request on the wire (worker → gateway)."""
+
+    _where = "response"
 
     request_id: int
     tenant: str
@@ -262,7 +326,7 @@ class GatewayResponse:
         return self.completed_s - self.submitted_s
 
     # -- wire codec -----------------------------------------------------
-    def to_wire(self) -> dict:
+    def to_wire(self, encode: Callable = encode_array) -> dict:
         return {
             "request_id": self.request_id,
             "tenant": self.tenant,
@@ -270,10 +334,7 @@ class GatewayResponse:
             "worker_id": self.worker_id,
             "attempt": self.attempt,
             "reason": self.reason,
-            "result": {
-                name: encode_array(np.asarray(value))
-                for name, value in self.result.items()
-            },
+            "result": {name: encode(value) for name, value in self.result.items()},
             "usage": dict(self.usage),
             "housekeeping_energy_j": list(self.housekeeping_energy_j),
             "physical": dict(self.physical),
@@ -281,33 +342,22 @@ class GatewayResponse:
             "compile_misses": self.compile_misses,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_wire(), separators=(",", ":"))
-
     @classmethod
-    def from_wire(cls, wire: Mapping) -> "GatewayResponse":
+    def from_wire(cls, wire: Mapping, decode: Callable = decode_array) -> "GatewayResponse":
         if not isinstance(wire, Mapping):
             raise WireFormatError("response: wire frame is not an object")
+        where = "response"
         return cls(
-            request_id=int(_require(wire, "request_id", "response")),
-            tenant=_require(wire, "tenant", "response"),
-            status=_require(wire, "status", "response"),
-            worker_id=int(_require(wire, "worker_id", "response")),
-            attempt=int(wire.get("attempt", 1)),
-            reason=wire.get("reason"),
-            result=_decode_payloads(wire.get("result", {}), "response"),
-            usage=dict(wire.get("usage", {})),
-            housekeeping_energy_j=list(wire.get("housekeeping_energy_j", [])),
-            physical=dict(wire.get("physical", {})),
-            compile_hits=int(wire.get("compile_hits", 0)),
-            compile_misses=int(wire.get("compile_misses", 0)),
+            request_id=_field(wire, "request_id", (int,), where),
+            tenant=_field(wire, "tenant", (str,), where),
+            status=_field(wire, "status", (str,), where),
+            worker_id=_field(wire, "worker_id", (int,), where),
+            attempt=_field(wire, "attempt", (int,), where, 1),
+            reason=_field(wire, "reason", (str, type(None)), where, None),
+            result=_decode_payloads(_field(wire, "result", (dict,), where, {}), where, decode),
+            usage=dict(_field(wire, "usage", (dict,), where, {})),
+            housekeeping_energy_j=list(_field(wire, "housekeeping_energy_j", (list,), where, [])),
+            physical=dict(_field(wire, "physical", (dict,), where, {})),
+            compile_hits=_field(wire, "compile_hits", (int,), where, 0),
+            compile_misses=_field(wire, "compile_misses", (int,), where, 0),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GatewayResponse":
-        try:
-            wire = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise WireFormatError(f"response: corrupt JSON frame ({exc.msg})") from exc
-        return cls.from_wire(wire)
-

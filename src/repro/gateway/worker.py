@@ -27,16 +27,17 @@ as per-request ledger deltas — so a request's usage record is a pure
 function of the request, independent of which worker serves it or what
 ran before.
 
-The worker speaks the :mod:`repro.gateway.wire` JSON format over its own
-duplex pipe to the gateway — blocking ``recv_bytes`` / ``send_bytes`` in
-the main thread, one frame per message, no helper thread and nothing
-shared with its siblings, so dying at any instruction (even half-way
-through a frame) can strand only its own request — and honours the
-deterministic fault-injection markers: ``die-before-dispatch`` exits the
-process before any work happens, ``die-mid-request`` performs the full
-dispatch and exits before the response leaves the process (so the
-computed outputs and the device's physical ledgers are genuinely lost,
-exactly like a machine kill).  Crash recovery and compensation are the gateway's job
+The worker speaks :mod:`repro.gateway.wire` pipe frames (a JSON header,
+then raw array bytes) over its own duplex pipe to the gateway — blocking
+``recv_bytes`` / ``send_bytes`` in the main thread, one frame per
+message, no helper thread and nothing shared with its siblings, so dying
+at any instruction (even half-way through a frame) can strand only its
+own request — and honours the deterministic fault-injection markers:
+``die-before-dispatch`` exits the process before any work happens,
+``die-mid-request`` performs the full dispatch and exits before the
+response leaves the process (so the computed outputs and the device's
+physical ledgers are genuinely lost, exactly like a machine kill).
+Crash recovery and compensation are the gateway's job
 (:mod:`repro.gateway.server`).
 """
 
@@ -58,15 +59,15 @@ from repro.gateway.wire import (
 )
 from repro.hw.stats import AcceleratorRunStats
 
-#: A pipe frame is one kind byte followed by a UTF-8 payload, sent as one
-#: ``Connection.send_bytes`` message.  Gateway -> worker: a
-#: ``GatewayRequest`` JSON object, or the (empty) order to drain.
+#: A pipe frame is one kind byte followed by its body, sent as one
+#: ``Connection.send_bytes`` message.  Gateway -> worker: a request frame
+#: (``GatewayRequest.to_frame``), or the (empty) order to drain.
 REQUEST_FRAME = b"q"
 DRAIN_FRAME = b"d"
 
-#: Worker -> gateway: a ``GatewayResponse`` JSON object, the final work
-#: record (``AcceleratorRunStats.scalars()`` as JSON) answering a drain,
-#: or the error text of a request frame too broken to answer by id.
+#: Worker -> gateway: a response frame (``GatewayResponse.to_frame``),
+#: the final work record (``AcceleratorRunStats.scalars()`` as JSON)
+#: answering a drain, or the error text of an undecodable request frame.
 RESPONSE_FRAME = b"r"
 DRAINED_FRAME = b"f"
 DEAD_LETTER_FRAME = b"x"
@@ -175,8 +176,8 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
     )
 
 
-def _send_frame(pipe, kind: bytes, payload: str) -> None:
-    pipe.send_bytes(kind + payload.encode())
+def _send_frame(pipe, frame: bytes) -> None:
+    pipe.send_bytes(frame)
 
 
 def worker_main(worker_id: int, config: dict, pipe) -> None:
@@ -200,14 +201,14 @@ def worker_main(worker_id: int, config: dict, pipe) -> None:
             except EOFError:
                 break  # the gateway is gone
             if frame[:1] == DRAIN_FRAME:
-                _send_frame(pipe, DRAINED_FRAME, json.dumps(physical.scalars()))
+                _send_frame(pipe, DRAINED_FRAME + json.dumps(physical.scalars()).encode())
                 break
             try:
-                request = GatewayRequest.from_json(str(frame[1:], "utf-8", "replace"))
+                request = GatewayRequest.from_frame(frame)
             except WireFormatError as exc:
                 # A frame that decodes this badly has no request id to
                 # answer for; report it as a dead letter and move on.
-                _send_frame(pipe, DEAD_LETTER_FRAME, str(exc))
+                _send_frame(pipe, DEAD_LETTER_FRAME + str(exc).encode())
                 continue
             if request.fault == "die-before-dispatch":
                 os._exit(FAULT_EXIT_CODE)
@@ -234,15 +235,15 @@ def worker_main(worker_id: int, config: dict, pipe) -> None:
                 # FaultCompensation accounting must cover.
                 os._exit(FAULT_EXIT_CODE)
             response.physical = physical.scalars()
-            payload = response.to_json()
+            frame = response.to_frame(RESPONSE_FRAME)
             if request.fault == "corrupt-frame":
                 # Byzantine worker: the device worked, but the frame that
-                # leaves the process is garbage (truncated JSON).  The
+                # leaves the process is garbage (its first half).  The
                 # gateway must fail only this request with a typed reason
                 # and kill this process — its in-process ledgers now hold
                 # work no decodable snapshot will ever account for, so
                 # letting it live would break the partition.
-                payload = payload[: len(payload) // 2]
-            _send_frame(pipe, RESPONSE_FRAME, payload)
+                frame = frame[: len(frame) // 2]
+            _send_frame(pipe, frame)
     finally:
         server.shutdown()

@@ -96,20 +96,24 @@ class TraceFormatError(RuntimeError):
 # ----------------------------------------------------------------------
 # Array payloads
 # ----------------------------------------------------------------------
-def encode_array(array: np.ndarray) -> dict:
-    """One array as a JSON-able payload: dtype + shape + base64 bytes +
-    sha256 content hash (the bit-identity currency of the diff)."""
-    data = np.ascontiguousarray(array)
+def array_reference(array) -> tuple[dict, np.ndarray]:
+    """*array*'s reference payload (dtype, shape, sha256; no ``data``) and
+    its raw C-order bytes, as an array (no copy if *array* is C-contiguous)."""
+    data = np.asarray(array)
     if data.dtype.hasobject:
         # The bytes of an object array are pointers into this process.
         raise TraceFormatError(f"cannot encode an array of dtype {data.dtype}: it holds objects")
-    raw = data.tobytes()
-    return {
-        "dtype": data.dtype.str,
-        "shape": list(data.shape),
-        "sha256": hashlib.sha256(raw).hexdigest(),
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
+    raw = np.ascontiguousarray(data)
+    sha256 = hashlib.sha256(raw).hexdigest()
+    return {"dtype": data.dtype.str, "shape": list(data.shape), "sha256": sha256}, raw
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """One array as a JSON-able payload: dtype + shape + base64 bytes +
+    sha256 content hash (the bit-identity currency of the diff)."""
+    payload, raw = array_reference(array)
+    payload["data"] = base64.b64encode(raw).decode("ascii")
+    return payload
 
 
 def plain_scalar(value):
@@ -121,29 +125,48 @@ def plain_scalar(value):
     return value
 
 
-def decode_array(payload: dict, where: str = "payload") -> np.ndarray:
-    """Rebuild an array from its payload, verifying the content hash."""
+def array_layout(payload: dict, where: str = "payload") -> tuple[np.dtype, tuple, int]:
+    """A payload's dtype, its shape and the byte length they require,
+    checked: a dtype with bytes and no objects, dimensions >= 0."""
     try:
         dtype = np.dtype(payload["dtype"])
         shape = tuple(int(dim) for dim in payload["shape"])
-        raw = base64.b64decode(payload["data"].encode("ascii"), validate=True)
-        recorded_hash = payload["sha256"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"{where}: malformed array payload ({exc})") from exc
     if dtype.hasobject:
         raise TraceFormatError(f"{where}: array payload of dtype {dtype} holds objects")
-    expected = dtype.itemsize * math.prod(shape)
+    if dtype.itemsize == 0 or min(shape, default=0) < 0:
+        raise TraceFormatError(f"{where}: no array has dtype {dtype} and shape {shape}")
+    return dtype, shape, dtype.itemsize * math.prod(shape)
+
+
+def array_from_bytes(payload: dict, raw, where: str = "payload", layout=None) -> np.ndarray:
+    """The array *payload* (with *layout*, if given) describes, copied out of
+    the bytes-like *raw* after checking length and sha256."""
+    dtype, shape, expected = layout or array_layout(payload, where)
     if len(raw) != expected:
         raise TraceFormatError(
             f"{where}: array payload has {len(raw)} bytes, "
             f"dtype/shape require {expected}"
         )
-    if hashlib.sha256(raw).hexdigest() != recorded_hash:
+    if hashlib.sha256(raw).hexdigest() != payload.get("sha256"):
         raise TraceFormatError(
             f"{where}: array payload bytes do not match their recorded "
             f"sha256 — the trace is corrupt"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    try:
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    except (ValueError, OverflowError) as exc:  # a shape numpy cannot hold
+        raise TraceFormatError(f"{where}: malformed array payload ({exc})") from exc
+
+
+def decode_array(payload: dict, where: str = "payload") -> np.ndarray:
+    """Rebuild an array from its base64 payload, verifying the content hash."""
+    try:
+        raw = base64.b64decode(payload["data"].encode("ascii"), validate=True)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(f"{where}: malformed array payload ({exc})") from exc
+    return array_from_bytes(payload, raw, where)
 
 
 def decode_submit_arrays(event: dict) -> dict[str, np.ndarray]:

@@ -87,7 +87,7 @@ class FakeWorker:
     # -- the gateway's side of the pipe ---------------------------------
     def send(self, frame: bytes) -> None:
         if frame[:1] != DRAIN_FRAME:
-            request = GatewayRequest.from_json(frame[1:].decode())
+            request = GatewayRequest.from_frame(frame)
             self.inbox.append(request)
             self.attempts.append((request.request_id, request.attempt))
         elif self.dies_at_drain:
@@ -126,15 +126,15 @@ class FakeWorker:
         )
         return usage
 
-    def response(self, request: GatewayRequest) -> str:
+    def response(self, request: GatewayRequest) -> bytes:
         return GatewayResponse(
             request.request_id, request.tenant, "completed", self.worker.worker_id,
             attempt=request.attempt, result=dict(request.arrays),
             usage=self.work(request), physical=self.physical.scalars(),
-        ).to_json()
+        ).to_frame(RESPONSE_FRAME)
 
     def answer(self) -> None:
-        self.deliver(RESPONSE_FRAME + self.response(self.inbox.pop(0)).encode())
+        self.deliver(self.response(self.inbox.pop(0)))
 
     def _monitor_steps(self) -> None:
         self.gateway._tick(self.gateway.clock.now_s)
@@ -259,13 +259,13 @@ class FlightMachine(RuleBasedStateMachine):
             if outcome == "dead-letter":  # the worker could not read it: no work
                 fake.deliver(DEAD_LETTER_FRAME + b"request: corrupt JSON frame (seeded)")
             else:
-                payload = fake.response(request)
-                fake.deliver(RESPONSE_FRAME + payload[: len(payload) // 2].encode())
+                frame = fake.response(request)
+                fake.deliver(frame[: len(frame) // 2])
             # No retry: the request fails alone (unless it had expired).
             assert flight.state in ("failed", "expired")
         elif outcome == "die-after-answer":
             # The answer is in the pipe, but the monitor sees the death first.
-            frame = RESPONSE_FRAME + fake.response(fake.inbox.pop(0)).encode()
+            frame = fake.response(fake.inbox.pop(0))
             fake.process.exitcode = FAULT_EXIT_CODE
             tick(self.gateway)
             fake.deliver(frame)

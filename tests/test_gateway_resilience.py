@@ -471,7 +471,7 @@ class TestDrainEscalation:
                     fault="hang",
                 )
                 worker = gateway._workers[0]
-                worker.pipe.send(REQUEST_FRAME + rogue.to_json().encode())
+                worker.pipe.send(rogue.to_frame(REQUEST_FRAME))
                 await asyncio.sleep(0.2)
                 await gateway.drain()
                 return response, worker
@@ -547,19 +547,18 @@ class TestPipeTransport:
         claim = tmp_path / "wedged"
         send_frame = worker_mod._send_frame
 
-        def send_half_once(pipe, kind, payload):
-            if kind == worker_mod.RESPONSE_FRAME:
+        def send_half_once(pipe, frame):
+            if frame[:1] == worker_mod.RESPONSE_FRAME:
                 try:
                     os.close(os.open(claim, os.O_CREAT | os.O_EXCL))
                 except FileExistsError:
                     pass  # some worker already wedged: behave
                 else:
-                    frame = kind + payload.encode()
                     header = worker_mod.FRAME_HEADER.pack(len(frame))
                     os.write(pipe.fileno(), header + frame[: len(frame) // 2])
                     while True:
                         time.sleep(3600.0)
-            send_frame(pipe, kind, payload)
+            send_frame(pipe, frame)
 
         # Patched before start(): forked workers inherit the module.
         monkeypatch.setattr(worker_mod, "_send_frame", send_half_once)

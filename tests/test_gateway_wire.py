@@ -1,18 +1,24 @@
-"""Unit tests for the gateway wire schema (PR 9).
+"""Unit tests for the gateway wire schema.
 
 The wire format crosses a process boundary, so the contract under test
-is defensive bit-exactness: arrays round-trip byte-for-byte through the
-base64+sha256 payload encoding, floats round-trip exactly through JSON,
-and every malformed frame is rejected whole with a
-:class:`~repro.gateway.wire.WireFormatError` before any state is touched.
+is defensive bit-exactness: arrays round-trip byte-for-byte through both
+encodings (the base64+sha256 text form and the binary pipe frame),
+floats round-trip exactly through JSON, and every malformed message is
+rejected whole with a :class:`~repro.gateway.wire.WireFormatError` —
+and no other exception — before any state is touched.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.gateway.wire import (
     FAULT_MARKERS,
@@ -22,6 +28,8 @@ from repro.gateway.wire import (
     USAGE_FIELDS,
     WireFormatError,
 )
+from repro.gateway.worker import REQUEST_FRAME, RESPONSE_FRAME
+from repro.trace.schema import decode_array, encode_array
 
 SOURCE = "void k(int N, float x[N]) { for (int i = 0; i < N; i++) x[i] += 1.0; }"
 
@@ -97,21 +105,25 @@ class TestRequestWire:
             GatewayRequest.from_wire(wire)
 
 
+def make_response(**overrides) -> GatewayResponse:
+    fields = dict(
+        request_id=7,
+        tenant="acme",
+        status="completed",
+        worker_id=1,
+        result={"y": np.arange(4, dtype=np.float32)},
+        usage={name: 1.0 for name in USAGE_FIELDS},
+        housekeeping_energy_j=[1e-9, 2e-9],
+        physical={"energy_j": 3.5e-8, "macs": 64},
+        compile_hits=1,
+    )
+    fields.update(overrides)
+    return GatewayResponse(**fields)
+
+
 class TestResponseWire:
     def make_response(self, **overrides) -> GatewayResponse:
-        fields = dict(
-            request_id=7,
-            tenant="acme",
-            status="completed",
-            worker_id=1,
-            result={"y": np.arange(4, dtype=np.float32)},
-            usage={name: 1.0 for name in USAGE_FIELDS},
-            housekeeping_energy_j=[1e-9, 2e-9],
-            physical={"energy_j": 3.5e-8, "macs": 64},
-            compile_hits=1,
-        )
-        fields.update(overrides)
-        return GatewayResponse(**fields)
+        return make_response(**overrides)
 
     def test_roundtrip_is_bit_exact(self):
         response = self.make_response(
@@ -152,3 +164,214 @@ class TestResponseWire:
         wire = self.make_response().to_wire()
         assert "submitted_s" not in wire
         assert "completed_s" not in wire
+
+
+# ----------------------------------------------------------------------
+# The pipe frame: kind byte, header length, JSON header, raw array bytes
+# ----------------------------------------------------------------------
+def split_frame(frame: bytes) -> tuple[dict, bytes]:
+    """A frame's JSON header and the array bytes after it."""
+    (size,) = struct.unpack_from("!I", frame, 1)
+    return json.loads(frame[5 : 5 + size]), frame[5 + size :]
+
+
+def join_frame(kind: bytes, header, body: bytes) -> bytes:
+    text = json.dumps(header).encode()
+    return kind + struct.pack("!I", len(text)) + text + body
+
+
+class TestFrames:
+    def test_the_header_carries_references_and_the_body_raw_bytes(self):
+        arrays = {"A": np.arange(6, dtype=np.float32).reshape(2, 3), "x": np.ones(3)}
+        frame = make_request(arrays=arrays).to_frame(REQUEST_FRAME)
+        header, body = split_frame(frame)
+        assert frame[:1] == REQUEST_FRAME
+        assert body == b"".join(array.tobytes() for array in arrays.values())
+        for name, array in arrays.items():
+            payload = encode_array(array)
+            del payload["data"]
+            assert header["arrays"][name] == payload
+        assert header == {**make_request(arrays={}).to_wire(), "arrays": header["arrays"]}
+
+    def test_a_response_frame_roundtrips_every_field(self):
+        response = make_response(reason=None, compile_misses=2, attempt=3)
+        decoded = GatewayResponse.from_frame(response.to_frame(RESPONSE_FRAME))
+        assert decoded.to_wire() == response.to_wire()
+
+    def test_a_halved_frame_is_rejected(self):
+        # The ``corrupt-frame`` fault ships the first half of a frame.
+        frame = make_response().to_frame(RESPONSE_FRAME)
+        with pytest.raises(WireFormatError):
+            GatewayResponse.from_frame(frame[: len(frame) // 2])
+
+    def test_stray_bytes_after_the_arrays_are_rejected(self):
+        frame = make_request().to_frame(REQUEST_FRAME)
+        with pytest.raises(WireFormatError, match="frame is"):
+            GatewayRequest.from_frame(frame + b"\0")
+
+    def test_a_decoded_array_owns_its_bytes(self):
+        # A kept result must not pin the whole frame (header included).
+        frame = make_request().to_frame(REQUEST_FRAME)
+        array = GatewayRequest.from_frame(memoryview(frame)).arrays["x"]
+        assert array.flags.owndata and array.flags.writeable
+
+
+def test_a_zero_d_array_keeps_its_shape():
+    scalar = np.array(3.5, np.float32)
+    payload = encode_array(scalar)
+    assert payload["shape"] == []
+    assert decode_array(payload).shape == ()
+    decoded = GatewayRequest.from_frame(make_request(arrays={"s": scalar}).to_frame(REQUEST_FRAME))
+    assert decoded.arrays["s"].shape == () and decoded.arrays["s"][()] == 3.5
+
+
+# -- malformed header fields: WireFormatError through either codec -------
+def _from_json(cls, message, field, value):
+    wire = json.loads(message.to_json())
+    wire[field] = value
+    return cls.from_json(json.dumps(wire))
+
+
+def _from_frame(cls, message, field, value):
+    kind = REQUEST_FRAME if cls is GatewayRequest else RESPONSE_FRAME
+    header, body = split_frame(message.to_frame(kind))
+    header[field] = value
+    return cls.from_frame(join_frame(kind, header, body))
+
+
+CODECS = pytest.mark.parametrize("decode", [_from_json, _from_frame], ids=["json", "frame"])
+
+
+@CODECS
+@pytest.mark.parametrize("field, value", [
+    ("request_id", "seven"),
+    ("attempt", "second"),
+    ("params", [1, 2]),
+    ("params", "N=4"),
+    ("deadline_s", "soon"),
+    ("tenant", 5),
+])
+def test_a_malformed_request_field_is_a_wire_format_error(decode, field, value):
+    with pytest.raises(WireFormatError, match=field):
+        decode(GatewayRequest, make_request(), field, value)
+
+
+@CODECS
+@pytest.mark.parametrize("field, value", [
+    ("worker_id", "one"),
+    ("compile_hits", "1"),
+    ("usage", [1.0]),
+    ("housekeeping_energy_j", 3),
+    ("tenant", 5),
+])
+def test_a_malformed_response_field_is_a_wire_format_error(decode, field, value):
+    with pytest.raises(WireFormatError, match=field):
+        decode(GatewayResponse, make_response(), field, value)
+
+
+@pytest.mark.parametrize("marker", ["slow:inf", "slow:1e300", "slow:nan", "slow:-1"])
+def test_a_slow_delay_time_sleep_cannot_take_is_rejected(marker):
+    with pytest.raises(WireFormatError, match="fault marker"):
+        make_request(fault=marker)
+    with pytest.raises(WireFormatError, match="fault marker"):
+        _from_json(GatewayRequest, make_request(), "fault", marker)
+
+
+def test_the_longest_slow_delay_is_accepted():
+    make_request(fault=f"slow:{threading.TIMEOUT_MAX}")
+
+
+# -- properties ---------------------------------------------------------
+DTYPES = st.sampled_from(["bool", "int64", "float16", ">f4", "float32"])
+
+
+@st.composite
+def array_sets(draw) -> dict[str, np.ndarray]:
+    """One to three arrays: 0-d, empty or small, in C, transposed or
+    Fortran order."""
+    arrays = {}
+    for index in range(draw(st.integers(1, 3))):
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+        array = draw(hnp.arrays(np.dtype(draw(DTYPES)), shape))
+        layout = draw(st.sampled_from(["C", "T", "F"]))
+        arrays[f"a{index}"] = {"C": array, "T": array.T, "F": np.asfortranarray(array)}[layout]
+    return arrays
+
+
+EXAMPLES = [
+    {"s": np.array(3.5, np.float32)},
+    {"e": np.zeros((0, 3), np.int64), "b": np.array([True, False])},
+    {"f": np.asfortranarray(np.arange(6, dtype=">f4").reshape(2, 3)),
+     "t": np.arange(6, dtype=np.float16).reshape(2, 3).T},
+]
+
+
+def _same_arrays(decoded: dict, original: dict) -> bool:
+    return [(a.dtype, a.shape, a.tobytes()) for a in decoded.values()] == [
+        (a.dtype, a.shape, a.tobytes()) for a in original.values()
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(arrays=array_sets())
+@example(arrays=EXAMPLES[0])
+@example(arrays=EXAMPLES[1])
+@example(arrays=EXAMPLES[2])
+def test_frames_roundtrip_and_reject_every_truncation_and_flipped_body_byte(arrays):
+    frame = make_request(arrays=arrays).to_frame(REQUEST_FRAME)
+    assert _same_arrays(GatewayRequest.from_frame(frame).arrays, arrays)
+    response = make_response(result=arrays).to_frame(RESPONSE_FRAME)
+    assert _same_arrays(GatewayResponse.from_frame(response).result, arrays)
+    for cut in range(len(frame)):
+        with pytest.raises(WireFormatError):
+            GatewayRequest.from_frame(frame[:cut])
+    flipped = bytearray(frame)
+    for index in range(len(frame) - sum(a.nbytes for a in arrays.values()), len(frame)):
+        flipped[index] ^= 0xFF
+        with pytest.raises(WireFormatError, match="sha256"):
+            GatewayRequest.from_frame(flipped)
+        flipped[index] ^= 0xFF
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON value (the root excluded), depth first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+VECTOR = {"x": np.arange(4, dtype=np.float32)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(arrays=array_sets(), pick=st.integers(0, 1 << 16), value=JSON_VALUES)
+@example(arrays=VECTOR, pick=("arrays", "x", "dtype"), value="<i4")  # decodes: same bytes
+@example(arrays=VECTOR, pick=("arrays", "x", "shape"), value=[2, 2])  # decodes: same bytes
+@example(arrays=VECTOR, pick=("arrays", "x", "shape"), value=[-1, -4])
+@example(arrays=VECTOR, pick=("arrays",), value={})  # stray bytes
+@example(arrays={"x": np.zeros(0, np.float32)}, pick=("arrays", "x", "dtype"), value="S0")
+def test_a_fuzzed_header_fails_typed_or_keeps_the_array_bytes(arrays, pick, value):
+    header, body = split_frame(make_request(arrays=arrays).to_frame(REQUEST_FRAME))
+    paths = list(_paths(header))
+    path = pick if isinstance(pick, tuple) else paths[pick % len(paths)]
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        decoded = GatewayRequest.from_frame(join_frame(REQUEST_FRAME, header, body))
+    except WireFormatError:
+        return
+    assert [a.tobytes() for a in decoded.arrays.values()] == [
+        a.tobytes() for a in arrays.values()
+    ]

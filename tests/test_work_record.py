@@ -244,7 +244,7 @@ def _gateway() -> _Scenario:
         worker = gateway._workers[worker_id]
         state = "expired" if request_id == 3 else "sent"
         worker.flight = _Flight(request, loop.create_future(), 0.0, state, dispatched_s=0.0)
-        gateway._on_frame(worker, RESPONSE_FRAME + response.to_json().encode())
+        gateway._on_frame(worker, response.to_frame(RESPONSE_FRAME))
         assert worker.flight is None
 
     def close():
