@@ -478,17 +478,21 @@ class AsyncGateway:
         deadline_s: Optional[float] = None,
     ) -> "asyncio.Future[GatewayResponse]":
         """Queue one request; returns a future resolving to its
-        :class:`~repro.gateway.wire.GatewayResponse`.  Never raises for
-        per-request problems — backpressure and quota breaches resolve
-        the future with a ``rejected`` response, execution problems with
-        a ``failed`` one, a missed ``deadline_s`` (absolute gateway-clock
-        seconds) with a ``deadline-exceeded`` one."""
+        :class:`~repro.gateway.wire.GatewayResponse`.  The *arrays* are
+        copied here, so the caller may change its own at once.  Never
+        raises for per-request problems — backpressure and quota breaches
+        resolve the future with a ``rejected`` response, execution
+        problems with a ``failed`` one, a missed ``deadline_s`` (absolute
+        gateway-clock seconds) with a ``deadline-exceeded`` one."""
         if self._phase == "new":
             raise GatewayError("gateway not started")
         if self._phase != "open":
             raise GatewayError("gateway is draining; admission is closed")
         self._seq += 1
-        arrays = {name: np.asarray(value) for name, value in (arrays or {}).items()}
+        # The request's own copy, taken now: the caller may reuse its
+        # arrays at once, a retry re-sends these bytes, and the arrays a
+        # response refers to are filled from them.
+        arrays = {name: np.array(value, copy=True) for name, value in (arrays or {}).items()}
         request = GatewayRequest(
             self._seq, tenant, source, dict(params or {}), arrays,
             fault=fault, deadline_s=deadline_s,
@@ -650,7 +654,7 @@ class AsyncGateway:
         """The worker answered: ``sent -> answered``, billed; or the late
         answer to an ``expired`` flight, compensated as measured."""
         try:
-            response = GatewayResponse.from_frame(frame)
+            response = GatewayResponse.from_frame(frame, same=worker.flight.request.arrays)
             worker.physical = AcceleratorRunStats(**response.physical)
         except (WireFormatError, TypeError) as exc:
             # Byzantine worker: its in-process ledgers hold work no

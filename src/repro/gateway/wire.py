@@ -11,14 +11,21 @@ byte, the 4-byte big-endian length of a UTF-8 JSON header, the header,
 then each array's raw C-order bytes in header order; the header's array
 payloads are the trace's reference form (``dtype``, ``shape``,
 ``sha256``, no ``data``), so each array byte crosses the pipe once, raw,
-and is copied once, out of the frame into its array.
+and is copied once, out of the frame into its array.  A response frame
+may instead *refer* to a result array that equals (dtype, shape, bytes)
+the request's array of the same name: its payload is
+:data:`SAME_PAYLOAD`, it carries no bytes and no hash, and the gateway
+fills it with a copy of its own snapshot of the request's array.  Result
+names and their order are the same either way; the text form never
+refers, and a request frame never may.
 
 Both encodings check arrays with one function,
 :func:`~repro.trace.schema.array_from_bytes` (dtype, no objects, byte
-length against the shape, sha256), so every array is verified on both
-sides of the pipe.  Decoding is defensive: any malformed message — a
-missing or mistyped field, a truncated frame, stray bytes, a hash
-mismatch — raises :class:`WireFormatError` and nothing else, so a worker
+length against the shape, sha256), so every array byte that crosses the
+pipe is verified on both sides of it.  Decoding is defensive: any
+malformed message — a missing or mistyped field, a truncated frame,
+stray bytes, a hash mismatch, a reference without a request array to
+fill it — raises :class:`WireFormatError` and nothing else, so a worker
 never crashes on a bad frame (it answers with a dead letter).
 
 ``GatewayRequest.fault`` is the gateway's deterministic fault-injection
@@ -36,7 +43,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 import numpy as np
 
@@ -129,19 +136,32 @@ def _field(wire: Mapping, key: str, types: tuple, where: str, default=_MISSING):
     return value
 
 
+#: The payload of an array a response frame refers to instead of
+#: carrying: the request's array of the same name, unchanged.
+SAME_PAYLOAD = {"same": True}
+
+
+def _text_payloads(arrays: Mapping[str, np.ndarray]) -> dict:
+    return {name: encode_array(value) for name, value in arrays.items()}
+
+
+def _text_arrays(payloads: dict, where: str) -> dict[str, np.ndarray]:
+    return {
+        name: decode_array(payload, f"{where} array {name!r}")
+        for name, payload in payloads.items()
+    }
+
+
 def _decode_payloads(payloads: dict, where: str, decode: Callable) -> dict[str, np.ndarray]:
     try:
-        return {
-            name: decode(payload, f"{where} array {name!r}")
-            for name, payload in payloads.items()
-        }
+        return decode(payloads, where)
     except TraceFormatError as exc:
         raise WireFormatError(str(exc)) from exc
 
 
 class _Message:
-    """Both codecs, over ``to_wire(encode)`` (array -> payload dict) and
-    ``from_wire(wire, decode)`` ((payload dict, label) -> array)."""
+    """Both codecs, over ``to_wire(encode)`` (arrays -> payloads, by name)
+    and ``from_wire(wire, decode)`` ((payloads, label) -> arrays)."""
 
     def to_json(self) -> str:
         return json.dumps(self.to_wire(), separators=(",", ":"))
@@ -154,22 +174,33 @@ class _Message:
             raise WireFormatError(f"{cls._where}: corrupt JSON frame ({exc.msg})") from exc
         return cls.from_wire(wire)
 
-    def to_frame(self, kind: bytes) -> bytes:
-        """The pipe frame of this message (see the module docstring)."""
+    def to_frame(self, kind: bytes, same: Collection[str] = ()) -> bytes:
+        """The pipe frame of this message (see the module docstring).  The
+        arrays named in *same* are sent as :data:`SAME_PAYLOAD` references,
+        without their bytes: the caller vouches that each equals the
+        request's array of its name (only a response frame may refer)."""
         bodies = []
 
-        def reference(array) -> dict:
-            payload, raw = array_reference(array)
-            bodies.append(raw)
-            return payload
+        def references(arrays: Mapping[str, np.ndarray]) -> dict:
+            payloads = {}
+            for name, array in arrays.items():
+                if name in same:
+                    payloads[name] = dict(SAME_PAYLOAD)
+                    continue
+                payloads[name], raw = array_reference(array)
+                bodies.append(raw)
+            return payloads
 
-        header = json.dumps(self.to_wire(reference), separators=(",", ":")).encode()
+        header = json.dumps(self.to_wire(references), separators=(",", ":")).encode()
         return b"".join([kind, _HEADER_LENGTH.pack(len(header)), header, *bodies])
 
     @classmethod
-    def from_frame(cls, frame):
+    def from_frame(cls, frame, same: Optional[Mapping[str, np.ndarray]] = None):
         """Decode a pipe frame (kind byte first, not checked here) from any
-        bytes-like object; each array is copied out of it once."""
+        bytes-like object; each array is copied out of it once.  A
+        reference payload is filled with a copy of the array of its name
+        in *same*, the request's arrays; without them, or without that
+        name, it is a :class:`WireFormatError`."""
         view = memoryview(frame)
         try:  # the header starts after the kind byte and its 4-byte length
             end = 5 + _HEADER_LENGTH.unpack_from(view, 1)[0]
@@ -177,16 +208,36 @@ class _Message:
         except (struct.error, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
             raise WireFormatError(f"{cls._where}: corrupt frame header ({exc})") from exc
 
-        def take(payload, where: str) -> np.ndarray:
+        def take(payloads: dict, where: str) -> dict[str, np.ndarray]:
             nonlocal end
-            layout = array_layout(payload, where)
-            offset, end = end, end + layout[2]
-            return array_from_bytes(payload, view[offset:end], where, layout)
+            arrays = {}
+            for name, payload in payloads.items():
+                label = f"{where} array {name!r}"
+                if isinstance(payload, dict) and "same" in payload:
+                    arrays[name] = _referent(payload, same, name, label)
+                    continue
+                layout = array_layout(payload, label)
+                offset, end = end, end + layout[2]
+                arrays[name] = array_from_bytes(payload, view[offset:end], label, layout)
+            return arrays
 
         message = cls.from_wire(wire, take)
         if end != len(view):
             raise WireFormatError(f"{cls._where}: frame is {len(view)} bytes, not {end}")
         return message
+
+
+def _referent(
+    payload: dict, same: Optional[Mapping[str, np.ndarray]], name: str, where: str
+) -> np.ndarray:
+    """A copy of the array a reference payload refers to."""
+    if payload != SAME_PAYLOAD or payload["same"] is not True:
+        raise WireFormatError(f"{where}: malformed reference payload {payload!r}")
+    if same is None:
+        raise WireFormatError(f"{where}: only a response frame may refer to the request's arrays")
+    if name not in same:
+        raise WireFormatError(f"{where}: refers to a request array that does not exist")
+    return np.array(same[name], order="C", copy=True)
 
 
 # ----------------------------------------------------------------------
@@ -229,20 +280,20 @@ class GatewayRequest(_Message):
             self.deadline_s = deadline_s
 
     # -- wire codec -----------------------------------------------------
-    def to_wire(self, encode: Callable = encode_array) -> dict:
+    def to_wire(self, encode: Callable = _text_payloads) -> dict:
         return {
             "request_id": self.request_id,
             "tenant": self.tenant,
             "source": self.source,
             "params": {key: plain_scalar(value) for key, value in self.params.items()},
-            "arrays": {name: encode(value) for name, value in self.arrays.items()},
+            "arrays": encode(self.arrays),
             "attempt": self.attempt,
             "fault": self.fault,
             "deadline_s": self.deadline_s,
         }
 
     @classmethod
-    def from_wire(cls, wire: Mapping, decode: Callable = decode_array) -> "GatewayRequest":
+    def from_wire(cls, wire: Mapping, decode: Callable = _text_arrays) -> "GatewayRequest":
         if not isinstance(wire, Mapping):
             raise WireFormatError("request: wire frame is not an object")
         return cls(
@@ -326,7 +377,7 @@ class GatewayResponse(_Message):
         return self.completed_s - self.submitted_s
 
     # -- wire codec -----------------------------------------------------
-    def to_wire(self, encode: Callable = encode_array) -> dict:
+    def to_wire(self, encode: Callable = _text_payloads) -> dict:
         return {
             "request_id": self.request_id,
             "tenant": self.tenant,
@@ -334,7 +385,7 @@ class GatewayResponse(_Message):
             "worker_id": self.worker_id,
             "attempt": self.attempt,
             "reason": self.reason,
-            "result": {name: encode(value) for name, value in self.result.items()},
+            "result": encode(self.result),
             "usage": dict(self.usage),
             "housekeeping_energy_j": list(self.housekeeping_energy_j),
             "physical": dict(self.physical),
@@ -343,7 +394,7 @@ class GatewayResponse(_Message):
         }
 
     @classmethod
-    def from_wire(cls, wire: Mapping, decode: Callable = decode_array) -> "GatewayResponse":
+    def from_wire(cls, wire: Mapping, decode: Callable = _text_arrays) -> "GatewayResponse":
         if not isinstance(wire, Mapping):
             raise WireFormatError("response: wire frame is not an object")
         where = "response"

@@ -6,9 +6,11 @@ Each worker owns a complete private serving stack — a
 **shared on-disk** :class:`~repro.compiler.cache.KernelCompileCache`
 (flock-guarded, so concurrent workers race safely), and a
 :class:`~repro.serve.server.CimServer` configured with
-``max_batch_size=1`` — and serves each request as a batch of one through
-:class:`~repro.serve.dispatch.LeaseExecutor`.  That is *literally* the
-reference server's dispatch path, which is what makes the wall-clock
+``max_batch_size=1`` — and serves each request as one lease of its own
+(:meth:`~repro.serve.server.ServingLoop.serve_alone`): no batch
+signature, no admission queue, no batcher.  The lease runs through
+:meth:`~repro.serve.dispatch.LeaseExecutor.dispatch`, the lease
+executor's path for a batch of one, which is what makes the wall-clock
 gateway's responses bit-identical to the ``VirtualClock`` mode: the only
 thing the process pool changes is *when* requests run, never *what* they
 compute or bill.
@@ -32,7 +34,9 @@ then raw array bytes) over its own duplex pipe to the gateway — blocking
 ``recv_bytes`` / ``send_bytes`` in the main thread, one frame per
 message, no helper thread and nothing shared with its siblings, so dying
 at any instruction (even half-way through a frame) can strand only its
-own request — and honours the deterministic fault-injection markers:
+own request.  A result array the run left bitwise equal to the request's
+array of its name goes back as a reference, without its bytes.  The
+worker honours the deterministic fault-injection markers:
 ``die-before-dispatch`` exits the process before any work happens,
 ``die-mid-request`` performs the full dispatch and exits before the
 response leaves the process (so the computed outputs and the device's
@@ -92,8 +96,9 @@ def build_worker_server(config: dict):
     compile_cache = KernelCompileCache(disk_dir=cache_dir)
     server_config = ServerConfig(
         num_tiles=int(config.get("num_tiles", 1)),
-        # Workers serve strictly one request per lease: the wall-clock
-        # pool parallelises across processes, never inside one device.
+        # Workers serve strictly one request per lease (serve_alone): the
+        # wall-clock pool parallelises across processes, never inside one
+        # device.  These limits make submit + drain here the lease's twin.
         max_batch_size=1,
         batch_window_s=0.0,
         scrub_leases=bool(config.get("scrub_leases", True)),
@@ -108,7 +113,8 @@ def build_worker_server(config: dict):
 
 
 def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayResponse:
-    """Serve one wire request on *server* as a batch of one.
+    """Serve one wire request on *server* as a lease of its own
+    (:meth:`~repro.serve.server.ServingLoop.serve_alone`).
 
     Never raises: compile errors, bad payloads and execution errors all
     resolve to a ``failed`` response (one bad request must not kill the
@@ -141,10 +147,9 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
     reason: Optional[str] = None
     result = {}
     try:
-        handle = server.submit(
+        handle = server.serve_alone(
             request.tenant, request.source, request.params, request.arrays
         )
-        server.drain()
         if handle.status is RequestStatus.COMPLETED:
             status = "completed"
             result = handle.result()
@@ -173,6 +178,17 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
         housekeeping_energy_j=list(housekeeping),
         compile_hits=server.compile_cache.hits - hits0,
         compile_misses=server.compile_cache.misses - misses0,
+    )
+
+
+def _unchanged(array, sent) -> bool:
+    """Whether *array* is bitwise the array *sent* (same dtype and shape;
+    ``None`` = nothing was sent under that name)."""
+    return (
+        sent is not None
+        and array.dtype == sent.dtype
+        and array.shape == sent.shape
+        and array.tobytes() == sent.tobytes()
     )
 
 
@@ -235,7 +251,14 @@ def worker_main(worker_id: int, config: dict, pipe) -> None:
                 # FaultCompensation accounting must cover.
                 os._exit(FAULT_EXIT_CODE)
             response.physical = physical.scalars()
-            frame = response.to_frame(RESPONSE_FRAME)
+            # A result array the run left as the request sent it goes back
+            # as a reference; the gateway holds those bytes already.  (The
+            # server ran on its own copy, so ``request.arrays`` are still
+            # the bytes the gateway sent.)
+            frame = response.to_frame(RESPONSE_FRAME, [
+                name for name, array in response.result.items()
+                if _unchanged(array, request.arrays.get(name))
+            ])
             if request.fault == "corrupt-frame":
                 # Byzantine worker: the device worked, but the frame that
                 # leaves the process is garbage (its first half).  The

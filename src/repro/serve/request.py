@@ -52,7 +52,9 @@ class TenantRequest:
 
     seq: int                       # global submission index (tie-breaker)
     tenant: str
-    signature: str                 # batch-compatibility key (see batcher)
+    #: Batch-compatibility key (see batcher); a request served alone
+    #: (``ServingLoop.serve_alone``) carries its compile fingerprint.
+    signature: str
     program: object                # compiled IR program
     params: Mapping[str, float]
     #: Snapshot of the tenant's data; stationary operands may be read-only

@@ -61,7 +61,7 @@ from repro.compiler.options import CompileOptions
 from repro.hw.timeline import Timeline
 from repro.ir.program import Program
 from repro.serve.accounting import AccountingLedger
-from repro.serve.admission import AdmissionController, TenantQuota
+from repro.serve.admission import AdmissionController, TenantQuota, budget_exhausted_reason
 from repro.serve.batcher import (
     DynamicBatcher,
     ProgramAnalysis,
@@ -71,7 +71,7 @@ from repro.serve.batcher import (
 )
 from repro.serve.clock import VirtualClock
 from repro.serve.device import Device
-from repro.serve.dispatch import LeaseExecutor
+from repro.serve.dispatch import FaultedRequest, LeaseExecutor
 from repro.serve.errors import ServeError
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.request import RequestHandle, TenantRequest
@@ -360,6 +360,63 @@ class ServingLoop:
         self.metrics.observe_submit()
         return handle
 
+    def serve_alone(
+        self,
+        tenant: str,
+        kernel: Union[str, Program, object],
+        params: Optional[Mapping[str, Union[int, float]]] = None,
+        arrays: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> RequestHandle:
+        """Serve one request now, as a lease of its own, and return its
+        resolved handle.
+
+        The request is the one :meth:`submit` would queue (the same
+        compile, program analysis and private copy of *arrays*), and it
+        runs through the same :meth:`~repro.serve.dispatch.LeaseExecutor.dispatch`
+        a batch of one gets from :meth:`step`, so it is measured, billed
+        and resolved alike.  What a lone request never needs is skipped:
+        the batch signature (the lease is labelled with the compile
+        fingerprint instead), the tenant queues, the fair-share pick and
+        the batcher.  Admission still applies the tenant's wear and energy
+        budgets.  The loop must have one device, no fault plan and nothing
+        submitted and unresolved; the request arrives at the current time.
+        """
+        self._require_open()
+        if not tenant:
+            raise ServeError("tenant name must be non-empty")
+        if len(self.devices) != 1 or self.recovery is not None:
+            raise ServeError("serve_alone needs a loop with one device and no fault plan")
+        if self._arrivals or self._retry_heap or self.admission.total_queued:
+            raise ServeError("serve_alone needs an idle loop: drain() the submitted requests first")
+        params = dict(params or {})
+        program, fingerprint, engine = self._resolve_kernel(kernel, params)
+        analysis = self._analyse(fingerprint, _params_key(params), program, params)
+        arrival_s = self._last_arrival_s = max(self.clock.now_s, self._last_arrival_s)
+        self._seq += 1
+        handle = RequestHandle(request_id=self._seq, tenant=tenant, arrival_s=arrival_s)
+        request = TenantRequest(
+            seq=self._seq,
+            tenant=tenant,
+            signature=fingerprint,
+            program=program,
+            params=params,
+            arrays={name: np.array(value, copy=True) for name, value in (arrays or {}).items()},
+            arrival_s=arrival_s,
+            engine=engine,
+            handle=handle,
+            analysis=analysis,
+        )
+        self.metrics.observe_submit()
+        reason = budget_exhausted_reason(self.admission.quota(tenant), self.ledger.account(tenant))
+        self.metrics.observe_admission(reason is None)
+        if reason is not None:
+            handle.mark_rejected(reason)
+            self.ledger.record_rejection(tenant)
+            return handle
+        handle.mark_queued(arrival_s)
+        self._lease(self.devices[0], [request])
+        return handle
+
     def _resolve_kernel(
         self, kernel: Union[str, Program, object], params: Mapping[str, float]
     ) -> tuple[Program, str, Optional[str]]:
@@ -506,6 +563,14 @@ class ServingLoop:
                 batch = batch[: capacity - 1] + [seed]
         self.admission.remove(batch)
         self.clock.advance_to(window_close_s)
+        faulted = self._lease(device, batch)
+        if self.recovery is not None:
+            self.recovery.after_lease(batch, faulted, device)
+        return True
+
+    def _lease(self, device: Device, batch: list[TenantRequest]) -> list[FaultedRequest]:
+        """Dispatch *batch* as the next lease on *device*; returns the
+        requests a device fault kept from being served."""
         # A device on its own clock queues the lease behind its previous
         # one; a device on the loop clock starts it now.
         lease_start_s = max(self.clock.now_s, device.clock.now_s)
@@ -514,9 +579,7 @@ class ServingLoop:
         faulted = device.lease_executor.dispatch(batch, self._batch_counter)
         device.busy_s += device.clock.now_s - lease_start_s
         device.leases += 1
-        if self.recovery is not None:
-            self.recovery.after_lease(batch, faulted, device)
-        return True
+        return faulted
 
     def drain(self) -> dict:
         """Run the event loop until every submitted request is resolved;

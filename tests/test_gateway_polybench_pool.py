@@ -6,12 +6,16 @@ frames both ways (a JSON header, then the raw array bytes).  Results,
 usage and tenant bills must equal :func:`~repro.gateway.worker.serve_one`
 run in this process on an identically configured server, bit for bit,
 and no request frame may carry more than its raw array bytes plus a
-small header.
+small header.  Result arrays the run did not change come back as
+references to the request's arrays and are filled from the gateway's
+own copy of them.
 """
 
 from __future__ import annotations
 
 import asyncio
+
+import numpy as np
 
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import GatewayRequest
@@ -51,8 +55,12 @@ def test_polybench_requests_through_a_pool_equal_in_process_serving(tmp_path):
         expected = [serve_one(server, request, worker_id=0) for request in requests]
         diff = TraceDiff(("responses", "usage", "tenant_bills"), "pool and in-process serving",
                          ("in-process", "pool"))
-        for name, want, got in zip(PAPER_KERNELS, expected, responses):
+        for name, request, want, got in zip(PAPER_KERNELS, requests, expected, responses):
             assert want.status == "completed" and want.result, (name, want.reason)
+            # Unchanged arrays come back as references, filled from the
+            # gateway's copy: never the caller's own array.
+            assert not any(np.shares_memory(result, array) for result in got.result.values()
+                           for array in request.arrays.values()), name
             diff.value("responses", (want.status, want.result), (got.status, got.result), name)
             diff.value("usage", want.usage, got.usage, name)
         diff.keyed("tenant_bills", tenant_bills(server.ledger), tenant_bills(gateway.ledger),

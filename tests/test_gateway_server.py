@@ -87,6 +87,32 @@ class TestServing:
         assert sum(row["served"] for row in gw["workers"].values()) == 9
         assert snapshot["requests"]["completed"] == 9
 
+    def test_a_queued_request_keeps_the_arrays_it_was_submitted_with(self):
+        """The gateway copies a request's arrays at submit, as
+        ``CimServer.submit`` does.  It used to keep the caller's own
+        arrays and read them only when a worker came free, so a caller
+        that reused its buffer changed a request already accepted."""
+        params = {"M": 4, "N": 4}
+        identity = np.eye(4, dtype=np.float32)
+
+        async def scenario():
+            async with AsyncGateway(GatewayConfig(num_workers=1)) as gateway:
+                def submit(x):
+                    arrays = {"A": identity, "x": x, "y": np.zeros(4, np.float32)}
+                    return gateway.submit_nowait("acme", GEMV_SOURCE, params, arrays)
+
+                busy = submit(np.zeros(4, np.float32))
+                x = np.arange(4, dtype=np.float32)
+                queued = submit(x)  # behind the busy worker
+                x[:] = 100
+                return await busy, await queued, x
+
+        busy, queued, x = run(scenario())
+        assert busy.status == queued.status == "completed"
+        assert queued.result["y"].tolist() == [0, 1, 2, 3]
+        assert queued.result["x"].tolist() == [0, 1, 2, 3]
+        assert not np.shares_memory(queued.result["x"], x)
+
     def test_backpressure_rejects_over_limit(self):
         workload = synthetic_gemv_workload(num_tenants=1, seed=2)
 

@@ -25,6 +25,7 @@ from repro.gateway.wire import (
     GatewayRequest,
     GatewayResponse,
     RESPONSE_STATUSES,
+    SAME_PAYLOAD,
     USAGE_FIELDS,
     WireFormatError,
 )
@@ -216,6 +217,53 @@ class TestFrames:
         assert array.flags.owndata and array.flags.writeable
 
 
+class TestReferences:
+    """A response frame may send a result array that equals the request's
+    array of its name as a reference, without its bytes."""
+
+    REQUEST = {"x": np.arange(4, dtype=np.float32), "A": np.eye(4, dtype=np.float32)}
+
+    def test_names_and_order_are_the_ones_sent(self):
+        result = {"A": self.REQUEST["A"].copy(), "y": np.ones(4, np.float32),
+                  "x": self.REQUEST["x"].copy()}
+        frame = make_response(result=result).to_frame(RESPONSE_FRAME, same={"A", "x"})
+        header, body = split_frame(frame)
+        assert header["result"]["A"] == header["result"]["x"] == SAME_PAYLOAD
+        assert body == result["y"].tobytes()
+        decoded = GatewayResponse.from_frame(frame, same=self.REQUEST)
+        assert list(decoded.result) == ["A", "y", "x"]
+        assert _same_arrays(decoded.result, result)
+        for name, array in self.REQUEST.items():
+            assert not np.shares_memory(decoded.result[name], array)
+            assert decoded.result[name].flags.writeable
+
+    def test_a_reference_to_a_name_the_request_lacks_is_rejected(self):
+        frame = make_response().to_frame(RESPONSE_FRAME, same={"y"})
+        with pytest.raises(WireFormatError, match="does not exist"):
+            GatewayResponse.from_frame(frame, same=self.REQUEST)
+
+    def test_a_request_frame_may_not_refer(self):
+        frame = make_request().to_frame(REQUEST_FRAME, same={"x"})
+        with pytest.raises(WireFormatError, match="only a response frame"):
+            GatewayRequest.from_frame(frame)
+
+    @pytest.mark.parametrize("payload", [
+        {"same": 1}, {"same": False}, {"same": True, "dtype": "<f4"},
+    ])
+    def test_a_malformed_reference_is_rejected(self, payload):
+        header, body = split_frame(make_response().to_frame(RESPONSE_FRAME, same={"y"}))
+        header["result"]["y"] = payload
+        with pytest.raises(WireFormatError, match="malformed reference"):
+            GatewayResponse.from_frame(join_frame(RESPONSE_FRAME, header, body), same=self.REQUEST)
+
+    def test_the_text_form_never_refers(self):
+        wire = json.loads(make_response().to_json())
+        assert set(wire["result"]["y"]) == {"dtype", "shape", "sha256", "data"}
+        wire["result"]["y"] = dict(SAME_PAYLOAD)
+        with pytest.raises(WireFormatError, match="malformed array payload"):
+            GatewayResponse.from_json(json.dumps(wire))
+
+
 def test_a_zero_d_array_keeps_its_shape():
     scalar = np.array(3.5, np.float32)
     payload = encode_array(scalar)
@@ -322,9 +370,15 @@ def test_frames_roundtrip_and_reject_every_truncation_and_flipped_body_byte(arra
     assert _same_arrays(GatewayRequest.from_frame(frame).arrays, arrays)
     response = make_response(result=arrays).to_frame(RESPONSE_FRAME)
     assert _same_arrays(GatewayResponse.from_frame(response).result, arrays)
+    # Every other result array refers to the request's array of its name.
+    referring = make_response(result=arrays).to_frame(RESPONSE_FRAME, same=list(arrays)[::2])
+    assert _same_arrays(GatewayResponse.from_frame(referring, same=arrays).result, arrays)
     for cut in range(len(frame)):
         with pytest.raises(WireFormatError):
             GatewayRequest.from_frame(frame[:cut])
+    for cut in range(len(referring)):
+        with pytest.raises(WireFormatError):
+            GatewayResponse.from_frame(referring[:cut], same=arrays)
     flipped = bytearray(frame)
     for index in range(len(frame) - sum(a.nbytes for a in arrays.values()), len(frame)):
         flipped[index] ^= 0xFF
