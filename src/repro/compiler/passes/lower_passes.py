@@ -33,27 +33,3 @@ class LowerPass(Pass):
             ctx.program, replacements, add_init_call=ctx.anything_offloaded
         )
 
-
-class EngineLowerPass(Pass):
-    """Classify every loop nest of the compiled program onto its engine tier.
-
-    Runs the engine's lowering analysis (see
-    :mod:`repro.ir.engine.lowering`) over the lowered program and attaches
-    the per-nest report to ``CompilationReport.nest_lowerings`` — which
-    tier (interpreter / fold) each nest executes on and, for the
-    interpreter, the reason.  Pure analysis: the program is not modified,
-    nothing is compiled or executed, and no C is generated (a nest's C
-    body is written at its first run, where the toolchain is checked), so
-    the report is the same for every engine and machine and safe to share
-    through the on-disk compile cache.
-    """
-
-    name = "engine-lower"
-    requires = ("lowered-program",)
-    provides = ("engine-lowering",)
-
-    def run(self, ctx: CompilationContext) -> None:
-        from repro.ir.engine.lowering import program_lowering_report
-
-        if ctx.program is not None:
-            ctx.report.nest_lowerings = program_lowering_report(ctx.program)

@@ -19,7 +19,7 @@ from repro.compiler.passes.frontend_passes import (
     NormalizeReductionsPass,
     ParsePass,
 )
-from repro.compiler.passes.lower_passes import EngineLowerPass, LowerPass
+from repro.compiler.passes.lower_passes import LowerPass
 from repro.compiler.passes.manager import PassManager
 from repro.compiler.passes.transform_passes import (
     DeviceMapPass,
@@ -45,7 +45,6 @@ PASS_REGISTRY: dict[str, type[Pass]] = {
         TilingPass,
         DeviceMapPass,
         LowerPass,
-        EngineLowerPass,
     )
 }
 
@@ -68,7 +67,6 @@ NAMED_PIPELINES: dict[str, tuple[str, ...]] = {
         "tiling",
         "device-map",
         "lower",
-        "engine-lower",
     ),
     # Ablation: everything except the endurance-oriented kernel fusion.
     "no-fusion": _FRONT_HALF
@@ -78,7 +76,6 @@ NAMED_PIPELINES: dict[str, tuple[str, ...]] = {
         "tiling",
         "device-map",
         "lower",
-        "engine-lower",
     ),
     # Analysis only: detect SCoPs and match kernels, transform nothing —
     # the compiled program is the (normalised) input program.

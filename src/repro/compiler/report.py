@@ -52,12 +52,6 @@ class CompilationReport:
     #: Printed IR snapshots requested via ``CompileOptions.dump_ir_after``,
     #: keyed by pass name.
     ir_dumps: dict[str, str] = field(default_factory=dict)
-    #: Per-nest engine lowering report produced by the ``engine-lower``
-    #: pass: which execution tier (interpreter / fold) every
-    #: loop nest of the compiled program lands on, and why slower tiers
-    #: were chosen.  Entries are
-    #: :class:`~repro.ir.engine.lowering.NestLowering` objects.
-    nest_lowerings: list = field(default_factory=list)
 
     @property
     def detected_kernels(self) -> int:
@@ -80,14 +74,6 @@ class CompilationReport:
             lines.append(f"  tiled kernels:    {self.tiled_kernels}")
         for decision in self.decisions:
             lines.append(f"    - {decision}")
-        return "\n".join(lines)
-
-    def lowering_summary(self) -> str:
-        """Per-nest engine-tier table (empty string if the pass didn't run)."""
-        if not self.nest_lowerings:
-            return ""
-        lines = [f"engine lowering for {self.program!r}:"]
-        lines.extend(f"  {nest.summary()}" for nest in self.nest_lowerings)
         return "\n".join(lines)
 
     def timing_summary(self) -> str:

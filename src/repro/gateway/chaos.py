@@ -51,6 +51,7 @@ from repro.gateway.loadgen import (
 )
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import GatewayRequest, RESPONSE_STATUSES
+from repro.serve.batcher import same_bytes
 from repro.trace.arrivals import poisson_plan
 
 #: The invariant names, in report order.
@@ -284,15 +285,7 @@ def _check_invariants(
             continue
         expected = references[response.tenant]
         for name in sorted(set(expected) | set(response.result)):
-            want = expected.get(name)
-            got = response.result.get(name)
-            if (
-                want is None
-                or got is None
-                or want.dtype != got.dtype
-                or want.shape != got.shape
-                or want.tobytes() != got.tobytes()
-            ):
+            if not same_bytes(expected.get(name), response.result.get(name)):
                 bit_identical = False
                 violations.append(
                     f"request {response.request_id}: result array "

@@ -62,6 +62,7 @@ from repro.gateway.wire import (
     slow_fault_delay_s,
 )
 from repro.hw.stats import AcceleratorRunStats
+from repro.serve.batcher import same_bytes
 
 #: A pipe frame is one kind byte followed by its body, sent as one
 #: ``Connection.send_bytes`` message.  Gateway -> worker: a request frame
@@ -181,17 +182,6 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
     )
 
 
-def _unchanged(array, sent) -> bool:
-    """Whether *array* is bitwise the array *sent* (same dtype and shape;
-    ``None`` = nothing was sent under that name)."""
-    return (
-        sent is not None
-        and array.dtype == sent.dtype
-        and array.shape == sent.shape
-        and array.tobytes() == sent.tobytes()
-    )
-
-
 def _send_frame(pipe, frame: bytes) -> None:
     pipe.send_bytes(frame)
 
@@ -257,7 +247,7 @@ def worker_main(worker_id: int, config: dict, pipe) -> None:
             # the bytes the gateway sent.)
             frame = response.to_frame(RESPONSE_FRAME, [
                 name for name, array in response.result.items()
-                if _unchanged(array, request.arrays.get(name))
+                if same_bytes(array, request.arrays.get(name))
             ])
             if request.fault == "corrupt-frame":
                 # Byzantine worker: the device worked, but the frame that

@@ -89,31 +89,9 @@ class CIMAccelerator:
         memory,
         energy_model: Optional[CimEnergyModel] = None,
         crossbar_config: Optional[CrossbarConfig] = None,
-        double_buffering: Optional[bool] = None,
-        batch_gemv: Optional[bool] = None,
-        reuse_resident_gemv: Optional[bool] = None,
         config: Optional[AcceleratorConfig] = None,
     ):
-        # The individual flags are the seed API; AcceleratorConfig is the
-        # structured one.  Mixing them would silently drop the flags, so
-        # that is rejected instead.
-        flags = (double_buffering, batch_gemv, reuse_resident_gemv)
-        if config is not None:
-            if any(flag is not None for flag in flags):
-                raise ValueError(
-                    "pass either an AcceleratorConfig or the individual "
-                    "dispatch flags, not both"
-                )
-            self.config = config
-        else:
-            self.config = AcceleratorConfig(
-                num_tiles=1,
-                double_buffering=double_buffering if double_buffering is not None else True,
-                batch_gemv=batch_gemv if batch_gemv is not None else True,
-                reuse_resident_gemv=(
-                    reuse_resident_gemv if reuse_resident_gemv is not None else True
-                ),
-            )
+        self.config = config or AcceleratorConfig()
         self.energy_model = energy_model or CimEnergyModel()
         self.energy = EnergyLedger()
         self.counters = StatCounter()

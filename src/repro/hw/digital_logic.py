@@ -36,20 +36,6 @@ class DigitalLogic:
         self.alu_ops += msb.size
         return msb * float(1 << device_bits) + lsb
 
-    def scale_and_accumulate(
-        self,
-        accumulator: np.ndarray,
-        contribution: np.ndarray,
-        scale: float = 1.0,
-    ) -> np.ndarray:
-        """``accumulator += scale * contribution`` with ALU-op accounting."""
-        contribution = np.asarray(contribution, dtype=np.float64)
-        ops = contribution.size
-        if scale != 1.0:
-            ops += contribution.size
-        self.alu_ops += ops
-        return accumulator + scale * contribution
-
     def reduce_sum(self, values: np.ndarray) -> float:
         """Scalar reduction (sum) in the digital block."""
         values = np.asarray(values, dtype=np.float64)

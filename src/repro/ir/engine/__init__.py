@@ -29,9 +29,10 @@ behind when the program is pickled or copied.  So are the nests' trace
 deltas and the fast engine's per-params plans (array shapes, bound
 runtime calls).
 
-Use :func:`repro.ir.engine.lowering.program_lowering_report` (surfaced as
-``CompilationReport.nest_lowerings``) to see which tier every nest landed
-on and why.
+Compiling plans nothing.  :func:`program_lowering_report` (a compiled
+``result.program`` in, one :class:`NestLowering` per top-level loop nest
+out) runs the engine's planner on demand to say which tier every nest
+lands on and why.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ from typing import Callable, Optional
 from repro.ir.interp import CallHandler, Interpreter
 from repro.ir.program import Program
 
+from repro.ir.engine.analysis import NestLowering, program_lowering_report
 from repro.ir.engine.engine import VectorizedEngine
-from repro.ir.engine.lowering import (
-    NestLowering,
-    StatementLowering,
-    program_lowering_report,
-)
 from repro.ir.engine.native import native_available
 
 #: Valid values for the ``engine`` compile/execution option.
@@ -83,7 +80,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_MODES",
     "NestLowering",
-    "StatementLowering",
     "VectorizedEngine",
     "make_engine",
     "native_available",

@@ -34,12 +34,13 @@ emits as one Python function:
    :class:`FoldSpec` is emitted by the engine as one Python function
    (``NestPlan.kernel``); the analysis records a human-readable reason
    whenever an assignment cannot be slice-lowered, the nest then runs on
-   the interpreter (and the per-nest lowering report surfaces the
-   reason).
+   the interpreter.
 
-A plan is a pure function of its nest, so it is built once per program
-(the engine keeps it in ``Program.engine_plans``) and is only valid for
-the statement objects it was built from.
+A plan is a pure function of its nest, so the engine builds it once per
+program, at the nest's first run (it keeps it in
+``Program.engine_plans``), and it is only valid for the statement objects
+it was built from.  :func:`program_lowering_report` runs the same
+planner on demand to say which tier every nest lands on, and why.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from repro.ir.expr import (
     UnaryOp,
     VarRef,
 )
+from repro.ir.program import Program
 from repro.ir.stmt import Assign, Block, Loop, Stmt
 from repro.poly.affine import affine_from_expr
 
@@ -212,24 +214,23 @@ def _loop_vars_in(root: Loop) -> set[str]:
     return {node.var for node in root.walk() if isinstance(node, Loop)}
 
 
-def _screen_nest(root: Loop) -> bool:
-    """True when the whole nest is made of plannable constructs."""
+def _screen(root: Loop) -> str:
+    """Why the nest holds a construct the planner cannot take, or ``""``
+    when every node of it is plannable."""
     for node in root.walk():
         if isinstance(node, Loop):
             if not (_bound_expr_ok(node.lower) and _bound_expr_ok(node.upper)):
-                return False
+                return f"loop {node.var} has a non-affine bound"
         elif isinstance(node, Assign):
             if not isinstance(node.target, ArrayRef):
-                return False  # scalar accumulators stay on the interpreter
+                return f"scalar accumulator {node.target}"
             if not all(_index_expr_ok(i) for i in node.target.indices):
-                return False
+                return f"unsupported subscript on {node.target.name}"
             if not _value_expr_ok(node.rhs):
-                return False
-        elif isinstance(node, Block):
-            continue
-        else:
-            return False  # IfStmt, CallStmt, anything unknown
-    return True
+                return f"unsupported value expression in {node.name}"
+        elif not isinstance(node, Block):
+            return f"unsupported statement ({type(node).__name__})"
+    return ""
 
 
 def _compute_enumerate_vars(root: Loop) -> Optional[dict[int, frozenset[str]]]:
@@ -608,30 +609,16 @@ def plan_assigns(plan: NestPlan) -> list[PlanAssign]:
 # ----------------------------------------------------------------------
 
 
-def _screen_reason(root: Loop) -> str:
-    """Why the structural screen rejected a nest (for the lowering report)."""
-    for node in root.walk():
-        if isinstance(node, Loop):
-            if not (_bound_expr_ok(node.lower) and _bound_expr_ok(node.upper)):
-                return f"loop {node.var} has a non-affine bound"
-        elif isinstance(node, Assign):
-            if not isinstance(node.target, ArrayRef):
-                return f"scalar accumulator {node.target}"
-            if not all(_index_expr_ok(i) for i in node.target.indices):
-                return f"unsupported subscript on {node.target.name}"
-            if not _value_expr_ok(node.rhs):
-                return f"unsupported value expression in {node.name}"
-        elif isinstance(node, Block):
-            continue
-        else:
-            return f"unsupported statement ({type(node).__name__})"
-    return "structural screen rejected the nest"
+def plan_nest(root: Loop) -> tuple[Optional[NestPlan], str]:
+    """The execution plan of a top-level loop nest, or ``None`` and the
+    reason the nest runs on the interpreter.
 
-
-def build_plan_with_reason(root: Loop) -> tuple[Optional[NestPlan], str]:
-    """Like :func:`build_plan`, but explains a ``None`` result."""
-    if not _screen_nest(root):
-        return None, _screen_reason(root)
+    The engine plans each nest once, at its first run; the lowering
+    report plans afresh on demand.
+    """
+    reason = _screen(root)
+    if reason:
+        return None, reason
     enumerate_vars = _compute_enumerate_vars(root)
     if enumerate_vars is None:
         return None, "ragged bound enumeration (analytical trace unavailable)"
@@ -648,11 +635,43 @@ def build_plan_with_reason(root: Loop) -> tuple[Optional[NestPlan], str]:
     return plan, ""
 
 
-def build_plan(root: Loop) -> Optional[NestPlan]:
-    """Build the execution plan for a top-level loop nest.
+# ----------------------------------------------------------------------
+# Per-nest lowering report
+# ----------------------------------------------------------------------
 
-    Returns ``None`` when the nest cannot be vectorized (the engine then
-    falls back to the interpreter for this nest).
+
+@dataclass
+class NestLowering:
+    """The tier one top-level loop nest runs on: ``"fold"`` (its emitted
+    kernel) or ``"interpreter"``, with the reason."""
+
+    nest: str
+    tier: str
+    reason: str = ""
+
+    def summary(self) -> str:
+        return f"{self.nest}: {self.tier}" + (f" ({self.reason})" if self.reason else "")
+
+
+def program_lowering_report(program: Program) -> list[NestLowering]:
+    """The tier of every top-level loop nest of *program*, and why.
+
+    A nest runs on its kernel when it is planned and every assignment in
+    it has a :class:`FoldSpec`.  The report plans each nest afresh and
+    keeps nothing: it neither reads nor fills ``program.engine_plans``,
+    and writes no C.
     """
-    plan, _ = build_plan_with_reason(root)
-    return plan
+    report = []
+    for root in program.body.stmts:
+        if not isinstance(root, Loop):
+            continue
+        plan, reason = plan_nest(root)
+        if plan is not None:
+            reason = "; ".join(dict.fromkeys(
+                a.fold_reason for a in plan_assigns(plan) if a.fold is None))
+        report.append(NestLowering(
+            nest=f"for {root.var} in [{root.lower}, {root.upper})",
+            tier="interpreter" if reason else "fold",
+            reason=reason,
+        ))
+    return report

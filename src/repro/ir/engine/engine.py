@@ -60,14 +60,8 @@ from repro.ir.expr import (
 from repro.ir.interp import CallHandler, ExecutionTrace, Interpreter, InterpreterError
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, Block, CallStmt, Loop, Stmt
-from repro.ir.engine.analysis import (
-    FoldRef,
-    FoldSpec,
-    NestPlan,
-    PlanLoop,
-    PlanNode,
-    build_plan,
-)
+from repro.ir.engine import analysis
+from repro.ir.engine.analysis import FoldRef, FoldSpec, NestPlan, PlanLoop, PlanNode
 from repro.ir.engine.native import attach_c_body, native_available
 
 _UNSET = object()
@@ -523,7 +517,7 @@ class VectorizedEngine(Interpreter):
         plan = self.plans.nests.get(id(loop), _UNSET)
         if plan is _UNSET:
             try:
-                plan = build_plan(loop)
+                plan, _ = analysis.plan_nest(loop)
             except Exception:
                 plan = None  # analysis failure → safe interpreter fallback
             if plan is not None:

@@ -176,18 +176,3 @@ def loops_in(stmt: Stmt) -> list[Loop]:
 def assignments_in(stmt: Stmt) -> list[Assign]:
     """All assignment statements nested in *stmt*, pre-order."""
     return [node for node in stmt.walk() if isinstance(node, Assign)]
-
-
-def perfectly_nested_loops(loop: Loop) -> list[Loop]:
-    """The maximal perfect loop nest rooted at *loop*.
-
-    A nest is perfect while each loop body contains exactly one statement and
-    that statement is itself a loop.  Returns the chain of loops from the
-    outermost (*loop*) to the innermost loop of the perfect nest.
-    """
-    chain = [loop]
-    current = loop
-    while len(current.body.stmts) == 1 and isinstance(current.body.stmts[0], Loop):
-        current = current.body.stmts[0]
-        chain.append(current)
-    return chain

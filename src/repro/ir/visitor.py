@@ -159,17 +159,3 @@ class SubstituteVars(IRTransformer):
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
     """Return *expr* with variable names replaced according to *mapping*."""
     return SubstituteVars(mapping).transform_expr(expr)
-
-
-def rename_arrays(stmt: Stmt, mapping: dict[str, str]) -> Stmt:
-    """Return *stmt* with array names renamed according to *mapping*."""
-
-    class _Rename(IRTransformer):
-        def visit_ArrayRef(self, expr: ArrayRef) -> Expr:
-            new_name = mapping.get(expr.name, expr.name)
-            return ArrayRef(new_name, [self.transform_expr(i) for i in expr.indices])
-
-    result = _Rename().transform_stmt(stmt)
-    if isinstance(result, list):
-        return Block(result)
-    return result

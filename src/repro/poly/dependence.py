@@ -7,8 +7,9 @@ Two levels of precision are provided, matching what the TDO-CIM flow needs:
   be fused with a preceding kernel *X* only if *Y* neither reads nor writes
   any output of *X* and does not write any input of *X*.
 * **Access-level** dependences with distance vectors
-  (:func:`compute_dependences`) — used to mark bands permutable (legal to
-  tile/interchange) and exercised heavily by the unit and property tests.
+  (:func:`compute_dependences`) — used by kernel isolation (loop
+  distribution around a matched kernel) and exercised heavily by the unit
+  and property tests.
   The test implemented here handles the uniform-access case (both accesses
   have identical loop-variable coefficient structure, so the dependence
   distance is a constant vector) and falls back to a conservative "unknown
@@ -51,15 +52,6 @@ class Dependence:
     @property
     def is_loop_independent(self) -> bool:
         return self.distance is not None and all(d == 0 for d in self.distance)
-
-    def carried_by(self) -> Optional[str]:
-        """Name of the outermost loop carrying this dependence, if known."""
-        if self.distance is None:
-            return None
-        for var, dist in zip(self.common_loops, self.distance):
-            if dist != 0:
-                return var
-        return None
 
     def __str__(self) -> str:
         dist = "unknown" if self.distance is None else str(list(self.distance))
@@ -218,23 +210,4 @@ def kernels_independent(x: ScopStatement, y: ScopStatement) -> bool:
         return False
     if y_writes & x_inputs:
         return False
-    return True
-
-
-def nest_permutable(scop: Scop, stmt_name: str, loop_vars: tuple[str, ...]) -> bool:
-    """True when the loops in *loop_vars* can be freely interchanged/tiled
-    for statement *stmt_name*.
-
-    A band is permutable when every dependence carried by one of its loops
-    has a non-negative distance in *all* of its loops (the classic
-    full-permutability condition).  Unknown distances are conservative.
-    """
-    for dep in compute_dependences(scop):
-        if dep.source != stmt_name or dep.target != stmt_name:
-            continue
-        if dep.distance is None:
-            return False
-        for var, dist in zip(dep.common_loops, dep.distance):
-            if var in loop_vars and dist < 0:
-                return False
     return True

@@ -65,7 +65,7 @@ def test_pass_timings_populated_for_every_pass():
     names = [timing.name for timing in result.report.pass_timings]
     assert names == list(resolve_pass_names("default"))
     assert all(t.wall_time_s >= 0.0 for t in result.report.pass_timings)
-    assert result.report.pass_timings[-1].name == "engine-lower"
+    assert result.report.pass_timings[-1].name == "lower"
     assert result.report.timing_summary()
 
 

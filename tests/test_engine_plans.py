@@ -32,7 +32,14 @@ import pytest
 from repro import CimServer, CompileOptions, OffloadExecutor, ServerConfig, compile_source
 from repro.compiler import KernelCompileCache
 from repro.gateway.loadgen import GEMV_SOURCE
-from repro.ir.engine import VectorizedEngine, analysis, make_engine, native, native_available
+from repro.ir.engine import (
+    VectorizedEngine,
+    analysis,
+    make_engine,
+    native,
+    native_available,
+    program_lowering_report,
+)
 from repro.workloads.polybench import KERNELS, PAPER_KERNELS
 
 PLANNING_ENGINES = ("fast",)
@@ -70,19 +77,33 @@ def _assert_same_run(a, b):
 def planning_spy(monkeypatch):
     """Counts calls of the one function every nest plan comes from."""
     calls = []
-    original = analysis.build_plan_with_reason
+    original = analysis.plan_nest
 
     def spy(root):
         calls.append(root)
         return original(root)
 
-    monkeypatch.setattr(analysis, "build_plan_with_reason", spy)
+    monkeypatch.setattr(analysis, "plan_nest", spy)
     return calls
 
 
 # ----------------------------------------------------------------------
 # Plan once
 # ----------------------------------------------------------------------
+def test_a_cold_compile_plans_no_nest(planning_spy):
+    """Compiling plans nothing: a nest is planned at its first run, or
+    each time its lowering report is asked for."""
+    for options in (CompileOptions(), CompileOptions.host_only()):
+        options = dataclasses.replace(options, enable_compile_cache=False)
+        for name in sorted(KERNELS):
+            result = compile_source(KERNELS[name].source, options=options)
+            assert planning_spy == [], name
+            report = program_lowering_report(result.program)
+            assert len(planning_spy) == len(report), name
+            assert result.program.engine_plans is None
+            planning_spy.clear()
+
+
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
 def test_second_and_later_runs_do_not_plan(engine, planning_spy):
     for offload in (False, True):

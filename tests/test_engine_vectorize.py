@@ -15,7 +15,7 @@ from repro.ir import (
     VectorizedEngine,
     make_engine,
 )
-from repro.ir.engine.analysis import PlanAssign, PlanLoop, build_plan
+from repro.ir.engine.analysis import PlanAssign, PlanLoop, plan_nest
 from repro.ir.expr import ArrayRef, IntConst, Min, ParamRef, VarRef
 from repro.ir.normalize import normalize_reductions
 from repro.ir.program import ParamDecl
@@ -51,7 +51,7 @@ def _assert_identical(program, params, arrays):
 # ----------------------------------------------------------------------
 def test_gemm_plan_distributes_and_classifies(gemm_program):
     root = gemm_program.top_level_loops()[0]
-    plan = build_plan(root)
+    plan = plan_nest(root)[0]
     assert plan is not None
     # Maximal distribution: the init statement and the reduction separate
     # all the way to the top, and both i/j loops vectorize around them.
@@ -84,7 +84,7 @@ def test_bicg_plan_splits_the_two_products():
     """
     program = parse_program(source)
     root = program.top_level_loops()[0]
-    plan = build_plan(root)
+    plan = plan_nest(root)[0]
     assert plan is not None
     # q-init distributes away from the j loop, and the j loop splits into
     # the s-update (j vectorized) and the q-update (i vectorized).
@@ -98,7 +98,7 @@ def test_bicg_plan_splits_the_two_products():
 def test_call_statement_forces_fallback(gemm_program):
     root = gemm_program.top_level_loops()[0]
     root.body.stmts.append(CallStmt("mystery", []))
-    assert build_plan(root) is None
+    assert plan_nest(root) == (None, "unsupported statement (CallStmt)")
 
 
 def test_scalar_accumulator_forces_fallback():
@@ -110,7 +110,7 @@ def test_scalar_accumulator_forces_fallback():
     """
     program = parse_program(source)
     root = program.top_level_loops()[0]
-    plan = build_plan(root)
+    plan = plan_nest(root)[0]
     # out[0] carries no loop variable → i cannot vectorize → no plan.
     assert plan is None
     params = {"N": 37}
@@ -130,7 +130,7 @@ def test_loop_carried_stencil_stays_sequential():
     }
     """
     program = parse_program(source)
-    assert build_plan(program.top_level_loops()[0]) is None
+    assert plan_nest(program.top_level_loops()[0])[0] is None
     arrays = {"A": np.arange(10, dtype=np.float32)}
     _assert_identical(program, {"N": 10}, arrays)
 
@@ -143,7 +143,7 @@ def test_independent_stencil_vectorizes():
     }
     """
     program = parse_program(source)
-    plan = build_plan(program.top_level_loops()[0])
+    plan = plan_nest(program.top_level_loops()[0])[0]
     assert plan is not None and plan.nodes[0].vec
     rng = np.random.default_rng(0)
     arrays = {
@@ -165,7 +165,7 @@ def test_triangular_nest_matches_interpreter():
     }
     """
     program = parse_program(source)
-    plan = build_plan(program.top_level_loops()[0])
+    plan = plan_nest(program.top_level_loops()[0])[0]
     # i is referenced by the j bounds → i sequential, j vectorized.
     assert plan is not None
     assert not plan.nodes[0].vec

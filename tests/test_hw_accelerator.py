@@ -5,7 +5,7 @@ import pytest
 
 from repro import CimServer, ServerConfig
 from repro.gateway.loadgen import GEMV_SOURCE
-from repro.hw.accelerator import CIMAccelerator
+from repro.hw.accelerator import AcceleratorConfig, CIMAccelerator
 from repro.hw.context_regs import (
     Command,
     ContextRegisterFile,
@@ -237,8 +237,8 @@ def test_double_buffering_reduces_latency(rng):
     a = rng.random((32, 32), dtype=np.float32)
     b = rng.random((32, 32), dtype=np.float32)
     c = np.zeros((32, 32), dtype=np.float32)
-    acc_db, mem_db = make_accelerator(double_buffering=True)
-    acc_nodb, mem_nodb = make_accelerator(double_buffering=False)
+    acc_db, mem_db = make_accelerator(config=AcceleratorConfig(double_buffering=True))
+    acc_nodb, mem_nodb = make_accelerator(config=AcceleratorConfig(double_buffering=False))
     run_gemm_on_accelerator(acc_db, mem_db, a, b, c, 1.0, 0.0)
     run_gemm_on_accelerator(acc_nodb, mem_nodb, a, b, c, 1.0, 0.0)
     assert acc_db.last_run.latency_s < acc_nodb.last_run.latency_s

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hw.accelerator import CIMAccelerator
+from repro.hw.accelerator import AcceleratorConfig, CIMAccelerator
 from repro.hw.crossbar import Crossbar, CrossbarConfig
 from repro.system import CimSystem, SystemConfig
 from repro.system.memory import SharedMemory
@@ -56,7 +56,7 @@ def test_batched_accelerator_accounting_matches_sequential(mode, rng):
         acc = CIMAccelerator(
             mem,
             crossbar_config=CrossbarConfig(rows=16, cols=16, mode=mode),
-            batch_gemv=batch,
+            config=AcceleratorConfig(batch_gemv=batch),
         )
         outs[batch] = run_gemm_on_accelerator(acc, mem, a, b, c, alpha=1.25, beta=0.5)
         runs[batch] = acc.last_run

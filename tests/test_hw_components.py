@@ -66,14 +66,6 @@ def test_weighted_column_sum():
     assert logic.alu_ops == 2
 
 
-def test_scale_and_accumulate_counts_ops():
-    logic = DigitalLogic()
-    acc = np.zeros(4)
-    out = logic.scale_and_accumulate(acc, np.ones(4), scale=2.0)
-    np.testing.assert_array_equal(out, 2 * np.ones(4))
-    assert logic.alu_ops == 8
-
-
 def test_reduce_sum():
     logic = DigitalLogic()
     assert logic.reduce_sum(np.array([1.0, 2.0, 3.0])) == 6.0

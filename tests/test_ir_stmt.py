@@ -11,7 +11,6 @@ from repro.ir.stmt import (
     Loop,
     assignments_in,
     loops_in,
-    perfectly_nested_loops,
 )
 
 
@@ -63,22 +62,6 @@ def test_loops_in_and_assignments_in():
     nest = _loop("i", ParamRef("N"), Block([_loop("j", ParamRef("M"), Block([inner]))]))
     assert len(loops_in(nest)) == 2
     assert assignments_in(nest) == [inner]
-
-
-def test_perfectly_nested_loops_detection():
-    inner = Assign(target=ArrayRef("A", [VarRef("i"), VarRef("j")]), rhs=IntConst(0))
-    j_loop = _loop("j", ParamRef("M"), Block([inner]))
-    i_loop = _loop("i", ParamRef("N"), Block([j_loop]))
-    chain = perfectly_nested_loops(i_loop)
-    assert [l.var for l in chain] == ["i", "j"]
-
-
-def test_imperfect_nest_stops_chain():
-    inner = Assign(target=ArrayRef("A", [VarRef("i")]), rhs=IntConst(0))
-    j_loop = _loop("j", ParamRef("M"), Block([inner]))
-    i_loop = _loop("i", ParamRef("N"), Block([inner, j_loop]))
-    chain = perfectly_nested_loops(i_loop)
-    assert [l.var for l in chain] == ["i"]
 
 
 def test_call_stmt_renders_arguments():

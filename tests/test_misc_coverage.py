@@ -15,9 +15,8 @@ from repro.codegen.runtime_calls import (
 )
 from repro.compiler import CompileOptions
 from repro.hw.microengine import Conv2DRequest, GemmRequest
-from repro.ir.expr import ArrayRef, BinOp, IntConst, ParamRef, VarRef
-from repro.ir.stmt import Assign, Block, Loop
-from repro.ir.visitor import IRVisitor, rename_arrays, substitute
+from repro.ir.expr import BinOp, IntConst, ParamRef, VarRef
+from repro.ir.visitor import IRVisitor, substitute
 from repro.runtime.blas import CimBlas
 from repro.tactics.patterns import KERNEL_SPECS
 from repro.workloads import PAPER_KERNELS, get_kernel
@@ -31,18 +30,6 @@ def test_substitute_replaces_variables():
     replaced = substitute(expr, {"i": VarRef("ii"), "j": IntConst(5)})
     assert replaced.free_vars() == {"ii"}
     assert "5" in str(replaced)
-
-
-def test_rename_arrays_in_statement():
-    stmt = Assign(
-        target=ArrayRef("C", [VarRef("i")]),
-        rhs=ArrayRef("A", [VarRef("i")]),
-        reduction="+",
-    )
-    renamed = rename_arrays(Block([stmt]), {"A": "A_dev"})
-    inner = renamed.stmts[0]
-    assert inner.rhs.name == "A_dev"
-    assert inner.target.name == "C"
 
 
 def test_visitor_dispatch(gemm_program):

@@ -154,17 +154,6 @@ def test_scheduler_rejects_bad_tile_count():
         AcceleratorConfig(num_tiles=0)
 
 
-def test_accelerator_rejects_config_and_flag_mix():
-    from repro.hw.accelerator import CIMAccelerator
-    from repro.system.memory import SharedMemory
-
-    memory = SharedMemory(1 << 20, 1 << 19)
-    with pytest.raises(ValueError):
-        CIMAccelerator(
-            memory, double_buffering=False, config=AcceleratorConfig()
-        )
-
-
 def test_plan_gemm_shards_respects_geometry():
     shards = plan_gemm_shards(20, 16, cols=12, rows=12)
     assert len(shards) == 4

@@ -5,7 +5,7 @@ import pytest
 from repro.frontend import parse_program
 from repro.ir.normalize import normalize_reductions
 from repro.poly import compute_dependences, detect_scops
-from repro.poly.dependence import DependenceKind, kernels_independent, nest_permutable
+from repro.poly.dependence import DependenceKind, kernels_independent
 
 
 def _scop(source):
@@ -47,7 +47,7 @@ def test_loop_carried_dependence_distance():
     assert flow
     carried = [d for d in flow if d.distance is not None and any(d.distance)]
     assert carried
-    assert carried[0].carried_by() == "i"
+    assert (carried[0].common_loops, carried[0].distance) == (("i",), (1,))
 
 
 def test_disjoint_constant_subscripts_have_no_dependence():
@@ -157,9 +157,21 @@ def test_kernels_not_independent_when_input_overwritten():
     assert not kernels_independent(first, second)
 
 
+def _self_distances(scop, stmt):
+    """Distance vectors of every dependence of *stmt* on itself.  A band
+    is fully permutable when each is known and non-negative."""
+    return {
+        (str(dep.kind), dep.distance)
+        for dep in compute_dependences(scop)
+        if dep.source == dep.target == stmt.name
+    }
+
+
 def test_gemm_nest_is_fully_permutable(gemm_scop):
     update = gemm_scop.statements[1]
-    assert nest_permutable(gemm_scop, update.name, update.loop_vars)
+    assert _self_distances(gemm_scop, update) == {
+        ("output", (0, 0, 0)), ("flow", (0, 0, 0)), ("anti", (0, 0, 0)),
+    }
 
 
 def test_recurrence_nest_is_not_permutable():
@@ -172,10 +184,11 @@ def test_recurrence_nest_is_not_permutable():
         }
         """
     )
-    stmt = scop.statements[0]
-    # Distances are non-negative (1,0) and (0,1): still permutable in the
-    # classic sense; but a negative-distance example must not be.
-    assert nest_permutable(scop, stmt.name, stmt.loop_vars)
+    # Distances (1, 0) and (0, 1) are non-negative: still permutable in
+    # the classic sense; but a negative-distance example must not be.
+    assert _self_distances(scop, scop.statements[0]) == {
+        ("output", (0, 0)), ("flow", (1, 0)), ("flow", (0, 1)),
+    }
 
     scop2 = _scop(
         """
@@ -186,5 +199,6 @@ def test_recurrence_nest_is_not_permutable():
         }
         """
     )
-    stmt2 = scop2.statements[0]
-    assert not nest_permutable(scop2, stmt2.name, stmt2.loop_vars)
+    assert _self_distances(scop2, scop2.statements[0]) == {
+        ("output", (0, 0)), ("flow", (1, -1)),
+    }

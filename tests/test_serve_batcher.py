@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import CimServer, OffloadExecutor, ServerConfig, TenantQuota
 from repro.serve import RequestStatus
+from repro.serve.batcher import same_bytes
 
 GEMV_SOURCE = """
 void gemv(int M, int N, float A[M][N], float x[N], float y[M]) {
@@ -243,3 +244,34 @@ def test_flooded_queue_rejects_but_light_tenant_unaffected():
         ]
         assert rejected, "expected backpressure on the flooding tenant"
         assert light_handle.status is RequestStatus.COMPLETED
+
+
+# ----------------------------------------------------------------------
+# same_bytes: the one bitwise-equality rule for arrays
+# ----------------------------------------------------------------------
+def _nan(payload: int) -> np.ndarray:
+    return np.array([0x7FC00000 | payload], dtype=np.uint32).view(np.float32)
+
+
+@pytest.mark.parametrize(
+    "a, b, same",
+    [
+        (np.array([-0.0]), np.array([0.0]), False),
+        (_nan(1), _nan(1), True),
+        (_nan(1), _nan(2), False),
+        (np.array([1.5, -2.0], dtype="<f4"), np.array([1.5, -2.0], dtype=">f4"), False),
+        (np.zeros((2, 3), np.float32), np.zeros((3, 2), np.float32), False),
+        (np.arange(12.0).reshape(3, 4)[:, ::2], np.arange(12.0).reshape(3, 4)[:, ::2].copy(), True),
+        (None, None, False),
+        (np.zeros(2), None, False),
+        (np.zeros(2), [0.0, 0.0], False),
+    ],
+    ids=[
+        "signed-zeros", "equal-nan-payloads", "different-nan-payloads",
+        "byte-orders", "shapes", "view-and-copy", "none", "array-and-none",
+        "array-and-list",
+    ],
+)
+def test_same_bytes(a, b, same):
+    assert same_bytes(a, b) is same
+    assert same_bytes(b, a) is same

@@ -5,7 +5,9 @@ Resolves a pipeline description (a named pipeline or an explicit
 comma-separated pass list) against the pass registry, compiles the given
 mini-C file (or a built-in PolyBench kernel via ``--kernel``), and prints
 the pass list, the per-pass wall-time table recorded by the pass
-manager, and the compiler's decision summary.
+manager, the engine tier of every top-level loop nest of the compiled
+program (``program_lowering_report``), and the compiler's decision
+summary.
 
 Usage::
 
@@ -31,6 +33,7 @@ from repro.compiler.passes import (  # noqa: E402
     PASS_REGISTRY,
     resolve_pass_names,
 )
+from repro.ir.engine import program_lowering_report  # noqa: E402
 
 
 def parse_size_hints(pairs: list[str]) -> dict[str, float] | None:
@@ -124,6 +127,13 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(result.report.timing_summary())
+    print()
+    print(f"engine lowering for {label}:")
+    nests = program_lowering_report(result.program)
+    for nest in nests:
+        print(f"  {nest.summary()}")
+    if not nests:
+        print("  (no top-level loop nest)")
     print()
     print(result.report.summary())
     return 0
