@@ -15,7 +15,7 @@ runtime ABI, in the micro-engine's scheduler (:mod:`repro.hw.scheduler`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.codegen.runtime_calls import CIM_INIT, InitCallArgs
 from repro.ir.program import Program

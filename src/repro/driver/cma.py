@@ -10,7 +10,6 @@ region of the simulated physical memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 class CMAError(RuntimeError):

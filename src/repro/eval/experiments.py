@@ -29,7 +29,7 @@ from repro.host.cost_model import HostCostModel, HostExecutionEstimate
 from repro.ir.normalize import normalize_reductions
 from repro.system.config import SystemConfig
 from repro.system.system import CimSystem
-from repro.workloads.polybench import PAPER_KERNELS, PolybenchKernel, get_kernel
+from repro.workloads.polybench import PAPER_KERNELS, get_kernel
 
 
 @dataclass

@@ -51,7 +51,7 @@ from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import USAGE_FIELDS, GatewayRequest, GatewayResponse
 from repro.hw.stats import AcceleratorRunStats
 from repro.serve.accounting import fold, partition_checks
-from repro.trace.recorder import BILL_FIELDS, tenant_bills  # BILL_FIELDS: re-exported
+from repro.trace.recorder import BILL_FIELDS, tenant_bills  # noqa: F401 (BILL_FIELDS re-exported)
 from repro.trace.replayer import TraceDiff
 from repro.trace.schema import (
     Trace,

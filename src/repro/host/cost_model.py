@@ -24,7 +24,7 @@ measured :class:`~repro.ir.interp.ExecutionTrace` (see the unit tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.hw.energy import HostEnergyModel

@@ -22,10 +22,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.hw.context_regs import (
-    Command,
     ContextRegisterFile,
     Flags,
     Opcode,

@@ -15,7 +15,7 @@ interchange).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 def sequential_sum(values: Iterable[float]) -> float:

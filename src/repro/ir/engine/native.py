@@ -36,12 +36,21 @@ It fails soft at every layer, down to the fold body:
 
 Shared objects are cached on disk (``REPRO_NATIVE_CACHE`` overrides the
 location), addressed by the SHA-256 of the compiler, the flags and the
-source, so later processes only ``dlopen``.  Every outcome, a failed
-compile included, is remembered for the life of the process.
+source, so later processes only ``dlopen``.  A cached object that does not
+load (truncated, corrupt, foreign) is renamed ``<digest>.so.corrupt`` and
+built again, once.  Every outcome, a failed compile included, is
+remembered for the life of the process.
+
+On x86-64 ELF builds the kernel is emitted as two clones (GCC/Clang
+``target_clones``): one for AVX2 and the baseline one.  The loader's ifunc
+resolver picks one when the object is loaded, so one cached object serves
+every x86-64 CPU.  The clones share the flags above, so they round alike;
+they differ only in vector width.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -110,7 +119,18 @@ _ELEM_KIND = {ElementType.F32: _F32, ElementType.F64: _F64}
 _DTYPE = {_F32: np.dtype(np.float32), _F64: np.dtype(np.float64)}
 _PY_TYPE = {_I64: "int", _F64W: "float"}
 
+#: ``VECTOR_CLONES`` marks the kernel's definition: an AVX2 and a baseline
+#: clone where the toolchain has ``target_clones``, nothing elsewhere.
 _PRELUDE = """#include <stdint.h>
+
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef VECTOR_CLONES
+#define VECTOR_CLONES
+#endif
 
 static inline int64_t imin(int64_t a, int64_t b) { return a < b ? a : b; }
 static inline int64_t imax(int64_t a, int64_t b) { return a > b ? a : b; }
@@ -281,7 +301,8 @@ class _CEmitter:
         params += [f"{_C_TYPE[self.kinds[p]]} {p}" for p in self.scalars.values()]
         params += [f"int64_t {n}" for n in self.extents.values()]
         prototype = f"void kernel({', '.join(params)})"
-        return prototype, "\n".join([_PRELUDE, prototype + " {", *_indent(body), "}", ""])
+        definition = f"VECTOR_CLONES {prototype} {{"
+        return prototype, "\n".join([_PRELUDE, definition, *_indent(body), "}", ""])
 
 
 # ----------------------------------------------------------------------
@@ -306,8 +327,9 @@ def compile_and_load(c_source: str, prototype: str) -> Optional[tuple]:
     """``(ffi, lib)`` of *c_source*, whose one function is *prototype*.
 
     Compiles it, or reuses the shared object cached under the digest of
-    the compiler, the flags and the source.  ``None`` when compiling or
-    loading fails; both outcomes are remembered for the process.
+    the compiler, the flags and the source (rebuilding one that does not
+    load).  ``None`` when compiling or loading fails; both outcomes are
+    remembered for the process.
     """
     compiler = _find_compiler()
     key = "\0".join([str(compiler), *_CFLAGS, c_source])
@@ -322,22 +344,27 @@ def _build(digest: str, compiler, c_source: str, prototype: str) -> Optional[tup
 
     if compiler is None:
         return None
+    ffi = cffi.FFI()
+    ffi.cdef(prototype + ";")
     try:
         cache_dir = native_cache_dir()
         os.makedirs(cache_dir, exist_ok=True)
         so_path = os.path.join(cache_dir, f"{digest}.so")
-        if not os.path.exists(so_path):
-            with tempfile.TemporaryDirectory(dir=cache_dir) as work:
-                c_path, built = os.path.join(work, "k.c"), os.path.join(work, "k.so")
-                with open(c_path, "w") as handle:
-                    handle.write(c_source)
-                subprocess.run(
-                    [compiler, *_CFLAGS, c_path, "-o", built],
-                    capture_output=True, timeout=120, check=True,
-                )
-                os.replace(built, so_path)
-        ffi = cffi.FFI()
-        ffi.cdef(prototype + ";")
+        if os.path.exists(so_path):
+            try:
+                return ffi, ffi.dlopen(so_path)
+            except OSError:  # truncated, corrupt or foreign: set it aside, build anew
+                with contextlib.suppress(FileNotFoundError):  # another process did
+                    os.replace(so_path, so_path + ".corrupt")
+        with tempfile.TemporaryDirectory(dir=cache_dir) as work:
+            c_path, built = os.path.join(work, "k.c"), os.path.join(work, "k.so")
+            with open(c_path, "w") as handle:
+                handle.write(c_source)
+            subprocess.run(
+                [compiler, *_CFLAGS, c_path, "-o", built],
+                capture_output=True, timeout=120, check=True,
+            )
+            os.replace(built, so_path)
         return ffi, ffi.dlopen(so_path)
     except (OSError, subprocess.SubprocessError):  # no cache dir, gcc failed, dlopen failed
         return None

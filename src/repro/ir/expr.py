@@ -17,7 +17,7 @@ Two derived facilities matter for the rest of the system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 Number = Union[int, float]

@@ -9,7 +9,7 @@ pass right after parsing.
 
 from __future__ import annotations
 
-from repro.ir.expr import ArrayRef, BinOp, Expr
+from repro.ir.expr import ArrayRef, BinOp
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, Block, IfStmt, Loop, Stmt
 

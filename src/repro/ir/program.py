@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.ir.expr import Expr, IntConst, ParamRef
-from repro.ir.stmt import Assign, Block, Loop, Stmt
+from repro.ir.stmt import Assign, Block, Loop
 from repro.ir.types import ElementType
 
 

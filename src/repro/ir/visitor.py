@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.ir.expr import (
     ArrayRef,
     BinOp,
     Expr,
-    FloatConst,
-    IntConst,
     Max,
     Min,
-    ParamRef,
     UnaryOp,
     VarRef,
 )

@@ -15,10 +15,8 @@ schedule tree and emits:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.ir.expr import Expr, IntConst, Min, VarRef
-from repro.ir.stmt import Assign, Block, CallStmt, Loop, Stmt
+from repro.ir.stmt import Block, CallStmt, Loop, Stmt
 from repro.poly.domain import LoopDim
 from repro.poly.schedule_tree import (
     BandNode,

@@ -10,7 +10,7 @@ cardinality computation requires numeric enumeration in that case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from repro.poly.affine import AffineExpr

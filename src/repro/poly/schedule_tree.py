@@ -30,7 +30,6 @@ reference cycle and is freed by reference counting alone.
 from __future__ import annotations
 
 import copy as _copy
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.ir.stmt import CallStmt

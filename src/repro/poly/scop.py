@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.ir.expr import ArrayRef, VarRef
+from repro.ir.expr import VarRef
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, Block, Loop, Stmt
 from repro.poly.access import AccessKind, AccessRelation, accesses_of_statement

@@ -19,14 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.driver.driver import CimDriver
-from repro.hw.accelerator import (
-    BATCH_DESCRIPTOR_BYTES,
-    AcceleratorRunStats,
-    pack_batch_descriptor,
-)
+from repro.hw.accelerator import AcceleratorRunStats, pack_batch_descriptor
 from repro.hw.context_regs import Flags, Opcode, Register, encode_scalar
 from repro.runtime.api import CimRuntime
 from repro.runtime.errors import CimRuntimeError

@@ -10,8 +10,7 @@ accelerator sits on the system crossbar as a DMA-capable device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.hw.context_regs import Register
 

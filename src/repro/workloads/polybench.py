@@ -10,7 +10,7 @@ the simulator is a Python model, not a silicon testbed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np

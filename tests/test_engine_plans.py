@@ -428,12 +428,14 @@ def _kernels(source: str) -> list:
     return [plan.kernel for plan in plans]
 
 
-#: What the C body may name besides generated locals: its prelude (three
-#: helpers and their operands) and C's own words.
+#: What the C body may name besides generated locals: its prelude (the
+#: clone macro, three helpers and their operands) and C's own words.
 C_VOCABULARY = {
     "include", "stdint", "h", "static", "inline", "int64_t", "INT64_C", "void",
     "float", "double", "restrict", "for", "return", "kernel", "imin", "imax",
     "pymod", "a", "b", "r",
+    "if", "defined", "__x86_64__", "__ELF__", "__has_attribute", "target_clones",
+    "define", "VECTOR_CLONES", "__attribute__", "avx2", "default", "endif", "ifndef",
 }
 
 
@@ -496,3 +498,29 @@ def test_compile_cache_keys_on_the_flags_and_remembers_failures(monkeypatch, tmp
     assert native.compile_and_load(broken, prototype) is None
     assert native.compile_and_load(broken, prototype) is None
     assert len(compiles) == 3
+
+
+def test_a_cached_object_that_does_not_load_is_built_again(monkeypatch, tmp_path):
+    """A truncated or corrupt ``<digest>.so`` once made every later process
+    fall back to the fold body; it is set aside and rebuilt instead."""
+    if not native_available():
+        pytest.skip("no C toolchain")
+    prototype = "void kernel(double *restrict a0, int64_t p0)"
+    source = f"#include <stdint.h>\n{prototype} {{ a0[0] = (double)p0; }}\n"
+    # Learn the object's name in another directory: a loaded object must
+    # not be overwritten, and the loader would hand back one it holds.
+    monkeypatch.setattr(native, "_loaded", {})
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "first"))
+    assert native.compile_and_load(source, prototype) is not None
+    (built,) = (tmp_path / "first").glob("*.so")
+    cache = tmp_path / "second"
+    cache.mkdir()
+    (cache / built.name).write_bytes(b"\x7fELF truncated")
+    monkeypatch.setattr(native, "_loaded", {})  # a fresh process
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    ffi, lib = native.compile_and_load(source, prototype)
+    out = np.zeros(1)
+    lib.kernel(ffi.from_buffer("double[]", out), 7)
+    assert out[0] == 7.0
+    assert (cache / built.name).stat().st_size > 100
+    assert (cache / f"{built.name}.corrupt").read_bytes() == b"\x7fELF truncated"
