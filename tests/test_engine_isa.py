@@ -6,8 +6,9 @@ the object is loaded.  Each shape here runs four ways: on the cloned C
 body, on a C body emitted without the clones (baseline only), on the fold
 body and on the reference interpreter.  Result arrays and the execution
 trace must be the same bytes from all four, on every PolyBench kernel of
-the paper at MEDIUM and on gemm, gemv and conv nests whose innermost
-extent is 1, 7, 127 or 129, so that the vector loops' remainders run.
+the paper at MEDIUM (the interpreter only where it is quick there) and
+on gemm, gemv and conv nests whose innermost extent is 1, 7, 127 or 129,
+so that the vector loops' remainders run.
 """
 
 from __future__ import annotations
