@@ -44,19 +44,20 @@ serving-loop invariant), tying the differential back to the original run.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import USAGE_FIELDS, GatewayRequest, GatewayResponse
 from repro.hw.stats import AcceleratorRunStats
 from repro.serve.accounting import fold, partition_checks
+from repro.serve.admission import TenantQuota
 from repro.trace.recorder import BILL_FIELDS, tenant_bills  # noqa: F401 (BILL_FIELDS re-exported)
 from repro.trace.replayer import TraceDiff
 from repro.trace.schema import (
     Trace,
     TraceFormatError,
-    decode_compile_options,
+    decode_server_config,
     decode_submit_arrays,
 )
 
@@ -174,14 +175,17 @@ def gateway_config_from_trace(
 ) -> GatewayConfig:
     """A pool configuration matching the trace's recorded device."""
     _require_serve_trace(trace)
-    config = trace.config
+    worker = replace(
+        decode_server_config(trace.kind, trace.config),
+        # A worker serves one request per lease; admission is the
+        # gateway's, so the worker keeps the default quota.
+        max_batch_size=1,
+        batch_window_s=0.0,
+        default_quota=TenantQuota(),
+    )
     return GatewayConfig(
         num_workers=num_workers,
-        num_tiles=int(config.get("num_tiles", 1)),
-        crossbar_rows=config.get("crossbar_rows"),
-        crossbar_cols=config.get("crossbar_cols"),
-        crossbar_mode=config.get("crossbar_mode", "ideal"),
-        compile_options=decode_compile_options(config["compile_options"]),
+        worker=worker,
         cache_dir=cache_dir,
         max_pending=None,  # quotas/backpressure off, like the reference
         # The resilience layer stays ENABLED under the differential: with
@@ -190,7 +194,6 @@ def gateway_config_from_trace(
         # nothing when nothing goes wrong.
         hang_timeout_s=30.0,
         max_respawns=2,
-        scrub_leases=bool(config.get("scrub_leases", True)),
     )
 
 

@@ -97,7 +97,6 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.blas_threads import pinned_blas_threads
-from repro.compiler.options import CompileOptions
 from repro.gateway.wire import GatewayRequest, GatewayResponse, WireFormatError
 from repro.gateway.worker import (
     DRAIN_FRAME, DRAINED_FRAME, FRAME_HEADER, REQUEST_FRAME, RESPONSE_FRAME, worker_main,
@@ -109,7 +108,8 @@ from repro.serve.accounting import (
 from repro.serve.admission import TenantQuota, budget_exhausted_reason
 from repro.serve.clock import WallClock, capped_backoff_s
 from repro.serve.metrics import MetricsRegistry
-from repro.trace.schema import TraceFormatError, encode_compile_options
+from repro.serve.server import ServerConfig
+from repro.trace.schema import TraceFormatError, encode_server_config
 
 #: How long drain() waits for a worker's final work record (and for
 #: stuck in-flight work) before escalating to a kill.
@@ -145,14 +145,12 @@ class GatewayConfig:
 
     #: Worker processes (each one private emulated device).
     num_workers: int = 2
-    #: CIM tiles inside each worker's device.
-    num_tiles: int = 1
-    #: Crossbar geometry/mode of the worker devices (None = Table I).
-    crossbar_rows: Optional[int] = None
-    crossbar_cols: Optional[int] = None
-    crossbar_mode: str = "ideal"
-    #: Compiler options of the worker compilers.
-    compile_options: CompileOptions = field(default_factory=CompileOptions)
+    #: Each worker's serving stack: its device, compiler options and lease
+    #: shape.  A worker serves one request per lease (``serve_alone``): the
+    #: pool parallelises across processes, never inside one device.
+    worker: ServerConfig = field(
+        default_factory=lambda: ServerConfig(max_batch_size=1, batch_window_s=0.0)
+    )
     #: Shared on-disk compile-cache directory (None = per-worker memory
     #: caches only; with a directory, workers share compilations).
     cache_dir: Optional[str] = None
@@ -182,20 +180,10 @@ class GatewayConfig:
     hot_spares: int = 0
     #: ``multiprocessing`` start method (None = fork where available).
     start_method: Optional[str] = None
-    #: Scrub crossbar residency between requests inside each worker.
-    scrub_leases: bool = True
 
     def worker_wire(self) -> dict:
         """The worker-process config as a plain picklable dict."""
-        return {
-            "num_tiles": self.num_tiles,
-            "crossbar_rows": self.crossbar_rows,
-            "crossbar_cols": self.crossbar_cols,
-            "crossbar_mode": self.crossbar_mode,
-            "compile_options": encode_compile_options(self.compile_options),
-            "cache_dir": self.cache_dir,
-            "scrub_leases": self.scrub_leases,
-        }
+        return {"server": encode_server_config(self.worker), "cache_dir": self.cache_dir}
 
 
 @dataclass(eq=False)  # compared by identity: a request carries arrays

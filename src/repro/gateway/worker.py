@@ -4,9 +4,10 @@ Each worker owns a complete private serving stack — a
 :class:`~repro.system.system.CimSystem`, an
 :class:`~repro.codegen.executor.OffloadExecutor`, a compiler bound to the
 **shared on-disk** :class:`~repro.compiler.cache.KernelCompileCache`
-(flock-guarded, so concurrent workers race safely), and a
-:class:`~repro.serve.server.CimServer` configured with
-``max_batch_size=1`` — and serves each request as one lease of its own
+(flock-guarded, so concurrent workers race safely), and the
+:class:`~repro.serve.server.CimServer` that ``GatewayConfig.worker``
+describes (``max_batch_size=1`` by default) — and serves each request as
+one lease of its own
 (:meth:`~repro.serve.server.ServingLoop.serve_alone`): no batch
 signature, no admission queue, no batcher.  The lease runs through
 :meth:`~repro.serve.dispatch.LeaseExecutor.dispatch`, the lease
@@ -84,33 +85,20 @@ DEAD_LETTER_FRAME = b"x"
 FRAME_HEADER = struct.Struct("!i")
 
 
-def build_worker_server(config: dict):
+def build_worker_server(wire: dict):
     """Build one worker's private serving stack from the gateway's wire
-    config (a plain dict, so it pickles identically under ``fork`` and
-    ``spawn``).  Shared between real pool workers and the in-process
-    differential reference."""
+    config (:meth:`~repro.gateway.server.GatewayConfig.worker_wire`, a
+    plain dict, so it pickles identically under ``fork`` and ``spawn``).
+    Shared between real pool workers and the in-process differential
+    reference."""
     from repro.compiler.cache import KernelCompileCache
-    from repro.serve.server import CimServer, ServerConfig
-    from repro.trace.schema import decode_compile_options
+    from repro.serve.server import CimServer
+    from repro.trace.schema import decode_server_config
 
-    cache_dir = config.get("cache_dir")
-    compile_cache = KernelCompileCache(disk_dir=cache_dir)
-    server_config = ServerConfig(
-        num_tiles=int(config.get("num_tiles", 1)),
-        # Workers serve strictly one request per lease (serve_alone): the
-        # wall-clock pool parallelises across processes, never inside one
-        # device.  These limits make submit + drain here the lease's twin.
-        max_batch_size=1,
-        batch_window_s=0.0,
-        scrub_leases=bool(config.get("scrub_leases", True)),
-        compile_options=decode_compile_options(
-            dict(config.get("compile_options", {}))
-        ),
-        crossbar_rows=config.get("crossbar_rows"),
-        crossbar_cols=config.get("crossbar_cols"),
-        crossbar_mode=config.get("crossbar_mode", "ideal"),
+    return CimServer(
+        decode_server_config("serve", wire["server"]),
+        compile_cache=KernelCompileCache(disk_dir=wire["cache_dir"]),
     )
-    return CimServer(server_config, compile_cache=compile_cache)
 
 
 def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayResponse:

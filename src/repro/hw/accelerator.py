@@ -63,15 +63,16 @@ class AcceleratorConfig:
 
     ``num_tiles`` selects how many CIM tiles the timing model schedules
     kernels over (1 reproduces the seed's serial single-tile behaviour);
-    the remaining flags control the micro-engine's dispatch strategy.
-    Functional results and energy/endurance accounting do not depend on
-    ``num_tiles`` (see :mod:`repro.hw.scheduler`).
+    ``double_buffering`` overlaps operand DMA with compute, and
+    ``batch_gemv`` dispatches the GEMVs streaming against one programmed
+    tile as one batched tile operation.  Functional results and
+    energy/endurance accounting depend on none of them (see
+    :mod:`repro.hw.scheduler`).
     """
 
     num_tiles: int = 1
     double_buffering: bool = True
     batch_gemv: bool = True
-    reuse_resident_gemv: bool = True
 
     def __post_init__(self) -> None:
         if self.num_tiles < 1:
@@ -100,11 +101,8 @@ class CIMAccelerator:
             dma=self.dma,
             energy=self.energy,
             counters=self.counters,
+            config=self.config,
             timeline=self.timeline,
-            double_buffering=self.config.double_buffering,
-            batch_gemv=self.config.batch_gemv,
-            reuse_resident_gemv=self.config.reuse_resident_gemv,
-            num_tiles=self.config.num_tiles,
         )
         self.registers = ContextRegisterFile(on_start=self._on_start)
         #: ``(descriptor_version, plan)`` of the last decoded GEMM/GEMV

@@ -39,6 +39,7 @@ from repro.hw.tile import CIMTile
 from repro.hw.timeline import Timeline
 
 if TYPE_CHECKING:
+    from repro.hw.accelerator import AcceleratorConfig
     from repro.system.memory import WriteWatch
 
 
@@ -190,11 +191,8 @@ class MicroEngine:
         dma: DMAEngine,
         energy: EnergyLedger,
         counters: StatCounter,
+        config: AcceleratorConfig,
         timeline: Optional[Timeline] = None,
-        double_buffering: bool = True,
-        batch_gemv: bool = True,
-        reuse_resident_gemv: bool = True,
-        num_tiles: int = 1,
     ):
         self.tile = tile
         self.dma = dma
@@ -204,23 +202,8 @@ class MicroEngine:
         # is falsy (it has __len__), which would silently detach this engine
         # from the accelerator's timeline.
         self.timeline = timeline if timeline is not None else Timeline()
-        self.double_buffering = double_buffering
-        #: Number of physical tiles the timing model schedules over.  One
-        #: tile reproduces the seed's serial clock exactly; more tiles shard
-        #: operand blocks across lanes (see :mod:`repro.hw.scheduler`).
-        #: Functional state and energy/wear accounting are tile-count-
-        #: invariant; only the timeline/latency changes.
-        self.num_tiles = num_tiles
-        self.scheduler = TileScheduler(num_tiles, double_buffering)
-        #: Dispatch all GEMVs that stream against one programmed tile as a
-        #: single batched tile operation (one matmul in ideal mode, one
-        #: vectorized MSB/LSB pass in quantized mode).  Pure dispatch
-        #: optimisation: energy/latency/wear accounting is unchanged.
-        self.batch_gemv = batch_gemv
-        #: Keep the programmed operand resident across separate GEMV
-        #: invocations (the paper's model does not re-program a matrix that
-        #: is already in the crossbar when streaming more vectors at it).
-        self.reuse_resident_gemv = reuse_resident_gemv
+        self.config = config
+        self.scheduler = TileScheduler(self.config.num_tiles, self.config.double_buffering)
         self.energy_model: CimEnergyModel = tile.energy_model
         self._clock_s = 0.0
         #: The operand tile currently programmed into the crossbar (for
@@ -250,8 +233,10 @@ class MicroEngine:
     def plan_gemm(self, request: GemmRequest) -> RunPlan:
         """Cost one GEMM/GEMV descriptor; :meth:`run_gemm` runs the plan
         as often as the descriptor is started."""
-        reuse = self.reuse_resident_gemv and request.n == 1
-        return RunPlan([memoized(self._plans, self._plan_gemm, request, reuse)])
+        # A GEMV keeps the programmed operand resident across separate
+        # invocations (the paper's model does not re-program a matrix that
+        # is already in the crossbar when streaming more vectors at it).
+        return RunPlan([memoized(self._plans, self._plan_gemm, request, request.n == 1)])
 
     def run_gemm(self, plan: RunPlan) -> AcceleratorRunStats:
         """Execute one planned GEMM: ``C = alpha * op(A) * op(B) + beta * C``."""
@@ -290,7 +275,7 @@ class MicroEngine:
         req.validate()
         model = self.energy_model
         elem = req.elem_size
-        sharded = self.num_tiles > 1
+        sharded = self.config.num_tiles > 1
         fetch = Charges()
         a, a_bytes = self._matrix(fetch, req.addr_a, req.m, req.k, req.lda, req.trans_a)
         b, _ = self._matrix(fetch, req.addr_b, req.k, req.n, req.ldb, req.trans_b)
@@ -300,7 +285,7 @@ class MicroEngine:
         # Batched dispatch streams all N columns against a programmed tile
         # in one tile operation; the per-vector reference, one by one.
         # Either way the accounting is that of N GEMVs.
-        transfers = req.n if self.batch_gemv and req.n > 1 else 1
+        transfers = req.n if self.config.batch_gemv and req.n > 1 else 1
         dispatches = req.n // transfers
         blocks = []
         gemvs = macs = streamed = 0
@@ -400,7 +385,7 @@ class MicroEngine:
                     c_out = np.add(partial.T, 0.0, order="C")
                 else:
                     c_out[part] += partial.T
-        if self.num_tiles > 1:
+        if self.config.num_tiles > 1:
             self._clock_s = self.scheduler.schedule(
                 shards, start_s=self._clock_s, timeline=timeline
             )
@@ -457,14 +442,14 @@ class MicroEngine:
         # The image is streamed slab by slab in hardware.  Batched, every
         # output row is one dispatch of its n_slabs slabs, charged out_h
         # times over; the per-vector reference dispatches slab by slab.
-        transfers, per_row = (n_slabs, 1) if self.batch_gemv else (1, n_slabs)
+        transfers, per_row = (n_slabs, 1) if self.config.batch_gemv else (1, n_slabs)
         step = self._stream(body, slab_len * elem, transfers, req.out_h * per_row)
         # Multi-tile mode: the filter was broadcast-programmed into every
         # tile (charged once — tile-count-invariant accounting, see
         # docs/scheduler.md); each output row becomes one shard streamed on
         # whichever tile lane frees up first.
         shards = []
-        if self.num_tiles > 1:
+        if self.config.num_tiles > 1:
             for oi in range(req.out_h):
                 compute_s = 0.0
                 for _ in range(per_row):
@@ -518,7 +503,7 @@ class MicroEngine:
         slabs = np.lib.stride_tricks.sliding_window_view(padded, (kh, slab_w))[
             : req.out_h, : n_slabs * t_cols : t_cols
         ].reshape(req.out_h * n_slabs, slab_len)
-        if self.batch_gemv:
+        if self.config.batch_gemv:
             # One tile product for the image; every output row's dispatch
             # charged once per row.
             values, _ = tile.crossbar.gemv_batch(slabs, slab_len, t_cols)
@@ -639,9 +624,9 @@ class MicroEngine:
         dma_time = self._dma_in(charges, in_bytes, overlappable=True,
                                 transfers=transfers, repeat=dispatches)
         gemv_time = transfers * model.compute_latency_per_gemv_s / transfers
-        step = transfers * (max(gemv_time, dma_time) if self.double_buffering
+        step = transfers * (max(gemv_time, dma_time) if self.config.double_buffering
                             else gemv_time + dma_time)
-        if self.num_tiles == 1:
+        if self.config.num_tiles == 1:
             charges.phase("crossbar", "compute", step, dispatches)
         charges.energy(self.energy, "cim.dma_microengine",
                        transfers * model.dma_microengine_energy_per_gemv_j, dispatches)

@@ -57,48 +57,7 @@ def evaluate_expr(
     arrays: Mapping[str, np.ndarray],
 ) -> int | float:
     """Evaluate an IR expression under scalar and array bindings."""
-    if isinstance(expr, IntConst):
-        return expr.value
-    if isinstance(expr, FloatConst):
-        return expr.value
-    if isinstance(expr, (VarRef, ParamRef)):
-        try:
-            return scalars[expr.name]
-        except KeyError as exc:
-            raise InterpreterError(f"unbound variable {expr.name!r}") from exc
-    if isinstance(expr, ArrayRef):
-        array = arrays.get(expr.name)
-        if array is None:
-            raise InterpreterError(f"unbound array {expr.name!r}")
-        idx = tuple(int(evaluate_expr(i, scalars, arrays)) for i in expr.indices)
-        return array[idx]
-    if isinstance(expr, BinOp):
-        lhs = evaluate_expr(expr.lhs, scalars, arrays)
-        rhs = evaluate_expr(expr.rhs, scalars, arrays)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        if expr.op == "/":
-            return lhs / rhs
-        if expr.op == "%":
-            return lhs % rhs
-        raise InterpreterError(f"unknown operator {expr.op!r}")
-    if isinstance(expr, UnaryOp):
-        return -evaluate_expr(expr.operand, scalars, arrays)
-    if isinstance(expr, Min):
-        return min(
-            evaluate_expr(expr.lhs, scalars, arrays),
-            evaluate_expr(expr.rhs, scalars, arrays),
-        )
-    if isinstance(expr, Max):
-        return max(
-            evaluate_expr(expr.lhs, scalars, arrays),
-            evaluate_expr(expr.rhs, scalars, arrays),
-        )
-    raise InterpreterError(f"cannot evaluate expression {expr!r}")
+    return compile_expr(expr)(scalars, arrays)
 
 
 @dataclass
@@ -130,12 +89,9 @@ def _count_expr_ops(expr: Expr, trace: ExecutionTrace, is_float: bool) -> None:
 
 
 def compile_expr(expr: Expr) -> Callable[[Mapping, Mapping], int | float]:
-    """Compile an IR expression into a closure over (scalars, arrays).
-
-    The closure evaluates exactly like :func:`evaluate_expr` (same numeric
-    semantics, same errors) but without re-walking the expression tree on
-    every evaluation.
-    """
+    """Compile an IR expression into a closure over (scalars, arrays),
+    which evaluates it without re-walking the expression tree each time
+    (:func:`evaluate_expr` is a one-off call)."""
     if isinstance(expr, (IntConst, FloatConst)):
         value = expr.value
         return lambda scalars, arrays: value

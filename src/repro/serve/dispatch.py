@@ -69,7 +69,6 @@ class LeaseExecutor:
         ledger: AccountingLedger,
         metrics: MetricsRegistry,
         timeline: Timeline,
-        scrub_leases: bool = True,
         charge_service: Optional[Callable[[str, float], None]] = None,
         device_id: int = 0,
         component: str = "serve.device",
@@ -80,7 +79,6 @@ class LeaseExecutor:
         self.ledger = ledger
         self.metrics = metrics
         self.timeline = timeline
-        self.scrub_leases = scrub_leases
         self.charge_service = charge_service
         self.device_id = device_id
         self.component = component
@@ -92,10 +90,9 @@ class LeaseExecutor:
     def dispatch(self, batch: list[TenantRequest], batch_id: int) -> list[FaultedRequest]:
         """Serve *batch* as one crossbar lease; returns the requests a
         device fault prevented from being served (empty without faults)."""
-        if self.scrub_leases:
-            # Lease isolation: a batch never inherits the previous
-            # tenant's programmed operand.
-            self.system.accelerator.micro_engine.invalidate_residency()
+        # Lease isolation: a batch never inherits the previous tenant's
+        # programmed operand.
+        self.system.accelerator.micro_engine.invalidate_residency()
         head = batch[0]
         plan = (
             head.analysis.fused

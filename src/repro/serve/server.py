@@ -150,9 +150,6 @@ class ServerConfig:
     max_batch_size: int = 16
     #: Admission defaults for tenants without an explicit quota.
     default_quota: TenantQuota = field(default_factory=TenantQuota)
-    #: Scrub crossbar residency between leases (tenant isolation: one
-    #: batch never inherits another's programmed operand).
-    scrub_leases: bool = True
     #: Compiler options for ``submit`` calls that pass mini-C source.
     compile_options: CompileOptions = field(default_factory=CompileOptions)
     #: Optional crossbar geometry overrides for the private system(s).
@@ -252,7 +249,6 @@ class ServingLoop:
             ledger=self.ledger,
             metrics=self.metrics,
             timeline=self.timeline,
-            scrub_leases=self.config.scrub_leases,
             charge_service=self.admission.charge_service,
             device_id=len(self.devices),
             component=component,

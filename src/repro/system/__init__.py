@@ -9,8 +9,7 @@ executor and the evaluation harness use.
 :class:`SystemConfig` carries the Table I hardware parameters plus the
 simulation knobs: ``num_tiles`` (multi-tile offload sharding, default 1),
 ``crossbar_rows``/``crossbar_cols`` geometry overrides, ``double_buffering``
-(DMA/compute pipelining), and the ``batch_gemv``/``reuse_resident_gemv``
-dispatch flags.
+(DMA/compute pipelining), and the ``batch_gemv`` dispatch flag.
 """
 
 from repro.system.memory import SharedMemory, MemoryRegion

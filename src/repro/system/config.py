@@ -35,9 +35,6 @@ class SystemConfig:
     #: Dispatch the GEMVs streaming against one programmed tile as a single
     #: batched tile operation (simulation speed only; accounting identical).
     batch_gemv: bool = True
-    #: Keep a programmed operand resident in the crossbar across separate
-    #: GEMV invocations against the same matrix (no re-programming wear).
-    reuse_resident_gemv: bool = True
     energy: SystemEnergyModel = field(default_factory=lambda: TABLE_I)
 
     @property
@@ -68,7 +65,6 @@ class SystemConfig:
             num_tiles=self.num_tiles,
             double_buffering=self.double_buffering,
             batch_gemv=self.batch_gemv,
-            reuse_resident_gemv=self.reuse_resident_gemv,
         )
 
     @staticmethod

@@ -36,7 +36,7 @@ from repro.fleet.server import FleetConfig
 from repro.serve.accounting import fold
 from repro.serve.errors import DeviceFault
 from repro.serve.request import RequestHandle, RequestStatus
-from repro.serve.server import ServerConfig, ServingLoop
+from repro.serve.server import ServingLoop
 from repro.trace.schema import (
     SCHEMA_VERSION,
     SUPPORTED_VERSIONS,
@@ -45,9 +45,8 @@ from repro.trace.schema import (
     build_trace,
     dedupe_payload,
     encode_array,
-    encode_compile_options,
-    encode_fault_plan,
     encode_quota,
+    encode_server_config,
     plain_scalar,
 )
 
@@ -103,7 +102,7 @@ class TraceRecorder:
             "event": "header",
             "schema_version": self.schema_version,
             "kind": "fleet" if isinstance(config, FleetConfig) else "serve",
-            "config": self._encode_config(config),
+            "config": encode_server_config(config),
         }
         if server.metrics.submitted or server.admission.quotas:
             raise TraceFormatError(
@@ -116,37 +115,6 @@ class TraceRecorder:
         for device in server.devices:
             self._wrap_lease_hook(device.lease_executor, device.device_id)
         return server
-
-    def _encode_config(self, config: ServerConfig) -> dict:
-        encoded = {
-            "num_tiles": config.num_tiles,
-            "batch_window_s": config.batch_window_s,
-            "max_batch_size": config.max_batch_size,
-            "scrub_leases": config.scrub_leases,
-            "crossbar_rows": config.crossbar_rows,
-            "crossbar_cols": config.crossbar_cols,
-            "crossbar_mode": config.crossbar_mode,
-            "default_quota": encode_quota(config.default_quota),
-            "compile_options": encode_compile_options(config.compile_options),
-        }
-        if not isinstance(config, FleetConfig):
-            return encoded
-        if not isinstance(config.placement, str):
-            raise TraceFormatError(
-                "cannot record a custom PlacementPolicy instance; use one "
-                "of the named placement policies for replayable runs"
-            )
-        return {
-            "num_devices": config.num_devices,
-            **encoded,
-            "placement": config.placement,
-            "initial_wear_bytes": [int(w) for w in config.initial_wear_bytes],
-            "max_attempts": config.max_attempts,
-            "retry_backoff_base_s": config.retry_backoff_base_s,
-            "retry_backoff_max_s": config.retry_backoff_max_s,
-            "tighten_admission": config.tighten_admission,
-            "fault_plan": encode_fault_plan(config.fault_plan),
-        }
 
     # ------------------------------------------------------------------
     def _wrap_submit(self, server) -> None:

@@ -31,15 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fleet.server import FleetConfig, FleetServer
-from repro.serve.server import CimServer, ServerConfig, ServingLoop
+from repro.fleet.server import FleetServer
+from repro.serve.server import CimServer, ServingLoop
 from repro.trace.recorder import TraceRecorder
 from repro.trace.schema import (
     Trace,
-    TraceFormatError,
-    decode_compile_options,
-    decode_fault_plan,
     decode_quota,
+    decode_server_config,
     decode_submit_arrays,
     encode_array,
 )
@@ -164,23 +162,8 @@ class TraceReplayer:
         The server builds its own compile cache, private and in-memory:
         replay must never read another run's on-disk cache state.
         """
-        fleet = self.trace.kind == "fleet"
-        config = dict(self.trace.config)
-        try:
-            config["default_quota"] = decode_quota(config["default_quota"])
-            config["compile_options"] = decode_compile_options(
-                config["compile_options"]
-            )
-            if fleet:
-                config["fault_plan"] = decode_fault_plan(config["fault_plan"])
-                config["initial_wear_bytes"] = tuple(config["initial_wear_bytes"])
-            server_config = (FleetConfig if fleet else ServerConfig)(**config)
-        except (KeyError, TypeError) as exc:
-            raise TraceFormatError(
-                f"header: config does not rebuild a {self.trace.kind} "
-                f"server ({exc})"
-            ) from exc
-        return (FleetServer if fleet else CimServer)(server_config)
+        server_class = FleetServer if self.trace.kind == "fleet" else CimServer
+        return server_class(decode_server_config(self.trace.kind, self.trace.config))
 
     # ------------------------------------------------------------------
     def replay(self) -> ReplayResult:

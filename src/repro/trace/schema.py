@@ -320,6 +320,68 @@ def decode_fault_plan(encoded: Optional[dict]):
         raise TraceFormatError(f"header: bad fault plan ({exc})") from exc
 
 
+def encode_server_config(config) -> dict:
+    """A :class:`~repro.serve.server.ServerConfig` or
+    :class:`~repro.fleet.server.FleetConfig` as a JSON-able dict: the
+    trace header's ``config`` and the gateway's worker wire.  Leases are
+    always scrubbed; ``scrub_leases`` stays in the dict so recorded
+    headers keep their bytes."""
+    from repro.fleet.server import FleetConfig
+
+    encoded = {
+        "num_tiles": config.num_tiles,
+        "batch_window_s": config.batch_window_s,
+        "max_batch_size": config.max_batch_size,
+        "scrub_leases": True,
+        "crossbar_rows": config.crossbar_rows,
+        "crossbar_cols": config.crossbar_cols,
+        "crossbar_mode": config.crossbar_mode,
+        "default_quota": encode_quota(config.default_quota),
+        "compile_options": encode_compile_options(config.compile_options),
+    }
+    if not isinstance(config, FleetConfig):
+        return encoded
+    if not isinstance(config.placement, str):
+        raise TraceFormatError(
+            "cannot record a custom PlacementPolicy instance; use one "
+            "of the named placement policies for replayable runs"
+        )
+    return {
+        "num_devices": config.num_devices,
+        **encoded,
+        "placement": config.placement,
+        "initial_wear_bytes": [int(w) for w in config.initial_wear_bytes],
+        "max_attempts": config.max_attempts,
+        "retry_backoff_base_s": config.retry_backoff_base_s,
+        "retry_backoff_max_s": config.retry_backoff_max_s,
+        "tighten_admission": config.tighten_admission,
+        "fault_plan": encode_fault_plan(config.fault_plan),
+    }
+
+
+def decode_server_config(kind: str, encoded: dict):
+    """The inverse of :func:`encode_server_config`: a ``FleetConfig`` for
+    *kind* ``"fleet"``, else a ``ServerConfig``."""
+    from repro.fleet.server import FleetConfig
+    from repro.serve.server import ServerConfig
+
+    fleet = kind == "fleet"
+    config = dict(encoded)
+    try:
+        if config.pop("scrub_leases") is not True:
+            raise TraceFormatError("header: scrub_leases must be true")
+        config["default_quota"] = decode_quota(config["default_quota"])
+        config["compile_options"] = decode_compile_options(config["compile_options"])
+        if fleet:
+            config["fault_plan"] = decode_fault_plan(config["fault_plan"])
+            config["initial_wear_bytes"] = tuple(config["initial_wear_bytes"])
+        return (FleetConfig if fleet else ServerConfig)(**config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            f"header: config does not rebuild a {kind} server ({exc})"
+        ) from exc
+
+
 # ----------------------------------------------------------------------
 # The trace container
 # ----------------------------------------------------------------------

@@ -116,7 +116,7 @@ class TestTraceGating:
     def test_config_mirrors_the_recording(self, golden_trace):
         config = gateway_config_from_trace(golden_trace, num_workers=3)
         assert config.num_workers == 3
-        assert config.num_tiles == int(golden_trace.config.get("num_tiles", 1))
+        assert config.worker.num_tiles == int(golden_trace.config.get("num_tiles", 1))
         assert config.max_pending is None  # quotas off in diff mode
 
 

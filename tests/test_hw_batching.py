@@ -172,15 +172,6 @@ def test_reset_stats_invalidates_residency(rng):
     assert second.accelerator.latency_s == pytest.approx(first.accelerator.latency_s)
 
 
-def test_residency_can_be_disabled(rng):
-    system = CimSystem(SystemConfig(reuse_resident_gemv=False))
-    m = n = 10
-    a, x, a_buf, x_buf, y_buf = _gemv_setup(system, rng, m, n)
-    system.blas.sgemv(False, m, n, 1.0, a_buf, n, x_buf, 0.0, y_buf)
-    second = system.blas.sgemv(False, m, n, 1.0, a_buf, n, x_buf, 0.0, y_buf)
-    assert second.accelerator.crossbar_cell_writes == m * n
-
-
 def test_gemm_calls_still_reprogram_between_invocations(rng):
     """Cross-call residency is a GEMV-streaming feature; separate (unfused)
     GEMM invocations still pay the write — that is exactly the endurance

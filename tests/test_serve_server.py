@@ -828,10 +828,11 @@ def test_an_empty_caller_cache_is_kept():
 def test_gateway_worker_uses_its_disk_cache(tmp_path):
     """...which is how a gateway worker used to drop the shared on-disk
     cache its ``cache_dir`` asked for."""
+    from repro.gateway.server import GatewayConfig
     from repro.gateway.wire import GatewayRequest
     from repro.gateway.worker import build_worker_server, serve_one
 
-    worker = build_worker_server({"cache_dir": str(tmp_path)})
+    worker = build_worker_server(GatewayConfig(cache_dir=str(tmp_path)).worker_wire())
     try:
         rng = np.random.default_rng(18)
         request = GatewayRequest(1, "alice", GEMV_SOURCE, dict(PARAMS), _gemv_arrays(rng))
