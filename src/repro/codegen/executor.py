@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.codegen.runtime_calls import (
     InitCallArgs,
     KernelCallArgs,
 )
-from repro.host.cost_model import HostCostModel, HostExecutionEstimate
+from repro.host.cost_model import HostExecutionEstimate
 from repro.hw.stats import AcceleratorRunStats
 from repro.ir.engine import DEFAULT_ENGINE, make_engine, validate_engine
 from repro.ir.expr import Expr
@@ -116,6 +116,25 @@ class ExecutionReport:
         return bool(self.runtime_calls)
 
 
+def work_meter(system: CimSystem) -> Callable[[ExecutionReport], None]:
+    """Note *system*'s host-overhead ledger and accelerator run count; the
+    function returned writes the work done since into a report: the
+    offload instructions, energy and time, then the new runs folded."""
+    overhead = system.host_overhead
+    energy0 = overhead.energy_j
+    time0 = overhead.time_s
+    instr0 = overhead.instructions
+    runs0 = len(system.accelerator.completed_runs)
+
+    def measure(report: ExecutionReport) -> None:
+        report.offload_instructions = overhead.instructions - instr0
+        report.offload_energy_j = overhead.energy_j - energy0
+        report.offload_time_s = overhead.time_s - time0
+        report.absorb_runs(system.accelerator.completed_runs[runs0:])
+
+    return measure
+
+
 class OffloadExecutor:
     """Runs IR programs against the emulated host + CIM system.
 
@@ -124,51 +143,13 @@ class OffloadExecutor:
     emitted C or slice-folded kernels, bit-identical to the interpreter,
     replaying a plan per params) or the reference ``"interpreter"``.  Both
     produce identical results and execution traces, so the cost-model
-    numbers do not depend on this choice.
-
-    Engine precedence, most specific wins: the ``engine`` argument of
-    :meth:`run`, then an ``engine`` given to this constructor, then the
-    :class:`~repro.compiler.options.CompileOptions` of a
-    ``CompilationResult`` passed to :meth:`run`, then
-    :data:`~repro.ir.engine.DEFAULT_ENGINE`.
-
-    ``num_tiles`` is a convenience for multi-tile offload: without an
-    explicit ``system`` it builds a
-    :class:`~repro.system.config.SystemConfig` with that tile count (see
-    :mod:`repro.hw.scheduler`); with one, it must agree with the system's
-    configuration.
+    numbers do not depend on this choice.  This is the only place the
+    engine is chosen.
     """
 
-    def __init__(
-        self,
-        system: Optional[CimSystem] = None,
-        host_cost_model: Optional[HostCostModel] = None,
-        engine: Optional[str] = None,
-        num_tiles: Optional[int] = None,
-    ):
-        if engine is not None:
-            validate_engine(engine)
-        if system is None:
-            from repro.system.config import SystemConfig
-
-            # num_tiles=0 must reach AcceleratorConfig's validation and
-            # raise, not silently fall back to the 1-tile default.
-            config = (
-                SystemConfig(num_tiles=num_tiles) if num_tiles is not None else None
-            )
-            system = CimSystem(config)
-        elif num_tiles is not None and system.config.num_tiles != num_tiles:
-            raise ValueError(
-                f"num_tiles={num_tiles} conflicts with the given system's "
-                f"config (num_tiles={system.config.num_tiles}); configure "
-                "SystemConfig.num_tiles instead"
-            )
-        self.system = system
-        self.host_cost_model = host_cost_model or HostCostModel(self.system.config.host)
-        #: Explicit engine choice; ``None`` defers to the compiled options.
-        self.engine = engine
-        #: Engine actually used by the most recent :meth:`run` call.
-        self.last_engine_used: Optional[str] = None
+    def __init__(self, system: Optional[CimSystem] = None, engine: str = DEFAULT_ENGINE):
+        self.engine = validate_engine(engine)
+        self.system = system or CimSystem()
         self._buffers: dict[str, DeviceBuffer] = {}
 
     # ------------------------------------------------------------------
@@ -178,54 +159,27 @@ class OffloadExecutor:
         params: Mapping[str, int | float],
         arrays: Optional[Mapping[str, np.ndarray]] = None,
         reset_stats: bool = True,
-        engine: Optional[str] = None,
     ) -> tuple[dict[str, np.ndarray], ExecutionReport]:
-        """Execute *program* and return (final arrays, execution report).
-
-        *program* may also be a
-        :class:`~repro.compiler.driver.CompilationResult`, in which case
-        the compiled program is executed and — unless ``engine`` is given
-        explicitly — the engine choice from its
-        :class:`~repro.compiler.options.CompileOptions` is honoured.
-        """
-        # Accept a CompilationResult (duck-typed to avoid a compiler
-        # import cycle) and pick up its engine option.
-        options_engine = None
-        if hasattr(program, "program") and hasattr(program, "report"):
-            options = getattr(program, "options", None)
-            if options is not None:
-                options_engine = options.engine
-            program = program.program
-        # Validate before touching any executor/system state, so a typo'd
-        # engine name does not wipe the previous run's statistics.
-        self.last_engine_used = validate_engine(
-            engine or self.engine or options_engine or DEFAULT_ENGINE
-        )
-
+        """Execute *program* and return (final arrays, execution report)."""
+        if not isinstance(program, Program):
+            raise TypeError(
+                f"run() takes a Program, not {type(program).__name__} "
+                "(pass a CompilationResult's .program)"
+            )
         if reset_stats:
             self.system.reset_stats()
         self._buffers.clear()
-
-        overhead = self.system.host_overhead
-        overhead_energy_before = overhead.energy_j
-        overhead_time_before = overhead.time_s
-        overhead_instr_before = overhead.instructions
-        runs_before = len(self.system.accelerator.completed_runs)
-
-        interpreter = make_engine(
-            program, self._handle_call, self.last_engine_used,
+        measure = work_meter(self.system)
+        engine = make_engine(
+            program, self._handle_call, self.engine,
             call_binder=bind_call, call_runner=self._run_bound,
         )
-        final_arrays = interpreter.run(params, arrays)
+        final_arrays = engine.run(params, arrays)
 
         report = ExecutionReport(program_name=program.name)
-        report.host_estimate = self.host_cost_model.estimate_trace(interpreter.trace)
-        report.offload_instructions = overhead.instructions - overhead_instr_before
-        report.offload_energy_j = overhead.energy_j - overhead_energy_before
-        report.offload_time_s = overhead.time_s - overhead_time_before
-        report.runtime_calls = [name for name, _ in interpreter.trace.runtime_calls]
-
-        report.absorb_runs(self.system.accelerator.completed_runs[runs_before:])
+        report.host_estimate = self.system.host_cost_model.estimate_trace(engine.trace)
+        report.runtime_calls = [name for name, _ in engine.trace.runtime_calls]
+        measure(report)
         return final_arrays, report
 
     # ------------------------------------------------------------------

@@ -47,8 +47,7 @@ class CompilationResult:
     trees: list[DomainNode] = field(default_factory=list)
     matches: list[KernelMatch] = field(default_factory=list)
     mappings: list[DeviceMappingResult] = field(default_factory=list)
-    #: The options this result was compiled with.  The executor reads the
-    #: ``engine`` choice from here when a result is passed to ``run``.
+    #: The options this result was compiled with.
     options: Optional[CompileOptions] = None
     #: Content fingerprint this result was cached under (``None`` when
     #: compiled with caching disabled).  Lets downstream consumers (e.g.

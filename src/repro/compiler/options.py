@@ -54,14 +54,6 @@ class CompileOptions:
     #: in-memory only).  Entries are content-addressed pickles, so they are
     #: never stale and can be shared across processes.
     compile_cache_dir: str | None = None
-    #: Execution engine for the host-side IR: ``"fast"`` (one emitted
-    #: kernel per nest, run as C when a C toolchain and cffi are present
-    #: and as slice-folded NumPy otherwise, bit-identical to the
-    #: interpreter), or ``"interpreter"`` (the reference tree-walker).
-    #: Honoured automatically when the :class:`CompilationResult` is passed
-    #: to :meth:`OffloadExecutor.run`; it does not change the generated code
-    #: or any cost-model report.
-    engine: str = "fast"
     #: Pass pipeline to run: a named pipeline (``"default"``, ``"no-fusion"``,
     #: ``"detect-only"``) or an explicit sequence of pass names (see
     #: :data:`repro.compiler.passes.PASS_REGISTRY`).  Part of the compile-cache
@@ -79,7 +71,6 @@ class CompileOptions:
     def __post_init__(self) -> None:
         from repro.compiler.passes.pipelines import PASS_REGISTRY, validate_pipeline
         from repro.compiler.passes.policy import validate_policy
-        from repro.ir.engine import validate_engine
         from repro.tactics.patterns import KERNEL_SPECS
 
         for name in ("offload_kinds", "dump_ir_after"):
@@ -89,7 +80,6 @@ class CompileOptions:
             object.__setattr__(self, name, tuple(value))
         if not isinstance(self.pipeline, str):
             object.__setattr__(self, "pipeline", tuple(self.pipeline))
-        validate_engine(self.engine)
         validate_pipeline(self.pipeline)
         validate_policy(self.offload_policy)
         kinds = [spec.kind for spec in KERNEL_SPECS]

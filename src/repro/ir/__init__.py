@@ -35,7 +35,6 @@ from repro.ir.stmt import (
 )
 from repro.ir.program import ArrayDecl, ParamDecl, Program
 from repro.ir.printer import to_source
-from repro.ir.visitor import IRVisitor, IRTransformer, walk
 from repro.ir.interp import Interpreter, ExecutionTrace
 from repro.ir.engine import ENGINE_MODES, VectorizedEngine, make_engine
 
@@ -61,9 +60,6 @@ __all__ = [
     "ParamDecl",
     "Program",
     "to_source",
-    "IRVisitor",
-    "IRTransformer",
-    "walk",
     "Interpreter",
     "ExecutionTrace",
     "ENGINE_MODES",

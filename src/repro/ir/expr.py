@@ -220,15 +220,3 @@ class Max(Expr):
 
     def __str__(self) -> str:
         return f"max({self.lhs}, {self.rhs})"
-
-
-def array_refs(expr: Expr) -> list[ArrayRef]:
-    """All array accesses appearing in *expr*, in pre-order."""
-    return [node for node in expr.walk() if isinstance(node, ArrayRef)]
-
-
-def const_value(expr: Expr) -> Number | None:
-    """Return the numeric value if *expr* is a literal, else ``None``."""
-    if isinstance(expr, (IntConst, FloatConst)):
-        return expr.value
-    return None

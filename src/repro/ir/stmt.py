@@ -166,13 +166,3 @@ class IfStmt(Stmt):
         if self.else_body is not None:
             text += f" else {self.else_body}"
         return text
-
-
-def loops_in(stmt: Stmt) -> list[Loop]:
-    """All loops nested in *stmt* (including itself), pre-order."""
-    return [node for node in stmt.walk() if isinstance(node, Loop)]
-
-
-def assignments_in(stmt: Stmt) -> list[Assign]:
-    """All assignment statements nested in *stmt*, pre-order."""
-    return [node for node in stmt.walk() if isinstance(node, Assign)]

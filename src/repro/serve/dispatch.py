@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.codegen.executor import ExecutionReport, OffloadExecutor
+from repro.codegen.executor import ExecutionReport, OffloadExecutor, work_meter
 from repro.hw.timeline import Timeline
 from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage
 from repro.serve.batcher import FusedGemvPlan, extract_fused_gemv_plan, same_bytes
@@ -151,7 +151,6 @@ class LeaseExecutor:
             request.params,
             request.arrays,
             reset_stats=False,
-            engine=request.engine,
         )
 
     def _dispatch_fused(
@@ -272,11 +271,7 @@ class LeaseExecutor:
         """
         request.handle.dispatched_s = self.clock.now_s
         request.handle.attempts += 1
-        overhead = self.system.host_overhead
-        energy0 = overhead.energy_j
-        time0 = overhead.time_s
-        instr0 = overhead.instructions
-        runs_before = len(self.system.accelerator.completed_runs)
+        measure = work_meter(self.system)
         failure: Optional[str] = None
         device_fault: Optional[DeviceFault] = None
         outputs: Optional[dict[str, np.ndarray]] = None
@@ -294,12 +289,9 @@ class LeaseExecutor:
             # Fused path (returns no report), the failure path and the
             # faulted path all account from the measured ledger deltas.
             report = ExecutionReport(program_name=request.program.name)
-            report.offload_instructions = overhead.instructions - instr0
-            report.offload_energy_j = overhead.energy_j - energy0
-            report.offload_time_s = overhead.time_s - time0
             if runtime_calls is not None and failure is None and device_fault is None:
                 report.runtime_calls = list(runtime_calls)
-            report.absorb_runs(self.system.accelerator.completed_runs[runs_before:])
+            measure(report)
         service_s = report.total_time_s
         self.clock.advance(service_s)
         if device_fault is None and failure is None and self.fault_hook is not None:

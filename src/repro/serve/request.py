@@ -61,8 +61,6 @@ class TenantRequest:
     #: snapshots shared with other requests (see ``ServingLoop._snapshot``).
     arrays: dict[str, np.ndarray]
     arrival_s: float
-    #: Execution engine the kernel was compiled for (None = executor default).
-    engine: Optional[str] = None
     handle: "RequestHandle" = None  # type: ignore[assignment]
     #: The program's :class:`~repro.serve.batcher.ProgramAnalysis` under
     #: ``params``, when the submitting loop made it (dispatch makes it

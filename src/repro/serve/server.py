@@ -298,15 +298,15 @@ class ServingLoop:
     def submit(
         self,
         tenant: str,
-        kernel: Union[str, Program, object],
+        kernel: Union[str, Program],
         params: Optional[Mapping[str, Union[int, float]]] = None,
         arrays: Optional[Mapping[str, np.ndarray]] = None,
         arrival_s: Optional[float] = None,
     ) -> RequestHandle:
         """Queue one offload request; returns its handle immediately.
 
-        ``kernel`` is mini-C source, an IR program, or a prior
-        :class:`~repro.compiler.driver.CompilationResult`.  ``arrival_s``
+        ``kernel`` is mini-C source or an IR program (anything else
+        raises :class:`TypeError`).  ``arrival_s``
         is the simulated arrival time; it defaults to "now" and must be
         finite and non-decreasing across submissions (the event loop
         replays arrivals in order).  The tenant's ``arrays`` are
@@ -329,7 +329,7 @@ class ServingLoop:
                 f"arrival_s={arrival_s} is in the simulated past "
                 f"(clock={self.clock.now_s}, last arrival={self._last_arrival_s})"
             )
-        program, fingerprint, engine = self._resolve_kernel(kernel, params)
+        program, fingerprint = self._resolve_kernel(kernel, params)
         params_key = _params_key(params)
         analysis = self._analyse(fingerprint, params_key, program, params)
         snapshot, signature = self._snapshot(
@@ -347,7 +347,6 @@ class ServingLoop:
             params=params,
             arrays=snapshot,
             arrival_s=arrival_s,
-            engine=engine,
             handle=handle,
             analysis=analysis,
         )
@@ -359,7 +358,7 @@ class ServingLoop:
     def serve_alone(
         self,
         tenant: str,
-        kernel: Union[str, Program, object],
+        kernel: Union[str, Program],
         params: Optional[Mapping[str, Union[int, float]]] = None,
         arrays: Optional[Mapping[str, np.ndarray]] = None,
     ) -> RequestHandle:
@@ -385,7 +384,7 @@ class ServingLoop:
         if self._arrivals or self._retry_heap or self.admission.total_queued:
             raise ServeError("serve_alone needs an idle loop: drain() the submitted requests first")
         params = dict(params or {})
-        program, fingerprint, engine = self._resolve_kernel(kernel, params)
+        program, fingerprint = self._resolve_kernel(kernel, params)
         analysis = self._analyse(fingerprint, _params_key(params), program, params)
         arrival_s = self._last_arrival_s = max(self.clock.now_s, self._last_arrival_s)
         self._seq += 1
@@ -398,7 +397,6 @@ class ServingLoop:
             params=params,
             arrays={name: np.array(value, copy=True) for name, value in (arrays or {}).items()},
             arrival_s=arrival_s,
-            engine=engine,
             handle=handle,
             analysis=analysis,
         )
@@ -414,28 +412,17 @@ class ServingLoop:
         return handle
 
     def _resolve_kernel(
-        self, kernel: Union[str, Program, object], params: Mapping[str, float]
-    ) -> tuple[Program, str, Optional[str]]:
-        """Compile (through the shared cache) or unwrap the kernel.
-
-        Returns ``(program, fingerprint, engine)``.  The fingerprint
+        self, kernel: Union[str, Program], params: Mapping[str, float]
+    ) -> tuple[Program, str]:
+        """Compile *kernel* (mini-C source or an IR program) through the
+        shared cache; returns ``(program, fingerprint)``.  The fingerprint
         reuses the compile-cache key when one is available (no second
-        hash on the submission hot path); the engine is the one the
-        kernel was compiled for, so dispatch honours it exactly like a
-        direct ``OffloadExecutor.run`` of the compilation result would.
-        """
-        if (
-            not isinstance(kernel, (str, Program))
-            and hasattr(kernel, "program")
-            and hasattr(kernel, "report")
-        ):
-            program = kernel.program  # pre-compiled CompilationResult
-            fingerprint = getattr(kernel, "cache_key", None) or compile_fingerprint(
-                program, self.config.compile_options, params
+        hash on the submission hot path)."""
+        if not isinstance(kernel, (str, Program)):
+            raise TypeError(
+                f"a kernel is mini-C source or a Program, not {type(kernel).__name__} "
+                "(pass a CompilationResult's .program)"
             )
-            options = getattr(kernel, "options", None)
-            engine = options.engine if options is not None else None
-            return program, fingerprint, engine
         hits0 = self.compile_cache.hits
         misses0 = self.compile_cache.misses
         result = self.compiler.compile(kernel, size_hint=params)
@@ -445,7 +432,7 @@ class ServingLoop:
         fingerprint = result.cache_key or compile_fingerprint(
             kernel, self.config.compile_options, params
         )
-        return result.program, fingerprint, self.config.compile_options.engine
+        return result.program, fingerprint
 
     def _analyse(
         self,

@@ -236,14 +236,22 @@ def _validate_payload(
 # Config encoding (enough to rebuild an identical fresh server)
 # ----------------------------------------------------------------------
 def encode_compile_options(options: CompileOptions) -> dict:
-    encoded = asdict(options)
-    for key in ("offload_kinds", "dump_ir_after", "pipeline"):
-        if isinstance(encoded[key], tuple):
-            encoded[key] = list(encoded[key])
+    """*options* as a JSON-able dict.  The host engine is no longer a
+    compile option; ``"engine": "fast"`` stays where its field sat (after
+    ``compile_cache_dir``) so recorded headers keep their bytes."""
+    encoded = {}
+    for key, value in asdict(options).items():
+        encoded[key] = list(value) if isinstance(value, tuple) else value
+        if key == "compile_cache_dir":
+            encoded["engine"] = "fast"
     return encoded
 
 
 def decode_compile_options(encoded: dict) -> CompileOptions:
+    encoded = dict(encoded)
+    engine = encoded.pop("engine", "fast")
+    if engine != "fast":
+        raise TraceFormatError(f"header: bad compile options (engine {engine!r} is not 'fast')")
     known = {field.name for field in fields(CompileOptions)}
     unknown = set(encoded) - known
     if unknown:

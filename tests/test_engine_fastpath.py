@@ -447,15 +447,13 @@ def test_c_body_is_written_at_first_run_not_in_engine_lower():
     nor does the lowering report, which is the same static analysis: a
     nest's C body is written (and compiled) the first time the nest
     runs."""
-    options = dataclasses.replace(
-        CompileOptions.host_only(), engine="fast", enable_compile_cache=False
-    )
+    options = dataclasses.replace(CompileOptions.host_only(), enable_compile_cache=False)
     result = compile_source(SHIFTED_READ, options=options)
     report = program_lowering_report(result.program)
     assert [nest.tier for nest in report] == ["fold"]
     assert result.program.engine_plans is None  # nothing planned yet
     rng = np.random.default_rng(9)
-    OffloadExecutor().run(result, {"N": 9}, _arrays(rng, A=9, B=9))
+    OffloadExecutor().run(result.program, {"N": 9}, _arrays(rng, A=9, B=9))
     (plan,) = result.program.engine_plans.nests.values()
     assert ("for (int64_t" in plan.kernel.c_source) is native_available()
 

@@ -45,13 +45,12 @@ from repro.workloads.polybench import KERNELS, PAPER_KERNELS
 PLANNING_ENGINES = ("fast",)
 
 
-def _compiled(name: str = "gesummv", engine: str = "fast", offload: bool = False):
+def _compiled(name: str = "gesummv", offload: bool = False):
     """A private compilation (the process-wide compile cache would hand
     every test the same program object, plans and all)."""
     kernel = KERNELS[name]
     options = dataclasses.replace(
         CompileOptions() if offload else CompileOptions.host_only(),
-        engine=engine,
         enable_compile_cache=False,
     )
     return (
@@ -61,8 +60,8 @@ def _compiled(name: str = "gesummv", engine: str = "fast", offload: bool = False
     )
 
 
-def _run(result, params, arrays):
-    return OffloadExecutor().run(result, params, arrays)
+def _run(result, params, arrays, engine="fast"):
+    return OffloadExecutor(engine=engine).run(result.program, params, arrays)
 
 
 def _assert_same_run(a, b):
@@ -108,14 +107,14 @@ def test_a_cold_compile_plans_no_nest(planning_spy):
 def test_second_and_later_runs_do_not_plan(engine, planning_spy):
     for offload in (False, True):
         planning_spy.clear()
-        result, params, arrays = _compiled(engine=engine, offload=offload)
+        result, params, arrays = _compiled(offload=offload)
 
         def run(executor):
-            outcome = executor.run(result, params, arrays)
+            outcome = executor.run(result.program, params, arrays)
             executor.system.runtime.free_all()
             return outcome
 
-        executor = OffloadExecutor()
+        executor = OffloadExecutor(engine=engine)
         first = run(executor)
         planned = len(planning_spy)
         assert planned > 0, "the first run did not plan through the spied function"
@@ -127,7 +126,7 @@ def test_second_and_later_runs_do_not_plan(engine, planning_spy):
         for _ in range(2):
             _assert_same_run(second, run(executor))
         # A fresh executor (and so a fresh engine instance) shares them too.
-        _assert_same_run(first, run(OffloadExecutor()))
+        _assert_same_run(first, run(OffloadExecutor(engine=engine)))
         assert len(planning_spy) == planned
         assert result.program.engine_plans.run[1] is params_plan
 
@@ -135,9 +134,9 @@ def test_second_and_later_runs_do_not_plan(engine, planning_spy):
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
 def test_second_lease_of_one_kernel_does_not_plan(engine, planning_spy):
     kernel = KERNELS["mvt"]
-    options = dataclasses.replace(CompileOptions.host_only(), engine=engine)
     params = kernel.params("MINI")
-    with CimServer(ServerConfig(compile_options=options)) as server:
+    with CimServer(ServerConfig(compile_options=CompileOptions.host_only())) as server:
+        assert server.executor.engine == engine
         first = server.submit("tenant", kernel.source, params, kernel.arrays("MINI", 1))
         server.drain()
         planned = len(planning_spy)
@@ -155,10 +154,10 @@ def test_programs_from_one_source_plan_independently(engine, planning_spy):
     recycled, and require each new program to plan for itself."""
     reference = None
     for _ in range(6):
-        result, params, arrays = _compiled("mvt", engine=engine)
+        result, params, arrays = _compiled("mvt")
         assert result.program.engine_plans is None
         planning_spy.clear()
-        run = _run(result, params, arrays)
+        run = _run(result, params, arrays, engine)
         nests = len(result.program.top_level_loops())
         assert len(planning_spy) == nests
         assert all(
@@ -177,14 +176,14 @@ def test_programs_from_one_source_plan_independently(engine, planning_spy):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
 def test_disk_cache_stores_a_result_that_has_run(engine, tmp_path):
-    result, params, arrays = _compiled(engine=engine)
-    original = _run(result, params, arrays)
+    result, params, arrays = _compiled()
+    original = _run(result, params, arrays, engine)
     assert result.program.engine_plans is not None
     KernelCompileCache(disk_dir=tmp_path).put("ran", result)
     assert (tmp_path / "ran.pkl").exists(), "pickling a run program failed"
     loaded = KernelCompileCache(disk_dir=tmp_path).get("ran")
     assert loaded.program.engine_plans is None  # rebuilt lazily, on its first run
-    _assert_same_run(original, _run(loaded, params, arrays))
+    _assert_same_run(original, _run(loaded, params, arrays, engine))
 
 
 @pytest.mark.parametrize("engine", PLANNING_ENGINES)
@@ -195,13 +194,13 @@ def test_disk_cache_stores_a_result_that_has_run(engine, tmp_path):
 )
 def test_copies_run_identically_and_share_no_plan_state(engine, duplicate):
     for offload in (False, True):
-        result, params, arrays = _compiled(engine=engine, offload=offload)
-        original = _run(result, params, arrays)
+        result, params, arrays = _compiled(offload=offload)
+        original = _run(result, params, arrays, engine)
         twin = duplicate(result)
         assert twin.program == result.program
         # No nest plan, per-params plan, bound call or trace delta rides along.
         assert twin.program.engine_plans is None
-        _assert_same_run(original, _run(twin, params, arrays))
+        _assert_same_run(original, _run(twin, params, arrays, engine))
         mine, theirs = result.program.engine_plans, twin.program.engine_plans
         assert theirs is not None and theirs is not mine
         assert not set(mine.nests) & set(theirs.nests)
@@ -212,7 +211,7 @@ def test_copies_run_identically_and_share_no_plan_state(engine, duplicate):
         assert their_run is not my_run
         assert not {id(step) for step in my_run.steps} & {id(step) for step in their_run.steps}
         # The original keeps working after its twin planned.
-        _assert_same_run(original, _run(result, params, arrays))
+        _assert_same_run(original, _run(result, params, arrays, engine))
 
 
 # ----------------------------------------------------------------------
@@ -421,8 +420,8 @@ def _kernels(source: str) -> list:
     arrays = {
         decl.name: rng.random(decl.extent(params)) for decl in result.program.arrays
     }
-    reference = OffloadExecutor(engine="interpreter").run(result, params, arrays)
-    _assert_same_run(reference, OffloadExecutor(engine="fast").run(result, params, arrays))
+    reference = _run(result, params, arrays, "interpreter")
+    _assert_same_run(reference, _run(result, params, arrays))
     plans = result.program.engine_plans.nests.values()
     assert all(plan.kernel is not None for plan in plans)
     return [plan.kernel for plan in plans]

@@ -1,6 +1,5 @@
 """Unit tests for the engine's plan analysis and edge cases."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -205,27 +204,6 @@ def test_interleaved_groups_keep_program_order():
         np.testing.assert_array_equal(out_i[name], out_v[name])
 
 
-def test_run_engine_typo_raises_before_resetting_stats(gemm_source, rng):
-    """Regression: an invalid per-run engine must not wipe system stats."""
-    from repro import OffloadExecutor, compile_source
-
-    result = compile_source(gemm_source)
-    params = {"M": 4, "N": 4, "K": 4, "alpha": 1.0, "beta": 0.0}
-    arrays = {
-        "A": rng.random((4, 4), dtype=np.float32),
-        "B": rng.random((4, 4), dtype=np.float32),
-        "C": np.zeros((4, 4), dtype=np.float32),
-    }
-    executor = OffloadExecutor()
-    executor.run(result, params, arrays)
-    runs_before = len(executor.system.accelerator.completed_runs)
-    assert runs_before > 0
-    with pytest.raises(ValueError):
-        executor.run(result, params, arrays, engine="vectorised")
-    assert len(executor.system.accelerator.completed_runs) == runs_before
-    assert executor.last_engine_used == "fast"  # unchanged by the typo
-
-
 def test_statement_beside_triangular_loop_counts_exactly():
     """Regression: an assignment directly inside an enumerated loop (one
     whose variable appears in deeper bounds) must be counted once per
@@ -353,40 +331,6 @@ def test_normalized_reduction_matches_interpreter(gemm_source):
     _assert_identical(program, params, arrays)
 
 
-def test_executor_honours_compile_options_engine(gemm_source, rng):
-    """Passing a CompilationResult to run() picks up options.engine."""
-    from repro import CompileOptions, OffloadExecutor, compile_source
-
-    result = compile_source(
-        gemm_source, options=CompileOptions.host_only()
-    )
-    result = dataclasses.replace(
-        result, options=dataclasses.replace(result.options, engine="interpreter")
-    )
-    params = {"M": 4, "N": 4, "K": 4, "alpha": 1.0, "beta": 0.0}
-    arrays = {
-        "A": rng.random((4, 4), dtype=np.float32),
-        "B": rng.random((4, 4), dtype=np.float32),
-        "C": np.zeros((4, 4), dtype=np.float32),
-    }
-    executor = OffloadExecutor()
-    executor.run(result, params, arrays)
-    assert executor.last_engine_used == "interpreter"
-    # Explicit engine argument wins over the compiled options.
-    executor.run(result, params, arrays, engine="fast")
-    assert executor.last_engine_used == "fast"
-    # A bare Program falls back to the executor's own default.
-    executor.run(result.program, params, arrays)
-    assert executor.last_engine_used == "fast"
-    # An explicit constructor engine also wins over the compiled options.
-    result = dataclasses.replace(
-        result, options=dataclasses.replace(result.options, engine="fast")
-    )
-    pinned = OffloadExecutor(engine="interpreter")
-    pinned.run(result, params, arrays)
-    assert pinned.last_engine_used == "interpreter"
-
-
 def test_fast_mode_broadcast_reduction_falls_back_to_exact():
     """A reduction whose rhs misses an output variable (broadcast over j)
     stays bit-identical on the fold path."""
@@ -429,10 +373,6 @@ def test_engine_modes_validation():
         make_engine(program, engine="vectorized")
     with pytest.raises(TypeError):
         VectorizedEngine(program, fold=True)
-    from repro import CompileOptions
-
-    with pytest.raises(ValueError):
-        CompileOptions(engine="magic")
     from repro import OffloadExecutor
 
     with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from repro.compiler.driver import TdoCimCompiler
 from repro.compiler.options import CompileOptions
 from repro.compiler.passes.pipelines import NAMED_PIPELINES, PASS_REGISTRY
 from repro.gateway.loadgen import GEMV_SOURCE
-from repro.ir.engine import ENGINE_MODES
 
 PASSES = sorted(PASS_REGISTRY)
 SEQUENCE_FIELDS = ("offload_kinds", "pipeline", "dump_ir_after")
@@ -47,7 +46,6 @@ OPTIONS = st.builds(
         st.none(), st.floats(0.0, allow_nan=False), st.integers(0, 64)
     ),
     enable_compile_cache=st.booleans(),
-    engine=st.sampled_from(ENGINE_MODES),
     pipeline=st.one_of(
         st.sampled_from(sorted(NAMED_PIPELINES)), _listish(st.lists(st.sampled_from(PASSES)))
     ),

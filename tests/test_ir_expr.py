@@ -5,15 +5,12 @@ import pytest
 from repro.ir.expr import (
     ArrayRef,
     BinOp,
-    FloatConst,
     IntConst,
     Max,
     Min,
     ParamRef,
     UnaryOp,
     VarRef,
-    array_refs,
-    const_value,
 )
 
 
@@ -50,23 +47,11 @@ def test_array_ref_wraps_integer_indices():
     assert ref.rank == 2
 
 
-def test_array_refs_helper_finds_nested_accesses():
-    expr = BinOp("*", ArrayRef("A", [VarRef("i")]), ArrayRef("B", [VarRef("j")]))
-    names = [ref.name for ref in array_refs(expr)]
-    assert names == ["A", "B"]
-
-
 def test_walk_is_preorder():
     expr = BinOp("+", IntConst(1), IntConst(2))
     nodes = list(expr.walk())
     assert nodes[0] is expr
     assert len(nodes) == 3
-
-
-def test_const_value():
-    assert const_value(IntConst(7)) == 7
-    assert const_value(FloatConst(2.5)) == 2.5
-    assert const_value(VarRef("x")) is None
 
 
 def test_invalid_binop_operator_rejected():

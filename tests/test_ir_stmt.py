@@ -2,20 +2,14 @@
 
 import pytest
 
-from repro.ir.expr import ArrayRef, IntConst, ParamRef, VarRef
+from repro.ir.expr import ArrayRef, IntConst, VarRef
 from repro.ir.stmt import (
     Assign,
     Block,
     CallStmt,
     IfStmt,
     Loop,
-    assignments_in,
-    loops_in,
 )
-
-
-def _loop(var, upper, body):
-    return Loop(var=var, lower=IntConst(0), upper=upper, body=body)
 
 
 def test_assign_reads_and_writes_for_plain_assignment():
@@ -55,13 +49,6 @@ def test_loop_step_must_be_positive_integer():
     with pytest.raises(TypeError):
         Loop(var="i", lower=IntConst(0), upper=IntConst(4), body=Block(),
              step=IntConst(2))
-
-
-def test_loops_in_and_assignments_in():
-    inner = Assign(target=ArrayRef("A", [VarRef("i"), VarRef("j")]), rhs=IntConst(0))
-    nest = _loop("i", ParamRef("N"), Block([_loop("j", ParamRef("M"), Block([inner]))]))
-    assert len(loops_in(nest)) == 2
-    assert assignments_in(nest) == [inner]
 
 
 def test_call_stmt_renders_arguments():

@@ -1,4 +1,4 @@
-"""Additional coverage: IR visitors, runtime-call rendering, options, errors."""
+"""Additional coverage: runtime-call rendering, options, errors."""
 
 import inspect
 
@@ -15,35 +15,10 @@ from repro.codegen.runtime_calls import (
 )
 from repro.compiler import CompileOptions
 from repro.hw.microengine import Conv2DRequest, GemmRequest
-from repro.ir.expr import BinOp, IntConst, ParamRef, VarRef
-from repro.ir.visitor import IRVisitor, substitute
+from repro.ir.expr import IntConst, ParamRef
 from repro.runtime.blas import CimBlas
 from repro.tactics.patterns import KERNEL_SPECS
 from repro.workloads import PAPER_KERNELS, get_kernel
-
-
-# ----------------------------------------------------------------------
-# IR visitors
-# ----------------------------------------------------------------------
-def test_substitute_replaces_variables():
-    expr = BinOp("+", VarRef("i"), BinOp("*", VarRef("j"), IntConst(2)))
-    replaced = substitute(expr, {"i": VarRef("ii"), "j": IntConst(5)})
-    assert replaced.free_vars() == {"ii"}
-    assert "5" in str(replaced)
-
-
-def test_visitor_dispatch(gemm_program):
-    class CountLoops(IRVisitor):
-        def __init__(self):
-            self.loops = 0
-
-        def visit_Loop(self, node):
-            self.loops += 1
-            self.generic_visit(node)
-
-    counter = CountLoops()
-    counter.visit(gemm_program.body)
-    assert counter.loops == 3
 
 
 # ----------------------------------------------------------------------

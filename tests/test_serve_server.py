@@ -475,27 +475,6 @@ def test_bad_batch_head_does_not_fail_followers(server):
     assert np.array_equal(direct["y"], followers[0].result()["y"])
 
 
-def test_configured_engine_is_honoured():
-    from repro.compiler import CompileOptions
-
-    rng = np.random.default_rng(35)
-    config = ServerConfig(
-        compile_options=CompileOptions(engine="interpreter"), batch_window_s=0.0
-    )
-    with CimServer(config) as server:
-        # A GEMM request takes the whole-program path, where the engine
-        # actually executes host IR.
-        arrays = {
-            "A": rng.random((8, 8), dtype=np.float32),
-            "B": rng.random((8, 8), dtype=np.float32),
-            "C": np.zeros((8, 8), dtype=np.float32),
-        }
-        handle = server.submit("alice", GEMM_SOURCE, {"M": 8, "N": 8}, arrays)
-        server.drain()
-        assert handle.status is RequestStatus.COMPLETED
-        assert server.executor.last_engine_used == "interpreter"
-
-
 def test_bad_payload_fails_on_generic_path(server):
     rng = np.random.default_rng(31)
     broken = server.submit(
@@ -843,10 +822,14 @@ def test_gateway_worker_uses_its_disk_cache(tmp_path):
 
 
 def test_submit_precompiled_result(server):
+    """A precompiled kernel is submitted as its program; the compilation
+    result itself is refused."""
     rng = np.random.default_rng(17)
     compiled = server.compiler.compile(GEMV_SOURCE, size_hint=PARAMS)
     arrays = _gemv_arrays(rng)
-    handle = server.submit("alice", compiled, PARAMS, arrays)
+    with pytest.raises(TypeError, match=r"\.program"):
+        server.submit("alice", compiled, PARAMS, arrays)
+    handle = server.submit("alice", compiled.program, PARAMS, arrays)
     server.drain()
     direct, _ = OffloadExecutor().run(
         compiled.program, PARAMS, {n: v.copy() for n, v in arrays.items()}
@@ -878,7 +861,7 @@ def test_caller_provided_system_survives_server_shutdown():
     assert system.runtime.live_buffers == 0
     # The caller can keep using their system directly afterwards.
     direct, _ = OffloadExecutor(system).run(
-        compiled, PARAMS, {n: v.copy() for n, v in arrays.items()}
+        compiled.program, PARAMS, {n: v.copy() for n, v in arrays.items()}
     )
     assert np.array_equal(direct["y"], handle.result()["y"])
 

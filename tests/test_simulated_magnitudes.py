@@ -79,7 +79,7 @@ def test_accelerator_latency_speedup_at_4_tiles_on_paper_kernels():
             system = CimSystem(
                 SystemConfig(num_tiles=tiles, crossbar_rows=64, crossbar_cols=64)
             )
-            reports.append(OffloadExecutor(system).run(compiled, params, arrays)[1])
+            reports.append(OffloadExecutor(system).run(compiled.program, params, arrays)[1])
         assert len({report.accelerator_energy_j for report in reports}) == 1, name
         latencies = [report.accelerator_time_s for report in reports]
         assert latencies == sorted(latencies, reverse=True), name
@@ -106,7 +106,7 @@ def test_batching_speedup_over_cold_serialized_runs_is_the_same_at_1_2_4_tiles(
     for tiles in (1, 2, 4):
         serialized_s = sum(
             OffloadExecutor(CimSystem(SystemConfig(num_tiles=tiles)))
-            .run(compiled, params, arrays)[1]
+            .run(compiled.program, params, arrays)[1]
             .total_time_s
             for _tenant, arrays in requests
         )
