@@ -25,19 +25,13 @@ import functools
 import hashlib
 import os
 import pickle
-import tempfile
 import threading
-import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
+from repro.disk_store import DiskStore
 
 #: CompileOptions fields that steer caching itself, not the compiled output.
 _CACHE_CONTROL_FIELDS = frozenset({"enable_compile_cache", "compile_cache_dir"})
@@ -118,45 +112,8 @@ def compile_fingerprint(
     return hashlib.sha256(payload).hexdigest()
 
 
-@contextmanager
-def _flock(lock_path: Path, timeout_s: float):
-    """Advisory cross-process lock around the cache directory.
-
-    Yields ``True`` while the lock is held, ``False`` when it could not
-    be acquired within *timeout_s* (or the platform has no ``fcntl``) —
-    callers then degrade gracefully (a load becomes a miss, a store is
-    skipped) instead of blocking a compile behind a stuck process.
-    """
-    if fcntl is None:
-        # No advisory locking available; the atomic temp-file + rename
-        # protocol still keeps individual entries consistent.
-        yield True
-        return
-    try:
-        handle = open(lock_path, "a+b")
-    except OSError:
-        yield False
-        return
-    held = False
-    deadline = time.monotonic() + timeout_s
-    try:
-        while True:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                held = True
-                break
-            except OSError:
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(0.01)
-        yield held
-    finally:
-        if held:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            except OSError:
-                pass
-        handle.close()
+def _unpickle(path: str):
+    return pickle.loads(Path(path).read_bytes())
 
 
 class KernelCompileCache:
@@ -164,73 +121,53 @@ class KernelCompileCache:
 
     ``capacity`` bounds the in-memory entries (least-recently-used entries
     are evicted first).  With ``disk_dir`` set, every stored result is also
-    pickled to ``<disk_dir>/<key>.pkl`` and in-memory misses fall back to
-    disk; disk I/O failures (unpicklable results, read-only filesystems)
-    silently degrade to a miss, never an error.  So does an entry written
-    under another :func:`pipeline_salt`, which the next store of its key
-    replaces.  A corrupt or truncated disk entry — a torn write from a
-    crashed process, disk rot — also degrades to a miss, and is
-    additionally *quarantined* (renamed to ``<key>.pkl.corrupt``, or
-    unlinked if the rename fails) and counted in :attr:`disk_corruptions`,
-    so the poisoned entry is read at most once and its slot becomes
-    storable again.
+    pickled to ``<disk_dir>/<key>.pkl`` through a
+    :class:`~repro.disk_store.DiskStore`, and in-memory misses fall back to
+    disk.  Disk I/O failures (unpicklable results, read-only filesystems)
+    and entries written under another :func:`pipeline_salt` degrade to a
+    miss, never an error; the next store of the key replaces them.  A
+    corrupt entry is a miss too, quarantined as ``<key>.pkl.corrupt`` and
+    counted in :attr:`disk_corruptions`.  Disk reads and writes take the
+    store's cross-process lock; one not taken within ``lock_timeout_s`` (a
+    wedged holder) degrades to a miss or a skipped store, counted in
+    :attr:`lock_timeouts`, rather than blocking a compile.
 
-    The cache is safe for concurrent use from multiple threads: one
-    re-entrant lock serialises the LRU mutation and the hit/miss
-    statistics (the serving layer shares a single cache between its
-    submission path and any caller threads).  Disk I/O deliberately runs
-    *outside* the lock — it can be slow — and relies on the atomic
-    temp-file + rename protocol of :meth:`_disk_store` instead.  Entries
-    are content-addressed, so two threads racing to ``put`` the same key
-    store equivalent results and either may win.
-
-    Across *processes*, disk reads and writes additionally take an
-    advisory ``flock`` on ``<disk_dir>/.lock`` (POSIX only; a no-op
-    elsewhere) so a store and the quarantine rename of a concurrent
-    corrupt-entry read never interleave.  The lock is acquired with a
-    bounded retry loop — if it cannot be taken within
-    ``lock_timeout_s`` (a crashed or wedged holder), the operation
-    degrades to a cache miss / skipped store, counted in
-    :attr:`lock_timeouts`, and compilation proceeds uncached rather than
-    blocking.
+    One re-entrant lock makes the cache safe to share between threads (the
+    serving layer does): it serialises the LRU and the hit/miss counts.
+    Disk I/O runs outside it, as it can be slow; entries are
+    content-addressed, so two threads racing to ``put`` a key store
+    equivalent results and either may win.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        disk_dir: Optional[Union[str, Path]] = None,
-        lock_timeout_s: float = 2.0,
-    ):
+    def __init__(self, capacity: int = 128, disk_dir: Optional[Union[str, Path]] = None,
+                 lock_timeout_s: float = 2.0):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         if lock_timeout_s < 0:
-            raise ValueError(
-                f"lock_timeout_s must be >= 0, got {lock_timeout_s}"
-            )
+            raise ValueError(f"lock_timeout_s must be >= 0, got {lock_timeout_s}")
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.lock_timeout_s = lock_timeout_s
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.RLock()
+        self._store = DiskStore(disk_dir, lock_timeout_s) if disk_dir is not None else None
         self.hits = 0
         self.misses = 0
-        #: Corrupt/truncated disk entries found (and quarantined) so far.
-        self.disk_corruptions = 0
-        #: Disk operations skipped because the cross-process lock could
-        #: not be acquired within ``lock_timeout_s``.
-        self.lock_timeouts = 0
+
+    @property
+    def disk_corruptions(self) -> int:
+        """Corrupt/truncated disk entries found (and quarantined) so far."""
+        return self._store.corruptions if self._store is not None else 0
+
+    @property
+    def lock_timeouts(self) -> int:
+        """Disk operations skipped: the cross-process lock was not taken."""
+        return self._store.lock_timeouts if self._store is not None else 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._entries:
-                return True
-        path = self._disk_path(key)
-        return path is not None and path.exists()
 
     def get(self, key: str):
         """Return the cached result for *key*, or ``None`` on a miss."""
@@ -272,66 +209,27 @@ class KernelCompileCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def _disk_path(self, key: str) -> Optional[Path]:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"{key}.pkl"
-
-    def _note_lock_timeout(self) -> None:
-        with self._lock:
-            self.lock_timeouts += 1
-
     def _disk_store(self, key: str, result) -> None:
-        path = self._disk_path(key)
-        if path is None:
+        if self._store is None:
             return
-        tmp_name = None
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with _flock(path.parent / ".lock", self.lock_timeout_s) as held:
-                if not held:
-                    self._note_lock_timeout()
-                    return
-                # A unique temp file per writer: concurrent processes
-                # storing the same key must each install a complete pickle
-                # atomically, never interleave into one shared temp file.
-                fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump((pipeline_salt(), result), handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_name, path)
-                tmp_name = None
+            with self._store.locked() as held:
+                if held:  # else skipped: a store never waits on a wedged holder
+                    with self._store.installing(f"{key}.pkl") as tmp, open(tmp, "wb") as handle:
+                        pickle.dump((pipeline_salt(), result), handle,
+                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             # Persistence is best-effort: an unpicklable result or an
             # unwritable directory must not fail the compile.
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
             return
 
     def _disk_load(self, key: str):
-        path = self._disk_path(key)
-        if path is None or not path.exists():
+        name = f"{key}.pkl"
+        if self._store is None or not os.path.exists(self._store.path(name)):
             return None
-        with _flock(path.parent / ".lock", self.lock_timeout_s) as held:
-            if not held:
-                self._note_lock_timeout()
-                return None  # degrade to a miss, never block a compile
-            try:
-                with open(path, "rb") as handle:
-                    entry = pickle.load(handle)
-            except FileNotFoundError:
-                return None  # raced with another process; plain miss
-            except Exception:
-                # Corrupt or truncated entry (torn write by a crashed
-                # process, disk rot, an incompatible pickle).  Quarantine
-                # it so the poison is never re-read on every future miss
-                # of this key — the entry degrades to one miss and the
-                # slot becomes storable again.
-                self._quarantine_corrupt(path)
-                return None
+        with self._store.locked() as held:
+            # A lock not taken in time degrades to a miss, never blocks a compile.
+            entry = self._store.load(name, _unpickle) if held else None
         try:
             salt = pipeline_salt()
         except OSError:
@@ -339,19 +237,6 @@ class KernelCompileCache:
         if isinstance(entry, tuple) and len(entry) == 2 and entry[0] == salt:
             return entry[1]
         return None  # written by another compiler pipeline
-
-    def _quarantine_corrupt(self, path: Path) -> None:
-        with self._lock:
-            self.disk_corruptions += 1
-        try:
-            os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-        except OSError:
-            # Quarantine is best-effort (read-only dir, concurrent
-            # unlink...); fall back to removing the bad entry outright.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
     def __repr__(self) -> str:
         with self._lock:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.hw.endurance import SECONDS_PER_YEAR
 from repro.serve.accounting import fold
 from repro.serve.metrics import percentile
 
@@ -105,8 +106,7 @@ def fleet_device_rows(
         comps = fleet.ledger.device_compensations(device.device_id)
         run = fold(usages + comps, "wear_bytes", "energy_j")
         if elapsed_s > 0 and run["wear_bytes"] > 0:
-            seconds_per_year = 365.25 * 24 * 3600.0
-            rate_bytes_per_year = run["wear_bytes"] / elapsed_s * seconds_per_year
+            rate_bytes_per_year = run["wear_bytes"] / elapsed_s * SECONDS_PER_YEAR
         else:
             rate_bytes_per_year = 0.0
         rows.append(

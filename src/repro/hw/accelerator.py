@@ -57,6 +57,30 @@ def unpack_batch_descriptor(raw: bytes) -> tuple[int, int, int, int, int, int, i
     return struct.unpack("<8q", raw)
 
 
+def _gemm_request(flags: Flags, elem_size: int, addr_a: int, addr_b: int, addr_c: int,
+                  m: int, n: int, k: int, alpha_fx: int, beta_fx: int) -> GemmRequest:
+    """One decoded GEMM: leading dimensions from the transpose flags and
+    the scalars from fixed point.  The operands after *elem_size* are in
+    batch-descriptor order."""
+    trans_a, trans_b = bool(flags & Flags.TRANS_A), bool(flags & Flags.TRANS_B)
+    return GemmRequest(
+        m=m,
+        n=n,
+        k=k,
+        addr_a=addr_a,
+        addr_b=addr_b,
+        addr_c=addr_c,
+        lda=m if trans_a else k,
+        ldb=k if trans_b else n,
+        ldc=n,
+        alpha=decode_scalar(alpha_fx),
+        beta=decode_scalar(beta_fx),
+        trans_a=trans_a,
+        trans_b=trans_b,
+        elem_size=elem_size,
+    )
+
+
 @dataclass
 class AcceleratorConfig:
     """Structural configuration of the accelerator.
@@ -182,28 +206,15 @@ class CIMAccelerator:
     # ------------------------------------------------------------------
     def _decode_gemm(self) -> GemmRequest:
         regs = self.registers
-        flags = regs.flags()
         m = regs.read(Register.DIM_M)
         n = regs.read(Register.DIM_N)
         k = regs.read(Register.DIM_K)
         if regs.opcode() is Opcode.GEMV:
             n = 1
-        elem = regs.read(Register.ELEM_SIZE) or 4
-        return GemmRequest(
-            m=m,
-            n=n,
-            k=k,
-            addr_a=regs.read(Register.ADDR_A),
-            addr_b=regs.read(Register.ADDR_B),
-            addr_c=regs.read(Register.ADDR_C),
-            lda=k if not (flags & Flags.TRANS_A) else m,
-            ldb=n if not (flags & Flags.TRANS_B) else k,
-            ldc=n,
-            alpha=decode_scalar(regs.read(Register.ALPHA)),
-            beta=decode_scalar(regs.read(Register.BETA)),
-            trans_a=bool(flags & Flags.TRANS_A),
-            trans_b=bool(flags & Flags.TRANS_B),
-            elem_size=elem,
+        return _gemm_request(
+            regs.flags(), regs.read(Register.ELEM_SIZE) or 4,
+            regs.read(Register.ADDR_A), regs.read(Register.ADDR_B), regs.read(Register.ADDR_C),
+            m, n, k, regs.read(Register.ALPHA), regs.read(Register.BETA),
         )
 
     def _decode_batch(self) -> list[GemmRequest]:
@@ -217,27 +228,7 @@ class CIMAccelerator:
             raw = self.dma.read(
                 table_addr + index * BATCH_DESCRIPTOR_BYTES, BATCH_DESCRIPTOR_BYTES
             )
-            addr_a, addr_b, addr_c, m, n, k, alpha_fx, beta_fx = unpack_batch_descriptor(
-                bytes(raw)
-            )
-            requests.append(
-                GemmRequest(
-                    m=m,
-                    n=n,
-                    k=k,
-                    addr_a=addr_a,
-                    addr_b=addr_b,
-                    addr_c=addr_c,
-                    lda=k if not (flags & Flags.TRANS_A) else m,
-                    ldb=n if not (flags & Flags.TRANS_B) else k,
-                    ldc=n,
-                    alpha=decode_scalar(alpha_fx),
-                    beta=decode_scalar(beta_fx),
-                    trans_a=bool(flags & Flags.TRANS_A),
-                    trans_b=bool(flags & Flags.TRANS_B),
-                    elem_size=elem,
-                )
-            )
+            requests.append(_gemm_request(flags, elem, *unpack_batch_descriptor(bytes(raw))))
         return requests
 
     def _decode_conv2d(self) -> Conv2DRequest:

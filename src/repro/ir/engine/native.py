@@ -34,12 +34,11 @@ It fails soft at every layer, down to the fold body:
   not the declared Python ``int``/``float``, sends that run to the fold
   body.
 
-Shared objects are cached on disk (``REPRO_NATIVE_CACHE`` overrides the
-location), addressed by the SHA-256 of the compiler, the flags and the
-source, so later processes only ``dlopen``.  A cached object that does not
-load (truncated, corrupt, foreign) is renamed ``<digest>.so.corrupt`` and
-built again, once.  Every outcome, a failed compile included, is
-remembered for the life of the process.
+Shared objects are kept in a :class:`~repro.disk_store.DiskStore`
+(:func:`native_store`), named by the SHA-256 of the compiler, the flags and
+the source, so later processes only ``dlopen``.  One that does not load is
+quarantined and built again, once.  Every outcome, a failed compile
+included, is remembered for the life of the process.
 
 On x86-64 ELF builds the kernel is emitted as two clones (GCC/Clang
 ``target_clones``): one for AVX2 and the baseline one.  The loader's ifunc
@@ -50,7 +49,6 @@ they differ only in vector width.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import itertools
@@ -63,6 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.disk_store import DiskStore
 from repro.ir.expr import (
     ArrayRef,
     BinOp,
@@ -315,12 +314,16 @@ _CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fwrapv", "-fPIC", "
 _loaded: dict[str, Optional[tuple]] = {}
 
 
-def native_cache_dir() -> str:
-    override = os.environ.get("REPRO_NATIVE_CACHE")
-    if override:
-        return override
+#: One store per directory, so its counts last the process.
+_store_at = functools.cache(DiskStore)
+
+
+def native_store() -> DiskStore:
+    """The store of compiled objects: ``REPRO_NATIVE_CACHE``, by default
+    ``<tmpdir>/repro-native-<uid>``."""
     uid = os.getuid() if hasattr(os, "getuid") else "user"
-    return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
+    default = os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
+    return _store_at(os.environ.get("REPRO_NATIVE_CACHE") or default)
 
 
 def compile_and_load(c_source: str, prototype: str) -> Optional[tuple]:
@@ -346,26 +349,19 @@ def _build(digest: str, compiler, c_source: str, prototype: str) -> Optional[tup
         return None
     ffi = cffi.FFI()
     ffi.cdef(prototype + ";")
+    store, name = native_store(), f"{digest}.so"
     try:
-        cache_dir = native_cache_dir()
-        os.makedirs(cache_dir, exist_ok=True)
-        so_path = os.path.join(cache_dir, f"{digest}.so")
-        if os.path.exists(so_path):
-            try:
-                return ffi, ffi.dlopen(so_path)
-            except OSError:  # truncated, corrupt or foreign: set it aside, build anew
-                with contextlib.suppress(FileNotFoundError):  # another process did
-                    os.replace(so_path, so_path + ".corrupt")
-        with tempfile.TemporaryDirectory(dir=cache_dir) as work:
-            c_path, built = os.path.join(work, "k.c"), os.path.join(work, "k.so")
-            with open(c_path, "w") as handle:
-                handle.write(c_source)
-            subprocess.run(
-                [compiler, *_CFLAGS, c_path, "-o", built],
-                capture_output=True, timeout=120, check=True,
-            )
-            os.replace(built, so_path)
-        return ffi, ffi.dlopen(so_path)
+        # Under the lock, processes that miss together run the compiler
+        # once.  A lock not taken in time (counted) builds unlocked.
+        with store.locked():
+            lib = store.load(name, ffi.dlopen)
+            if lib is None:  # absent, or quarantined as not loading
+                with store.installing(name) as built:
+                    subprocess.run([compiler, *_CFLAGS, "-x", "c", "-", "-o", built],
+                                   input=c_source.encode(), capture_output=True, timeout=120,
+                                   check=True)
+                lib = ffi.dlopen(store.path(name))
+        return ffi, lib
     except (OSError, subprocess.SubprocessError):  # no cache dir, gcc failed, dlopen failed
         return None
 
@@ -395,5 +391,5 @@ __all__ = [
     "attach_c_body",
     "compile_and_load",
     "native_available",
-    "native_cache_dir",
+    "native_store",
 ]

@@ -17,11 +17,13 @@ import pickle
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.compiler import KernelCompileCache
 from repro.compiler import cache as cache_module
+from repro.ir.engine import native, native_available
 
 
 def _store(tmp_path, key: str, payload) -> None:
@@ -206,3 +208,78 @@ def test_cross_process_corruption_stress(tmp_path):
         with open(path, "rb") as fh:
             salt, payload = pickle.load(fh)
         assert (salt, payload) == (cache_module.pipeline_salt(), ("payload", path.stem))
+
+
+def _constant_body(value: int) -> tuple[str, str]:
+    prototype = "void kernel(double *restrict a0)"
+    return f"#include <stdint.h>\n{prototype} {{ a0[0] = {value}.0; }}\n", prototype
+
+
+def _hammer_c_objects(cache_dir: str, worker: int, rounds: int, queue) -> None:
+    """Worker: load three new C bodies a round, the same three as its
+    peers, from one object directory; worker 0 also garbles an object
+    after each round, as a foreign or torn file would."""
+    try:
+        os.environ["REPRO_NATIVE_CACHE"] = cache_dir
+        fallbacks = 0
+        for round_no in range(rounds):
+            for value in range(3 * round_no, 3 * round_no + 3):
+                loaded = native.compile_and_load(*_constant_body(value))
+                if loaded is None:  # the fold body would run: slow, not wrong
+                    fallbacks += 1
+                    continue
+                ffi, lib = loaded
+                out = np.zeros(1)
+                lib.kernel(ffi.from_buffer("double[]", out))
+                if out[0] != value:
+                    queue.put(f"worker {worker}: body {value} computed {out[0]}")
+                    return
+            if worker == 0:
+                # Replace, never write in place: a process that has the
+                # object mapped would fault on a truncated page.
+                objects = sorted(Path(cache_dir).glob("*.so"))
+                if objects:
+                    garbage = Path(cache_dir) / "saboteur.part"
+                    garbage.write_bytes(b"\x7fELF garbage")
+                    os.replace(garbage, objects[round_no % len(objects)])
+        queue.put((fallbacks, native.native_store().corruptions))
+    except Exception as exc:  # pragma: no cover - only on regression
+        queue.put(f"worker {worker}: {type(exc).__name__}: {exc}")
+
+
+def test_cross_process_corruption_stress_of_c_objects(tmp_path, monkeypatch):
+    """The same storm on the host engine's C objects: three processes share
+    one ``REPRO_NATIVE_CACHE`` while one of them garbles objects.  No
+    process may crash or run a body other than the one it asked for, and
+    afterwards every body loads from the directory."""
+    if not native_available():
+        pytest.skip("no C toolchain")
+    rounds = 8
+    ctx = multiprocessing.get_context("spawn")
+    queue = ctx.Queue()
+    workers = [
+        ctx.Process(target=_hammer_c_objects, args=(str(tmp_path), i, rounds, queue))
+        for i in range(3)
+    ]
+    for proc in workers:
+        proc.start()
+    outcomes = [queue.get(timeout=300) for _ in workers]
+    for proc in workers:
+        proc.join(timeout=120)
+        assert proc.exitcode == 0
+    errors = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    assert not errors, errors
+
+    # A sweep from this process, which has loaded none of them, quarantines
+    # what the saboteur left and rebuilds it.
+    monkeypatch.setattr(native, "_loaded", {})
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    for value in range(3 * rounds):
+        ffi, lib = native.compile_and_load(*_constant_body(value))
+        out = np.zeros(1)
+        lib.kernel(ffi.from_buffer("double[]", out))
+        assert out[0] == value
+    # Every garbled object was quarantined once, by a worker or the sweep.
+    quarantined = sum(count for _, count in outcomes) + native.native_store().corruptions
+    assert 1 <= quarantined <= rounds
+    assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob("*.part"))

@@ -501,7 +501,7 @@ def test_compile_cache_keys_on_the_flags_and_remembers_failures(monkeypatch, tmp
 
 def test_a_cached_object_that_does_not_load_is_built_again(monkeypatch, tmp_path):
     """A truncated or corrupt ``<digest>.so`` once made every later process
-    fall back to the fold body; it is set aside and rebuilt instead."""
+    fall back to the fold body; it is set aside, counted and rebuilt instead."""
     if not native_available():
         pytest.skip("no C toolchain")
     prototype = "void kernel(double *restrict a0, int64_t p0)"
@@ -523,3 +523,4 @@ def test_a_cached_object_that_does_not_load_is_built_again(monkeypatch, tmp_path
     assert out[0] == 7.0
     assert (cache / built.name).stat().st_size > 100
     assert (cache / f"{built.name}.corrupt").read_bytes() == b"\x7fELF truncated"
+    assert native.native_store().corruptions == 1
