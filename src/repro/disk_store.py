@@ -13,11 +13,12 @@ The compile cache's ``<key>.pkl`` pickles
   process has open or mapped is never written;
 * an entry that exists but does not read is renamed ``<name>.corrupt``
   (unlinked if that fails) and counted, so it is read at most once and
-  its slot can be installed again.
+  its slot can be installed again; an install removes stale temp files.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 import tempfile
 import threading
@@ -29,6 +30,10 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
+
+#: Age in seconds past which a ``*.tmp`` file is a writer's that was
+#: killed mid-way: well above the 120 s a C compile may take.
+STALE_TMP_S = 3600.0
 
 
 class DiskStore:
@@ -105,7 +110,11 @@ class DiskStore:
     def installing(self, name: str) -> Iterator[str]:
         """Yield a private temp path in the directory; what the block
         writes there becomes entry *name* when it returns, and is removed
-        when it raises."""
+        when it raises.  Stale temp files are removed first."""
+        for path in glob.glob(os.path.join(glob.escape(self.directory), "*.tmp")):
+            with suppress(OSError):
+                if os.path.getmtime(path) < time.time() - STALE_TMP_S:
+                    os.unlink(path)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         os.close(fd)
         try:

@@ -11,9 +11,12 @@ checks nothing and nothing needs restoring.
 The C runs the plan in its own loop order.  Sequential loops stay where
 the plan put them.  Every assignment gets its own loop nest over its
 vectorized axes, innermost, with the axis of the target's last subscript
-last (unit stride).  The planner has proven that vectorized axes carry no
-dependence, so every element sees the fold body's operations in the fold
-body's order.  Operands are typed the way NumPy types the fold body's
+last (unit stride).  A ``+`` reduction whose operands are unit-stride or
+constant along that axis instead keeps a register tile of its target
+(GCC/Clang vector-extension values) across its sequential loops, so the
+target is loaded and stored once, not once per step.  The planner has
+proven that vectorized axes carry no dependence, so every element sees
+the fold body's operations in the fold body's order.  Operands are typed the way NumPy types the fold body's
 (NEP 50: Python scalars are weak, array elements strong) with explicit C
 casts; float constants are C99 hex literals.  The flags keep that exact:
 ``-ffp-contract=off`` forbids fused multiply-adds, and without
@@ -76,7 +79,7 @@ from repro.ir.expr import (
 )
 from repro.ir.program import Program
 from repro.ir.types import ElementType
-from repro.ir.engine.analysis import NestPlan, PlanAssign, PlanLoop, PlanNode
+from repro.ir.engine.analysis import NestPlan, PlanAssign, PlanLoop, PlanNode, plan_assigns
 
 
 class NativeUnsupported(Exception):
@@ -140,6 +143,13 @@ static inline int64_t pymod(int64_t a, int64_t b) {
 """
 
 
+#: A register tile's vector type and its unaligned load and store, put in
+#: the bodies that have a tile of ``{c}`` elements.
+_VECTOR_PRELUDE = """typedef {c} v{c} __attribute__((vector_size(32)));
+static inline v{c} load_{c}(const {c} *p) {{ v{c} v; __builtin_memcpy(&v, p, sizeof v); return v; }}
+static inline void store_{c}({c} *p, v{c} v) {{ __builtin_memcpy(p, &v, sizeof v); }}\n"""
+
+
 def _promote(lhs: str, rhs: str) -> str:
     """NEP 50 result kind of a binary operation between *lhs* and *rhs*."""
     for kind in (_F64, _F32, _F64W):
@@ -180,6 +190,7 @@ class _CEmitter:
         self.loop_vars: dict[str, str] = {}  # loop variable -> local
         self.frames: dict[str, PlanLoop] = {}  # vectorized loop variable -> loop
         self.serial = itertools.count(1)
+        self.vector_types: set[str] = set()  # C element types of register tiles
 
     # -- expressions ------------------------------------------------------
     def expr(self, node: Expr) -> tuple[str, str]:
@@ -229,9 +240,9 @@ class _CEmitter:
         return f"{local}[{flat}]", self.kinds[local]
 
     # -- statements -------------------------------------------------------
-    def head(self, loop: PlanLoop) -> str:
-        """The ``for`` line of *loop*; binds its variable."""
-        lower, upper = self.index(loop.lower), self.index(loop.upper)
+    def head(self, loop: PlanLoop, bounds: Optional[tuple[str, str]] = None) -> str:
+        """The ``for`` line of *loop* (or of *bounds*); binds its variable."""
+        lower, upper = bounds or (self.index(loop.lower), self.index(loop.upper))
         local = self.loop_vars[loop.var] = f"i{next(self.serial)}"
         return f"for (int64_t {local} = {lower}; {local} < {upper}; {local} += {loop.step})"
 
@@ -245,16 +256,24 @@ class _CEmitter:
                 lines += self.block(node.body)
                 del self.frames[node.var]
             else:
-                lines += [self.head(node) + " {", *_indent(self.block(node.body)), "}"]
-                del self.loop_vars[node.var]
+                lines += self.tile(node) or self.nest([node], lambda: self.block(node.body))
         return lines
 
-    def assign(self, node: PlanAssign) -> list[str]:
-        """The assignment inside a nest over its vectorized axes."""
+    def nest(self, loops: list[PlanLoop], inner: Callable[[], list[str]]) -> list[str]:
+        """*loops*, outermost first, around the lines of ``inner()``."""
+        if not loops:
+            return inner()
+        head, body = self.head(loops[0]), self.nest(loops[1:], inner)
+        del self.loop_vars[loops[0].var]
+        return [head + " {", *_indent(body), "}"]
+
+    def assign(self, node: PlanAssign, bounds: Optional[dict] = None) -> list[str]:
+        """The assignment inside a nest over its vectorized axes, or only
+        over those of *bounds* ({variable: (lower, upper) or None})."""
         stmt, spec = node.stmt, node.fold
         last = spec.target.dims[-1].vec_var
-        order = sorted(spec.vec_vars, key=lambda var: var == last)
-        lines = [self.head(self.frames[var]) for var in order]
+        order = sorted(bounds or spec.vec_vars, key=lambda var: var == last)
+        lines = [self.head(self.frames[var], (bounds or {}).get(var)) for var in order]
         slot, elem = self.element(stmt.target)
         value, kind = self.expr(stmt.rhs)
         if stmt.reduction in ("+", "*"):  # NumPy's in-place ufunc: promote, cast back
@@ -264,6 +283,113 @@ class _CEmitter:
             del self.loop_vars[var]
         lines.append(f"{slot} = ({_C_TYPE[elem]})({value});")
         return ["    " * depth + line for depth, line in enumerate(lines)]
+
+    # -- register tiles ---------------------------------------------------
+    def tile(self, loop: PlanLoop) -> Optional[list[str]]:
+        """*loop* run inside register tiles of the one ``+`` reduction under
+        it, or ``None``: that needs a unit-stride target the sequential
+        loops do not move, and a value that reads nothing the nest writes,
+        only arrays of the target's type, unit-stride or constant."""
+        chain, inner, node = [], [], loop
+        while isinstance(node, PlanLoop) and len(node.body) == 1:
+            (inner if node.vec else chain).append(node)
+            node = node.body[0]
+        if not isinstance(node, PlanAssign) or node.stmt.reduction != "+":
+            return None
+        self.frames.update((vec.var, vec) for vec in inner)
+        spec, seq = node.fold, {loop.var for loop in chain}
+        last, kind = spec.target.dims[-1], self.kinds[self.arrays[node.stmt.target.name]]
+        tiled = (last.coeff == 1 and self.frames[last.vec_var].step == 1
+            and not node.stmt.target.free_vars() & seq
+            and not any((vec.lower.free_vars() | vec.upper.free_vars()) & seq for vec in inner)
+            and all(ref.name not in self.written and self.kinds[self.arrays[ref.name]] == kind
+                    and all(dim.vec_var != last.vec_var or (dim is ref.dims[-1] and dim.coeff == 1)
+                            for dim in ref.dims)
+                    for ref in spec.refs.values()))
+        lines = self.tiles(node, chain) if tiled else None
+        for vec in inner:
+            del self.frames[vec.var]
+        return lines
+
+    def tiles(self, node: PlanAssign, chain: list[PlanLoop]) -> list[str]:
+        """*node* in tiles of 2 rows x 4 vectors, then 1 vector, of its
+        target's last axis; leftovers run the untiled order."""
+        strip = node.fold.target.dims[-1].vec_var
+        outer, row = sorted(node.fold.vec_vars, key=lambda var: var == strip)[:-1], None
+        if outer and self.frames[outer[-1]].step == 1:
+            *outer, row = outer
+        lanes = 32 // _DTYPE[self.kinds[self.arrays[node.stmt.target.name]]].itemsize
+        col, frame = f"i{next(self.serial)}", self.frames[strip]
+
+        def columns(rows: dict, left: dict) -> list[str]:
+            lo, hi = self.index(frame.lower), self.index(frame.upper)
+            lines = [f"int64_t {col} = {lo};"]
+            for vectors in (4, 1):
+                cols = [f"({col} + {v * lanes})" if v else col for v in range(vectors)]
+                lines += [f"for (; {col} + {vectors * lanes - 1} < {hi}; {col} += {vectors * lanes}) {{",
+                          *_indent(self.registers(node, chain, {**rows, strip: cols})), "}"]
+            return lines + self.nest(chain, lambda: self.assign(node, {**left, strip: (col, hi)}))
+
+        def rows() -> list[str]:
+            if row is None:
+                return columns({}, {})
+            r, upper = f"i{next(self.serial)}", self.index(self.frames[row].upper)
+            return [f"int64_t {r} = {self.index(self.frames[row].lower)};",
+                    f"for (; {r} + 1 < {upper}; {r} += 2) {{",
+                    *_indent(columns({row: [r, f"({r} + 1)"]}, {row: (r, f"{r} + 2")})), "}",
+                    *self.nest(chain, lambda: self.assign(node, {row: (r, upper), strip: None}))]
+
+        return self.nest([self.frames[var] for var in outer], rows)
+
+    def registers(self, node: PlanAssign, chain: list[PlanLoop], axes: dict) -> list[str]:
+        """One tile: an accumulator per point of *axes* ({variable: its C
+        values}, the strip last) loaded, *chain* run on them, stored."""
+        target, strip = node.stmt.target, list(axes)[-1]
+        elem = self.kinds[self.arrays[target.name]]
+        ctype = _C_TYPE[elem]
+        self.vector_types.add(ctype)
+        tile = [(dict(zip(axes, point)), f"i{next(self.serial)}")
+                for point in itertools.product(*axes.values())]
+        lines, stores = [], []
+        for point, acc in tile:
+            self.loop_vars.update(point)
+            slot = self.element(target)[0]
+            lines.append(f"v{ctype} {acc} = load_{ctype}(&{slot});")
+            stores.append(f"store_{ctype}(&{slot}, {acc});")
+
+        def step() -> list[str]:
+            hoisted, updates = {}, []
+            for point, acc in tile:
+                self.loop_vars.update(point)
+                value, kind = self.lanes(node.stmt.rhs, strip, ctype, hoisted)
+                updates.append(f"{acc} = {acc} + {_cast(value, kind, elem)};")
+            return [f"{decl} {local} = {code};" for code, (decl, local) in hoisted.items()] + updates
+
+        lines += self.nest(chain, step) + stores
+        for var in axes:
+            del self.loop_vars[var]
+        return lines
+
+    def lanes(self, node: Expr, strip: str, ctype: str, hoisted: dict) -> tuple[str, str]:
+        """C text and kind of *node* on one tile vector: what does not move
+        with *strip* is a broadcast scalar, the rest vector loads, both
+        computed once per step (*hoisted*: C text -> (type, local))."""
+        moves = strip in node.free_vars()
+        if moves and isinstance(node, ArrayRef):
+            slot, kind = self.element(node)
+            code, decl = f"load_{ctype}(&{slot})", f"v{ctype}"
+        elif moves and isinstance(node, UnaryOp):
+            code, kind = self.lanes(node.operand, strip, ctype, hoisted)
+            return f"(-{code})", kind
+        elif moves and isinstance(node, BinOp) and node.op in ("+", "-", "*"):
+            lhs, lkind = self.lanes(node.lhs, strip, ctype, hoisted)
+            rhs, rkind = self.lanes(node.rhs, strip, ctype, hoisted)
+            kind = _promote(lkind, rkind)
+            return f"({_cast(lhs, lkind, kind)} {node.op} {_cast(rhs, rkind, kind)})", kind
+        else:  # a scalar, or what the scalar code cannot emit either (raises)
+            code, kind = self.expr(node)
+            decl = _C_TYPE[kind]
+        return hoisted.setdefault(code, (decl, f"i{next(self.serial)}"))[1], kind
 
     def dispatch(self, ffi, lib) -> Callable[..., bool]:
         """The kernel's ``native``: the loaded C body behind the run-time
@@ -295,13 +421,15 @@ class _CEmitter:
 
     def emit(self, plan: NestPlan) -> tuple[str, str]:
         """(prototype, source) of the C body."""
+        self.written = {node.stmt.target.name for node in plan_assigns(plan)}
         body = self.block(plan.nodes)
         params = [f"{_C_TYPE[self.kinds[a]]} *restrict {a}" for a in self.arrays.values()]
         params += [f"{_C_TYPE[self.kinds[p]]} {p}" for p in self.scalars.values()]
         params += [f"int64_t {n}" for n in self.extents.values()]
         prototype = f"void kernel({', '.join(params)})"
         definition = f"VECTOR_CLONES {prototype} {{"
-        return prototype, "\n".join([_PRELUDE, definition, *_indent(body), "}", ""])
+        vectors = [_VECTOR_PRELUDE.format(c=ctype) for ctype in sorted(self.vector_types)]
+        return prototype, "\n".join([_PRELUDE, *vectors, definition, *_indent(body), "}", ""])
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro.compiler import KernelCompileCache
 from repro.compiler import cache as cache_module
+from repro.disk_store import STALE_TMP_S, DiskStore
 from repro.ir.engine import native, native_available
 
 
@@ -283,3 +284,18 @@ def test_cross_process_corruption_stress_of_c_objects(tmp_path, monkeypatch):
     quarantined = sum(count for _, count in outcomes) + native.native_store().corruptions
     assert 1 <= quarantined <= rounds
     assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob("*.part"))
+
+
+def test_an_install_removes_stale_temp_files_and_keeps_fresh_ones(tmp_path):
+    """A writer killed mid-way (a gcc run, a pickle dump) leaves its temp
+    file; the next install removes it once it is older than any live
+    writer's, and leaves a younger one, which may still be written."""
+    stale, fresh = tmp_path / "tmpdead.tmp", tmp_path / "tmplive.tmp"
+    for path in (stale, fresh):
+        path.write_bytes(b"half an object")
+    old = os.path.getmtime(stale) - STALE_TMP_S - 60
+    os.utime(stale, (old, old))
+    with DiskStore(tmp_path).installing("entry") as tmp:
+        Path(tmp).write_bytes(b"whole")
+    assert not stale.exists() and fresh.exists()
+    assert (tmp_path / "entry").read_bytes() == b"whole"

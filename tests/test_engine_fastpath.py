@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import CompileOptions, OffloadExecutor, compile_source
@@ -571,17 +571,52 @@ def affine_nests(draw):
         "}\n"
     )
     params = {size: float(n) if draw(st.booleans()) else n}
-    return source, params, (src, dst)
+    return source, params, False
+
+
+#: Nests whose C body has a register tile (gemm-, conv- and
+#: ``A[j][i]``-shaped), at extents that run a full tile, a one-vector
+#: tile and leftover rows and columns.
+TILED_NESTS = [
+    """void k(int N, double A[N][N], double B[N][N], double C[N][N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      for (int k = 0; k < N; k++)
+        C[i][j] += A[i][k] * B[k][j];
+}""",
+    """void k(int N, double img[N + 2][N + 2], double W[3][3], double out[N][N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      for (int p = 0; p < 3; p++)
+        for (int q = 0; q < 3; q++)
+          out[i][j] += W[p][q] * img[i + p][j + q];
+}""",
+    """void k(int N, double A[N][N], double y[N], double x[N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      x[i] = x[i] + A[j][i] * y[j];
+}""",
+]
 
 
 @given(affine_nests())
+@example((TILED_NESTS[0], {"N": 21}, True))
+@example((TILED_NESTS[1], {"N": 21}, True))
+@example((TILED_NESTS[2], {"N": 21}, True))
 @settings(max_examples=60, deadline=None)
 def test_random_affine_nests_never_miscompile(case):
-    source, params, (src, dst) = case
+    """Drawn nests have one loop, so no register tile; the pinned
+    examples must compile to one."""
+    source, params, tiled = case
     (n,) = params.values()
     rng = np.random.default_rng(int(n))
-    arrays = _arrays(rng, **{src: 3 * int(n), dst: 3 * int(n)})
-    _assert_engines_match(source, params, arrays)
+    program = _prepare(source)
+    arrays = {decl.name: rng.random(decl.extent(params)) for decl in program.arrays}
+    _assert_engines_match(program, params, arrays)
+    if native_available():
+        bodies = [plan.kernel.c_source for plan in program.engine_plans.nests.values()
+                  if plan and plan.kernel]
+        assert any("vector_size" in body for body in bodies) == tiled
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 On x86-64 ELF builds every C body is compiled as two clones of one
 function, for AVX2 and for baseline x86-64, and the loader picks one when
-the object is loaded.  Each shape here runs four ways: on the cloned C
-body, on a C body emitted without the clones (baseline only), on the fold
-body and on the reference interpreter.  Result arrays and the execution
-trace must be the same bytes from all four, on every PolyBench kernel of
-the paper at MEDIUM (the interpreter only where it is quick there) and
-on gemm, gemv and conv nests whose innermost extent is 1, 7, 127 or 129,
-so that the vector loops' remainders run.
+the object is loaded.  Each shape here runs five ways: on the cloned C
+body, on a C body emitted without the clones (baseline only), on one
+emitted without register tiles, on the fold body and on the reference
+interpreter.  Result arrays and the execution trace must be the same
+bytes from all five, on every PolyBench kernel of the paper at MEDIUM
+(the interpreter only where it is quick there) and on gemm, gemv and
+conv nests whose innermost extent is 1, 7, 127 or 129, so that the
+vector loops' remainders run.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from repro.workloads.polybench import KERNELS, PAPER_KERNELS
 
 CLONES = '__attribute__((target_clones("avx2", "default")))'
 
+#: What every C body with a register tile, and no other, contains.
+TILE = "vector_size"
+
 #: The interpreter runs MEDIUM's cubic kernels in 2-35 s each; they are
 #: checked against it at the small extents below instead.
 INTERPRETED_AT_MEDIUM = ("gesummv", "bicg", "mvt")
@@ -49,9 +53,10 @@ def _outcome(engine, params, arrays):
     return out, engine.trace
 
 
-def _on_c_body(monkeypatch, source, params, arrays, clones: bool):
+def _on_c_body(monkeypatch, source, params, arrays, clones=True, tiles=True):
     """A fresh program run on its C bodies, emitted with or without the
-    clones; every one of them must run."""
+    clones and the register tiles; every one of them must run.  Returns
+    the outcome and whether a body has a tile."""
     ran, dispatch = [], native._CEmitter.dispatch
 
     def bind(emitter, *loaded):
@@ -61,19 +66,25 @@ def _on_c_body(monkeypatch, source, params, arrays, clones: bool):
     with monkeypatch.context() as patch:
         if not clones:
             patch.setattr(native, "_PRELUDE", native._PRELUDE.replace(CLONES, ""))
+        if not tiles:
+            patch.setattr(native._CEmitter, "tile", lambda emitter, loop: None)
         patch.setattr(native._CEmitter, "dispatch", bind)
         program = _program(source)
         outcome = _outcome(make_engine(program), params, arrays)
     kernels = [plan.kernel for plan in program.engine_plans.nests.values() if plan]
     assert ran and all(ran), "a nest did not run on its C body"
     assert kernels and all((CLONES in kernel.c_source) == clones for kernel in kernels)
-    return outcome
+    return outcome, any(TILE in kernel.c_source for kernel in kernels)
 
 
-def _assert_isa_invariant(monkeypatch, source, params, arrays, interpret=True):
+def _assert_isa_invariant(monkeypatch, source, params, arrays, interpret=True, tiled=None):
+    """Equal bytes and traces from all five ways; with *tiled*, whether
+    the default C bodies must have a register tile."""
     assert CLONES in native._PRELUDE
-    cloned = _on_c_body(monkeypatch, source, params, arrays, clones=True)
-    assert _on_c_body(monkeypatch, source, params, arrays, clones=False) == cloned
+    cloned, has_tile = _on_c_body(monkeypatch, source, params, arrays)
+    assert tiled is None or has_tile == tiled
+    assert _on_c_body(monkeypatch, source, params, arrays, clones=False)[0] == cloned
+    assert _on_c_body(monkeypatch, source, params, arrays, tiles=False) == (cloned, False)
     with monkeypatch.context() as patch:
         patch.setenv("REPRO_NATIVE", "0")
         assert _outcome(make_engine(_program(source)), params, arrays) == cloned
@@ -86,7 +97,7 @@ def test_paper_kernels_at_medium(monkeypatch, name):
     kernel = KERNELS[name]
     _assert_isa_invariant(
         monkeypatch, kernel.source, kernel.params("MEDIUM"), kernel.arrays("MEDIUM", 5),
-        interpret=name in INTERPRETED_AT_MEDIUM,
+        interpret=name in INTERPRETED_AT_MEDIUM, tiled=name != "gesummv",
     )
 
 

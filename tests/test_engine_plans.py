@@ -403,6 +403,9 @@ void lambda(int range, int scalars, double in[range][scalars], double np[scalars
   for (int is = 0; is < range; is++)
     for (int def = 0; def < scalars; def++)
       arrays[is] = arrays[is] + in[is][def] * np[def] * 0.5;
+  for (int is = 0; is < range; is++)
+    for (int def = 0; def < scalars; def++)
+      np[def] = np[def] + in[is][def] * arrays[is];
 }
 """
 BENIGN = (
@@ -428,13 +431,16 @@ def _kernels(source: str) -> list:
 
 
 #: What the C body may name besides generated locals: its prelude (the
-#: clone macro, three helpers and their operands) and C's own words.
+#: clone macro, three helpers and their operands), a register tile's
+#: vector types and their load and store, and C's own words.
 C_VOCABULARY = {
     "include", "stdint", "h", "static", "inline", "int64_t", "INT64_C", "void",
     "float", "double", "restrict", "for", "return", "kernel", "imin", "imax",
     "pymod", "a", "b", "r",
     "if", "defined", "__x86_64__", "__ELF__", "__has_attribute", "target_clones",
     "define", "VECTOR_CLONES", "__attribute__", "avx2", "default", "endif", "ifndef",
+    "typedef", "vector_size", "vfloat", "vdouble", "load_float", "load_double",
+    "store_float", "store_double", "const", "p", "v", "__builtin_memcpy", "sizeof",
 }
 
 
@@ -469,6 +475,8 @@ def test_hostile_names_run_on_their_c_body(monkeypatch):
     kernels = _kernels(HOSTILE)
     assert all(kernel.c_source for kernel in kernels)
     assert ran and all(ran)
+    # The second nest has a register tile, so the vocabulary test reads one.
+    assert ["vector_size" in kernel.c_source for kernel in kernels] == [False, True]
 
 
 # ----------------------------------------------------------------------
