@@ -13,7 +13,8 @@ The compile cache's ``<key>.pkl`` pickles
   process has open or mapped is never written;
 * an entry that exists but does not read is renamed ``<name>.corrupt``
   (unlinked if that fails) and counted, so it is read at most once and
-  its slot can be installed again; an install removes stale temp files.
+  its slot can be installed again; an install removes the store's own
+  stale temp files.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-#: Age in seconds past which a ``*.tmp`` file is a writer's that was
-#: killed mid-way: well above the 120 s a C compile may take.
+#: Age in seconds past which one of the store's temp files is a writer's
+#: that was killed mid-way: well above the 120 s a C compile may take.
 STALE_TMP_S = 3600.0
+
+#: The name prefix of the store's temp files; an install removes only
+#: these, never other files in a directory the user may share.
+TMP_PREFIX = ".diskstore-"
 
 
 class DiskStore:
@@ -110,12 +115,13 @@ class DiskStore:
     def installing(self, name: str) -> Iterator[str]:
         """Yield a private temp path in the directory; what the block
         writes there becomes entry *name* when it returns, and is removed
-        when it raises.  Stale temp files are removed first."""
-        for path in glob.glob(os.path.join(glob.escape(self.directory), "*.tmp")):
+        when it raises.  The store's stale temp files are removed first."""
+        pattern = os.path.join(glob.escape(self.directory), f"{TMP_PREFIX}*.tmp")
+        for path in glob.glob(pattern):
             with suppress(OSError):
                 if os.path.getmtime(path) < time.time() - STALE_TMP_S:
                     os.unlink(path)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=TMP_PREFIX, suffix=".tmp")
         os.close(fd)
         try:
             yield tmp

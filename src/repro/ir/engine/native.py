@@ -312,8 +312,9 @@ class _CEmitter:
         return lines
 
     def tiles(self, node: PlanAssign, chain: list[PlanLoop]) -> list[str]:
-        """*node* in tiles of 2 rows x 4 vectors, then 1 vector, of its
-        target's last axis; leftovers run the untiled order."""
+        """*node* in tiles of 2 rows x 4 vectors of its target's last axis;
+        leftovers run the untiled order (docs/engine.md: why no 1-vector
+        tile)."""
         strip = node.fold.target.dims[-1].vec_var
         outer, row = sorted(node.fold.vec_vars, key=lambda var: var == strip)[:-1], None
         if outer and self.frames[outer[-1]].step == 1:
@@ -323,12 +324,11 @@ class _CEmitter:
 
         def columns(rows: dict, left: dict) -> list[str]:
             lo, hi = self.index(frame.lower), self.index(frame.upper)
-            lines = [f"int64_t {col} = {lo};"]
-            for vectors in (4, 1):
-                cols = [f"({col} + {v * lanes})" if v else col for v in range(vectors)]
-                lines += [f"for (; {col} + {vectors * lanes - 1} < {hi}; {col} += {vectors * lanes}) {{",
-                          *_indent(self.registers(node, chain, {**rows, strip: cols})), "}"]
-            return lines + self.nest(chain, lambda: self.assign(node, {**left, strip: (col, hi)}))
+            cols = [f"({col} + {v * lanes})" if v else col for v in range(4)]
+            return [f"int64_t {col} = {lo};",
+                    f"for (; {col} + {4 * lanes - 1} < {hi}; {col} += {4 * lanes}) {{",
+                    *_indent(self.registers(node, chain, {**rows, strip: cols})), "}",
+                    *self.nest(chain, lambda: self.assign(node, {**left, strip: (col, hi)}))]
 
         def rows() -> list[str]:
             if row is None:
@@ -350,6 +350,8 @@ class _CEmitter:
         self.vector_types.add(ctype)
         tile = [(dict(zip(axes, point)), f"i{next(self.serial)}")
                 for point in itertools.product(*axes.values())]
+        moving = {key for key, ref in node.fold.refs.items()
+                  if any(dim.vec_var == strip for dim in ref.dims)}
         lines, stores = [], []
         for point, acc in tile:
             self.loop_vars.update(point)
@@ -361,7 +363,7 @@ class _CEmitter:
             hoisted, updates = {}, []
             for point, acc in tile:
                 self.loop_vars.update(point)
-                value, kind = self.lanes(node.stmt.rhs, strip, ctype, hoisted)
+                value, kind = self.lanes(node.stmt.rhs, moving, ctype, hoisted)
                 updates.append(f"{acc} = {acc} + {_cast(value, kind, elem)};")
             return [f"{decl} {local} = {code};" for code, (decl, local) in hoisted.items()] + updates
 
@@ -370,20 +372,21 @@ class _CEmitter:
             del self.loop_vars[var]
         return lines
 
-    def lanes(self, node: Expr, strip: str, ctype: str, hoisted: dict) -> tuple[str, str]:
-        """C text and kind of *node* on one tile vector: what does not move
-        with *strip* is a broadcast scalar, the rest vector loads, both
+    def lanes(self, node: Expr, moving: set, ctype: str, hoisted: dict) -> tuple[str, str]:
+        """C text and kind of *node* on one tile vector: what reads none of
+        the references in *moving* (``id``s of those whose subscripts carry
+        the strip axis) is a broadcast scalar, the rest vector loads, both
         computed once per step (*hoisted*: C text -> (type, local))."""
-        moves = strip in node.free_vars()
+        moves = any(id(sub) in moving for sub in node.walk())
         if moves and isinstance(node, ArrayRef):
             slot, kind = self.element(node)
             code, decl = f"load_{ctype}(&{slot})", f"v{ctype}"
         elif moves and isinstance(node, UnaryOp):
-            code, kind = self.lanes(node.operand, strip, ctype, hoisted)
+            code, kind = self.lanes(node.operand, moving, ctype, hoisted)
             return f"(-{code})", kind
         elif moves and isinstance(node, BinOp) and node.op in ("+", "-", "*"):
-            lhs, lkind = self.lanes(node.lhs, strip, ctype, hoisted)
-            rhs, rkind = self.lanes(node.rhs, strip, ctype, hoisted)
+            lhs, lkind = self.lanes(node.lhs, moving, ctype, hoisted)
+            rhs, rkind = self.lanes(node.rhs, moving, ctype, hoisted)
             kind = _promote(lkind, rkind)
             return f"({_cast(lhs, lkind, kind)} {node.op} {_cast(rhs, rkind, kind)})", kind
         else:  # a scalar, or what the scalar code cannot emit either (raises)

@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.compiler import KernelCompileCache
 from repro.compiler import cache as cache_module
-from repro.disk_store import STALE_TMP_S, DiskStore
+from repro.disk_store import STALE_TMP_S, TMP_PREFIX, DiskStore
 from repro.ir.engine import native, native_available
 
 
@@ -289,13 +289,18 @@ def test_cross_process_corruption_stress_of_c_objects(tmp_path, monkeypatch):
 def test_an_install_removes_stale_temp_files_and_keeps_fresh_ones(tmp_path):
     """A writer killed mid-way (a gcc run, a pickle dump) leaves its temp
     file; the next install removes it once it is older than any live
-    writer's, and leaves a younger one, which may still be written."""
-    stale, fresh = tmp_path / "tmpdead.tmp", tmp_path / "tmplive.tmp"
-    for path in (stale, fresh):
+    writer's, and leaves a younger one, which may still be written.  An
+    old ``*.tmp`` file the store did not make is not its to remove: the
+    directory may be one the user shares with other programs."""
+    stale, fresh = tmp_path / f"{TMP_PREFIX}dead.tmp", tmp_path / f"{TMP_PREFIX}live.tmp"
+    foreign = tmp_path / "tmpforeign.tmp"
+    for path in (stale, fresh, foreign):
         path.write_bytes(b"half an object")
     old = os.path.getmtime(stale) - STALE_TMP_S - 60
-    os.utime(stale, (old, old))
+    for path in (stale, foreign):
+        os.utime(path, (old, old))
     with DiskStore(tmp_path).installing("entry") as tmp:
+        assert os.path.basename(tmp).startswith(TMP_PREFIX)
         Path(tmp).write_bytes(b"whole")
-    assert not stale.exists() and fresh.exists()
+    assert not stale.exists() and fresh.exists() and foreign.exists()
     assert (tmp_path / "entry").read_bytes() == b"whole"

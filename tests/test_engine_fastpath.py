@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro import CompileOptions, OffloadExecutor, compile_source
@@ -571,52 +571,17 @@ def affine_nests(draw):
         "}\n"
     )
     params = {size: float(n) if draw(st.booleans()) else n}
-    return source, params, False
-
-
-#: Nests whose C body has a register tile (gemm-, conv- and
-#: ``A[j][i]``-shaped), at extents that run a full tile, a one-vector
-#: tile and leftover rows and columns.
-TILED_NESTS = [
-    """void k(int N, double A[N][N], double B[N][N], double C[N][N]) {
-  for (int i = 0; i < N; i++)
-    for (int j = 0; j < N; j++)
-      for (int k = 0; k < N; k++)
-        C[i][j] += A[i][k] * B[k][j];
-}""",
-    """void k(int N, double img[N + 2][N + 2], double W[3][3], double out[N][N]) {
-  for (int i = 0; i < N; i++)
-    for (int j = 0; j < N; j++)
-      for (int p = 0; p < 3; p++)
-        for (int q = 0; q < 3; q++)
-          out[i][j] += W[p][q] * img[i + p][j + q];
-}""",
-    """void k(int N, double A[N][N], double y[N], double x[N]) {
-  for (int i = 0; i < N; i++)
-    for (int j = 0; j < N; j++)
-      x[i] = x[i] + A[j][i] * y[j];
-}""",
-]
+    return source, params, (src, dst)
 
 
 @given(affine_nests())
-@example((TILED_NESTS[0], {"N": 21}, True))
-@example((TILED_NESTS[1], {"N": 21}, True))
-@example((TILED_NESTS[2], {"N": 21}, True))
 @settings(max_examples=60, deadline=None)
 def test_random_affine_nests_never_miscompile(case):
-    """Drawn nests have one loop, so no register tile; the pinned
-    examples must compile to one."""
-    source, params, tiled = case
+    source, params, (src, dst) = case
     (n,) = params.values()
     rng = np.random.default_rng(int(n))
-    program = _prepare(source)
-    arrays = {decl.name: rng.random(decl.extent(params)) for decl in program.arrays}
-    _assert_engines_match(program, params, arrays)
-    if native_available():
-        bodies = [plan.kernel.c_source for plan in program.engine_plans.nests.values()
-                  if plan and plan.kernel]
-        assert any("vector_size" in body for body in bodies) == tiled
+    arrays = _arrays(rng, **{src: 3 * int(n), dst: 3 * int(n)})
+    _assert_engines_match(source, params, arrays)
 
 
 # ----------------------------------------------------------------------
@@ -730,3 +695,112 @@ def test_random_reduction_nests_c_fold_and_interpreter_agree(case):
         assert trace == ref_trace
     assert fold_run[3] == []
     assert c_run[3] == ([True] if native_available() else [])
+
+
+# ----------------------------------------------------------------------
+# Register tiles: tiled C body vs untiled C body, fold body, interpreter
+# ----------------------------------------------------------------------
+#: Nests whose C body has a register tile (gemm-, conv- and
+#: ``A[j][i]``-shaped); at N = 21 a double tile runs once per row pair,
+#: then leftover rows and columns.
+TILED_NESTS = {
+    "gemm": """void k(int N, double A[N][N], double B[N][N], double C[N][N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      for (int k = 0; k < N; k++)
+        C[i][j] += A[i][k] * B[k][j];
+}""",
+    "conv": """void k(int N, double img[N + 2][N + 2], double W[3][3], double out[N][N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      for (int p = 0; p < 3; p++)
+        for (int q = 0; q < 3; q++)
+          out[i][j] += W[p][q] * img[i + p][j + q];
+}""",
+    "transposed": """void k(int N, double A[N][N], double y[N], double x[N]) {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < N; j++)
+      x[i] = x[i] + A[j][i] * y[j];
+}""",
+}
+
+
+def _tiled(program) -> bool:
+    """Whether a C body the last run of *program* built has a tile."""
+    return any("vector_size" in plan.kernel.c_source
+               for plan in program.engine_plans.nests.values() if plan and plan.kernel)
+
+
+@pytest.mark.parametrize("name", sorted(TILED_NESTS))
+def test_tile_eligible_nests_compile_to_a_tile(name):
+    program, params = _prepare(TILED_NESTS[name]), {"N": 21}
+    rng = np.random.default_rng(21)
+    arrays = {decl.name: rng.random(decl.extent(params)) for decl in program.arrays}
+    _assert_engines_match(program, params, arrays)
+    assert _tiled(program) == native_available()
+
+
+@st.composite
+def tile_nests(draw):
+    """A random ``+`` reduction of a 2-D target under a sequential loop.
+
+    ``C[i][j]`` adds a sum, difference or product of two reads whose
+    subscripts are each ``a * v + b``: a drawn loop variable, coefficient
+    (0 included, written ``0 * v`` or ``v - v``: the subscript names the
+    variable but does not move with it) and offset.  The loops come in any
+    order; the arrays share one element type, or one read has the other,
+    so some draws tile and others must not.  Read arrays are sized to keep
+    every subscript in bounds; ``J`` reaches a double tile's 16 columns
+    and straddles a float tile's 32.
+    """
+    params = {"I": draw(st.integers(1, 4)), "J": draw(st.integers(16, 40)),
+              "K": draw(st.integers(0, 3))}
+    params["S"] = max(params.values())
+    types = draw(st.permutations(["float", "double"]))
+    elems = dict.fromkeys("ABC", types[0])
+    if draw(st.integers(0, 3)) == 0:
+        elems[draw(st.sampled_from("AB"))] = types[1]
+
+    def subscript():
+        var, coeff, offset = draw(st.sampled_from("ijk")), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        if coeff == 0 and draw(st.booleans()):
+            return f"{var} - {var} + {offset}"
+        return f"{coeff} * {var} + {offset}"
+
+    reads = [f"{name}[{subscript()}][{subscript()}]" for name in "AB"]
+    op = draw(st.sampled_from(["+", "-", "*"]))
+    update = draw(st.sampled_from(["C[i][j] += {}", "C[i][j] = C[i][j] + {}"]))
+    extent = {"i": "I", "j": "J", "k": "K"}
+    lines = [f"{'  ' * depth}for (int {v} = 0; {v} < {extent[v]}; {v}++)"
+             for depth, v in enumerate(draw(st.permutations("ijk")))]
+    lines.append("      " + update.format(f" {op} ".join(reads)) + ";")
+    source = (
+        f"void k(int I, int J, int K, int S, {elems['A']} A[2 * S + 3][2 * S + 3], "
+        f"{elems['B']} B[2 * S + 3][2 * S + 3], {elems['C']} C[I][J]) {{\n"
+        + "\n".join("  " + line for line in lines) + "\n}\n"
+    )
+    return source, params, elems, draw(st.integers(0, 2**16))
+
+
+@given(tile_nests())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_random_tile_nests_match_untiled_fold_and_interpreter(case):
+    """The default engine (tiled where eligible) must match the
+    interpreter, and so must the untiled C body and the fold body."""
+    source, params, elems, seed = case
+    program, rng = _prepare(source), np.random.default_rng(seed)
+    arrays = {}
+    for decl in program.arrays:
+        dtype = np.float32 if elems[decl.name] == "float" else np.float64
+        arrays[decl.name] = (rng.random(decl.extent(params)) * 4 - 2).astype(dtype)
+    _assert_engines_match(program, params, arrays)
+    width = 4 * (8 if elems["C"] == "float" else 4)
+    event(f"ran a tile: {_tiled(program) and params['J'] >= width}")
+    ref_out, ref_trace, _ = _outcome(Interpreter(program), params, arrays)
+    with mock.patch.object(native._CEmitter, "tile", lambda emitter, loop: None):
+        untiled = _run_engine(source, params, arrays, fold_only=False)
+    for out, trace, raised, _ in (untiled, _run_engine(source, params, arrays, fold_only=True)):
+        assert raised is None
+        for name in ref_out:
+            np.testing.assert_array_equal(ref_out[name], out[name], err_msg=name)
+        assert trace == ref_trace

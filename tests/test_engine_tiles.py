@@ -6,8 +6,9 @@ vectors).  Every element still adds its terms one at a time, in the order
 of the sequential loops, so each shape here must give the same bytes and
 trace from the tiled C body, an untiled one, the fold body and the
 interpreter: gemm nests at every row and column count around a tile's
-edges, sequential extents 0 and 1, float and double, conv 5x5 and mvt's
-transposed nest.  Nests that must not tile give the same results on an
+edges, sequential extents 0 and 1, float and double, conv 5x5, mvt's
+transposed nest and operands whose subscript names the strip variable
+with coefficient 0.  Nests that must not tile give the same results on an
 untiled body.
 """
 
@@ -63,6 +64,14 @@ def test_transposed_and_row_broadcast_vector_nests(monkeypatch, name):
     A[i][j]``: one row of four vectors, the sequential loop outermost."""
     params = {"mvt": {"N": 45}, "bicg": {"N": 7, "M": 45}}[name]
     _assert_tiled(monkeypatch, KERNELS[name].source, params)
+
+
+@pytest.mark.parametrize("operand", ["B[k][j - j]", "B[k][0 * j]", "B[j - j + k][j]"])
+def test_a_subscript_that_names_the_strip_with_coefficient_zero(monkeypatch, operand):
+    """``j - j`` names the strip variable but does not move with it: that
+    subscript is one value per row, broadcast, never a vector load."""
+    source = GEMM["float"].replace("B[k][j]", operand)
+    _assert_tiled(monkeypatch, source, {"NI": 3, "NJ": 33, "NK": 5, "alpha": 1.5, "beta": 1.2})
 
 
 #: Nests that keep their untiled body.
