@@ -3,7 +3,8 @@
 The repo's other serving tiers are deterministic discrete-event
 simulations on a :class:`~repro.serve.clock.VirtualClock`; this package
 is the wall-clock mode — an ``asyncio`` gateway
-(:class:`~repro.gateway.server.AsyncGateway`) dispatching typed JSON
+(:class:`~repro.gateway.server.AsyncGateway`, the driver of the pure
+flight logic in :class:`~repro.gateway.core.FlightCore`) dispatching typed
 requests (:mod:`repro.gateway.wire`) to a pool of worker *processes*
 (:mod:`repro.gateway.worker`), each owning a private emulated CIM device
 and sharing one flock-guarded on-disk compile cache.  An open-loop load

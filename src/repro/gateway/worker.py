@@ -37,13 +37,9 @@ message, no helper thread and nothing shared with its siblings, so dying
 at any instruction (even half-way through a frame) can strand only its
 own request.  A result array the run left bitwise equal to the request's
 array of its name goes back as a reference, without its bytes.  The
-worker honours the deterministic fault-injection markers:
-``die-before-dispatch`` exits the process before any work happens,
-``die-mid-request`` performs the full dispatch and exits before the
-response leaves the process (so the computed outputs and the device's
-physical ledgers are genuinely lost, exactly like a machine kill).
-Crash recovery and compensation are the gateway's job
-(:mod:`repro.gateway.server`).
+worker honours the fault-injection markers of
+:data:`~repro.gateway.wire.FAULT_MARKERS`; crash recovery and
+compensation are the gateway's job (:mod:`repro.gateway.core`).
 """
 
 from __future__ import annotations
@@ -181,7 +177,7 @@ def worker_main(worker_id: int, config: dict, pipe) -> None:
     gateway's end closes), serving one request at a time and shipping
     each response together with the worker-cumulative physical snapshot
     (the accounting currency that survives the worker's death — see
-    :mod:`repro.gateway.server`).  The drain frame is answered with that
+    :mod:`repro.gateway.core`).  The drain frame is answered with that
     same record, then the worker exits cleanly.
     """
     server = build_worker_server(config)

@@ -41,7 +41,9 @@ Shared objects are kept in a :class:`~repro.disk_store.DiskStore`
 (:func:`native_store`), named by the SHA-256 of the compiler, the flags and
 the source, so later processes only ``dlopen``.  One that does not load is
 quarantined and built again, once.  Every outcome, a failed compile
-included, is remembered for the life of the process.
+included, is remembered for the life of the process.  A load refreshes
+the object's mtime, and a build removes the store's objects that have not
+been loaded for :data:`STALE_OBJECT_S`.
 
 On x86-64 ELF builds the kernel is emitted as two clones (GCC/Clang
 ``target_clones``): one for AVX2 and the baseline one.  The loader's ifunc
@@ -52,14 +54,17 @@ they differ only in vector width.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import math
 import os
+import re
 import shutil
 import subprocess
 import tempfile
+import time
 from typing import Callable, Optional
 
 import numpy as np
@@ -441,6 +446,16 @@ class _CEmitter:
 
 _CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fwrapv", "-fPIC", "-shared")
 
+#: An object no process has loaded for this long is removed by the next
+#: build in its store: bodies that are never reused (a fuzzer draws new
+#: ones each run) must not pile up.  A process that still has it mapped
+#: keeps running it; a later process builds it again.
+STALE_OBJECT_S = 86400.0
+
+#: The names of the objects the store holds: a digest, ``.so``, and
+#: ``.corrupt`` once quarantined.
+_OBJECT_NAME = re.compile(r"[0-9a-f]{64}\.so(\.corrupt)?")
+
 #: digest -> (ffi, lib), or None for a compile or load that failed.
 _loaded: dict[str, Optional[tuple]] = {}
 
@@ -484,9 +499,14 @@ def _build(digest: str, compiler, c_source: str, prototype: str) -> Optional[tup
     try:
         # Under the lock, processes that miss together run the compiler
         # once.  A lock not taken in time (counted) builds unlocked.
-        with store.locked():
+        with store.locked() as held:
             lib = store.load(name, ffi.dlopen)
-            if lib is None:  # absent, or quarantined as not loading
+            if lib is not None:
+                with contextlib.suppress(OSError):
+                    os.utime(store.path(name))  # loaded now: not stale
+            else:  # absent, or quarantined as not loading
+                if held:
+                    _prune(store)
                 with store.installing(name) as built:
                     subprocess.run([compiler, *_CFLAGS, "-x", "c", "-", "-o", built],
                                    input=c_source.encode(), capture_output=True, timeout=120,
@@ -495,6 +515,19 @@ def _build(digest: str, compiler, c_source: str, prototype: str) -> Optional[tup
         return ffi, lib
     except (OSError, subprocess.SubprocessError):  # no cache dir, gcc failed, dlopen failed
         return None
+
+
+def _prune(store: DiskStore) -> None:
+    """Remove the store's objects, and its quarantined ones, that no
+    process has loaded for :data:`STALE_OBJECT_S`; under the store's lock,
+    so no process loads one meanwhile.  Other files are left alone."""
+    stale_s = time.time() - STALE_OBJECT_S
+    with os.scandir(store.directory) as entries:
+        for entry in entries:
+            if _OBJECT_NAME.fullmatch(entry.name):
+                with contextlib.suppress(OSError):
+                    if entry.stat().st_mtime < stale_s:
+                        os.unlink(entry.path)
 
 
 # ----------------------------------------------------------------------

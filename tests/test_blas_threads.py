@@ -6,7 +6,6 @@ kept, and a plain library import changes nothing."""
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -38,9 +37,7 @@ def _report_blas_env(worker_id, config, pipe) -> None:
 def _launch_one_worker(method: str) -> int:
     async def launch() -> int:
         gateway = AsyncGateway(GatewayConfig(num_workers=1, start_method=method))
-        gateway._ctx = multiprocessing.get_context(method)
-        gateway._loop = asyncio.get_running_loop()
-        process, pipe = gateway._launch(gateway_server._Worker(0, 0))
+        process, pipe = gateway.launch(0)
         process.join(60)
         pipe.close()
         return process.exitcode

@@ -304,3 +304,43 @@ def test_an_install_removes_stale_temp_files_and_keeps_fresh_ones(tmp_path):
         Path(tmp).write_bytes(b"whole")
     assert not stale.exists() and fresh.exists() and foreign.exists()
     assert (tmp_path / "entry").read_bytes() == b"whole"
+
+
+def test_a_build_removes_objects_no_process_loaded_for_a_day(tmp_path, monkeypatch):
+    """A build (a miss, which pays the compiler anyway) removes the store's
+    objects, quarantined ones included, that no process has loaded for
+    ``STALE_OBJECT_S``.  An object loaded since is kept, as is a fresh one
+    and every file the store did not name; a body this process loaded
+    before its file went keeps running."""
+    if not native_available():
+        pytest.skip("no C toolchain")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "_loaded", {})
+
+    def build(value):
+        before = set(tmp_path.glob("*.so"))
+        loaded = native.compile_and_load(*_constant_body(value))
+        (path,) = set(tmp_path.glob("*.so")) - before
+        return loaded, path
+
+    running, removed = build(1)
+    _, reloaded = build(2)
+    _, fresh = build(3)
+    quarantined = tmp_path / f"{'a' * 64}.so.corrupt"
+    foreign = [tmp_path / "libforeign.so", tmp_path / f"{'b' * 64}.pkl"]
+    for path in (quarantined, *foreign):
+        path.write_bytes(b"old")
+    old = os.path.getmtime(fresh) - native.STALE_OBJECT_S - 60
+    for path in (removed, reloaded, quarantined, *foreign):
+        os.utime(path, (old, old))
+
+    monkeypatch.setattr(native, "_loaded", {})  # a new process
+    assert native.compile_and_load(*_constant_body(2)) is not None  # a load
+    build(4)  # a miss: the build prunes
+    assert not removed.exists() and not quarantined.exists()
+    assert reloaded.exists() and fresh.exists()
+    assert all(path.exists() for path in foreign) and (tmp_path / ".lock").exists()
+    ffi, lib = running
+    out = np.zeros(1)
+    lib.kernel(ffi.from_buffer("double[]", out))
+    assert out[0] == 1

@@ -88,3 +88,27 @@ def test_a_docstring_may_not_cite_a_roadmap_item_number(
     assert "seeded.py:1: cites 'ROADMAP item 5'" in err
     assert "seeded.py:3: cites 'ROADMAP item 11'" in err
     assert "seeded.py:6: cites 'ROADMAP item 2'" in err
+
+
+def test_the_flight_states_table_lists_every_edge_and_no_other_state(
+    check_docs, monkeypatch, tmp_path, capsys
+):
+    table = check_docs.FLIGHT_DOC.read_text()
+    doc = tmp_path / "gateway.md"
+    monkeypatch.setattr(check_docs, "FLIGHT_DOC", doc)
+    doc.write_text(table)
+    assert check_docs.main() == 0
+    seeded = []
+    for line in table.splitlines():
+        if "| `shed` |" in line:
+            continue  # the queued -> shed row goes missing
+        seeded.append(line)
+        if line.startswith("| (new) | submit |"):
+            seeded.append("| `sent` | the worker asks for more time | `paused` | nothing |")
+            seeded.append("| `expired` | the late response frame | `answered` | billed |")
+    doc.write_text("\n".join(seeded) + "\n")
+    assert check_docs.main() == 1
+    err = capsys.readouterr().err
+    assert "gateway.md: the Flight states table lacks the edge queued -> shed" in err
+    assert "state `paused` is not in _EDGES" in err
+    assert "_EDGES has no move expired -> answered" in err

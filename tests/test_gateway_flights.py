@@ -1,15 +1,18 @@
-"""The gateway's flight state machine, driven in-process.
+"""The gateway's flight core, driven directly.
 
-A ``hypothesis.stateful`` machine runs an :class:`AsyncGateway` whose
-worker processes are in-process fakes and whose clock is a
-``VirtualClock``: the fakes answer, dead-letter, corrupt, crash (before
-or after their work, or after writing their answer) or hang only when a
-rule says so, and time moves only when a rule advances it and runs one
-monitor step (``_tick``).  No process is spawned and nothing sleeps, so
-the chaos events run in tier-1.  After every step it checks:
+A ``hypothesis.stateful`` machine runs a :class:`FlightCore` — every
+decision of the pool, with no event loop, process, pipe or clock —
+against in-process fake workers.  The test plays the driver: it carries
+out the actions the core returns, polls the fakes' liveness, and feeds
+the core its inputs at times it chooses.  The fakes answer,
+dead-letter, corrupt, crash (before or after their work, or after
+writing their answer) or hang only when a rule says so, and time moves
+only when a rule advances it and runs one monitor step.  Nothing is
+spawned and nothing sleeps, so the chaos events run in tier-1.  After
+every step it checks:
 
-* every future resolves exactly once, and exactly when its flight is
-  terminal;
+* every request is resolved exactly once, and exactly when its flight
+  is terminal;
 * a tenant is billed only for an answered flight, at most once per
   request;
 * every attempt that ended without a bill has exactly one compensation;
@@ -19,14 +22,16 @@ the chaos events run in tier-1.  After every step it checks:
 
 and after the drain that no flight is left non-terminal and no worker
 was spawned once the drain frames were out.  The deterministic tests at
-the end pin the three ways the pool used to lose or strand a request.
+the end pin, as input sequences, the ways the pool used to lose, strand
+or misorder a request.
 """
 
 from __future__ import annotations
 
-import asyncio
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -39,11 +44,11 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.gateway.server import AsyncGateway, GatewayConfig
+import repro.gateway.core as core_module
+from repro.gateway.core import FlightCore, GatewayConfig, Kill, Send, Spawn
 from repro.gateway.wire import FAULT_EXIT_CODE, USAGE_FIELDS, GatewayRequest, GatewayResponse
 from repro.gateway.worker import DEAD_LETTER_FRAME, DRAIN_FRAME, DRAINED_FRAME, RESPONSE_FRAME
 from repro.hw.stats import AcceleratorRunStats
-from repro.serve.clock import VirtualClock
 
 SOURCE = "void f(int N, double x[N]) { }"
 HANG_TIMEOUT_S = 1.0
@@ -55,61 +60,47 @@ MISHAPS = (
 )
 
 
-class FakeProcess:
-    def __init__(self):
-        self.exitcode = None
-
-    def is_alive(self):
-        return self.exitcode is None
-
-    def kill(self):
-        if self.exitcode is None:
-            self.exitcode = -9
-
-    def join(self, timeout=None):
-        pass
-
-
 class FakeWorker:
     """One worker process and its end of the pipe: it keeps the request
     frames it was sent and its own work record, and acts only when told."""
 
-    def __init__(self, gateway, worker):
-        self.gateway, self.worker = gateway, worker
-        self.process = FakeProcess()
-        self.spawned_in = gateway._phase
+    def __init__(self, pool, worker_id):
+        self.pool, self.worker_id = pool, worker_id
+        self.exitcode = None
+        self.spawned_in = pool.core.phase
         self.inbox: list[GatewayRequest] = []
         #: (request id, attempt) of every request frame it was sent.
         self.attempts: list[tuple[int, int]] = []
         self.physical = AcceleratorRunStats()
         self.dies_at_drain = False
 
+    @property
+    def worker(self):
+        """The core's record of this worker."""
+        return self.pool.core.workers[self.worker_id]
+
     # -- the gateway's side of the pipe ---------------------------------
-    def send(self, frame: bytes) -> None:
+    def receive(self, frame: bytes) -> None:
         if frame[:1] != DRAIN_FRAME:
             request = GatewayRequest.from_frame(frame)
             self.inbox.append(request)
             self.attempts.append((request.request_id, request.attempt))
         elif self.dies_at_drain:
-            self.process.exitcode = FAULT_EXIT_CODE
-            # The monitor notices; a respawn would be due a while later.
-            self.gateway._loop.call_soon(self._monitor_steps)
+            self.exitcode = FAULT_EXIT_CODE
         else:
             # The pipe is in order: a request still held is answered first.
             while self.inbox:
                 self.answer()
             self.deliver(DRAINED_FRAME + json.dumps(self.physical.scalars()).encode())
-            self.process.exitcode = 0
+            self.exitcode = 0
 
-    def close(self) -> None:
-        pass
-
-    def _on_readable(self) -> None:
-        pass  # every frame is delivered as it is written
+    def kill(self) -> None:
+        if self.exitcode is None:
+            self.exitcode = -9
 
     # -- the worker's behaviour -----------------------------------------
     def deliver(self, frame: bytes) -> None:
-        self.gateway._on_frame(self.worker, frame)
+        self.pool.act(self.pool.core.frame(self.worker_id, memoryview(frame), self.pool.now_s))
 
     def work(self, request: GatewayRequest) -> dict:
         """Serve *request* on the device: the work record grows by what
@@ -128,7 +119,7 @@ class FakeWorker:
 
     def response(self, request: GatewayRequest) -> bytes:
         return GatewayResponse(
-            request.request_id, request.tenant, "completed", self.worker.worker_id,
+            request.request_id, request.tenant, "completed", self.worker_id,
             attempt=request.attempt, result=dict(request.arrays),
             usage=self.work(request), physical=self.physical.scalars(),
         ).to_frame(RESPONSE_FRAME)
@@ -136,76 +127,94 @@ class FakeWorker:
     def answer(self) -> None:
         self.deliver(self.response(self.inbox.pop(0)))
 
-    def _monitor_steps(self) -> None:
-        self.gateway._tick(self.gateway.clock.now_s)
-        self.gateway.clock.advance(10.0)
-        self.gateway._tick(self.gateway.clock.now_s)
 
+class Pool:
+    """The test's driver of one :class:`FlightCore`: it carries out the
+    core's actions on :class:`FakeWorker`s and moves time by hand."""
 
-class FakePool(AsyncGateway):
-    """A gateway whose workers are :class:`FakeWorker`s."""
-
-    def __init__(self, config):
-        super().__init__(config)
-        self.clock = VirtualClock()
+    def __init__(self, **config):
+        self.core = FlightCore(GatewayConfig(hang_timeout_s=HANG_TIMEOUT_S, **config))
+        self.now_s = 0.0
         self.fakes: dict[int, FakeWorker] = {}
-        #: Every flight, by request id (recorded on its first edge).
+        #: Every flight, by request id, and every resolution the core made.
         self.flights = {}
+        self.resolved: dict[int, GatewayResponse] = {}
+        self.act(self.core.start())
 
-    def _launch(self, worker):
-        fake = self.fakes[worker.worker_id] = FakeWorker(self, worker)
-        return fake.process, fake
+    def act(self, actions) -> None:
+        for action in actions:
+            if isinstance(action, Send):
+                self.fakes[action.worker_id].receive(action.frame)
+            elif isinstance(action, Kill):
+                self.fakes[action.worker_id].kill()
+            elif isinstance(action, Spawn):
+                self.fakes[action.worker_id] = FakeWorker(self, action.worker_id)
+            else:
+                request_id = action.response.request_id
+                assert request_id not in self.resolved, "resolved twice"
+                self.resolved[request_id] = action.response
+                self.flights[request_id] = action.flight
 
-    def _move(self, flight, state):
-        self.flights.setdefault(flight.request.request_id, flight)
-        super()._move(flight, state)
+    def submit(self, kind="ok", tenant="t0", deadline_in_s=None) -> int:
+        request_id = len(self.flights) + 1
+        params, arrays = {"N": 4}, {"x": np.arange(4.0)}
+        if kind == "object-array":
+            arrays["x"] = np.array([1.5, "x"], dtype=object)
+        elif kind == "0-d-param":
+            params["alpha"] = np.array(1.5)
+        deadline_s = None if deadline_in_s is None else self.now_s + deadline_in_s
+        request = GatewayRequest(request_id, tenant, SOURCE, params, arrays, deadline_s=deadline_s)
+        self.act(self.core.submit(request, self.now_s))
+        if request_id not in self.flights:  # not resolved at once
+            (flight,) = [f for f in self.core.flights() if f.request is request]
+            self.flights[request_id] = flight
+        return request_id
 
+    def tick(self, advance_s: float = 0.0) -> None:
+        """One pass of the driver's monitor: the liveness poll, then the
+        core's monitor step."""
+        self.now_s += advance_s
+        for worker in self.core.watched():
+            exitcode = self.fakes[worker.worker_id].exitcode
+            if exitcode is not None:
+                self.act(self.core.died(worker.worker_id, exitcode, self.now_s))
+        self.act(self.core.tick(self.now_s))
 
-def start_pool(loop, **config) -> FakePool:
-    gateway = FakePool(GatewayConfig(hang_timeout_s=HANG_TIMEOUT_S, **config))
-    loop.run_until_complete(gateway.start())
-    gateway._timer.cancel()  # the test moves time, not the wall clock
-    return gateway
+    def drain(self) -> None:
+        """The driver's drain, once every flight is answered.  A worker
+        that dies at its drain frame is noticed by the monitor; a respawn
+        would be due a while later."""
+        self.act(self.core.begin_drain())
+        assert not self.core.owed()
+        self.act(self.core.send_drain())
+        if self.core.watched():
+            self.tick()
+            self.tick(10.0)
+        assert not self.core.watched()
+        self.act(self.core.end_drain(self.now_s, 30.0))
 
+    def busy_fakes(self) -> list[FakeWorker]:
+        return [f for f in self.fakes.values() if f.inbox and not f.worker.dead]
 
-def tick(gateway, advance_s: float = 0.0) -> None:
-    gateway.clock.advance(advance_s)
-    gateway._tick(gateway.clock.now_s)
-
-
-def busy_fakes(gateway) -> list[FakeWorker]:
-    return [f for f in gateway.fakes.values() if f.inbox and not f.worker.dead]
-
-
-def submit(gateway, kind="ok", tenant="t0", deadline_in_s=None):
-    params, arrays = {"N": 4}, {"x": np.arange(4.0)}
-    if kind == "object-array":
-        arrays["x"] = np.array([1.5, "x"], dtype=object)
-    elif kind == "0-d-param":
-        params["alpha"] = np.array(1.5)
-    deadline_s = None if deadline_in_s is None else gateway.clock.now_s + deadline_in_s
-    return gateway.submit_nowait(tenant, SOURCE, params, arrays, deadline_s=deadline_s)
-
-
-def settle(gateway) -> None:
-    """Let the pool finish its work: busy workers answer the flights
-    their callers still wait for, and time runs past every hang timeout
-    and respawn backoff.  A worker holding an expired flight keeps it."""
-    for _ in range(100):
-        if all(f.state in TERMINAL for f in gateway.flights.values()):
-            return
-        for fake in busy_fakes(gateway):
-            if fake.worker.flight.state == "sent":
-                fake.answer()
-        tick(gateway, HANG_TIMEOUT_S / 2)
-    raise AssertionError("the pool never settled")
+    def settle(self) -> None:
+        """Let the pool finish its work: busy workers answer the flights
+        their callers still wait for, and time runs past every hang
+        timeout and respawn backoff.  A worker holding an expired flight
+        keeps it."""
+        for _ in range(100):
+            if all(f.state in TERMINAL for f in self.flights.values()):
+                return
+            for fake in self.busy_fakes():
+                if fake.worker.flight.state == "sent":
+                    fake.answer()
+            self.tick(HANG_TIMEOUT_S / 2)
+        raise AssertionError("the pool never settled")
 
 
 class FlightMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.loop = asyncio.new_event_loop()
-        self.gateway = None
+        self.pool = None
         self.drained = False
 
     @initialize(
@@ -215,18 +224,15 @@ class FlightMachine(RuleBasedStateMachine):
         max_attempts=st.integers(1, 3),
     )
     def start(self, num_workers, hot_spares, max_respawns, max_attempts):
-        self.gateway = start_pool(
-            self.loop, num_workers=num_workers, hot_spares=hot_spares,
+        self.pool = Pool(
+            num_workers=num_workers, hot_spares=hot_spares,
             max_respawns=max_respawns, max_attempts=max_attempts, max_pending=6,
             respawn_backoff_base_s=0.2, respawn_backoff_max_s=0.4,
         )
 
     def teardown(self):
-        try:
-            if self.gateway is not None and not self.drained:
-                self.drain(dies_at_drain=False)
-        finally:
-            self.loop.close()
+        if self.pool is not None and not self.drained:
+            self.drain(dies_at_drain=False)
 
     # -- events -----------------------------------------------------------
     @precondition(lambda self: not self.drained)
@@ -236,24 +242,25 @@ class FlightMachine(RuleBasedStateMachine):
         deadline_in_s=st.sampled_from([None, 0.2, 0.2, 1.0]),
     )
     def submit(self, kind, tenant, deadline_in_s):
-        submit(self.gateway, kind, tenant, deadline_in_s)
+        self.pool.submit(kind, tenant, deadline_in_s)
 
-    @precondition(lambda self: not self.drained and busy_fakes(self.gateway))
+    @precondition(lambda self: not self.drained and self.pool.busy_fakes())
     @rule(pick=st.integers(0, 3))
     def busy_worker_answers(self, pick):
-        fakes = busy_fakes(self.gateway)
+        fakes = self.pool.busy_fakes()
         fakes[pick % len(fakes)].answer()
 
-    @precondition(lambda self: not self.drained and busy_fakes(self.gateway))
+    @precondition(lambda self: not self.drained and self.pool.busy_fakes())
     @rule(pick=st.integers(0, 3), outcome=st.sampled_from(MISHAPS))
     def something_goes_wrong(self, pick, outcome):
-        fakes = busy_fakes(self.gateway)
+        pool = self.pool
+        fakes = pool.busy_fakes()
         fake = fakes[pick % len(fakes)]
         if outcome == "an-idle-worker-dies":
-            idle = [f for f in self.gateway.fakes.values() if not f.inbox and not f.worker.dead]
+            idle = [f for f in pool.fakes.values() if not f.inbox and not f.worker.dead]
             if idle:
-                idle[pick % len(idle)].process.exitcode = FAULT_EXIT_CODE
-                tick(self.gateway)
+                idle[pick % len(idle)].exitcode = FAULT_EXIT_CODE
+                pool.tick()
         elif outcome in ("dead-letter", "corrupt-frame"):
             flight, request = fake.worker.flight, fake.inbox.pop(0)
             if outcome == "dead-letter":  # the worker could not read it: no work
@@ -266,84 +273,83 @@ class FlightMachine(RuleBasedStateMachine):
         elif outcome == "die-after-answer":
             # The answer is in the pipe, but the monitor sees the death first.
             frame = fake.response(fake.inbox.pop(0))
-            fake.process.exitcode = FAULT_EXIT_CODE
-            tick(self.gateway)
+            fake.exitcode = FAULT_EXIT_CODE
+            pool.tick()
             fake.deliver(frame)
         else:
             if outcome == "die-after-work":
                 fake.work(fake.inbox[0])
-            fake.process.exitcode = FAULT_EXIT_CODE
-            tick(self.gateway)
+            fake.exitcode = FAULT_EXIT_CODE
+            pool.tick()
 
     @rule(advance_s=st.sampled_from([0.05, 0.3, 0.3, 1.5]))
     def time_passes(self, advance_s):
         """Deadlines expire (queued: shed; sent: expired), the watchdog
         kills silent workers (a hang), and respawns come due; after the
         drain, nothing moves."""
-        tick(self.gateway, advance_s)
+        self.pool.tick(advance_s)
 
-    @precondition(lambda self: not self.drained and len(self.gateway.flights) >= 3)
+    @precondition(lambda self: not self.drained and len(self.pool.flights) >= 3)
     @rule(dies_at_drain=st.booleans())
     def drain(self, dies_at_drain):
-        gateway = self.gateway
-        settle(gateway)
+        pool = self.pool
+        pool.settle()
         if dies_at_drain:
-            live = [f for f in gateway.fakes.values() if not f.worker.dead]
+            live = [f for f in pool.fakes.values() if not f.worker.dead]
             if live:
                 live[0].dies_at_drain = True
-        self.loop.run_until_complete(gateway.drain())
+        pool.drain()
         self.drained = True
-        assert gateway._phase == "closed"
-        assert all(f.state in TERMINAL for f in gateway.flights.values())
-        assert not any(w.flight for w in gateway._workers)
-        assert all(f.spawned_in in ("new", "open", "draining") for f in gateway.fakes.values())
+        assert pool.core.phase == "closed"
+        assert all(f.state in TERMINAL for f in pool.flights.values())
+        assert not any(w.flight for w in pool.core.workers)
+        assert all(f.spawned_in in ("new", "open", "draining") for f in pool.fakes.values())
         self.flights_hold_the_invariants()
 
     # -- invariants -------------------------------------------------------
     @invariant()
     def flights_hold_the_invariants(self):
-        gateway = self.gateway
-        if gateway is None:
+        pool = self.pool
+        if pool is None:
             return
-        flights = gateway.flights.values()
-        for flight in flights:
-            assert flight.future.done() == (flight.state in TERMINAL), flight.state
+        core, flights = pool.core, pool.flights.values()
+        for request_id, flight in pool.flights.items():
+            assert (request_id in pool.resolved) == (flight.state in TERMINAL), flight.state
 
-        billed = Counter(u.request_id for u in gateway.ledger.all_usages())
+        billed = Counter(u.request_id for u in core.ledger.all_usages())
         assert all(count == 1 for count in billed.values())
         assert set(billed) == {
-            rid for rid, f in gateway.flights.items() if f.state == "answered"
+            rid for rid, f in pool.flights.items() if f.state == "answered"
         }
 
         held = Counter(
-            r.request_id for f in gateway.fakes.values() if not f.worker.dead for r in f.inbox
+            r.request_id for f in pool.fakes.values() if not f.worker.dead for r in f.inbox
         )
-        ended = Counter(rid for f in gateway.fakes.values() for rid, _ in f.attempts)
+        ended = Counter(rid for f in pool.fakes.values() for rid, _ in f.attempts)
         ended.subtract(held)
-        compensated = Counter(c.request_id for c in gateway.ledger.compensations)
+        compensated = Counter(c.request_id for c in core.ledger.compensations)
         for rid in set(ended) | set(compensated):
             assert compensated[rid] == ended[rid] - billed[rid], rid
 
-        assert all(gateway.verify_partition().values())
+        assert all(core.verify_partition().values())
 
         queued = [f for f in flights if f.state == "queued"]
-        assert sorted(map(id, queued)) == sorted(map(id, gateway._pending))
-        assert +gateway._tenant_pending == Counter(f.request.tenant for f in queued)
+        assert sorted(map(id, queued)) == sorted(map(id, core.pending))
+        assert +core.tenant_pending == Counter(f.request.tenant for f in queued)
 
-        now_s = gateway.clock.now_s
         assert not any(
-            f.state in ("queued", "sent") and f.deadline_passed(now_s) for f in flights
+            f.state in ("queued", "sent") and f.deadline_passed(pool.now_s) for f in flights
         ), "a monitor step left a flight past its deadline"
 
-        for worker in gateway._workers:
+        for worker in core.workers:
             if not worker.dead and not worker.spare:
                 # Either waiting for work or holding one flight: never stranded.
-                assert (worker in gateway._idle) != (worker.flight is not None)
-        bound = [w.flight for w in gateway._workers if w.flight is not None]
+                assert (worker in core.idle) != (worker.flight is not None)
+        bound = [w.flight for w in core.workers if w.flight is not None]
         assert len(set(map(id, bound))) == len(bound)
         assert all(f.state in ("sent", "expired") for f in bound)
         assert sum(f.state == "sent" for f in flights) == sum(f.state == "sent" for f in bound)
-        for fake in gateway.fakes.values():
+        for fake in pool.fakes.values():
             if not fake.worker.dead:
                 assert len(fake.inbox) <= 1
                 assert [r.request_id for r in fake.inbox] == (
@@ -360,65 +366,118 @@ FlightMachine.TestCase.settings = settings(
 TestFlightMachine = FlightMachine.TestCase
 
 
+def test_the_core_does_no_io_and_reads_no_clock():
+    """The core imports nothing that reaches a loop, a process, the OS or
+    a clock, and reads time only from the ``now_s`` its inputs take."""
+    tree = ast.parse(Path(core_module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            assert not any("Clock" in alias.name for alias in node.names), node.module
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in ("now_s", "monotonic", "perf_counter", "clock"), node.attr
+    assert not imported & {"asyncio", "multiprocessing", "os", "time", "threading", "selectors"}
+
+
 # ----------------------------------------------------------------------
-# Three ways the pool lost or stranded a request, pinned
+# The ways the pool lost, stranded or misordered a request, pinned
 # ----------------------------------------------------------------------
 def test_an_unencodable_request_fails_alone_and_leaves_its_worker_idle():
-    loop = asyncio.new_event_loop()
-    try:
-        gateway = start_pool(loop, num_workers=1)
-        bad = submit(gateway, "0-d-param")
-        good = submit(gateway)
-        assert bad.result().status == "failed"
-        assert "not JSON serializable" in bad.result().reason
-        (fake,) = gateway.fakes.values()
-        assert [r.request_id for r in fake.inbox] == [2]
-        fake.answer()
-        assert good.result().status == "completed"
-        loop.run_until_complete(asyncio.wait_for(gateway.drain(), timeout=5.0))
-        assert not gateway.ledger.compensations
-    finally:
-        loop.close()
+    pool = Pool(num_workers=1)
+    bad, good = pool.submit("0-d-param"), pool.submit()
+    assert pool.resolved[bad].status == "failed"
+    assert "not JSON serializable" in pool.resolved[bad].reason
+    (fake,) = pool.fakes.values()
+    assert [r.request_id for r in fake.inbox] == [good]
+    fake.answer()
+    assert pool.resolved[good].status == "completed"
+    pool.drain()
+    assert not pool.core.ledger.compensations
 
 
 def test_a_dead_letter_fails_its_flight_and_the_next_one_is_answered():
-    loop = asyncio.new_event_loop()
-    try:
-        gateway = start_pool(loop, num_workers=1)
-        first, second = submit(gateway), submit(gateway)
-        (fake,) = gateway.fakes.values()
-        fake.inbox.pop(0)
-        fake.deliver(DEAD_LETTER_FRAME + b"request: corrupt JSON frame (seeded)")
-        assert first.result().status == "failed"
-        assert first.result().attempt == 1
-        assert "corrupt JSON frame" in first.result().reason
-        assert [r.request_id for r in fake.inbox] == [2]  # one flight at a time
-        fake.answer()
-        assert second.result().status == "completed"
-        assert [c.op for c in gateway.ledger.compensations] == ["dead-letter"]
-        assert [u.request_id for u in gateway.ledger.all_usages()] == [2]
-        loop.run_until_complete(gateway.drain())
-        assert gateway.dead_letters == ["request: corrupt JSON frame (seeded)"]
-    finally:
-        loop.close()
+    pool = Pool(num_workers=1)
+    first, second = pool.submit(), pool.submit()
+    (fake,) = pool.fakes.values()
+    fake.inbox.pop(0)
+    fake.deliver(DEAD_LETTER_FRAME + b"request: corrupt JSON frame (seeded)")
+    assert pool.resolved[first].status == "failed"
+    assert pool.resolved[first].attempt == 1
+    assert "corrupt JSON frame" in pool.resolved[first].reason
+    assert [r.request_id for r in fake.inbox] == [second]  # one flight at a time
+    fake.answer()
+    assert pool.resolved[second].status == "completed"
+    assert [c.op for c in pool.core.ledger.compensations] == ["dead-letter"]
+    assert [u.request_id for u in pool.core.ledger.all_usages()] == [second]
+    pool.drain()
+    assert pool.core.dead_letters == ["request: corrupt JSON frame (seeded)"]
 
 
 def test_no_worker_spawns_after_the_drain_frames_go_out():
     """A respawn due once the drain frames are out, and a death after
     them, must not bring in a worker that never gets a drain frame (the
     drain used to wait 30 s for it, then kill it as a hang)."""
-    loop = asyncio.new_event_loop()
-    try:
-        gateway = start_pool(loop, num_workers=2, hot_spares=2, max_respawns=4)
-        gateway.fakes[1].process.exitcode = FAULT_EXIT_CODE
-        tick(gateway)  # spare 2 takes slot 1; a respawn is due in 50 ms
-        assert gateway.metrics.spares_promoted == 1
-        gateway.fakes[0].dies_at_drain = True  # noticed, then 10 s pass
-        loop.run_until_complete(asyncio.wait_for(gateway.drain(), timeout=5.0))
-        assert sorted(gateway.fakes) == [0, 1, 2, 3]
-        assert gateway.metrics.respawns == 0
-        assert gateway.metrics.spares_promoted == 1
-        assert gateway.metrics.faults_by_op == {"worker-crash": 2}
-        assert gateway.snapshot()["fleet"]["drained"] == 2
-    finally:
-        loop.close()
+    pool = Pool(num_workers=2, hot_spares=2, max_respawns=4)
+    pool.fakes[1].exitcode = FAULT_EXIT_CODE
+    pool.tick()  # spare 2 takes slot 1; a respawn is due in 50 ms
+    assert pool.core.metrics.spares_promoted == 1
+    pool.fakes[0].dies_at_drain = True  # noticed, then 10 s pass
+    pool.drain()
+    assert sorted(pool.fakes) == [0, 1, 2, 3]
+    assert pool.core.metrics.respawns == 0
+    assert pool.core.metrics.spares_promoted == 1
+    assert pool.core.metrics.faults_by_op == {"worker-crash": 2}
+    assert pool.core.snapshot(pool.now_s)["fleet"]["drained"] == 2
+
+
+def test_a_retry_is_dispatched_before_the_requests_queued_behind_it():
+    """A retried request goes back in at the head of the queue: it was
+    admitted first, so it is sent before the ones that queued while it
+    was in flight."""
+    pool = Pool(num_workers=1, max_respawns=1)
+    first, second = pool.submit(), pool.submit()
+    assert pool.fakes[0].attempts == [(first, 1)]
+    pool.fakes[0].exitcode = FAULT_EXIT_CODE
+    pool.tick()  # lost; its slot respawns after the 50 ms backoff
+    assert [f.request.request_id for f in pool.core.pending] == [first, second]
+    pool.tick(0.05)
+    assert pool.fakes[1].attempts == [(first, 2)]
+    pool.fakes[1].answer()
+    assert pool.fakes[1].attempts == [(first, 2), (second, 1)]
+    pool.fakes[1].answer()
+    assert [pool.resolved[rid].attempt for rid in (first, second)] == [2, 1]
+
+
+def test_a_worker_that_answers_the_drain_and_then_exits_is_no_crash():
+    """The drain-answer race.  A worker answers its drain frame and exits,
+    as told.  The driver reads a closing worker's pipe before it reports
+    the death, so the core hears the answer first and the death is no
+    fault; heard the other way round, the exit is a crash and the answer
+    a late frame."""
+    record = AcceleratorRunStats(energy_j=1e-9, gemv_count=1, macs=16)
+    drained = DRAINED_FRAME + json.dumps(record.scalars()).encode()
+    for order in ("frame-first", "death-first"):
+        core = FlightCore(GatewayConfig(num_workers=1, max_respawns=1))
+        assert core.start() == [Spawn(0)]
+        assert core.begin_drain() == []
+        assert core.send_drain() == [Send(0, DRAIN_FRAME)]
+        if order == "frame-first":
+            assert core.frame(0, memoryview(drained), 0.1) == []
+            assert core.died(0, 0, 0.2) == []
+        else:
+            assert core.died(0, 0, 0.1) == [Kill(0)]
+            assert core.frame(0, memoryview(drained), 0.2) == []
+        assert core.tick(0.3) == [] and not core.watched()
+        assert core.end_drain(0.4, 30.0) == []
+        assert core.phase == "closed"
+        if order == "frame-first":
+            assert core.metrics.faults_by_op == {}
+            assert core.workers[0].physical == AcceleratorRunStats(**record.scalars())
+            assert core.snapshot(0.4)["fleet"]["drained"] == 1
+        else:
+            assert core.metrics.faults_by_op == {"worker-crash": 1}
+            assert core.metrics.late_frames_ignored == 1
+            assert core.workers[0].physical == AcceleratorRunStats()

@@ -35,8 +35,21 @@ def submit_item(gateway, item, fault=None, deadline_s=None):
 
 
 def busy_workers(gateway):
-    """The workers a flight is bound to."""
-    return [worker for worker in gateway._workers if worker.flight is not None]
+    """The core's records of the workers a flight is bound to."""
+    return [worker for worker in gateway.core.workers if worker.flight is not None]
+
+
+class LinkedGateway(AsyncGateway):
+    """A gateway that keeps every worker's process and pipe end, taken
+    from the driver's launch seam."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.links = {}
+
+    def launch(self, worker_id):
+        self.links[worker_id] = super().launch(worker_id)
+        return self.links[worker_id]
 
 
 async def wait_for(predicate, timeout_s=5.0, interval_s=0.02):
@@ -167,7 +180,7 @@ class TestSelfHealing:
         assert gateway.metrics.respawns == 1
         assert len(gateway.alive_workers) == 1
         # Both incarnations reconcile in the partition.
-        assert len(gateway._workers) == 2
+        assert len(gateway.core.workers) == 2
         assert all(gateway.verify_partition().values())
 
     def test_respawn_backoff_is_capped_exponential(self):
@@ -277,7 +290,7 @@ class TestWallClockAdmission:
         workload = synthetic_gemv_workload(num_tenants=2, seed=20)
 
         def recount(gateway):
-            return Counter(f.request.tenant for f in gateway._pending)
+            return Counter(f.request.tenant for f in gateway.core.pending)
 
         async def scenario():
             config = GatewayConfig(
@@ -296,7 +309,7 @@ class TestWallClockAdmission:
                 ))
                 futures.append(submit_item(gateway, workload(0)))
                 futures.append(submit_item(gateway, workload(1)))
-                assert +gateway._tenant_pending == recount(gateway) == Counter(
+                assert +gateway.core.tenant_pending == recount(gateway) == Counter(
                     {"tenant-0": 2, "tenant-1": 1}
                 )
                 full = await submit_item(gateway, workload(0))
@@ -304,12 +317,12 @@ class TestWallClockAdmission:
                 # takes it (at the head of the queue): full again.
                 await wait_for(lambda: gateway.metrics.deadline_shed == 1)
                 await wait_for(lambda: gateway.metrics.retries == 1)
-                assert +gateway._tenant_pending == recount(gateway) == Counter(
+                assert +gateway.core.tenant_pending == recount(gateway) == Counter(
                     {"tenant-0": 2, "tenant-1": 1}
                 )
                 full_again = await submit_item(gateway, workload(0))
                 responses = await asyncio.gather(*futures)
-                assert not +gateway._tenant_pending and not gateway._pending
+                assert not +gateway.core.tenant_pending and not gateway.core.pending
                 await gateway.drain()
                 return full, full_again, responses
 
@@ -406,25 +419,27 @@ class TestLateFrameRace:
         workload = synthetic_gemv_workload(num_tenants=1, seed=21)
 
         async def scenario():
-            async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
+            async with LinkedGateway(GatewayConfig(num_workers=2)) as gateway:
                 future = submit_item(gateway, workload(0), fault="slow:0.3")
                 await wait_for(lambda: busy_workers(gateway))
                 (worker,) = busy_workers(gateway)
                 worker_id = worker.worker_id
-                # Declare the worker dead while it is still serving: its
-                # response frame will land *after* the death handling —
-                # exactly the race the monitor can lose.  The process is
-                # spared the kill that goes with a real loss.
-                worker.process.kill = lambda: None
-                gateway._lose(worker, "worker-crash")
-                del worker.process.kill
+                process = gateway.links[worker_id][0]
+                # The monitor finds the worker dead while it is still
+                # serving: its response frame will land *after* the death
+                # handling — exactly the race the monitor can lose.  The
+                # process is spared the kill that goes with a real loss.
+                process.is_alive = lambda: False
+                process.kill = lambda: None
+                await wait_for(lambda: worker.dead)
+                del process.is_alive, process.kill
                 response = await future
                 await wait_for(
                     lambda: gateway.metrics.late_frames_ignored == 1
                 )
                 # The zombie process is still alive (the death was a
                 # simulation); reap it so drain doesn't wait on it.
-                worker.process.kill()
+                process.kill()
                 await gateway.drain()
                 return worker_id, response, gateway
 
@@ -445,7 +460,7 @@ class TestLateFrameRace:
 
 class TestDrainEscalation:
     def test_drain_kills_worker_that_never_acknowledges(self, monkeypatch):
-        """A worker wedged at drain time: the drained-event wait times
+        """A worker wedged at drain time: the drain wait times
         out, the worker is killed, and close() returns instead of
         hanging — no zombie processes survive."""
         import repro.gateway.server as server_mod
@@ -456,7 +471,7 @@ class TestDrainEscalation:
         workload = synthetic_gemv_workload(num_tenants=1, seed=22)
 
         async def scenario():
-            async with AsyncGateway(GatewayConfig(num_workers=1)) as gateway:
+            async with LinkedGateway(GatewayConfig(num_workers=1)) as gateway:
                 response = await submit_item(gateway, workload(0))
                 # Wedge the worker behind the gateway's back: a raw hang
                 # frame with no flight registered, so the gateway believes
@@ -470,16 +485,16 @@ class TestDrainEscalation:
                     arrays=dict(item.arrays),
                     fault="hang",
                 )
-                worker = gateway._workers[0]
-                worker.pipe.send(rogue.to_frame(REQUEST_FRAME))
+                process, pipe = gateway.links[0]
+                pipe.send(rogue.to_frame(REQUEST_FRAME))
                 await asyncio.sleep(0.2)
                 await gateway.drain()
-                return response, worker
+                return response, gateway.core.workers[0], process
 
-        response, worker = run(scenario())
+        response, worker, process = run(scenario())
         assert response.status == "completed"
         assert worker.dead
-        assert not worker.process.is_alive()
+        assert not process.is_alive()
 
 
 # A host-only kernel whose one operand (and so its request frame and its
@@ -568,12 +583,16 @@ class TestPipeTransport:
             config = GatewayConfig(
                 num_workers=2, hang_timeout_s=1.0, start_method="fork"
             )
-            async with AsyncGateway(config) as gateway:
+            async with LinkedGateway(config) as gateway:
                 wedged_future = submit_item(gateway, workload(0))
                 await wait_for(
-                    lambda: any(w.pipe._inbox for w in gateway._workers)
+                    lambda: any(pipe._inbox for _, pipe in gateway.links.values())
                 )
-                (wedged,) = [w for w in gateway._workers if w.pipe._inbox]
+                (wedged,) = [
+                    gateway.core.workers[worker_id]
+                    for worker_id, (_, pipe) in gateway.links.items() if pipe._inbox
+                ]
+                process = gateway.links[wedged.worker_id][0]
                 # Half a frame is sitting in the buffer; everyone else is
                 # served as if nothing happened, well before the watchdog
                 # fires.
@@ -583,9 +602,9 @@ class TestPipeTransport:
                 hangs_meanwhile = gateway.metrics.hangs_detected
                 retried = await wedged_future
                 await gateway.drain()
-                return wedged, others, hangs_meanwhile, retried, gateway
+                return wedged, process, others, hangs_meanwhile, retried, gateway
 
-        wedged, others, hangs_meanwhile, retried, gateway = run(scenario())
+        wedged, process, others, hangs_meanwhile, retried, gateway = run(scenario())
         assert [r.status for r in others] == ["completed"] * 5
         assert all(r.worker_id != wedged.worker_id for r in others)
         assert hangs_meanwhile == 0
@@ -593,7 +612,7 @@ class TestPipeTransport:
         assert retried.attempt == 2
         assert retried.worker_id != wedged.worker_id
         assert gateway.metrics.hangs_detected == 1
-        assert wedged.dead and not wedged.process.is_alive()
+        assert wedged.dead and not process.is_alive()
         assert all(gateway.verify_partition().values())
 
     def test_kill_in_the_middle_of_a_frame_strands_only_its_own_request(self):
@@ -608,18 +627,19 @@ class TestPipeTransport:
         small_item = synthetic_gemv_workload(num_tenants=1, seed=33)(0)
 
         async def scenario():
-            async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
+            async with LinkedGateway(GatewayConfig(num_workers=2)) as gateway:
                 big_future = submit_big(gateway)
                 (victim,) = busy_workers(gateway)
+                process, pipe = gateway.links[victim.worker_id]
                 give_up = time.monotonic() + 30.0
-                while not victim.pipe._inbox:
+                while not pipe._inbox:
                     # The first bytes of the response are in: the rest
                     # (megabytes) cannot fit in the socket buffer, so the
                     # worker is blocked in its write right now.
                     assert time.monotonic() < give_up
                     await asyncio.sleep(0)
                 assert not big_future.done()
-                victim.process.kill()
+                process.kill()
                 small = await submit_item(gateway, small_item)
                 big = await big_future
                 await gateway.drain()

@@ -24,6 +24,7 @@ from repro.gateway import AsyncGateway, GatewayConfig
 from repro.gateway.loadgen import GEMV_SOURCE, synthetic_gemv_workload
 from repro.gateway.server import GatewayError
 from repro.gateway.wire import FAULT_EXIT_CODE
+from tests.test_gateway_resilience import LinkedGateway
 
 
 def run(coroutine):
@@ -146,7 +147,7 @@ class TestCrashRecovery:
         faulted_index = 3
 
         async def scenario(inject: bool):
-            async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
+            async with LinkedGateway(GatewayConfig(num_workers=2)) as gateway:
                 futures = []
                 for index in range(8):
                     fault = (
@@ -162,7 +163,7 @@ class TestCrashRecovery:
                     gateway.verify_partition(),
                     gateway.snapshot(),
                     gateway.ledger,
-                    {w.worker_id: w.process.exitcode for w in gateway._workers},
+                    {worker_id: process.exitcode for worker_id, (process, _) in gateway.links.items()},
                 )
 
         clean_responses, *_ = run(scenario(inject=False))

@@ -15,7 +15,6 @@ Three things no other test checks:
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import random
 from typing import Callable, NamedTuple
@@ -26,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import DeviceKill, FaultPlan, FleetConfig, FleetServer
-from repro.gateway.server import AsyncGateway, GatewayConfig, _Flight, _Worker
+from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import GatewayRequest, GatewayResponse
 from repro.gateway.worker import RESPONSE_FRAME, build_worker_server, serve_one
 from repro.hw.stats import WORK_COUNTERS, AcceleratorRunStats
@@ -219,42 +218,45 @@ def _fleet_server() -> _Scenario:
 
 
 def _gateway() -> _Scenario:
-    """The gateway's billing path without the processes: two in-process
-    worker stacks serve through ``serve_one``, and every response frame
-    reaches the gateway's frame handler as the pipe would hand it over,
-    answering a ``sent`` flight (a bill) or, for request 3, an
-    ``expired`` one (a compensation)."""
+    """The gateway's billing path without the processes: the gateway's
+    flight core sends each request to one of two in-process worker
+    stacks, which serve it through ``serve_one``, and the response frame
+    goes back to the core as the pipe would hand it over.  Request 3
+    expires in flight first, so its answer is a compensation; the other
+    answers are bills."""
     rng = np.random.default_rng(3)
-    loop = asyncio.new_event_loop()
     gateway = AsyncGateway(GatewayConfig(num_workers=2))
+    core = gateway.core
     servers = [build_worker_server(gateway.config.worker_wire()) for _ in range(2)]
     lifetime = [AcceleratorRunStats() for _ in servers]
-    for worker_id in range(2):
-        gateway._workers.append(_Worker(worker_id, slot_id=worker_id))
+    core.start()
     for request_id in range(1, 7):
-        worker_id = request_id % 2
+        now_s = float(request_id)
         request = GatewayRequest(
-            request_id, f"tenant{request_id % 2}", GEMV_SOURCE, dict(PARAMS), _arrays(rng)
+            request_id, f"tenant{request_id % 2}", GEMV_SOURCE, dict(PARAMS), _arrays(rng),
+            deadline_s=now_s + 0.5 if request_id == 3 else None,
         )
+        (send,) = core.submit(request, now_s)
+        worker_id = send.worker_id
+        if request_id == 3:
+            now_s += 1.0
+            (expired,) = core.tick(now_s)
+            assert expired.flight.state == "expired"
         response = serve_one(servers[worker_id], request, worker_id)
         lifetime[worker_id].add(servers[worker_id].system.accelerator.totals)
         response.physical = lifetime[worker_id].scalars()
         response = GatewayResponse.from_json(response.to_json())
         assert response.status == "completed"
-        worker = gateway._workers[worker_id]
-        state = "expired" if request_id == 3 else "sent"
-        worker.flight = _Flight(request, loop.create_future(), 0.0, state, dispatched_s=0.0)
-        gateway._on_frame(worker, response.to_frame(RESPONSE_FRAME))
-        assert worker.flight is None
+        core.frame(worker_id, response.to_frame(RESPONSE_FRAME), now_s)
+        assert core.workers[worker_id].flight is None
 
     def close():
         for server in servers:
             server.shutdown()
-        loop.close()
 
     return _Scenario(
         gateway.ledger,
-        {worker.worker_id: worker.physical for worker in gateway._workers},
+        {worker.worker_id: worker.physical for worker in core.workers},
         gateway.verify_partition,
         close,
     )

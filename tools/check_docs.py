@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Documentation checker run by the CI docs job.
 
-Five checks, no dependencies beyond the standard library (the docs job
-installs nothing, so the engine names are read from source, not imported):
+Six checks, no dependencies beyond the standard library (the docs job
+installs nothing, so the engine names and the flight edges are read from
+source, not imported):
 
 1. **Link resolution** — every intra-repo markdown link in ``docs/*.md``
    and ``README.md`` (relative targets; external ``http(s)``/``mailto``
@@ -21,6 +22,10 @@ installs nothing, so the engine names are read from source, not imported):
 5. **Docstrings** — check 4 applied to the double-backtick code spans
    of the docstrings (and comments) in ``src/repro/**/*.py``, which also
    may not cite a roadmap item by number (the numbers are not stable).
+6. **Flight states** — every edge of the gateway core's ``_EDGES`` is a
+   row of the "Flight states" table in ``docs/gateway.md`` (a row's
+   "Next" may chain two moves), the table shows no move ``_EDGES`` lacks
+   (a row may keep its state), and it names no state ``_EDGES`` lacks.
 
 Exits non-zero with one line per problem.
 """
@@ -46,6 +51,11 @@ DEFAULT_MARK_RE = re.compile(r"`([\w-]+)`\**\s*\(default\)")
 ROOT_JSON_RE = re.compile(r"[\w*.-]+\.json")
 REPO_PATH_PREFIXES = ("tools/", "benchmarks/", "tests/")
 ROADMAP_ITEM_RE = re.compile(r"ROADMAP\s+item\s+\d+")
+#: The flight state machine, and the docs whose table lists its edges.
+FLIGHT_CORE = REPO_ROOT / "src" / "repro" / "gateway" / "core.py"
+FLIGHT_DOC = REPO_ROOT / "docs" / "gateway.md"
+#: A state in a table cell: "`queued`", or "(new)" before a flight is one.
+STATE_RE = re.compile(r"`(\w+)`|\((new)\)")
 
 
 def iter_doc_files() -> list[Path]:
@@ -168,6 +178,45 @@ def check_docstrings(sources: list[Path]) -> list[str]:
     return problems
 
 
+def flight_edges() -> dict[str, tuple[str, ...]]:
+    """``_EDGES`` of the gateway's flight core, read from its source."""
+    for node in ast.parse(FLIGHT_CORE.read_text()).body:
+        if isinstance(node, ast.Assign) and [
+            getattr(target, "id", None) for target in node.targets
+        ] == ["_EDGES"]:
+            return ast.literal_eval(node.value)
+    raise RuntimeError("cannot find _EDGES")
+
+
+def check_flight_states() -> list[str]:
+    edges = flight_edges()
+    legal = {(old, new) for old, targets in edges.items() for new in targets}
+    states = set(edges) | {new for _, new in legal}
+    where = os.path.relpath(FLIGHT_DOC, REPO_ROOT)
+    lines = FLIGHT_DOC.read_text().splitlines()
+    if "### Flight states" not in lines:
+        return [f"{where}: no '### Flight states' section"]
+    problems, shown = [], set()
+    line_no = lines.index("### Flight states") + 1
+    while line_no < len(lines) and not lines[line_no].startswith("|"):
+        line_no += 1
+    line_no += 2  # the header row and its rule
+    while line_no < len(lines) and lines[line_no].startswith("|"):
+        cells = lines[line_no].strip().strip("|").split("|")
+        line_no += 1
+        chain = [a or b for cell in (cells[0], cells[2]) for a, b in STATE_RE.findall(cell)]
+        for name in sorted(set(chain) - states):
+            problems.append(f"{where}:{line_no}: state `{name}` is not in _EDGES")
+        for old, new in zip(chain, chain[1:]):
+            if old != new:
+                shown.add((old, new))
+                if (old, new) not in legal and {old, new} <= states:
+                    problems.append(f"{where}:{line_no}: _EDGES has no move {old} -> {new}")
+    for old, new in sorted(legal - shown):
+        problems.append(f"{where}: the Flight states table lacks the edge {old} -> {new}")
+    return problems
+
+
 def main() -> int:
     files = iter_doc_files()
     if not files:
@@ -178,6 +227,7 @@ def main() -> int:
         + check_architecture_coverage()
         + check_lines(files)
         + check_docstrings(iter_source_files())
+        + check_flight_states()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
