@@ -522,7 +522,8 @@ def _prune(store: DiskStore) -> None:
     process has loaded for :data:`STALE_OBJECT_S`; under the store's lock,
     so no process loads one meanwhile.  Other files are left alone."""
     stale_s = time.time() - STALE_OBJECT_S
-    with os.scandir(store.directory) as entries:
+    # A prune that fails (an unreadable directory) must not fail the build.
+    with contextlib.suppress(OSError), os.scandir(store.directory) as entries:
         for entry in entries:
             if _OBJECT_NAME.fullmatch(entry.name):
                 with contextlib.suppress(OSError):
