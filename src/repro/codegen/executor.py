@@ -116,23 +116,36 @@ class ExecutionReport:
         return bool(self.runtime_calls)
 
 
-def work_meter(system: CimSystem) -> Callable[[ExecutionReport], None]:
-    """Note *system*'s host-overhead ledger and accelerator run count; the
-    function returned writes the work done since into a report: the
-    offload instructions, energy and time, then the new runs folded."""
-    overhead = system.host_overhead
-    energy0 = overhead.energy_j
-    time0 = overhead.time_s
-    instr0 = overhead.instructions
-    runs0 = len(system.accelerator.completed_runs)
+class WorkMeter:
+    """The work one execution does on *system*, as a context: entering
+    notes the host-overhead ledger and starts collecting the accelerator's
+    runs; the function it returns writes the work done since into a
+    report: the offload instructions, energy and time, then the new runs
+    folded.  The runs are dropped when the block ends."""
 
-    def measure(report: ExecutionReport) -> None:
-        report.offload_instructions = overhead.instructions - instr0
-        report.offload_energy_j = overhead.energy_j - energy0
-        report.offload_time_s = overhead.time_s - time0
-        report.absorb_runs(system.accelerator.completed_runs[runs0:])
+    __slots__ = ("_overhead", "_energy0", "_time0", "_instr0", "_on_run", "_runs")
 
-    return measure
+    def __init__(self, system: CimSystem):
+        overhead = self._overhead = system.host_overhead
+        self._energy0 = overhead.energy_j
+        self._time0 = overhead.time_s
+        self._instr0 = overhead.instructions
+        self._on_run = system.accelerator.on_run
+        self._runs: list[AcceleratorRunStats] = []
+
+    def __enter__(self) -> Callable[[ExecutionReport], None]:
+        self._on_run.attach(self._runs.append)
+        return self.measure
+
+    def __exit__(self, *exc_info) -> None:
+        self._on_run.detach(self._runs.append)
+
+    def measure(self, report: ExecutionReport) -> None:
+        overhead = self._overhead
+        report.offload_instructions = overhead.instructions - self._instr0
+        report.offload_energy_j = overhead.energy_j - self._energy0
+        report.offload_time_s = overhead.time_s - self._time0
+        report.absorb_runs(self._runs)
 
 
 class OffloadExecutor:
@@ -169,17 +182,17 @@ class OffloadExecutor:
         if reset_stats:
             self.system.reset_stats()
         self._buffers.clear()
-        measure = work_meter(self.system)
-        engine = make_engine(
-            program, self._handle_call, self.engine,
-            call_binder=bind_call, call_runner=self._run_bound,
-        )
-        final_arrays = engine.run(params, arrays)
+        with WorkMeter(self.system) as measure:
+            engine = make_engine(
+                program, self._handle_call, self.engine,
+                call_binder=bind_call, call_runner=self._run_bound,
+            )
+            final_arrays = engine.run(params, arrays)
 
-        report = ExecutionReport(program_name=program.name)
-        report.host_estimate = self.system.host_cost_model.estimate_trace(engine.trace)
-        report.runtime_calls = [name for name, _ in engine.trace.runtime_calls]
-        measure(report)
+            report = ExecutionReport(program_name=program.name)
+            report.host_estimate = self.system.host_cost_model.estimate_trace(engine.trace)
+            report.runtime_calls = [name for name, _ in engine.trace.runtime_calls]
+            measure(report)
         return final_arrays, report
 
     # ------------------------------------------------------------------

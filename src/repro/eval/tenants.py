@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.hw.endurance import SECONDS_PER_YEAR
-from repro.serve.accounting import fold
+from repro.serve.accounting import Tally
 from repro.serve.metrics import percentile
 
 #: Figure 5's mid-range PCM cell endurance (writes) — the default scale
@@ -31,6 +31,8 @@ class TenantUsageRow:
     energy_j: float
     wear_bytes: int
     wear_share: float               # fraction of the device's total wear
+    #: Latency percentiles of the tenant's completed requests (the
+    #: metrics registry's exact per-tenant lists).
     p50_latency_s: Optional[float]
     p99_latency_s: Optional[float]
     #: Device lifetime (years) if the crossbar saw only this tenant's
@@ -45,12 +47,14 @@ def tenant_usage_rows(
     """Per-tenant rows of *server*'s ledger (sorted by tenant name)."""
     ledger = server.ledger
     elapsed_s = server.clock.now_s
-    device_wear = fold(ledger.all_usages() + ledger.compensations, "wear_bytes")["wear_bytes"]
+    device_wear = Tally.of(
+        ledger.usage_tallies() + ledger.compensation_tallies(), "wear_bytes"
+    ).read()["wear_bytes"]
     rows = []
     for tenant in sorted(ledger.tenants):
         account = ledger.tenants[tenant]
-        bill = fold(account.usages, "energy_j", "wear_bytes")
-        latencies = account.latencies_s()
+        bill = account.totals("energy_j", "wear_bytes")
+        latencies = server.metrics.ordered_tenant_latencies_s.get(tenant)
         rows.append(
             TenantUsageRow(
                 tenant=tenant,
@@ -102,9 +106,9 @@ def fleet_device_rows(
     elapsed_s = fleet.clock.now_s
     rows = []
     for device in fleet.devices:
-        usages = fleet.ledger.device_usages(device.device_id)
-        comps = fleet.ledger.device_compensations(device.device_id)
-        run = fold(usages + comps, "wear_bytes", "energy_j")
+        usages = fleet.ledger.usage_tallies(device.device_id)
+        comps = fleet.ledger.compensation_tallies(device.device_id)
+        run = Tally.of(usages + comps, "wear_bytes", "energy_j").read()
         if elapsed_s > 0 and run["wear_bytes"] > 0:
             rate_bytes_per_year = run["wear_bytes"] / elapsed_s * SECONDS_PER_YEAR
         else:
@@ -114,10 +118,10 @@ def fleet_device_rows(
                 device_id=device.device_id,
                 state=device.state.value,
                 leases=device.leases,
-                served=len(usages),
+                served=Tally.of(usages).count,
                 busy_s=device.busy_s,
                 wear_bytes=device.total_wear_bytes,
-                compensated_wear_bytes=fold(comps, "wear_bytes")["wear_bytes"],
+                compensated_wear_bytes=Tally.of(comps, "wear_bytes").read()["wear_bytes"],
                 energy_j=run["energy_j"],
                 implied_lifetime_years=device.implied_lifetime_years(
                     cell_endurance_writes, rate_bytes_per_year

@@ -51,6 +51,7 @@ from repro.gateway.loadgen import (
 )
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import GatewayRequest, RESPONSE_STATUSES
+from repro.serve.accounting import RequestUsage
 from repro.serve.batcher import same_bytes
 from repro.trace.arrivals import poisson_plan
 
@@ -238,6 +239,7 @@ def _check_invariants(
     spec: ChaosSpec,
     gateway: AsyncGateway,
     report: LoadReport,
+    bills: list[RequestUsage],
 ) -> tuple[dict[str, bool], list[str]]:
     violations: list[str] = []
     responses = report.responses or []
@@ -265,7 +267,7 @@ def _check_invariants(
     completed_ids = sorted(
         r.request_id for r in responses if r.status == "completed"
     )
-    billed_ids = sorted(u.request_id for u in gateway.ledger.all_usages())
+    billed_ids = sorted(u.request_id for u in bills)
     exactly_once = billed_ids == completed_ids
     if not exactly_once:
         billed_set, completed_set = set(billed_ids), set(completed_ids)
@@ -313,17 +315,20 @@ async def run_chaos_async(spec: Optional[ChaosSpec] = None) -> ChaosReport:
         1 for _, deadline in schedule if deadline is not None
     )
     gateway = AsyncGateway(spec.gateway_config())
-    async with gateway:
-        report = await run_open_loop(
-            gateway,
-            poisson_plan(spec.num_requests, spec.rate_rps, seed=spec.seed),
-            chaos_workload(spec),
-            return_responses=True,
-        )
-        # Drain before verifying: the partition's authoritative totals
-        # and the final resilience counters only exist post-drain.
-        report.snapshot = await gateway.drain()
-    invariants, violations = _check_invariants(spec, gateway, report)
+    # The bills themselves, for the exactly-once check: the ledger keeps
+    # only their totals.
+    with gateway.ledger.observe() as log:
+        async with gateway:
+            report = await run_open_loop(
+                gateway,
+                poisson_plan(spec.num_requests, spec.rate_rps, seed=spec.seed),
+                chaos_workload(spec),
+                return_responses=True,
+            )
+            # Drain before verifying: the partition's authoritative totals
+            # and the final resilience counters only exist post-drain.
+            report.snapshot = await gateway.drain()
+    invariants, violations = _check_invariants(spec, gateway, report, log.usages)
     return ChaosReport(
         spec=spec,
         planned_faults=planned_faults,

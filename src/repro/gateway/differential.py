@@ -18,10 +18,10 @@ The same recorded trace is driven through both serving modes —
 and the runs must agree **bit-for-bit**: per-request status, failure
 reason and result array bytes; per-request measured usage (every billing
 counter — the JSON wire round-trips doubles exactly); per-tenant bills
-and the pool's aggregate totals (both :func:`~repro.serve.accounting.fold`
-totals: ``fsum`` is correctly rounded and therefore independent of
-completion order); and the accounting partition on both sides.  This
-holds because a request's usage is a pure function of the request:
+and the pool's aggregate totals (both the ledger's running
+:class:`~repro.serve.accounting.Tally` totals: exact sums, correctly
+rounded once and therefore independent of completion order); and the
+accounting partition on both sides.  This holds because a request's usage is a pure function of the request:
 leases are scrubbed, device buffers are released between requests
 (deterministic CMA address reuse), and — the keystone — both modes serve
 every request through the same :func:`~repro.gateway.worker.serve_one`
@@ -50,7 +50,7 @@ from typing import Optional
 from repro.gateway.server import AsyncGateway, GatewayConfig
 from repro.gateway.wire import USAGE_FIELDS, GatewayRequest, GatewayResponse
 from repro.hw.stats import AcceleratorRunStats
-from repro.serve.accounting import fold, partition_checks
+from repro.serve.accounting import Tally, partition_checks
 from repro.serve.admission import TenantQuota
 from repro.trace.recorder import BILL_FIELDS, tenant_bills  # noqa: F401 (BILL_FIELDS re-exported)
 from repro.trace.replayer import TraceDiff
@@ -109,13 +109,13 @@ def _require_serve_trace(trace: Trace) -> None:
 def _totals(ledger) -> dict[str, float]:
     """The pool's aggregate accounting: device work, all energy (work
     plus housekeeping) and housekeeping alone."""
-    work = ledger.all_usages() + ledger.compensations
-    housekeeping = ledger.housekeeping()
+    work = ledger.usage_tallies() + ledger.compensation_tallies()
+    housekeeping = ledger.housekeeping_tallies()
     counters = ("wear_bytes", "crossbar_write_ops", "gemv_count", "macs")
     return {
-        **fold(work, *counters, "accelerator_energy_j"),
-        "energy_j": fold(work + housekeeping, "energy_j")["energy_j"],
-        "housekeeping_energy_j": fold(housekeeping, "energy_j")["energy_j"],
+        **Tally.of(work, *counters, "accelerator_energy_j").read(),
+        "energy_j": Tally.of(work + housekeeping, "energy_j").read()["energy_j"],
+        "housekeeping_energy_j": Tally.of(housekeeping, "energy_j").read()["energy_j"],
     }
 
 
@@ -204,19 +204,20 @@ async def gateway_run_async(
 ) -> ModeRun:
     """Drive the trace's submissions through a live wall-clock pool."""
     gateway = AsyncGateway(gateway_config_from_trace(trace, num_workers, cache_dir))
-    async with gateway:
-        futures = []
-        for event in trace.submissions():
-            futures.append(
-                gateway.submit_nowait(
-                    event["tenant"],
-                    event["source"],
-                    params=event["params"],
-                    arrays=decode_submit_arrays(event),
+    with gateway.ledger.observe() as log:
+        async with gateway:
+            futures = []
+            for event in trace.submissions():
+                futures.append(
+                    gateway.submit_nowait(
+                        event["tenant"],
+                        event["source"],
+                        params=event["params"],
+                        arrays=decode_submit_arrays(event),
+                    )
                 )
-            )
-        responses_list: list[GatewayResponse] = await asyncio.gather(*futures)
-        await gateway.drain()
+            responses_list: list[GatewayResponse] = await asyncio.gather(*futures)
+            await gateway.drain()
     responses = {
         response.request_id: {
             "status": response.status,
@@ -227,7 +228,7 @@ async def gateway_run_async(
     }
     usage = {
         record.request_id: {name: getattr(record, name) for name in USAGE_FIELDS}
-        for record in gateway.ledger.all_usages()
+        for record in log.usages
     }
     return ModeRun(
         responses=responses,

@@ -121,36 +121,32 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
 
     server.system.reset_stats()
     server.system.runtime.reset_handle_counter()
-    ledger = server.ledger
-    housekeeping0 = len(ledger.housekeeping_energy_j_records)
     hits0 = server.compile_cache.hits
     misses0 = server.compile_cache.misses
-    tenant_account = ledger.account(request.tenant)
-    usages0 = len(tenant_account.usages)
 
     status = "failed"
     reason: Optional[str] = None
     result = {}
-    try:
-        handle = server.serve_alone(
-            request.tenant, request.source, request.params, request.arrays
-        )
-        if handle.status is RequestStatus.COMPLETED:
-            status = "completed"
-            result = handle.result()
-        elif handle.status is RequestStatus.REJECTED:
-            status = "rejected"
-            reason = handle.reject_reason
-        else:
-            reason = handle.reject_reason
-    except Exception as exc:  # compile error, malformed request, ...
-        reason = f"{type(exc).__name__}: {exc}"
+    with server.ledger.observe() as log:
+        try:
+            handle = server.serve_alone(
+                request.tenant, request.source, request.params, request.arrays
+            )
+            if handle.status is RequestStatus.COMPLETED:
+                status = "completed"
+                result = handle.result()
+            elif handle.status is RequestStatus.REJECTED:
+                status = "rejected"
+                reason = handle.reject_reason
+            else:
+                reason = handle.reject_reason
+        except Exception as exc:  # compile error, malformed request, ...
+            reason = f"{type(exc).__name__}: {exc}"
 
     usage: dict[str, float] = {}
-    if len(tenant_account.usages) > usages0:
-        record = tenant_account.usages[-1]
+    if log.usages:
+        record = log.usages[-1]
         usage = {name: getattr(record, name) for name in USAGE_FIELDS}
-    housekeeping = ledger.housekeeping_energy_j_records[housekeeping0:]
     return GatewayResponse(
         request_id=request.request_id,
         tenant=request.tenant,
@@ -160,7 +156,7 @@ def serve_one(server, request: GatewayRequest, worker_id: int) -> GatewayRespons
         reason=reason,
         result=result,
         usage=usage,
-        housekeeping_energy_j=list(housekeeping),
+        housekeeping_energy_j=[record.energy_j for record in log.housekeeping],
         compile_hits=server.compile_cache.hits - hits0,
         compile_misses=server.compile_cache.misses - misses0,
     )

@@ -37,6 +37,7 @@ from repro.hw.microengine import Conv2DRequest, GemmRequest, MicroEngine, RunPla
 from repro.hw.stats import AcceleratorRunStats, EnergyLedger, StatCounter, sequential_sum
 from repro.hw.tile import CIMTile
 from repro.hw.timeline import Timeline
+from repro.observers import Observers
 
 #: Number of 64-bit words in one batched-GEMM descriptor.
 BATCH_DESCRIPTOR_WORDS = 8
@@ -133,11 +134,14 @@ class CIMAccelerator:
         #: descriptor: a re-trigger of unchanged registers is not decoded
         #: or costed again.
         self._decoded_gemm: Optional[tuple[int, RunPlan]] = None
-        self.completed_runs: list[AcceleratorRunStats] = []
         self.last_run: Optional[AcceleratorRunStats] = None
-        #: Running fold of ``completed_runs`` (what the ``total_*`` helpers,
-        #: placement and the partition check read, in O(1)).
+        #: Running fold of every run since the last reset (what the
+        #: ``total_*`` helpers, placement and the partition check read, in
+        #: O(1)); the runs themselves are not kept.
         self.totals = AcceleratorRunStats()
+        #: Each completed run, as it completes, to whoever is attached (a
+        #: work meter, a golden test): the one way to see single runs.
+        self.on_run = Observers()
 
     # ------------------------------------------------------------------
     # PMIO interface used by the driver
@@ -184,9 +188,9 @@ class CIMAccelerator:
                 if delta > 0:
                     breakdown[key] = delta
         stats.dma_bytes += dma.total_bytes - dma_bytes_before
-        self.completed_runs.append(stats)
         self.last_run = stats
         self.totals.add(stats)
+        self.on_run.emit(stats)
         self.registers.set_status(Status.DONE)
 
     def _decode_and_run(self) -> AcceleratorRunStats:
@@ -274,7 +278,6 @@ class CIMAccelerator:
         return self.totals.macs
 
     def reset_stats(self) -> None:
-        self.completed_runs.clear()
         self.last_run = None
         self.totals = AcceleratorRunStats()
         self.energy.reset()

@@ -14,13 +14,21 @@ components may overlap in time (that is the point of double buffering and
 multi-tile sharding); events on one component never do.  The reported
 accelerator latency of a run is the timeline :attr:`Timeline.makespan_s`,
 not the sum of event durations.
+
+A timeline keeps the last :data:`TIMELINE_EVENTS` events, one fixed ring,
+so a device or serving loop that runs forever does not grow with it; the
+views below read what the ring holds.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, NamedTuple
 
 from repro.hw.stats import sequential_sum
+
+#: Events a :class:`Timeline` keeps; the oldest go first.
+TIMELINE_EVENTS = 1024
 
 
 class TimelineEvent(NamedTuple):
@@ -37,10 +45,10 @@ class TimelineEvent(NamedTuple):
 
 
 class Timeline:
-    """Ordered collection of :class:`TimelineEvent`."""
+    """The last :data:`TIMELINE_EVENTS` :class:`TimelineEvent`, in order."""
 
     def __init__(self) -> None:
-        self.events: list[TimelineEvent] = []
+        self.events: deque[TimelineEvent] = deque(maxlen=TIMELINE_EVENTS)
 
     def record(
         self, component: str, action: str, start_s: float, duration_s: float

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.serve.accounting import AccountingLedger, TenantAccount, fold
+from repro.serve.accounting import AccountingLedger, TenantAccount
 from repro.serve.request import TenantRequest
 
 
@@ -61,16 +61,17 @@ def budget_exhausted_reason(
 ) -> Optional[str]:
     """Why *account* has spent *quota*'s wear or energy budget, or
     ``None`` while it is within both.  Shared by the simulated loop's
-    admission and the wall-clock gateway's."""
+    admission and the wall-clock gateway's; it reads the account's running
+    totals, so its cost does not grow with the tenant's history."""
     if quota.wear_budget_bytes is not None:
-        wear_bytes = fold(account.usages, "wear_bytes")["wear_bytes"]
+        wear_bytes = account.totals("wear_bytes")["wear_bytes"]
         if wear_bytes >= quota.wear_budget_bytes:
             return (
                 f"wear quota exhausted ({wear_bytes} B written "
                 f">= budget {quota.wear_budget_bytes:.0f} B)"
             )
     if quota.energy_budget_j is not None:
-        energy_j = fold(account.usages, "energy_j")["energy_j"]
+        energy_j = account.totals("energy_j")["energy_j"]
         if energy_j >= quota.energy_budget_j:
             return (
                 f"energy quota exhausted ({energy_j:.3e} J "
@@ -98,6 +99,9 @@ class AdmissionController:
         #: backlog the (smaller) fleet must eventually serve stays bounded
         #: instead of collapsing into unbounded queueing delay.
         self.depth_scale: float = 1.0
+        #: Whether :meth:`requeue` grew a queue since the serving loop last
+        #: observed every queue's depth.
+        self.requeued = False
 
     # ------------------------------------------------------------------
     def set_quota(self, tenant: str, quota: TenantQuota) -> None:
@@ -163,6 +167,7 @@ class AdmissionController:
         already granted; re-judging it would turn a device fault into a
         spurious rejection."""
         self.queue(request.tenant).append(request)
+        self.requeued = True
 
     # ------------------------------------------------------------------
     # Fair-share scheduling

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.codegen.executor import ExecutionReport, OffloadExecutor, work_meter
+from repro.codegen.executor import ExecutionReport, OffloadExecutor, WorkMeter
 from repro.hw.timeline import Timeline
 from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage
 from repro.serve.batcher import FusedGemvPlan, extract_fused_gemv_plan, same_bytes
@@ -271,27 +271,27 @@ class LeaseExecutor:
         """
         request.handle.dispatched_s = self.clock.now_s
         request.handle.attempts += 1
-        measure = work_meter(self.system)
         failure: Optional[str] = None
         device_fault: Optional[DeviceFault] = None
         outputs: Optional[dict[str, np.ndarray]] = None
         report: Optional[ExecutionReport] = None
-        try:
-            if self.fault_hook is not None:
-                self.fault_hook("attempt", request)
-            outputs, report = execute(request)
-        except DeviceFault as fault:
-            device_fault = fault
-            report = None  # bill nothing; measure the lost work below
-        except Exception as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        if report is None:
-            # Fused path (returns no report), the failure path and the
-            # faulted path all account from the measured ledger deltas.
-            report = ExecutionReport(program_name=request.program.name)
-            if runtime_calls is not None and failure is None and device_fault is None:
-                report.runtime_calls = list(runtime_calls)
-            measure(report)
+        with WorkMeter(self.system) as measure:
+            try:
+                if self.fault_hook is not None:
+                    self.fault_hook("attempt", request)
+                outputs, report = execute(request)
+            except DeviceFault as fault:
+                device_fault = fault
+                report = None  # bill nothing; measure the lost work below
+            except Exception as exc:
+                failure = f"{type(exc).__name__}: {exc}"
+            if report is None:
+                # Fused path (returns no report), the failure path and the
+                # faulted path all account from the measured ledger deltas.
+                report = ExecutionReport(program_name=request.program.name)
+                if runtime_calls is not None and failure is None and device_fault is None:
+                    report.runtime_calls = list(runtime_calls)
+                measure(report)
         service_s = report.total_time_s
         self.clock.advance(service_s)
         if device_fault is None and failure is None and self.fault_hook is not None:

@@ -98,11 +98,10 @@ class MetricsRegistry:
         else:
             self.rejected += 1
 
-    def observe_queue_depths(self, depths: dict[str, int]) -> None:
-        for tenant, depth in depths.items():
-            if depth > self.peak_queue_depth:
-                self.peak_queue_depth = depth
-                self.peak_queue_tenant = tenant
+    def observe_queue_depth(self, tenant: str, depth: int) -> None:
+        if depth > self.peak_queue_depth:
+            self.peak_queue_depth = depth
+            self.peak_queue_tenant = tenant
 
     def observe_batch(self, size: int, fused: bool) -> None:
         self.batches += 1

@@ -585,10 +585,18 @@ class ServingLoop:
         """Admit (or reject) every submission with arrival <= *until_s*."""
         while self._arrivals and self._arrivals[0].arrival_s <= until_s:
             request = self._arrivals.popleft()
-            admitted = self.admission.admit(request, now_s=request.arrival_s)
+            admission = self.admission
+            admitted = admission.admit(request, now_s=request.arrival_s)
             self.metrics.observe_admission(admitted)
-            if admitted:
-                self.metrics.observe_queue_depths(self.admission.queue_depths())
+            if not admitted:
+                continue
+            # Only the admitted tenant's queue grew since the last look,
+            # unless a retry or migration grew others unobserved.
+            grown = admission.queues.items() if admission.requeued else (
+                (request.tenant, admission.queues[request.tenant]),)
+            admission.requeued = False
+            for tenant, queue in grown:
+                self.metrics.observe_queue_depth(tenant, len(queue))
 
     def retry_at(self, ready_s: float, request: TenantRequest) -> None:
         """Re-queue an admitted request once the loop clock reaches

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.fleet.server import FleetConfig
-from repro.serve.accounting import fold
+from repro.serve.accounting import Tally
 from repro.serve.errors import DeviceFault
 from repro.serve.request import RequestHandle, RequestStatus
 from repro.serve.server import ServingLoop
@@ -230,9 +230,13 @@ class TraceRecorder:
         for device in server.devices:
             device_id = device.device_id
             accelerator = device.system.accelerator
-            comps = ledger.device_compensations(device_id)
-            billed = fold(ledger.device_usages(device_id), "wear_bytes", "accelerator_energy_j")
-            compensated = fold(comps, "wear_bytes", "accelerator_energy_j")
+            billed = Tally.of(
+                ledger.usage_tallies(device_id), "wear_bytes", "accelerator_energy_j"
+            ).read()
+            comps = Tally.of(
+                ledger.compensation_tallies(device_id), "wear_bytes", "accelerator_energy_j"
+            )
+            compensated = comps.read()
             events.append(
                 {
                     "event": "device_bill",
@@ -245,10 +249,10 @@ class TraceRecorder:
                     "billed_energy_j": billed["accelerator_energy_j"],
                     "compensated_wear_bytes": compensated["wear_bytes"],
                     "compensated_energy_j": compensated["accelerator_energy_j"],
-                    "compensations": len(comps),
-                    "housekeeping_energy_j": fold(
-                        ledger.housekeeping(device_id), "energy_j"
-                    )["energy_j"],
+                    "compensations": comps.count,
+                    "housekeeping_energy_j": Tally.of(
+                        ledger.housekeeping_tallies(device_id), "energy_j"
+                    ).read()["energy_j"],
                     "partition_ok": bool(all(partition.values())),
                 }
             )
@@ -262,9 +266,9 @@ class TraceRecorder:
 
 
 # ----------------------------------------------------------------------
-#: Tenant-bill fields: the account's two counts, then the totals
-#: :func:`~repro.serve.accounting.fold` makes of its usages (integer
-#: counters, ``fsum`` energies and service time).
+#: Tenant-bill fields: the account's two counts, then the running totals
+#: of its usages (:meth:`~repro.serve.accounting.TenantAccount.totals`:
+#: integer counters, exactly summed energies and service time).
 BILL_FIELDS = (
     "completed",
     "rejected",
@@ -285,7 +289,7 @@ def tenant_bills(ledger) -> dict[str, dict]:
         tenant: {
             "completed": account.completed,
             "rejected": account.rejected,
-            **fold(account.usages, *BILL_FIELDS[2:]),
+            **account.totals(*BILL_FIELDS[2:]),
         }
         for tenant, account in sorted(ledger.tenants.items())
     }

@@ -229,7 +229,7 @@ def test_a_retriggered_gemv_is_charged_like_an_sgemv():
     descriptor the registers hold writes only ``COMMAND.START`` and moves
     every host and device record exactly as a full ``sgemv`` does."""
 
-    def serve(retrigger: bool) -> tuple[CimSystem, list[np.ndarray]]:
+    def serve(retrigger: bool) -> tuple[CimSystem, list[np.ndarray], list]:
         rng = np.random.default_rng(4)
         system = CimSystem(SystemConfig(crossbar_rows=16, crossbar_cols=16))
         system.runtime.cim_init(0)
@@ -240,20 +240,22 @@ def test_a_retriggered_gemv_is_charged_like_an_sgemv():
         args = (False, 20, 12, 0.75, buf_a, 12, buf_x, 1.25, buf_y)
         descriptor = system.blas.gemv_descriptor(*args)
         outputs = []
-        for index in range(3):
-            system.runtime.cim_host_to_dev(buf_x, rng.standard_normal(12).astype(np.float32))
-            if retrigger:
-                system.blas.launch(descriptor, programmed=index > 0)
-            else:
-                system.blas.sgemv(*args)
-            outputs.append(system.runtime.cim_dev_to_host(buf_y, (20,)))
-        return system, outputs
+        with system.accelerator.on_run.collect() as runs:
+            for index in range(3):
+                system.runtime.cim_host_to_dev(
+                    buf_x, rng.standard_normal(12).astype(np.float32))
+                if retrigger:
+                    system.blas.launch(descriptor, programmed=index > 0)
+                else:
+                    system.blas.sgemv(*args)
+                outputs.append(system.runtime.cim_dev_to_host(buf_y, (20,)))
+        return system, outputs, runs
 
-    (full, full_out), (lease, lease_out) = serve(False), serve(True)
+    (full, full_out, full_runs), (lease, lease_out, lease_runs) = serve(False), serve(True)
     assert all(np.array_equal(f, r) for f, r in zip(full_out, lease_out))
+    assert [vars(run) for run in full_runs] == [vars(run) for run in lease_runs]
     for record in (
         lambda s: vars(s.host_overhead),
-        lambda s: [vars(run) for run in s.accelerator.completed_runs],
         lambda s: s.accelerator.energy.as_dict(),
         lambda s: s.accelerator.tile.energy.as_dict(),
         lambda s: s.accelerator.timeline.events,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -240,15 +241,17 @@ def test_executors_on_different_systems_share_a_program_and_not_their_work():
 
     sharing, private = executors(), executors()
     plans = set()
-    for _ in range(3):
-        for mine, (executor, twin) in enumerate(zip(sharing, private)):
-            completed = [len(e.system.accelerator.completed_runs) for e in sharing]
-            run = executor.run(shared, params, arrays)
-            _assert_same_run(twin.run(shared.clone(), params, arrays), run)
-            after = [len(e.system.accelerator.completed_runs) for e in sharing]
-            assert after[mine] > 0
-            assert after[1 - mine] == completed[1 - mine]
-            plans.add(id(shared.engine_plans.run[1]))
+    with ExitStack() as stack:
+        runs = [stack.enter_context(e.system.accelerator.on_run.collect()) for e in sharing]
+        for _ in range(3):
+            for mine, (executor, twin) in enumerate(zip(sharing, private)):
+                completed = [len(ran) for ran in runs]
+                run = executor.run(shared, params, arrays)
+                _assert_same_run(twin.run(shared.clone(), params, arrays), run)
+                after = [len(ran) for ran in runs]
+                assert after[mine] > completed[mine]
+                assert after[1 - mine] == completed[1 - mine]
+                plans.add(id(shared.engine_plans.run[1]))
     assert len(plans) == 1
 
 

@@ -49,7 +49,8 @@ NUM_DEVICES = 3
 
 
 def _run_trace(fault_plan):
-    """Serve one fixed 10-request GEMV trace; returns (handles, fleet)."""
+    """Serve one fixed 10-request GEMV trace; returns (handles, fleet, the
+    ledger's log of the run)."""
     config = FleetConfig(
         num_devices=NUM_DEVICES,
         batch_window_s=1e-4,
@@ -60,7 +61,7 @@ def _run_trace(fault_plan):
     )
     rng = np.random.default_rng(1234)
     matrix = rng.random((16, 16), dtype=np.float32)
-    with FleetServer(config) as fleet:
+    with FleetServer(config) as fleet, fleet.ledger.observe() as log:
         handles = [
             fleet.submit(
                 f"tenant{index % 2}",
@@ -76,7 +77,7 @@ def _run_trace(fault_plan):
             for index in range(NUM_REQUESTS)
         ]
         fleet.drain()
-        return handles, fleet
+        return handles, fleet, log
 
 
 #: Completed payloads of the fault-free reference run, computed once —
@@ -86,7 +87,7 @@ _REFERENCE: dict = {}
 
 def _reference_results():
     if not _REFERENCE:
-        handles, _ = _run_trace(None)
+        handles, _, _ = _run_trace(None)
         assert all(h.status is RequestStatus.COMPLETED for h in handles)
         _REFERENCE["results"] = [h.result() for h in handles]
     return _REFERENCE["results"]
@@ -128,7 +129,7 @@ fault_plans = st.builds(
 )
 @given(plan=fault_plans)
 def test_random_fault_storms_preserve_exactly_once_accounting(plan):
-    handles, fleet = _run_trace(plan)
+    handles, fleet, log = _run_trace(plan)
 
     # 1. Every request reaches a terminal state — none is lost in a
     #    retry heap, a dead device's lease, or an abandoned queue.
@@ -139,8 +140,7 @@ def test_random_fault_storms_preserve_exactly_once_accounting(plan):
     #    requests of a dead fleet carry no usage; failed executions on a
     #    live device do — both resolve FAILED, so compare against the
     #    billed set itself for uniqueness).
-    usages = fleet.ledger.all_usages()
-    billed_ids = [usage.request_id for usage in usages]
+    billed_ids = [usage.request_id for usage in log.usages]
     assert len(billed_ids) == len(set(billed_ids))
     completed_ids = {
         h.request_id for h in handles if h.status is RequestStatus.COMPLETED
@@ -158,11 +158,10 @@ def test_random_fault_storms_preserve_exactly_once_accounting(plan):
     #    device by device, by exact integer comparison.
     for device in fleet.devices:
         billed = sum(
-            u.wear_bytes for u in fleet.ledger.device_usages(device.device_id)
+            u.wear_bytes for u in log.usages if u.device_id == device.device_id
         )
         compensated = sum(
-            c.wear_bytes
-            for c in fleet.ledger.device_compensations(device.device_id)
+            c.wear_bytes for c in log.compensations if c.device_id == device.device_id
         )
         assert (
             billed + compensated
@@ -192,7 +191,7 @@ def test_transient_storms_without_deaths_always_complete(seed, probability):
     plan = FaultPlan(
         op_rules=[OpFaultRule("dma", probability, max_faults=3)], seed=seed
     )
-    handles, fleet = _run_trace(plan)
+    handles, fleet, _ = _run_trace(plan)
     assert all(h.status is RequestStatus.COMPLETED for h in handles)
     snapshot = fleet.metrics.snapshot()
     stats = snapshot["fleet"]

@@ -341,22 +341,20 @@ class TestFleetFaults:
         config = _fleet_config(
             num_devices=2, placement="round-robin", fault_plan=plan
         )
-        with FleetServer(config) as fleet:
+        with FleetServer(config) as fleet, fleet.ledger.observe() as log:
             handles = _submit_trace(fleet, count=8, tenants=1, spacing_s=1e-5)
             fleet.drain()
             assert all(h.status is RequestStatus.COMPLETED for h in handles)
-            comps = fleet.ledger.device_compensations(0)
+            comps = [c for c in log.compensations if c.device_id == 0]
             assert comps, "the interrupted attempt's work must be compensated"
-            assert fold(fleet.ledger.compensations, "wear_bytes")["wear_bytes"] > 0
+            assert fold(log.compensations, "wear_bytes")["wear_bytes"] > 0
             # The dead device's physical ledger still reconciles exactly.
             assert all(fleet.verify_fleet_partition().values())
             # No tenant was billed for the lost attempt: tenant wear on
             # device 0 + compensation == device 0 physical writes.
-            billed = sum(
-                u.wear_bytes for u in fleet.ledger.device_usages(0)
-            )
+            billed = sum(u.wear_bytes for u in log.usages if u.device_id == 0)
             physical = fleet.devices[0].system.accelerator.total_cell_writes()
-            assert billed + fold(fleet.ledger.compensations, "wear_bytes")["wear_bytes"] == physical
+            assert billed + fold(log.compensations, "wear_bytes")["wear_bytes"] == physical
 
     def test_whole_fleet_death_fails_remaining_requests(self):
         plan = FaultPlan(kills=[DeviceKill(0, 1.5e-4)])
@@ -483,12 +481,11 @@ class TestDifferentialFaults:
             op_rules=[OpFaultRule("dma", 0.25, max_faults=5)],
             seed=5,
         )
-        with FleetServer(_fleet_config(fault_plan=plan)) as fleet:
+        with FleetServer(_fleet_config(fault_plan=plan)) as fleet, fleet.ledger.observe() as log:
             handles = _submit_trace(fleet, count=18, spacing_s=2e-5)
             fleet.drain()
             assert any(h.retries > 0 or h.migrations > 0 for h in handles)
-            usages = fleet.ledger.all_usages()
-            billed_ids = [usage.request_id for usage in usages]
+            billed_ids = [usage.request_id for usage in log.usages]
             # One bill per resolved request — never two, never zero.
             assert len(billed_ids) == len(set(billed_ids))
             completed_ids = {
@@ -498,7 +495,7 @@ class TestDifferentialFaults:
             }
             assert set(billed_ids) == completed_ids
             # Compensations reference real requests and real lost work.
-            for comp in fleet.ledger.compensations:
+            for comp in log.compensations:
                 assert comp.request_id in {h.request_id for h in handles}
                 assert comp.wear_bytes > 0 or comp.energy_j > 0
             assert all(fleet.verify_fleet_partition().values())

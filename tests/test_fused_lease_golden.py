@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
 
@@ -135,7 +136,7 @@ def _timeline(events) -> str:
     return f"{len(events)}:" + hashlib.sha256(text.encode()).hexdigest()
 
 
-def _device(system) -> dict:
+def _device(system, runs) -> dict:
     acc = system.accelerator
     memory = system.memory
     return {
@@ -153,7 +154,7 @@ def _device(system) -> dict:
         "dma": [acc.dma.total_bytes, repr(acc.dma.total_energy_j),
                 repr(acc.dma.total_time_s)],
         "memory": [memory.reads, memory.writes, memory.bytes_read, memory.bytes_written],
-        "runs": [_record_fields(run) for run in acc.completed_runs],
+        "runs": [_record_fields(run) for run in runs],
         "totals": _record_fields(acc.totals),
         "timeline": _timeline(acc.timeline.events),
     }
@@ -194,7 +195,11 @@ def run_case(name: str) -> dict:
         ))
     else:
         server = CimServer(ServerConfig(**common))
-    with server:
+    with server, server.ledger.observe() as log, ExitStack() as stack:
+        runs = [
+            stack.enter_context(device.system.accelerator.on_run.collect())
+            for device in server.devices
+        ]
         handles = [
             server.submit(f"tenant{index % 3}", case["source"], case["params"],
                           _arrays(rng, matrix, shape_a, case["malformed"].get(index)),
@@ -217,11 +222,12 @@ def run_case(name: str) -> dict:
                 }
                 for handle in handles
             ],
-            "usages": [_record_fields(usage) for usage in server.ledger.all_usages()],
-            "compensations": [_record_fields(c) for c in server.ledger.compensations],
-            "housekeeping": [repr(value) for value in
-                             server.ledger.housekeeping_energy_j_records],
-            "devices": [_device(system) for system in systems],
+            # Bills grouped by tenant, in the order the ledger met them.
+            "usages": [_record_fields(usage) for tenant in server.ledger.tenants
+                       for usage in log.usages if usage.tenant == tenant],
+            "compensations": [_record_fields(c) for c in log.compensations],
+            "housekeeping": [repr(record.energy_j) for record in log.housekeeping],
+            "devices": [_device(system, ran) for system, ran in zip(systems, runs)],
             "serve_timeline": _timeline(server.timeline.events),
             "partition_checks": server.ledger.verify_fleet_partition(
                 {d.device_id: d.system.accelerator for d in server.devices}),

@@ -20,8 +20,10 @@ every step it checks:
 * the per-tenant pending count equals a recount of the ``queued`` flights;
 * each live worker holds at most one flight;
 
-and after the drain that no flight is left non-terminal and no worker
-was spawned once the drain frames were out.  The deterministic tests at
+and after each drain that no flight is left non-terminal, no worker
+was spawned once the drain frames were out, and the closed pool admits
+nothing and does not move as time passes (the machine then goes on with
+a fresh pool).  The deterministic tests at
 the end pin, as input sequences, the ways the pool used to lose, strand
 or misorder a request.
 """
@@ -31,21 +33,22 @@ from __future__ import annotations
 import ast
 import json
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
 )
 
 import repro.gateway.core as core_module
-from repro.gateway.core import FlightCore, GatewayConfig, Kill, Send, Spawn
+from repro.gateway.core import FlightCore, GatewayConfig, GatewayError, Kill, Send, Spawn
 from repro.gateway.wire import FAULT_EXIT_CODE, USAGE_FIELDS, GatewayRequest, GatewayResponse
 from repro.gateway.worker import DEAD_LETTER_FRAME, DRAIN_FRAME, DRAINED_FRAME, RESPONSE_FRAME
 from repro.hw.stats import AcceleratorRunStats
@@ -134,6 +137,10 @@ class Pool:
 
     def __init__(self, **config):
         self.core = FlightCore(GatewayConfig(hang_timeout_s=HANG_TIMEOUT_S, **config))
+        #: Every bill and compensation the core commits, for the checks
+        #: (observed for as long as the pool lives).
+        self._observing = ExitStack()
+        self.log = self._observing.enter_context(self.core.ledger.observe())
         self.now_s = 0.0
         self.fakes: dict[int, FakeWorker] = {}
         #: Every flight, by request id, and every resolution the core made.
@@ -212,10 +219,15 @@ class Pool:
 
 
 class FlightMachine(RuleBasedStateMachine):
+    """Every rule can act in every state (no preconditions), so swarm
+    testing never leaves an example with no enabled rule to draw: a rule
+    with nothing to act on does nothing, and a drain ends one pool's life
+    and starts the next on the same configuration."""
+
     def __init__(self):
         super().__init__()
         self.pool = None
-        self.drained = False
+        self.config = None
 
     @initialize(
         num_workers=st.integers(1, 2),
@@ -224,18 +236,18 @@ class FlightMachine(RuleBasedStateMachine):
         max_attempts=st.integers(1, 3),
     )
     def start(self, num_workers, hot_spares, max_respawns, max_attempts):
-        self.pool = Pool(
+        self.config = dict(
             num_workers=num_workers, hot_spares=hot_spares,
             max_respawns=max_respawns, max_attempts=max_attempts, max_pending=6,
             respawn_backoff_base_s=0.2, respawn_backoff_max_s=0.4,
         )
+        self.pool = Pool(**self.config)
 
     def teardown(self):
-        if self.pool is not None and not self.drained:
+        if self.pool is not None:
             self.drain(dies_at_drain=False)
 
     # -- events -----------------------------------------------------------
-    @precondition(lambda self: not self.drained)
     @rule(
         kind=st.sampled_from(["ok", "ok", "ok", "object-array", "0-d-param"]),
         tenant=st.sampled_from(["t0", "t1"]),
@@ -244,24 +256,26 @@ class FlightMachine(RuleBasedStateMachine):
     def submit(self, kind, tenant, deadline_in_s):
         self.pool.submit(kind, tenant, deadline_in_s)
 
-    @precondition(lambda self: not self.drained and self.pool.busy_fakes())
     @rule(pick=st.integers(0, 3))
     def busy_worker_answers(self, pick):
         fakes = self.pool.busy_fakes()
-        fakes[pick % len(fakes)].answer()
+        if fakes:
+            fakes[pick % len(fakes)].answer()
 
-    @precondition(lambda self: not self.drained and self.pool.busy_fakes())
     @rule(pick=st.integers(0, 3), outcome=st.sampled_from(MISHAPS))
     def something_goes_wrong(self, pick, outcome):
         pool = self.pool
-        fakes = pool.busy_fakes()
-        fake = fakes[pick % len(fakes)]
         if outcome == "an-idle-worker-dies":
             idle = [f for f in pool.fakes.values() if not f.inbox and not f.worker.dead]
             if idle:
                 idle[pick % len(idle)].exitcode = FAULT_EXIT_CODE
                 pool.tick()
-        elif outcome in ("dead-letter", "corrupt-frame"):
+            return
+        fakes = pool.busy_fakes()
+        if not fakes:
+            return
+        fake = fakes[pick % len(fakes)]
+        if outcome in ("dead-letter", "corrupt-frame"):
             flight, request = fake.worker.flight, fake.inbox.pop(0)
             if outcome == "dead-letter":  # the worker could not read it: no work
                 fake.deliver(DEAD_LETTER_FRAME + b"request: corrupt JSON frame (seeded)")
@@ -285,13 +299,15 @@ class FlightMachine(RuleBasedStateMachine):
     @rule(advance_s=st.sampled_from([0.05, 0.3, 0.3, 1.5]))
     def time_passes(self, advance_s):
         """Deadlines expire (queued: shed; sent: expired), the watchdog
-        kills silent workers (a hang), and respawns come due; after the
-        drain, nothing moves."""
+        kills silent workers (a hang), and respawns come due."""
         self.pool.tick(advance_s)
 
-    @precondition(lambda self: not self.drained and len(self.pool.flights) >= 3)
     @rule(dies_at_drain=st.booleans())
     def drain(self, dies_at_drain):
+        """Drain the pool and check it is closed for good: no flight left
+        non-terminal, no spawn once the drain frames were out, admission
+        refused and nothing moving as time passes.  The next rule meets a
+        fresh pool."""
         pool = self.pool
         pool.settle()
         if dies_at_drain:
@@ -299,12 +315,21 @@ class FlightMachine(RuleBasedStateMachine):
             if live:
                 live[0].dies_at_drain = True
         pool.drain()
-        self.drained = True
         assert pool.core.phase == "closed"
         assert all(f.state in TERMINAL for f in pool.flights.values())
         assert not any(w.flight for w in pool.core.workers)
         assert all(f.spawned_in in ("new", "open", "draining") for f in pool.fakes.values())
         self.flights_hold_the_invariants()
+        states = {rid: f.state for rid, f in pool.flights.items()}
+        resolved, fakes = dict(pool.resolved), dict(pool.fakes)
+        with pytest.raises(GatewayError, match="draining"):
+            pool.submit()
+        for advance_s in (0.05, 1.5, 10.0):
+            pool.tick(advance_s)
+        assert {rid: f.state for rid, f in pool.flights.items()} == states
+        assert pool.resolved == resolved and pool.fakes == fakes
+        self.flights_hold_the_invariants()
+        self.pool = Pool(**self.config)
 
     # -- invariants -------------------------------------------------------
     @invariant()
@@ -316,7 +341,7 @@ class FlightMachine(RuleBasedStateMachine):
         for request_id, flight in pool.flights.items():
             assert (request_id in pool.resolved) == (flight.state in TERMINAL), flight.state
 
-        billed = Counter(u.request_id for u in core.ledger.all_usages())
+        billed = Counter(u.request_id for u in pool.log.usages)
         assert all(count == 1 for count in billed.values())
         assert set(billed) == {
             rid for rid, f in pool.flights.items() if f.state == "answered"
@@ -327,7 +352,7 @@ class FlightMachine(RuleBasedStateMachine):
         )
         ended = Counter(rid for f in pool.fakes.values() for rid, _ in f.attempts)
         ended.subtract(held)
-        compensated = Counter(c.request_id for c in core.ledger.compensations)
+        compensated = Counter(c.request_id for c in pool.log.compensations)
         for rid in set(ended) | set(compensated):
             assert compensated[rid] == ended[rid] - billed[rid], rid
 
@@ -395,7 +420,7 @@ def test_an_unencodable_request_fails_alone_and_leaves_its_worker_idle():
     fake.answer()
     assert pool.resolved[good].status == "completed"
     pool.drain()
-    assert not pool.core.ledger.compensations
+    assert not pool.log.compensations
 
 
 def test_a_dead_letter_fails_its_flight_and_the_next_one_is_answered():
@@ -410,8 +435,8 @@ def test_a_dead_letter_fails_its_flight_and_the_next_one_is_answered():
     assert [r.request_id for r in fake.inbox] == [second]  # one flight at a time
     fake.answer()
     assert pool.resolved[second].status == "completed"
-    assert [c.op for c in pool.core.ledger.compensations] == ["dead-letter"]
-    assert [u.request_id for u in pool.core.ledger.all_usages()] == [second]
+    assert [c.op for c in pool.log.compensations] == ["dead-letter"]
+    assert [u.request_id for u in pool.log.usages] == [second]
     pool.drain()
     assert pool.core.dead_letters == ["request: corrupt JSON frame (seeded)"]
 

@@ -61,12 +61,9 @@ def _outcome(server, tenant: str, serve) -> tuple:
     from ``0.0`` and every float bit)."""
     server.system.reset_stats()
     server.system.runtime.reset_handle_counter()
-    ledger = server.ledger
-    housekeeping0 = len(ledger.housekeeping_energy_j_records)
-    usages = ledger.account(tenant).usages
-    usages0 = len(usages)
     try:
-        handle = serve()
+        with server.ledger.observe() as log:
+            handle = serve()
     except Exception as exc:  # the outcome is the error text
         return ("raised", f"{type(exc).__name__}: {exc}")
     result = handle.result() if handle.status.value == "completed" else {}
@@ -74,8 +71,9 @@ def _outcome(server, tenant: str, serve) -> tuple:
         handle.status.value,
         handle.reject_reason,
         [(name, array.dtype.str, array.shape, array.tobytes()) for name, array in result.items()],
-        [repr([getattr(usage, name) for name in USAGE_FIELDS]) for usage in usages[usages0:]],
-        repr(ledger.housekeeping_energy_j_records[housekeeping0:]),
+        [repr([getattr(usage, name) for name in USAGE_FIELDS])
+         for usage in log.usages if usage.tenant == tenant],
+        repr([record.energy_j for record in log.housekeeping]),
         repr(sorted(server.system.accelerator.totals.scalars().items())),
     )
 

@@ -79,8 +79,8 @@ class TestDeadlines:
         assert "shed" in response.reason
         assert metrics.deadline_shed == 1
         # Never dispatched: no usage, no compensation, nothing billed.
-        assert not list(ledger.all_usages())
-        assert not ledger.compensations
+        assert not ledger.usage_tallies()
+        assert not ledger.compensation_tallies()
 
     def test_deadline_expires_in_flight_and_work_is_compensated(self):
         """A slow worker blows through the request's deadline: the caller
@@ -91,17 +91,18 @@ class TestDeadlines:
 
         async def scenario():
             async with AsyncGateway(GatewayConfig(num_workers=1)) as gateway:
-                response = await submit_item(
-                    gateway,
-                    workload(0),
-                    fault="slow:0.5",
-                    deadline_s=gateway.clock.now_s + 0.15,
-                )
-                resolved_s = gateway.clock.now_s
-                await gateway.drain()
-                return response, resolved_s, gateway
+                with gateway.ledger.observe() as log:
+                    response = await submit_item(
+                        gateway,
+                        workload(0),
+                        fault="slow:0.5",
+                        deadline_s=gateway.clock.now_s + 0.15,
+                    )
+                    resolved_s = gateway.clock.now_s
+                    await gateway.drain()
+                return response, resolved_s, gateway, log
 
-        response, resolved_s, gateway = run(scenario())
+        response, resolved_s, gateway, log = run(scenario())
         assert response.status == "deadline-exceeded"
         assert "expired in flight" in response.reason
         # Resolved at expiry, not after the 0.5 s stall finished.
@@ -109,11 +110,8 @@ class TestDeadlines:
         assert gateway.metrics.deadline_expired == 1
         # The tenant was never billed; the measured work landed as a
         # deadline-exceeded compensation and the partition stays exact.
-        assert not list(gateway.ledger.all_usages())
-        comps = [
-            c for c in gateway.ledger.compensations
-            if c.op == "deadline-exceeded"
-        ]
+        assert not log.usages
+        comps = [c for c in log.compensations if c.op == "deadline-exceeded"]
         assert len(comps) == 1
         assert comps[0].accelerator_energy_j > 0.0
         assert comps[0].batch_id > 0
@@ -127,25 +125,21 @@ class TestHangWatchdog:
         async def scenario():
             config = GatewayConfig(num_workers=2, hang_timeout_s=0.3)
             async with AsyncGateway(config) as gateway:
-                response = await submit_item(gateway, workload(0), fault="hang")
-                await gateway.drain()
-                return response, gateway
+                with gateway.ledger.observe() as log:
+                    response = await submit_item(gateway, workload(0), fault="hang")
+                    await gateway.drain()
+                return response, gateway, log
 
-        response, gateway = run(scenario())
+        response, gateway, log = run(scenario())
         assert response.status == "completed"
         assert response.attempt == 2
         assert gateway.metrics.hangs_detected == 1
-        comps = [
-            c for c in gateway.ledger.compensations if c.op == "worker-hang"
-        ]
+        comps = [c for c in log.compensations if c.op == "worker-hang"]
         assert len(comps) == 1
         assert comps[0].accelerator_energy_j == 0.0
         assert "hang_timeout_s" in comps[0].reason
         # Exactly-once billing despite the kill + retry.
-        usages = [
-            u for u in gateway.ledger.all_usages()
-            if u.request_id == response.request_id
-        ]
+        usages = [u for u in log.usages if u.request_id == response.request_id]
         assert len(usages) == 1
         assert all(gateway.verify_partition().values())
 
@@ -379,34 +373,31 @@ class TestDefensiveCollector:
         async def scenario():
             config = GatewayConfig(num_workers=2)
             async with AsyncGateway(config) as gateway:
-                futures = [
-                    submit_item(
-                        gateway,
-                        workload(index),
-                        fault="corrupt-frame" if index == 1 else None,
-                    )
-                    for index in range(6)
-                ]
-                responses = await asyncio.gather(*futures)
-                await gateway.drain()
-                return responses, gateway
+                with gateway.ledger.observe() as log:
+                    futures = [
+                        submit_item(
+                            gateway,
+                            workload(index),
+                            fault="corrupt-frame" if index == 1 else None,
+                        )
+                        for index in range(6)
+                    ]
+                    responses = await asyncio.gather(*futures)
+                    await gateway.drain()
+                return responses, gateway, log
 
-        responses, gateway = run(scenario())
+        responses, gateway, log = run(scenario())
         statuses = [r.status for r in responses]
         assert statuses[1] == "failed"
         assert "corrupt response frame" in responses[1].reason
         assert statuses.count("completed") == 5
         assert gateway.metrics.corrupt_frames == 1
-        comps = [
-            c for c in gateway.ledger.compensations if c.op == "corrupt-frame"
-        ]
+        comps = [c for c in log.compensations if c.op == "corrupt-frame"]
         assert len(comps) == 1
         # The saboteur was killed (its unaccountable work died with it)
         # and the partition reconciles on its last good snapshot.
         assert len(gateway.alive_workers) == 1
-        assert not list(
-            u for u in gateway.ledger.all_usages() if u.request_id == 2
-        )
+        assert not [u for u in log.usages if u.request_id == 2]
         assert all(gateway.verify_partition().values())
 
 
@@ -420,39 +411,37 @@ class TestLateFrameRace:
 
         async def scenario():
             async with LinkedGateway(GatewayConfig(num_workers=2)) as gateway:
-                future = submit_item(gateway, workload(0), fault="slow:0.3")
-                await wait_for(lambda: busy_workers(gateway))
-                (worker,) = busy_workers(gateway)
-                worker_id = worker.worker_id
-                process = gateway.links[worker_id][0]
-                # The monitor finds the worker dead while it is still
-                # serving: its response frame will land *after* the death
-                # handling — exactly the race the monitor can lose.  The
-                # process is spared the kill that goes with a real loss.
-                process.is_alive = lambda: False
-                process.kill = lambda: None
-                await wait_for(lambda: worker.dead)
-                del process.is_alive, process.kill
-                response = await future
-                await wait_for(
-                    lambda: gateway.metrics.late_frames_ignored == 1
-                )
-                # The zombie process is still alive (the death was a
-                # simulation); reap it so drain doesn't wait on it.
-                process.kill()
-                await gateway.drain()
-                return worker_id, response, gateway
+                with gateway.ledger.observe() as log:
+                    future = submit_item(gateway, workload(0), fault="slow:0.3")
+                    await wait_for(lambda: busy_workers(gateway))
+                    (worker,) = busy_workers(gateway)
+                    worker_id = worker.worker_id
+                    process = gateway.links[worker_id][0]
+                    # The monitor finds the worker dead while it is still
+                    # serving: its response frame will land *after* the death
+                    # handling — exactly the race the monitor can lose.  The
+                    # process is spared the kill that goes with a real loss.
+                    process.is_alive = lambda: False
+                    process.kill = lambda: None
+                    await wait_for(lambda: worker.dead)
+                    del process.is_alive, process.kill
+                    response = await future
+                    await wait_for(
+                        lambda: gateway.metrics.late_frames_ignored == 1
+                    )
+                    # The zombie process is still alive (the death was a
+                    # simulation); reap it so drain doesn't wait on it.
+                    process.kill()
+                    await gateway.drain()
+                return worker_id, response, gateway, log
 
-        worker_id, response, gateway = run(scenario())
+        worker_id, response, gateway, log = run(scenario())
         assert response.status == "completed"
         assert response.attempt == 2
         assert response.worker_id != worker_id
         assert gateway.metrics.late_frames_ignored == 1
         # Billed exactly once — by the retry, never by the late frame.
-        usages = [
-            u for u in gateway.ledger.all_usages()
-            if u.request_id == response.request_id
-        ]
+        usages = [u for u in log.usages if u.request_id == response.request_id]
         assert len(usages) == 1
         assert usages[0].device_id != worker_id
         assert all(gateway.verify_partition().values())

@@ -148,26 +148,27 @@ class TestCrashRecovery:
 
         async def scenario(inject: bool):
             async with LinkedGateway(GatewayConfig(num_workers=2)) as gateway:
-                futures = []
-                for index in range(8):
-                    fault = (
-                        "die-mid-request"
-                        if inject and index == faulted_index
-                        else None
-                    )
-                    futures.append(submit_item(gateway, workload(index), fault))
-                responses = await asyncio.gather(*futures)
-                await gateway.drain()
+                with gateway.ledger.observe() as log:
+                    futures = []
+                    for index in range(8):
+                        fault = (
+                            "die-mid-request"
+                            if inject and index == faulted_index
+                            else None
+                        )
+                        futures.append(submit_item(gateway, workload(index), fault))
+                    responses = await asyncio.gather(*futures)
+                    await gateway.drain()
                 return (
                     responses,
                     gateway.verify_partition(),
                     gateway.snapshot(),
-                    gateway.ledger,
+                    log,
                     {worker_id: process.exitcode for worker_id, (process, _) in gateway.links.items()},
                 )
 
         clean_responses, *_ = run(scenario(inject=False))
-        responses, checks, snapshot, ledger, exitcodes = run(scenario(inject=True))
+        responses, checks, snapshot, log, exitcodes = run(scenario(inject=True))
 
         assert [r.status for r in responses] == ["completed"] * 8
         faulted = responses[faulted_index]
@@ -189,14 +190,10 @@ class TestCrashRecovery:
 
         # Exactly-once billing: one usage record for the killed request,
         # plus the zero-work compensation as the audit trail.
-        usages = [
-            u for u in ledger.all_usages()
-            if u.request_id == faulted.request_id
-        ]
+        usages = [u for u in log.usages if u.request_id == faulted.request_id]
         assert len(usages) == 1
         compensations = [
-            c for c in ledger.compensations
-            if c.request_id == faulted.request_id
+            c for c in log.compensations if c.request_id == faulted.request_id
         ]
         assert len(compensations) == 1
         assert compensations[0].op == "worker-crash"
@@ -243,29 +240,30 @@ class TestCrashRecovery:
 
         async def scenario():
             async with AsyncGateway(GatewayConfig(num_workers=2)) as gateway:
-                alive = gateway.alive_workers
-                bad_array = await gateway.submit(
-                    item.tenant, item.source, item.params,
-                    {**item.arrays, "x": np.array([1.5, "x"], dtype=object)},
-                )
-                bad_param = await gateway.submit(
-                    item.tenant, item.source, {**item.params, "alpha": np.array(1.5)},
-                    item.arrays,
-                )
-                good = await submit_item(gateway, item)
-                after = gateway.alive_workers
-                await gateway.drain()
-                return alive, after, bad_array, bad_param, good, gateway
+                with gateway.ledger.observe() as log:
+                    alive = gateway.alive_workers
+                    bad_array = await gateway.submit(
+                        item.tenant, item.source, item.params,
+                        {**item.arrays, "x": np.array([1.5, "x"], dtype=object)},
+                    )
+                    bad_param = await gateway.submit(
+                        item.tenant, item.source, {**item.params, "alpha": np.array(1.5)},
+                        item.arrays,
+                    )
+                    good = await submit_item(gateway, item)
+                    after = gateway.alive_workers
+                    await gateway.drain()
+                return alive, after, bad_array, bad_param, good, gateway, log
 
-        alive, after, bad_array, bad_param, good, gateway = run(scenario())
+        alive, after, bad_array, bad_param, good, gateway, log = run(scenario())
         assert after == alive
         assert bad_array.status == bad_param.status == "failed"
         assert "holds objects" in bad_array.reason
         assert "not JSON serializable" in bad_param.reason
         assert bad_array.attempt == bad_param.attempt == 1
         assert good.status == "completed"
-        assert not gateway.ledger.compensations
-        assert [u.request_id for u in gateway.ledger.all_usages()] == [good.request_id]
+        assert not log.compensations
+        assert [u.request_id for u in log.usages] == [good.request_id]
         assert all(gateway.verify_partition().values())
 
     def test_total_pool_loss_fails_pending_requests(self):

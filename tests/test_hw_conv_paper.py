@@ -53,7 +53,8 @@ def run_case(case: str) -> dict:
     }
     system = _system(config)
     program = compile_source(kernel.source, size_hint=params).program
-    outputs, report = OffloadExecutor(system).run(program, params, arrays)
+    with system.accelerator.on_run.collect() as runs:
+        outputs, report = OffloadExecutor(system).run(program, params, arrays)
     record = {
         "outputs": {name: _digest(outputs[name], outputs[name].dtype)
                     for name in sorted(kernel.output_arrays)},
@@ -61,7 +62,7 @@ def run_case(case: str) -> dict:
         "host_estimate": _fields(
             report.host_estimate, ("instructions", "energy_j", "time_s")),
     }
-    record.update(_device_state(system))
+    record.update(_device_state(system, runs))
     return json.loads(json.dumps(record))
 
 

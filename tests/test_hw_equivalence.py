@@ -208,7 +208,8 @@ REPORT_FIELDS = (
 )
 
 
-def _device_state(system: CimSystem) -> dict:
+def _device_state(system: CimSystem, runs) -> dict:
+    """The device's reports; *runs* are the runs it made (``on_run``)."""
     acc = system.accelerator
     tile = acc.tile
     xbar = tile.crossbar
@@ -220,7 +221,7 @@ def _device_state(system: CimSystem) -> dict:
     write_counts = xbar.write_counts()
     stored = xbar.stored_quantised()
     return {
-        "runs": [_fields(run, RUN_FIELDS) for run in acc.completed_runs],
+        "runs": [_fields(run, RUN_FIELDS) for run in runs],
         "timeline": {
             "events": len(acc.timeline.events),
             "sha256": hashlib.sha256(events.encode()).hexdigest(),
@@ -262,6 +263,13 @@ def _device_state(system: CimSystem) -> dict:
 def run_case(case: str) -> dict:
     scenario, config = case.split("/")
     system = _system(config)
+    with system.accelerator.on_run.collect() as runs:
+        record = _run_scenario(system, scenario)
+    record.update(_device_state(system, runs))
+    return record
+
+
+def _run_scenario(system: CimSystem, scenario: str) -> dict:
     if scenario.startswith("program:"):
         kernel = KERNELS[scenario.partition(":")[2]]
         params = kernel.params("MINI")
@@ -281,7 +289,6 @@ def run_case(case: str) -> dict:
     else:
         outputs = SCENARIOS[scenario](system)
         record = {"outputs": [_digest(out, np.float32) for out in outputs]}
-    record.update(_device_state(system))
     return record
 
 

@@ -187,15 +187,16 @@ def _run(run) -> dict:
     }
 
 
-def device_state(system: CimSystem, with_registers: bool = True) -> dict:
-    """Everything the device, driver and host overhead report."""
+def device_state(system: CimSystem, runs, with_registers: bool = True) -> dict:
+    """Everything the device, driver and host overhead report; *runs* are
+    the runs it made (``on_run``)."""
     acc = system.accelerator
     tile, xbar, memory = acc.tile, acc.tile.crossbar, system.memory
     events = "\n".join(f"{e.component}|{e.action}|{e.start_s.hex()}|{e.duration_s.hex()}"
                        for e in acc.timeline.events)
     driver_counters = dict(sorted(system.driver.counters.as_dict().items()))
     state = {
-        "runs": [_run(run) for run in acc.completed_runs],
+        "runs": [_run(run) for run in runs],
         "totals": _run(acc.totals),
         "ledgers": {
             "accelerator": [[k, v.hex()] for k, v in acc.energy.as_dict().items()],
@@ -234,10 +235,11 @@ def run_case(case: str) -> dict:
     kind, m, n, k, steps = SEQUENCES[sequence]
     system = _system(CONFIGS[config])
     host = Host(system, kind, m, n, k, seed=sum(case.encode()))
-    outputs = run_steps(host, steps)
+    with system.accelerator.on_run.collect() as runs:
+        outputs = run_steps(host, steps)
     return json.loads(json.dumps({
         "outputs": [_digest(output) for output in outputs],
-        **device_state(system),
+        **device_state(system, runs),
     }))
 
 
@@ -305,9 +307,10 @@ def test_a_bare_start_equals_rewriting_the_same_registers(sequence):
         system = CimSystem(SystemConfig(memory_bytes=2 << 20, cma_bytes=1 << 20, **config))
         system.runtime.cim_init(0)
         host = Host(system, kind, m, n, k, seed=m * 1000 + k)
-        outputs = run_steps(host, steps, programmed=programmed)
+        with system.accelerator.on_run.collect() as runs:
+            outputs = run_steps(host, steps, programmed=programmed)
         results[programmed] = ([_digest(output) for output in outputs],
-                               device_state(system, with_registers=False))
+                               device_state(system, runs, with_registers=False))
     assert results[True] == results[False]
 
 

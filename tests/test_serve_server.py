@@ -316,21 +316,22 @@ def test_quota_validation():
 def test_accounting_partitions_device_totals(server):
     rng = np.random.default_rng(12)
     matrix = rng.random((24, 24), dtype=np.float32)
-    for i in range(9):
-        tenant = ("alice", "bob", "carol")[i % 3]
-        use_shared = i % 2 == 0
-        server.submit(
-            tenant,
-            GEMV_SOURCE,
-            PARAMS,
-            _gemv_arrays(rng, matrix if use_shared else None),
-            arrival_s=i * 3e-5,
-        )
-    server.drain()
+    with server.ledger.observe() as log:
+        for i in range(9):
+            tenant = ("alice", "bob", "carol")[i % 3]
+            use_shared = i % 2 == 0
+            server.submit(
+                tenant,
+                GEMV_SOURCE,
+                PARAMS,
+                _gemv_arrays(rng, matrix if use_shared else None),
+                arrival_s=i * 3e-5,
+            )
+        server.drain()
     checks = server.ledger.verify_partition(server.system.accelerator)
     assert all(checks.values()), checks
     # Integer wear partitions exactly.
-    total_wear = fold(server.ledger.all_usages(), "wear_bytes")["wear_bytes"]
+    total_wear = fold(log.usages, "wear_bytes")["wear_bytes"]
     assert total_wear == server.system.accelerator.total_cell_writes()
     # Request count conservation.
     assert sum(a.completed for a in server.ledger.tenants.values()) == 9
@@ -522,7 +523,8 @@ def test_a_member_is_computed_with_its_own_matrix(server):
             params=dict(PARAMS), arrays=_gemv_arrays(rng, matrix), arrival_s=0.0,
             handle=RequestHandle(request_id=seq, tenant=f"t{seq}", arrival_s=0.0),
         ))
-    assert server.lease_executor.dispatch(batch, batch_id=1) == []
+    with server.ledger.observe() as log:
+        assert server.lease_executor.dispatch(batch, batch_id=1) == []
     for request in batch:
         expected = _direct(server, GEMV_SOURCE, PARAMS, request.arrays)
         assert np.array_equal(request.handle.result()["y"], expected["y"])
@@ -535,7 +537,7 @@ def test_a_member_is_computed_with_its_own_matrix(server):
     assert [r.handle.report.crossbar_cell_writes for r in batch[2:]] == [24 * 24, 0]
     checks = server.ledger.verify_partition(server.system.accelerator)
     assert all(checks.values()), checks
-    assert len(server.ledger.all_usages()) == 4
+    assert len(log.usages) == 4
 
 
 def _count_signatures(monkeypatch) -> list:

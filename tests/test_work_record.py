@@ -4,7 +4,8 @@ Three things no other test checks:
 
 * the accelerator's running ``totals`` (what the ``total_*()`` helpers,
   placement and the partition check read in O(1)) equal the
-  left-to-right sum of ``completed_runs`` after every lease;
+  left-to-right sum of the runs it reported (``on_run``) after every
+  lease;
 * :func:`repro.serve.accounting.fold` gives the same totals for any
   order of the same ledger records;
 * :func:`repro.serve.accounting.partition_checks` can *fail*: every
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from contextlib import ExitStack
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +32,13 @@ from repro.gateway.wire import GatewayRequest, GatewayResponse
 from repro.gateway.worker import RESPONSE_FRAME, build_worker_server, serve_one
 from repro.hw.stats import WORK_COUNTERS, AcceleratorRunStats
 from repro.serve import CimServer, ServerConfig
-from repro.serve.accounting import AccountingLedger, FaultCompensation, RequestUsage, fold
+from repro.serve.accounting import (
+    AccountingLedger,
+    FaultCompensation,
+    LedgerLog,
+    RequestUsage,
+    fold,
+)
 from repro.serve.errors import DeviceFault
 
 GEMV_SOURCE = """
@@ -56,11 +64,11 @@ def _arrays(rng) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 # Running totals
 # ----------------------------------------------------------------------
-def _assert_totals_are_the_fold(accelerator) -> None:
+def _assert_totals_are_the_fold(accelerator, runs) -> None:
     """Every scalar of ``totals`` is the left-to-right sum of its field
-    over ``completed_runs`` (from int 0, as builtin ``sum`` started)."""
+    over *runs* (from int 0, as builtin ``sum`` started)."""
     expected = dict.fromkeys(accelerator.totals.scalars(), 0)
-    for run in accelerator.completed_runs:
+    for run in runs:
         for name in expected:
             expected[name] += getattr(run, name)
     assert accelerator.totals.scalars() == expected
@@ -73,7 +81,9 @@ def _assert_totals_are_the_fold(accelerator) -> None:
 def test_running_totals_equal_the_sum_of_completed_runs_after_every_lease():
     rng = np.random.default_rng(0)
     config = FleetConfig(num_devices=3, batch_window_s=1e-6, max_batch_size=1)
-    with FleetServer(config) as fleet:
+    with FleetServer(config) as fleet, ExitStack() as stack:
+        accelerators = [device.system.accelerator for device in fleet.devices]
+        runs = [stack.enter_context(a.on_run.collect()) for a in accelerators]
         for index in range(40):
             fleet.submit(
                 f"tenant{index % 3}", GEMV_SOURCE, PARAMS, _arrays(rng),
@@ -82,14 +92,14 @@ def test_running_totals_equal_the_sum_of_completed_runs_after_every_lease():
         leases = 0
         while fleet.step():
             leases = sum(device.leases for device in fleet.devices)
-            for device in fleet.devices:
-                _assert_totals_are_the_fold(device.system.accelerator)
+            for accelerator, completed in zip(accelerators, runs):
+                _assert_totals_are_the_fold(accelerator, completed)
         assert leases == 40
-        accelerator = fleet.devices[0].system.accelerator
-        assert accelerator.completed_runs and accelerator.total_cell_writes() > 0
+        accelerator = accelerators[0]
+        assert runs[0] and accelerator.total_cell_writes() > 0
         accelerator.reset_stats()
         assert accelerator.totals == AcceleratorRunStats()
-        _assert_totals_are_the_fold(accelerator)
+        _assert_totals_are_the_fold(accelerator, [])
 
 
 def test_scalars_is_the_wire_form_of_the_record():
@@ -164,6 +174,8 @@ class _Scenario(NamedTuple):
     """A finished run behind one public entry point."""
 
     ledger: AccountingLedger
+    #: The records the ledger committed during the run (it keeps totals).
+    log: LedgerLog
     #: The live per-device work records the entry point's check reads.
     totals: dict[int, AcceleratorRunStats]
     verify: Callable[[], dict[str, bool]]
@@ -181,12 +193,14 @@ def _cim_server() -> _Scenario:
             raise DeviceFault("injected", device_id=0)
 
     server.devices[0].lease_executor.fault_hook = hook
-    for index in range(6):
-        server.submit(f"tenant{index % 2}", GEMV_SOURCE, PARAMS, _arrays(rng))
-    server.drain()
+    with server.ledger.observe() as log:
+        for index in range(6):
+            server.submit(f"tenant{index % 2}", GEMV_SOURCE, PARAMS, _arrays(rng))
+        server.drain()
     accelerator = server.system.accelerator
     return _Scenario(
         server.ledger,
+        log,
         {0: accelerator.totals},
         lambda: server.ledger.verify_partition(accelerator),
         server.shutdown,
@@ -203,14 +217,16 @@ def _fleet_server() -> _Scenario:
     )
     fleet = FleetServer(config)
     matrix = rng.random((24, 24), dtype=np.float32)
-    for index in range(8):
-        fleet.submit(
-            "tenant0", GEMV_SOURCE, PARAMS, {**_arrays(rng), "A": matrix},
-            arrival_s=index * 1e-5,
-        )
-    fleet.drain()
+    with fleet.ledger.observe() as log:
+        for index in range(8):
+            fleet.submit(
+                "tenant0", GEMV_SOURCE, PARAMS, {**_arrays(rng), "A": matrix},
+                arrival_s=index * 1e-5,
+            )
+        fleet.drain()
     return _Scenario(
         fleet.ledger,
+        log,
         {d.device_id: d.system.accelerator.totals for d in fleet.devices},
         fleet.verify_fleet_partition,
         fleet.shutdown,
@@ -230,25 +246,26 @@ def _gateway() -> _Scenario:
     servers = [build_worker_server(gateway.config.worker_wire()) for _ in range(2)]
     lifetime = [AcceleratorRunStats() for _ in servers]
     core.start()
-    for request_id in range(1, 7):
-        now_s = float(request_id)
-        request = GatewayRequest(
-            request_id, f"tenant{request_id % 2}", GEMV_SOURCE, dict(PARAMS), _arrays(rng),
-            deadline_s=now_s + 0.5 if request_id == 3 else None,
-        )
-        (send,) = core.submit(request, now_s)
-        worker_id = send.worker_id
-        if request_id == 3:
-            now_s += 1.0
-            (expired,) = core.tick(now_s)
-            assert expired.flight.state == "expired"
-        response = serve_one(servers[worker_id], request, worker_id)
-        lifetime[worker_id].add(servers[worker_id].system.accelerator.totals)
-        response.physical = lifetime[worker_id].scalars()
-        response = GatewayResponse.from_json(response.to_json())
-        assert response.status == "completed"
-        core.frame(worker_id, response.to_frame(RESPONSE_FRAME), now_s)
-        assert core.workers[worker_id].flight is None
+    with core.ledger.observe() as log:
+        for request_id in range(1, 7):
+            now_s = float(request_id)
+            request = GatewayRequest(
+                request_id, f"tenant{request_id % 2}", GEMV_SOURCE, dict(PARAMS), _arrays(rng),
+                deadline_s=now_s + 0.5 if request_id == 3 else None,
+            )
+            (send,) = core.submit(request, now_s)
+            worker_id = send.worker_id
+            if request_id == 3:
+                now_s += 1.0
+                (expired,) = core.tick(now_s)
+                assert expired.flight.state == "expired"
+            response = serve_one(servers[worker_id], request, worker_id)
+            lifetime[worker_id].add(servers[worker_id].system.accelerator.totals)
+            response.physical = lifetime[worker_id].scalars()
+            response = GatewayResponse.from_json(response.to_json())
+            assert response.status == "completed"
+            core.frame(worker_id, response.to_frame(RESPONSE_FRAME), now_s)
+            assert core.workers[worker_id].flight is None
 
     def close():
         for server in servers:
@@ -256,6 +273,7 @@ def _gateway() -> _Scenario:
 
     return _Scenario(
         gateway.ledger,
+        log,
         {worker.worker_id: worker.physical for worker in core.workers},
         gateway.verify_partition,
         close,
@@ -274,20 +292,30 @@ def _worked(records):
     return next(r for r in records if r.crossbar_cell_writes > 0 and r.macs > 0)
 
 
+def _recommit(s: _Scenario, usages, compensations) -> None:
+    """Leave the scenario's ledger as if it had committed only these records."""
+    s.ledger.__init__(s.ledger.crossbar_size_bytes)
+    for usage in usages:
+        s.ledger.record(usage)
+    for compensation in compensations:
+        s.ledger.record_compensation(compensation)
+
+
 def _usage_recorded_twice(s: _Scenario) -> None:
-    s.ledger.record(_worked(s.ledger.all_usages()))
+    s.ledger.record(_worked(s.log.usages))
 
 
 def _compensation_dropped(s: _Scenario) -> None:
-    s.ledger.compensations.remove(_worked(s.ledger.compensations))
+    dropped = _worked(s.log.compensations)
+    _recommit(s, s.log.usages, [c for c in s.log.compensations if c is not dropped])
 
 
 def _unknown_device(s: _Scenario) -> None:
-    usage = _worked(s.ledger.all_usages())
-    account = s.ledger.account(usage.tenant)
-    account.usages[account.usages.index(usage)] = dataclasses.replace(
-        usage, device_id=max(s.totals) + 1
-    )
+    moved = _worked(s.log.usages)
+    _recommit(s, [
+        dataclasses.replace(u, device_id=max(s.totals) + 1) if u is moved else u
+        for u in s.log.usages
+    ], s.log.compensations)
 
 
 def _one_cell_write_added(s: _Scenario) -> None:
@@ -313,8 +341,8 @@ def test_untouched_ledger_reconciles(entry_point):
     try:
         checks = scenario.verify()
         assert checks and all(checks.values()), checks
-        assert isinstance(_worked(scenario.ledger.compensations), FaultCompensation)
-        assert isinstance(_worked(scenario.ledger.all_usages()), RequestUsage)
+        assert isinstance(_worked(scenario.log.compensations), FaultCompensation)
+        assert isinstance(_worked(scenario.log.usages), RequestUsage)
     finally:
         scenario.close()
 
