@@ -39,16 +39,6 @@ _CACHE_CONTROL_FIELDS = frozenset({"enable_compile_cache", "compile_cache_dir"})
 #: The packages whose sources make the compiled output.
 PIPELINE_PACKAGES = ("frontend", "poly", "tactics", "transforms", "compiler", "ir", "codegen")
 
-#: The first element of a fingerprint's payload (the package version until
-#: the version moved into :func:`pipeline_salt`), and the option pair the
-#: payload keeps, just before ``pipeline``, for the host engine that is no
-#: longer a compile option.  Both are frozen so a request's fingerprint — and
-#: the batch signature and lease label derived from it, pinned in
-#: ``tests/golden/serve/fused_leases.json`` — do not move.
-_FINGERPRINT_TAG = "1.14.0"
-_ENGINE_ITEM = ("engine", "'fast'")
-
-
 def source_digest(root: Path) -> str:
     """sha256 over the ``*.py`` files of :data:`PIPELINE_PACKAGES` under
     *root*: each file's path relative to *root*, its size and its bytes, in
@@ -72,15 +62,12 @@ def pipeline_salt() -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def fingerprinted_fields(options_type: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def fingerprinted_fields(options_type: type) -> tuple[str, ...]:
     """The option fields a fingerprint covers: every field of the options
-    dataclass but the cache-control ones, in declaration order, split
-    where :data:`_ENGINE_ITEM` goes (before ``pipeline``)."""
-    names = tuple(
+    dataclass but the cache-control ones, in declaration order."""
+    return tuple(
         f.name for f in fields(options_type) if f.name not in _CACHE_CONTROL_FIELDS
     )
-    split = names.index("pipeline")
-    return names[:split], names[split:]
 
 
 def compile_fingerprint(
@@ -93,22 +80,19 @@ def compile_fingerprint(
     ``source`` may be mini-C text or an IR :class:`~repro.ir.program.Program`
     (hashed via its printed form, so later mutation of a program object
     yields a different key).  The options enter as the ``repr`` of each
-    :func:`fingerprinted_fields` value, with :data:`_ENGINE_ITEM` among them.
+    :func:`fingerprinted_fields` value.
     """
     if not isinstance(source, str):
         from repro.ir.printer import to_source
 
         source = to_source(source)
-    head, tail = fingerprinted_fields(type(options))
-    option_items = (
-        *[(name, repr(getattr(options, name))) for name in head],
-        _ENGINE_ITEM,
-        *[(name, repr(getattr(options, name))) for name in tail],
+    option_items = tuple(
+        (name, repr(getattr(options, name))) for name in fingerprinted_fields(type(options))
     )
     hint_items = tuple(
         sorted((str(k), float(v)) for k, v in (size_hint or {}).items())
     )
-    payload = repr((_FINGERPRINT_TAG, source, option_items, hint_items)).encode("utf-8")
+    payload = repr((source, option_items, hint_items)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 

@@ -21,9 +21,10 @@ counter — the JSON wire round-trips doubles exactly); per-tenant bills
 and the pool's aggregate totals (both the ledger's running
 :class:`~repro.serve.accounting.Tally` totals: exact sums, correctly
 rounded once and therefore independent of completion order); and the
-accounting partition on both sides.  This holds because a request's usage is a pure function of the request:
-leases are scrubbed, device buffers are released between requests
-(deterministic CMA address reuse), and — the keystone — both modes serve
+accounting partition on both sides.  This holds because a request's usage
+is a pure function of the request: each request starts on a cold crossbar,
+device buffers are released between requests (deterministic CMA address
+reuse), and — the keystone — both modes serve
 every request through the same :func:`~repro.gateway.worker.serve_one`
 path under *measurement isolation* (stats ledgers and buffer-handle
 numbering reset per request), so the measured deltas are exact values

@@ -23,12 +23,13 @@ scalars on every response and on the drain frame — the currency the
 gateway's partition check reconciles bills against.
 
 Determinism inside one worker comes from the same invariants the serving
-tests lean on: leases are scrubbed (no cross-request crossbar residency),
-the runtime releases every device buffer between requests (identical
-programs re-allocate at identical CMA addresses), and usage is measured
-as per-request ledger deltas — so a request's usage record is a pure
-function of the request, independent of which worker serves it or what
-ran before.
+tests lean on: every request starts on a cold crossbar (:func:`serve_one`
+resets the device's statistics, which empties its region store, so no
+crossbar residency crosses requests), the runtime releases every device
+buffer between requests (identical programs re-allocate at identical CMA
+addresses), and usage is measured as per-request ledger deltas — so a
+request's usage record is a pure function of the request, independent of
+which worker serves it or what ran before.
 
 The worker speaks :mod:`repro.gateway.wire` pipe frames (a JSON header,
 then raw array bytes) over its own duplex pipe to the gateway — blocking

@@ -105,10 +105,11 @@ class Crossbar:
         # Full-precision shadow of the stored values (used in ideal mode and
         # for read-back checks in quantized mode).
         self._values = np.zeros((cfg.rows, cfg.cols), dtype=np.float64)
-        self._scale = 1.0
-        #: ``(r0, r1, c0, c1, scale)`` of the blocks written since the
-        #: planes' levels were last stored (scale 0.0: programmed as zeros).
-        self._unquantised: list[tuple[int, int, int, int, float]] = []
+        self._scale, self._scales = 1.0, {}  # of the last write; of the last at each offset
+        #: ``(r0, r1, c0, c1) -> scale`` of the blocks written since the
+        #: planes' levels were last stored, oldest first (scale 0.0:
+        #: programmed as zeros).
+        self._unquantised: dict[tuple[int, int, int, int], float] = {}
         self.msb_plane._store_deferred_levels = self._quantise_pending
         self.lsb_plane._store_deferred_levels = self._quantise_pending
         # Lifetime counters.
@@ -145,9 +146,8 @@ class Crossbar:
         if matrix.size == 0:
             return WriteReport()
         # Quantise to 8-bit levels for the physical planes, offset by 128
-        # into the unsigned range 1..255; the scale is shared across the
-        # whole crossbar (the micro-engine writes one operand tile at a
-        # time, so this matches its usage).  A block with no magnitude to
+        # into the unsigned range 1..255, at one scale per block (a region
+        # de-quantises its GEMVs by its own).  A block with no magnitude to
         # scale by -- all zeros, or holding a NaN -- is programmed as zeros.
         # Widening a float to float64 is exact, so the extremes of a
         # narrower operand are those of the widened one.
@@ -157,18 +157,13 @@ class Crossbar:
             raise ValueError(f"operand magnitude {max_abs} cannot be quantised")
         r1, c1 = row_offset + rows, col_offset + cols
         self._values[row_offset:r1, col_offset:c1] = matrix
-        self._scale = scale
+        self._scale = self._scales[row_offset, col_offset] = scale
         # The device levels are quantised from the shadow when the planes
-        # are next read; a pending block this one covers needs no levels.
+        # are next read; the same block written again needs levels once.
         block = (row_offset, r1, col_offset, c1)
-        unquantised = [
-            pending for pending in self._unquantised
-            if not (row_offset <= pending[0] and pending[1] <= r1
-                    and col_offset <= pending[2] and pending[3] <= c1)
-        ]
-        unquantised.append((*block, scale if max_abs > 0 else 0.0))
-        self._unquantised = unquantised
-        if len(unquantised) > MAX_PENDING_BLOCKS:
+        self._unquantised.pop(block, None)
+        self._unquantised[block] = scale if max_abs > 0 else 0.0
+        if len(self._unquantised) > MAX_PENDING_BLOCKS:
             self._quantise_pending()
         # Wear is counted per programming pulse (no program-and-verify skip):
         # the paper's endurance analysis counts every write issued to a cell.
@@ -194,11 +189,11 @@ class Crossbar:
         """
         if not self._unquantised:
             return
-        pending, self._unquantised = self._unquantised, []
+        pending, self._unquantised = self._unquantised, {}
         bits = self.config.device_bits
         msb, lsb = self.msb_plane._levels, self.lsb_plane._levels
         with np.errstate(all="ignore"):  # the garbage may overflow int8
-            for r0, r1, c0, c1, scale in pending:
+            for (r0, r1, c0, c1), scale in pending.items():
                 if scale:
                     # rint(v / scale) lies in -127..127: as int8 its two's-
                     # complement byte XOR 0x80 is the offset level v + 128.
@@ -213,7 +208,8 @@ class Crossbar:
                 lsb[r0:r1, c0:c1] = levels
 
     def stored_quantised(self) -> np.ndarray:
-        """The values as represented by the physical 8-bit cells."""
+        """The values as represented by the physical 8-bit cells, every
+        cell at the scale of the last write."""
         cfg = self.config
         levels = (
             self.msb_plane.levels.astype(np.int64) << cfg.device_bits
@@ -246,11 +242,14 @@ class Crossbar:
         x: np.ndarray,
         rows_active: Optional[int] = None,
         cols_active: Optional[int] = None,
+        row_offset: int = 0,
+        col_offset: int = 0,
     ) -> tuple[np.ndarray, GemvReport]:
         """Compute ``Y = X @ G`` for a batch of input vectors in one step.
 
         ``x`` has shape ``(n_vectors, rows_active)``; the result has shape
-        ``(n_vectors, cols_active)``.  This is the batch of per-vector
+        ``(n_vectors, cols_active)``; ``G`` is the block written at the
+        offsets.  This is the batch of per-vector
         :meth:`gemv` calls in one dispatch.  In ``quantized`` mode the
         per-vector input scale, the MSB/LSB device-plane partial products,
         the ADC and the digital recombination are applied vectorized across
@@ -274,7 +273,8 @@ class Crossbar:
                 f"input vector{'s have' if n_vectors != 1 else ' has'} "
                 f"{x.shape[1]} entries, expected {rows_active}"
             )
-        if rows_active > cfg.rows or cols_active > cfg.cols:
+        r1, c1 = row_offset + rows_active, col_offset + cols_active
+        if r1 > cfg.rows or c1 > cfg.cols:
             raise ValueError("active region exceeds crossbar geometry")
 
         report = GemvReport(
@@ -292,7 +292,7 @@ class Crossbar:
             return np.zeros((0, cols_active)), report
 
         if cfg.mode == "ideal":
-            values = self._values[:rows_active, :cols_active]
+            values = self._values[row_offset:r1, col_offset:c1]
             if n_vectors == 1:
                 # Keep the single-vector call on the historical dgemv path
                 # so lone GEMVs stay bit-for-bit stable.
@@ -307,8 +307,8 @@ class Crossbar:
         )
         x_scale = np.where(x_max > 0, x_max / 127.0, 1.0)
         xq_f = np.rint(x / x_scale[:, None])
-        msb = self.msb_plane.levels[:rows_active, :cols_active].astype(np.float64)
-        lsb = self.lsb_plane.levels[:rows_active, :cols_active].astype(np.float64)
+        msb = self.msb_plane.levels[row_offset:r1, col_offset:c1].astype(np.float64)
+        lsb = self.lsb_plane.levels[row_offset:r1, col_offset:c1].astype(np.float64)
         # Analog partial dot products (per device plane), then ADC.
         msb_partial = xq_f @ msb
         lsb_partial = xq_f @ lsb
@@ -324,7 +324,7 @@ class Crossbar:
         self.digital.alu_ops += n_vectors * cols_active
         combined = combined - offset_term
         # De-quantise.
-        result = combined * self._scale * x_scale[:, None]
+        result = combined * self._scales.get((row_offset, col_offset), 1.0) * x_scale[:, None]
         return result, report
 
     # ------------------------------------------------------------------

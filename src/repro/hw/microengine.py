@@ -5,9 +5,10 @@ host wrote into the context registers into circuit-level operations: DMA
 loads from shared memory into the row/column buffers, crossbar writes,
 GEMV triggers, digital post-processing, and DMA stores of the results.  It
 decomposes GEMM into a series of GEMVs, tiles operands that exceed the
-crossbar geometry, reuses an already-programmed operand across batched
-kernels that share it (the endurance-friendly "smart mapping"), and supports
-double buffering to hide DMA latency behind crossbar compute.
+crossbar geometry, keeps every programmed operand tile in a region of its
+own so that any later kernel, call or lease with the same operand finds it
+(the endurance-friendly "smart mapping"), and supports double buffering to
+hide DMA latency behind crossbar compute.
 
 With ``num_tiles > 1`` the operand blocks become shards handed to the
 :class:`~repro.hw.scheduler.TileScheduler`, which places them on parallel
@@ -26,6 +27,7 @@ are called as they happen and charge the tile themselves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -101,25 +103,110 @@ class Conv2DRequest:
             raise ValueError("input image width too small for requested output")
 
 
-class _Resident:
-    """The operand tile programmed into the crossbar: its key, a
-    full-precision copy, and a watch on its operand's memory."""
+class _Held:
+    """A held tile: its square (``row, col, side``, the tile in its corner), shape and bytes."""
 
-    __slots__ = ("key", "values", "watch", "self_equal")
+    def __init__(self, a_tile: np.ndarray):
+        self.shape, self.dtype, self.data = a_tile.shape, a_tile.dtype, a_tile.tobytes()
 
-    def __init__(self, key: tuple, values: np.ndarray, watch: WriteWatch):
-        self.key, self.values, self.watch = key, values, watch
-        self.self_equal: Optional[bool] = None
+    @functools.cached_property
+    def hits(self) -> bool:  # a NaN never equals itself, so never hits
+        values = np.frombuffer(self.data, self.dtype)
+        return bool((values == values).all())
 
-    def holds(self, a_tile: np.ndarray) -> bool:
-        """Whether the copy equals *a_tile*: the host may have rewritten
-        the operand since it was programmed.  While nothing wrote it, the
-        copy equals the tile iff it equals itself (a NaN never does)."""
-        if self.watch.written:
-            return bool((self.values == a_tile).all())
-        if self.self_equal is None:
-            self.self_equal = bool((self.values == self.values).all())
-        return self.self_equal
+
+class _RegionStore:
+    """The tiles the crossbar holds, least recently used first, each in a square of a
+    quad-tree buddy allocator (one finding none free evicts the oldest), found by shape
+    and bytes or, the last one used, by a watch on its window (the only watch kept)."""
+
+    def __init__(self, rows: int, cols: int, memory):
+        self.rows, self.cols, self.memory = rows, cols, memory
+        self.root = 1 << max(rows - 1, cols - 1).bit_length()
+        self.last: Optional[tuple[tuple, _Held, WriteWatch]] = None
+        self.clear()
+
+    def clear(self) -> None:
+        self._use(None)
+        self.held: dict[_Held, None] = {}
+        self.free: dict[int, set[tuple[int, int]]] = {self.root: {(0, 0)}}
+
+    def _use(self, held: Optional[_Held], key: tuple = (), span: tuple[int, int] = (0, 0)):
+        if self.last is not None:
+            self.memory.unwatch(self.last[2])
+        self.last = None if held is None else (key, held, self.memory.watch(*span))
+        if held is not None:
+            self.held[held] = self.held.pop(held, None)
+        return held
+
+    def find(self, key: tuple, a_tile: np.ndarray, span: tuple[int, int]) -> Optional[_Held]:
+        if self.last is not None and self.last[0] == key and not self.last[2].written:
+            return self.last[1] if self.last[1].hits else None
+        # Last used first; the tile's bytes are taken only if a first row matches.
+        shape, head = a_tile.shape, a_tile[0].tobytes()
+        same = [h for h in reversed(self.held) if h.shape == shape and h.data.startswith(head)]
+        if same:
+            data = a_tile.tobytes()
+            for held in same:
+                if held.data == data and held.hits:
+                    return self._use(held, key, span)
+        return None
+
+    def program(self, tile: CIMTile, key: tuple, a_tile: np.ndarray,
+                span: tuple[int, int]) -> _Held:
+        """Program *a_tile* (as rows = k, cols = i) into a free square."""
+        held = _Held(a_tile)
+        held.row, held.col, held.side = self.allocate(a_tile.shape[1], a_tile.shape[0])
+        try:
+            tile.write_matrix(a_tile.T, held.row, held.col)
+        except ValueError:  # an operand the cells cannot hold takes no square
+            self.release(held.row, held.col, held.side)
+            raise
+        return self._use(held, key, span)
+
+    def allocate(self, rows: int, cols: int) -> tuple[int, int, int]:
+        """The lowest free square a ``rows x cols`` block fits in, as ``(row, col, side)``."""
+        side = size = 1 << max(rows - 1, cols - 1, 0).bit_length()
+        if side == self.root:  # the whole crossbar: no tile stays
+            self.clear()
+            self.free = {}
+            return 0, 0, side
+        while True:
+            if size > self.root:  # none is free: evict the least recently used tile
+                oldest = next(iter(self.held))
+                if self.last is not None and self.last[1] is oldest:
+                    self._use(None)
+                del self.held[oldest]
+                if oldest.side == side and oldest.row + rows <= self.rows \
+                        and oldest.col + cols <= self.cols:
+                    return oldest.row, oldest.col, side  # the only free square of its side
+                self.release(oldest.row, oldest.col, oldest.side)
+                size = side
+            fits = [(r, c) for r, c in self.free.get(size, ())
+                    if r + rows <= self.rows and c + cols <= self.cols]
+            if fits:
+                break
+            size *= 2
+        row, col = min(fits)
+        self.free[size].remove((row, col))
+        while size > side:  # keep the corner quarter, free the other three
+            size //= 2
+            for r, c in ((row, col + size), (row + size, col), (row + size, col + size)):
+                if r < self.rows and c < self.cols:
+                    self.free.setdefault(size, set()).add((r, c))
+        return row, col, side
+
+    def release(self, row: int, col: int, side: int) -> None:
+        """Free a square, merged with its free buddies."""
+        while side < self.root:
+            r0, c0 = row - row % (2 * side), col - col % (2 * side)
+            buddies = {(r, c) for r in (r0, r0 + side) for c in (c0, c0 + side)
+                       if r < self.rows and c < self.cols} - {(row, col)}
+            if not buddies <= self.free.get(side, set()):
+                break
+            self.free[side] -= buddies
+            row, col, side = r0, c0, 2 * side
+        self.free.setdefault(side, set()).add((row, col))
 
 
 @dataclass
@@ -206,9 +293,8 @@ class MicroEngine:
         self.scheduler = TileScheduler(self.config.num_tiles, self.config.double_buffering)
         self.energy_model: CimEnergyModel = tile.energy_model
         self._clock_s = 0.0
-        #: The operand tile currently programmed into the crossbar (for
-        #: batched smart mapping and cross-call GEMV residency).
-        self._resident: Optional[_Resident] = None
+        #: The operand tiles the crossbar holds, across calls and leases.
+        self.store = _RegionStore(tile.rows, tile.cols, dma.memory)
         #: Plans by request: a descriptor decoded again with the same values
         #: (a later launch of the same kernel on the same buffers) is not
         #: costed again.  A bare START reuses the accelerator's decoded plan
@@ -221,14 +307,8 @@ class MicroEngine:
     # Public entry points
     # ------------------------------------------------------------------
     def invalidate_residency(self) -> None:
-        """Forget the programmed operand (e.g. on a statistics reset, so
-        repeated measurements start from the same cold-crossbar state)."""
-        self._set_resident(None)
-
-    def _set_resident(self, resident: Optional[_Resident]) -> None:
-        if self._resident is not None:
-            self.dma.memory.unwatch(self._resident.watch)
-        self._resident = resident
+        """Forget every programmed operand (a statistics reset starts cold)."""
+        self.store.clear()
 
     def plan_gemm(self, request: GemmRequest) -> RunPlan:
         """Cost one GEMM/GEMV descriptor; :meth:`run_gemm` runs the plan
@@ -364,23 +444,19 @@ class MicroEngine:
         c_out = None if plan.one_dispatch else np.zeros((req.m, req.n), dtype=np.float64)
         shards = []
         for block in plan.blocks:
-            a_tile = block.a_tile
-            resident = self._resident
-            if (plan.reuse and resident is not None and resident.key == block.key
-                    and resident.holds(a_tile)):
+            held = self.store.find(block.key, block.a_tile, plan.a_span) if plan.reuse else None
+            if held is not None:
                 charges, shard = block.resident, block.resident_shard
             else:
                 self._clock_s = block.load.replay(timeline, self._clock_s)
-                tile.write_matrix(a_tile.T)
-                self._set_resident(_Resident(
-                    block.key, a_tile.copy(), self.dma.memory.watch(*plan.a_span)))
+                held = self.store.program(tile, block.key, block.a_tile, plan.a_span)
                 result.add(block.write_work)
                 charges, shard = block.programmed, block.program_shard
             self._clock_s = charges.replay(timeline, self._clock_s)
             shards.append(shard)
             for x, part in block.inputs:
                 partial, _ = tile.gemv_batch(np.ascontiguousarray(x, dtype=np.float64),
-                                             block.k_size, block.i_size)
+                                             block.k_size, block.i_size, held.row, held.col)
                 if c_out is None:
                     c_out = np.add(partial.T, 0.0, order="C")
                 else:
@@ -489,8 +565,9 @@ class MicroEngine:
         shift = np.arange(t_cols)
         toeplitz[:, np.arange(kw)[:, None] + shift, shift] = (
             plan.weights.astype(np.float64).reshape(kh, kw, 1))
-        tile.write_matrix(toeplitz.reshape(slab_len, t_cols))
-        self._set_resident(None)
+        row, col, side = self.store.allocate(slab_len, t_cols)  # for this run only
+        self.store.release(row, col, side)
+        tile.write_matrix(toeplitz.reshape(slab_len, t_cols), row, col)
         self._clock_s = plan.body.replay(timeline, self._clock_s)
 
         # Gather the slabs of every output row at once: slab (oi, s) is the
@@ -506,13 +583,13 @@ class MicroEngine:
         if self.config.batch_gemv:
             # One tile product for the image; every output row's dispatch
             # charged once per row.
-            values, _ = tile.crossbar.gemv_batch(slabs, slab_len, t_cols)
+            values, _ = tile.crossbar.gemv_batch(slabs, slab_len, t_cols, row, col)
             tile.charge_gemv(n_slabs, slab_len, t_cols, repeat=req.out_h)
         else:
             values = np.empty((len(slabs), t_cols), dtype=np.float64)
             for index in range(len(slabs)):
                 values[index : index + 1], _ = tile.gemv_batch(
-                    slabs[index : index + 1], slab_len, t_cols)
+                    slabs[index : index + 1], slab_len, t_cols, row, col)
         if plan.shards:
             self._clock_s = self.scheduler.schedule(
                 plan.shards, start_s=self._clock_s, timeline=timeline

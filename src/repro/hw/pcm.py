@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 #: Distinct pending wear rectangles a cell array holds before it folds them.
-MAX_PENDING_BLOCKS = 64
+MAX_PENDING_BLOCKS = 128
 
 
 @dataclass(frozen=True)

@@ -108,14 +108,17 @@ class CIMTile:
         x: np.ndarray,
         rows_active: Optional[int] = None,
         cols_active: Optional[int] = None,
+        row_offset: int = 0,
+        col_offset: int = 0,
     ) -> tuple[np.ndarray, TileOperationCost]:
-        """A batch of analog GEMVs over the same programmed operand.
+        """A batch of analog GEMVs over the operand programmed at the offsets.
 
         ``x`` holds the input vectors as rows.  The values come from one
         crossbar product, the cost from :meth:`charge_gemv`; both equal
         those of the per-vector :meth:`gemv` calls.
         """
-        result, report = self.crossbar.gemv_batch(x, rows_active, cols_active)
+        result, report = self.crossbar.gemv_batch(
+            x, rows_active, cols_active, row_offset, col_offset)
         return result, self.charge_gemv(
             report.gemv_count, report.rows_active, report.cols_active
         )

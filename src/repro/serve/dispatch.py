@@ -89,10 +89,12 @@ class LeaseExecutor:
     # ------------------------------------------------------------------
     def dispatch(self, batch: list[TenantRequest], batch_id: int) -> list[FaultedRequest]:
         """Serve *batch* as one crossbar lease; returns the requests a
-        device fault prevented from being served (empty without faults)."""
-        # Lease isolation: a batch never inherits the previous tenant's
-        # programmed operand.
-        self.system.accelerator.micro_engine.invalidate_residency()
+        device fault prevented from being served (empty without faults).
+
+        The device keeps what its crossbar holds from earlier leases: an
+        establishing member whose operand tile is still programmed is
+        charged as resident (the store keys tiles by their bytes, so
+        tenants share a programmed operand exactly when a lease would)."""
         head = batch[0]
         plan = (
             head.analysis.fused
@@ -118,12 +120,10 @@ class LeaseExecutor:
     ) -> list[FaultedRequest]:
         """Generic lease: run each request's whole program back to back.
 
-        Within the lease the crossbar keeps the operand of the previous
-        request resident, and because the runtime releases every device
-        buffer between requests, identical programs re-allocate at
-        identical addresses — so compatible followers skip the
-        reprogramming entirely (the PR 1 residency path) while staying
-        bit-identical to their direct execution.
+        The crossbar keeps the operand tiles of earlier requests (of this
+        lease or an earlier one), so a request whose tile it still holds
+        skips the reprogramming while staying bit-identical to its direct
+        execution.
         """
         faulted: list[FaultedRequest] = []
         for index, request in enumerate(batch):
@@ -281,7 +281,9 @@ class LeaseExecutor:
                     self.fault_hook("attempt", request)
                 outputs, report = execute(request)
             except DeviceFault as fault:
-                device_fault = fault
+                # Kept without its traceback, whose frames hold the fault,
+                # the request and its arrays in a cycle.
+                device_fault = fault.with_traceback(None)
                 report = None  # bill nothing; measure the lost work below
             except Exception as exc:
                 failure = f"{type(exc).__name__}: {exc}"
@@ -302,7 +304,7 @@ class LeaseExecutor:
             try:
                 self.fault_hook("commit", request)
             except DeviceFault as fault:
-                device_fault = fault
+                device_fault = fault.with_traceback(None)
         if device_fault is not None:
             self._compensate(request, batch_id, report, device_fault)
             return device_fault

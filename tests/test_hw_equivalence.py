@@ -7,7 +7,11 @@ the model reports: result bytes, every field of the run statistics and
 the execution report, the timeline, both energy ledgers and counter sets,
 buffer and shared-memory traffic, per-cell wear and the stored levels.
 ``tests/golden/hw/device_reports.json`` holds what the tree *before* the
-values/charges split produced; the comparison is ``==``.
+values/charges split produced, except for what the crossbar's region
+store moved on purpose (tiles in their own squares: wear, stored levels
+and the reuse of a tile still held; ``tests/test_region_store.py`` checks
+that one origin region reproduces the earlier file); the comparison is
+``==``.
 
 Operands are integer-valued, so float32 holds every partial sum exactly
 and the result bytes do not depend on the BLAS build or on whether a

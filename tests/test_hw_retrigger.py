@@ -11,7 +11,9 @@ records, both energy ledgers (hex floats, in insertion order), the
 counters, the timeline, the DMA, shared-memory and host-overhead totals,
 the buffer bytes, the crossbar totals and the wear.
 ``tests/golden/hw/retrigger.json`` holds what the tree *before* the device
-ran decoded plans produced; the comparison is ``==``.
+ran decoded plans produced, except for what the crossbar's region store
+moved on purpose (``tests/test_region_store.py``); the comparison is
+``==``.
 
 Operands are small integers, so float32 holds every partial sum exactly
 and the result bytes do not depend on the BLAS build.

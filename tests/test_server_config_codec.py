@@ -40,10 +40,6 @@ GOLDEN = {
     "fleet": TRACES / "fleet_faultstorm.jsonl",
 }
 
-#: Header keys that are not a config field: leases are always scrubbed,
-#: and the key stays so recorded headers keep their bytes.
-FIXED_KEYS = {"scrub_leases"}
-
 COMPILE_OPTIONS = CompileOptions(
     offload_kinds=("gemv", "gemm"),
     enable_fusion=False,
@@ -106,7 +102,7 @@ def test_every_field_round_trips_at_non_default_values(kind, config):
 @pytest.mark.parametrize("cls", [ServerConfig, FleetConfig])
 def test_every_field_has_a_codec_key(cls):
     encoded = encode_server_config(cls())
-    assert set(encoded) - FIXED_KEYS == {f.name for f in fields(cls)}
+    assert set(encoded) == {f.name for f in fields(cls)}
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
@@ -119,11 +115,11 @@ def test_encoder_reproduces_the_golden_header_bytes(kind):
     assert json.dumps(rebuilt, separators=(",", ":")) == header_line
 
 
-def test_decoder_refuses_unscrubbed_leases_missing_keys_and_bad_values():
+def test_decoder_refuses_missing_keys_and_bad_values():
     encoded = encode_server_config(SERVE)
-    with pytest.raises(TraceFormatError, match="scrub_leases"):
-        decode_server_config("serve", {**encoded, "scrub_leases": False})
-    for key in ("scrub_leases", "default_quota", "compile_options"):
+    # A header recorded while every lease was scrubbed still reads.
+    assert decode_server_config("serve", {**encoded, "scrub_leases": True}) == SERVE
+    for key in ("default_quota", "compile_options"):
         partial = {k: v for k, v in encoded.items() if k != key}
         with pytest.raises(TraceFormatError, match="does not rebuild"):
             decode_server_config("serve", partial)
