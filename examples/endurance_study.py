@@ -20,9 +20,10 @@ from repro.eval.lifetime import SHARED_INPUT_GEMMS_SOURCE
 from repro.system import CimSystem, SystemConfig
 
 
-def run_with_fusion(enable_fusion: bool, n: int = 64):
-    """Compile and execute the Listing 2 kernel pair; return (system, report)."""
-    options = CompileOptions(enable_fusion=enable_fusion)
+def run_pipeline(pipeline: str, n: int = 64):
+    """Compile the Listing 2 kernel pair under the named pipeline and
+    execute it; return (system, report)."""
+    options = CompileOptions(pipeline=pipeline)
     result = compile_source(SHARED_INPUT_GEMMS_SOURCE, options=options,
                             size_hint={"N": n})
     rng = np.random.default_rng(1)
@@ -58,9 +59,9 @@ def main() -> None:
           f"{simulated.write_volume_ratio:.2f}")
     print()
 
-    for label, enable_fusion in (("naive (fusion off)", False),
-                                 ('"smart" (fusion on)', True)):
-        system, report = run_with_fusion(enable_fusion)
+    for label, pipeline in (("naive (fusion off)", "no-fusion"),
+                            ('"smart" (fusion on)', "default")):
+        system, report = run_pipeline(pipeline)
         crossbar = system.crossbar
         print(f"{label}:")
         print(f"  runtime calls:         {len(report.runtime_calls)}")

@@ -42,6 +42,7 @@ def repo_root() -> Path:
 # repro run
 # ----------------------------------------------------------------------
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.compiler import CompileOptions
     from repro.eval.experiments import evaluate_kernel
     from repro.workloads.polybench import kernel_names
 
@@ -57,7 +58,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         dataset=args.dataset,
         seed=args.seed,
         verify=args.verify,
-        pipeline=args.pipeline,
+        options=CompileOptions(pipeline=args.pipeline),
     )
     print(f"kernel             {evaluation.kernel} ({evaluation.category})")
     print(f"dataset            {evaluation.dataset}")
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("kernel", nargs="?", help="PolyBench kernel name")
     run.add_argument("--dataset", default="MEDIUM", help="dataset preset")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--pipeline", default=None, help="named pass pipeline")
+    run.add_argument("--pipeline", default="default", help="named pass pipeline")
     run.add_argument(
         "--verify", action="store_true", help="check results against NumPy"
     )

@@ -8,11 +8,11 @@ whose offloaded kernels have been replaced by CIM runtime calls, plus a
 report describing every decision the compiler made.
 
 The pipeline is a pass-manager subsystem (:mod:`repro.compiler.passes`):
-composable :class:`Pass` stages over one :class:`CompilationContext`,
-ordering validated at assembly, per-pass wall-time/IR-delta timings in
-``CompilationReport.pass_timings``, offload policies selected by name,
-and named pipelines (``"default"``, ``"no-fusion"``,
-``"detect-only"``) selectable via ``CompileOptions.pipeline``.
+:class:`Pass` stages over one :class:`CompilationContext`, run in the
+fixed order of a named pipeline (``"default"``, ``"no-fusion"``,
+``"detect-only"``) that ``CompileOptions.pipeline`` selects, with
+per-pass wall-time timings in ``CompilationReport.pass_timings`` and
+offload policies selected by name.
 
 Because the pipeline is pure, repeated invocations are memoised by the
 content-addressed :class:`~repro.compiler.cache.KernelCompileCache`

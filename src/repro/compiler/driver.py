@@ -1,8 +1,9 @@
 """The end-to-end TDO-CIM compilation driver (Figure 4).
 
 :class:`TdoCimCompiler` is a thin wrapper around the pass-manager subsystem
-(:mod:`repro.compiler.passes`): it resolves ``CompileOptions.pipeline``
-into a :class:`~repro.compiler.passes.manager.PassManager`, threads a
+(:mod:`repro.compiler.passes`): it builds the named pipeline
+``CompileOptions.pipeline`` into a
+:class:`~repro.compiler.passes.manager.PassManager`, threads a
 :class:`~repro.compiler.passes.context.CompilationContext` through it, and
 memoises the result in the content-addressed compile cache.  The pipeline
 itself — parse → normalize → detect SCoPs → build schedule trees → match
@@ -105,7 +106,7 @@ class TdoCimCompiler:
         With ``options.enable_compile_cache`` (the default) the result is
         memoised by content fingerprint — see :mod:`repro.compiler.cache`.
         The fingerprint covers every options field, including the pipeline
-        description, so results from different pipelines never alias.  The
+        name, so results from different pipelines never alias.  The
         cache is asked on every call.
         """
         key: Optional[str] = None
@@ -167,16 +168,11 @@ class TdoCimCompiler:
 
 
 def _result_from_context(ctx: CompilationContext) -> CompilationResult:
-    """Fold a finished pass-pipeline context into the public result type."""
-    program = ctx.program
-    if program is None:
-        raise ValueError(
-            "pipeline produced no program — it must include the 'parse' pass"
-        )
-    source_program = ctx.source_program if ctx.source_program is not None else program
+    """Fold a finished pass-pipeline context into the public result type.
+    Every named pipeline starts with ``parse``, which sets both programs."""
     return CompilationResult(
-        source_program=source_program,
-        program=program,
+        source_program=ctx.source_program,
+        program=ctx.program,
         report=ctx.report,
         scops=ctx.scops,
         trees=ctx.trees,

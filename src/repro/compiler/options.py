@@ -16,18 +16,14 @@ class CompileOptions:
 
     The defaults correspond to the paper's ``clang -O3 -march-native
     -enable-loop-tactics`` configuration: offloading enabled for every kernel
-    kind the accelerator supports, kernel fusion enabled, and no selectivity
-    (the paper offloads every detected kernel and reports a separate
-    "selective" geometric mean that excludes the GEMV-like kernels).
+    kind the accelerator supports, kernel fusion (the ``"default"``
+    pipeline), and no selectivity (the paper offloads every detected kernel
+    and reports a separate "selective" geometric mean that excludes the
+    GEMV-like kernels).
     """
 
-    #: Master switch; with offloading disabled the compiler only reports what
-    #: it would have done (the plain ``-O3`` host baseline).
-    enable_offload: bool = True
     #: Kernel kinds eligible for offloading.
     offload_kinds: tuple[str, ...] = ("gemm", "gemv", "conv2d")
-    #: Fuse adjacent independent kernels into batched runtime calls.
-    enable_fusion: bool = True
     #: Require fused kernels to share an input operand (endurance-oriented
     #: fusion only); by default sharing is exploited when present but not
     #: required.
@@ -54,22 +50,24 @@ class CompileOptions:
     #: in-memory only).  Entries are content-addressed pickles, so they are
     #: never stale and can be shared across processes.
     compile_cache_dir: str | None = None
-    #: Pass pipeline to run: a named pipeline (``"default"``, ``"no-fusion"``,
-    #: ``"detect-only"``) or an explicit sequence of pass names (see
-    #: :data:`repro.compiler.passes.PASS_REGISTRY`).  Part of the compile-cache
-    #: fingerprint, so results from different pipelines never alias.
-    pipeline: str | tuple[str, ...] | list[str] = "default"
+    #: The named pipeline to run (a key of
+    #: :data:`repro.compiler.passes.NAMED_PIPELINES`): ``"default"``,
+    #: ``"no-fusion"`` (no kernel fusion) or ``"detect-only"``.  Part of the
+    #: compile-cache fingerprint, so results from different pipelines never
+    #: alias.
+    pipeline: str = "default"
     #: Offload-selection policy applied by the ``select-offload`` pass:
     #: ``"threshold"`` (the paper's behaviour — kind filter plus the optional
-    #: ``min_macs_per_write`` compute-intensity heuristic), ``"always"`` or
-    #: ``"never"`` (ablation policies).
+    #: ``min_macs_per_write`` compute-intensity heuristic), ``"always"`` (an
+    #: ablation) or ``"never"`` (the plain ``-O3`` host baseline: nothing is
+    #: offloaded and the compiled program is the normalised input).
     offload_policy: str = "threshold"
     #: Pass names after which the pass manager stores the printed IR into
     #: ``CompilationReport.ir_dumps`` (e.g. ``("isolate", "lower")``).
     dump_ir_after: tuple[str, ...] | list[str] = ()
 
     def __post_init__(self) -> None:
-        from repro.compiler.passes.pipelines import PASS_REGISTRY, validate_pipeline
+        from repro.compiler.passes.pipelines import PASS_REGISTRY, resolve_pass_names
         from repro.compiler.passes.policy import validate_policy
         from repro.tactics.patterns import KERNEL_SPECS
 
@@ -78,9 +76,7 @@ class CompileOptions:
             if isinstance(value, str):
                 raise ValueError(f"{name} takes a sequence of names, not the string {value!r}")
             object.__setattr__(self, name, tuple(value))
-        if not isinstance(self.pipeline, str):
-            object.__setattr__(self, "pipeline", tuple(self.pipeline))
-        validate_pipeline(self.pipeline)
+        resolve_pass_names(self.pipeline)
         validate_policy(self.offload_policy)
         kinds = [spec.kind for spec in KERNEL_SPECS]
         for kind in self.offload_kinds:
@@ -99,7 +95,10 @@ class CompileOptions:
             if type(value) is bool or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
         threshold = self.min_macs_per_write
-        if threshold is not None and not (isinstance(threshold, (int, float)) and threshold >= 0):
+        if threshold is not None and (
+            type(threshold) is bool
+            or not (isinstance(threshold, (int, float)) and threshold >= 0)
+        ):
             raise ValueError(
                 f"min_macs_per_write must be None or a number >= 0, got {threshold!r}"
             )
@@ -110,7 +109,7 @@ class CompileOptions:
     @staticmethod
     def host_only() -> "CompileOptions":
         """The ``-O3`` baseline: nothing is offloaded."""
-        return CompileOptions(enable_offload=False)
+        return CompileOptions(offload_policy="never")
 
     @staticmethod
     def selective(threshold: float = 32.0) -> "CompileOptions":

@@ -1,19 +1,18 @@
 """The pass-manager subsystem of the TDO-CIM compiler.
 
-The Figure 4 flow is decomposed into small, composable passes threaded over
-one :class:`CompilationContext`, mirroring the LLVM/Polly pass-manager
+The Figure 4 flow is decomposed into small passes threaded over one
+:class:`CompilationContext`, mirroring the LLVM/Polly pass-manager
 architecture the paper builds on:
 
 ``parse`` → ``normalize-reductions`` → ``detect-scops`` →
 ``build-schedule-trees`` → ``match-kernels`` → ``select-offload`` →
 ``isolate`` → ``fusion`` → ``tiling`` → ``device-map`` → ``lower``
 
-The :class:`PassManager` validates pass ordering at construction, records
-per-pass wall time and IR deltas into ``CompilationReport.pass_timings``,
-and honours ``CompileOptions.dump_ir_after``.  Pipelines are selected
-declaratively via ``CompileOptions.pipeline`` — a name from
-:data:`NAMED_PIPELINES` or an explicit pass list — and offload selection
-follows the policy named by ``CompileOptions.offload_policy``.  See
+A pipeline is a name: ``CompileOptions.pipeline`` selects one of the
+fixed pass orders of :data:`NAMED_PIPELINES`.  The :class:`PassManager`
+records per-pass wall time into ``CompilationReport.pass_timings`` and
+honours ``CompileOptions.dump_ir_after``; offload selection follows the
+policy named by ``CompileOptions.offload_policy``.  See
 ``docs/compiler.md``.
 """
 
@@ -33,7 +32,6 @@ from repro.compiler.passes.pipelines import (
     PASS_REGISTRY,
     build_pipeline,
     resolve_pass_names,
-    validate_pipeline,
 )
 from repro.compiler.passes.policy import OFFLOAD_POLICIES, estimated_intensity
 from repro.compiler.passes.transform_passes import (
@@ -65,5 +63,4 @@ __all__ = [
     "NAMED_PIPELINES",
     "build_pipeline",
     "resolve_pass_names",
-    "validate_pipeline",
 ]

@@ -12,8 +12,6 @@ class MatchKernelsPass(Pass):
     """Match every SCoP's statements against the kernel specs."""
 
     name = "match-kernels"
-    requires = ("schedule-trees",)
-    provides = ("kernel-matches",)
 
     def run(self, ctx: CompilationContext) -> None:
         ctx.matches_by_scop = [find_all_kernels(scop) for scop in ctx.scops]
@@ -24,8 +22,6 @@ class SelectOffloadPass(Pass):
     (:func:`~repro.compiler.passes.policy.decide_offload`)."""
 
     name = "select-offload"
-    requires = ("kernel-matches",)
-    provides = ("offload-selection",)
 
     def run(self, ctx: CompilationContext) -> None:
         ctx.selected_by_scop = []

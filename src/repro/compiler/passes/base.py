@@ -1,24 +1,9 @@
-"""Pass base class and pipeline-composition errors.
+"""Pass base class and the unknown-pipeline error.
 
 A :class:`Pass` is one stage of the TDO-CIM compilation flow.  It reads and
-writes a shared :class:`~repro.compiler.passes.context.CompilationContext`
-and declares its dataflow contract as two tuples of *facts*:
-
-``requires``
-    facts that must have been provided by an earlier pass (the pseudo-fact
-    ``"source"`` is always available);
-``provides``
-    facts this pass establishes for later passes;
-``conflicts``
-    facts that must *not* have been provided yet — a too-late ordering
-    (e.g. fusion after the kernels were already rewritten into runtime
-    calls) would silently produce a report describing transformations the
-    generated program does not contain.
-
-The :class:`~repro.compiler.passes.manager.PassManager` checks the contract
-when a pipeline is assembled, so an ill-ordered pipeline (e.g. tiling
-before loop distribution) fails fast with a :class:`PipelineError` instead
-of crashing mid-compile on a half-populated context.
+writes a shared :class:`~repro.compiler.passes.context.CompilationContext`.
+The pass orders are the fixed tuples of
+:data:`~repro.compiler.passes.pipelines.NAMED_PIPELINES`.
 """
 
 from __future__ import annotations
@@ -30,23 +15,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class PipelineError(ValueError):
-    """An invalid pass pipeline: unknown pass/pipeline name or bad ordering."""
+    """A pipeline that is not the name of a named pipeline."""
 
 
 class Pass:
     """One stage of the compilation pipeline.
 
-    Subclasses set :attr:`name` (the identifier used in explicit pipeline
-    descriptions and ``CompileOptions.dump_ir_after``), declare
-    :attr:`requires`/:attr:`provides`, and implement :meth:`run`.
+    Subclasses set :attr:`name` (the identifier used in
+    :data:`~repro.compiler.passes.pipelines.NAMED_PIPELINES` and
+    ``CompileOptions.dump_ir_after``) and implement :meth:`run`.
     Passes must be stateless across invocations: all inter-pass state lives
     in the :class:`CompilationContext`.
     """
 
     name: ClassVar[str] = "<anonymous>"
-    requires: ClassVar[tuple[str, ...]] = ()
-    provides: ClassVar[tuple[str, ...]] = ()
-    conflicts: ClassVar[tuple[str, ...]] = ()
 
     def run(self, ctx: "CompilationContext") -> None:
         raise NotImplementedError

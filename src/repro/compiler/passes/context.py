@@ -87,12 +87,9 @@ class CompilationContext:
             self.dependences_by_scop[scop_index] = dependences
         return dependences
 
-    def selected_for(self, scop_index: int) -> list[KernelMatch]:
-        if scop_index < len(self.selected_by_scop):
-            return self.selected_by_scop[scop_index]
-        return []
-
     def groups_for(self, scop_index: int) -> list[FusionGroup]:
+        """One SCoP's fusion groups; none when the pipeline has no
+        ``fusion`` pass (``"no-fusion"``)."""
         if scop_index < len(self.groups_by_scop):
             return self.groups_by_scop[scop_index]
         return []

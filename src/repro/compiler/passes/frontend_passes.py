@@ -15,8 +15,6 @@ class ParsePass(Pass):
     """Mini-C source → loop-nest IR (a no-op for IR-program inputs)."""
 
     name = "parse"
-    requires = ()
-    provides = ("program",)
 
     def run(self, ctx: CompilationContext) -> None:
         source = ctx.source
@@ -30,8 +28,6 @@ class NormalizeReductionsPass(Pass):
     """Rewrite reductions into canonical ``+=`` form (Loop Tactics input)."""
 
     name = "normalize-reductions"
-    requires = ("program",)
-    provides = ("normalized-program",)
 
     def run(self, ctx: CompilationContext) -> None:
         ctx.program = normalize_reductions(ctx.program)
@@ -43,8 +39,6 @@ class DetectScopsPass(Pass):
     """Find the static control parts (the Polly SCoP-detection stage)."""
 
     name = "detect-scops"
-    requires = ("normalized-program",)
-    provides = ("scops",)
 
     def run(self, ctx: CompilationContext) -> None:
         ctx.scops = detect_scops(ctx.program)
@@ -56,8 +50,6 @@ class BuildScheduleTreesPass(Pass):
     """Construct one schedule tree per SCoP (the isl schedule stage)."""
 
     name = "build-schedule-trees"
-    requires = ("scops",)
-    provides = ("schedule-trees",)
 
     def run(self, ctx: CompilationContext) -> None:
         ctx.trees = [build_schedule_tree(scop) for scop in ctx.scops]

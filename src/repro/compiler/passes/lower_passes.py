@@ -13,17 +13,16 @@ from repro.poly.scop import Scop
 class LowerPass(Pass):
     """AST regeneration + program reassembly (the Polly codegen stage).
 
-    With offloading disabled or no SCoP detected, the compiled program *is*
-    the (normalised) input program — no regeneration happens, so the
-    ``-O3`` host baseline round-trips the input byte-for-byte.
+    Under the ``"never"`` offload policy or with no SCoP detected, the
+    compiled program *is* the (normalised) input program — no regeneration
+    happens, so the ``-O3`` host baseline round-trips the input
+    byte-for-byte.
     """
 
     name = "lower"
-    requires = ("device-mapping",)
-    provides = ("lowered-program",)
 
     def run(self, ctx: CompilationContext) -> None:
-        if not ctx.scops or not ctx.options.enable_offload:
+        if not ctx.scops or ctx.options.offload_policy == "never":
             return
         replacements: list[tuple[Scop, list[Stmt]]] = [
             (scop, generate_ir(tree))

@@ -1,15 +1,11 @@
 """Named pipelines and the pass registry.
 
-Benchmarks and ablations select pipelines declaratively —
-``CompileOptions(pipeline="no-fusion")`` — instead of toggling individual
-feature flags.  A pipeline description is either the name of a predefined
-pipeline or an explicit sequence of pass names; both resolve through
-:data:`PASS_REGISTRY`.
+A pipeline is a name: ``CompileOptions(pipeline="no-fusion")`` selects one
+of the fixed pass orders of :data:`NAMED_PIPELINES`, whose pass names
+resolve through :data:`PASS_REGISTRY`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence, Union
 
 from repro.compiler.passes.analysis_passes import MatchKernelsPass, SelectOffloadPass
 from repro.compiler.passes.base import Pass, PipelineError
@@ -27,8 +23,6 @@ from repro.compiler.passes.transform_passes import (
     IsolatePass,
     TilingPass,
 )
-
-PipelineDescription = Union[str, Sequence[str]]
 
 #: Every built-in pass, keyed by its pipeline name.
 PASS_REGISTRY: dict[str, type[Pass]] = {
@@ -83,35 +77,16 @@ NAMED_PIPELINES: dict[str, tuple[str, ...]] = {
 }
 
 
-def resolve_pass_names(description: PipelineDescription) -> tuple[str, ...]:
-    """Expand a pipeline description into the concrete pass-name sequence."""
-    if isinstance(description, str):
-        try:
-            return NAMED_PIPELINES[description]
-        except KeyError:
-            raise PipelineError(
-                f"unknown pipeline {description!r}; "
-                f"named pipelines: {sorted(NAMED_PIPELINES)} "
-                f"(or pass an explicit sequence of pass names)"
-            ) from None
-    names = tuple(description)
-    for name in names:
-        if name not in PASS_REGISTRY:
-            raise PipelineError(
-                f"unknown pass {name!r} in explicit pipeline {list(names)}; "
-                f"available passes: {sorted(PASS_REGISTRY)}"
-            )
-    return names
+def resolve_pass_names(name: str) -> tuple[str, ...]:
+    """The pass names of the named pipeline *name*."""
+    if isinstance(name, str) and name in NAMED_PIPELINES:
+        return NAMED_PIPELINES[name]
+    raise PipelineError(
+        f"unknown pipeline {name!r}; a pipeline is one of the names "
+        f"{sorted(NAMED_PIPELINES)}"
+    )
 
 
-def validate_pipeline(description: PipelineDescription) -> None:
-    """Check a pipeline description (names only; ordering is checked by
-    :class:`PassManager` when the pipeline is built)."""
-    resolve_pass_names(description)
-
-
-def build_pipeline(description: PipelineDescription = "default") -> PassManager:
-    """Instantiate a :class:`PassManager` for a pipeline description."""
-    names = resolve_pass_names(description)
-    label = description if isinstance(description, str) else "+".join(names)
-    return PassManager([PASS_REGISTRY[name]() for name in names], description=label)
+def build_pipeline(name: str = "default") -> PassManager:
+    """Instantiate a :class:`PassManager` for the named pipeline *name*."""
+    return PassManager([PASS_REGISTRY[p]() for p in resolve_pass_names(name)], name)

@@ -2,10 +2,11 @@
 
 The paper's compiler offloads every kernel Loop Tactics matches, with an
 optional compute-intensity threshold ("Selective Geomean").  That behaviour
-is the ``"threshold"`` policy, the default.  ``"always"`` and ``"never"``
-are ablation policies: they bypass the kind filter and the intensity
-heuristic entirely, so benchmarks can bound what the selection logic itself
-contributes.  A policy is a name in ``CompileOptions.offload_policy``, so
+is the ``"threshold"`` policy, the default.  ``"always"`` is an ablation
+policy: it bypasses the kind filter and the intensity heuristic entirely,
+so benchmarks can bound what the selection logic itself contributes.
+``"never"`` is the plain ``-O3`` host baseline: nothing is offloaded and
+the compiled program is the (normalised) input program.  A policy is a name in ``CompileOptions.offload_policy``, so
 it is part of the compile fingerprint like every other option;
 :func:`decide_offload` reads it.
 """
@@ -77,21 +78,18 @@ def decide_offload(
 ) -> KernelDecision:
     """Whether *match* is offloaded under *options*, and why.
 
-    With offloading disabled (the plain ``-O3`` host baseline) every kernel
-    stays on the host and no intensity is estimated.  Otherwise the
-    ablation policies decide alone; ``"threshold"`` applies the kind filter,
-    then ``min_macs_per_write`` when the intensity can be estimated.
+    Under ``"never"`` (the plain ``-O3`` host baseline) every kernel stays
+    on the host and no intensity is estimated.  ``"always"`` offloads every
+    kernel; ``"threshold"`` applies the kind filter, then
+    ``min_macs_per_write`` when the intensity can be estimated.
     """
-    intensity = note = None
-    if options.enable_offload:
-        intensity, note = estimated_intensity(match, size_hint)
+    never = options.offload_policy == "never"
+    intensity, note = (None, None) if never else estimated_intensity(match, size_hint)
     threshold = options.min_macs_per_write
-    if not options.enable_offload:
+    if never:
         offloaded, reason = False, "offloading disabled"
     elif options.offload_policy == "always":
         offloaded, reason = True, "always-offload policy (ablation)"
-    elif options.offload_policy == "never":
-        offloaded, reason = False, "never-offload policy (ablation)"
     elif not options.wants_kind(match.kind):
         offloaded, reason = False, f"kind {match.kind!r} excluded by options"
     elif threshold is not None and intensity is not None and intensity < threshold:

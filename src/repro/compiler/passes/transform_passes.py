@@ -22,12 +22,10 @@ class IsolatePass(Pass):
     """
 
     name = "isolate"
-    requires = ("offload-selection",)
-    provides = ("isolated-kernels",)
 
     def run(self, ctx: CompilationContext) -> None:
         for index, tree in enumerate(ctx.trees):
-            selected = ctx.selected_for(index)
+            selected = ctx.selected_by_scop[index]
             decisions = ctx.decisions_by_scop[index]
             isolated: list[KernelMatch] = []
             for match in selected:
@@ -50,18 +48,13 @@ class FusionPass(Pass):
     """Group adjacent independent kernels into batched runtime calls."""
 
     name = "fusion"
-    requires = ("isolated-kernels",)
-    provides = ("fusion-groups",)
-    # After device mapping the kernels are already runtime calls: fusing
-    # then would report groups the generated program does not batch.
-    conflicts = ("device-mapping",)
 
     def run(self, ctx: CompilationContext) -> None:
         ctx.groups_by_scop = []
         for index, scop in enumerate(ctx.scops):
-            selected = ctx.selected_for(index)
+            selected = ctx.selected_by_scop[index]
             groups: list[FusionGroup] = []
-            if ctx.options.enable_fusion and len(selected) > 1:
+            if len(selected) > 1:
                 groups = find_fusable_groups(
                     scop,
                     selected,
@@ -82,17 +75,12 @@ class TilingPass(Pass):
     """Apply the Listing 3 crossbar-aware tiling to oversized GEMMs."""
 
     name = "tiling"
-    requires = ("isolated-kernels",)
-    provides = ("tiled-kernels",)
-    # Tiling rewrites the kernels' band chains; once device mapping has
-    # replaced those subtrees with runtime calls there is nothing to tile.
-    conflicts = ("device-mapping",)
 
     def run(self, ctx: CompilationContext) -> None:
         if not ctx.options.enable_tiling:
             return
         for index, tree in enumerate(ctx.trees):
-            for match in ctx.selected_for(index):
+            for match in ctx.selected_by_scop[index]:
                 try:
                     tile_gemm_for_crossbar(
                         tree,
@@ -112,12 +100,10 @@ class DeviceMapPass(Pass):
     """Rewrite the selected kernels into CIM runtime calls in the trees."""
 
     name = "device-map"
-    requires = ("isolated-kernels",)
-    provides = ("device-mapping",)
 
     def run(self, ctx: CompilationContext) -> None:
         for index, tree in enumerate(ctx.trees):
-            selected = ctx.selected_for(index)
+            selected = ctx.selected_by_scop[index]
             if not selected:
                 continue
             mapping = map_kernels_to_cim(tree, selected, ctx.groups_for(index))

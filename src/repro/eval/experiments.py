@@ -16,8 +16,8 @@ intensity; Figure 6 (right) reports EDP and runtime improvement factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,26 +98,18 @@ def evaluate_kernel(
     system_config: Optional[SystemConfig] = None,
     seed: int = 0,
     verify: bool = False,
-    pipeline: Optional[Union[str, Sequence[str]]] = None,
 ) -> KernelEvaluation:
     """Run the host-vs-CIM comparison for one PolyBench kernel.
 
     ``verify=True`` additionally checks the offloaded results against the
     NumPy reference (used by the integration tests; the benchmarks skip it
     to keep the timed region focused on the simulation itself).
-
-    ``pipeline`` overrides ``options.pipeline`` — the one-argument way for
-    ablation sweeps to select a named pass pipeline (``"default"``,
-    ``"no-fusion"``, ...) without constructing options by hand.
     """
     kernel = get_kernel(name)
     params = kernel.params(dataset)
     arrays = kernel.arrays(dataset, seed=seed)
 
-    options = options or CompileOptions()
-    if pipeline is not None:
-        options = replace(options, pipeline=pipeline)
-    compiler = TdoCimCompiler(options)
+    compiler = TdoCimCompiler(options or CompileOptions())
     compilation = compiler.compile(kernel.source, size_hint=params)
 
     # Host baseline: analytical cost of the original (normalised) program.

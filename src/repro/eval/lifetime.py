@@ -126,11 +126,10 @@ class Figure5Data:
         return self.naive.crossbar_bytes_written / self.smart.crossbar_bytes_written
 
 
-def _run_mapping(
-    matrix_size: int, enable_fusion: bool, name: str
-) -> MappingOutcome:
-    """Compile and execute the Listing 2 workload with/without fusion."""
-    options = CompileOptions(enable_fusion=enable_fusion)
+def _run_mapping(matrix_size: int, pipeline: str, name: str) -> MappingOutcome:
+    """Compile and execute the Listing 2 workload under the named pipeline
+    (``"no-fusion"`` for the naive mapping)."""
+    options = CompileOptions(pipeline=pipeline)
     compilation = TdoCimCompiler(options).compile(
         SHARED_INPUT_GEMMS_SOURCE, size_hint={"N": matrix_size}
     )
@@ -167,8 +166,8 @@ def figure5_simulated(
     execution's time, so the lifetime gap equals the measured write-volume
     ratio.
     """
-    naive = _run_mapping(matrix_size, enable_fusion=False, name="Naive mapping")
-    smart = _run_mapping(matrix_size, enable_fusion=True, name='"Smart" mapping')
+    naive = _run_mapping(matrix_size, pipeline="no-fusion", name="Naive mapping")
+    smart = _run_mapping(matrix_size, pipeline="default", name='"Smart" mapping')
     if common_time_basis:
         smart = MappingOutcome(
             name=smart.name,

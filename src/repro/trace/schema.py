@@ -243,14 +243,27 @@ def encode_compile_options(options: CompileOptions) -> dict:
     }
 
 
+#: Compile options an older header may still carry: the value that reads
+#: as no option at all, and what replaced the option.
+RETIRED_COMPILE_OPTIONS = {
+    "engine": ("fast", "OffloadExecutor(engine=...)"),
+    "enable_offload": (True, 'offload_policy="never"'),
+    "enable_fusion": (True, 'pipeline="no-fusion"'),
+}
+
+
 def decode_compile_options(encoded: dict) -> CompileOptions:
-    """The inverse of :func:`encode_compile_options`.  A header recorded
-    while the host engine was a compile option carries ``"engine":
-    "fast"``, which reads as no option at all."""
+    """The inverse of :func:`encode_compile_options`.  A retired option
+    (:data:`RETIRED_COMPILE_OPTIONS`) at its default reads as no option at
+    all; any other value of one is refused with its replacement named."""
     encoded = dict(encoded)
-    engine = encoded.pop("engine", "fast")
-    if engine != "fast":
-        raise TraceFormatError(f"header: bad compile options (engine {engine!r} is not 'fast')")
+    for key, (default, replacement) in RETIRED_COMPILE_OPTIONS.items():
+        value = encoded.pop(key, default)
+        if type(value) is not type(default) or value != default:
+            raise TraceFormatError(
+                f"header: bad compile options ({key} {value!r} is retired; "
+                f"use {replacement})"
+            )
     known = {field.name for field in fields(CompileOptions)}
     unknown = set(encoded) - known
     if unknown:

@@ -84,7 +84,7 @@ def test_fusion_emits_batched_call(two_gemms_source):
 
 
 def test_fusion_disabled_emits_two_calls(two_gemms_source):
-    result = compile_source(two_gemms_source, options=CompileOptions(enable_fusion=False))
+    result = compile_source(two_gemms_source, options=CompileOptions(pipeline="no-fusion"))
     assert result.report.runtime_calls_emitted == [CIM_GEMM, CIM_GEMM]
 
 
@@ -201,7 +201,7 @@ def test_executor_quantized_system_accuracy(gemm_source, rng):
 
 def test_executor_batched_gemm_writes_shared_operand_once(two_gemms_source, rng):
     fused = compile_source(two_gemms_source)
-    unfused = compile_source(two_gemms_source, options=CompileOptions(enable_fusion=False))
+    unfused = compile_source(two_gemms_source, options=CompileOptions(pipeline="no-fusion"))
     n = 20
     params = {"N": n}
     arrays = {

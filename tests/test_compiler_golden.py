@@ -1,7 +1,7 @@
 """The compiler's observable output, pinned bit for bit.
 
 For each PolyBench kernel with and without a SMALL size hint, four kernels
-across eight option sets, Listing 2's shared-input source, and one GEMM
+across seven option sets, Listing 2's shared-input source, and one GEMM
 that Listing 3's tiling does split, ``tests/golden/compiler/compiler.json``
 holds the printed program, the decisions, the fusion groups, the tiled
 kernels, the runtime calls and the device mappings.  The snapshots see a
@@ -36,13 +36,12 @@ UNCACHED = dict(enable_compile_cache=False)
 
 #: The option sets the four kernels are compiled under, by id.
 OPTION_SETS = {
-    "no-offload": dict(enable_offload=False),
-    "no-fusion-flag": dict(enable_fusion=False),
+    "no-offload": dict(offload_policy="never"),
+    "no-fusion-flag": dict(pipeline="no-fusion"),
     "tiling": dict(enable_tiling=True, crossbar_rows=16, crossbar_cols=16),
     "selective": dict(min_macs_per_write=32.0),
     "gemm-only": dict(offload_kinds=("gemm",)),
     "always-policy": dict(offload_policy="always"),
-    "never-policy": dict(offload_policy="never"),
     "shared-input-fusion": dict(fusion_requires_shared_input=True),
 }
 

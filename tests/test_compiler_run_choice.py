@@ -5,15 +5,18 @@ else: not by :class:`~repro.compiler.options.CompileOptions`, not per
 ``run()`` call and not per serving request.  These tests pin the compile
 fingerprints (and so batch signatures and lease labels) and the
 ``compile_options`` text of a trace header, which no longer carries an
-engine (a recorded header that does still reads).  They also pin that
+engine, ``enable_offload`` or ``enable_fusion`` (a recorded header that
+does still reads).  They also pin that
 ``run()``, ``submit()`` and ``serve_alone()`` take a program, not a
 compilation result.
 """
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +29,29 @@ from repro.serve.server import CimServer, ServerConfig
 from repro.trace.schema import (
     TraceFormatError,
     decode_compile_options,
+    decode_server_config,
     encode_compile_options,
+    encode_server_config,
+    load_trace,
+    loads_trace,
 )
 
-HEADER = Path(__file__).parent / "traces" / "serve_multitenant.jsonl"
+TRACES = Path(__file__).parent / "traces"
+HEADER = TRACES / "serve_multitenant.jsonl"
 PARAMS = {"M": 16, "N": 16}
 
 #: Compile fingerprints, pinned: a change that moves one moves every batch
 #: signature and lease label derived from it.
 FINGERPRINTS = [
-    (CompileOptions(), "cccf6ebba5605d619518fa9c1e09726e7b8a2478dec5d1eba94fa4dca5c03024"),
+    (CompileOptions(), "c755f444fca0d34d82d7a3faf0b2e214f933468026f3fd505d8840878f8b9ec3"),
     (CompileOptions.host_only(),
-     "05c2e21c090a5669e990597223991acb662e34bf18fb85c539c382fdb4875d02"),
+     "623d9213b4d238e7d31d4f6840c5600f6f52ec58850a76fb00b1633171febfb3"),
     (CompileOptions(enable_tiling=True),
-     "b86ac18f19cfd5175c267cc15f406803370972fb8f2526c65c2919222caf78c9"),
+     "00a80f070e6e6e7f2c6c1b94eaec0e66419fa5288f7c2e6a42aa3d846bc54938"),
     (CompileOptions(pipeline="no-fusion"),
-     "911cd7ad95bb58aa6631f01101d4835989b400551c3e5088bc112086a49390ee"),
+     "0d7b0dae6e03d4007f01bba3003037c74056a1d5d3d6e3fab8a0dfb10049cebc"),
     (CompileOptions(min_macs_per_write=32),
-     "611a7dc7e86b77e6d7e8efaf6526d1970487f3b98bfa7954a966393c3acc0eab"),
+     "e87843d841afa5d6c89d5272c02a65aa8d26d2f12965d11d34513bb4ce2edf5b"),
 ]
 
 
@@ -98,3 +106,41 @@ def test_a_compilation_result_is_refused():
         # The program itself is served.
         handle = server.serve_alone("alice", result.program, PARAMS, arrays)
     np.testing.assert_array_equal(handle.result()["y"], np.full(16, 16.0, dtype=np.float32))
+
+
+#: sha256 of each trace fixture's header line as it was recorded while
+#: ``enable_offload`` and ``enable_fusion`` were compile options.
+RETIRED_OPTION_HEADERS = {
+    "serve_multitenant": "354aa213d31690539013952051404471200aed17375b4b449fc6ee179ce5759d",
+    "fleet_faultstorm": "41af1b147e3f350becae61987bfa1a498d4e98c7a6adee84de6ecbe167b77355",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_OPTION_HEADERS))
+def test_a_header_with_the_retired_options_still_loads(name):
+    path = TRACES / f"{name}.jsonl"
+    header, body = path.read_text().split("\n", 1)
+    old = header.replace(
+        '"compile_options":{', '"compile_options":{"enable_offload":true,', 1
+    ).replace('"conv2d"],', '"conv2d"],"enable_fusion":true,', 1)
+    assert hashlib.sha256(f"{old}\n".encode()).hexdigest() == RETIRED_OPTION_HEADERS[name]
+    recorded, current = loads_trace(f"{old}\n{body}"), load_trace(path)
+    decoded = decode_server_config(recorded.header["kind"], recorded.config)
+    assert encode_server_config(decoded) == current.config
+
+
+@pytest.mark.parametrize(
+    "key, value, replacement",
+    [
+        ("enable_offload", False, 'offload_policy="never"'),
+        ("enable_offload", 1, 'offload_policy="never"'),
+        ("enable_fusion", False, 'pipeline="no-fusion"'),
+    ],
+)
+def test_a_retired_option_off_its_default_names_its_replacement(key, value, replacement):
+    encoded = encode_compile_options(CompileOptions())
+    assert key not in encoded
+    assert decode_compile_options({**encoded, key: True}) == CompileOptions()
+    with pytest.raises(TraceFormatError, match=f"{key} {value!r} is retired; use "
+                       + re.escape(replacement)):
+        decode_compile_options({**encoded, key: value})

@@ -13,7 +13,8 @@ Operands are non-integer float32, so a change in summation order would
 show in the result bytes.  ``tests/golden/serve/fused_leases.json`` holds
 what the tree *before* the descriptor-once lease produced, except for
 what the crossbar's region store moved on purpose (a lease finds a model
-an earlier lease programmed; ``tests/test_region_store.py``); the
+an earlier lease programmed; ``tests/test_region_store.py``) and the
+serve timeline's lease labels, which carry compile fingerprints; the
 comparison is ``==``.
 
 Recording (only from a tree whose fused lease is the reference)::

@@ -73,7 +73,7 @@ def test_spec_layout_fills_its_blas_entry(spec):
 # ----------------------------------------------------------------------
 def test_compile_options_presets():
     host_only = CompileOptions.host_only()
-    assert not host_only.enable_offload
+    assert host_only == CompileOptions(offload_policy="never")
     selective = CompileOptions.selective(threshold=10.0)
     assert selective.min_macs_per_write == 10.0
     assert CompileOptions().wants_kind("gemm")

@@ -42,7 +42,7 @@ GOLDEN = {
 
 COMPILE_OPTIONS = CompileOptions(
     offload_kinds=("gemv", "gemm"),
-    enable_fusion=False,
+    pipeline="no-fusion",
     enable_tiling=True,
     crossbar_rows=64,
     min_macs_per_write=8.0,

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Documentation checker run by the CI docs job.
 
-Six checks, no dependencies beyond the standard library (the docs job
-installs nothing, so the engine names and the flight edges are read from
-source, not imported):
+Seven checks, no dependencies beyond the standard library (the docs job
+installs nothing, so the engine names, the flight edges, the compile
+options and the named pipelines are read from source, not imported):
 
 1. **Link resolution** — every intra-repo markdown link in ``docs/*.md``
    and ``README.md`` (relative targets; external ``http(s)``/``mailto``
@@ -26,6 +26,10 @@ source, not imported):
    row of the "Flight states" table in ``docs/gateway.md`` (a row's
    "Next" may chain two moves), the table shows no move ``_EDGES`` lacks
    (a row may keep its state), and it names no state ``_EDGES`` lacks.
+7. **Compile options** — the "Compile options" table in
+   ``docs/compiler.md`` lists exactly the fields of ``CompileOptions``,
+   and its "Named pipelines" table exactly the keys of
+   ``NAMED_PIPELINES``.
 
 Exits non-zero with one line per problem.
 """
@@ -37,6 +41,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +61,10 @@ FLIGHT_CORE = REPO_ROOT / "src" / "repro" / "gateway" / "core.py"
 FLIGHT_DOC = REPO_ROOT / "docs" / "gateway.md"
 #: A state in a table cell: "`queued`", or "(new)" before a flight is one.
 STATE_RE = re.compile(r"`(\w+)`|\((new)\)")
+#: The compiler doc, and the sources its options and pipelines tables list.
+COMPILER_DOC = REPO_ROOT / "docs" / "compiler.md"
+OPTIONS_SOURCE = REPO_ROOT / "src" / "repro" / "compiler" / "options.py"
+PIPELINES_SOURCE = REPO_ROOT / "src" / "repro" / "compiler" / "passes" / "pipelines.py"
 
 
 def iter_doc_files() -> list[Path]:
@@ -217,6 +226,67 @@ def check_flight_states() -> list[str]:
     return problems
 
 
+def option_fields() -> list[str]:
+    """The fields of ``CompileOptions``, read from its source."""
+    for node in ast.parse(OPTIONS_SOURCE.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "CompileOptions":
+            return [
+                item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    raise RuntimeError("cannot find CompileOptions")
+
+
+def pipeline_names() -> list[str]:
+    """The keys of ``NAMED_PIPELINES``, read from its source."""
+    for node in ast.parse(PIPELINES_SOURCE.read_text()).body:
+        if (
+            isinstance(node, ast.AnnAssign)
+            and getattr(node.target, "id", None) == "NAMED_PIPELINES"
+            and isinstance(node.value, ast.Dict)
+        ):
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise RuntimeError("cannot find NAMED_PIPELINES")
+
+
+def table_names(lines: list[str], heading: str) -> Optional[list[str]]:
+    """The code span of each row's first cell in the first table after
+    *heading*; ``None`` without that heading."""
+    if heading not in lines:
+        return None
+    line_no = lines.index(heading) + 1
+    while line_no < len(lines) and not lines[line_no].startswith("|"):
+        line_no += 1
+    names = []
+    for line in lines[line_no + 2:]:  # past the header row and its rule
+        if not line.startswith("|"):
+            break
+        names.extend(CODE_SPAN_RE.findall(line.split("|")[1])[:1])
+    return names
+
+
+def check_compile_options() -> list[str]:
+    where = os.path.relpath(COMPILER_DOC, REPO_ROOT)
+    lines = COMPILER_DOC.read_text().splitlines()
+    problems = []
+    for heading, kind, names in (
+        ("## Compile options", "CompileOptions field", option_fields()),
+        ("## Named pipelines", "named pipeline", pipeline_names()),
+    ):
+        shown = table_names(lines, heading)
+        if shown is None:
+            problems.append(f"{where}: no {heading!r} section")
+            continue
+        for name in names:
+            if name not in shown:
+                problems.append(f"{where}: the {heading[3:]!r} table lacks the {kind} `{name}`")
+        for name in shown:
+            if name not in names:
+                problems.append(f"{where}: the {heading[3:]!r} table lists `{name}`, "
+                                f"which is no {kind}")
+    return problems
+
+
 def main() -> int:
     files = iter_doc_files()
     if not files:
@@ -228,6 +298,7 @@ def main() -> int:
         + check_lines(files)
         + check_docstrings(iter_source_files())
         + check_flight_states()
+        + check_compile_options()
     )
     for problem in problems:
         print(problem, file=sys.stderr)

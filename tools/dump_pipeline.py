@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Print the resolved pass pipeline and per-pass timings for a source file.
 
-Resolves a pipeline description (a named pipeline or an explicit
-comma-separated pass list) against the pass registry, compiles the given
+Resolves a named pipeline into its passes, compiles the given
 mini-C file (or a built-in PolyBench kernel via ``--kernel``), and prints
 the pass list, the per-pass wall-time table recorded by the pass
 manager, the engine tier of every top-level loop nest of the compiled
@@ -14,8 +13,7 @@ Usage::
     PYTHONPATH=src python tools/dump_pipeline.py path/to/kernel.c
     PYTHONPATH=src python tools/dump_pipeline.py --kernel gemm --pipeline no-fusion
     PYTHONPATH=src python tools/dump_pipeline.py --kernel 2mm \\
-        --pipeline parse,normalize-reductions,detect-scops \\
-        --size-hint NI=64 --size-hint NJ=64
+        --pipeline detect-only --size-hint NI=64 --size-hint NJ=64
 """
 
 from __future__ import annotations
@@ -27,12 +25,8 @@ from pathlib import Path
 # Allow running without PYTHONPATH=src.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.compiler import CompileOptions, PipelineError, TdoCimCompiler  # noqa: E402
-from repro.compiler.passes import (  # noqa: E402
-    NAMED_PIPELINES,
-    PASS_REGISTRY,
-    resolve_pass_names,
-)
+from repro.compiler import CompileOptions, TdoCimCompiler  # noqa: E402
+from repro.compiler.passes import NAMED_PIPELINES, resolve_pass_names  # noqa: E402
 from repro.ir.engine import program_lowering_report  # noqa: E402
 
 
@@ -59,8 +53,7 @@ def main() -> int:
     parser.add_argument(
         "--pipeline",
         default="default",
-        help="named pipeline or comma-separated pass list "
-        f"(named: {', '.join(sorted(NAMED_PIPELINES))})",
+        help=f"named pipeline ({', '.join(sorted(NAMED_PIPELINES))})",
     )
     parser.add_argument(
         "--policy",
@@ -75,23 +68,15 @@ def main() -> int:
         help="problem-size parameter for the intensity heuristic (repeatable)",
     )
     parser.add_argument(
-        "--list-passes", action="store_true", help="list registered passes and exit"
+        "--list-passes", action="store_true", help="list each named pipeline's passes and exit"
     )
     args = parser.parse_args()
 
     if args.list_passes:
-        print("registered passes:")
-        for name, cls in sorted(PASS_REGISTRY.items()):
-            print(f"  {name:<22s} requires={list(cls.requires)} "
-                  f"provides={list(cls.provides)}")
-        print("\nnamed pipelines:")
+        print("named pipelines:")
         for name, passes in NAMED_PIPELINES.items():
             print(f"  {name:<12s} = {' -> '.join(passes)}")
         return 0
-
-    pipeline: str | list[str] = args.pipeline
-    if "," in pipeline:
-        pipeline = [name.strip() for name in pipeline.split(",") if name.strip()]
 
     if args.kernel:
         from repro.workloads import get_kernel
@@ -105,13 +90,13 @@ def main() -> int:
         parser.error("give a source file or --kernel NAME")
 
     try:
-        names = resolve_pass_names(pipeline)
+        names = resolve_pass_names(args.pipeline)
         options = CompileOptions(
-            pipeline=pipeline,
+            pipeline=args.pipeline,
             offload_policy=args.policy,
             enable_compile_cache=False,
         )
-    except (PipelineError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -119,13 +104,9 @@ def main() -> int:
     print("  " + " -> ".join(names))
     print()
 
-    try:
-        result = TdoCimCompiler(options).compile(
-            source, size_hint=parse_size_hints(args.size_hint)
-        )
-    except PipelineError as exc:  # bad ordering is caught at pipeline build
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = TdoCimCompiler(options).compile(
+        source, size_hint=parse_size_hints(args.size_hint)
+    )
     print(result.report.timing_summary())
     print()
     print(f"engine lowering for {label}:")
