@@ -1,7 +1,7 @@
 """The compiler's observable output, pinned bit for bit.
 
 For each PolyBench kernel with and without a SMALL size hint, four kernels
-across seven option sets, Listing 2's shared-input source, and one GEMM
+across eight option sets, Listing 2's shared-input source, and one GEMM
 that Listing 3's tiling does split, ``tests/golden/compiler/compiler.json``
 holds the printed program, the decisions, the fusion groups, the tiled
 kernels, the runtime calls and the device mappings.  The snapshots see a
@@ -42,6 +42,9 @@ OPTION_SETS = {
     "selective": dict(min_macs_per_write=32.0),
     "gemm-only": dict(offload_kinds=("gemm",)),
     "always-policy": dict(offload_policy="always"),
+    # The policy spelling of the host-only baseline: its entries are the
+    # host-only output, so the policy must reproduce it bit for bit.
+    "never-policy": dict(offload_policy="never"),
     "shared-input-fusion": dict(fusion_requires_shared_input=True),
 }
 
